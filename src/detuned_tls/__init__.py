@@ -61,6 +61,7 @@ from .model import (
     fermi,
     resolve_occupations,
     with_parameter,
+    with_parameters,
 )
 from .quantum import (
     EvolutionError,
@@ -92,6 +93,7 @@ from .thermo import (
     entropy_report,
     find_violation_with_bare_energies,
     recheck_with_effective_energies,
+    sample_points,
     sweep,
 )
 

@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -16,9 +15,8 @@ import numpy as np
 
 from . import gain as gain_mod
 from . import thermo
-from .classical import BlochState, evolve, fluxes_classical, steady_state_closed_form
+from .classical import BlochState, evolve
 from .config import (
-    CANONICAL_KEYS,
     ConfigError,
     build_system_spec,
     config_from_system_spec,
@@ -27,19 +25,17 @@ from .config import (
     resolve_parameter_key,
 )
 from .laser import solve_lasing
-from .model import SystemSpec, resolve_occupations, with_parameter
+from .model import SCENARIO_KEYS, SystemSpec, resolve_occupations, with_parameters
 from .quantum import (
     EvolutionError,
+    HilbertLayout,
     SteadyStateError,
     build_liouvillian,
     build_operators,
     evolve_quantum,
-    fluxes_quantum,
     observables,
-    quantum_steady_state,
     thermal_product_state,
 )
-from .quantum import HilbertLayout
 
 FLUX_COLUMNS = (
     "R_ss",
@@ -73,14 +69,16 @@ def _load_spec(path: str) -> SystemSpec:
     return build_system_spec(parse_config(text))
 
 
-def _parse_sweep(arg: str) -> tuple[str, np.ndarray]:
+def _parse_sweep(arg: str) -> tuple[str, tuple[float, float, int]]:
     try:
         key, _, rng = arg.partition("=")
         lo, hi, n = rng.split(":")
-        values = np.linspace(float(lo), float(hi), int(n))
+        bounds = (float(lo), float(hi), int(n))
     except ValueError as exc:
         raise ConfigError(f"bad sweep spec {arg!r} (expected key=lo:hi:n)") from exc
-    return resolve_parameter_key(key.strip()), values
+    if bounds[2] < 1:
+        raise ConfigError(f"bad sweep spec {arg!r}: n must be at least 1")
+    return resolve_parameter_key(key.strip()), bounds
 
 
 def _parse_range(arg: str) -> tuple[str, tuple[float, float]]:
@@ -93,25 +91,37 @@ def _parse_range(arg: str) -> tuple[str, tuple[float, float]]:
     return resolve_parameter_key(key.strip()), bounds
 
 
-def _sweep_samples(base: SystemSpec, sweep_args: list[str]) -> list[tuple[dict, SystemSpec]]:
-    """Cartesian product over the swept keys; a single base point if none."""
-    if not sweep_args:
-        return [({}, base)]
-    keys = []
-    axes = []
-    for arg in sweep_args:
-        key, values = _parse_sweep(arg)
-        keys.append(key)
-        axes.append(values)
-    samples = []
-    for combo in itertools.product(*axes):
-        spec = base
-        params = {}
-        for key, value in zip(keys, combo):
-            spec = with_parameter(spec, key, float(value))
-            params[key] = float(value)
-        samples.append((params, spec))
-    return samples
+def _ranges(args: argparse.Namespace) -> dict[str, tuple]:
+    """The one place that turns sampling flags into sampler ranges.
+
+    --sweep key=lo:hi:n gives a grid axis, --range key=lo:hi a random
+    interval.  ``audit`` samples --range keys only with --random N >= 1, and
+    never together with --sweep.  A key may be sampled once.
+    """
+    sweeps = getattr(args, "sweep", None) or []
+    intervals = getattr(args, "range", None) or []
+    if args.command == "audit":
+        if args.random is None and intervals:
+            raise ConfigError("--range requires --random N")
+        if args.random is not None:
+            if args.random < 1:
+                raise ConfigError("--random N requires N >= 1")
+            if sweeps:
+                raise ConfigError("--random cannot be combined with --sweep")
+            if not intervals:
+                raise ConfigError("--random requires at least one --range key=lo:hi")
+    ranges: dict[str, tuple] = {}
+    for key, bounds in [_parse_sweep(a) for a in sweeps] + [_parse_range(a) for a in intervals]:
+        if key in ranges:
+            raise ConfigError(f"parameter {key!r} is sampled more than once")
+        ranges[key] = bounds
+    return ranges
+
+
+def _grid_specs(base: SystemSpec, args: argparse.Namespace) -> list[SystemSpec]:
+    """The --sweep grid applied to ``base``; just ``base`` without --sweep."""
+    points = thermo.sample_points(_ranges(args), "grid", None, 0)
+    return [with_parameters(base, params) for params in points]
 
 
 def _param_columns(specs: Sequence[SystemSpec]) -> tuple[list[str], list[list[str]]]:
@@ -121,9 +131,9 @@ def _param_columns(specs: Sequence[SystemSpec]) -> tuple[list[str], list[list[st
     return keys, cells
 
 
-def _flags_text(entropy: thermo.EntropyReport, regime: thermo.RegimeReport, tol: float) -> str:
+def _flags_text(total: float, regime: thermo.RegimeReport, tol: float) -> str:
     flags = [f"regime={regime.regime}"]
-    if entropy.total < -tol:
+    if total < -tol:
         flags.append("violation")
     if regime.cooling:
         flags.append("cooling")
@@ -134,7 +144,7 @@ def _flags_text(entropy: thermo.EntropyReport, regime: thermo.RegimeReport, tol:
     return ";".join(flags)
 
 
-def _flux_row(sample_id: int, params: list[str], flux, entropy, regime, tol: float) -> list[str]:
+def _flux_row(sample_id: int, params: list[str], flux, total, regime, tol: float) -> list[str]:
     return (
         [str(sample_id)]
         + params
@@ -148,32 +158,25 @@ def _flux_row(sample_id: int, params: list[str], flux, entropy, regime, tol: flo
             format_number(flux.e_eff_u),
             format_number(flux.e_eff_l),
             format_number(flux.e_eff_ph),
-            format_number(entropy.total),
-            format_number(entropy.law1_residual),
-            _flags_text(entropy, regime, tol),
+            format_number(total),
+            format_number(flux.first_law_residual),
+            _flags_text(total, regime, tol),
         ]
     )
 
 
 def _cmd_steady_state(args: argparse.Namespace, treatment: str) -> int:
     base = _load_spec(args.config)
-    samples = _sweep_samples(base, args.sweep or [])
-    keys, param_cells = _param_columns([spec for _, spec in samples])
+    if treatment == "classical" and base.drive is None:
+        raise ConfigError("classical commands require a drive section")
+    if treatment == "quantum" and (base.cavity is None or base.bath is None):
+        raise ConfigError("quantum commands require cavity and bath sections")
+    specs = _grid_specs(base, args)
+    keys, param_cells = _param_columns(specs)
     rows = []
-    for sample_id, ((_, spec), cells) in enumerate(zip(samples, param_cells)):
-        if treatment == "classical" and spec.drive is None:
-            raise ConfigError("classical commands require a drive section")
-        if treatment == "quantum" and (spec.cavity is None or spec.bath is None):
-            raise ConfigError("quantum commands require cavity and bath sections")
-        occ = resolve_occupations(spec, treatment)
-        if treatment == "classical":
-            flux = fluxes_classical(steady_state_closed_form(spec, occ), spec, occ)
-        else:
-            solution = quantum_steady_state(spec, occ, fock_cutoff=args.fock_cutoff)
-            flux = fluxes_quantum(solution.state.rho, solution.ops, spec, occ)
-        entropy = thermo.entropy_report(flux, spec)
-        regime = thermo.classify_regime(flux, spec)
-        rows.append(_flux_row(sample_id, cells, flux, entropy, regime, args.tolerance))
+    for sample_id, (spec, cells) in enumerate(zip(specs, param_cells)):
+        flux, entropy, regime = thermo.audit_point(spec, treatment, args.fock_cutoff)
+        rows.append(_flux_row(sample_id, cells, flux, entropy.total, regime, args.tolerance))
     _write_rows(args.out, ["sample_id"] + keys + list(FLUX_COLUMNS), rows)
     return 0
 
@@ -235,10 +238,10 @@ def _cmd_laser(args: argparse.Namespace) -> int:
     base = _load_spec(args.config)
     if base.cavity is None or base.bath is None:
         raise ConfigError("laser command requires cavity and bath sections")
-    samples = _sweep_samples(base, args.sweep or [])
-    keys, param_cells = _param_columns([spec for _, spec in samples])
+    specs = _grid_specs(base, args)
+    keys, param_cells = _param_columns(specs)
     rows = []
-    for sample_id, ((_, spec), cells) in enumerate(zip(samples, param_cells)):
+    for sample_id, (spec, cells) in enumerate(zip(specs, param_cells)):
         sol = solve_lasing(spec)
         rows.append(
             [str(sample_id)]
@@ -306,43 +309,22 @@ def _nan_row(sample_id: int, params: list[str], error: str) -> list[str]:
 def _cmd_audit(args: argparse.Namespace) -> int:
     base = _load_spec(args.config)
     treatment = args.treatment or ("quantum" if base.cavity is not None else "classical")
-
-    if args.random is not None:
-        if not args.range:
-            raise ConfigError("--random requires at least one --range key=lo:hi")
-        ranges = dict(_parse_range(a) for a in args.range)
-        results = thermo.sweep(
-            base,
-            ranges,
-            treatment=treatment,
-            sampler="random",
-            n_samples=args.random,
-            seed=args.seed,
-            tolerance=args.tolerance,
-            fock_cutoff=args.fock_cutoff,
-        )
-    else:
-        ranges = {}
-        for arg in args.sweep or []:
-            key, values = _parse_sweep(arg)
-            ranges[key] = (float(values[0]), float(values[-1]), len(values))
-        if not ranges:
-            ranges = {}
-        results = thermo.sweep(
-            base,
-            ranges,
-            treatment=treatment,
-            sampler="grid",
-            seed=args.seed,
-            tolerance=args.tolerance,
-            fock_cutoff=args.fock_cutoff,
-        )
+    ranges = _ranges(args)
+    results = thermo.sweep(
+        base,
+        ranges,
+        treatment=treatment,
+        sampler="grid" if args.random is None else "random",
+        n_samples=args.random,
+        seed=args.seed,
+        tolerance=args.tolerance,
+        fock_cutoff=args.fock_cutoff,
+    )
 
     # Parameter columns are overlaid on the base scenario textually, so rows
     # whose parameters do not form a valid spec still serialize.
     base_cfg = config_from_system_spec(base).values
-    swept = set().union(*(res.params.keys() for res in results)) if results else set()
-    keys = [k for k in CANONICAL_KEYS if k in base_cfg or k in swept]
+    keys = [k for k in SCENARIO_KEYS if k in base_cfg or k in ranges]
 
     rows = []
     for res in results:
@@ -352,39 +334,30 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         cells = [cells_map.get(k, "") for k in keys]
         if res.error is not None:
             rows.append(_nan_row(res.index, cells, res.error))
-            continue
-        spec = base
-        for key, value in res.params.items():
-            spec = with_parameter(spec, key, value)
-        entropy = thermo.entropy_report(res.flux, spec)
-        regime = thermo.classify_regime(res.flux, spec)
-        rows.append(_flux_row(res.index, cells, res.flux, entropy, regime, args.tolerance))
+        else:
+            rows.append(
+                _flux_row(res.index, cells, res.flux, res.entropy_total, res.regime, args.tolerance)
+            )
     _write_rows(args.out, ["sample_id"] + keys + list(FLUX_COLUMNS), rows)
     return 0
 
 
 def _cmd_find_violation(args: argparse.Namespace) -> int:
-    base = _load_spec(args.config) if args.config else None
-    ranges = dict(_parse_range(a) for a in args.range) if args.range else None
     result = thermo.find_violation_with_bare_energies(
-        ranges=ranges,
+        ranges=_ranges(args) or None,
         seed=args.seed,
-        base=base,
+        base=_load_spec(args.config) if args.config else None,
         max_samples=args.max_samples,
         tolerance=args.tolerance,
     )
     if result is None:
         sys.stderr.write("no second-law violation found within the sample budget\n")
         return 4
-
-    base_spec = base if base is not None else thermo.default_violation_scenario()
-    spec = base_spec
-    for key, value in result.params.items():
-        spec = with_parameter(spec, key, value)
-    keys, param_cells = _param_columns([spec])
-    entropy = thermo.entropy_report(result.flux, spec)
-    regime = thermo.classify_regime(result.flux, spec)
-    row = _flux_row(result.index, param_cells[0], result.flux, entropy, regime, args.tolerance)
+    keys, param_cells = _param_columns([result.spec])
+    row = _flux_row(
+        result.index, param_cells[0], result.flux, result.entropy_total, result.regime,
+        args.tolerance,
+    )
     _write_rows(args.out, ["sample_id"] + keys + list(FLUX_COLUMNS), [row])
     return 0
 

@@ -16,38 +16,9 @@ from .model import (
     EnergyLevels,
     FermionicReservoir,
     OccupationSpec,
+    SCENARIO_KEYS,
     SystemSpec,
 )
-
-CANONICAL_KEYS = (
-    "e_upper",
-    "e_lower",
-    "drive.omega",
-    "drive.epsilon",
-    "cavity.omega_cav",
-    "cavity.g",
-    "cavity.fock_cutoff",
-    "reservoir_u.gamma",
-    "reservoir_u.mu",
-    "reservoir_u.temperature",
-    "reservoir_u.occupation",
-    "reservoir_l.gamma",
-    "reservoir_l.mu",
-    "reservoir_l.temperature",
-    "reservoir_l.occupation",
-    "bath.gamma",
-    "bath.temperature",
-    "bath.occupation",
-)
-
-_COMPLEX_KEYS = ("drive.epsilon", "cavity.g")
-_INT_KEYS = ("cavity.fock_cutoff",)
-_OCCUPATION_KEYS = (
-    "reservoir_u.occupation",
-    "reservoir_l.occupation",
-    "bath.occupation",
-)
-
 
 class ConfigError(ValueError):
     """Malformed scenario file; carries the line number when known."""
@@ -87,19 +58,19 @@ def parse_config(text: str) -> ScenarioConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in CANONICAL_KEYS:
+        if key not in SCENARIO_KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", lineno)
         if not value:
             raise ConfigError(f"empty value for key {key!r}", lineno)
         values[key] = value
-    return ScenarioConfig(values={k: values[k] for k in CANONICAL_KEYS if k in values})
+    return ScenarioConfig(values={k: values[k] for k in SCENARIO_KEYS if k in values})
 
 
 def serialize_config(config: ScenarioConfig) -> str:
     """Canonically ordered text form of a scenario."""
-    lines = [f"{key} = {config.values[key]}" for key in CANONICAL_KEYS if key in config.values]
+    lines = [f"{key} = {config.values[key]}" for key in SCENARIO_KEYS if key in config.values]
     return "\n".join(lines) + "\n"
 
 
@@ -252,7 +223,7 @@ def config_from_system_spec(spec: SystemSpec) -> ScenarioConfig:
         values["bath.gamma"] = format_number(spec.bath.gamma)
         values["bath.temperature"] = format_number(spec.bath.temperature)
         values["bath.occupation"] = _occupation_text(spec.bath.occupation)
-    return ScenarioConfig(values={k: values[k] for k in CANONICAL_KEYS if k in values})
+    return ScenarioConfig(values={k: values[k] for k in SCENARIO_KEYS if k in values})
 
 
 def resolve_parameter_key(name: str) -> str:
@@ -261,11 +232,10 @@ def resolve_parameter_key(name: str) -> str:
     A bare leaf name is accepted when it identifies exactly one numeric
     parameter (``omega_cav`` -> ``cavity.omega_cav``).
     """
-    from .model import NUMERIC_PARAMETER_KEYS
-
-    if name in NUMERIC_PARAMETER_KEYS:
+    numeric = [k for k, kind in SCENARIO_KEYS.items() if kind is not OccupationSpec]
+    if name in numeric:
         return name
-    matches = [k for k in NUMERIC_PARAMETER_KEYS if k.split(".")[-1] == name]
+    matches = [k for k in numeric if k.split(".")[-1] == name]
     if len(matches) == 1:
         return matches[0]
     if not matches:

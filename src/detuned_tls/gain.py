@@ -10,11 +10,12 @@ treatment.  Rates are reported in arbitrary units (unit prefactor).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .model import fermi
 
 SubbandOccupation = Callable[[float], float]
 
@@ -31,11 +32,7 @@ class FermiOccupation:
             raise ValueError("temperature must be positive")
 
     def __call__(self, e: float) -> float:
-        x = (e - self.mu) / self.temperature
-        if x >= 0:
-            z = math.exp(-x)
-            return z / (1.0 + z)
-        return 1.0 / (1.0 + math.exp(x))
+        return fermi(e, self.mu, self.temperature)
 
 
 @dataclass(frozen=True)
@@ -83,6 +80,25 @@ class AverageEnergyCheck(NamedTuple):
     difference: float
 
 
+def _weighted_bracket(
+    e_k0: float,
+    delta: float,
+    gamma_u: float,
+    gamma_l: float,
+    f_upper: SubbandOccupation,
+    f_lower: SubbandOccupation,
+) -> tuple[float, float]:
+    """Total broadening and the rate-weighted, detuning-shifted occupation difference."""
+    gamma_sum = gamma_u + gamma_l
+    if gamma_sum <= 0:
+        raise ValueError("gamma_u + gamma_l must be positive")
+    bracket = (
+        gamma_l * (f_upper(e_k0) - f_lower(e_k0 - delta))
+        + gamma_u * (f_upper(e_k0 + delta) - f_lower(e_k0))
+    ) / gamma_sum
+    return gamma_sum, bracket
+
+
 def bloch_rate(
     e_k0: float,
     delta: float,
@@ -96,14 +112,8 @@ def bloch_rate(
     Lorentzian broadening times the rate-weighted occupation differences
     with detuning-shifted arguments.  Positive for net emission.
     """
-    gamma_sum = gamma_u + gamma_l
-    if gamma_sum <= 0:
-        raise ValueError("gamma_u + gamma_l must be positive")
+    gamma_sum, bracket = _weighted_bracket(e_k0, delta, gamma_u, gamma_l, f_upper, f_lower)
     lorentz = gamma_sum / (delta**2 + gamma_sum**2 / 4.0)
-    bracket = (
-        gamma_l * (f_upper(e_k0) - f_lower(e_k0 - delta))
-        + gamma_u * (f_upper(e_k0 + delta) - f_lower(e_k0))
-    ) / gamma_sum
     return lorentz * bracket
 
 
@@ -139,13 +149,7 @@ def average_energy_equivalence(
     system.  The two readings agree exactly for occupations affine in energy
     and to second order in the detuning otherwise.
     """
-    gamma_sum = gamma_u + gamma_l
-    if gamma_sum <= 0:
-        raise ValueError("gamma_u + gamma_l must be positive")
-    bracket = (
-        gamma_l * (f_upper(e_k0) - f_lower(e_k0 - delta))
-        + gamma_u * (f_upper(e_k0 + delta) - f_lower(e_k0))
-    ) / gamma_sum
+    gamma_sum, bracket = _weighted_bracket(e_k0, delta, gamma_u, gamma_l, f_upper, f_lower)
     e_avg_u = e_k0 + delta * gamma_u / gamma_sum
     e_avg_l = e_k0 - delta * gamma_l / gamma_sum
     at_average = f_upper(e_avg_u) - f_lower(e_avg_l)

@@ -332,44 +332,49 @@ def resolve_occupations(spec: SystemSpec, treatment: Treatment) -> Occupations:
     return Occupations(f_u=f_u, f_l=f_l, n_b=n_b)
 
 
-# Dotted parameter paths accepted by with_parameter(); shared with the
-# scenario-file schema and the sweep machinery.
-NUMERIC_PARAMETER_KEYS = (
-    "e_upper",
-    "e_lower",
-    "drive.omega",
-    "drive.epsilon",
-    "cavity.omega_cav",
-    "cavity.g",
-    "cavity.fock_cutoff",
-    "reservoir_u.gamma",
-    "reservoir_u.mu",
-    "reservoir_u.temperature",
-    "reservoir_l.gamma",
-    "reservoir_l.mu",
-    "reservoir_l.temperature",
-    "bath.gamma",
-    "bath.temperature",
-)
+# Scenario keys in canonical order, with the type of their value.  The one key
+# table: it fixes the scenario-file schema and its order, sweep-key
+# resolution, and the conversion with_parameter() applies to numeric values.
+SCENARIO_KEYS: dict[str, type] = {
+    "e_upper": float,
+    "e_lower": float,
+    "drive.omega": float,
+    "drive.epsilon": complex,
+    "cavity.omega_cav": float,
+    "cavity.g": complex,
+    "cavity.fock_cutoff": int,
+    "reservoir_u.gamma": float,
+    "reservoir_u.mu": float,
+    "reservoir_u.temperature": float,
+    "reservoir_u.occupation": OccupationSpec,
+    "reservoir_l.gamma": float,
+    "reservoir_l.mu": float,
+    "reservoir_l.temperature": float,
+    "reservoir_l.occupation": OccupationSpec,
+    "bath.gamma": float,
+    "bath.temperature": float,
+    "bath.occupation": OccupationSpec,
+}
 
 
 def with_parameter(spec: SystemSpec, key: str, value: complex) -> SystemSpec:
-    """Return a copy of ``spec`` with one numeric parameter replaced."""
-    if key == "e_upper":
-        return replace(spec, levels=EnergyLevels(float(value), spec.levels.e_lower))
-    if key == "e_lower":
-        return replace(spec, levels=EnergyLevels(spec.levels.e_upper, float(value)))
+    """Return a copy of ``spec`` with one numeric parameter replaced.
 
-    group, _, field = key.partition(".")
-    if not field or key not in NUMERIC_PARAMETER_KEYS:
+    Undotted keys name a field of ``levels``; dotted keys are section.field.
+    """
+    kind = SCENARIO_KEYS.get(key)
+    if kind is None or kind is OccupationSpec:
         raise KeyError(f"unknown parameter key {key!r}")
+    group, _, field = key.rpartition(".")
+    group = group or "levels"
     target = getattr(spec, group)
     if target is None:
         raise ValueError(f"scenario has no {group} section to update")
-    if field in ("epsilon", "g"):
-        new = replace(target, **{field: complex(value)})
-    elif field == "fock_cutoff":
-        new = replace(target, **{field: int(value)})
-    else:
-        new = replace(target, **{field: float(value)})
-    return replace(spec, **{group: new})
+    return replace(spec, **{group: replace(target, **{field: kind(value)})})
+
+
+def with_parameters(spec: SystemSpec, params: dict[str, complex]) -> SystemSpec:
+    """Return a copy of ``spec`` with every ``key: value`` of ``params`` applied."""
+    for key, value in params.items():
+        spec = with_parameter(spec, key, value)
+    return spec

@@ -57,10 +57,6 @@ class HilbertLayout:
             raise ValueError("fock_cutoff must be at least 1")
 
     @property
-    def fermion_dim(self) -> int:
-        return 4
-
-    @property
     def n_photon_states(self) -> int:
         return self.fock_cutoff + 1
 

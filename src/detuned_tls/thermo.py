@@ -9,7 +9,9 @@ counterexample.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .model import (
     SystemSpec,
     Treatment,
     resolve_occupations,
-    with_parameter,
+    with_parameters,
 )
 from .quantum import fluxes_quantum, quantum_steady_state
 
@@ -66,12 +68,20 @@ class RegimeReport:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """One audited sample; ``flux``, ``entropy_total`` and ``regime`` are None on error.
+
+    Only the violation search fills ``spec``, the scenario it solved; a sweep
+    keeps no spec per sample.
+    """
+
     index: int
     params: dict[str, float]
     flux: FluxReport | None
     entropy_total: float | None
     violation: bool
     error: str | None
+    regime: RegimeReport | None = None
+    spec: SystemSpec | None = None
 
 
 def _regime(rate: float) -> str:
@@ -156,55 +166,61 @@ def classify_regime(flux: FluxReport, spec: SystemSpec) -> RegimeReport:
     return RegimeReport(regime, sign_law_ok, carnot_ok, cooling, excess)
 
 
-def _solve_flux(
-    spec: SystemSpec, treatment: Treatment, fock_cutoff: int | None = None
-) -> FluxReport:
-    occ = resolve_occupations(spec, treatment)
-    if treatment == "classical":
-        return fluxes_classical(steady_state_closed_form(spec, occ), spec, occ)
-    solution = quantum_steady_state(spec, occ, fock_cutoff=fock_cutoff)
-    return fluxes_quantum(solution.state.rho, solution.ops, spec, occ)
-
-
-def _solve_and_audit(
-    spec: SystemSpec, treatment: Treatment, fock_cutoff: int | None = None
-) -> tuple[FluxReport, float]:
-    flux = _solve_flux(spec, treatment, fock_cutoff)
-    return flux, entropy_report(flux, spec).total
-
-
 def audit_point(
     spec: SystemSpec, treatment: Treatment, fock_cutoff: int | None = None
 ) -> tuple[FluxReport, EntropyReport, RegimeReport]:
     """Solve one scenario and return fluxes, entropy account, and regime."""
-    flux = _solve_flux(spec, treatment, fock_cutoff)
+    occ = resolve_occupations(spec, treatment)
+    if treatment == "classical":
+        flux = fluxes_classical(steady_state_closed_form(spec, occ), spec, occ)
+    else:
+        solution = quantum_steady_state(spec, occ, fock_cutoff=fock_cutoff)
+        flux = fluxes_quantum(solution.state.rho, solution.ops, spec, occ)
     return flux, entropy_report(flux, spec), classify_regime(flux, spec)
 
 
-def _grid_values(ranges: dict[str, tuple]) -> list[dict[str, float]]:
-    keys = list(ranges)
-    axes = []
-    for key in keys:
-        lo, hi, n = ranges[key]
-        axes.append(np.linspace(lo, hi, int(n)))
-    points = []
-    for combo in np.ndindex(*(len(ax) for ax in axes)):
-        points.append({k: float(axes[i][j]) for i, (k, j) in enumerate(zip(keys, combo))})
-    return points
-
-
-def _random_values(
-    ranges: dict[str, tuple], n_samples: int, rng: np.random.Generator
+def sample_points(
+    ranges: dict[str, tuple], sampler: str, n_samples: int | None, seed: int
 ) -> list[dict[str, float]]:
+    """Parameter points for a sweep or a search.
+
+    ``grid``: the Cartesian product of ``linspace(lo, hi, n)`` over the keys
+    of ``ranges`` (last key fastest); no keys give the one empty point.
+    ``random``: ``n_samples`` points drawn uniformly in [lo, hi) from
+    ``default_rng(seed)``, key by key within a point.
+    """
     keys = list(ranges)
-    points = []
-    for _ in range(n_samples):
-        point = {}
-        for key in keys:
-            lo, hi = ranges[key][0], ranges[key][1]
-            point[key] = float(rng.uniform(lo, hi))
-        points.append(point)
-    return points
+    if sampler == "grid":
+        table = itertools.product(*(np.linspace(lo, hi, int(n)) for lo, hi, n in ranges.values()))
+    elif sampler == "random":
+        if n_samples is None:
+            raise ValueError("random sampling requires n_samples")
+        bounds = np.array([r[:2] for r in ranges.values()], dtype=float).reshape(-1, 2)
+        rng = np.random.default_rng(seed)
+        table = rng.uniform(bounds[:, 0], bounds[:, 1], size=(n_samples, len(keys)))
+    else:
+        raise ValueError(f"unknown sampler {sampler!r}")
+    return [dict(zip(keys, map(float, row))) for row in table]
+
+
+def _audits(
+    base: SystemSpec,
+    points: list[dict[str, float]],
+    treatment: Treatment,
+    tolerance: float,
+    fock_cutoff: int | None,
+) -> Iterator[tuple[SweepResult, SystemSpec | None]]:
+    """Audit each point on ``base``: its result and the spec solved (None on error)."""
+    for index, params in enumerate(points):
+        try:
+            spec = with_parameters(base, params)
+            flux, entropy, regime = audit_point(spec, treatment, fock_cutoff)
+        except Exception as exc:  # recorded per sample, the caller continues
+            error = f"{type(exc).__name__}: {exc}"
+            yield SweepResult(index, params, None, None, False, error), None
+            continue
+        total = entropy.total
+        yield SweepResult(index, params, flux, total, total < -tolerance, None, regime), spec
 
 
 def sweep(
@@ -223,45 +239,16 @@ def sweep(
     (lo, hi, n) for grids.  Results are deterministic for a given seed;
     per-sample solver failures are recorded and the sweep continues.
     """
-    if sampler == "grid":
-        points = _grid_values(ranges)
-    elif sampler == "random":
-        if n_samples is None:
-            raise ValueError("random sampling requires n_samples")
-        points = _random_values(ranges, n_samples, np.random.default_rng(seed))
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}")
+    points = sample_points(ranges, sampler, n_samples, seed)
+    return [result for result, _ in _audits(base, points, treatment, tolerance, fock_cutoff)]
 
-    results = []
-    for index, params in enumerate(points):
-        try:
-            spec = base
-            for key, value in params.items():
-                spec = with_parameter(spec, key, value)
-            flux, total = _solve_and_audit(spec, treatment, fock_cutoff)
-        except Exception as exc:  # recorded per sample, sweep continues
-            results.append(
-                SweepResult(
-                    index=index,
-                    params=params,
-                    flux=None,
-                    entropy_total=None,
-                    violation=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        results.append(
-            SweepResult(
-                index=index,
-                params=params,
-                flux=flux,
-                entropy_total=total,
-                violation=total < -tolerance,
-                error=None,
-            )
-        )
-    return results
+
+def _with_fermionic_occupations(spec: SystemSpec, occupation: OccupationSpec) -> SystemSpec:
+    return replace(
+        spec,
+        reservoir_u=replace(spec.reservoir_u, occupation=occupation),
+        reservoir_l=replace(spec.reservoir_l, occupation=occupation),
+    )
 
 
 def default_violation_scenario() -> SystemSpec:
@@ -301,41 +288,19 @@ def find_violation_with_bare_energies(
 
     Both fermionic occupations are forced to thermal-at-bare-energy and
     random classical scenarios are audited until one shows total entropy
-    production below -tolerance.  Returns None when the budget is exhausted
-    (absence is reported, not asserted).
+    production below -tolerance; samples that fail to solve are skipped.
+    The result carries the spec it solved.  Returns None when the budget is
+    exhausted (absence is reported, not asserted).
     """
     if base is None:
         base = default_violation_scenario()
-    base = replace(
-        base,
-        reservoir_u=replace(base.reservoir_u, occupation=OccupationSpec.thermal_bare()),
-        reservoir_l=replace(base.reservoir_l, occupation=OccupationSpec.thermal_bare()),
-    )
+    base = _with_fermionic_occupations(base, OccupationSpec.thermal_bare())
     if ranges is None:
         ranges = DEFAULT_VIOLATION_RANGES
-
-    rng = np.random.default_rng(seed)
-    for index in range(max_samples):
-        params = {}
-        try:
-            spec = base
-            for key in ranges:
-                lo, hi = ranges[key][0], ranges[key][1]
-                value = float(rng.uniform(lo, hi))
-                params[key] = value
-                spec = with_parameter(spec, key, value)
-            flux, total = _solve_and_audit(spec, "classical")
-        except Exception:
-            continue
-        if total < -tolerance:
-            return SweepResult(
-                index=index,
-                params=params,
-                flux=flux,
-                entropy_total=total,
-                violation=True,
-                error=None,
-            )
+    points = sample_points(ranges, "random", max_samples, seed)
+    for result, spec in _audits(base, points, "classical", tolerance, None):
+        if result.violation:
+            return replace(result, spec=spec)
     return None
 
 
@@ -345,12 +310,6 @@ def recheck_with_effective_energies(
     """Re-audit a violating sample with effective-energy occupations."""
     if base is None:
         base = default_violation_scenario()
-    spec = replace(
-        base,
-        reservoir_u=replace(base.reservoir_u, occupation=OccupationSpec.thermal_effective()),
-        reservoir_l=replace(base.reservoir_l, occupation=OccupationSpec.thermal_effective()),
-    )
-    for key, value in result.params.items():
-        spec = with_parameter(spec, key, value)
-    _, total = _solve_and_audit(spec, "classical")
-    return total
+    base = _with_fermionic_occupations(base, OccupationSpec.thermal_effective())
+    _, entropy, _ = audit_point(with_parameters(base, result.params), "classical")
+    return entropy.total

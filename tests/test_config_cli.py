@@ -2,9 +2,15 @@
 
 import pytest
 
-from detuned_tls import ConfigError, build_system_spec, parse_config, serialize_config
-from detuned_tls.cli import main
-from detuned_tls.config import config_from_system_spec, resolve_parameter_key
+from detuned_tls import (
+    ConfigError,
+    audit_point,
+    build_system_spec,
+    parse_config,
+    serialize_config,
+)
+from detuned_tls.cli import FLUX_COLUMNS, main
+from detuned_tls.config import config_from_system_spec, format_number, resolve_parameter_key
 
 CLASSICAL_CFG = """\
 # resonant scenario
@@ -163,12 +169,20 @@ def test_classical_ss_resonant_effective_energy_is_bare(classical_cfg_file, tmp_
 
 
 def test_cli_output_is_deterministic(classical_cfg_file, tmp_path):
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["classical-ss", "--config", str(classical_cfg_file),
-            "--sweep", "drive.omega=0.9:1.3:5"]
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
+    out1, out2, out3 = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+    sweeps = ["--config", str(classical_cfg_file),
+              "--sweep", "drive.omega=0.9:1.3:3", "--sweep", "reservoir_u.mu=0.5:1.5:2"]
+    assert main(["classical-ss"] + sweeps + ["--out", str(out1)]) == 0
+    assert main(["classical-ss"] + sweeps + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+    # audit walks the same grid in the same order, last key fastest
+    assert main(["audit"] + sweeps + ["--out", str(out3)]) == 0
+    assert out3.read_bytes() == out1.read_bytes()
+    _, rows = _read_csv(out3)
+    assert [(r["drive.omega"], r["reservoir_u.mu"]) for r in rows] == [
+        (format_number(omega), format_number(mu)) for omega in (0.9, 1.1, 1.3) for mu in (0.5, 1.5)
+    ]
 
 
 def test_laser_sweep_rows_match_pulled_frequency_formula(laser_cfg_file, tmp_path):
@@ -292,6 +306,60 @@ def test_audit_grid_handles_failed_samples(classical_cfg_file, tmp_path):
     _, rows = _read_csv(out)
     assert any("error=" in row["flags"] for row in rows)
     assert any("regime=" in row["flags"] for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--sweep", "drive.omega=0.9:1.1:3", "--sweep", "omega=1.0:1.2:2"],
+        ["audit", "--random", "5", "--range", "drive.omega=0.9:1.1",
+         "--range", "drive.omega=1.0:1.2"],
+        ["classical-ss", "--sweep", "drive.omega=0.9:1.1:3", "--sweep", "drive.omega=1:2:2"],
+        ["find-violation", "--range", "drive.omega=0.5:1.5", "--range", "drive.omega=1:2"],
+        ["audit", "--range", "drive.omega=0.9:1.1"],
+        ["audit", "--random", "5", "--range", "drive.omega=0.9:1.1",
+         "--sweep", "reservoir_u.mu=0:1:3"],
+        ["audit", "--random", "0", "--range", "drive.omega=0.9:1.1"],
+        ["classical-ss", "--sweep", "drive.omega=0.9:1.1:0"],
+    ],
+    ids=["audit-repeated-sweep", "audit-repeated-range", "ss-repeated-sweep",
+         "search-repeated-range", "range-without-random", "random-with-sweep",
+         "random-zero", "sweep-zero-points"],
+)
+def test_ambiguous_sampling_flags_exit_2(classical_cfg_file, argv, capsys):
+    assert main([argv[0], "--config", str(classical_cfg_file)] + argv[1:]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_find_violation_row_reports_the_bare_spec_it_solved(classical_cfg_file, tmp_path):
+    # the scenario file asks for effective occupations; the search solves at bare ones
+    out = tmp_path / "v.csv"
+    code = main(["find-violation", "--config", str(classical_cfg_file), "--seed", "1",
+                 "--out", str(out)])
+    assert code == 0
+    header, rows = _read_csv(out)
+    row = rows[0]
+    assert row["reservoir_u.occupation"] == row["reservoir_l.occupation"] == "bare"
+
+    param_keys = header[1:-len(FLUX_COLUMNS)]
+    spec = build_system_spec(parse_config("".join(f"{k} = {row[k]}\n" for k in param_keys)))
+    flux, entropy, regime = audit_point(spec, "classical")
+    expected = {
+        "R_ss": flux.rate,
+        "Ndot_u": flux.ndot_u,
+        "Ndot_l": flux.ndot_l,
+        "Edot_u": flux.edot_u,
+        "Edot_l": flux.edot_l,
+        "Edot_b_or_P_S": flux.edot_opt,
+        "Eeff_u": flux.e_eff_u,
+        "Eeff_l": flux.e_eff_l,
+        "Eeff_ph": flux.e_eff_ph,
+        "Sdot_total": entropy.total,
+        "law1_residual": entropy.law1_residual,
+    }
+    assert {k: row[k] for k in expected} == {k: format_number(v) for k, v in expected.items()}
+    assert regime.sign_law_ok is None
+    assert row["flags"] == f"regime={regime.regime};violation"
 
 
 def test_find_violation_exit_codes(tmp_path):

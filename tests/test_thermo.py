@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from detuned_tls import (
@@ -13,6 +14,7 @@ from detuned_tls import (
     OccupationSpec,
     SystemSpec,
     audit_point,
+    classify_regime,
     entropy_production_classical,
     entropy_report,
     find_violation_with_bare_energies,
@@ -21,8 +23,10 @@ from detuned_tls import (
     resolve_occupations,
     steady_state_closed_form,
     sweep,
+    with_parameters,
 )
 from detuned_tls.model import effective_energies_quantum
+from detuned_tls.thermo import DEFAULT_VIOLATION_RANGES, default_violation_scenario
 
 
 def classical_spec(occ_kind="effective", omega=1.2, mu_u=1.5, mu_l=0.0, t_u=0.2, t_l=0.2):
@@ -163,6 +167,10 @@ def test_sweep_is_deterministic_for_a_seed():
     assert [r.entropy_total for r in a] == [r.entropy_total for r in b]
     c = sweep(spec, ranges, sampler="random", n_samples=40, seed=77)
     assert [r.params for r in a] != [r.params for r in c]
+    # the table drawn at once equals the scalar draws, point by point, key by key
+    rng = np.random.default_rng(1234)
+    scalar = [{k: float(rng.uniform(lo, hi)) for k, (lo, hi) in ranges.items()} for _ in range(40)]
+    assert [r.params for r in a] == scalar
 
 
 def test_sweep_records_per_sample_failures():
@@ -174,7 +182,7 @@ def test_sweep_records_per_sample_failures():
     errors = [r for r in results if r.error is not None]
     ok = [r for r in results if r.error is None]
     assert errors and ok
-    assert all(r.flux is None for r in errors)
+    assert all(r.flux is None and r.regime is None for r in errors)
 
 
 def test_effective_energy_sweep_has_no_violations():
@@ -194,6 +202,9 @@ def test_effective_energy_sweep_has_no_violations():
     )
     assert all(r.error is None for r in results)
     assert not any(r.violation for r in results)
+    for r in results:
+        assert r.spec is None  # a sweep keeps no spec per sample
+        assert r.regime == classify_regime(r.flux, with_parameters(spec, r.params))
 
 
 def test_find_violation_with_bare_occupations_and_effective_recheck():
@@ -210,6 +221,16 @@ def test_find_violation_with_bare_occupations_and_effective_recheck():
     again = find_violation_with_bare_energies(seed=2024)
     assert again.params == result.params
     assert again.entropy_total == result.entropy_total
+
+    # the search draws the same points as a random sweep on the bare base
+    base = default_violation_scenario()
+    rows = sweep(base, DEFAULT_VIOLATION_RANGES, n_samples=result.index + 1, seed=2024)
+    assert not any(r.violation for r in rows[:-1])
+    assert rows[-1].params == result.params
+    assert rows[-1].flux == result.flux
+    assert rows[-1].entropy_total == result.entropy_total
+    assert rows[-1].regime == result.regime
+    assert result.spec == with_parameters(base, result.params)
 
 
 def test_no_violation_at_resonance_even_with_bare_occupations():
