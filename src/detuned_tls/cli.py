@@ -25,16 +25,21 @@ from .config import (
     resolve_parameter_key,
 )
 from .laser import solve_lasing
-from .model import SCENARIO_KEYS, SystemSpec, resolve_occupations, with_parameters
+from .model import (
+    SCENARIO_KEYS,
+    SystemSpec,
+    resolve_occupations,
+    with_parameter,
+    with_parameters,
+)
 from .quantum import (
     EvolutionError,
     HilbertLayout,
     SteadyStateError,
-    build_liouvillian,
-    build_operators,
+    build_sector_liouvillian,
     evolve_quantum,
-    observables,
-    thermal_product_state,
+    sector_observables,
+    thermal_state,
 )
 
 FLUX_COLUMNS = (
@@ -61,12 +66,16 @@ def _write_rows(out: str | None, header: list[str], rows: list[list[str]]) -> No
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _load_spec(path: str) -> SystemSpec:
+def _load_spec(args: argparse.Namespace) -> SystemSpec:
+    """The scenario of --config, with the --fock-cutoff override applied to its cavity."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return build_system_spec(parse_config(text))
+        raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+    spec = build_system_spec(parse_config(text))
+    if args.fock_cutoff is not None and spec.cavity is not None:
+        spec = with_parameter(spec, "cavity.fock_cutoff", args.fock_cutoff)
+    return spec
 
 
 def _parse_sweep(arg: str) -> tuple[str, tuple[float, float, int]]:
@@ -166,7 +175,7 @@ def _flux_row(sample_id: int, params: list[str], flux, total, regime, tol: float
 
 
 def _cmd_steady_state(args: argparse.Namespace, treatment: str) -> int:
-    base = _load_spec(args.config)
+    base = _load_spec(args)
     if treatment == "classical" and base.drive is None:
         raise ConfigError("classical commands require a drive section")
     if treatment == "quantum" and (base.cavity is None or base.bath is None):
@@ -175,14 +184,14 @@ def _cmd_steady_state(args: argparse.Namespace, treatment: str) -> int:
     keys, param_cells = _param_columns(specs)
     rows = []
     for sample_id, (spec, cells) in enumerate(zip(specs, param_cells)):
-        flux, entropy, regime = thermo.audit_point(spec, treatment, args.fock_cutoff)
+        flux, entropy, regime = thermo.audit_point(spec, treatment)
         rows.append(_flux_row(sample_id, cells, flux, entropy.total, regime, args.tolerance))
     _write_rows(args.out, ["sample_id"] + keys + list(FLUX_COLUMNS), rows)
     return 0
 
 
 def _cmd_classical_evolve(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.config)
+    spec = _load_spec(args)
     if spec.drive is None:
         raise ConfigError("classical commands require a drive section")
     state0 = BlochState(args.sigma_uu0, args.sigma_ll0, 0.0 + 0.0j)
@@ -202,25 +211,23 @@ def _cmd_classical_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_quantum_evolve(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.config)
+    if args.n_store < 2:
+        raise ConfigError("--n-store must be at least 2 (the initial and the final state)")
+    spec = _load_spec(args)
     if spec.cavity is None or spec.bath is None:
         raise ConfigError("quantum commands require cavity and bath sections")
-    cutoff = args.fock_cutoff if args.fock_cutoff is not None else spec.cavity.fock_cutoff
-    layout = HilbertLayout(cutoff)
-    ops = build_operators(layout, spec)
-    occ = resolve_occupations(spec, "quantum")
-    liouv = build_liouvillian(ops, spec, occ)
-    rho = thermal_product_state(layout, 0.0, 0.0, 0.0)
+    layout = HilbertLayout(spec.cavity.fock_cutoff)
+    liouv = build_sector_liouvillian(layout, spec, resolve_occupations(spec, "quantum"))
+    state = thermal_state(layout, 0.0, 0.0, 0.0)
 
-    n_segments = max(1, args.n_store - 1)
-    seg = args.t_final / n_segments
+    seg = args.t_final / (args.n_store - 1)
     rows = []
     t = 0.0
     for i in range(args.n_store):
         if i > 0:
-            rho = evolve_quantum(rho, liouv, seg, dt=args.dt).rho
+            state = evolve_quantum(state, liouv, seg, dt=args.dt)
             t += seg
-        obs = observables(rho, ops, spec)
+        obs = sector_observables(state, spec)
         rows.append(
             [
                 format_number(t),
@@ -235,7 +242,7 @@ def _cmd_quantum_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_laser(args: argparse.Namespace) -> int:
-    base = _load_spec(args.config)
+    base = _load_spec(args)
     if base.cavity is None or base.bath is None:
         raise ConfigError("laser command requires cavity and bath sections")
     specs = _grid_specs(base, args)
@@ -307,7 +314,7 @@ def _nan_row(sample_id: int, params: list[str], error: str) -> list[str]:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    base = _load_spec(args.config)
+    base = _load_spec(args)
     treatment = args.treatment or ("quantum" if base.cavity is not None else "classical")
     ranges = _ranges(args)
     results = thermo.sweep(
@@ -318,7 +325,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         n_samples=args.random,
         seed=args.seed,
         tolerance=args.tolerance,
-        fock_cutoff=args.fock_cutoff,
     )
 
     # Parameter columns are overlaid on the base scenario textually, so rows
@@ -346,7 +352,7 @@ def _cmd_find_violation(args: argparse.Namespace) -> int:
     result = thermo.find_violation_with_bare_energies(
         ranges=_ranges(args) or None,
         seed=args.seed,
-        base=_load_spec(args.config) if args.config else None,
+        base=_load_spec(args) if args.config else None,
         max_samples=args.max_samples,
         tolerance=args.tolerance,
     )

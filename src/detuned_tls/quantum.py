@@ -1,17 +1,37 @@
 """Exact treatment of the two-level emitter coupled to a lossy quantized mode.
 
-Everything lives on the truncated product space (two fermionic modes) x
-(Fock ladder up to a cutoff).  The generator of the master equation is built
-as a sparse superoperator in row-major vectorization, the steady state is
-obtained from a direct linear solve with the trace condition substituted for
-one row, and fixed-step RK4 on the vectorized equation serves as the
-time-evolution route and as an independent oracle for the steady state.
+The model lives on the truncated product space (two fermionic modes) x (Fock
+ladder up to a cutoff N).  Its Hamiltonian conserves Q1 = N_u + N_l and
+Q2 = N_u + N_ph, and every jump operator shifts Q by the same amount on both
+sides of rho, so the generator of the master equation has no elements
+between blocks of different charge difference ΔQ, and the steady state lies
+in the ΔQ = 0 block (a weak U(1) symmetry: Buča & Prosen, New J. Phys. 14,
+073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)).  That sector
+holds the 4(N+1) populations and the coherences <1,0,n+1|rho|0,1,n> with
+their conjugates: 6N + 4 entries.
+
+``build_sector_liouvillian`` assembles the generator on the sector directly
+from index arithmetic, one sparse piece per channel; every entry couples
+photon numbers at most one apart.  The steady state comes from a direct
+sparse solve with the trace condition in place of one row, fixed-step RK4
+on the same vector is the time-evolution route and an independent oracle
+for the steady state, and each flow is an O(N) trace of H or N against one
+channel's action.  Positivity is checked on the 2x2 blocks that the
+coherences form with their two populations.
+
+The full-space construction (dense ``build_operators``, the row-major
+superoperator of ``build_liouvillian``, dense ``observables`` and
+``thermal_product_state``) is the reference that the sector is tested
+against; ``steady_state`` and ``evolve_quantum`` accept either generator.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +48,9 @@ from .model import (
 
 _RESIDUAL_TOL = 1e-10
 _FOCK_TAIL_TOL = 1e-6
+_HERMITICITY_TOL = 1e-12
+
+logger = logging.getLogger(__name__)
 
 
 class SteadyStateError(RuntimeError):
@@ -36,6 +59,10 @@ class SteadyStateError(RuntimeError):
 
 class FockCutoffError(SteadyStateError):
     """Population of the top Fock levels shows the truncation is inadequate."""
+
+    def __init__(self, message: str, tail: float = math.nan) -> None:
+        super().__init__(message)
+        self.tail = tail
 
 
 class EvolutionError(RuntimeError):
@@ -64,6 +91,11 @@ class HilbertLayout:
     def dim(self) -> int:
         return 4 * (self.fock_cutoff + 1)
 
+    @property
+    def sector_size(self) -> int:
+        """Entries of the ΔQ = 0 sector: 4(N+1) populations and 2N coherences."""
+        return 6 * self.fock_cutoff + 4
+
     def flat_index(self, n_l: int, n_u: int, n_ph: int) -> int:
         if n_l not in (0, 1) or n_u not in (0, 1):
             raise ValueError("fermionic occupations must be 0 or 1")
@@ -77,6 +109,36 @@ class HilbertLayout:
         fermion, n_ph = divmod(index, self.n_photon_states)
         n_l, n_u = divmod(fermion, 2)
         return n_l, n_u, n_ph
+
+    def basis_labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``labels`` of every flat index, as arrays n_l, n_u, n_ph."""
+        fermion, n_ph = np.divmod(np.arange(self.dim), self.n_photon_states)
+        return fermion // 2, fermion % 2, n_ph
+
+    def coherence_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices of |1,0,n+1> and |0,1,n> for n < N: the states the coupling mixes."""
+        n = np.arange(self.fock_cutoff)
+        return 2 * self.n_photon_states + n + 1, self.n_photon_states + n
+
+    def sector_indices(self) -> np.ndarray:
+        """Positions in row-major vec(rho) of the sector entries, in sector order."""
+        d = self.dim
+        upper, lower = self.coherence_pairs()
+        return np.concatenate([np.arange(d) * (d + 1), upper * d + lower, lower * d + upper])
+
+
+def _diagonal(layout: HilbertLayout, size: int) -> slice:
+    """Where the populations sit in a state vector of ``size`` entries."""
+    d = layout.dim
+    return slice(0, d) if size == layout.sector_size else slice(0, None, d + 1)
+
+
+def _adjoint_order(layout: HilbertLayout, size: int) -> np.ndarray:
+    """Entry of rho^dagger at each position of a state vector: rho^dagger = conj(v[order])."""
+    d, n = layout.dim, layout.fock_cutoff
+    if size == layout.sector_size:
+        return np.concatenate([np.arange(d), np.arange(d + n, d + 2 * n), np.arange(d, d + n)])
+    return np.arange(d * d).reshape(d, d).T.ravel()
 
 
 @dataclass(frozen=True)
@@ -94,27 +156,96 @@ class OperatorSet:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Sparse vectorized generator together with its basis layout."""
+    """Sparse generator acting on a ``QuantumState`` vector, with its basis layout.
+
+    ``build_liouvillian`` gives it on the full space.  ``build_sector_liouvillian``
+    gives it on the ΔQ = 0 sector and keeps the piece of each channel
+    (``h``: Hamiltonian, ``u``, ``l``: reservoirs, ``b``: bath) in
+    ``channels``; the pieces sum to ``matrix``.
+    """
 
     matrix: sp.csr_matrix
     layout: HilbertLayout
+    channels: Mapping[str, sp.csr_matrix] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Density matrix on the truncated product space."""
+    """Density matrix as the vector a ``Liouvillian`` acts on.
 
-    rho: np.ndarray
+    On the full space ``vector`` is row-major vec(rho), d**2 entries.  In the
+    ΔQ = 0 sector it holds the populations in flat-index order, then the
+    coherences c_n = <1,0,n+1|rho|0,1,n> for n < N, then their conjugates;
+    the dense ``rho`` is then built on first access only.
+    """
+
+    vector: np.ndarray
+    layout: HilbertLayout
+
+    def __post_init__(self) -> None:
+        if self.vector.shape not in ((self.layout.sector_size,), (self.layout.dim**2,)):
+            raise ValueError(f"state vector of shape {self.vector.shape} fits neither space")
+
+    @property
+    def in_sector(self) -> bool:
+        return self.vector.size == self.layout.sector_size
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        d = self.layout.dim
+        if not self.in_sector:
+            return self.vector.reshape(d, d)
+        flat = np.zeros(d * d, dtype=complex)
+        flat[self.layout.sector_indices()] = self.vector
+        return flat.reshape(d, d)
+
+    @property
+    def populations(self) -> np.ndarray:
+        """Real diagonal of rho in flat-index order."""
+        return self.vector[_diagonal(self.layout, self.vector.size)].real
+
+    def trace(self) -> complex:
+        return complex(self.vector[_diagonal(self.layout, self.vector.size)].sum())
+
+    def adjoint(self) -> np.ndarray:
+        """The vector of rho^dagger."""
+        return self.vector[_adjoint_order(self.layout, self.vector.size)].conj()
+
+    def hermiticity_error(self) -> float:
+        return float(np.max(np.abs(self.vector - self.adjoint())))
+
+    def hermitian_part(self) -> QuantumState:
+        """(rho + rho^dagger) / 2, scaled to unit trace."""
+        herm = QuantumState(0.5 * (self.vector + self.adjoint()), self.layout)
+        return QuantumState(herm.vector / herm.trace().real, self.layout)
+
+    def lowest_eigenvalue(self) -> float:
+        """Lowest eigenvalue of (rho + rho^dagger) / 2.
+
+        In the sector rho is block diagonal: a 2x2 block
+        [[p(1,0,n+1), c_n], [c_n*, p(0,1,n)]] for each n < N and a 1x1 block
+        for every other population.
+        """
+        herm = 0.5 * (self.vector + self.adjoint())
+        d = self.layout.dim
+        if not self.in_sector:
+            return float(np.linalg.eigvalsh(herm.reshape(d, d))[0])
+        pops = herm[:d].real
+        upper, lower = self.layout.coherence_pairs()
+        mean, half_gap = 0.5 * (pops[upper] + pops[lower]), 0.5 * (pops[upper] - pops[lower])
+        pairs = mean - np.hypot(half_gap, np.abs(herm[d : d + self.layout.fock_cutoff]))
+        single = np.ones(d, dtype=bool)
+        single[upper] = single[lower] = False
+        return float(min(pops[single].min(), pairs.min()))
 
     def validate(self) -> None:
-        rho = self.rho
-        herm = np.max(np.abs(rho - rho.conj().T))
-        if herm > 1e-12:
+        herm = self.hermiticity_error()
+        if herm > _HERMITICITY_TOL:
             raise ValueError(f"state not Hermitian (deviation {herm:.3e})")
-        tr = np.trace(rho)
+        tr = self.trace()
         if abs(tr - 1.0) > 1e-12:
             raise ValueError(f"state trace {tr} differs from 1")
-        lowest = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+        lowest = self.lowest_eigenvalue()
         if lowest < -1e-10:
             raise ValueError(f"state has negative eigenvalue {lowest:.3e}")
 
@@ -145,16 +276,228 @@ class SignCondition(NamedTuple):
 
 @dataclass(frozen=True)
 class QuantumSolution:
-    """Steady state together with the objects used to produce it."""
+    """Steady state together with the objects used to produce it.
+
+    ``ops``, the dense full-space operators, is built on first access only:
+    the solve never needs them.
+    """
 
     state: QuantumState
     layout: HilbertLayout
-    ops: OperatorSet
     liouvillian: Liouvillian
     occupations: Occupations
     residual: float
     fock_tail: float
+    spec: SystemSpec
 
+    @cached_property
+    def ops(self) -> OperatorSet:
+        return build_operators(self.layout, self.spec)
+
+
+# -- the ΔQ = 0 sector ---------------------------------------------------------
+
+Entries = tuple[np.ndarray, np.ndarray, np.ndarray]  # rows, columns, values
+
+
+def _energies(layout: HilbertLayout, spec: SystemSpec) -> np.ndarray:
+    """Diagonal of the Hamiltonian over the flat basis."""
+    n_l, n_u, n_ph = layout.basis_labels()
+    return (
+        spec.levels.e_upper * n_u + spec.levels.e_lower * n_l + spec.cavity.omega_cav * n_ph
+    )
+
+
+def _hopping(layout: HilbertLayout, spec: SystemSpec) -> np.ndarray:
+    """<0,1,n|H|1,0,n+1> = g sqrt(n+1) for n < N."""
+    return complex(spec.cavity.g) * np.sqrt(np.arange(1, layout.fock_cutoff + 1))
+
+
+def _hamiltonian_entries(layout: HilbertLayout, spec: SystemSpec) -> Entries:
+    """-i[H, rho] on the sector.
+
+    With A = |1,0,n+1>, B = |0,1,n>, c = rho_AB and t = <B|H|A>:
+    dp_A/dt = i t c - i t* c*, dp_B/dt = -dp_A/dt and
+    dc/dt = -i (E_A - E_B) c + i t* (p_A - p_B).
+    """
+    d, n = layout.dim, layout.fock_cutoff
+    upper, lower = layout.coherence_pairs()
+    coh = d + np.arange(n)
+    conj = coh + n
+    energy = _energies(layout, spec)
+    split = energy[upper] - energy[lower]
+    t = _hopping(layout, spec)
+    rows = (upper, upper, lower, lower, coh, coh, coh, conj, conj, conj)
+    cols = (coh, conj, coh, conj, coh, upper, lower, conj, upper, lower)
+    vals = (
+        1j * t, -1j * t.conj(), -1j * t, 1j * t.conj(),
+        -1j * split, 1j * t.conj(), -1j * t.conj(),
+        1j * split, -1j * t, 1j * t,
+    )
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _jumps(layout: HilbertLayout) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each jump operator L as the map L|source> = amplitude |target> on flat indices.
+
+    The Jordan-Wigner signs are left out.  They are a phase of +-1 per basis
+    state, and no fermionic jump maps a sector coherence onto another, so in
+    the sector they only ever enter squared.
+    """
+    m = layout.n_photon_states
+    index = np.arange(layout.dim)
+    n_l, n_u, n_ph = layout.basis_labels()
+    filled_u, filled_l, excited = index[n_u == 1], index[n_l == 1], index[n_ph > 0]
+    unit = np.ones(2 * m)
+    root = np.sqrt(n_ph[excited])
+    return {
+        "c_u": (filled_u, filled_u - 1 * m, unit),
+        "c_u+": (filled_u - 1 * m, filled_u, unit),
+        "c_l": (filled_l, filled_l - 2 * m, unit),
+        "c_l+": (filled_l - 2 * m, filled_l, unit),
+        "a": (excited, excited - 1, root),
+        "a+": (excited - 1, excited, root),
+    }
+
+
+def _dissipator_entries(
+    layout: HilbertLayout,
+    jump: tuple[np.ndarray, np.ndarray, np.ndarray],
+    rate: float,
+) -> Entries:
+    """rate * (L rho L^dagger - {L^dagger L, rho} / 2) on the sector."""
+    source, target, amplitude = jump
+    d, n = layout.dim, layout.fock_cutoff
+    upper, lower = layout.coherence_pairs()
+    coh = np.arange(n)
+    decay = np.zeros(d)  # rate * diagonal of L^dagger L
+    decay[source] = rate * amplitude**2
+    pops = np.arange(d)
+    coherence_decay = -0.5 * (decay[upper] + decay[lower])
+    rows = [target, pops, d + coh, d + n + coh]
+    cols = [source, pops, d + coh, d + n + coh]
+    vals = [rate * amplitude**2, -decay, coherence_decay, coherence_decay]
+
+    # <A_i| L rho L^dagger |B_i> = amplitude(A_j) amplitude(B_j) c_j when
+    # L|A_j> ~ |A_i> and L|B_j> ~ |B_i>; only the photon jumps do this.
+    origin = np.full(d, -1)
+    origin[target] = source
+    gain = np.zeros(d)
+    gain[target] = amplitude
+    pair_of = np.full(d, -1)
+    pair_of[upper] = coh
+    from_upper, from_lower = origin[upper], origin[lower]
+    j = np.where(from_upper >= 0, pair_of[from_upper], -1)
+    keep = (j >= 0) & (from_lower >= 0) & (lower[j] == from_lower)
+    i, j = coh[keep], j[keep]
+    feed = rate * gain[upper[keep]] * gain[lower[keep]]
+    rows += [d + i, d + n + i]
+    cols += [d + j, d + n + j]
+    vals += [feed, feed]
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _csr(entries: list[Entries], size: int) -> sp.csr_matrix:
+    if not entries:
+        return sp.csr_matrix((size, size), dtype=complex)
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    return sp.csr_matrix((vals.astype(complex), (rows, cols)), shape=(size, size))
+
+
+def build_sector_liouvillian(
+    layout: HilbertLayout, spec: SystemSpec, occupations: Occupations | None = None
+) -> Liouvillian:
+    """Generator of the master equation on the ΔQ = 0 sector, one piece per channel.
+
+    Assembled from index arithmetic on the flat basis: no dense operator and
+    no full-space superoperator is formed.  It equals the ΔQ = 0 slice of
+    ``build_liouvillian`` entry for entry, for either fermion ordering.
+    """
+    if spec.cavity is None:
+        raise ValueError("quantum treatment requires a cavity")
+    occ = occupations or resolve_occupations(spec, "quantum")
+    jumps = _jumps(layout)
+    gamma_u, gamma_l = spec.reservoir_u.gamma, spec.reservoir_l.gamma
+    entries = {
+        "h": [_hamiltonian_entries(layout, spec)],
+        "u": [
+            _dissipator_entries(layout, jumps["c_u+"], gamma_u * occ.f_u),
+            _dissipator_entries(layout, jumps["c_u"], gamma_u * (1.0 - occ.f_u)),
+        ],
+        "l": [
+            _dissipator_entries(layout, jumps["c_l+"], gamma_l * occ.f_l),
+            _dissipator_entries(layout, jumps["c_l"], gamma_l * (1.0 - occ.f_l)),
+        ],
+        "b": [],
+    }
+    if spec.bath is not None and spec.bath.gamma > 0:
+        if occ.n_b is None:
+            raise ValueError("bosonic bath present but no occupation resolved")
+        entries["b"] = [
+            _dissipator_entries(layout, jumps["a"], spec.bath.gamma * (occ.n_b + 1.0)),
+            _dissipator_entries(layout, jumps["a+"], spec.bath.gamma * occ.n_b),
+        ]
+    channels = {name: _csr(parts, layout.sector_size) for name, parts in entries.items()}
+    matrix = channels["h"] + channels["u"] + channels["l"] + channels["b"]
+    return Liouvillian(matrix=matrix.tocsr(), layout=layout, channels=channels)
+
+
+def thermal_state(layout: HilbertLayout, f_u: float, f_l: float, n_b: float) -> QuantumState:
+    """Uncorrelated state with given level fillings and a thermal photon tail.
+
+    This is the exact steady state at zero emitter-photon coupling (the
+    photon distribution is the truncated geometric one).  It is diagonal, so
+    it lies in the ΔQ = 0 sector.
+    """
+    n = np.arange(layout.n_photon_states, dtype=float)
+    if n_b > 0:
+        weights = (n_b / (1.0 + n_b)) ** n
+    else:
+        weights = np.where(n == 0, 1.0, 0.0)
+    vector = np.zeros(layout.sector_size, dtype=complex)
+    vector[: layout.dim] = np.kron(
+        np.kron([1.0 - f_l, f_l], [1.0 - f_u, f_u]), weights / weights.sum()
+    )
+    return QuantumState(vector, layout)
+
+
+def thermal_product_state(
+    layout: HilbertLayout, f_u: float, f_l: float, n_b: float
+) -> np.ndarray:
+    """``thermal_state`` as a dense density matrix."""
+    return thermal_state(layout, f_u, f_l, n_b).rho
+
+
+def sector_observables(state: QuantumState, spec: SystemSpec) -> QuantumObservables:
+    """``observables`` of a sector state, from its populations and coherences."""
+    if not state.in_sector:
+        raise ValueError("sector_observables needs a state in the ΔQ = 0 sector")
+    layout = state.layout
+    d, n = layout.dim, layout.fock_cutoff
+    # rows: (n_l, n_u) = (0, 0), (0, 1), (1, 0), (1, 1)
+    p = state.populations.reshape(4, layout.n_photon_states)
+    photons = np.arange(layout.n_photon_states)
+    sigma_uu = float(p[1].sum() + p[3].sum())
+    sigma_ll = float(p[2].sum() + p[3].sum())
+    n_ph = float(p.sum(axis=0) @ photons)
+    # Y = conj(g) Tr{c_l^+ c_u a^+ rho} = conj(g) sum_n sqrt(n+1) <0,1,n|rho|1,0,n+1>
+    y = complex(spec.cavity.g).conjugate() * complex(
+        np.sqrt(np.arange(1, n + 1)) @ state.vector[d + n :]
+    )
+    f_exact = float(p[1].sum() + (p[1] - p[2]) @ photons)
+    f_hf = sigma_uu * (1.0 - sigma_ll) + (sigma_uu - sigma_ll) * n_ph
+    return QuantumObservables(
+        sigma_uu=sigma_uu,
+        sigma_ll=sigma_ll,
+        n_ph=n_ph,
+        y=y,
+        f_exact=f_exact,
+        f_hf=f_hf,
+        rate=2.0 * y.imag,
+    )
+
+
+# -- full space: the reference the sector is tested against --------------------
 
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _PARITY = np.diag([1.0, -1.0]).astype(complex)  # (-1)^n on one mode
@@ -251,189 +594,12 @@ def build_liouvillian(
     return Liouvillian(matrix=lmat.tocsr(), layout=layout)
 
 
-def photon_populations(rho: np.ndarray, layout: HilbertLayout) -> np.ndarray:
-    """Diagonal photon-number distribution traced over the fermions."""
-    diag = np.real(np.diag(rho)).reshape(4, layout.n_photon_states)
-    return diag.sum(axis=0)
-
-
-def fock_tail(rho: np.ndarray, layout: HilbertLayout) -> float:
-    """Population of the top two Fock levels; the truncation-error monitor."""
-    pops = photon_populations(rho, layout)
-    return float(pops[-2:].sum())
-
-
-def steady_state(liouvillian: Liouvillian) -> QuantumState:
-    """Null vector of the generator, normalized to unit trace.
-
-    One row of the vectorized generator is replaced by the trace condition
-    and the resulting linear system is solved directly.  Raises
-    SteadyStateError when the residual exceeds tolerance and FockCutoffError
-    when the top of the Fock ladder is populated.
-    """
-    layout = liouvillian.layout
-    d = layout.dim
-    n = d * d
-
-    a = liouvillian.matrix.tolil(copy=True)
-    trace_row = np.zeros(n, dtype=complex)
-    trace_row[np.arange(d) * (d + 1)] = 1.0
-    a[0] = trace_row
-    b = np.zeros(n, dtype=complex)
-    b[0] = 1.0
-    try:
-        x = splu(a.tocsc()).solve(b)
-    except RuntimeError as exc:  # singular factorization
-        raise SteadyStateError(f"steady-state solve failed: {exc}") from exc
-
-    rho = x.reshape(d, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-
-    residual = float(np.max(np.abs(liouvillian.matrix @ rho.ravel())))
-    if not math.isfinite(residual) or residual > _RESIDUAL_TOL:
-        raise SteadyStateError(f"steady-state residual {residual:.3e} above tolerance")
-
-    tail = fock_tail(rho, layout)
-    if tail > _FOCK_TAIL_TOL:
-        raise FockCutoffError(
-            f"top Fock levels hold population {tail:.3e}; increase the cutoff"
-        )
-
-    state = QuantumState(rho)
-    state.validate()
-    return state
-
-
-def quantum_steady_state(
-    spec: SystemSpec,
-    occupations: Occupations | None = None,
-    fock_cutoff: int | None = None,
-    ordering: tuple[str, str] = ("l", "u"),
-    max_enlargements: int = 2,
-) -> QuantumSolution:
-    """Solve for the steady state, enlarging the Fock cutoff on demand.
-
-    On a FockCutoffError the cutoff is raised by 4 and the solve is retried,
-    up to ``max_enlargements`` times.
-    """
-    if spec.cavity is None:
-        raise ValueError("quantum treatment requires a cavity")
-    occ = occupations or resolve_occupations(spec, "quantum")
-    cutoff = fock_cutoff if fock_cutoff is not None else spec.cavity.fock_cutoff
-
-    last_error: FockCutoffError | None = None
-    for attempt in range(max_enlargements + 1):
-        layout = HilbertLayout(cutoff + 4 * attempt)
-        ops = build_operators(layout, spec, ordering=ordering)
-        liouv = build_liouvillian(ops, spec, occ)
-        try:
-            state = steady_state(liouv)
-        except FockCutoffError as exc:
-            last_error = exc
-            continue
-        residual = float(np.max(np.abs(liouv.matrix @ state.rho.ravel())))
-        return QuantumSolution(
-            state=state,
-            layout=layout,
-            ops=ops,
-            liouvillian=liouv,
-            occupations=occ,
-            residual=residual,
-            fock_tail=fock_tail(state.rho, layout),
-        )
-    raise last_error
-
-
-def liouvillian_norm_estimate(liouvillian: Liouvillian) -> float:
-    """Infinity-norm upper bound used for the RK4 step-size rule."""
-    return float(np.max(np.abs(liouvillian.matrix).sum(axis=1)))
-
-
-def evolve_quantum(
-    rho0: np.ndarray,
-    liouvillian: Liouvillian,
-    t_final: float,
-    dt: float | None = None,
-) -> QuantumState:
-    """Fixed-step RK4 on the vectorized master equation.
-
-    Trace and Hermiticity are monitored along the run and must stay within
-    1e-9; the returned state is symmetrized and renormalized.
-    """
-    if t_final < 0:
-        raise ValueError("t_final must be non-negative")
-    d = liouvillian.layout.dim
-    if rho0.shape != (d, d):
-        raise ValueError(f"initial state must be {d}x{d}")
-
-    norm = liouvillian_norm_estimate(liouvillian)
-    bound = 0.05 / norm if norm > 0 else math.inf
-    if dt is None:
-        dt = bound if math.isfinite(bound) else max(t_final, 1.0)
-    elif dt > bound * (1.0 + 1e-9):
-        raise ValueError(f"dt = {dt:.3g} exceeds the stability bound {bound:.3g}")
-
-    if t_final == 0.0:
-        state = QuantumState(rho0.astype(complex))
-        state.validate()
-        return state
-
-    n_steps = max(1, math.ceil(t_final / dt - 1e-12))
-    h = t_final / n_steps
-    m = liouvillian.matrix
-    y = rho0.astype(complex).ravel()
-
-    check_stride = max(1, n_steps // 64)
-    for step in range(1, n_steps + 1):
-        k1 = m @ y
-        k2 = m @ (y + 0.5 * h * k1)
-        k3 = m @ (y + 0.5 * h * k2)
-        k4 = m @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % check_stride == 0 or step == n_steps:
-            rho = y.reshape(d, d)
-            trace_drift = abs(np.trace(rho) - 1.0)
-            herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
-            if trace_drift > 1e-9 or herm_drift > 1e-9:
-                raise EvolutionError(
-                    f"invariant drift at step {step}/{n_steps}: "
-                    f"|tr-1| = {trace_drift:.3e}, hermiticity = {herm_drift:.3e}"
-                )
-
-    rho = y.reshape(d, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    state = QuantumState(rho)
-    state.validate()
-    return state
-
-
-def thermal_product_state(
-    layout: HilbertLayout, f_u: float, f_l: float, n_b: float
-) -> np.ndarray:
-    """Uncorrelated state with given level fillings and a thermal photon tail.
-
-    This is the exact steady state at zero emitter-photon coupling (the
-    photon distribution is the truncated geometric one).
-    """
-    rho_l = np.diag([1.0 - f_l, f_l]).astype(complex)
-    rho_u = np.diag([1.0 - f_u, f_u]).astype(complex)
-    n = np.arange(layout.n_photon_states, dtype=float)
-    if n_b > 0:
-        weights = (n_b / (1.0 + n_b)) ** n
-    else:
-        weights = np.where(n == 0, 1.0, 0.0)
-    rho_ph = np.diag(weights / weights.sum()).astype(complex)
-    return np.kron(np.kron(rho_l, rho_u), rho_ph)
-
-
 def _trace(op: np.ndarray, rho: np.ndarray) -> complex:
     return complex(np.einsum("ij,ji->", op, rho))
 
 
 def observables(rho: np.ndarray, ops: OperatorSet, spec: SystemSpec) -> QuantumObservables:
-    """Populations, photon number, coherence correlator, and rate."""
+    """Populations, photon number, coherence correlator, and rate of a dense rho."""
     g = complex(spec.cavity.g)
     sigma_uu = _trace(ops.n_u, rho).real
     sigma_ll = _trace(ops.n_l, rho).real
@@ -456,65 +622,243 @@ def observables(rho: np.ndarray, ops: OperatorSet, spec: SystemSpec) -> QuantumO
     )
 
 
-def _dissipator_action(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    md = m.conj().T
-    mdm = md @ m
-    return m @ rho @ md - 0.5 * (mdm @ rho + rho @ mdm)
+# -- solving and evolving -------------------------------------------------------
 
 
-def _reservoir_actions(
-    rho: np.ndarray, ops: OperatorSet, spec: SystemSpec, occ: Occupations
-) -> dict[str, np.ndarray]:
-    actions = {
-        "u": spec.reservoir_u.gamma
-        * (
-            occ.f_u * _dissipator_action(ops.c_u.conj().T, rho)
-            + (1.0 - occ.f_u) * _dissipator_action(ops.c_u, rho)
+def photon_populations(state: QuantumState) -> np.ndarray:
+    """Diagonal photon-number distribution traced over the fermions."""
+    return state.populations.reshape(4, state.layout.n_photon_states).sum(axis=0)
+
+
+def fock_tail(state: QuantumState) -> float:
+    """Population of the top two Fock levels; the truncation-error monitor."""
+    return float(photon_populations(state)[-2:].sum())
+
+
+def steady_state(liouvillian: Liouvillian) -> QuantumState:
+    """Null vector of the generator, normalized to unit trace.
+
+    The population rows of the generator sum to zero, so the first is
+    dropped and the trace condition takes its place, and the linear system
+    is solved directly.  The trace enters through running sums
+    s_k = s_(k-1) + p_k with s_last = 1: a single dense trace row would fill
+    the LU factors, O(N^2) in the sector, where the running sums keep the
+    system as sparse as the generator.  Raises SteadyStateError when the
+    residual exceeds tolerance and FockCutoffError when the top of the Fock
+    ladder is populated.
+    """
+    layout = liouvillian.layout
+    matrix = liouvillian.matrix
+    n = matrix.shape[0]
+
+    pops = np.arange(n)[_diagonal(layout, n)]
+    d = pops.size
+    k = np.arange(d)
+    rest = matrix[1:].tocoo()
+    running = n - 1 + k  # row of s_k - s_(k-1) - p_k = 0; s_k is unknown n + k
+    system = sp.csc_matrix(
+        (
+            np.concatenate([rest.data, np.ones(d), -np.ones(d - 1), -np.ones(d), [1.0]]),
+            (
+                np.concatenate([rest.row, running, running[1:], running, [n + d - 1]]),
+                np.concatenate([rest.col, n + k, n + k[:-1], pops, [n + d - 1]]),
+            ),
         ),
-        "l": spec.reservoir_l.gamma
-        * (
-            occ.f_l * _dissipator_action(ops.c_l.conj().T, rho)
-            + (1.0 - occ.f_l) * _dissipator_action(ops.c_l, rho)
-        ),
-    }
-    if spec.bath is not None and spec.bath.gamma > 0:
-        actions["b"] = spec.bath.gamma * (
-            (occ.n_b + 1.0) * _dissipator_action(ops.a, rho)
-            + occ.n_b * _dissipator_action(ops.a.conj().T, rho)
+        shape=(n + d, n + d),
+        dtype=complex,
+    )
+    b = np.zeros(n + d, dtype=complex)
+    b[-1] = 1.0
+    try:
+        x = splu(system).solve(b)[:n]
+    except RuntimeError as exc:  # singular factorization
+        raise SteadyStateError(f"steady-state solve failed: {exc}") from exc
+
+    state = QuantumState(x, layout).hermitian_part()
+    residual = float(np.max(np.abs(matrix @ state.vector)))
+    if not math.isfinite(residual) or residual > _RESIDUAL_TOL:
+        raise SteadyStateError(f"steady-state residual {residual:.3e} above tolerance")
+
+    tail = fock_tail(state)
+    if tail > _FOCK_TAIL_TOL:
+        raise FockCutoffError(
+            f"top Fock levels hold population {tail:.3e}; increase the cutoff", tail
         )
-    else:
-        actions["b"] = np.zeros_like(rho)
-    return actions
+
+    state.validate()
+    return state
+
+
+def quantum_steady_state(
+    spec: SystemSpec,
+    occupations: Occupations | None = None,
+    fock_cutoff: int | None = None,
+    max_enlargements: int = 2,
+) -> QuantumSolution:
+    """Solve for the steady state in the ΔQ = 0 sector, enlarging the Fock cutoff on demand.
+
+    On a FockCutoffError the cutoff is raised by 4 and the solve is retried,
+    up to ``max_enlargements`` times.  Each enlargement is logged at INFO
+    level with the old and new cutoff and the tail that triggered it.
+    """
+    if spec.cavity is None:
+        raise ValueError("quantum treatment requires a cavity")
+    occ = occupations or resolve_occupations(spec, "quantum")
+    cutoff = fock_cutoff if fock_cutoff is not None else spec.cavity.fock_cutoff
+
+    for attempt in range(max_enlargements + 1):
+        layout = HilbertLayout(cutoff + 4 * attempt)
+        liouv = build_sector_liouvillian(layout, spec, occ)
+        try:
+            state = steady_state(liouv)
+        except FockCutoffError as exc:
+            if attempt == max_enlargements:
+                raise
+            logger.info(
+                "Fock cutoff %d -> %d: top two levels hold %.3e",
+                layout.fock_cutoff,
+                layout.fock_cutoff + 4,
+                exc.tail,
+            )
+            continue
+        return QuantumSolution(
+            state=state,
+            layout=layout,
+            liouvillian=liouv,
+            occupations=occ,
+            residual=float(np.max(np.abs(liouv.matrix @ state.vector))),
+            fock_tail=fock_tail(state),
+            spec=spec,
+        )
+    raise ValueError("max_enlargements must be non-negative")
+
+
+def liouvillian_norm_estimate(liouvillian: Liouvillian) -> float:
+    """Infinity-norm upper bound used for the RK4 step-size rule."""
+    return float(np.max(np.abs(liouvillian.matrix).sum(axis=1)))
+
+
+def _initial_vector(rho0: np.ndarray | QuantumState, liouvillian: Liouvillian) -> np.ndarray:
+    """``rho0`` as a vector of the space ``liouvillian`` acts on (a copy)."""
+    layout = liouvillian.layout
+    size = liouvillian.matrix.shape[0]
+    if isinstance(rho0, QuantumState):
+        if rho0.vector.size == size:
+            return rho0.vector.astype(complex)
+        rho0 = rho0.rho
+    d = layout.dim
+    if rho0.shape != (d, d):
+        raise ValueError(f"initial state must be {d}x{d}")
+    flat = rho0.astype(complex).ravel()
+    if size == d * d:
+        return flat
+    inside = layout.sector_indices()
+    outside = np.delete(flat, inside)
+    weight = float(np.max(np.abs(outside)))
+    if weight > _HERMITICITY_TOL:
+        raise ValueError(f"initial state has weight {weight:.3e} outside the ΔQ = 0 sector")
+    return flat[inside]
+
+
+def evolve_quantum(
+    rho0: np.ndarray | QuantumState,
+    liouvillian: Liouvillian,
+    t_final: float,
+    dt: float | None = None,
+) -> QuantumState:
+    """Fixed-step RK4 on the state vector the generator acts on.
+
+    ``rho0`` is a dense density matrix or a ``QuantumState``.  With a sector
+    generator a dense ``rho0`` must lie in the sector: weight outside it
+    raises ValueError instead of being dropped.  Trace and Hermiticity are
+    monitored along the run and must stay within 1e-9; the returned state is
+    symmetrized and renormalized.
+    """
+    if t_final < 0:
+        raise ValueError("t_final must be non-negative")
+    layout = liouvillian.layout
+    y = _initial_vector(rho0, liouvillian)
+
+    norm = liouvillian_norm_estimate(liouvillian)
+    bound = 0.05 / norm if norm > 0 else math.inf
+    if dt is None:
+        dt = bound if math.isfinite(bound) else max(t_final, 1.0)
+    elif dt > bound * (1.0 + 1e-9):
+        raise ValueError(f"dt = {dt:.3g} exceeds the stability bound {bound:.3g}")
+
+    if t_final == 0.0:
+        state = QuantumState(y, layout)
+        state.validate()
+        return state
+
+    n_steps = max(1, math.ceil(t_final / dt - 1e-12))
+    h = t_final / n_steps
+    m = liouvillian.matrix
+
+    check_stride = max(1, n_steps // 64)
+    for step in range(1, n_steps + 1):
+        k1 = m @ y
+        k2 = m @ (y + 0.5 * h * k1)
+        k3 = m @ (y + 0.5 * h * k2)
+        k4 = m @ (y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % check_stride == 0 or step == n_steps:
+            current = QuantumState(y, layout)
+            trace_drift = abs(current.trace() - 1.0)
+            herm_drift = current.hermiticity_error()
+            if trace_drift > 1e-9 or herm_drift > 1e-9:
+                raise EvolutionError(
+                    f"invariant drift at step {step}/{n_steps}: "
+                    f"|tr-1| = {trace_drift:.3e}, hermiticity = {herm_drift:.3e}"
+                )
+
+    state = QuantumState(y, layout).hermitian_part()
+    state.validate()
+    return state
+
+
+# -- flows ------------------------------------------------------------------------
+
+
+def _trace_weights(layout: HilbertLayout, spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Sector vectors h, q with Tr(H X) = h @ x and Tr((N_u + N_l) X) = q @ x."""
+    n_l, n_u, _ = layout.basis_labels()
+    t = _hopping(layout, spec)  # Tr(H X) picks <B|H|A> X_AB + <A|H|B> X_BA
+    h = np.concatenate([_energies(layout, spec), t, t.conj()])
+    q = np.concatenate([n_u + n_l, np.zeros(2 * layout.fock_cutoff)])
+    return h, q
 
 
 def fluxes_quantum(
-    rho_ss: np.ndarray,
-    ops: OperatorSet,
+    state: QuantumState,
+    liouvillian: Liouvillian,
     spec: SystemSpec,
     occupations: Occupations | None = None,
 ) -> FluxReport:
     """Per-reservoir energy and particle flows in the steady state.
 
-    Each energy flow is evaluated both as the trace against the Hamiltonian
-    and through its closed form in terms of populations and the coherence
-    correlator; disagreement beyond 1e-9 raises, since it signals an
-    inconsistent generator.
+    ``state`` and ``liouvillian`` belong to the ΔQ = 0 sector
+    (``build_sector_liouvillian``).  Each flow is the trace of H or
+    N_u + N_l against its channel's action on the state.  Each energy flow is
+    also evaluated through its closed form in terms of populations and the
+    coherence correlator; disagreement beyond 1e-9 raises, since it signals
+    an inconsistent generator.
     """
+    if not state.in_sector or not liouvillian.channels:
+        raise ValueError("fluxes_quantum needs a sector state and its sector generator")
     occ = occupations or resolve_occupations(spec, "quantum")
-    h = ops.hamiltonian
-    actions = _reservoir_actions(rho_ss, ops, spec, occ)
+    actions = {name: piece @ state.vector for name, piece in liouvillian.channels.items()}
 
-    rhs = -1j * (h @ rho_ss - rho_ss @ h) + actions["u"] + actions["l"] + actions["b"]
-    residual = float(np.max(np.abs(rhs)))
+    residual = float(np.max(np.abs(sum(actions.values()))))
     if residual > _RESIDUAL_TOL:
         raise ValueError(f"state is not stationary (residual {residual:.3e})")
 
-    number_op = ops.n_u + ops.n_l
-    edot = {name: _trace(h, act).real for name, act in actions.items()}
-    ndot_u = _trace(number_op, actions["u"]).real
-    ndot_l = _trace(number_op, actions["l"]).real
+    h, q = _trace_weights(state.layout, spec)
+    edot = {name: float((h @ actions[name]).real) for name in ("u", "l", "b")}
+    ndot_u = float((q @ actions["u"]).real)
+    ndot_l = float((q @ actions["l"]).real)
 
-    obs = observables(rho_ss, ops, spec)
+    obs = sector_observables(state, spec)
     two_re_y = 2.0 * obs.y.real
     gamma_b = spec.bath.gamma if spec.bath is not None else 0.0
     n_b = occ.n_b if occ.n_b is not None else 0.0

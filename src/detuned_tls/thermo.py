@@ -167,15 +167,15 @@ def classify_regime(flux: FluxReport, spec: SystemSpec) -> RegimeReport:
 
 
 def audit_point(
-    spec: SystemSpec, treatment: Treatment, fock_cutoff: int | None = None
+    spec: SystemSpec, treatment: Treatment
 ) -> tuple[FluxReport, EntropyReport, RegimeReport]:
     """Solve one scenario and return fluxes, entropy account, and regime."""
     occ = resolve_occupations(spec, treatment)
     if treatment == "classical":
         flux = fluxes_classical(steady_state_closed_form(spec, occ), spec, occ)
     else:
-        solution = quantum_steady_state(spec, occ, fock_cutoff=fock_cutoff)
-        flux = fluxes_quantum(solution.state.rho, solution.ops, spec, occ)
+        solution = quantum_steady_state(spec, occ)
+        flux = fluxes_quantum(solution.state, solution.liouvillian, spec, occ)
     return flux, entropy_report(flux, spec), classify_regime(flux, spec)
 
 
@@ -208,13 +208,12 @@ def _audits(
     points: list[dict[str, float]],
     treatment: Treatment,
     tolerance: float,
-    fock_cutoff: int | None,
 ) -> Iterator[tuple[SweepResult, SystemSpec | None]]:
     """Audit each point on ``base``: its result and the spec solved (None on error)."""
     for index, params in enumerate(points):
         try:
             spec = with_parameters(base, params)
-            flux, entropy, regime = audit_point(spec, treatment, fock_cutoff)
+            flux, entropy, regime = audit_point(spec, treatment)
         except Exception as exc:  # recorded per sample, the caller continues
             error = f"{type(exc).__name__}: {exc}"
             yield SweepResult(index, params, None, None, False, error), None
@@ -231,7 +230,6 @@ def sweep(
     n_samples: int | None = None,
     seed: int = 0,
     tolerance: float = 1e-10,
-    fock_cutoff: int | None = None,
 ) -> list[SweepResult]:
     """Audit the scenario over a parameter grid or random sample.
 
@@ -240,7 +238,7 @@ def sweep(
     per-sample solver failures are recorded and the sweep continues.
     """
     points = sample_points(ranges, sampler, n_samples, seed)
-    return [result for result, _ in _audits(base, points, treatment, tolerance, fock_cutoff)]
+    return [result for result, _ in _audits(base, points, treatment, tolerance)]
 
 
 def _with_fermionic_occupations(spec: SystemSpec, occupation: OccupationSpec) -> SystemSpec:
@@ -298,7 +296,7 @@ def find_violation_with_bare_energies(
     if ranges is None:
         ranges = DEFAULT_VIOLATION_RANGES
     points = sample_points(ranges, "random", max_samples, seed)
-    for result, spec in _audits(base, points, "classical", tolerance, None):
+    for result, spec in _audits(base, points, "classical", tolerance):
         if result.violation:
             return replace(result, spec=spec)
     return None

@@ -169,7 +169,7 @@ def quantum_runs():
         total = sum(rates)
         coherence_residual = abs(obs.y.real + delta_cav * obs.rate / total)
 
-        flux = fluxes_quantum(sol.state.rho, sol.ops, spec, occ)
+        flux = fluxes_quantum(sol.state, sol.liouvillian, spec, occ)
         equal_t_thermal = spec.reservoir_u.occupation.kind == "effective"
         runs.append(
             QuantumRun(
@@ -230,7 +230,7 @@ def test_criterion_3_effective_energy_extraction():
                 )
                 occ = resolve_occupations(spec, "quantum")
                 sol = quantum_steady_state(spec, occ)
-                flux = fluxes_quantum(sol.state.rho, sol.ops, spec, occ)
+                flux = fluxes_quantum(sol.state, sol.liouvillian, spec, occ)
                 eff = effective_energies_quantum(
                     spec.levels, spec.cavity, gamma_u, gamma_l, gamma_b
                 )
@@ -313,7 +313,7 @@ def test_criterion_5_second_law_with_effective_energies():
         )
         occ = resolve_occupations(spec, "quantum")
         sol = quantum_steady_state(spec, occ)
-        flux = fluxes_quantum(sol.state.rho, sol.ops, spec, occ)
+        flux = fluxes_quantum(sol.state, sol.liouvillian, spec, occ)
         worst_quantum = min(worst_quantum, entropy_report(flux, spec).total)
 
     ok = worst_classical >= -1e-10 and worst_quantum >= -1e-10

@@ -279,6 +279,36 @@ def test_quantum_evolve_trajectory(quantum_cfg_file, tmp_path):
     assert float(rows[-1]["sigma_uu"]) > 0.0
 
 
+@pytest.mark.parametrize(
+    "command",
+    (
+        ["quantum-ss"],
+        ["audit", "--treatment", "quantum", "--random", "2", "--range", "cavity.g=0.03:0.05"],
+    ),
+    ids=("quantum-ss", "audit"),
+)
+def test_fock_cutoff_override_is_the_cutoff_column(quantum_cfg_file, tmp_path, command):
+    out = tmp_path / "rows.csv"
+    code = main(command + ["--config", str(quantum_cfg_file), "--fock-cutoff", "14",
+                           "--out", str(out)])
+    assert code == 0
+    _, rows = _read_csv(out)
+    assert rows and all(row["cavity.fock_cutoff"] == "14" for row in rows)
+    assert not any(row["flags"].startswith("error=") for row in rows)
+
+
+@pytest.mark.parametrize("n_store", ("-1", "0", "1"))
+def test_quantum_evolve_needs_two_stored_rows(quantum_cfg_file, capsys, n_store):
+    code = main([
+        "quantum-evolve", "--config", str(quantum_cfg_file), "--t-final", "2.0",
+        "--n-store", n_store,
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n-store" in captured.err
+
+
 def test_audit_random_deterministic_and_flags(classical_cfg_file, tmp_path):
     out1, out2 = tmp_path / "a1.csv", tmp_path / "a2.csv"
     args = [

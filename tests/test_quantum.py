@@ -1,7 +1,10 @@
 """Truncated-space solver: operators, Liouvillian, steady state, fluxes."""
 
 import cmath
+import dataclasses
+import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,18 +17,22 @@ from detuned_tls import (
     FockCutoffError,
     HilbertLayout,
     OccupationSpec,
+    QuantumState,
     SystemSpec,
     build_liouvillian,
     build_operators,
+    build_sector_liouvillian,
     effective_energies_quantum,
     evolve_quantum,
     fluxes_quantum,
     observables,
     quantum_steady_state,
     resolve_occupations,
+    sector_observables,
     sign_condition,
     steady_state,
     thermal_product_state,
+    thermal_state,
 )
 from detuned_tls.model import Occupations
 from detuned_tls.quantum import liouvillian_norm_estimate
@@ -103,33 +110,49 @@ def test_operator_algebra():
 
 
 def test_jordan_wigner_ordering_swap_leaves_observables_invariant():
+    # Full-space reference at the cutoff the sector solve settled on; the
+    # sector itself carries no ordering.
     spec = make_spec(g=0.08 + 0.04j)
     occ = resolve_occupations(spec, "quantum")
-    results = []
+    sol = quantum_steady_state(spec, occ)
+    layout = sol.layout
+    obs = sector_observables(sol.state, spec)
+    results = [(obs.sigma_uu, obs.sigma_ll, obs.n_ph, obs.rate, obs.f_exact)]
     for ordering in (("l", "u"), ("u", "l")):
-        sol = quantum_steady_state(spec, occ, ordering=ordering)
-        obs = observables(sol.state.rho, sol.ops, spec)
+        ops = build_operators(layout, spec, ordering=ordering)
+        state = steady_state(build_liouvillian(ops, spec, occ))
+        obs = observables(state.rho, ops, spec)
         results.append((obs.sigma_uu, obs.sigma_ll, obs.n_ph, obs.rate, obs.f_exact))
-    for a, b in zip(*results):
-        assert a == pytest.approx(b, abs=1e-10)
+    for values in zip(*results):
+        assert max(values) - min(values) < 1e-10
+
+
+def _dissipator(sigma, state):
+    sd = sigma.conj().T
+    return sigma @ state @ sd - 0.5 * (sd @ sigma @ state + state @ sd @ sigma)
+
+
+def _dense_actions(rho, ops, spec, occ):
+    """Each channel's term of the master equation, written out with dense operators."""
+    h = ops.hamiltonian
+    actions = {
+        "h": -1j * (h @ rho - rho @ h),
+        "u": spec.reservoir_u.gamma * occ.f_u * _dissipator(ops.c_u.conj().T, rho)
+        + spec.reservoir_u.gamma * (1 - occ.f_u) * _dissipator(ops.c_u, rho),
+        "l": spec.reservoir_l.gamma * occ.f_l * _dissipator(ops.c_l.conj().T, rho)
+        + spec.reservoir_l.gamma * (1 - occ.f_l) * _dissipator(ops.c_l, rho),
+        "b": np.zeros_like(rho),
+    }
+    if spec.bath is not None:
+        actions["b"] = spec.bath.gamma * (occ.n_b + 1) * _dissipator(ops.a, rho) + (
+            spec.bath.gamma * occ.n_b * _dissipator(ops.a.conj().T, rho)
+        )
+    return actions
 
 
 def _dense_master_rhs(rho, ops, spec, occ):
     """Term-by-term master equation, written independently of the superoperator."""
-
-    def dissip(sigma, state):
-        sd = sigma.conj().T
-        return sigma @ state @ sd - 0.5 * (sd @ sigma @ state + state @ sd @ sigma)
-
-    h = ops.hamiltonian
-    out = -1j * (h @ rho - rho @ h)
-    out += spec.reservoir_u.gamma * occ.f_u * dissip(ops.c_u.conj().T, rho)
-    out += spec.reservoir_u.gamma * (1 - occ.f_u) * dissip(ops.c_u, rho)
-    out += spec.reservoir_l.gamma * occ.f_l * dissip(ops.c_l.conj().T, rho)
-    out += spec.reservoir_l.gamma * (1 - occ.f_l) * dissip(ops.c_l, rho)
-    out += spec.bath.gamma * (occ.n_b + 1) * dissip(ops.a, rho)
-    out += spec.bath.gamma * occ.n_b * dissip(ops.a.conj().T, rho)
-    return out
+    return sum(_dense_actions(rho, ops, spec, occ).values())
 
 
 def test_liouvillian_matches_dense_master_equation():
@@ -174,7 +197,7 @@ def test_decoupled_steady_state_is_thermal_product():
     truncated_mean = float(np.arange(sol.layout.n_photon_states) @ weights / weights.sum())
     assert obs.n_ph == pytest.approx(truncated_mean, abs=1e-12)
     assert obs.n_ph == pytest.approx(0.1, abs=1e-8)
-    flux = fluxes_quantum(sol.state.rho, sol.ops, spec)
+    flux = fluxes_quantum(sol.state, sol.liouvillian, spec)
     assert abs(flux.rate) < 1e-13
     assert abs(flux.edot_u) < 1e-12
     assert abs(flux.edot_opt) < 1e-11
@@ -299,7 +322,7 @@ def test_stationarity_relations_and_flux_ratios_on_grid():
                 total = gamma_u + gamma_l + gamma_b
                 assert obs.y.real == pytest.approx(-delta_cav * rate / total, abs=1e-9)
 
-                flux = fluxes_quantum(sol.state.rho, sol.ops, spec, occ)
+                flux = fluxes_quantum(sol.state, sol.liouvillian, spec, occ)
                 assert abs(flux.first_law_residual) < 1e-9 * max(1.0, abs(flux.edot_u))
                 eff = effective_energies_quantum(
                     spec.levels, spec.cavity, gamma_u, gamma_l, gamma_b
@@ -355,10 +378,9 @@ def test_evolve_rejects_unstable_dt():
 def test_fluxes_reject_non_stationary_state():
     spec = make_spec(cutoff=6)
     layout = HilbertLayout(6)
-    ops = build_operators(layout, spec)
-    rho = thermal_product_state(layout, 0.9, 0.1, 0.3)  # not the steady state
+    state = thermal_state(layout, 0.9, 0.1, 0.3)  # not the steady state
     with pytest.raises(ValueError):
-        fluxes_quantum(rho, ops, spec)
+        fluxes_quantum(state, build_sector_liouvillian(layout, spec), spec)
 
 
 def test_sign_condition_examples():
@@ -464,7 +486,7 @@ def test_entropy_condition_weak_coupling_sweep():
         )
         occ = resolve_occupations(spec, "quantum")
         sol = quantum_steady_state(spec, occ)
-        flux = fluxes_quantum(sol.state.rho, sol.ops, spec, occ)
+        flux = fluxes_quantum(sol.state, sol.liouvillian, spec, occ)
         eff = effective_energies_quantum(spec.levels, spec.cavity, gamma_u, gamma_l, gamma_b)
         bracket = (
             eff.e_photon / spec.bath.temperature
@@ -474,3 +496,195 @@ def test_entropy_condition_weak_coupling_sweep():
         worst = min(worst, flux.rate * bracket)
     print(f"worst entropy production over sweep: {worst:.3e}")
     assert worst >= -1e-10
+
+
+# -- the ΔQ = 0 sector against the full-space reference -------------------------
+
+ORDERINGS = (("l", "u"), ("u", "l"))
+
+
+def _oracle_spec(bath):
+    # Both settle below the Fock-tail bound from cutoff 5 on; at cutoffs 1
+    # and 2 both solves must stop at the same tail.
+    if bath:
+        return make_spec(g=0.08 + 0.04j, n_b=0.01)
+    return replace(make_spec(g=0.08 + 0.04j, f_u=0.1, f_l=0.9), bath=None)
+
+
+def _dense_flux_fields(rho, ops, spec, occ):
+    """Every FluxReport field of a dense steady state, from dense channel actions."""
+    actions = _dense_actions(rho, ops, spec, occ)
+    number = ops.n_u + ops.n_l
+    edot = {k: np.trace(ops.hamiltonian @ actions[k]).real for k in ("u", "l", "b")}
+    rate = observables(rho, ops, spec).rate
+    ratio = rate if abs(rate) >= 1e-12 else math.nan  # the program's dead band
+    gamma_b = spec.bath.gamma if spec.bath is not None else 0.0
+    eff = effective_energies_quantum(
+        spec.levels, spec.cavity, spec.reservoir_u.gamma, spec.reservoir_l.gamma, gamma_b
+    )
+    return {
+        "treatment": "quantum",
+        "rate": rate,
+        "ndot_u": np.trace(number @ actions["u"]).real,
+        "ndot_l": np.trace(number @ actions["l"]).real,
+        "edot_u": edot["u"],
+        "edot_l": edot["l"],
+        "edot_opt": edot["b"],
+        "e_eff_u": eff.e_upper,
+        "e_eff_l": eff.e_lower,
+        "e_eff_ph": eff.e_photon,
+        "e_flux_u": edot["u"] / ratio,
+        "e_flux_l": -edot["l"] / ratio,
+        "e_flux_ph": -edot["b"] / ratio,
+        "first_law_residual": edot["u"] + edot["l"] + edot["b"],
+        "f_u": occ.f_u,
+        "f_l": occ.f_l,
+        "n_b": occ.n_b,
+    }
+
+
+@pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
+@pytest.mark.parametrize("ordering", ORDERINGS, ids=("lu", "ul"))
+@pytest.mark.parametrize("cutoff", (1, 2, 5, 10))
+def test_full_liouvillian_has_no_elements_across_charge_blocks(cutoff, ordering, bath):
+    spec = _oracle_spec(bath)
+    layout = HilbertLayout(cutoff)
+    full = build_liouvillian(build_operators(layout, spec, ordering), spec).matrix.tocoo()
+    n_l, n_u, n_ph = layout.basis_labels()
+    charges = np.stack([n_u + n_l, n_u + n_ph])
+    d = layout.dim
+
+    def delta_q(index):
+        row, col = np.divmod(index, d)
+        return charges[:, row] - charges[:, col]
+
+    assert full.nnz > 0
+    assert np.array_equal(delta_q(full.row), delta_q(full.col))
+    in_sector = np.zeros(d * d, dtype=bool)
+    in_sector[layout.sector_indices()] = True
+    assert np.array_equal(in_sector, np.all(delta_q(np.arange(d * d)) == 0, axis=0))
+
+
+@pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
+@pytest.mark.parametrize("ordering", ORDERINGS, ids=("lu", "ul"))
+@pytest.mark.parametrize("cutoff", (1, 2, 5, 10))
+def test_sector_generator_equals_full_space_slice(cutoff, ordering, bath):
+    # Both orderings give <1,0,n+1| c_l^+ c_u a^+ |0,1,n> = +sqrt(n+1), so the
+    # coherence sign is +1 and the slice must match as it stands.
+    spec = _oracle_spec(bath)
+    layout = HilbertLayout(cutoff)
+    ops = build_operators(layout, spec, ordering)
+    hop = ops.c_l.conj().T @ ops.c_u @ ops.a.conj().T
+    upper, lower = layout.coherence_pairs()
+    assert np.array_equal(hop[upper, lower], np.sqrt(np.arange(1, cutoff + 1)))
+
+    full = build_liouvillian(ops, spec).matrix
+    index = layout.sector_indices()
+    reference = full[index][:, index].toarray()
+    sector = build_sector_liouvillian(layout, spec)
+    assert sector.matrix.shape == (6 * cutoff + 4,) * 2
+    assert np.max(np.abs(sector.matrix.toarray() - reference)) < 1e-14 * np.max(np.abs(reference))
+    total = sum(piece.toarray() for piece in sector.channels.values())
+    assert np.max(np.abs(total - sector.matrix.toarray())) < 1e-15
+    assert (sector.channels["b"].nnz > 0) == bath
+
+
+@pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
+@pytest.mark.parametrize("ordering", ORDERINGS, ids=("lu", "ul"))
+@pytest.mark.parametrize("cutoff", (1, 2, 5, 10))
+def test_sector_steady_state_matches_full_space(cutoff, ordering, bath):
+    spec = _oracle_spec(bath)
+    occ = resolve_occupations(spec, "quantum")
+    layout = HilbertLayout(cutoff)
+    ops = build_operators(layout, spec, ordering)
+    sector = build_sector_liouvillian(layout, spec, occ)
+    full = build_liouvillian(ops, spec, occ)
+    if cutoff < 5:  # the tail check refuses both, at the same tail
+        with pytest.raises(FockCutoffError) as sector_error:
+            steady_state(sector)
+        with pytest.raises(FockCutoffError) as full_error:
+            steady_state(full)
+        assert abs(sector_error.value.tail - full_error.value.tail) < 1e-12
+        return
+
+    state = steady_state(sector)
+    reference = steady_state(full)
+    assert state.in_sector and not reference.in_sector
+    assert np.max(np.abs(state.rho - reference.rho)) < 1e-12
+
+    obs = sector_observables(state, spec)
+    expected = observables(reference.rho, ops, spec)
+    for name in ("sigma_uu", "sigma_ll", "n_ph", "y", "f_exact", "f_hf", "rate"):
+        assert abs(getattr(obs, name) - getattr(expected, name)) < 1e-12, name
+
+    flux = fluxes_quantum(state, sector, spec, occ)
+    expected = _dense_flux_fields(reference.rho, ops, spec, occ)
+    for f in dataclasses.fields(flux):
+        value, want = getattr(flux, f.name), expected[f.name]
+        if isinstance(want, float) and math.isnan(want):
+            assert math.isnan(value), f.name
+        elif isinstance(want, float):
+            assert abs(value - want) < 1e-12, f.name
+        else:
+            assert value == want, f.name
+
+
+@pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
+@pytest.mark.parametrize("ordering", ORDERINGS, ids=("lu", "ul"))
+@pytest.mark.parametrize("cutoff", (1, 2, 5, 10))
+def test_sector_rk4_matches_full_space_rk4(cutoff, ordering, bath):
+    spec = _oracle_spec(bath)
+    layout = HilbertLayout(cutoff)
+    full = build_liouvillian(build_operators(layout, spec, ordering), spec)
+    sector = build_sector_liouvillian(layout, spec)
+    dt = 0.05 / liouvillian_norm_estimate(full)  # within both stability bounds
+    rho0 = thermal_product_state(layout, 0.6, 0.3, 0.2)
+    reference = evolve_quantum(rho0, full, 3.0, dt=dt)
+    evolved = evolve_quantum(rho0, sector, 3.0, dt=dt)
+    assert evolved.in_sector
+    assert np.max(np.abs(evolved.rho - reference.rho)) < 1e-12
+
+
+def test_sector_evolution_rejects_weight_outside_the_sector():
+    spec = make_spec(cutoff=3)
+    layout = HilbertLayout(3)
+    rho = thermal_product_state(layout, 0.6, 0.3, 0.2)
+    i, j = layout.flat_index(0, 1, 0), layout.flat_index(1, 0, 0)  # ΔQ2 = 1 coherence
+    rho[i, j] = rho[j, i] = 0.01
+    with pytest.raises(ValueError, match="outside"):
+        evolve_quantum(rho, build_sector_liouvillian(layout, spec), 1.0)
+    full = build_liouvillian(build_operators(layout, spec), spec)
+    assert evolve_quantum(rho, full, 1.0).rho[i, j] != 0.0
+
+
+def test_sector_positivity_check_matches_dense_eigenvalues():
+    # The 2x2-block rule against eigvalsh of the embedded dense matrix, on
+    # random sector states with and without a negative eigenvalue.
+    layout = HilbertLayout(6)
+    d, n = layout.dim, layout.fock_cutoff
+    rng = np.random.default_rng(3)
+    for scale in (0.01, 0.3, 3.0):
+        pops = rng.uniform(0.0, 1.0, d)
+        coherences = scale * (rng.normal(size=n) + 1j * rng.normal(size=n)) / d
+        vector = np.concatenate([pops, coherences, coherences.conj()]) / pops.sum()
+        state = QuantumState(vector.astype(complex), layout)
+        lowest = np.linalg.eigvalsh(state.rho)[0]
+        assert abs(state.lowest_eigenvalue() - lowest) < 1e-15
+        if lowest < -1e-10:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                state.validate()
+        else:
+            state.validate()
+
+
+def test_fock_cutoff_enlargements_are_logged(caplog):
+    spec = make_spec(n_b=0.1, cutoff=1)
+    with caplog.at_level(logging.INFO, logger="detuned_tls.quantum"):
+        sol = quantum_steady_state(spec)
+    assert sol.layout.fock_cutoff == 9
+    records = [r for r in caplog.records if r.name == "detuned_tls.quantum"]
+    assert [r.args[:2] for r in records] == [(1, 5), (5, 9)]
+    for record in records:
+        assert record.levelno == logging.INFO
+        assert record.args[2] > 1e-6
+        assert "Fock cutoff" in record.getMessage()
