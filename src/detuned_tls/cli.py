@@ -225,7 +225,7 @@ def _cmd_quantum_evolve(args: argparse.Namespace) -> int:
     t = 0.0
     for i in range(args.n_store):
         if i > 0:
-            state = evolve_quantum(state, liouv, seg, dt=args.dt)
+            state = evolve_quantum(state, liouv, seg)
             t += seg
         obs = sector_observables(state, spec)
         rows.append(
@@ -313,6 +313,14 @@ def _nan_row(sample_id: int, params: list[str], error: str) -> list[str]:
     return [str(sample_id)] + params + ["nan"] * 11 + [f"error={error.replace(',', ';')}"]
 
 
+def _sampled_cell(key: str, value: float) -> str:
+    """A sampled value as the solve used it: ``with_parameter`` casts it to the key's type."""
+    try:
+        return format_number(SCENARIO_KEYS[key](value))
+    except (OverflowError, ValueError):  # int of inf or nan: the sample failed as drawn
+        return format_number(value)
+
+
 def _cmd_audit(args: argparse.Namespace) -> int:
     base = _load_spec(args)
     treatment = args.treatment or ("quantum" if base.cavity is not None else "classical")
@@ -336,7 +344,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     for res in results:
         cells_map = dict(base_cfg)
         for key, value in res.params.items():
-            cells_map[key] = format_number(value)
+            cells_map[key] = _sampled_cell(key, value)
         cells = [cells_map.get(k, "") for k in keys]
         if res.error is not None:
             rows.append(_nan_row(res.index, cells, res.error))
@@ -403,7 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantum-evolve", help="quantum time evolution from vacuum")
     common(p)
     p.add_argument("--t-final", type=float, required=True)
-    p.add_argument("--dt", type=float, default=None)
     p.add_argument("--n-store", type=int, default=51, help="number of stored rows")
 
     p = sub.add_parser("laser", help="mean-field lasing solution")

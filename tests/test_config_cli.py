@@ -309,6 +309,33 @@ def test_quantum_evolve_needs_two_stored_rows(quantum_cfg_file, capsys, n_store)
     assert "--n-store" in captured.err
 
 
+def test_quantum_evolve_has_no_step_size_flag(quantum_cfg_file):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "quantum-evolve", "--config", str(quantum_cfg_file), "--t-final", "2.0",
+            "--dt", "0.01",
+        ])
+    assert exc.value.code == 2
+
+
+def test_audit_integer_cells_show_the_value_solved(quantum_cfg_file, tmp_path):
+    # with_parameter solves cavity.fock_cutoff = 11.5 at int(11.5) = 11
+    sweep = ["--sweep", "cavity.fock_cutoff=10:13:3"]
+    audit, ss = tmp_path / "audit.csv", tmp_path / "ss.csv"
+    assert main(["audit", "--treatment", "quantum", "--config", str(quantum_cfg_file),
+                 "--out", str(audit)] + sweep) == 0
+    assert main(["quantum-ss", "--config", str(quantum_cfg_file), "--out", str(ss)] + sweep) == 0
+    cutoffs = [[row["cavity.fock_cutoff"] for row in _read_csv(path)[1]] for path in (audit, ss)]
+    assert cutoffs[0] == cutoffs[1] == ["10", "11", "13"]
+
+    # a value no integer holds fails its sample and is shown as drawn
+    assert main(["audit", "--treatment", "quantum", "--config", str(quantum_cfg_file),
+                 "--sweep", "cavity.fock_cutoff=nan:nan:1", "--out", str(audit)]) == 0
+    row = _read_csv(audit)[1][0]
+    assert row["cavity.fock_cutoff"] == "nan"
+    assert row["flags"].startswith("error=")
+
+
 def test_audit_random_deterministic_and_flags(classical_cfg_file, tmp_path):
     out1, out2 = tmp_path / "a1.csv", tmp_path / "a2.csv"
     args = [

@@ -8,11 +8,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from detuned_tls import (
     BosonicBath,
     CavitySpec,
     EnergyLevels,
+    EvolutionError,
     FermionicReservoir,
     FockCutoffError,
     HilbertLayout,
@@ -35,7 +38,6 @@ from detuned_tls import (
     thermal_state,
 )
 from detuned_tls.model import Occupations
-from detuned_tls.quantum import liouvillian_norm_estimate
 
 
 def make_spec(
@@ -355,8 +357,6 @@ def test_evolve_preserves_trace_and_matches_zero_generator():
     assert abs(np.trace(out.rho) - 1.0) < 1e-12
     out.validate()
 
-    import scipy.sparse as sp
-
     frozen = liouv.__class__(
         matrix=sp.csr_matrix((layout.dim**2, layout.dim**2), dtype=complex), layout=layout
     )
@@ -364,15 +364,31 @@ def test_evolve_preserves_trace_and_matches_zero_generator():
     assert np.max(np.abs(unchanged.rho - rho0)) < 1e-14
 
 
-def test_evolve_rejects_unstable_dt():
-    spec = make_spec(cutoff=4)
+def test_evolve_has_no_step_size():
     layout = HilbertLayout(4)
-    ops = build_operators(layout, spec)
-    liouv = build_liouvillian(ops, spec)
-    bound = 0.05 / liouvillian_norm_estimate(liouv)
+    liouv = build_sector_liouvillian(layout, make_spec(cutoff=4))
     rho0 = thermal_product_state(layout, 0.3, 0.4, 0.2)
-    with pytest.raises(ValueError):
-        evolve_quantum(rho0, liouv, 1.0, dt=bound * 3)
+    with pytest.raises(TypeError):
+        evolve_quantum(rho0, liouv, 1.0, dt=0.01)
+
+
+def test_evolve_is_a_semigroup():
+    layout = HilbertLayout(6)
+    liouv = build_sector_liouvillian(layout, make_spec(g=0.2, cutoff=6))
+    rho0 = thermal_state(layout, 0.0, 0.0, 0.0)
+    stepped = evolve_quantum(evolve_quantum(rho0, liouv, 1.3), liouv, 2.1)
+    direct = evolve_quantum(rho0, liouv, 3.4)
+    assert np.max(np.abs(stepped.vector - direct.vector)) < 1e-12
+
+
+def test_evolve_rejects_trace_drift():
+    layout = HilbertLayout(3)
+    size = layout.sector_size
+    lossy = build_sector_liouvillian(layout, make_spec(cutoff=3))
+    lossy = replace(lossy, matrix=lossy.matrix - 1e-6 * sp.identity(size, format="csr"))
+    rho0 = thermal_state(layout, 0.3, 0.4, 0.2)
+    with pytest.raises(EvolutionError, match="drift"):
+        evolve_quantum(rho0, lossy, 1.0)
 
 
 def test_fluxes_reject_non_stationary_state():
@@ -637,12 +653,26 @@ def test_sector_rk4_matches_full_space_rk4(cutoff, ordering, bath):
     layout = HilbertLayout(cutoff)
     full = build_liouvillian(build_operators(layout, spec, ordering), spec)
     sector = build_sector_liouvillian(layout, spec)
-    dt = 0.05 / liouvillian_norm_estimate(full)  # within both stability bounds
     rho0 = thermal_product_state(layout, 0.6, 0.3, 0.2)
-    reference = evolve_quantum(rho0, full, 3.0, dt=dt)
-    evolved = evolve_quantum(rho0, sector, 3.0, dt=dt)
+    reference = evolve_quantum(rho0, full, 3.0)
+    evolved = evolve_quantum(rho0, sector, 3.0)
     assert evolved.in_sector
     assert np.max(np.abs(evolved.rho - reference.rho)) < 1e-12
+
+
+@pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
+@pytest.mark.parametrize("cutoff", (1, 2, 5))
+def test_evolution_matches_dense_matrix_exponential(cutoff, bath):
+    # scipy.linalg.expm (Pade) of the dense full-space generator, independent
+    # of the truncated Taylor series behind expm_multiply.
+    spec = _oracle_spec(bath)
+    layout = HilbertLayout(cutoff)
+    full = build_liouvillian(build_operators(layout, spec), spec)
+    rho0 = thermal_product_state(layout, 0.6, 0.3, 0.2)
+    exact = scipy.linalg.expm(3.0 * full.matrix.toarray()) @ rho0.ravel()
+    for liouv in (full, build_sector_liouvillian(layout, spec)):
+        evolved = evolve_quantum(rho0, liouv, 3.0)
+        assert np.max(np.abs(evolved.rho.ravel() - exact)) < 1e-12
 
 
 def test_sector_evolution_rejects_weight_outside_the_sector():
