@@ -8,7 +8,6 @@ gain.
 
 from .classical import (
     BlochState,
-    BlochTrajectory,
     ClassicalSteadyState,
     PositivityWarning,
     bloch_rhs,

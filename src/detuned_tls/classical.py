@@ -2,8 +2,9 @@
 
 The reduced density matrix (sigma_uu, sigma_ll, sigma_ul) obeys a linear
 affine ODE in the frame co-rotating with the drive.  This module provides the
-equations of motion, a fixed-step RK4 integrator, the closed-form steady
-state, and the steady-state particle/energy fluxes.
+equations of motion, their exact flow (the matrix exponential of the
+augmented affine generator), the closed-form steady state, and the
+steady-state particle/energy fluxes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .model import (
     FluxReport,
@@ -23,8 +25,9 @@ from .model import (
     resolve_occupations,
 )
 
-# Populations may leave [0, 1] by at most this much before the integrator
-# rejects the step size.
+# Populations may leave [0, 1] by at most this much, in the initial state
+# and in the propagated one.  The slack admits rounding in a propagated state,
+# which a trajectory feeds back as the start of its next segment.
 _POPULATION_SLACK = 1e-6
 
 
@@ -54,20 +57,6 @@ class ClassicalSteadyState:
     rate: float
     alpha: float
     saturation_h: float
-
-
-@dataclass(frozen=True)
-class BlochTrajectory:
-    t: np.ndarray
-    sigma_uu: np.ndarray
-    sigma_ll: np.ndarray
-    sigma_ul: np.ndarray
-
-    @property
-    def final(self) -> BlochState:
-        return BlochState(
-            float(self.sigma_uu[-1]), float(self.sigma_ll[-1]), complex(self.sigma_ul[-1])
-        )
 
 
 def check_physical(state: BlochState) -> None:
@@ -120,126 +109,56 @@ def _from_vector(y: np.ndarray) -> BlochState:
     return BlochState(float(y[0]), float(y[1]), complex(y[2], y[3]))
 
 
-def _affine_generator(spec: SystemSpec, occ: Occupations) -> tuple[np.ndarray, np.ndarray]:
-    """Real 4x4 generator M and inhomogeneity b with y' = M y + b.
+def _affine_generator(spec: SystemSpec, occ: Occupations) -> np.ndarray:
+    """Augmented 5x5 generator G = [[M, b], [0, 0]] of y' = M y + b.
 
-    Obtained by probing bloch_rhs on basis states, so the integrator is tied
+    With z = [y, 1] the affine equations read z' = G z, so exp(G t) is their
+    exact flow (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  M and
+    b are obtained by probing bloch_rhs on basis states, so the flow is tied
     to the equations of motion by construction.
     """
+    gen = np.zeros((5, 5))
     b = _as_vector(bloch_rhs(_from_vector(np.zeros(4)), spec, occ))
-    m = np.empty((4, 4))
+    gen[:4, 4] = b
     for j in range(4):
         e = np.zeros(4)
         e[j] = 1.0
-        m[:, j] = _as_vector(bloch_rhs(_from_vector(e), spec, occ)) - b
-    return m, b
+        gen[:4, j] = _as_vector(bloch_rhs(_from_vector(e), spec, occ)) - b
+    return gen
 
 
-def _rk4_affine_step(m: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """One RK4 update of the affine system as an affine map y -> A y + c."""
-    eye = np.eye(m.shape[0])
-    m2 = m @ m
-    m3 = m2 @ m
-    a = eye + h * m + (h**2 / 2.0) * m2 + (h**3 / 6.0) * m3 + (h**4 / 24.0) * (m3 @ m)
-    c = (h * eye + (h**2 / 2.0) * m + (h**3 / 6.0) * m2 + (h**4 / 24.0) * m3) @ b
-    return a, c
-
-
-def _default_dt(spec: SystemSpec) -> float:
-    rate_scale = max(
-        spec.reservoir_u.gamma,
-        spec.reservoir_l.gamma,
-        abs(detuning(spec.levels, spec.drive.omega)),
-        abs(spec.drive.epsilon),
-    )
-    return 0.02 / rate_scale
-
-
-def _check_populations(y: np.ndarray, t: float, dt: float) -> None:
-    if (
-        y[0] < -_POPULATION_SLACK
-        or y[0] > 1.0 + _POPULATION_SLACK
-        or y[1] < -_POPULATION_SLACK
-        or y[1] > 1.0 + _POPULATION_SLACK
-    ):
-        raise RuntimeError(
-            f"population left [0, 1] at t = {t:.6g} (dt = {dt:.3g}); reduce the step size"
-        )
+def _populations_in_range(y: np.ndarray) -> bool:
+    """Both populations within [0, 1] up to the slack; False if either is NaN."""
+    return bool(np.all((y[:2] >= -_POPULATION_SLACK) & (y[:2] <= 1.0 + _POPULATION_SLACK)))
 
 
 def evolve(
     state0: BlochState,
     spec: SystemSpec,
     t_final: float,
-    dt: float | None = None,
     occupations: Occupations | None = None,
-    store_trajectory: bool = True,
-    max_store: int = 2001,
-) -> BlochTrajectory:
-    """Fixed-step RK4 integration of the rotating-frame equations.
+) -> BlochState:
+    """exp(G t_final) applied to [y0, 1]: the exact flow of the Bloch equations.
 
-    The right-hand side is affine, so one RK4 step is a fixed affine map.
-    With ``store_trajectory`` the map is applied step by step and sampled
-    points are recorded (at most ``max_store``); without it the composed map
-    is built by repeated squaring and only the endpoint is returned, which
-    yields the same RK4 result at rounding-level difference.  Negative
-    ``t_final`` integrates backwards.
+    ``scipy.linalg.expm`` evaluates the exponential of the augmented
+    generator to rounding (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
+    970 (2009)).  Negative ``t_final`` evolves backwards.  A non-finite
+    initial state or an initial population outside [0, 1] raises ValueError;
+    a propagated population outside [0, 1] raises RuntimeError.
     """
     if spec.drive is None:
         raise ValueError("classical dynamics requires a drive")
-    occ = occupations or resolve_occupations(spec, "classical")
-    if dt is None:
-        dt = _default_dt(spec)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    stability = 0.1 / max(
-        spec.reservoir_u.gamma,
-        spec.reservoir_l.gamma,
-        abs(detuning(spec.levels, spec.drive.omega)),
-        abs(spec.drive.epsilon),
-    )
-    if dt > stability * (1.0 + 1e-12):
-        raise ValueError(f"dt = {dt:.3g} exceeds the stability bound {stability:.3g}")
-
-    if t_final == 0.0:
-        y0 = _as_vector(state0)
-        return BlochTrajectory(
-            np.array([0.0]), y0[[0]], y0[[1]], np.array([complex(y0[2], y0[3])])
+    y0 = _as_vector(state0)
+    if not (np.all(np.isfinite(y0)) and _populations_in_range(y0)):
+        raise ValueError(
+            f"initial populations ({y0[0]:.6g}, {y0[1]:.6g}) must lie in [0, 1] "
+            "with a finite coherence"
         )
-
-    n_steps = max(1, math.ceil(abs(t_final) / dt - 1e-12))
-    h = t_final / n_steps
-    m, b = _affine_generator(spec, occ)
-    a_step, c_step = _rk4_affine_step(m, b, h)
-    y = _as_vector(state0)
-
-    if not store_trajectory:
-        # Embed the affine map in a 5x5 matrix and compose by squaring.
-        t_map = np.eye(5)
-        t_map[:4, :4] = a_step
-        t_map[:4, 4] = c_step
-        y_final = (np.linalg.matrix_power(t_map, n_steps) @ np.append(y, 1.0))[:4]
-        _check_populations(y_final, t_final, h)
-        times = np.array([0.0, t_final])
-        uu = np.array([y[0], y_final[0]])
-        ll = np.array([y[1], y_final[1]])
-        ul = np.array([complex(y[2], y[3]), complex(y_final[2], y_final[3])])
-        return BlochTrajectory(times, uu, ll, ul)
-
-    stride = max(1, -(-n_steps // (max_store - 1)))
-    times = [0.0]
-    samples = [y.copy()]
-    for step in range(1, n_steps + 1):
-        y = a_step @ y + c_step
-        if step % stride == 0 or step == n_steps:
-            t = step * h
-            _check_populations(y, t, h)
-            times.append(t)
-            samples.append(y.copy())
-    arr = np.array(samples)
-    return BlochTrajectory(
-        np.array(times), arr[:, 0], arr[:, 1], arr[:, 2] + 1j * arr[:, 3]
-    )
+    occ = occupations or resolve_occupations(spec, "classical")
+    y = (scipy.linalg.expm(_affine_generator(spec, occ) * t_final) @ np.append(y0, 1.0))[:4]
+    if not _populations_in_range(y):
+        raise RuntimeError(f"population left [0, 1] at t = {t_final:.6g}")
+    return _from_vector(y)
 
 
 def steady_state_closed_form(

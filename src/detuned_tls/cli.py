@@ -7,9 +7,10 @@ Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,16 +79,23 @@ def _load_spec(args: argparse.Namespace) -> SystemSpec:
     return spec
 
 
-def _parse_sweep(arg: str) -> tuple[str, tuple[float, float, int]]:
+def _parse_points(text: str, what: str, form: str) -> tuple[float, float, int]:
+    """``lo:hi:n`` with n >= 1 as (lo, hi, n); ``what`` and ``form`` word the errors."""
     try:
-        key, _, rng = arg.partition("=")
-        lo, hi, n = rng.split(":")
+        lo, hi, n = text.split(":")
         bounds = (float(lo), float(hi), int(n))
     except ValueError as exc:
-        raise ConfigError(f"bad sweep spec {arg!r} (expected key=lo:hi:n)") from exc
+        raise ConfigError(f"bad {what} (expected {form})") from exc
     if bounds[2] < 1:
-        raise ConfigError(f"bad sweep spec {arg!r}: n must be at least 1")
-    return resolve_parameter_key(key.strip()), bounds
+        raise ConfigError(f"bad {what}: n must be at least 1")
+    return bounds
+
+
+def _parse_sweep(arg: str) -> tuple[str, tuple[float, float, int]]:
+    key, _, rng = arg.partition("=")
+    return resolve_parameter_key(key.strip()), _parse_points(
+        rng, f"sweep spec {arg!r}", "key=lo:hi:n"
+    )
 
 
 def _parse_range(arg: str) -> tuple[str, tuple[float, float]]:
@@ -127,17 +135,44 @@ def _ranges(args: argparse.Namespace) -> dict[str, tuple]:
     return ranges
 
 
-def _grid_specs(base: SystemSpec, args: argparse.Namespace) -> list[SystemSpec]:
-    """The --sweep grid applied to ``base``; just ``base`` without --sweep."""
-    points = thermo.sample_points(_ranges(args), "grid", None, 0)
-    return [with_parameters(base, params) for params in points]
+def _sampled_cell(key: str, value: float) -> str:
+    """A sampled value as the solve used it: ``with_parameter`` casts it to the key's type."""
+    try:
+        return format_number(SCENARIO_KEYS[key](value))
+    except (OverflowError, ValueError):  # int of inf or nan: the sample failed as drawn
+        return format_number(value)
 
 
-def _param_columns(specs: Sequence[SystemSpec]) -> tuple[list[str], list[list[str]]]:
-    configs = [config_from_system_spec(s).values for s in specs]
-    keys = list(configs[0])
-    cells = [[cfg[k] for k in keys] for cfg in configs]
-    return keys, cells
+def _param_columns(
+    base: SystemSpec, ranges: dict[str, tuple], points: Iterable[dict[str, float]]
+) -> tuple[list[str], Iterator[list[str]]]:
+    """Parameter columns: each point's sampled cells overlaid on the base scenario's.
+
+    The overlay is textual, so rows whose parameters do not form a valid
+    spec still serialize.  The cells of a row are made as the row is
+    consumed, so a long sweep does not hold them all at once.
+    """
+    base_cfg = config_from_system_spec(base).values
+    keys = [k for k in SCENARIO_KEYS if k in base_cfg or k in ranges]
+
+    def row_cells(params: dict[str, float]) -> list[str]:
+        cells_map = dict(base_cfg)
+        for key, value in params.items():
+            cells_map[key] = _sampled_cell(key, value)
+        return [cells_map.get(k, "") for k in keys]
+
+    return keys, map(row_cells, points)
+
+
+def _grid(
+    base: SystemSpec, args: argparse.Namespace
+) -> tuple[list[SystemSpec], list[str], Iterator[list[str]]]:
+    """The --sweep grid on ``base`` (just ``base`` without it): specs and parameter columns."""
+    ranges = _ranges(args)
+    points = thermo.sample_points(ranges, "grid", None, 0)
+    specs = [with_parameters(base, params) for params in points]
+    keys, cells = _param_columns(base, ranges, points)
+    return specs, keys, cells
 
 
 def _flags_text(total: float, regime: thermo.RegimeReport, tol: float) -> str:
@@ -180,8 +215,7 @@ def _cmd_steady_state(args: argparse.Namespace, treatment: str) -> int:
         raise ConfigError("classical commands require a drive section")
     if treatment == "quantum" and (base.cavity is None or base.bath is None):
         raise ConfigError("quantum commands require cavity and bath sections")
-    specs = _grid_specs(base, args)
-    keys, param_cells = _param_columns(specs)
+    specs, keys, param_cells = _grid(base, args)
     rows = []
     for sample_id, (spec, cells) in enumerate(zip(specs, param_cells)):
         flux, entropy, regime = thermo.audit_point(spec, treatment)
@@ -190,53 +224,59 @@ def _cmd_steady_state(args: argparse.Namespace, treatment: str) -> int:
     return 0
 
 
-def _cmd_classical_evolve(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
-    if spec.drive is None:
-        raise ConfigError("classical commands require a drive section")
-    state0 = BlochState(args.sigma_uu0, args.sigma_ll0, 0.0 + 0.0j)
-    traj = evolve(state0, spec, args.t_final, dt=args.dt)
-    rows = [
-        [
-            format_number(float(t)),
-            format_number(float(uu)),
-            format_number(float(ll)),
-            format_number(complex(ul).real),
-            format_number(complex(ul).imag),
-        ]
-        for t, uu, ll, ul in zip(traj.t, traj.sigma_uu, traj.sigma_ll, traj.sigma_ul)
-    ]
-    _write_rows(args.out, ["t", "sigma_uu", "sigma_ll", "re_sigma_ul", "im_sigma_ul"], rows)
-    return 0
+def _evolve_rows(args: argparse.Namespace, state, step, observe) -> list[list[str]]:
+    """Rows at --n-store evenly spaced times from 0 to --t-final.
 
-
-def _cmd_quantum_evolve(args: argparse.Namespace) -> int:
+    ``step(state, seg)`` advances the state by one segment; a row is t
+    followed by ``observe(state)``.
+    """
     if args.n_store < 2:
         raise ConfigError("--n-store must be at least 2 (the initial and the final state)")
-    spec = _load_spec(args)
-    if spec.cavity is None or spec.bath is None:
-        raise ConfigError("quantum commands require cavity and bath sections")
-    layout = HilbertLayout(spec.cavity.fock_cutoff)
-    liouv = build_sector_liouvillian(layout, spec, resolve_occupations(spec, "quantum"))
-    state = thermal_state(layout, 0.0, 0.0, 0.0)
-
+    if not (math.isfinite(args.t_final) and args.t_final >= 0):
+        raise ConfigError(f"--t-final must be finite and non-negative, not {args.t_final!r}")
     seg = args.t_final / (args.n_store - 1)
     rows = []
     t = 0.0
     for i in range(args.n_store):
         if i > 0:
-            state = evolve_quantum(state, liouv, seg)
+            state = step(state, seg)
             t += seg
+        rows.append([format_number(t)] + [format_number(v) for v in observe(state)])
+    return rows
+
+
+def _cmd_classical_evolve(args: argparse.Namespace) -> int:
+    spec = _load_spec(args)
+    if spec.drive is None:
+        raise ConfigError("classical commands require a drive section")
+    occ = resolve_occupations(spec, "classical")
+    rows = _evolve_rows(
+        args,
+        BlochState(args.sigma_uu0, args.sigma_ll0, 0.0 + 0.0j),
+        lambda state, seg: evolve(state, spec, seg, occupations=occ),
+        lambda s: (s.sigma_uu, s.sigma_ll, s.sigma_ul.real, s.sigma_ul.imag),
+    )
+    _write_rows(args.out, ["t", "sigma_uu", "sigma_ll", "re_sigma_ul", "im_sigma_ul"], rows)
+    return 0
+
+
+def _cmd_quantum_evolve(args: argparse.Namespace) -> int:
+    spec = _load_spec(args)
+    if spec.cavity is None or spec.bath is None:
+        raise ConfigError("quantum commands require cavity and bath sections")
+    layout = HilbertLayout(spec.cavity.fock_cutoff)
+    liouv = build_sector_liouvillian(layout, spec, resolve_occupations(spec, "quantum"))
+
+    def observe(state):
         obs = sector_observables(state, spec)
-        rows.append(
-            [
-                format_number(t),
-                format_number(obs.sigma_uu),
-                format_number(obs.sigma_ll),
-                format_number(obs.n_ph),
-                format_number(obs.rate),
-            ]
-        )
+        return obs.sigma_uu, obs.sigma_ll, obs.n_ph, obs.rate
+
+    rows = _evolve_rows(
+        args,
+        thermal_state(layout, 0.0, 0.0, 0.0),
+        lambda state, seg: evolve_quantum(state, liouv, seg),
+        observe,
+    )
     _write_rows(args.out, ["t", "sigma_uu", "sigma_ll", "n_ph", "rate"], rows)
     return 0
 
@@ -245,8 +285,7 @@ def _cmd_laser(args: argparse.Namespace) -> int:
     base = _load_spec(args)
     if base.cavity is None or base.bath is None:
         raise ConfigError("laser command requires cavity and bath sections")
-    specs = _grid_specs(base, args)
-    keys, param_cells = _param_columns(specs)
+    specs, keys, param_cells = _grid(base, args)
     rows = []
     for sample_id, (spec, cells) in enumerate(zip(specs, param_cells)):
         sol = solve_lasing(spec)
@@ -270,7 +309,7 @@ def _cmd_laser(args: argparse.Namespace) -> int:
 
 def _parse_occupation_arg(text: str) -> gain_mod.SubbandOccupation:
     kind, _, params = text.partition(":")
-    fields = {}
+    fields: dict[str, float] = {}
     if params:
         for item in params.split(","):
             name, _, value = item.partition("=")
@@ -279,12 +318,16 @@ def _parse_occupation_arg(text: str) -> gain_mod.SubbandOccupation:
             fields[name.strip()] = float(value)
     try:
         if kind == "fermi":
-            return gain_mod.FermiOccupation(temperature=fields.pop("T"), mu=fields.pop("mu"))
-        if kind == "linear":
-            return gain_mod.LinearOccupation(f0=fields.pop("f0"), slope=fields.pop("slope"))
+            occupation = gain_mod.FermiOccupation(temperature=fields.pop("T"), mu=fields.pop("mu"))
+        elif kind == "linear":
+            occupation = gain_mod.LinearOccupation(f0=fields.pop("f0"), slope=fields.pop("slope"))
+        else:
+            raise ConfigError(f"unknown occupation form {kind!r} (use fermi:... or linear:...)")
     except KeyError as exc:
         raise ConfigError(f"occupation {text!r} is missing parameter {exc}") from exc
-    raise ConfigError(f"unknown occupation form {kind!r} (use fermi:... or linear:...)")
+    if fields:
+        raise ConfigError(f"occupation {text!r} has unknown parameter(s) {', '.join(fields)}")
+    return occupation
 
 
 def _cmd_bloch_gain(args: argparse.Namespace) -> int:
@@ -295,11 +338,7 @@ def _cmd_bloch_gain(args: argparse.Namespace) -> int:
             raise ConfigError("provide --equal-occupations or both --f-upper and --f-lower")
         f_up = _parse_occupation_arg(args.f_upper)
         f_low = _parse_occupation_arg(args.f_lower)
-    try:
-        lo, hi, n = args.grid.split(":")
-        grid = np.linspace(float(lo), float(hi), int(n))
-    except ValueError as exc:
-        raise ConfigError(f"bad grid spec {args.grid!r} (expected lo:hi:n)") from exc
+    grid = np.linspace(*_parse_points(args.grid, f"grid spec {args.grid!r}", "lo:hi:n"))
     spectrum = gain_mod.gain_spectrum(args.e_k0, grid, args.gamma_u, args.gamma_l, f_up, f_low)
     rows = [
         [str(i), format_number(float(d)), format_number(float(r))]
@@ -311,14 +350,6 @@ def _cmd_bloch_gain(args: argparse.Namespace) -> int:
 
 def _nan_row(sample_id: int, params: list[str], error: str) -> list[str]:
     return [str(sample_id)] + params + ["nan"] * 11 + [f"error={error.replace(',', ';')}"]
-
-
-def _sampled_cell(key: str, value: float) -> str:
-    """A sampled value as the solve used it: ``with_parameter`` casts it to the key's type."""
-    try:
-        return format_number(SCENARIO_KEYS[key](value))
-    except (OverflowError, ValueError):  # int of inf or nan: the sample failed as drawn
-        return format_number(value)
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -334,18 +365,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         seed=args.seed,
         tolerance=args.tolerance,
     )
-
-    # Parameter columns are overlaid on the base scenario textually, so rows
-    # whose parameters do not form a valid spec still serialize.
-    base_cfg = config_from_system_spec(base).values
-    keys = [k for k in SCENARIO_KEYS if k in base_cfg or k in ranges]
-
+    keys, param_cells = _param_columns(base, ranges, (res.params for res in results))
     rows = []
-    for res in results:
-        cells_map = dict(base_cfg)
-        for key, value in res.params.items():
-            cells_map[key] = _sampled_cell(key, value)
-        cells = [cells_map.get(k, "") for k in keys]
+    for res, cells in zip(results, param_cells):
         if res.error is not None:
             rows.append(_nan_row(res.index, cells, res.error))
         else:
@@ -367,12 +389,12 @@ def _cmd_find_violation(args: argparse.Namespace) -> int:
     if result is None:
         sys.stderr.write("no second-law violation found within the sample budget\n")
         return 4
-    keys, param_cells = _param_columns([result.spec])
+    cfg = config_from_system_spec(result.spec).values
     row = _flux_row(
-        result.index, param_cells[0], result.flux, result.entropy_total, result.regime,
+        result.index, list(cfg.values()), result.flux, result.entropy_total, result.regime,
         args.tolerance,
     )
-    _write_rows(args.out, ["sample_id"] + keys + list(FLUX_COLUMNS), [row])
+    _write_rows(args.out, ["sample_id"] + list(cfg) + list(FLUX_COLUMNS), [row])
     return 0
 
 
@@ -397,10 +419,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--sweep", action="append", metavar="KEY=LO:HI:N")
 
+    def evolve_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--t-final", type=float, required=True)
+        p.add_argument("--n-store", type=int, default=51, help="number of stored rows")
+
     p = sub.add_parser("classical-evolve", help="classical time evolution")
     common(p)
-    p.add_argument("--t-final", type=float, required=True)
-    p.add_argument("--dt", type=float, default=None)
+    evolve_flags(p)
     p.add_argument("--sigma-uu0", type=float, default=0.0)
     p.add_argument("--sigma-ll0", type=float, default=0.0)
 
@@ -410,8 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum-evolve", help="quantum time evolution from vacuum")
     common(p)
-    p.add_argument("--t-final", type=float, required=True)
-    p.add_argument("--n-store", type=int, default=51, help="number of stored rows")
+    evolve_flags(p)
 
     p = sub.add_parser("laser", help="mean-field lasing solution")
     common(p)

@@ -103,13 +103,7 @@ def classical_runs():
         occ = resolve_occupations(spec, "classical")
         ss = steady_state_closed_form(spec, occ)
         t_final = 50.0 / min(gamma_u, gamma_l)
-        final = evolve(
-            BlochState(occ.f_u, occ.f_l, 0.0j),
-            spec,
-            t_final,
-            occupations=occ,
-            store_trajectory=False,
-        ).final
+        final = evolve(BlochState(occ.f_u, occ.f_l, 0.0j), spec, t_final, occupations=occ)
         dev = max(
             abs(final.sigma_uu - ss.bloch.sigma_uu),
             abs(final.sigma_ll - ss.bloch.sigma_ll),

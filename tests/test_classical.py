@@ -1,4 +1,4 @@
-"""Rotating-frame Bloch dynamics: equations, integrator, steady state, fluxes."""
+"""Rotating-frame Bloch dynamics: equations, exact flow, steady state, fluxes."""
 
 import cmath
 import math
@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
+from scipy.integrate import solve_ivp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +24,7 @@ from detuned_tls import (
     fluxes_classical,
     steady_state_closed_form,
 )
-from detuned_tls.classical import _affine_generator, check_physical
+from detuned_tls.classical import check_physical
 from detuned_tls.model import effective_energies_classical, resolve_occupations
 
 
@@ -68,8 +68,8 @@ def test_rhs_matches_finite_difference_of_evolve():
             rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-0.3, 0.3) + 1j * rng.uniform(-0.3, 0.3)
         )
         h = 1e-6
-        fwd = evolve(state, spec, h, dt=h).final
-        bwd = evolve(state, spec, -h, dt=h).final
+        fwd = evolve(state, spec, h)
+        bwd = evolve(state, spec, -h)
         deriv = bloch_rhs(state, spec)
         assert (fwd.sigma_uu - bwd.sigma_uu) / (2 * h) == pytest.approx(
             deriv.sigma_uu, abs=1e-8
@@ -82,57 +82,85 @@ def test_rhs_matches_finite_difference_of_evolve():
 
 def test_evolve_undriven_relaxation_is_exponential():
     spec = make_spec(gamma_u=0.4, gamma_l=0.25, epsilon=0.0 + 0.0j, f_u=0.9, f_l=0.1)
-    traj = evolve(BlochState(0.2, 0.6, 0.0j), spec, 6.0)
-    for t, uu, ll in zip(traj.t, traj.sigma_uu, traj.sigma_ll):
-        assert uu == pytest.approx(0.9 + (0.2 - 0.9) * math.exp(-0.4 * t), abs=1e-6)
-        assert ll == pytest.approx(0.1 + (0.6 - 0.1) * math.exp(-0.25 * t), abs=1e-6)
+    for t in np.linspace(0.0, 6.0, 13):
+        state = evolve(BlochState(0.2, 0.6, 0.0j), spec, t)
+        assert state.sigma_uu == pytest.approx(0.9 + (0.2 - 0.9) * math.exp(-0.4 * t), abs=1e-6)
+        assert state.sigma_ll == pytest.approx(0.1 + (0.6 - 0.1) * math.exp(-0.25 * t), abs=1e-6)
 
 
 def test_evolve_long_time_matches_closed_form():
     spec = make_spec(gamma_u=0.3, gamma_l=0.15, omega=1.2, epsilon=0.2 + 0.1j)
     ss = steady_state_closed_form(spec)
-    final = evolve(BlochState(0.0, 0.0, 0.0j), spec, 400.0, store_trajectory=False).final
+    final = evolve(BlochState(0.0, 0.0, 0.0j), spec, 400.0)
     assert final.sigma_uu == pytest.approx(ss.bloch.sigma_uu, abs=1e-8)
     assert final.sigma_ll == pytest.approx(ss.bloch.sigma_ll, abs=1e-8)
     assert abs(final.sigma_ul - ss.bloch.sigma_ul) < 1e-8
 
 
-def test_evolve_is_fourth_order():
-    # Exact flow from the matrix exponential of the affine system.
+def _bloch_vector(state):
+    return np.array([state.sigma_uu, state.sigma_ll, state.sigma_ul.real, state.sigma_ul.imag])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evolve_matches_an_ode_solver_on_bloch_rhs(seed):
+    # DOP853 on the equations of motion themselves is the independent oracle.
+    spec = random_spec(np.random.default_rng(seed))
+    state0 = BlochState(0.1, 0.8, 0.05 - 0.02j)
+
+    def rhs(_, y):
+        return _bloch_vector(bloch_rhs(BlochState(y[0], y[1], complex(y[2], y[3])), spec))
+
+    sol = solve_ivp(
+        rhs, (0.0, 5.0), _bloch_vector(state0), method="DOP853", rtol=1e-12, atol=1e-12
+    )
+    assert sol.success
+    exact = _bloch_vector(evolve(state0, spec, 5.0))
+    assert np.max(np.abs(sol.y[:, -1] - exact)) < 1e-9
+
+
+def test_evolve_is_a_semigroup():
     spec = make_spec(gamma_u=0.5, gamma_l=0.3, omega=1.4, epsilon=0.3 + 0.2j)
-    occ = resolve_occupations(spec, "classical")
-    m, b = _affine_generator(spec, occ)
-    gen = np.zeros((5, 5))
-    gen[:4, :4] = m
-    gen[:4, 4] = b
-    t_final = 2.0
-    y0 = np.array([0.1, 0.8, 0.05, -0.02, 1.0])
-    exact = (scipy.linalg.expm(gen * t_final) @ y0)[:4]
-
-    def endpoint(dt):
-        final = evolve(
-            BlochState(0.1, 0.8, 0.05 - 0.02j), spec, t_final, dt=dt, store_trajectory=False
-        ).final
-        return np.array(
-            [final.sigma_uu, final.sigma_ll, final.sigma_ul.real, final.sigma_ul.imag]
-        )
-
-    err1 = np.max(np.abs(endpoint(0.1) - exact))
-    err2 = np.max(np.abs(endpoint(0.05) - exact))
-    order = math.log2(err1 / err2)
-    assert 3.5 < order < 4.5
+    state0 = BlochState(0.1, 0.8, 0.05 - 0.02j)
+    stepped = evolve(evolve(state0, spec, 1.3), spec, 2.1)
+    direct = evolve(state0, spec, 3.4)
+    assert np.max(np.abs(_bloch_vector(stepped) - _bloch_vector(direct))) < 1e-12
 
 
-def test_evolve_rejects_unstable_dt():
-    spec = make_spec(gamma_u=1.0)
-    with pytest.raises(ValueError):
-        evolve(BlochState(0.0, 0.0, 0.0j), spec, 10.0, dt=0.2)
+@pytest.mark.parametrize(
+    "spec",
+    (
+        make_spec(),
+        make_spec(gamma_u=0.3, gamma_l=0.15, omega=1.2, epsilon=0.2 + 0.1j),
+        make_spec(gamma_u=1.0, gamma_l=1.0, omega=1.0, epsilon=0.1 + 0.0j, f_u=1.0, f_l=0.0),
+    ),
+    ids=("default", "detuned", "resonant-inverted"),
+)
+def test_evolve_from_vacuum_reaches_the_closed_form(spec):
+    ss = steady_state_closed_form(spec).bloch
+    final = evolve(BlochState(0.0, 0.0, 0.0j), spec, 400.0)
+    assert np.max(np.abs(_bloch_vector(final) - _bloch_vector(ss))) < 1e-12
+
+
+def test_evolve_has_no_step_size():
+    with pytest.raises(TypeError):
+        evolve(BlochState(0.0, 0.0, 0.0j), make_spec(), 1.0, dt=0.01)
 
 
 def test_evolve_rejects_runaway_populations():
     spec = make_spec()
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError):
         evolve(BlochState(5.0, 0.0, 0.0j), spec, 10.0)
+
+
+def test_evolve_rejects_a_non_finite_initial_state():
+    with pytest.raises(ValueError):
+        evolve(BlochState(0.5, 0.5, complex(math.nan, 0.0)), make_spec(), 1.0)
+
+
+def test_evolve_checks_propagated_populations():
+    # A coherence far beyond the positivity bound drives sigma_uu below 0.
+    with pytest.raises(RuntimeError, match="population left"):
+        evolve(BlochState(0.5, 0.5, 5j), make_spec(), 1.0)
 
 
 def test_closed_form_equal_occupations_is_dark():
@@ -155,7 +183,7 @@ def test_closed_form_frozen_example():
     assert ss.bloch.sigma_ll == pytest.approx(0.019230769230769232, rel=1e-12)
     assert abs(ss.bloch.sigma_ul - 0.09615384615384615j) < 1e-14
 
-    final = evolve(BlochState(0.0, 0.0, 0.0j), spec, 200.0, store_trajectory=False).final
+    final = evolve(BlochState(0.0, 0.0, 0.0j), spec, 200.0)
     assert final.sigma_uu == pytest.approx(ss.bloch.sigma_uu, abs=1e-9)
     assert final.sigma_ll == pytest.approx(ss.bloch.sigma_ll, abs=1e-9)
     assert abs(final.sigma_ul - ss.bloch.sigma_ul) < 1e-9
@@ -175,13 +203,7 @@ def test_oracle_equivalence_random_sample():
         occ = resolve_occupations(spec, "classical")
         ss = steady_state_closed_form(spec, occ)
         t_final = 50.0 / min(spec.reservoir_u.gamma, spec.reservoir_l.gamma)
-        final = evolve(
-            BlochState(occ.f_u, occ.f_l, 0.0j),
-            spec,
-            t_final,
-            occupations=occ,
-            store_trajectory=False,
-        ).final
+        final = evolve(BlochState(occ.f_u, occ.f_l, 0.0j), spec, t_final, occupations=occ)
         assert final.sigma_uu == pytest.approx(ss.bloch.sigma_uu, abs=1e-7)
         assert final.sigma_ll == pytest.approx(ss.bloch.sigma_ll, abs=1e-7)
         assert abs(final.sigma_ul - ss.bloch.sigma_ul) < 1e-7

@@ -148,6 +148,15 @@ def laser_cfg_file(tmp_path):
     return path
 
 
+EVOLVE_CONFIGS = {"classical-evolve": CLASSICAL_CFG, "quantum-evolve": QUANTUM_CFG}
+
+
+def _evolve_cfg_file(tmp_path, command):
+    path = tmp_path / f"{command}.cfg"
+    path.write_text(EVOLVE_CONFIGS[command])
+    return path
+
+
 def _read_csv(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -224,6 +233,28 @@ def test_bloch_gain_spectrum_csv(tmp_path):
         assert float(row["delta"]) * float(row["rate"]) <= 1e-15
 
 
+def test_bloch_gain_rejects_an_empty_grid(capsys):
+    code = main([
+        "bloch-gain", "--equal-occupations", "fermi:T=0.1,mu=0.2",
+        "--e-k0", "0.3", "--gamma-u", "0.05", "--gamma-l", "0.05", "--grid=-1:1:0",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n must be at least 1" in captured.err
+
+
+def test_bloch_gain_rejects_an_unknown_occupation_parameter(capsys):
+    code = main([
+        "bloch-gain", "--equal-occupations", "fermi:T=0.1,mu=0,bogus=3",
+        "--e-k0", "0.3", "--gamma-u", "0.05", "--gamma-l", "0.05", "--grid=-1:1:5",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bogus" in captured.err
+
+
 def test_quantum_ss_row(quantum_cfg_file, tmp_path):
     out = tmp_path / "q.csv"
     code = main(["quantum-ss", "--config", str(quantum_cfg_file), "--out", str(out)])
@@ -256,11 +287,12 @@ def test_classical_evolve_trajectory(classical_cfg_file, tmp_path):
     out = tmp_path / "traj.csv"
     code = main([
         "classical-evolve", "--config", str(classical_cfg_file),
-        "--t-final", "20", "--out", str(out),
+        "--t-final", "20", "--n-store", "5", "--out", str(out),
     ])
     assert code == 0
     header, rows = _read_csv(out)
     assert header == ["t", "sigma_uu", "sigma_ll", "re_sigma_ul", "im_sigma_ul"]
+    assert len(rows) == 5
     assert float(rows[0]["t"]) == 0.0
     assert float(rows[-1]["t"]) == pytest.approx(20.0, abs=1e-12)
 
@@ -297,10 +329,14 @@ def test_fock_cutoff_override_is_the_cutoff_column(quantum_cfg_file, tmp_path, c
     assert not any(row["flags"].startswith("error=") for row in rows)
 
 
-@pytest.mark.parametrize("n_store", ("-1", "0", "1"))
-def test_quantum_evolve_needs_two_stored_rows(quantum_cfg_file, capsys, n_store):
+@pytest.mark.parametrize(
+    ("command", "n_store"),
+    [pytest.param("quantum-evolve", n, id=n) for n in ("-1", "0", "1")]
+    + [pytest.param("classical-evolve", n, id=f"classical-evolve-{n}") for n in ("-1", "0", "1")],
+)
+def test_quantum_evolve_needs_two_stored_rows(tmp_path, capsys, command, n_store):
     code = main([
-        "quantum-evolve", "--config", str(quantum_cfg_file), "--t-final", "2.0",
+        command, "--config", str(_evolve_cfg_file(tmp_path, command)), "--t-final", "2.0",
         "--n-store", n_store,
     ])
     assert code == 2
@@ -309,13 +345,27 @@ def test_quantum_evolve_needs_two_stored_rows(quantum_cfg_file, capsys, n_store)
     assert "--n-store" in captured.err
 
 
-def test_quantum_evolve_has_no_step_size_flag(quantum_cfg_file):
+@pytest.mark.parametrize("command", tuple(EVOLVE_CONFIGS))
+def test_evolve_has_no_step_size_flag(tmp_path, command):
     with pytest.raises(SystemExit) as exc:
         main([
-            "quantum-evolve", "--config", str(quantum_cfg_file), "--t-final", "2.0",
+            command, "--config", str(_evolve_cfg_file(tmp_path, command)), "--t-final", "2.0",
             "--dt", "0.01",
         ])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    (["--t-final", "-5"], ["--t-final", "inf"], ["--t-final", "5", "--sigma-uu0", "5"]),
+    ids=("negative-time", "infinite-time", "population-above-1"),
+)
+def test_classical_evolve_bad_input_exits_2(classical_cfg_file, capsys, flags):
+    code = main(["classical-evolve", "--config", str(classical_cfg_file)] + flags)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err
 
 
 def test_audit_integer_cells_show_the_value_solved(quantum_cfg_file, tmp_path):
