@@ -67,23 +67,18 @@ from .quantum import (
     FockCutoffError,
     HilbertLayout,
     Liouvillian,
-    OperatorSet,
     QuantumObservables,
     QuantumSolution,
     QuantumState,
     SignCondition,
     SteadyStateError,
-    build_liouvillian,
-    build_operators,
     build_sector_liouvillian,
     evolve_quantum,
     fluxes_quantum,
-    observables,
     quantum_steady_state,
     sector_observables,
     sign_condition,
     steady_state,
-    thermal_product_state,
     thermal_state,
 )
 from .thermo import (

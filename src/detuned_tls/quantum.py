@@ -23,8 +23,8 @@ their two populations.
 
 The full-space construction (dense ``build_operators``, the row-major
 superoperator of ``build_liouvillian``, dense ``observables`` and
-``thermal_product_state``) is the reference that the sector is tested
-against; ``steady_state`` and ``evolve_quantum`` accept either generator.
+``thermal_product_state``) is only the reference the sector is tested
+against; ``steady_state`` and ``evolve_quantum`` refuse its generator.
 """
 
 from __future__ import annotations
@@ -129,20 +129,6 @@ class HilbertLayout:
         return np.concatenate([np.arange(d) * (d + 1), upper * d + lower, lower * d + upper])
 
 
-def _diagonal(layout: HilbertLayout, size: int) -> slice:
-    """Where the populations sit in a state vector of ``size`` entries."""
-    d = layout.dim
-    return slice(0, d) if size == layout.sector_size else slice(0, None, d + 1)
-
-
-def _adjoint_order(layout: HilbertLayout, size: int) -> np.ndarray:
-    """Entry of rho^dagger at each position of a state vector: rho^dagger = conj(v[order])."""
-    d, n = layout.dim, layout.fock_cutoff
-    if size == layout.sector_size:
-        return np.concatenate([np.arange(d), np.arange(d + n, d + 2 * n), np.arange(d, d + n)])
-    return np.arange(d * d).reshape(d, d).T.ravel()
-
-
 @dataclass(frozen=True)
 class OperatorSet:
     """Dense matrices of the elementary operators and the Hamiltonian."""
@@ -158,12 +144,12 @@ class OperatorSet:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Sparse generator acting on a ``QuantumState`` vector, with its basis layout.
+    """Sparse generator of the master equation, with its basis layout.
 
-    ``build_liouvillian`` gives it on the full space.  ``build_sector_liouvillian``
-    gives it on the ΔQ = 0 sector and keeps the piece of each channel
-    (``h``: Hamiltonian, ``u``, ``l``: reservoirs, ``b``: bath) in
-    ``channels``; the pieces sum to ``matrix``.
+    ``build_sector_liouvillian`` gives it on the ΔQ = 0 sector and keeps the
+    piece of each channel (``h``: Hamiltonian, ``u``, ``l``: reservoirs,
+    ``b``: bath) in ``channels``; the pieces sum to ``matrix``.  The
+    full-space reference of ``build_liouvillian`` acts on row-major vec(rho).
     """
 
     matrix: sp.csr_matrix
@@ -173,30 +159,23 @@ class Liouvillian:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Density matrix as the vector a ``Liouvillian`` acts on.
+    """Density matrix in the ΔQ = 0 sector, as the vector a sector ``Liouvillian`` acts on.
 
-    On the full space ``vector`` is row-major vec(rho), d**2 entries.  In the
-    ΔQ = 0 sector it holds the populations in flat-index order, then the
-    coherences c_n = <1,0,n+1|rho|0,1,n> for n < N, then their conjugates;
-    the dense ``rho`` is then built on first access only.
+    ``vector`` holds the populations in flat-index order, then the coherences
+    c_n = <1,0,n+1|rho|0,1,n> for n < N, then their conjugates; the dense
+    ``rho`` is built on first access only.
     """
 
     vector: np.ndarray
     layout: HilbertLayout
 
     def __post_init__(self) -> None:
-        if self.vector.shape not in ((self.layout.sector_size,), (self.layout.dim**2,)):
-            raise ValueError(f"state vector of shape {self.vector.shape} fits neither space")
-
-    @property
-    def in_sector(self) -> bool:
-        return self.vector.size == self.layout.sector_size
+        if self.vector.shape != (self.layout.sector_size,):
+            raise ValueError(f"state vector of shape {self.vector.shape} is not a sector vector")
 
     @cached_property
     def rho(self) -> np.ndarray:
         d = self.layout.dim
-        if not self.in_sector:
-            return self.vector.reshape(d, d)
         flat = np.zeros(d * d, dtype=complex)
         flat[self.layout.sector_indices()] = self.vector
         return flat.reshape(d, d)
@@ -204,14 +183,15 @@ class QuantumState:
     @property
     def populations(self) -> np.ndarray:
         """Real diagonal of rho in flat-index order."""
-        return self.vector[_diagonal(self.layout, self.vector.size)].real
+        return self.vector[: self.layout.dim].real
 
     def trace(self) -> complex:
-        return complex(self.vector[_diagonal(self.layout, self.vector.size)].sum())
+        return complex(self.vector[: self.layout.dim].sum())
 
     def adjoint(self) -> np.ndarray:
-        """The vector of rho^dagger."""
-        return self.vector[_adjoint_order(self.layout, self.vector.size)].conj()
+        """The vector of rho^dagger: the populations conjugated, each c_n swapped with c_n*."""
+        d, n = self.layout.dim, self.layout.fock_cutoff
+        return self.vector[np.r_[:d, d + n : d + 2 * n, d : d + n]].conj()
 
     def hermiticity_error(self) -> float:
         return float(np.max(np.abs(self.vector - self.adjoint())))
@@ -224,14 +204,11 @@ class QuantumState:
     def lowest_eigenvalue(self) -> float:
         """Lowest eigenvalue of (rho + rho^dagger) / 2.
 
-        In the sector rho is block diagonal: a 2x2 block
-        [[p(1,0,n+1), c_n], [c_n*, p(0,1,n)]] for each n < N and a 1x1 block
-        for every other population.
+        rho is block diagonal: a 2x2 block [[p(1,0,n+1), c_n], [c_n*, p(0,1,n)]]
+        for each n < N and a 1x1 block for every other population.
         """
         herm = 0.5 * (self.vector + self.adjoint())
         d = self.layout.dim
-        if not self.in_sector:
-            return float(np.linalg.eigvalsh(herm.reshape(d, d))[0])
         pops = herm[:d].real
         upper, lower = self.layout.coherence_pairs()
         mean, half_gap = 0.5 * (pops[upper] + pops[lower]), 0.5 * (pops[upper] - pops[lower])
@@ -472,8 +449,6 @@ def thermal_product_state(
 
 def sector_observables(state: QuantumState, spec: SystemSpec) -> QuantumObservables:
     """``observables`` of a sector state, from its populations and coherences."""
-    if not state.in_sector:
-        raise ValueError("sector_observables needs a state in the ΔQ = 0 sector")
     layout = state.layout
     d, n = layout.dim, layout.fock_cutoff
     # rows: (n_l, n_u) = (0, 0), (0, 1), (1, 0), (1, 1)
@@ -637,24 +612,31 @@ def fock_tail(state: QuantumState) -> float:
     return float(photon_populations(state)[-2:].sum())
 
 
+def _sector_matrix(liouvillian: Liouvillian) -> sp.csr_matrix:
+    """The generator's matrix; ValueError unless it acts on the ΔQ = 0 sector."""
+    size = liouvillian.layout.sector_size
+    if liouvillian.matrix.shape != (size, size):
+        raise ValueError(f"generator of shape {liouvillian.matrix.shape} is not a sector generator")
+    return liouvillian.matrix
+
+
 def steady_state(liouvillian: Liouvillian) -> QuantumState:
-    """Null vector of the generator, normalized to unit trace.
+    """Null vector of a sector generator, normalized to unit trace.
 
     The population rows of the generator sum to zero, so the first is
-    dropped and the trace condition takes its place, and the linear system
-    is solved directly.  The trace enters through running sums
-    s_k = s_(k-1) + p_k with s_last = 1: a single dense trace row would fill
-    the LU factors, O(N^2) in the sector, where the running sums keep the
-    system as sparse as the generator.  Raises SteadyStateError when the
+    dropped, the trace condition takes its place and the system is solved
+    directly.  The trace enters through running sums s_k = s_(k-1) + p_k
+    with s_last = 1: a dense trace row would fill the LU factors, O(N^2),
+    where the running sums keep the system as sparse as the generator.
+    Raises ValueError for a full-space generator, SteadyStateError when the
     residual exceeds tolerance and FockCutoffError when the top of the Fock
     ladder is populated.
     """
     layout = liouvillian.layout
-    matrix = liouvillian.matrix
+    matrix = _sector_matrix(liouvillian)
     n = matrix.shape[0]
 
-    pops = np.arange(n)[_diagonal(layout, n)]
-    d = pops.size
+    d = layout.dim  # the populations are the first d entries
     k = np.arange(d)
     rest = matrix[1:].tocoo()
     running = n - 1 + k  # row of s_k - s_(k-1) - p_k = 0; s_k is unknown n + k
@@ -663,7 +645,7 @@ def steady_state(liouvillian: Liouvillian) -> QuantumState:
             np.concatenate([rest.data, np.ones(d), -np.ones(d - 1), -np.ones(d), [1.0]]),
             (
                 np.concatenate([rest.row, running, running[1:], running, [n + d - 1]]),
-                np.concatenate([rest.col, n + k, n + k[:-1], pops, [n + d - 1]]),
+                np.concatenate([rest.col, n + k, n + k[:-1], k, [n + d - 1]]),
             ),
         ),
         shape=(n + d, n + d),
@@ -735,46 +717,21 @@ def quantum_steady_state(
     raise ValueError("max_enlargements must be non-negative")
 
 
-def _initial_vector(rho0: np.ndarray | QuantumState, liouvillian: Liouvillian) -> np.ndarray:
-    """``rho0`` as a vector of the space ``liouvillian`` acts on (a copy)."""
-    layout = liouvillian.layout
-    size = liouvillian.matrix.shape[0]
-    if isinstance(rho0, QuantumState):
-        if rho0.vector.size == size:
-            return rho0.vector.astype(complex)
-        rho0 = rho0.rho
-    d = layout.dim
-    if rho0.shape != (d, d):
-        raise ValueError(f"initial state must be {d}x{d}")
-    flat = rho0.astype(complex).ravel()
-    if size == d * d:
-        return flat
-    inside = layout.sector_indices()
-    outside = np.delete(flat, inside)
-    weight = float(np.max(np.abs(outside)))
-    if weight > _HERMITICITY_TOL:
-        raise ValueError(f"initial state has weight {weight:.3e} outside the ΔQ = 0 sector")
-    return flat[inside]
-
-
 def evolve_quantum(
-    rho0: np.ndarray | QuantumState,
+    state0: QuantumState,
     liouvillian: Liouvillian,
     t_final: float,
 ) -> QuantumState:
-    """exp(L t_final) applied to ``rho0`` on the space the generator acts on.
+    """exp(L t_final) applied to a sector state; a full-space generator raises ValueError.
 
-    ``rho0`` is a dense density matrix or a ``QuantumState``.  With a sector
-    generator a dense ``rho0`` must lie in the sector: weight outside it
-    raises ValueError instead of being dropped.  The propagated state must
-    have unit trace and be Hermitian to 1e-9, else EvolutionError; the
-    returned state is symmetrized, renormalized and validated.
+    The propagated state must have unit trace and be Hermitian to 1e-9,
+    else EvolutionError; the returned state is symmetrized, renormalized
+    and validated.
     """
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
-    layout = liouvillian.layout
-    y = expm_multiply(liouvillian.matrix * t_final, _initial_vector(rho0, liouvillian))
-    current = QuantumState(y, layout)
+    y = expm_multiply(_sector_matrix(liouvillian) * t_final, state0.vector)
+    current = QuantumState(y, liouvillian.layout)
     trace_drift = abs(current.trace() - 1.0)
     herm_drift = current.hermiticity_error()
     if trace_drift > 1e-9 or herm_drift > 1e-9:
@@ -814,8 +771,8 @@ def fluxes_quantum(
     coherence correlator; disagreement beyond 1e-9 raises, since it signals
     an inconsistent generator.
     """
-    if not state.in_sector or not liouvillian.channels:
-        raise ValueError("fluxes_quantum needs a sector state and its sector generator")
+    if not liouvillian.channels:
+        raise ValueError("fluxes_quantum needs the sector generator with its channels")
     occ = occupations or resolve_occupations(spec, "quantum")
     actions = {name: piece @ state.vector for name, piece in liouvillian.channels.items()}
 

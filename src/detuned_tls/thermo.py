@@ -214,7 +214,7 @@ def _audits(
         try:
             spec = with_parameters(base, params)
             flux, entropy, regime = audit_point(spec, treatment)
-        except Exception as exc:  # recorded per sample, the caller continues
+        except (ValueError, ArithmeticError, RuntimeError) as exc:  # recorded, the caller continues
             error = f"{type(exc).__name__}: {exc}"
             yield SweepResult(index, params, None, None, False, error), None
             continue

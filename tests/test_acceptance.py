@@ -35,7 +35,6 @@ from detuned_tls import (
     fluxes_classical,
     fluxes_quantum,
     gain_spectrum,
-    observables,
     pulled_frequency,
     quantum_steady_state,
     recheck_with_effective_energies,
@@ -43,8 +42,9 @@ from detuned_tls import (
     sign_condition,
     solve_lasing,
     steady_state_closed_form,
-    thermal_product_state,
+    thermal_state,
 )
+from detuned_tls.quantum import observables
 
 LEVELS = EnergyLevels(1.0, 0.0)
 
@@ -150,7 +150,7 @@ def quantum_runs():
         obs = observables(sol.state.rho, sol.ops, spec)
 
         rates = (spec.reservoir_u.gamma, spec.reservoir_l.gamma, spec.bath.gamma)
-        rho0 = thermal_product_state(sol.layout, 0.5, 0.5, 0.05)
+        rho0 = thermal_state(sol.layout, 0.5, 0.5, 0.05)
         evolved = evolve_quantum(rho0, sol.liouvillian, 40.0 / min(rates))
         state_dev = float(np.max(np.abs(evolved.rho - sol.state.rho)))
 

@@ -329,12 +329,9 @@ def test_fock_cutoff_override_is_the_cutoff_column(quantum_cfg_file, tmp_path, c
     assert not any(row["flags"].startswith("error=") for row in rows)
 
 
-@pytest.mark.parametrize(
-    ("command", "n_store"),
-    [pytest.param("quantum-evolve", n, id=n) for n in ("-1", "0", "1")]
-    + [pytest.param("classical-evolve", n, id=f"classical-evolve-{n}") for n in ("-1", "0", "1")],
-)
-def test_quantum_evolve_needs_two_stored_rows(tmp_path, capsys, command, n_store):
+@pytest.mark.parametrize("n_store", ("-1", "0", "1"))
+@pytest.mark.parametrize("command", tuple(EVOLVE_CONFIGS))
+def test_evolve_needs_two_stored_rows(tmp_path, capsys, command, n_store):
     code = main([
         command, "--config", str(_evolve_cfg_file(tmp_path, command)), "--t-final", "2.0",
         "--n-store", n_store,

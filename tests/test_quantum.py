@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply, splu
 
 from detuned_tls import (
     BosonicBath,
@@ -22,22 +23,24 @@ from detuned_tls import (
     OccupationSpec,
     QuantumState,
     SystemSpec,
-    build_liouvillian,
-    build_operators,
     build_sector_liouvillian,
     effective_energies_quantum,
     evolve_quantum,
     fluxes_quantum,
-    observables,
     quantum_steady_state,
     resolve_occupations,
     sector_observables,
     sign_condition,
     steady_state,
-    thermal_product_state,
     thermal_state,
 )
 from detuned_tls.model import Occupations
+from detuned_tls.quantum import (
+    build_liouvillian,
+    build_operators,
+    observables,
+    thermal_product_state,
+)
 
 
 def make_spec(
@@ -111,6 +114,29 @@ def test_operator_algebra():
     assert abs(vacuum @ h @ vacuum) < 1e-15
 
 
+def _full_steady_state(liouv):
+    """Dense steady state of a full-space generator, as the reference for the sector.
+
+    The first population row of the generator is replaced by the trace row
+    and the system is solved by sparse LU; the result is symmetrized and
+    scaled to unit trace, as the sector solve does.
+    """
+    d = liouv.layout.dim
+    system = liouv.matrix.tolil()
+    system[0, :] = 0.0
+    system[0, np.arange(d) * (d + 1)] = 1.0
+    b = np.zeros(d * d, dtype=complex)
+    b[0] = 1.0
+    rho = splu(system.tocsc()).solve(b).reshape(d, d)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def _dense_fock_tail(rho, layout):
+    """Population of the top two Fock levels of a dense rho."""
+    return float(np.diag(rho).real.reshape(4, layout.n_photon_states).sum(axis=0)[-2:].sum())
+
+
 def test_jordan_wigner_ordering_swap_leaves_observables_invariant():
     # Full-space reference at the cutoff the sector solve settled on; the
     # sector itself carries no ordering.
@@ -122,8 +148,8 @@ def test_jordan_wigner_ordering_swap_leaves_observables_invariant():
     results = [(obs.sigma_uu, obs.sigma_ll, obs.n_ph, obs.rate, obs.f_exact)]
     for ordering in (("l", "u"), ("u", "l")):
         ops = build_operators(layout, spec, ordering=ordering)
-        state = steady_state(build_liouvillian(ops, spec, occ))
-        obs = observables(state.rho, ops, spec)
+        rho = _full_steady_state(build_liouvillian(ops, spec, occ))
+        obs = observables(rho, ops, spec)
         results.append((obs.sigma_uu, obs.sigma_ll, obs.n_ph, obs.rate, obs.f_exact))
     for values in zip(*results):
         assert max(values) - min(values) < 1e-10
@@ -208,7 +234,7 @@ def test_decoupled_steady_state_is_thermal_product():
 def test_steady_state_matches_time_evolution():
     spec = make_spec(gamma_u=0.5, gamma_l=0.4, gamma_b=0.4, g=0.1, cutoff=8)
     sol = quantum_steady_state(spec)
-    rho0 = thermal_product_state(sol.layout, 0.5, 0.5, 0.1)
+    rho0 = thermal_state(sol.layout, 0.5, 0.5, 0.1)
     evolved = evolve_quantum(rho0, sol.liouvillian, 110.0)
     assert np.max(np.abs(evolved.rho - sol.state.rho)) < 1e-7
 
@@ -226,11 +252,8 @@ def test_doubling_cutoff_changes_observables_below_tail():
 
 def test_inadequate_cutoff_raises_and_wrapper_enlarges():
     spec = make_spec(cutoff=2, n_b=0.25)
-    layout = HilbertLayout(2)
-    ops = build_operators(layout, spec)
-    liouv = build_liouvillian(ops, spec)
     with pytest.raises(FockCutoffError):
-        steady_state(liouv)
+        steady_state(build_sector_liouvillian(HilbertLayout(2), spec))
     sol = quantum_steady_state(spec)
     assert sol.layout.fock_cutoff > 2
     assert sol.fock_tail < 1e-6
@@ -347,27 +370,24 @@ def test_coupling_phase_invariance():
 
 
 def test_evolve_preserves_trace_and_matches_zero_generator():
-    spec = make_spec(cutoff=4)
     layout = HilbertLayout(4)
-    ops = build_operators(layout, spec)
-    liouv = build_liouvillian(ops, spec)
+    liouv = build_sector_liouvillian(layout, make_spec(cutoff=4))
 
-    rho0 = thermal_product_state(layout, 0.3, 0.4, 0.2)
+    rho0 = thermal_state(layout, 0.3, 0.4, 0.2)
     out = evolve_quantum(rho0, liouv, 5.0)
     assert abs(np.trace(out.rho) - 1.0) < 1e-12
     out.validate()
 
-    frozen = liouv.__class__(
-        matrix=sp.csr_matrix((layout.dim**2, layout.dim**2), dtype=complex), layout=layout
-    )
+    size = layout.sector_size
+    frozen = replace(liouv, matrix=sp.csr_matrix((size, size), dtype=complex))
     unchanged = evolve_quantum(rho0, frozen, 3.0)
-    assert np.max(np.abs(unchanged.rho - rho0)) < 1e-14
+    assert np.max(np.abs(unchanged.rho - rho0.rho)) < 1e-14
 
 
 def test_evolve_has_no_step_size():
     layout = HilbertLayout(4)
     liouv = build_sector_liouvillian(layout, make_spec(cutoff=4))
-    rho0 = thermal_product_state(layout, 0.3, 0.4, 0.2)
+    rho0 = thermal_state(layout, 0.3, 0.4, 0.2)
     with pytest.raises(TypeError):
         evolve_quantum(rho0, liouv, 1.0, dt=0.01)
 
@@ -615,26 +635,25 @@ def test_sector_steady_state_matches_full_space(cutoff, ordering, bath):
     ops = build_operators(layout, spec, ordering)
     sector = build_sector_liouvillian(layout, spec, occ)
     full = build_liouvillian(ops, spec, occ)
-    if cutoff < 5:  # the tail check refuses both, at the same tail
+    reference = _full_steady_state(full)
+    if cutoff < 5:  # the tail check refuses the sector solve at the full-space tail
         with pytest.raises(FockCutoffError) as sector_error:
             steady_state(sector)
-        with pytest.raises(FockCutoffError) as full_error:
-            steady_state(full)
-        assert abs(sector_error.value.tail - full_error.value.tail) < 1e-12
+        full_tail = _dense_fock_tail(reference, layout)
+        assert full_tail > 1e-6
+        assert abs(sector_error.value.tail - full_tail) < 1e-12
         return
 
     state = steady_state(sector)
-    reference = steady_state(full)
-    assert state.in_sector and not reference.in_sector
-    assert np.max(np.abs(state.rho - reference.rho)) < 1e-12
+    assert np.max(np.abs(state.rho - reference)) < 1e-12
 
     obs = sector_observables(state, spec)
-    expected = observables(reference.rho, ops, spec)
+    expected = observables(reference, ops, spec)
     for name in ("sigma_uu", "sigma_ll", "n_ph", "y", "f_exact", "f_hf", "rate"):
         assert abs(getattr(obs, name) - getattr(expected, name)) < 1e-12, name
 
     flux = fluxes_quantum(state, sector, spec, occ)
-    expected = _dense_flux_fields(reference.rho, ops, spec, occ)
+    expected = _dense_flux_fields(reference, ops, spec, occ)
     for f in dataclasses.fields(flux):
         value, want = getattr(flux, f.name), expected[f.name]
         if isinstance(want, float) and math.isnan(want):
@@ -648,16 +667,15 @@ def test_sector_steady_state_matches_full_space(cutoff, ordering, bath):
 @pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
 @pytest.mark.parametrize("ordering", ORDERINGS, ids=("lu", "ul"))
 @pytest.mark.parametrize("cutoff", (1, 2, 5, 10))
-def test_sector_rk4_matches_full_space_rk4(cutoff, ordering, bath):
+def test_sector_evolution_matches_full_space(cutoff, ordering, bath):
     spec = _oracle_spec(bath)
     layout = HilbertLayout(cutoff)
     full = build_liouvillian(build_operators(layout, spec, ordering), spec)
     sector = build_sector_liouvillian(layout, spec)
-    rho0 = thermal_product_state(layout, 0.6, 0.3, 0.2)
-    reference = evolve_quantum(rho0, full, 3.0)
+    rho0 = thermal_state(layout, 0.6, 0.3, 0.2)
+    reference = expm_multiply(full.matrix * 3.0, rho0.rho.ravel())
     evolved = evolve_quantum(rho0, sector, 3.0)
-    assert evolved.in_sector
-    assert np.max(np.abs(evolved.rho - reference.rho)) < 1e-12
+    assert np.max(np.abs(evolved.rho.ravel() - reference)) < 1e-12
 
 
 @pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
@@ -668,23 +686,34 @@ def test_evolution_matches_dense_matrix_exponential(cutoff, bath):
     spec = _oracle_spec(bath)
     layout = HilbertLayout(cutoff)
     full = build_liouvillian(build_operators(layout, spec), spec)
-    rho0 = thermal_product_state(layout, 0.6, 0.3, 0.2)
-    exact = scipy.linalg.expm(3.0 * full.matrix.toarray()) @ rho0.ravel()
-    for liouv in (full, build_sector_liouvillian(layout, spec)):
-        evolved = evolve_quantum(rho0, liouv, 3.0)
-        assert np.max(np.abs(evolved.rho.ravel() - exact)) < 1e-12
+    rho0 = thermal_state(layout, 0.6, 0.3, 0.2)
+    exact = scipy.linalg.expm(3.0 * full.matrix.toarray()) @ rho0.rho.ravel()
+    reference = expm_multiply(full.matrix * 3.0, rho0.rho.ravel())
+    evolved = evolve_quantum(rho0, build_sector_liouvillian(layout, spec), 3.0)
+    for vec_rho in (reference, evolved.rho.ravel()):
+        assert np.max(np.abs(vec_rho - exact)) < 1e-12
 
 
-def test_sector_evolution_rejects_weight_outside_the_sector():
-    spec = make_spec(cutoff=3)
+def test_quantum_state_rejects_a_full_space_vector():
     layout = HilbertLayout(3)
     rho = thermal_product_state(layout, 0.6, 0.3, 0.2)
-    i, j = layout.flat_index(0, 1, 0), layout.flat_index(1, 0, 0)  # ΔQ2 = 1 coherence
-    rho[i, j] = rho[j, i] = 0.01
-    with pytest.raises(ValueError, match="outside"):
-        evolve_quantum(rho, build_sector_liouvillian(layout, spec), 1.0)
+    with pytest.raises(ValueError, match="not a sector vector"):
+        QuantumState(rho.ravel(), layout)
+
+
+def test_steady_state_rejects_a_full_space_generator():
+    spec = make_spec(cutoff=5)
+    full = build_liouvillian(build_operators(HilbertLayout(5), spec), spec)
+    with pytest.raises(ValueError, match="not a sector generator"):
+        steady_state(full)
+
+
+def test_evolve_rejects_a_full_space_generator():
+    spec = make_spec(cutoff=3)
+    layout = HilbertLayout(3)
     full = build_liouvillian(build_operators(layout, spec), spec)
-    assert evolve_quantum(rho, full, 1.0).rho[i, j] != 0.0
+    with pytest.raises(ValueError, match="not a sector generator"):
+        evolve_quantum(thermal_state(layout, 0.6, 0.3, 0.2), full, 1.0)
 
 
 def test_sector_positivity_check_matches_dense_eigenvalues():

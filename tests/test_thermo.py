@@ -25,7 +25,9 @@ from detuned_tls import (
     sweep,
     with_parameters,
 )
+from detuned_tls import thermo
 from detuned_tls.model import effective_energies_quantum
+from detuned_tls.quantum import FockCutoffError
 from detuned_tls.thermo import DEFAULT_VIOLATION_RANGES, default_violation_scenario
 
 
@@ -183,6 +185,30 @@ def test_sweep_records_per_sample_failures():
     ok = [r for r in results if r.error is None]
     assert errors and ok
     assert all(r.flux is None and r.regime is None for r in errors)
+
+
+def test_only_solver_failures_are_recorded_as_rows(monkeypatch):
+    # A FockCutoffError fails its sample and becomes an error row; a TypeError
+    # is a fault of the program and leaves both the sweep and the search.
+    spec = classical_spec()
+    ranges = {"drive.omega": (1.0, 1.4)}
+
+    def raising(exc):
+        def audit_point(spec, treatment):
+            raise exc
+
+        return audit_point
+
+    monkeypatch.setattr(thermo, "audit_point", raising(FockCutoffError("tail too big", 1e-3)))
+    results = sweep(spec, ranges, n_samples=3, seed=1)
+    assert [r.error for r in results] == ["FockCutoffError: tail too big"] * 3
+    assert find_violation_with_bare_energies(max_samples=3) is None
+
+    monkeypatch.setattr(thermo, "audit_point", raising(TypeError("not a spec")))
+    with pytest.raises(TypeError, match="not a spec"):
+        sweep(spec, ranges, n_samples=3, seed=1)
+    with pytest.raises(TypeError, match="not a spec"):
+        find_violation_with_bare_energies(max_samples=3)
 
 
 def test_effective_energy_sweep_has_no_violations():
