@@ -84,13 +84,14 @@ from .quantum import (
 from .thermo import (
     EntropyReport,
     RegimeReport,
+    SweepColumns,
     SweepResult,
     audit_point,
     classify_regime,
     entropy_report,
     find_violation_with_bare_energies,
     recheck_with_effective_energies,
-    sample_points,
+    sample_table,
     sweep,
 )
 

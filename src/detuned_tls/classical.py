@@ -5,11 +5,16 @@ affine ODE in the frame co-rotating with the drive.  This module provides the
 equations of motion, their exact flow (the matrix exponential of the
 augmented affine generator), the closed-form steady state, and the
 steady-state particle/energy fluxes.
+
+The equations of motion, the closed form and the fluxes are written once, as
+elementwise NumPy arithmetic: a ``SystemSpec`` is the scalar case and a
+``SpecColumns`` (``model.spec_columns``) gives one entry per sample.  Powers
+and complex quotients follow libm and CPython, so every sample of a column
+equals its scalar evaluation bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -20,9 +25,13 @@ from .model import (
     FluxReport,
     Occupations,
     SystemSpec,
+    any_of,
     detuning,
     effective_energies_classical,
+    flux_report,
+    plain,
     resolve_occupations,
+    where,
 )
 
 # Populations may leave [0, 1] by at most this much, in the initial state
@@ -60,16 +69,21 @@ class ClassicalSteadyState:
 
 
 def check_physical(state: BlochState) -> None:
-    """Warn when the state violates the two-level positivity bound.
+    """Warn for each sample that violates the two-level positivity bound.
 
     The bound |sigma_ul|^2 <= sigma_uu * sigma_ll is monitored rather than
     enforced: the two-reservoir equations of motion do not guarantee it for
     arbitrary transients.
     """
-    if abs(state.sigma_ul) ** 2 > state.sigma_uu * state.sigma_ll + 1e-9:
+    coherence = abs(state.sigma_ul) ** 2
+    product = state.sigma_uu * state.sigma_ll
+    offending = coherence > product + 1e-9
+    if not any_of(offending):
+        return
+    shape = np.shape(offending)
+    for c, p in zip(*(np.broadcast_to(v, shape)[offending] for v in (coherence, product))):
         warnings.warn(
-            f"|sigma_ul|^2 = {abs(state.sigma_ul) ** 2:.3e} exceeds "
-            f"sigma_uu*sigma_ll = {state.sigma_uu * state.sigma_ll:.3e}",
+            f"|sigma_ul|^2 = {c:.3e} exceeds sigma_uu*sigma_ll = {p:.3e}",
             PositivityWarning,
             stacklevel=2,
         )
@@ -84,7 +98,7 @@ def bloch_rhs(
     occ = occupations or resolve_occupations(spec, "classical")
     gamma_u = spec.reservoir_u.gamma
     gamma_l = spec.reservoir_l.gamma
-    eps = complex(spec.drive.epsilon)
+    eps = spec.drive.epsilon + 0j
     delta = detuning(spec.levels, spec.drive.omega)
 
     # Instantaneous u -> l transition rate, 2 Im(eps* sigma_ul).
@@ -114,16 +128,15 @@ def _affine_generator(spec: SystemSpec, occ: Occupations) -> np.ndarray:
 
     With z = [y, 1] the affine equations read z' = G z, so exp(G t) is their
     exact flow (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  M and
-    b are obtained by probing bloch_rhs on basis states, so the flow is tied
-    to the equations of motion by construction.
+    b are obtained by probing bloch_rhs on the zero state and the four basis
+    states at once, so the flow is tied to the equations of motion.
     """
+    probes = np.vstack([np.zeros(4), np.eye(4)])
+    state = BlochState(probes[:, 0], probes[:, 1], probes[:, 2] + 1j * probes[:, 3])
+    drift = bloch_rhs(state, spec, occ)
+    columns = np.array([drift.sigma_uu, drift.sigma_ll, drift.sigma_ul.real, drift.sigma_ul.imag])
     gen = np.zeros((5, 5))
-    b = _as_vector(bloch_rhs(_from_vector(np.zeros(4)), spec, occ))
-    gen[:4, 4] = b
-    for j in range(4):
-        e = np.zeros(4)
-        e[j] = 1.0
-        gen[:4, j] = _as_vector(bloch_rhs(_from_vector(e), spec, occ)) - b
+    gen[:4] = np.column_stack([columns[:, 1:] - columns[:, :1], columns[:, 0]])
     return gen
 
 
@@ -161,10 +174,33 @@ def evolve(
     return _from_vector(y)
 
 
+def _square(x):
+    """x ** 2 through libm's pow, as CPython evaluates it (NumPy's x ** 2 is x * x)."""
+    return np.float_power(x, 2.0)
+
+
+def _quotient(a, b_re, b_im):
+    """a / (b_re + i b_im) by Smith's method in CPython's order of operations.
+
+    (p, q) is (b_re, b_im) ordered by magnitude, largest first, and (u, v)
+    the parts of ``a`` in the same order.
+    """
+    a_re, a_im = np.real(a), np.imag(a)
+    by_re = abs(b_re) >= abs(b_im)
+    pairs = ((b_re, b_im), (b_im, b_re), (a_re, a_im), (a_im, a_re))
+    p, q, u, v = (where(by_re, x, y) for x, y in pairs)
+    ratio = q / p
+    denom = p + q * ratio
+    z = np.array((u + v * ratio) / denom, dtype=complex)
+    z.imag = where(by_re, 1.0, -1.0) * (v - u * ratio) / denom
+    return plain(z)
+
+
+@np.errstate(all="ignore")  # a sample that overflows fails the stationarity check
 def steady_state_closed_form(
     spec: SystemSpec, occupations: Occupations | None = None
 ) -> ClassicalSteadyState:
-    """Explicit steady state of the rotating-frame equations.
+    """Explicit steady state of the rotating-frame equations, elementwise.
 
     alpha is the power-broadened Lorentzian rate, saturation_h in (0, 1]
     quenches the population imbalance at strong driving, and the transition
@@ -175,84 +211,57 @@ def steady_state_closed_form(
     occ = occupations or resolve_occupations(spec, "classical")
     gamma_u = spec.reservoir_u.gamma
     gamma_l = spec.reservoir_l.gamma
-    if gamma_u <= 0 or gamma_l <= 0:
-        raise ValueError("both reservoir rates must be positive")
-    eps = complex(spec.drive.epsilon)
+    eps = spec.drive.epsilon + 0j
     delta = detuning(spec.levels, spec.drive.omega)
     gamma_sum = gamma_u + gamma_l
 
-    alpha = abs(eps) ** 2 * gamma_sum / (gamma_sum**2 / 4.0 + delta**2)
+    alpha = _square(abs(eps)) * gamma_sum / (_square(gamma_sum) / 4.0 + _square(delta))
     h = gamma_u * gamma_l / (gamma_u * gamma_l + alpha * gamma_sum)
     pumped = alpha * (gamma_u * occ.f_u + gamma_l * occ.f_l)
     denom = gamma_u * gamma_l + alpha * gamma_sum
     sigma_uu = (pumped + gamma_u * gamma_l * occ.f_u) / denom
     sigma_ll = (pumped + gamma_u * gamma_l * occ.f_l) / denom
-    sigma_ul = -eps * (sigma_uu - sigma_ll) / (delta + 0.5j * gamma_sum)
+    sigma_ul = _quotient(-eps * (sigma_uu - sigma_ll), delta, 0.5 * gamma_sum)
     rate = alpha * h * (occ.f_u - occ.f_l)
 
-    state = BlochState(sigma_uu, sigma_ll, sigma_ul)
+    state = BlochState(plain(sigma_uu), plain(sigma_ll), plain(sigma_ul))
     check_physical(state)
-    return ClassicalSteadyState(bloch=state, rate=rate, alpha=alpha, saturation_h=h)
+    return ClassicalSteadyState(state, plain(rate), plain(alpha), plain(h))
 
 
+@np.errstate(all="ignore")  # a sample that overflowed fails the stationarity check
 def fluxes_classical(
     ss: ClassicalSteadyState, spec: SystemSpec, occupations: Occupations | None = None
 ) -> FluxReport:
-    """Steady-state fluxes and the effective energies they encode.
+    """Steady-state fluxes and the effective energies they encode, elementwise.
 
     Energy flows are evaluated from the general trace formulas; the closed
-    forms E_eff * rate emerge identically and are reported both ways.
+    forms E_eff * rate emerge identically and are reported both ways.  A
+    sample whose state is not stationary fails with ValueError.
     """
     occ = occupations or resolve_occupations(spec, "classical")
-    residual_state = bloch_rhs(ss.bloch, spec, occ)
-    residual = max(
-        abs(residual_state.sigma_uu),
-        abs(residual_state.sigma_ll),
-        abs(residual_state.sigma_ul),
-    )
-    if residual > 1e-9:
-        raise ValueError(f"state is not stationary (residual {residual:.3e})")
+    drift = bloch_rhs(ss.bloch, spec, occ)
+    residual = np.maximum.reduce([abs(drift.sigma_uu), abs(drift.sigma_ll), abs(drift.sigma_ul)])
+    message = "state is not stationary (residual {:.3e})"
+    spec.reject(np.logical_not(residual <= 1e-9), ValueError, message, residual)
 
     gamma_u = spec.reservoir_u.gamma
     gamma_l = spec.reservoir_l.gamma
-    eps = complex(spec.drive.epsilon)
     omega = spec.drive.omega
-    z = eps.conjugate() * ss.bloch.sigma_ul
+    # z = eps* sigma_ul, multiplied out in CPython's order of operations
+    eps = np.conjugate(spec.drive.epsilon + 0j)
+    eps_re, eps_im = np.real(eps), np.imag(eps)
+    s_re, s_im = np.real(ss.bloch.sigma_ul), np.imag(ss.bloch.sigma_ul)
+    z_re = eps_re * s_re - eps_im * s_im
+    z_im = eps_re * s_im + eps_im * s_re
 
-    rate = 2.0 * z.imag
+    rate = 2.0 * z_im
     ndot_u = gamma_u * (occ.f_u - ss.bloch.sigma_uu)
     ndot_l = gamma_l * (occ.f_l - ss.bloch.sigma_ll)
-    edot_u = spec.levels.e_upper * ndot_u - gamma_u * z.real
-    edot_l = spec.levels.e_lower * ndot_l - gamma_l * z.real
-    power = -omega * rate
-
+    edot_u = spec.levels.e_upper * ndot_u - gamma_u * z_re
+    edot_l = spec.levels.e_lower * ndot_l - gamma_l * z_re
     eff = effective_energies_classical(spec.levels, spec.drive, gamma_u, gamma_l)
-    if abs(rate) < 1e-12:
-        e_flux_u = e_flux_l = e_flux_ph = math.nan
-    else:
-        e_flux_u = edot_u / rate
-        e_flux_l = -edot_l / rate
-        e_flux_ph = -power / rate
-
-    return FluxReport(
-        treatment="classical",
-        rate=rate,
-        ndot_u=ndot_u,
-        ndot_l=ndot_l,
-        edot_u=edot_u,
-        edot_l=edot_l,
-        edot_opt=power,
-        e_eff_u=eff.e_upper,
-        e_eff_l=eff.e_lower,
-        e_eff_ph=eff.e_photon,
-        e_flux_u=e_flux_u,
-        e_flux_l=e_flux_l,
-        e_flux_ph=e_flux_ph,
-        first_law_residual=edot_u + edot_l + power,
-        f_u=occ.f_u,
-        f_l=occ.f_l,
-        n_b=occ.n_b,
-    )
+    return flux_report("classical", occ, eff, rate, ndot_u, ndot_l, edot_u, edot_l, -omega * rate)
 
 
 def entropy_production_classical(report: FluxReport, spec: SystemSpec) -> float:

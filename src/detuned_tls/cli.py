@@ -7,10 +7,11 @@ Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .config import (
     ConfigError,
     build_system_spec,
     config_from_system_spec,
+    format_column,
     format_number,
     parse_config,
     resolve_parameter_key,
@@ -59,7 +61,7 @@ FLUX_COLUMNS = (
 )
 
 
-def _write_rows(out: str | None, header: list[str], rows: list[list[str]]) -> None:
+def _write_rows(out: str | None, header: list[str], rows: Iterable[Sequence[str]]) -> None:
     text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -135,92 +137,85 @@ def _ranges(args: argparse.Namespace) -> dict[str, tuple]:
     return ranges
 
 
-def _sampled_cell(key: str, value: float) -> str:
-    """A sampled value as the solve used it: ``with_parameter`` casts it to the key's type."""
-    try:
-        return format_number(SCENARIO_KEYS[key](value))
-    except (OverflowError, ValueError):  # int of inf or nan: the sample failed as drawn
-        return format_number(value)
-
-
 def _param_columns(
-    base: SystemSpec, ranges: dict[str, tuple], points: Iterable[dict[str, float]]
-) -> tuple[list[str], Iterator[list[str]]]:
-    """Parameter columns: each point's sampled cells overlaid on the base scenario's.
+    base: SystemSpec, ranges: dict[str, tuple], table: np.ndarray
+) -> tuple[list[str], list[list[str]]]:
+    """Parameter columns: the sampled columns of ``table`` overlaid on the base scenario's cells.
 
     The overlay is textual, so rows whose parameters do not form a valid
-    spec still serialize.  The cells of a row are made as the row is
-    consumed, so a long sweep does not hold them all at once.
+    spec still serialize.  A sampled cell shows the value as the solve used
+    it, cast to its key's type.
     """
     base_cfg = config_from_system_spec(base).values
     keys = [k for k in SCENARIO_KEYS if k in base_cfg or k in ranges]
-
-    def row_cells(params: dict[str, float]) -> list[str]:
-        cells_map = dict(base_cfg)
-        for key, value in params.items():
-            cells_map[key] = _sampled_cell(key, value)
-        return [cells_map.get(k, "") for k in keys]
-
-    return keys, map(row_cells, points)
+    sampled, n = dict(zip(ranges, table.T)), len(table)
+    cells = [
+        format_column(sampled[k], SCENARIO_KEYS[k]) if k in sampled else [base_cfg.get(k, "")] * n
+        for k in keys
+    ]
+    return keys, cells
 
 
-def _grid(
-    base: SystemSpec, args: argparse.Namespace
-) -> tuple[list[SystemSpec], list[str], Iterator[list[str]]]:
-    """The --sweep grid on ``base`` (just ``base`` without it): specs and parameter columns."""
-    ranges = _ranges(args)
-    points = thermo.sample_points(ranges, "grid", None, 0)
-    specs = [with_parameters(base, params) for params in points]
-    keys, cells = _param_columns(base, ranges, points)
-    return specs, keys, cells
+_FLAGS = ("violation", "cooling", "sign_law_violated", "carnot_violated")
 
 
-def _flags_text(total: float, regime: thermo.RegimeReport, tol: float) -> str:
-    flags = [f"regime={regime.regime}"]
-    if total < -tol:
-        flags.append("violation")
-    if regime.cooling:
-        flags.append("cooling")
-    if regime.sign_law_ok is False:
-        flags.append("sign_law_violated")
-    if regime.carnot_ok is False:
-        flags.append("carnot_violated")
-    return ";".join(flags)
+@functools.cache  # three regimes times 16 flag sets at most
+def _flags_text(regime: str, marks: int) -> str:
+    """The flags cell: the regime, then each flag whose bit is set in ``marks``."""
+    return ";".join([f"regime={regime}"] + [f for bit, f in enumerate(_FLAGS) if marks >> bit & 1])
 
 
-def _flux_row(sample_id: int, params: list[str], flux, total, regime, tol: float) -> list[str]:
-    return (
-        [str(sample_id)]
-        + params
-        + [
-            format_number(flux.rate),
-            format_number(flux.ndot_u),
-            format_number(flux.ndot_l),
-            format_number(flux.edot_u),
-            format_number(flux.edot_l),
-            format_number(flux.edot_opt),
-            format_number(flux.e_eff_u),
-            format_number(flux.e_eff_l),
-            format_number(flux.e_eff_ph),
-            format_number(total),
-            format_number(flux.first_law_residual),
-            _flags_text(total, regime, tol),
-        ]
-    )
+def _flux_columns(table: thermo.SweepColumns, tol: float) -> list[list[str]]:
+    """The FLUX_COLUMNS cells, one column at a time; a failed sample reads nan and its error."""
+    n = len(table)
+    columns = [["nan"] * n for _ in FLUX_COLUMNS]
+    if table.flux is not None:
+        flux, regime = table.flux, table.regime
+        names = ("rate", "ndot_u", "ndot_l", "edot_u", "edot_l", "edot_opt",
+                 "e_eff_u", "e_eff_l", "e_eff_ph")
+        numbers = [getattr(flux, f) for f in names]
+        numbers += [table.entropy_total, flux.first_law_residual]
+        columns = [format_column(np.broadcast_to(v, n)) for v in numbers]
+        # The checks are None where they do not apply; only False is a violation.
+        flagged = (table.entropy_total < -tol, regime.cooling,
+                   regime.sign_law_ok == False, regime.carnot_ok == False)  # noqa: E712
+        marks = sum(np.broadcast_to(f, n).astype(int) << bit for bit, f in enumerate(flagged))
+        labels = np.broadcast_to(regime.regime, n).tolist()
+        columns.append(list(map(_flags_text, labels, marks.tolist())))
+    for i, error in enumerate(table.errors):
+        if error is not None:
+            for column in columns:
+                column[i] = "nan"
+            columns[-1][i] = "error=" + thermo.describe(error).replace(",", ";")
+    return columns
 
 
-def _cmd_steady_state(args: argparse.Namespace, treatment: str) -> int:
+def _write_audit(args: argparse.Namespace, ids, keys, param_cells, table) -> None:
+    columns = [ids] + param_cells + _flux_columns(table, args.tolerance)
+    _write_rows(args.out, ["sample_id"] + keys + list(FLUX_COLUMNS), zip(*columns))
+
+
+def _cmd_audit(args: argparse.Namespace, solve: str | None = None) -> int:
+    """Audit the sampled points, one row each.
+
+    ``classical-ss`` and ``quantum-ss`` pass their treatment as ``solve``;
+    a point that fails is then the command's error, not an error row.
+    """
     base = _load_spec(args)
-    if treatment == "classical" and base.drive is None:
+    if solve == "classical" and base.drive is None:
         raise ConfigError("classical commands require a drive section")
-    if treatment == "quantum" and (base.cavity is None or base.bath is None):
+    if solve == "quantum" and (base.cavity is None or base.bath is None):
         raise ConfigError("quantum commands require cavity and bath sections")
-    specs, keys, param_cells = _grid(base, args)
-    rows = []
-    for sample_id, (spec, cells) in enumerate(zip(specs, param_cells)):
-        flux, entropy, regime = thermo.audit_point(spec, treatment)
-        rows.append(_flux_row(sample_id, cells, flux, entropy.total, regime, args.tolerance))
-    _write_rows(args.out, ["sample_id"] + keys + list(FLUX_COLUMNS), rows)
+    treatment = solve or args.treatment or ("quantum" if base.cavity is not None else "classical")
+    ranges = _ranges(args)
+    n_random = getattr(args, "random", None)
+    sampler = "grid" if n_random is None else "random"
+    table = thermo.sweep(base, ranges, treatment, sampler, n_random, args.seed, args.tolerance)
+    failure = next((e for e in table.errors if e is not None), None)
+    if solve and failure is not None:
+        raise failure
+    keys, param_cells = _param_columns(base, ranges, table.values)
+    _write_audit(args, list(map(str, range(len(table)))), keys, param_cells, table)
     return 0
 
 
@@ -285,25 +280,15 @@ def _cmd_laser(args: argparse.Namespace) -> int:
     base = _load_spec(args)
     if base.cavity is None or base.bath is None:
         raise ConfigError("laser command requires cavity and bath sections")
-    specs, keys, param_cells = _grid(base, args)
-    rows = []
-    for sample_id, (spec, cells) in enumerate(zip(specs, param_cells)):
-        sol = solve_lasing(spec)
-        rows.append(
-            [str(sample_id)]
-            + cells
-            + [
-                format_number(sol.omega),
-                format_number(abs(sol.a_ss)),
-                format_number(sol.intensity),
-                "1" if sol.above_threshold else "0",
-            ]
-        )
-    _write_rows(
-        args.out,
-        ["sample_id"] + keys + ["omega", "a_ss", "intensity", "above_threshold"],
-        rows,
-    )
+    ranges = _ranges(args)
+    keys, table = thermo.sample_table(ranges, "grid", None, 0)
+    names, param_cells = _param_columns(base, ranges, table)
+    sols = [solve_lasing(with_parameters(base, dict(zip(keys, map(float, row))))) for row in table]
+    columns = [format_column([getattr(s, f) for s in sols]) for f in ("omega", "intensity")]
+    columns.insert(1, format_column([abs(s.a_ss) for s in sols]))
+    columns.append(["1" if s.above_threshold else "0" for s in sols])
+    header = ["sample_id"] + names + ["omega", "a_ss", "intensity", "above_threshold"]
+    _write_rows(args.out, header, zip(map(str, range(len(table))), *param_cells, *columns))
     return 0
 
 
@@ -340,41 +325,9 @@ def _cmd_bloch_gain(args: argparse.Namespace) -> int:
         f_low = _parse_occupation_arg(args.f_lower)
     grid = np.linspace(*_parse_points(args.grid, f"grid spec {args.grid!r}", "lo:hi:n"))
     spectrum = gain_mod.gain_spectrum(args.e_k0, grid, args.gamma_u, args.gamma_l, f_up, f_low)
-    rows = [
-        [str(i), format_number(float(d)), format_number(float(r))]
-        for i, (d, r) in enumerate(zip(spectrum.detunings, spectrum.rates))
-    ]
-    _write_rows(args.out, ["sample_id", "delta", "rate"], rows)
-    return 0
-
-
-def _nan_row(sample_id: int, params: list[str], error: str) -> list[str]:
-    return [str(sample_id)] + params + ["nan"] * 11 + [f"error={error.replace(',', ';')}"]
-
-
-def _cmd_audit(args: argparse.Namespace) -> int:
-    base = _load_spec(args)
-    treatment = args.treatment or ("quantum" if base.cavity is not None else "classical")
-    ranges = _ranges(args)
-    results = thermo.sweep(
-        base,
-        ranges,
-        treatment=treatment,
-        sampler="grid" if args.random is None else "random",
-        n_samples=args.random,
-        seed=args.seed,
-        tolerance=args.tolerance,
-    )
-    keys, param_cells = _param_columns(base, ranges, (res.params for res in results))
-    rows = []
-    for res, cells in zip(results, param_cells):
-        if res.error is not None:
-            rows.append(_nan_row(res.index, cells, res.error))
-        else:
-            rows.append(
-                _flux_row(res.index, cells, res.flux, res.entropy_total, res.regime, args.tolerance)
-            )
-    _write_rows(args.out, ["sample_id"] + keys + list(FLUX_COLUMNS), rows)
+    columns = map(format_column, (spectrum.detunings, spectrum.rates))
+    ids = map(str, range(len(grid)))
+    _write_rows(args.out, ["sample_id", "delta", "rate"], zip(ids, *columns))
     return 0
 
 
@@ -390,11 +343,10 @@ def _cmd_find_violation(args: argparse.Namespace) -> int:
         sys.stderr.write("no second-law violation found within the sample budget\n")
         return 4
     cfg = config_from_system_spec(result.spec).values
-    row = _flux_row(
-        result.index, list(cfg.values()), result.flux, result.entropy_total, result.regime,
-        args.tolerance,
+    table = thermo.SweepColumns.stack(
+        [(result.flux, result.entropy_total, result.regime)], args.tolerance
     )
-    _write_rows(args.out, ["sample_id"] + list(cfg) + list(FLUX_COLUMNS), [row])
+    _write_audit(args, [str(result.index)], list(cfg), [[v] for v in cfg.values()], table)
     return 0
 
 
@@ -415,9 +367,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "--tolerance", type=float, default=1e-10, help="entropy-violation tolerance"
         )
 
+    def sweep_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--sweep", action="append", metavar="KEY=LO:HI:N")
+
     p = sub.add_parser("classical-ss", help="classical steady state and fluxes")
     common(p)
-    p.add_argument("--sweep", action="append", metavar="KEY=LO:HI:N")
+    sweep_flag(p)
 
     def evolve_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--t-final", type=float, required=True)
@@ -431,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum-ss", help="quantum steady state and fluxes")
     common(p)
-    p.add_argument("--sweep", action="append", metavar="KEY=LO:HI:N")
+    sweep_flag(p)
 
     p = sub.add_parser("quantum-evolve", help="quantum time evolution from vacuum")
     common(p)
@@ -439,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("laser", help="mean-field lasing solution")
     common(p)
-    p.add_argument("--sweep", action="append", metavar="KEY=LO:HI:N")
+    sweep_flag(p)
 
     p = sub.add_parser("bloch-gain", help="net transition rate over a detuning grid")
     p.add_argument("--out", default=None)
@@ -454,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="entropy audit over a parameter sweep")
     common(p)
     p.add_argument("--treatment", choices=("classical", "quantum"), default=None)
-    p.add_argument("--sweep", action="append", metavar="KEY=LO:HI:N")
+    sweep_flag(p)
     p.add_argument("--random", type=int, default=None, metavar="N")
     p.add_argument("--range", action="append", metavar="KEY=LO:HI")
 
@@ -472,9 +427,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {
-        "classical-ss": lambda a: _cmd_steady_state(a, "classical"),
+        "classical-ss": lambda a: _cmd_audit(a, "classical"),
         "classical-evolve": _cmd_classical_evolve,
-        "quantum-ss": lambda a: _cmd_steady_state(a, "quantum"),
+        "quantum-ss": lambda a: _cmd_audit(a, "quantum"),
         "quantum-evolve": _cmd_quantum_evolve,
         "laser": _cmd_laser,
         "bloch-gain": _cmd_bloch_gain,

@@ -7,9 +7,16 @@ duplicate keys are rejected with the offending line number.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (
+    OCC_BARE,
+    OCC_EFFECTIVE,
+    OCC_FIXED,
     BosonicBath,
     CavitySpec,
     ClassicalDrive,
@@ -38,9 +45,6 @@ class ScenarioConfig:
     """
 
     values: dict[str, str]
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
 
     def __contains__(self, key: str) -> bool:
         return key in self.values
@@ -74,55 +78,73 @@ def serialize_config(config: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Canonical number text: 17 significant digits read back as the same float.
+_DIGITS = ".17g"
+
+
 def format_number(value) -> str:
-    """Canonical text for config values and CSV cells (17 significant digits)."""
+    """Canonical text for config values and CSV cells."""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, complex):
         if value.imag == 0.0:
-            return f"{value.real:.17g}"
-        return f"{value.real:.17g}{value.imag:+.17g}j"
+            return format(value.real, _DIGITS)
+        return format(value.real, _DIGITS) + format(value.imag, "+" + _DIGITS) + "j"
     if isinstance(value, float):
-        return f"{value:.17g}"
+        return format(value, _DIGITS)
     return str(value)
 
 
-def _parse_float(config: ScenarioConfig, key: str) -> float:
-    try:
-        return float(config.values[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number: {config.values[key]!r}") from exc
+def format_column(values, kind: type = float) -> list[str]:
+    """``format_number`` of each entry of a float column, cast to ``kind`` first.
+
+    A real column cast to complex reads as its floats.  Cast to int, an
+    entry that is NaN or infinite has no int and keeps its float text.
+    """
+    values = np.asarray(values, dtype=float).tolist()
+    if kind is int:
+        return [str(int(v)) if math.isfinite(v) else format(v, _DIGITS) for v in values]
+    return list(map(format, values, itertools.repeat(_DIGITS)))
 
 
-def _parse_complex(config: ScenarioConfig, key: str) -> complex:
-    try:
-        return complex(config.values[key].replace(" ", ""))
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a complex number: {config.values[key]!r}") from exc
-
-
-def _parse_occupation(config: ScenarioConfig, key: str) -> OccupationSpec:
+def _parse(config: ScenarioConfig, key: str):
+    """The value of ``key``, parsed as its type in SCENARIO_KEYS."""
     raw = config.values[key]
-    if raw == "bare":
-        return OccupationSpec.thermal_bare()
-    if raw == "effective":
-        return OccupationSpec.thermal_effective()
-    if raw.startswith("fixed:"):
-        try:
-            return OccupationSpec.fixed(float(raw.split(":", 1)[1]))
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: bad fixed occupation {raw!r}") from exc
-    raise ConfigError(
-        f"key {key!r}: occupation must be 'bare', 'effective', or 'fixed:<value>'"
-    )
+    kind = SCENARIO_KEYS[key]
+    if kind is OccupationSpec:
+        if raw in (OCC_BARE, OCC_EFFECTIVE):
+            return OccupationSpec(raw)
+        if raw.startswith("fixed:"):
+            try:
+                return OccupationSpec.fixed(float(raw.split(":", 1)[1]))
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: bad fixed occupation {raw!r}") from exc
+        raise ConfigError(
+            f"key {key!r}: occupation must be 'bare', 'effective', or 'fixed:<value>'"
+        )
+    if kind is int:
+        return int(raw)
+    try:
+        return kind(raw.replace(" ", "")) if kind is complex else kind(raw)
+    except ValueError as exc:
+        noun = "a complex number" if kind is complex else "a number"
+        raise ConfigError(f"key {key!r}: not {noun}: {raw!r}") from exc
 
 
-def _require(config: ScenarioConfig, keys: tuple[str, ...], section: str) -> None:
-    missing = [k for k in keys if k not in config]
-    if missing:
-        raise ConfigError(f"{section} section incomplete: missing {', '.join(missing)}")
+# Scenario sections in the order they are read; drive, cavity and bath may be
+# left out as a whole.  Keys with a default may be left out of a section.
+_SECTIONS = {
+    "levels": EnergyLevels,
+    "reservoir_u": FermionicReservoir,
+    "reservoir_l": FermionicReservoir,
+    "drive": ClassicalDrive,
+    "cavity": CavitySpec,
+    "bath": BosonicBath,
+}
+_OPTIONAL_SECTIONS = ("drive", "cavity", "bath")
+_DEFAULTED = ("cavity.fock_cutoff",)
 
 
 def build_system_spec(config: ScenarioConfig) -> SystemSpec:
@@ -132,98 +154,41 @@ def build_system_spec(config: ScenarioConfig) -> SystemSpec:
     complete when any of their keys appears.  Semantic range errors from the
     parameter types are re-raised as ConfigError.
     """
-    _require(config, ("e_upper", "e_lower"), "levels")
-    for side in ("reservoir_u", "reservoir_l"):
-        _require(
-            config,
-            (f"{side}.gamma", f"{side}.mu", f"{side}.temperature", f"{side}.occupation"),
-            side,
-        )
-
-    try:
-        levels = EnergyLevels(_parse_float(config, "e_upper"), _parse_float(config, "e_lower"))
-
-        def reservoir(side: str) -> FermionicReservoir:
-            return FermionicReservoir(
-                gamma=_parse_float(config, f"{side}.gamma"),
-                occupation=_parse_occupation(config, f"{side}.occupation"),
-                mu=_parse_float(config, f"{side}.mu"),
-                temperature=_parse_float(config, f"{side}.temperature"),
+    sections = {}
+    for group, section in _SECTIONS.items():
+        keys = [k for k in SCENARIO_KEYS if (k.rpartition(".")[0] or "levels") == group]
+        if group in _OPTIONAL_SECTIONS and not any(k in config for k in keys):
+            continue
+        missing = [k for k in keys if k not in config and k not in _DEFAULTED]
+        if missing:
+            raise ConfigError(f"{group} section incomplete: missing {', '.join(missing)}")
+        try:
+            sections[group] = section(
+                **{k.rpartition(".")[2]: _parse(config, k) for k in keys if k in config}
             )
-
-        drive = None
-        if any(k.startswith("drive.") for k in config.values):
-            _require(config, ("drive.omega", "drive.epsilon"), "drive")
-            drive = ClassicalDrive(
-                omega=_parse_float(config, "drive.omega"),
-                epsilon=_parse_complex(config, "drive.epsilon"),
-            )
-
-        cavity = None
-        if any(k.startswith("cavity.") for k in config.values):
-            _require(config, ("cavity.omega_cav", "cavity.g"), "cavity")
-            cavity = CavitySpec(
-                omega_cav=_parse_float(config, "cavity.omega_cav"),
-                g=_parse_complex(config, "cavity.g"),
-                fock_cutoff=(
-                    int(config.values["cavity.fock_cutoff"])
-                    if "cavity.fock_cutoff" in config
-                    else 12
-                ),
-            )
-
-        bath = None
-        if any(k.startswith("bath.") for k in config.values):
-            _require(config, ("bath.gamma", "bath.temperature", "bath.occupation"), "bath")
-            bath = BosonicBath(
-                gamma=_parse_float(config, "bath.gamma"),
-                occupation=_parse_occupation(config, "bath.occupation"),
-                temperature=_parse_float(config, "bath.temperature"),
-            )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    return SystemSpec(
-        levels=levels,
-        reservoir_u=reservoir("reservoir_u"),
-        reservoir_l=reservoir("reservoir_l"),
-        drive=drive,
-        cavity=cavity,
-        bath=bath,
-    )
-
-
-def _occupation_text(occ: OccupationSpec) -> str:
-    if occ.kind == "fixed":
-        return f"fixed:{format_number(occ.value)}"
-    return occ.kind
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return SystemSpec(**sections)
 
 
 def config_from_system_spec(spec: SystemSpec) -> ScenarioConfig:
     """Canonical scenario text for a SystemSpec (inverse of build)."""
-    values: dict[str, str] = {
-        "e_upper": format_number(spec.levels.e_upper),
-        "e_lower": format_number(spec.levels.e_lower),
-    }
-    if spec.drive is not None:
-        values["drive.omega"] = format_number(spec.drive.omega)
-        values["drive.epsilon"] = format_number(complex(spec.drive.epsilon))
-    if spec.cavity is not None:
-        values["cavity.omega_cav"] = format_number(spec.cavity.omega_cav)
-        values["cavity.g"] = format_number(complex(spec.cavity.g))
-        values["cavity.fock_cutoff"] = str(spec.cavity.fock_cutoff)
-    for side, res in (("reservoir_u", spec.reservoir_u), ("reservoir_l", spec.reservoir_l)):
-        values[f"{side}.gamma"] = format_number(res.gamma)
-        values[f"{side}.mu"] = format_number(res.mu)
-        values[f"{side}.temperature"] = format_number(res.temperature)
-        values[f"{side}.occupation"] = _occupation_text(res.occupation)
-    if spec.bath is not None:
-        values["bath.gamma"] = format_number(spec.bath.gamma)
-        values["bath.temperature"] = format_number(spec.bath.temperature)
-        values["bath.occupation"] = _occupation_text(spec.bath.occupation)
-    return ScenarioConfig(values={k: values[k] for k in SCENARIO_KEYS if k in values})
+    values: dict[str, str] = {}
+    for key, kind in SCENARIO_KEYS.items():
+        group, _, name = key.rpartition(".")
+        section = getattr(spec, group or "levels")
+        if section is None:
+            continue
+        value = getattr(section, name)
+        if kind is not OccupationSpec:
+            values[key] = format_number(kind(value))
+        elif value.kind == OCC_FIXED:
+            values[key] = f"fixed:{format_number(value.value)}"
+        else:
+            values[key] = value.kind
+    return ScenarioConfig(values=values)
 
 
 def resolve_parameter_key(name: str) -> str:

@@ -12,19 +12,29 @@ energies in proportion to each partner's contribution to the total
 broadening.  Reservoir occupations evaluated at these effective energies keep
 the steady state consistent with both energy conservation and non-negative
 entropy production; occupations evaluated at the bare energies do not.
+
+``spec_columns`` turns a table of sampled parameters into one scenario per
+sample, a ``SpecColumns``; the occupation functions work elementwise on it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Literal, NamedTuple
+from dataclasses import dataclass, field, fields, replace
+from types import SimpleNamespace
+from typing import Literal, NamedTuple, Sequence
+
+import numpy as np
 
 Treatment = Literal["classical", "quantum"]
 
 OCC_FIXED = "fixed"
 OCC_BARE = "bare"
 OCC_EFFECTIVE = "effective"
+
+# Rates of magnitude below this count as zero: the regime reads idle and
+# flux ratios are not formed.
+RATE_DEADBAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,16 +72,28 @@ class OccupationSpec:
         return cls(OCC_EFFECTIVE)
 
 
+class _Section:
+    """A scenario section.  ``RULES`` pairs each condition on its values with
+    the message its violation raises; they hold elementwise, so they check a
+    column of samples in ``spec_columns`` as they check one scenario here."""
+
+    RULES: tuple = ()
+
+    def __post_init__(self) -> None:
+        for holds, message in self.RULES:
+            ok = holds(self)
+            if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+                raise ValueError(message)
+
+
 @dataclass(frozen=True)
-class EnergyLevels:
+class EnergyLevels(_Section):
     """Bare energies of the two electronic levels, e_upper > e_lower."""
 
     e_upper: float
     e_lower: float
 
-    def __post_init__(self) -> None:
-        if not self.e_upper > self.e_lower:
-            raise ValueError("e_upper must be strictly above e_lower")
+    RULES = ((lambda s: s.e_upper > s.e_lower, "e_upper must be strictly above e_lower"),)
 
     @property
     def gap(self) -> float:
@@ -79,7 +101,7 @@ class EnergyLevels:
 
 
 @dataclass(frozen=True)
-class ClassicalDrive:
+class ClassicalDrive(_Section):
     """Monochromatic classical field: angular frequency and complex amplitude.
 
     Only |epsilon|^2 enters steady-state results; the phase rotates the
@@ -89,30 +111,28 @@ class ClassicalDrive:
     omega: float
     epsilon: complex
 
-    def __post_init__(self) -> None:
-        if not self.omega > 0:
-            raise ValueError("drive frequency must be positive")
-        if not math.isfinite(abs(self.epsilon)):
-            raise ValueError("drive amplitude must be finite")
+    RULES = (
+        (lambda s: s.omega > 0, "drive frequency must be positive"),
+        (lambda s: np.isfinite(abs(s.epsilon)), "drive amplitude must be finite"),
+    )
 
 
 @dataclass(frozen=True)
-class CavitySpec:
+class CavitySpec(_Section):
     """Quantized mode: frequency, complex coupling, Fock-space truncation."""
 
     omega_cav: float
     g: complex
     fock_cutoff: int = 12
 
-    def __post_init__(self) -> None:
-        if not self.omega_cav > 0:
-            raise ValueError("cavity frequency must be positive")
-        if self.fock_cutoff < 1:
-            raise ValueError("fock_cutoff must be at least 1")
+    RULES = (
+        (lambda s: s.omega_cav > 0, "cavity frequency must be positive"),
+        (lambda s: s.fock_cutoff >= 1, "fock_cutoff must be at least 1"),
+    )
 
 
 @dataclass(frozen=True)
-class FermionicReservoir:
+class FermionicReservoir(_Section):
     """Electronic reservoir attached to one level."""
 
     gamma: float
@@ -120,30 +140,32 @@ class FermionicReservoir:
     mu: float
     temperature: float
 
-    def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError("reservoir coupling gamma must be positive")
-        if not self.temperature > 0:
-            raise ValueError("reservoir temperature must be positive")
-        if self.occupation.kind == OCC_FIXED and not 0.0 <= self.occupation.value <= 1.0:
-            raise ValueError("fixed fermionic occupation must lie in [0, 1]")
+    RULES = (
+        (lambda s: s.gamma > 0, "reservoir coupling gamma must be positive"),
+        (lambda s: s.temperature > 0, "reservoir temperature must be positive"),
+        (
+            lambda s: s.occupation.kind != OCC_FIXED or 0.0 <= s.occupation.value <= 1.0,
+            "fixed fermionic occupation must lie in [0, 1]",
+        ),
+    )
 
 
 @dataclass(frozen=True)
-class BosonicBath:
+class BosonicBath(_Section):
     """Thermal bath coupled to the cavity mode."""
 
     gamma: float
     occupation: OccupationSpec
     temperature: float
 
-    def __post_init__(self) -> None:
-        if self.gamma < 0:
-            raise ValueError("bath coupling must be non-negative")
-        if not self.temperature > 0:
-            raise ValueError("bath temperature must be positive")
-        if self.occupation.kind == OCC_FIXED and self.occupation.value < 0:
-            raise ValueError("fixed bosonic occupation must be non-negative")
+    RULES = (
+        (lambda s: np.logical_not(s.gamma < 0), "bath coupling must be non-negative"),
+        (lambda s: s.temperature > 0, "bath temperature must be positive"),
+        (
+            lambda s: s.occupation.kind != OCC_FIXED or not s.occupation.value < 0,
+            "fixed bosonic occupation must be non-negative",
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -160,6 +182,29 @@ class SystemSpec:
     drive: ClassicalDrive | None = None
     cavity: CavitySpec | None = None
     bath: BosonicBath | None = None
+
+    def reject(self, bad, error: type[Exception], message: str, *values) -> None:
+        """Raise ``error(message.format(*values))`` if ``bad`` holds."""
+        if bad:
+            raise error(message.format(*values))
+
+
+@dataclass(frozen=True)
+class SpecColumns(SystemSpec):
+    """One scenario per sample: the sampled fields are arrays, one entry each.
+
+    ``errors[i]`` is the exception sample i failed with, else None.  A failed
+    sample's entries hold stand-in values, so evaluation runs on whole columns.
+    """
+
+    errors: list[Exception | None] = field(default_factory=list)
+
+    def reject(self, bad, error: type[Exception], message: str, *values) -> None:
+        """Fail each sample where ``bad`` holds that has not failed yet."""
+        n = len(self.errors)
+        for i in np.flatnonzero(np.broadcast_to(bad, n)):
+            if self.errors[i] is None:
+                self.errors[i] = error(message.format(*(np.broadcast_to(v, n)[i] for v in values)))
 
 
 @dataclass(frozen=True)
@@ -208,6 +253,44 @@ class FluxReport:
     n_b: float | None
 
 
+def plain(x):
+    """A 0-d result as a Python scalar; a column stays an array."""
+    return x.item() if isinstance(x, (np.ndarray, np.generic)) and x.ndim == 0 else x
+
+
+def any_of(mask) -> bool:
+    """Whether ``mask`` holds for any sample; a scalar mask is its own answer."""
+    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
+
+
+def where(cond, a, b):
+    """``np.where`` over columns; a scalar condition picks ``a`` or ``b`` as it is."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def elementwise(fn, x):
+    """``fn`` (``math.exp`` and the like) of each entry of ``x``: NumPy's own exp
+    may round differently from libm's, which a scalar spec is evaluated with."""
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def flux_report(treatment, occ, eff, rate, ndot_u, ndot_l, edot_u, edot_l, edot_opt) -> FluxReport:
+    """The FluxReport of these steady-state flows, elementwise: the flux-ratio
+    energies (nan where the rate lies in the dead band) and the first-law
+    residual follow from them."""
+    idle = abs(rate) < RATE_DEADBAND
+    nonzero = where(idle, 1.0, rate)
+    ratios = (edot_u / nonzero, -edot_l / nonzero, -edot_opt / nonzero)
+    e_flux = (plain(where(idle, math.nan, ratio)) for ratio in ratios)
+    flows = map(plain, (rate, ndot_u, ndot_l, edot_u, edot_l, edot_opt))
+    return FluxReport(
+        treatment, *flows, eff.e_upper, eff.e_lower, eff.e_photon, *e_flux,
+        plain(edot_u + edot_l + edot_opt), occ.f_u, occ.f_l, occ.n_b,
+    )
+
+
 def detuning(levels: EnergyLevels, omega: float) -> float:
     """Detuning of an angular frequency from the bare transition."""
     return omega - levels.gap
@@ -224,15 +307,7 @@ def effective_energies_classical(
     The detuning is split over the two levels in proportion to their
     reservoir couplings; the photon energy is the drive quantum itself.
     """
-    total = gamma_u + gamma_l
-    if total <= 0:
-        raise ValueError("gamma_u + gamma_l must be positive")
-    shift = detuning(levels, drive.omega) / total
-    return EffectiveEnergies(
-        e_upper=levels.e_upper + gamma_u * shift,
-        e_lower=levels.e_lower - gamma_l * shift,
-        e_photon=drive.omega,
-    )
+    return _effective_energies(levels, drive.omega, gamma_u, gamma_l, 0.0)
 
 
 def effective_energies_quantum(
@@ -248,46 +323,48 @@ def effective_energies_quantum(
     energy is pulled away from the bare cavity quantum as well.  Reduces to
     the classical result for gamma_b = 0.
     """
+    return _effective_energies(levels, cavity.omega_cav, gamma_u, gamma_l, gamma_b)
+
+
+def _effective_energies(levels, omega, gamma_u, gamma_l, gamma_b) -> EffectiveEnergies:
     total = gamma_u + gamma_l + gamma_b
-    if total <= 0:
+    if any_of(total <= 0):
         raise ValueError("gamma_u + gamma_l + gamma_b must be positive")
-    shift = detuning(levels, cavity.omega_cav) / total
+    shift = detuning(levels, omega) / total
     return EffectiveEnergies(
         e_upper=levels.e_upper + gamma_u * shift,
         e_lower=levels.e_lower - gamma_l * shift,
-        e_photon=cavity.omega_cav - gamma_b * shift,
+        e_photon=omega - gamma_b * shift,
     )
 
 
 def fermi(e: float, mu: float, temperature: float) -> float:
-    """Fermi function 1/(exp((e - mu)/T) + 1), overflow safe."""
-    if temperature <= 0:
+    """Fermi function 1/(exp((e - mu)/T) + 1), overflow safe, elementwise."""
+    if any_of(temperature <= 0):
         raise ValueError("temperature must be positive")
     x = (e - mu) / temperature
-    if x >= 0:
-        z = math.exp(-x)
-        return z / (1.0 + z)
-    return 1.0 / (1.0 + math.exp(x))
+    z = elementwise(math.exp, -abs(x))
+    return where(x >= 0, z / (1.0 + z), 1.0 / (1.0 + z))
 
 
 def bose(e: float, temperature: float) -> float:
-    """Bose function 1/(exp(e/T) - 1) for a mode of positive energy.
+    """Bose function 1/(exp(e/T) - 1) for a mode of positive energy, elementwise.
 
     Rejects e <= 0: a non-positive effective photon energy has no thermal
     occupation and signals an unphysical parameter combination.
     """
-    if temperature <= 0:
+    if any_of(temperature <= 0):
         raise ValueError("temperature must be positive")
-    if e <= 0:
+    if any_of(e <= 0):
         raise ValueError("Bose occupation requires a positive mode energy")
     x = e / temperature
-    if x > 700.0:  # expm1 would overflow; the Boltzmann tail underflows smoothly
-        return math.exp(-x)
-    return 1.0 / math.expm1(x)
+    tail = x > 700.0  # expm1 would overflow; the Boltzmann tail underflows smoothly
+    body = 1.0 / elementwise(math.expm1, np.minimum(x, 700.0))
+    return where(tail, elementwise(math.exp, -x), body)
 
 
 def resolve_occupations(spec: SystemSpec, treatment: Treatment) -> Occupations:
-    """Turn the occupation specs of a scenario into concrete numbers.
+    """Turn the occupation specs of a scenario into concrete numbers, elementwise.
 
     Thermal-at-effective-energy occupations use the classical or quantum
     effective energies according to ``treatment``.  n_b is None when the
@@ -295,40 +372,33 @@ def resolve_occupations(spec: SystemSpec, treatment: Treatment) -> Occupations:
     """
     if treatment not in ("classical", "quantum"):
         raise ValueError(f"unknown treatment {treatment!r}")
-
-    gamma_u = spec.reservoir_u.gamma
-    gamma_l = spec.reservoir_l.gamma
+    res_u, res_l, bath = spec.reservoir_u, spec.reservoir_l, spec.bath
     if treatment == "classical":
         if spec.drive is None:
             raise ValueError("classical treatment requires a drive")
-        eff = effective_energies_classical(spec.levels, spec.drive, gamma_u, gamma_l)
+        eff = effective_energies_classical(spec.levels, spec.drive, res_u.gamma, res_l.gamma)
         e_ph_bare = spec.drive.omega
     else:
         if spec.cavity is None:
             raise ValueError("quantum treatment requires a cavity")
-        gamma_b = spec.bath.gamma if spec.bath is not None else 0.0
-        eff = effective_energies_quantum(spec.levels, spec.cavity, gamma_u, gamma_l, gamma_b)
+        gamma_b = bath.gamma if bath is not None else 0.0
+        eff = effective_energies_quantum(
+            spec.levels, spec.cavity, res_u.gamma, res_l.gamma, gamma_b
+        )
         e_ph_bare = spec.cavity.omega_cav
 
-    def _fermionic(res: FermionicReservoir, e_bare: float, e_eff: float) -> float:
-        occ = res.occupation
+    def thermal(occ: OccupationSpec, e_bare, e_eff, function):
         if occ.kind == OCC_FIXED:
             return occ.value
-        e = e_bare if occ.kind == OCC_BARE else e_eff
-        return fermi(e, res.mu, res.temperature)
+        return function(e_bare if occ.kind == OCC_BARE else e_eff)
 
-    f_u = _fermionic(spec.reservoir_u, spec.levels.e_upper, eff.e_upper)
-    f_l = _fermionic(spec.reservoir_l, spec.levels.e_lower, eff.e_lower)
-
-    n_b: float | None = None
-    if spec.bath is not None:
-        occ = spec.bath.occupation
-        if occ.kind == OCC_FIXED:
-            n_b = occ.value
-        else:
-            e = e_ph_bare if occ.kind == OCC_BARE else eff.e_photon
-            n_b = bose(e, spec.bath.temperature)
-
+    f_u = thermal(res_u.occupation, spec.levels.e_upper, eff.e_upper,
+                  lambda e: fermi(e, res_u.mu, res_u.temperature))
+    f_l = thermal(res_l.occupation, spec.levels.e_lower, eff.e_lower,
+                  lambda e: fermi(e, res_l.mu, res_l.temperature))
+    n_b = None if bath is None else thermal(
+        bath.occupation, e_ph_bare, eff.e_photon, lambda e: bose(e, bath.temperature)
+    )
     return Occupations(f_u=f_u, f_l=f_l, n_b=n_b)
 
 
@@ -357,20 +427,25 @@ SCENARIO_KEYS: dict[str, type] = {
 }
 
 
-def with_parameter(spec: SystemSpec, key: str, value: complex) -> SystemSpec:
-    """Return a copy of ``spec`` with one numeric parameter replaced.
+def _parameter(key: str) -> tuple[type, str, str]:
+    """Type, section and field of a numeric parameter key.
 
     Undotted keys name a field of ``levels``; dotted keys are section.field.
     """
     kind = SCENARIO_KEYS.get(key)
     if kind is None or kind is OccupationSpec:
         raise KeyError(f"unknown parameter key {key!r}")
-    group, _, field = key.rpartition(".")
-    group = group or "levels"
+    group, _, name = key.rpartition(".")
+    return kind, group or "levels", name
+
+
+def with_parameter(spec: SystemSpec, key: str, value: complex) -> SystemSpec:
+    """Return a copy of ``spec`` with one numeric parameter replaced."""
+    kind, group, name = _parameter(key)
     target = getattr(spec, group)
     if target is None:
         raise ValueError(f"scenario has no {group} section to update")
-    return replace(spec, **{group: replace(target, **{field: kind(value)})})
+    return replace(spec, **{group: replace(target, **{name: kind(value)})})
 
 
 def with_parameters(spec: SystemSpec, params: dict[str, complex]) -> SystemSpec:
@@ -378,3 +453,37 @@ def with_parameters(spec: SystemSpec, params: dict[str, complex]) -> SystemSpec:
     for key, value in params.items():
         spec = with_parameter(spec, key, value)
     return spec
+
+
+def spec_columns(base: SystemSpec, keys: Sequence[str], table: np.ndarray) -> SpecColumns:
+    """``base`` with column j of ``table`` as parameter ``keys[j]``, one sample per row.
+
+    A row fails with the error ``with_parameters`` raises for it: the keys
+    apply in order, each checked by its section's ``RULES`` on the values
+    set so far.  A failed row takes ``base``'s values.
+    """
+    unchanged = {f.name: getattr(base, f.name) for f in fields(base)}
+    spec = SpecColumns(**unchanged, errors=[None] * len(table))
+    sections: dict[str, dict] = {}  # the sampled sections' fields, some now columns
+    for j, key in enumerate(keys):
+        kind, group, name = _parameter(key)
+        section = getattr(base, group)
+        if section is None:
+            spec.reject(True, ValueError, f"scenario has no {group} section to update")
+            continue
+        column = np.array(table[:, j], dtype=kind if kind is complex else float)
+        if kind is int:  # int() of a float: NaN and infinity have no value
+            spec.reject(np.isnan(column), ValueError, "cannot convert float NaN to integer")
+            message = "cannot convert float infinity to integer"
+            spec.reject(np.isinf(column), OverflowError, message)
+            column = np.trunc(column)
+        values = sections.setdefault(group, dict(vars(section)))
+        values[name] = column
+        for holds, message in section.RULES:
+            spec.reject(np.logical_not(holds(SimpleNamespace(**values))), ValueError, message)
+    failed = np.array([e is not None for e in spec.errors], dtype=bool)
+    for group, values in sections.items():
+        for name, value in values.items():
+            if isinstance(value, np.ndarray):
+                value[failed] = getattr(getattr(base, group), name)
+    return replace(spec, **{g: type(getattr(base, g))(**v) for g, v in sections.items()})

@@ -41,10 +41,12 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply, splu
 
 from .model import (
+    RATE_DEADBAND,
     FluxReport,
     Occupations,
     SystemSpec,
     effective_energies_quantum,
+    flux_report,
     resolve_occupations,
 )
 
@@ -808,32 +810,8 @@ def fluxes_quantum(
     eff = effective_energies_quantum(
         spec.levels, spec.cavity, spec.reservoir_u.gamma, spec.reservoir_l.gamma, gamma_b
     )
-    rate = obs.rate
-    if abs(rate) < 1e-12:
-        e_flux_u = e_flux_l = e_flux_ph = math.nan
-    else:
-        e_flux_u = edot["u"] / rate
-        e_flux_l = -edot["l"] / rate
-        e_flux_ph = -edot["b"] / rate
-
-    return FluxReport(
-        treatment="quantum",
-        rate=rate,
-        ndot_u=ndot_u,
-        ndot_l=ndot_l,
-        edot_u=edot["u"],
-        edot_l=edot["l"],
-        edot_opt=edot["b"],
-        e_eff_u=eff.e_upper,
-        e_eff_l=eff.e_lower,
-        e_eff_ph=eff.e_photon,
-        e_flux_u=e_flux_u,
-        e_flux_l=e_flux_l,
-        e_flux_ph=e_flux_ph,
-        first_law_residual=edot["u"] + edot["l"] + edot["b"],
-        f_u=occ.f_u,
-        f_l=occ.f_l,
-        n_b=occ.n_b,
+    return flux_report(
+        "quantum", occ, eff, obs.rate, ndot_u, ndot_l, edot["u"], edot["l"], edot["b"]
     )
 
 
@@ -844,7 +822,7 @@ def _sign_with_deadband(x: float, deadband: float) -> int:
 
 
 def sign_condition(
-    obs: QuantumObservables, occupations: Occupations, deadband: float = 1e-12
+    obs: QuantumObservables, occupations: Occupations, deadband: float = RATE_DEADBAND
 ) -> SignCondition:
     """Mean-field sign prediction for the rate against the exact sign.
 

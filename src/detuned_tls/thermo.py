@@ -5,19 +5,26 @@ With occupations thermal at the effective energies the total is non-negative;
 with occupations thermal at the bare energies it can turn negative at finite
 detuning, and ``find_violation_with_bare_energies`` searches for a concrete
 counterexample.
+
+The entropy account and the regime are elementwise, like the classical
+closed form they follow.  A classical sweep or search turns its drawn table
+into one ``SpecColumns`` and audits all samples in one pass; ``sweep``
+returns a ``SweepColumns``, whose items are the ``SweepResult`` of each
+sample, built when read.  A quantum sweep solves point by point.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Iterator
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .classical import fluxes_classical, steady_state_closed_form
 from .model import (
     OCC_EFFECTIVE,
+    RATE_DEADBAND,
     FluxReport,
     ClassicalDrive,
     EnergyLevels,
@@ -25,12 +32,14 @@ from .model import (
     OccupationSpec,
     SystemSpec,
     Treatment,
+    any_of,
+    plain,
     resolve_occupations,
+    spec_columns,
+    where,
     with_parameters,
 )
 from .quantum import fluxes_quantum, quantum_steady_state
-
-_RATE_DEADBAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,16 +93,13 @@ class SweepResult:
     spec: SystemSpec | None = None
 
 
-def _regime(rate: float) -> str:
-    if rate > _RATE_DEADBAND:
-        return "emission"
-    if rate < -_RATE_DEADBAND:
-        return "absorption"
-    return "idle"
+def _regime(rate):
+    below = where(rate < -RATE_DEADBAND, "absorption", "idle")
+    return where(rate > RATE_DEADBAND, "emission", below)
 
 
 def entropy_report(flux: FluxReport, spec: SystemSpec) -> EntropyReport:
-    """Entropy production per reservoir: -Edot/T + mu Ndot/T."""
+    """Entropy production per reservoir: -Edot/T + mu Ndot/T, elementwise."""
     res_u = spec.reservoir_u
     res_l = spec.reservoir_l
     s_u = (-flux.edot_u + res_u.mu * flux.ndot_u) / res_u.temperature
@@ -104,30 +110,12 @@ def entropy_report(flux: FluxReport, spec: SystemSpec) -> EntropyReport:
         s_b = -flux.edot_opt / spec.bath.temperature
     else:
         s_b = 0.0
-    return EntropyReport(
-        s_dot_u=s_u,
-        s_dot_l=s_l,
-        s_dot_b=s_b,
-        total=s_u + s_l + s_b,
-        law1_residual=flux.first_law_residual,
-        regime=_regime(flux.rate),
-    )
-
-
-def _sign_laws_apply(flux: FluxReport, spec: SystemSpec) -> bool:
-    if spec.reservoir_u.occupation.kind != OCC_EFFECTIVE:
-        return False
-    if spec.reservoir_l.occupation.kind != OCC_EFFECTIVE:
-        return False
-    if abs(spec.reservoir_u.temperature - spec.reservoir_l.temperature) > 1e-12:
-        return False
-    if flux.treatment == "quantum":
-        return spec.bath is not None and spec.bath.occupation.kind == OCC_EFFECTIVE
-    return True
+    total = s_u + s_l + s_b
+    return EntropyReport(s_u, s_l, s_b, total, flux.first_law_residual, _regime(flux.rate))
 
 
 def classify_regime(flux: FluxReport, spec: SystemSpec) -> RegimeReport:
-    """Label the operating point and check the equal-temperature sign laws.
+    """Label the operating point and check the equal-temperature sign laws, elementwise.
 
     Classical: the rate has the sign of the bias excess mu_u - mu_l - hbar
     omega.  Quantum: the excess is mu_u - mu_l - E_ph_eff (1 - T/T_b), and
@@ -138,38 +126,44 @@ def classify_regime(flux: FluxReport, spec: SystemSpec) -> RegimeReport:
     regime = _regime(flux.rate)
     bias = spec.reservoir_u.mu - spec.reservoir_l.mu
     temperature = spec.reservoir_u.temperature
+    quantum = flux.treatment == "quantum"
+    cooling = plain(quantum & (regime == "emission") & (bias < flux.e_eff_ph))
 
-    cooling = flux.treatment == "quantum" and regime == "emission" and bias < flux.e_eff_ph
-
-    if not _sign_laws_apply(flux, spec):
+    kinds = [spec.reservoir_u.occupation.kind, spec.reservoir_l.occupation.kind]
+    if quantum:
+        kinds.append(spec.bath and spec.bath.occupation.kind)
+    unequal = abs(temperature - spec.reservoir_l.temperature) > 1e-12
+    applies = where(unequal, False, all(kind == OCC_EFFECTIVE for kind in kinds))
+    if not any_of(applies):
         return RegimeReport(regime, None, None, cooling, None)
 
-    if flux.treatment == "classical":
-        excess = bias - flux.e_eff_ph
-    else:
+    if quantum:
         excess = bias - flux.e_eff_ph * (1.0 - temperature / spec.bath.temperature)
+    else:
+        excess = bias - flux.e_eff_ph
+    checked = applies & (regime != "idle") & (abs(excess) > 1e-9)
+    sign_law_ok = where(checked, (flux.rate > 0) == (excess > 0), None)
 
-    sign_law_ok: bool | None = None
-    if regime != "idle" and abs(excess) > 1e-9:
-        sign_law_ok = (flux.rate > 0) == (excess > 0)
-
-    carnot_ok: bool | None = None
-    if (
-        flux.treatment == "quantum"
-        and regime == "absorption"
-        and spec.bath.temperature > temperature
-    ):
+    carnot_ok = None
+    if quantum:
         p_el = -flux.rate * bias
-        carnot_bound = flux.edot_opt * (spec.bath.temperature - temperature) / spec.bath.temperature
-        carnot_ok = p_el <= carnot_bound + 1e-10
+        t_bath = spec.bath.temperature
+        carnot_bound = flux.edot_opt * (t_bath - temperature) / t_bath
+        checked = applies & (regime == "absorption") & (t_bath > temperature)
+        carnot_ok = plain(where(checked, p_el <= carnot_bound + 1e-10, None))
 
-    return RegimeReport(regime, sign_law_ok, carnot_ok, cooling, excess)
+    excess = where(applies, excess, None)
+    return RegimeReport(regime, plain(sign_law_ok), carnot_ok, cooling, excess)
 
 
 def audit_point(
     spec: SystemSpec, treatment: Treatment
 ) -> tuple[FluxReport, EntropyReport, RegimeReport]:
-    """Solve one scenario and return fluxes, entropy account, and regime."""
+    """Solve one scenario and return fluxes, entropy account, and regime.
+
+    A classical ``SpecColumns`` is solved and audited in one pass over its
+    columns, each report holding one entry per sample.
+    """
     occ = resolve_occupations(spec, treatment)
     if treatment == "classical":
         flux = fluxes_classical(steady_state_closed_form(spec, occ), spec, occ)
@@ -179,10 +173,88 @@ def audit_point(
     return flux, entropy_report(flux, spec), classify_regime(flux, spec)
 
 
-def sample_points(
+# A sample that raises one of these fails and becomes an error row; any other
+# exception is a fault of the program and propagates.
+_SAMPLE_FAILURES = (ValueError, ArithmeticError, RuntimeError)
+
+
+def describe(error: Exception) -> str:
+    """The text an error row shows: ``<type>: <message>``."""
+    return f"{type(error).__name__}: {error}"
+
+
+def _entry(column, index: int):
+    """Entry ``index`` of a column as a Python value; a shared value is every sample's."""
+    if isinstance(column, np.ndarray):
+        column = column[index]
+    return column.item() if isinstance(column, np.generic) else column
+
+
+def _row(report, index: int):
+    return type(report)(*[_entry(column, index) for column in vars(report).values()])
+
+
+def _stack(reports: list):
+    """Reports as one report of columns; a failed sample (None) repeats the first report."""
+    first = next((r for r in reports if r is not None), None)
+    if first is None:
+        return None
+    names = [f.name for f in fields(first)]
+    return type(first)(*(np.array([getattr(r or first, n) for r in reports]) for n in names))
+
+
+@dataclass(frozen=True, eq=False)
+class SweepColumns(Sequence):
+    """Audited samples as columns; item ``i`` is sample i's SweepResult, built when read.
+
+    ``values`` holds the sampled parameters, one row per sample and one
+    column per key.  Each field of ``flux`` and ``regime`` and
+    ``entropy_total`` holds one entry per sample, or one value every sample
+    shares; the entries of a sample with an ``errors`` entry mean nothing.
+    """
+
+    keys: tuple[str, ...]
+    values: np.ndarray
+    errors: list[Exception | None]
+    flux: FluxReport | None = None
+    entropy_total: np.ndarray | float | None = None
+    regime: RegimeReport | None = None
+    tolerance: float = 1e-10
+
+    @classmethod
+    def stack(cls, audits: list, tolerance: float, keys=(), values=None) -> "SweepColumns":
+        """Columns of per-sample ``(flux, entropy_total, regime)`` or the exception raised."""
+        solved = [None if isinstance(a, Exception) else a for a in audits]
+        return cls(
+            tuple(keys),
+            np.empty((len(audits), 0)) if values is None else values,
+            [a if isinstance(a, Exception) else None for a in audits],
+            _stack([s and s[0] for s in solved]),
+            np.array([np.nan if s is None else s[1] for s in solved]),
+            _stack([s and s[2] for s in solved]),
+            tolerance,
+        )
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        index = range(len(self))[index]
+        params = dict(zip(self.keys, map(float, self.values[index])))
+        error = self.errors[index]
+        if error is not None:
+            return SweepResult(index, params, None, None, False, describe(error))
+        flux, regime = _row(self.flux, index), _row(self.regime, index)
+        total = _entry(self.entropy_total, index)
+        return SweepResult(index, params, flux, total, total < -self.tolerance, None, regime)
+
+
+def sample_table(
     ranges: dict[str, tuple], sampler: str, n_samples: int | None, seed: int
-) -> list[dict[str, float]]:
-    """Parameter points for a sweep or a search.
+) -> tuple[list[str], np.ndarray]:
+    """Parameter points for a sweep or a search: the keys and one row per point.
 
     ``grid``: the Cartesian product of ``linspace(lo, hi, n)`` over the keys
     of ``ranges`` (last key fastest); no keys give the one empty point.
@@ -191,7 +263,8 @@ def sample_points(
     """
     keys = list(ranges)
     if sampler == "grid":
-        table = itertools.product(*(np.linspace(lo, hi, int(n)) for lo, hi, n in ranges.values()))
+        axes = (np.linspace(lo, hi, int(n)) for lo, hi, n in ranges.values())
+        table = np.array(list(itertools.product(*axes)), dtype=float)
     elif sampler == "random":
         if n_samples is None:
             raise ValueError("random sampling requires n_samples")
@@ -200,26 +273,18 @@ def sample_points(
         table = rng.uniform(bounds[:, 0], bounds[:, 1], size=(n_samples, len(keys)))
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
-    return [dict(zip(keys, map(float, row))) for row in table]
+    return keys, table
 
 
-def _audits(
-    base: SystemSpec,
-    points: list[dict[str, float]],
-    treatment: Treatment,
-    tolerance: float,
-) -> Iterator[tuple[SweepResult, SystemSpec | None]]:
-    """Audit each point on ``base``: its result and the spec solved (None on error)."""
-    for index, params in enumerate(points):
-        try:
-            spec = with_parameters(base, params)
-            flux, entropy, regime = audit_point(spec, treatment)
-        except (ValueError, ArithmeticError, RuntimeError) as exc:  # recorded, the caller continues
-            error = f"{type(exc).__name__}: {exc}"
-            yield SweepResult(index, params, None, None, False, error), None
-            continue
-        total = entropy.total
-        yield SweepResult(index, params, flux, total, total < -tolerance, None, regime), spec
+def _audit_columns(base: SystemSpec, keys: list, table: np.ndarray, tolerance: float):
+    """Classical audit of every row of ``table`` on ``base``, one column at a time."""
+    spec = spec_columns(base, keys, table)
+    try:
+        flux, entropy, regime = audit_point(spec, "classical")
+    except _SAMPLE_FAILURES as exc:  # every sample fails alike
+        errors = [exc if e is None else e for e in spec.errors]
+        return SweepColumns(tuple(keys), table, errors, tolerance=tolerance)
+    return SweepColumns(tuple(keys), table, spec.errors, flux, entropy.total, regime, tolerance)
 
 
 def sweep(
@@ -230,38 +295,44 @@ def sweep(
     n_samples: int | None = None,
     seed: int = 0,
     tolerance: float = 1e-10,
-) -> list[SweepResult]:
+) -> SweepColumns:
     """Audit the scenario over a parameter grid or random sample.
 
     ``ranges`` maps dotted parameter keys to (lo, hi) for random sampling or
     (lo, hi, n) for grids.  Results are deterministic for a given seed;
-    per-sample solver failures are recorded and the sweep continues.
+    per-sample solver failures are recorded and the sweep continues.  The
+    classical treatment evaluates all samples at once over arrays; the
+    quantum one solves point by point.
     """
-    points = sample_points(ranges, sampler, n_samples, seed)
-    return [result for result, _ in _audits(base, points, treatment, tolerance)]
+    keys, table = sample_table(ranges, sampler, n_samples, seed)
+    if treatment == "classical":
+        return _audit_columns(base, keys, table, tolerance)
+    audits = []
+    for row in table:
+        try:
+            flux, entropy, regime = audit_point(
+                with_parameters(base, dict(zip(keys, map(float, row)))), treatment
+            )
+            audits.append((flux, entropy.total, regime))
+        except _SAMPLE_FAILURES as exc:  # recorded, the sweep continues
+            audits.append(exc)
+    return SweepColumns.stack(audits, tolerance, keys, table)
 
 
-def _with_fermionic_occupations(spec: SystemSpec, occupation: OccupationSpec) -> SystemSpec:
+def _violation_base(base: SystemSpec | None, occupation: OccupationSpec) -> SystemSpec:
+    """``base`` (the default violation scenario if None) with both fermionic occupations set."""
+    base = default_violation_scenario() if base is None else base
     return replace(
-        spec,
-        reservoir_u=replace(spec.reservoir_u, occupation=occupation),
-        reservoir_l=replace(spec.reservoir_l, occupation=occupation),
+        base,
+        reservoir_u=replace(base.reservoir_u, occupation=occupation),
+        reservoir_l=replace(base.reservoir_l, occupation=occupation),
     )
 
 
 def default_violation_scenario() -> SystemSpec:
-    reservoir = FermionicReservoir(
-        gamma=0.2,
-        occupation=OccupationSpec.thermal_bare(),
-        mu=0.5,
-        temperature=0.2,
-    )
-    return SystemSpec(
-        levels=EnergyLevels(1.0, 0.0),
-        reservoir_u=reservoir,
-        reservoir_l=reservoir,
-        drive=ClassicalDrive(omega=1.0, epsilon=0.2),
-    )
+    reservoir = FermionicReservoir(0.2, OccupationSpec.thermal_bare(), mu=0.5, temperature=0.2)
+    drive = ClassicalDrive(omega=1.0, epsilon=0.2)
+    return SystemSpec(EnergyLevels(1.0, 0.0), reservoir, reservoir, drive=drive)
 
 
 DEFAULT_VIOLATION_RANGES: dict[str, tuple] = {
@@ -290,15 +361,15 @@ def find_violation_with_bare_energies(
     The result carries the spec it solved.  Returns None when the budget is
     exhausted (absence is reported, not asserted).
     """
-    if base is None:
-        base = default_violation_scenario()
-    base = _with_fermionic_occupations(base, OccupationSpec.thermal_bare())
+    base = _violation_base(base, OccupationSpec.thermal_bare())
     if ranges is None:
         ranges = DEFAULT_VIOLATION_RANGES
-    points = sample_points(ranges, "random", max_samples, seed)
-    for result, spec in _audits(base, points, "classical", tolerance):
-        if result.violation:
-            return replace(result, spec=spec)
+    audited = _audit_columns(base, *sample_table(ranges, "random", max_samples, seed), tolerance)
+    negative = audited.flux is not None and audited.entropy_total < -tolerance
+    for index in np.flatnonzero(np.broadcast_to(negative, len(audited))):
+        if audited.errors[index] is None:
+            result = audited[index]
+            return replace(result, spec=with_parameters(base, result.params))
     return None
 
 
@@ -306,8 +377,6 @@ def recheck_with_effective_energies(
     result: SweepResult, base: SystemSpec | None = None
 ) -> float:
     """Re-audit a violating sample with effective-energy occupations."""
-    if base is None:
-        base = default_violation_scenario()
-    base = _with_fermionic_occupations(base, OccupationSpec.thermal_effective())
+    base = _violation_base(base, OccupationSpec.thermal_effective())
     _, entropy, _ = audit_point(with_parameters(base, result.params), "classical")
     return entropy.total

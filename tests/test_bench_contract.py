@@ -2,17 +2,25 @@
 
 ``bench/gate.py`` imports the full-space reference from ``detuned_tls.quantum``
 and ``bench/tracer.py`` wraps functions by name and binds some of their
-arguments by keyword.  A refactor that renames any of them would break the
-benchmark without failing another test.
+arguments by keyword.  Some uses happen only when a traced run or the gate
+calls them: the gate builds a ``SweepResult`` positionally and rechecks it,
+and the tracer iterates what ``thermo.sweep`` returns.  A refactor that breaks
+any of them would break the benchmark without failing another test.
 """
 
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 import sys
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from detuned_tls import cli, thermo
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -54,3 +62,31 @@ def test_traced_functions_exist_on_their_layers():
 def test_arguments_the_tracer_binds_by_name_exist(layer, function, parameter):
     module = importlib.import_module(f"detuned_tls.{layer}")
     assert parameter in inspect.signature(getattr(module, function)).parameters
+
+
+def test_gate_rechecks_a_find_violation_row():
+    # check_violation_row builds thermo.SweepResult(index, params, None, None,
+    # True, None) from the row, takes params from DEFAULT_VIOLATION_RANGES and
+    # calls recheck_with_effective_energies on it.
+    gate = _load("gate")
+    result = thermo.SweepResult(3, {"drive.omega": 1.0}, None, None, True, None)
+    assert (result.index, result.params, result.violation) == (3, {"drive.omega": 1.0}, True)
+    assert result.flux is result.entropy_total is result.error is None
+    assert result.regime is result.spec is None
+    assert isinstance(thermo.DEFAULT_VIOLATION_RANGES, dict)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["find-violation", "--seed", "1"]) == 0
+    verdict = gate.check_violation_row(out.getvalue())
+    assert verdict.samples == 1 and not verdict.errors and not verdict.wrong
+
+
+def test_tracer_counts_the_error_rows_of_a_sweep():
+    # --trace 1 iterates the result of thermo.sweep and reads .error on each item.
+    tracer = _load("tracer")
+    spec = thermo.default_violation_scenario()
+    results = thermo.sweep(spec, {"drive.omega": (-1.0, 1.0, 5)}, sampler="grid")
+    fake = SimpleNamespace(counts=Counter())
+    tracer._count_sweep_errors(fake, (), {}, results)
+    assert fake.counts == Counter({"thermo.sweep.errors.other": 3})
+    assert [r.error is not None for r in results] == [True, True, True, False, False]

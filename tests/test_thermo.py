@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from detuned_tls import (
     BosonicBath,
@@ -25,7 +27,7 @@ from detuned_tls import (
     sweep,
     with_parameters,
 )
-from detuned_tls import thermo
+from detuned_tls import model, thermo
 from detuned_tls.model import effective_energies_quantum
 from detuned_tls.quantum import FockCutoffError
 from detuned_tls.thermo import DEFAULT_VIOLATION_RANGES, default_violation_scenario
@@ -268,3 +270,77 @@ def test_no_violation_at_resonance_even_with_bare_occupations():
         "reservoir_l.mu": (-1.0, 2.0),
     }
     assert find_violation_with_bare_energies(ranges=ranges, seed=9, max_samples=400) is None
+
+
+# Intervals that reach past the validity bounds: e_upper below e_lower = 0,
+# rates, temperatures and the drive frequency at or below zero.
+_STRADDLING = {
+    "e_upper": (-0.5, 2.0),
+    "drive.omega": (-0.3, 2.0),
+    "reservoir_u.gamma": (-0.1, 0.5),
+    "reservoir_l.gamma": (-0.1, 0.5),
+    "reservoir_u.temperature": (-0.1, 0.5),
+    "reservoir_l.temperature": (-0.1, 0.5),
+    "reservoir_u.mu": (-1.0, 2.0),
+    "drive.epsilon": (0.0, 0.5),
+}
+
+
+@given(
+    keys=st.lists(st.sampled_from(sorted(_STRADDLING)), min_size=1, max_size=5, unique=True),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    occupation=st.sampled_from(["effective", "bare"]),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_batched_sweep_equals_one_point_sweeps(keys, n, seed, occupation):
+    # A sweep evaluates its samples as columns; each of its rows must equal a
+    # sweep of that one point, cell for cell, and an invalid point must fail
+    # with the error with_parameters raises for it.
+    spec = classical_spec(occupation)
+    batched = sweep(spec, {k: _STRADDLING[k] for k in keys}, n_samples=n, seed=seed)
+    assert len(batched) == n
+    for row in batched:
+        single = sweep(spec, {k: (v, v, 1) for k, v in row.params.items()}, sampler="grid")
+        (alone,) = single
+        assert alone.params == row.params
+        assert alone.error == row.error
+        assert repr(alone.flux) == repr(row.flux)
+        assert repr(alone.entropy_total) == repr(row.entropy_total)
+        assert alone.regime == row.regime
+        try:
+            point = with_parameters(spec, row.params)
+        except ValueError as exc:
+            assert row.error == f"{type(exc).__name__}: {exc}"
+            continue
+        flux, entropy, regime = audit_point(point, "classical")
+        assert row.error is None
+        assert repr(row.flux) == repr(flux)
+        assert row.entropy_total == entropy.total
+        assert row.regime == regime
+
+
+def test_classical_sweep_solves_its_samples_as_columns(monkeypatch):
+    # One audit over arrays, with no spec rebuilt per sample; the results are
+    # SweepResults built when an item is read.
+    calls = {"audit_point": 0, "with_parameter": 0}
+    audit, rebuild = thermo.audit_point, model.with_parameter
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(thermo, "audit_point", counted("audit_point", audit))
+    monkeypatch.setattr(model, "with_parameter", counted("with_parameter", rebuild))
+    ranges = {"drive.omega": (0.6, 1.6), "reservoir_u.mu": (0.0, 1.5)}
+    results = sweep(classical_spec(), ranges, n_samples=500, seed=3)
+    assert calls == {"audit_point": 1, "with_parameter": 0}
+    assert isinstance(results, thermo.SweepColumns)
+    assert results.flux.rate.shape == (500,)
+    assert isinstance(results[7], thermo.SweepResult)
+    assert results[-1].index == 499
+    assert [r.index for r in results[2:5]] == [2, 3, 4]
+    assert sum(1 for _ in results) == 500
