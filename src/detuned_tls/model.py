@@ -441,26 +441,35 @@ def _parameter(key: str) -> tuple[type, str, str]:
 
 def with_parameter(spec: SystemSpec, key: str, value: complex) -> SystemSpec:
     """Return a copy of ``spec`` with one numeric parameter replaced."""
-    kind, group, name = _parameter(key)
-    target = getattr(spec, group)
-    if target is None:
-        raise ValueError(f"scenario has no {group} section to update")
-    return replace(spec, **{group: replace(target, **{name: kind(value)})})
+    return with_parameters(spec, {key: value})
 
 
 def with_parameters(spec: SystemSpec, params: dict[str, complex]) -> SystemSpec:
-    """Return a copy of ``spec`` with every ``key: value`` of ``params`` applied."""
+    """Return a copy of ``spec`` with every ``key: value`` of ``params`` applied.
+
+    Each key is resolved and its value converted in order; then each section
+    takes all of its new values at once and is checked once, in the order
+    the sections first appear.  A point is refused only for its final
+    values, whatever the order of its keys.
+    """
+    updates: dict[str, dict] = {}
     for key, value in params.items():
-        spec = with_parameter(spec, key, value)
-    return spec
+        kind, group, name = _parameter(key)
+        if getattr(spec, group) is None:
+            raise ValueError(f"scenario has no {group} section to update")
+        updates.setdefault(group, {})[name] = kind(value)
+    return replace(
+        spec, **{group: replace(getattr(spec, group), **new) for group, new in updates.items()}
+    )
 
 
 def spec_columns(base: SystemSpec, keys: Sequence[str], table: np.ndarray) -> SpecColumns:
     """``base`` with column j of ``table`` as parameter ``keys[j]``, one sample per row.
 
     A row fails with the error ``with_parameters`` raises for it: the keys
-    apply in order, each checked by its section's ``RULES`` on the values
-    set so far.  A failed row takes ``base``'s values.
+    are resolved and converted in order, then each sampled section is
+    checked once by its ``RULES`` on its final values, in the order the
+    sections first appear.  A failed row takes ``base``'s values.
     """
     unchanged = {f.name: getattr(base, f.name) for f in fields(base)}
     spec = SpecColumns(**unchanged, errors=[None] * len(table))
@@ -477,9 +486,9 @@ def spec_columns(base: SystemSpec, keys: Sequence[str], table: np.ndarray) -> Sp
             message = "cannot convert float infinity to integer"
             spec.reject(np.isinf(column), OverflowError, message)
             column = np.trunc(column)
-        values = sections.setdefault(group, dict(vars(section)))
-        values[name] = column
-        for holds, message in section.RULES:
+        sections.setdefault(group, dict(vars(section)))[name] = column
+    for group, values in sections.items():
+        for holds, message in getattr(base, group).RULES:
             spec.reject(np.logical_not(holds(SimpleNamespace(**values))), ValueError, message)
     failed = np.array([e is not None for e in spec.errors], dtype=bool)
     for group, values in sections.items():

@@ -10,16 +10,23 @@ in the ΔQ = 0 block (a weak U(1) symmetry: Buča & Prosen, New J. Phys. 14,
 holds the 4(N+1) populations and the coherences <1,0,n+1|rho|0,1,n> with
 their conjugates: 6N + 4 entries.
 
-``build_sector_liouvillian`` assembles the generator on the sector directly
-from index arithmetic, one sparse piece per channel; every entry couples
-photon numbers at most one apart.  The steady state comes from a direct
-sparse solve with the trace condition in place of one row.  The generator
-is linear and time independent, so time evolution is the action of its
-exponential, exp(L t) rho0 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-(2011)); it never factorizes L and is an independent oracle for the steady
-state.  Each flow is an O(N) trace of H or N against one channel's action.
+The generator on the sector is sum_k c_k B_k: nine coefficients c_k (g,
+g*, the level split and the six jump rates) times fixed sparse matrices
+B_k whose entries couple photon numbers at most one apart.  Everything
+that depends only on the Fock cutoff and on whether the bath channel
+exists is built once from index arithmetic and cached (``sector_pattern``):
+the pattern of the generator and the map from the c_k onto its values,
+the stack of the B_k, and the pattern of the steady-state system.
+``build_sector_liouvillian`` only fills in the values of a scenario.  The
+steady state comes from a direct sparse solve with the trace condition in
+place of one row.  The generator is linear and time independent, so time
+evolution is the action of its exponential, exp(L t) rho0 (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)); it never factorizes L and is
+an independent oracle for the steady state.  Each flow is an O(N) trace of
+H or N against one channel's action, read off one product with the stack.
 Positivity is checked on the 2x2 blocks that the coherences form with
-their two populations.
+their two populations.  The cached arrays are read-only, so threads may
+share them.
 
 The full-space construction (dense ``build_operators``, the row-major
 superoperator of ``build_liouvillian``, dense ``observables`` and
@@ -31,9 +38,8 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -115,20 +121,18 @@ class HilbertLayout:
         return n_l, n_u, n_ph
 
     def basis_labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``labels`` of every flat index, as arrays n_l, n_u, n_ph."""
-        fermion, n_ph = np.divmod(np.arange(self.dim), self.n_photon_states)
-        return fermion // 2, fermion % 2, n_ph
+        """``labels`` of every flat index, as read-only arrays n_l, n_u, n_ph."""
+        ix = _indices(self.fock_cutoff)
+        return ix.n_l, ix.n_u, ix.n_ph
 
     def coherence_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat indices of |1,0,n+1> and |0,1,n> for n < N: the states the coupling mixes."""
-        n = np.arange(self.fock_cutoff)
-        return 2 * self.n_photon_states + n + 1, self.n_photon_states + n
+        ix = _indices(self.fock_cutoff)
+        return ix.upper, ix.lower
 
     def sector_indices(self) -> np.ndarray:
         """Positions in row-major vec(rho) of the sector entries, in sector order."""
-        d = self.dim
-        upper, lower = self.coherence_pairs()
-        return np.concatenate([np.arange(d) * (d + 1), upper * d + lower, lower * d + upper])
+        return _indices(self.fock_cutoff).sector
 
 
 @dataclass(frozen=True)
@@ -148,15 +152,34 @@ class OperatorSet:
 class Liouvillian:
     """Sparse generator of the master equation, with its basis layout.
 
-    ``build_sector_liouvillian`` gives it on the ΔQ = 0 sector and keeps the
-    piece of each channel (``h``: Hamiltonian, ``u``, ``l``: reservoirs,
-    ``b``: bath) in ``channels``; the pieces sum to ``matrix``.  The
-    full-space reference of ``build_liouvillian`` acts on row-major vec(rho).
+    ``build_sector_liouvillian`` gives it on the ΔQ = 0 sector, together
+    with the ``pattern`` it was assembled on and the ``coefficients`` that
+    filled it.  The full-space reference of ``build_liouvillian`` acts on
+    row-major vec(rho) and has neither.
     """
 
     matrix: sp.csr_matrix
     layout: HilbertLayout
-    channels: Mapping[str, sp.csr_matrix] = field(default_factory=dict)
+    pattern: SectorPattern | None = None
+    coefficients: np.ndarray | None = None
+
+    @cached_property
+    def channels(self) -> dict[str, sp.csr_matrix]:
+        """The piece of each channel (``h``: Hamiltonian, ``u``, ``l``:
+        reservoirs, ``b``: bath) of a sector generator; they sum to
+        ``matrix``.  Built on first access: the solve and the flows never
+        need them."""
+        if self.pattern is None:
+            return {}
+        size, terms = self.pattern.size, self.pattern.terms
+        empty = sp.csr_matrix((size, size), dtype=complex)
+        return {  # sum of c_k B_k over the channel's run of coefficients
+            name: sum(
+                (self.coefficients[k] * terms[k * size : (k + 1) * size] for k in range(9)[part]),
+                empty,
+            )
+            for name, part in _CHANNELS.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -192,8 +215,7 @@ class QuantumState:
 
     def adjoint(self) -> np.ndarray:
         """The vector of rho^dagger: the populations conjugated, each c_n swapped with c_n*."""
-        d, n = self.layout.dim, self.layout.fock_cutoff
-        return self.vector[np.r_[:d, d + n : d + 2 * n, d : d + n]].conj()
+        return self.vector[_indices(self.layout.fock_cutoff).adjoint].conj()
 
     def hermiticity_error(self) -> float:
         return float(np.max(np.abs(self.vector - self.adjoint())))
@@ -209,15 +231,14 @@ class QuantumState:
         rho is block diagonal: a 2x2 block [[p(1,0,n+1), c_n], [c_n*, p(0,1,n)]]
         for each n < N and a 1x1 block for every other population.
         """
+        ix = _indices(self.layout.fock_cutoff)
         herm = 0.5 * (self.vector + self.adjoint())
         d = self.layout.dim
         pops = herm[:d].real
-        upper, lower = self.layout.coherence_pairs()
+        upper, lower = ix.upper, ix.lower
         mean, half_gap = 0.5 * (pops[upper] + pops[lower]), 0.5 * (pops[upper] - pops[lower])
         pairs = mean - np.hypot(half_gap, np.abs(herm[d : d + self.layout.fock_cutoff]))
-        single = np.ones(d, dtype=bool)
-        single[upper] = single[lower] = False
-        return float(min(pops[single].min(), pairs.min()))
+        return float(min(pops[ix.single].min(), pairs.min()))
 
     def validate(self) -> None:
         herm = self.hermiticity_error()
@@ -259,17 +280,24 @@ class SignCondition(NamedTuple):
 class QuantumSolution:
     """Steady state together with the objects used to produce it.
 
-    ``ops``, the dense full-space operators, is built on first access only:
-    the solve never needs them.
+    ``residual``, ``fock_tail`` and ``ops`` (the dense full-space operators)
+    are computed on first access only: ``steady_state`` has checked the
+    first two, and the solve never needs the last.
     """
 
     state: QuantumState
     layout: HilbertLayout
     liouvillian: Liouvillian
     occupations: Occupations
-    residual: float
-    fock_tail: float
     spec: SystemSpec
+
+    @cached_property
+    def residual(self) -> float:
+        return float(np.max(np.abs(self.liouvillian.matrix @ self.state.vector)))
+
+    @cached_property
+    def fock_tail(self) -> float:
+        return fock_tail(self.state)
 
     @cached_property
     def ops(self) -> OperatorSet:
@@ -278,59 +306,91 @@ class QuantumSolution:
 
 # -- the ΔQ = 0 sector ---------------------------------------------------------
 
+# Cached structures kept per process: one per cutoff (and bath flag).  The
+# audit uses three cutoffs with and without a bath, lasing one or three.
+_CACHE_SIZE = 16
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+class _Indices(NamedTuple):
+    """Index arrays of one Fock cutoff, read-only and shared by every state of it."""
+
+    n_l: np.ndarray  # basis labels of each flat index
+    n_u: np.ndarray
+    n_ph: np.ndarray
+    upper: np.ndarray  # flat indices of |1,0,n+1> and |0,1,n> for n < N
+    lower: np.ndarray
+    single: np.ndarray  # populations outside the 2x2 blocks
+    adjoint: np.ndarray  # sector positions read by the vector of rho^dagger
+    sector: np.ndarray  # positions in row-major vec(rho) of the sector entries
+    photons: np.ndarray  # 0, 1, ..., N
+    root: np.ndarray  # sqrt(n + 1) for n < N
+    charge: np.ndarray  # Tr((N_u + N_l) X) = charge @ x
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _indices(fock_cutoff: int) -> _Indices:
+    m, n = fock_cutoff + 1, fock_cutoff
+    d = 4 * m
+    fermion, n_ph = np.divmod(np.arange(d), m)
+    n_l, n_u = fermion // 2, fermion % 2
+    upper, lower = 2 * m + np.arange(n) + 1, m + np.arange(n)
+    single = np.ones(d, dtype=bool)
+    single[upper] = single[lower] = False
+    return _Indices(*_read_only(
+        n_l, n_u, n_ph, upper, lower, single,
+        np.r_[:d, d + n : d + 2 * n, d : d + n],
+        np.concatenate([np.arange(d) * (d + 1), upper * d + lower, lower * d + upper]),
+        np.arange(m, dtype=float),
+        np.sqrt(np.arange(1, m)),
+        np.concatenate([n_u + n_l, np.zeros(2 * n)]),
+    ))
+
+
 Entries = tuple[np.ndarray, np.ndarray, np.ndarray]  # rows, columns, values
 
-
-def _energies(layout: HilbertLayout, spec: SystemSpec) -> np.ndarray:
-    """Diagonal of the Hamiltonian over the flat basis."""
-    n_l, n_u, n_ph = layout.basis_labels()
-    return (
-        spec.levels.e_upper * n_u + spec.levels.e_lower * n_l + spec.cavity.omega_cav * n_ph
-    )
+# The generator is linear in these coefficients: g, g*, the level split
+# E(1,0,n+1) - E(0,1,n) = omega_cav - (e_upper - e_lower), and the rate of
+# each jump operator.  Each channel owns a contiguous run of them.
+_CHANNELS = {"h": slice(0, 3), "u": slice(3, 5), "l": slice(5, 7), "b": slice(7, 9)}
+_JUMPS = ("c_u+", "c_u", "c_l+", "c_l", "a", "a+")  # coefficients 3..8
 
 
-def _hopping(layout: HilbertLayout, spec: SystemSpec) -> np.ndarray:
-    """<0,1,n|H|1,0,n+1> = g sqrt(n+1) for n < N."""
-    return complex(spec.cavity.g) * np.sqrt(np.arange(1, layout.fock_cutoff + 1))
+def _hamiltonian_entries(ix: _Indices, d: int, n: int) -> list[Entries]:
+    """-i[H, rho] on the sector, per unit of g, of g* and of the level split.
 
-
-def _hamiltonian_entries(layout: HilbertLayout, spec: SystemSpec) -> Entries:
-    """-i[H, rho] on the sector.
-
-    With A = |1,0,n+1>, B = |0,1,n>, c = rho_AB and t = <B|H|A>:
+    With A = |1,0,n+1>, B = |0,1,n>, c = rho_AB and t = <B|H|A> = g sqrt(n+1):
     dp_A/dt = i t c - i t* c*, dp_B/dt = -dp_A/dt and
     dc/dt = -i (E_A - E_B) c + i t* (p_A - p_B).
     """
-    d, n = layout.dim, layout.fock_cutoff
-    upper, lower = layout.coherence_pairs()
+    upper, lower, s = ix.upper, ix.lower, ix.root
     coh = d + np.arange(n)
     conj = coh + n
-    energy = _energies(layout, spec)
-    split = energy[upper] - energy[lower]
-    t = _hopping(layout, spec)
-    rows = (upper, upper, lower, lower, coh, coh, coh, conj, conj, conj)
-    cols = (coh, conj, coh, conj, coh, upper, lower, conj, upper, lower)
-    vals = (
-        1j * t, -1j * t.conj(), -1j * t, 1j * t.conj(),
-        -1j * split, 1j * t.conj(), -1j * t.conj(),
-        1j * split, -1j * t, 1j * t,
+    one = np.ones(n)
+    parts = (
+        ((upper, lower, conj, conj), (coh, coh, upper, lower), (1j * s, -1j * s, -1j * s, 1j * s)),
+        ((upper, lower, coh, coh), (conj, conj, upper, lower), (-1j * s, 1j * s, 1j * s, -1j * s)),
+        ((coh, conj), (coh, conj), (-1j * one, 1j * one)),
     )
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    return [tuple(np.concatenate(part) for part in entries) for entries in parts]
 
 
-def _jumps(layout: HilbertLayout) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _jumps(ix: _Indices, m: int) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Each jump operator L as the map L|source> = amplitude |target> on flat indices.
 
     The Jordan-Wigner signs are left out.  They are a phase of +-1 per basis
     state, and no fermionic jump maps a sector coherence onto another, so in
     the sector they only ever enter squared.
     """
-    m = layout.n_photon_states
-    index = np.arange(layout.dim)
-    n_l, n_u, n_ph = layout.basis_labels()
-    filled_u, filled_l, excited = index[n_u == 1], index[n_l == 1], index[n_ph > 0]
+    index = np.arange(4 * m)
+    filled_u, filled_l, excited = index[ix.n_u == 1], index[ix.n_l == 1], index[ix.n_ph > 0]
     unit = np.ones(2 * m)
-    root = np.sqrt(n_ph[excited])
+    root = np.sqrt(ix.n_ph[excited])
     return {
         "c_u": (filled_u, filled_u - 1 * m, unit),
         "c_u+": (filled_u - 1 * m, filled_u, unit),
@@ -342,22 +402,18 @@ def _jumps(layout: HilbertLayout) -> dict[str, tuple[np.ndarray, np.ndarray, np.
 
 
 def _dissipator_entries(
-    layout: HilbertLayout,
-    jump: tuple[np.ndarray, np.ndarray, np.ndarray],
-    rate: float,
+    ix: _Indices, d: int, n: int, jump: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> Entries:
-    """rate * (L rho L^dagger - {L^dagger L, rho} / 2) on the sector."""
+    """L rho L^dagger - {L^dagger L, rho} / 2 on the sector, per unit rate."""
     source, target, amplitude = jump
-    d, n = layout.dim, layout.fock_cutoff
-    upper, lower = layout.coherence_pairs()
+    upper, lower = ix.upper, ix.lower
     coh = np.arange(n)
-    decay = np.zeros(d)  # rate * diagonal of L^dagger L
-    decay[source] = rate * amplitude**2
-    pops = np.arange(d)
+    decay = np.zeros(d)  # diagonal of L^dagger L
+    decay[source] = amplitude**2
     coherence_decay = -0.5 * (decay[upper] + decay[lower])
-    rows = [target, pops, d + coh, d + n + coh]
-    cols = [source, pops, d + coh, d + n + coh]
-    vals = [rate * amplitude**2, -decay, coherence_decay, coherence_decay]
+    rows = [target, source, d + coh, d + n + coh]
+    cols = [source, source, d + coh, d + n + coh]
+    vals = [amplitude**2, -(amplitude**2), coherence_decay, coherence_decay]
 
     # <A_i| L rho L^dagger |B_i> = amplitude(A_j) amplitude(B_j) c_j when
     # L|A_j> ~ |A_i> and L|B_j> ~ |B_i>; only the photon jumps do this.
@@ -371,56 +427,135 @@ def _dissipator_entries(
     j = np.where(from_upper >= 0, pair_of[from_upper], -1)
     keep = (j >= 0) & (from_lower >= 0) & (lower[j] == from_lower)
     i, j = coh[keep], j[keep]
-    feed = rate * gain[upper[keep]] * gain[lower[keep]]
+    feed = gain[upper[keep]] * gain[lower[keep]]
     rows += [d + i, d + n + i]
     cols += [d + j, d + n + j]
     vals += [feed, feed]
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def _csr(entries: list[Entries], size: int) -> sp.csr_matrix:
-    if not entries:
-        return sp.csr_matrix((size, size), dtype=complex)
-    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-    return sp.csr_matrix((vals.astype(complex), (rows, cols)), shape=(size, size))
+@dataclass(frozen=True, eq=False)
+class SectorPattern:
+    """What the sector generator owes to its Fock cutoff and bath flag alone.
+
+    The generator is sum_k coefficient_k B_k over fixed matrices B_k.
+    ``indptr``/``indices`` are its CSR pattern and ``weights`` (nnz x 9)
+    maps the coefficients onto its CSR data; ``terms`` stacks the B_k, so
+    ``terms @ x`` gives every coefficient's action on x at once.  The
+    ``system_*`` arrays are the CSC pattern of the steady-state system:
+    generator rows 1.. followed by the running-sum rows of the trace, with
+    the generator's data from ``data_start`` on landing at ``system_slots``.
+    Built once per key by ``sector_pattern``; every array is read-only.
+    """
+
+    size: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: sp.csr_matrix
+    terms: sp.csr_matrix
+    data_start: int
+    system_indptr: np.ndarray
+    system_indices: np.ndarray
+    system_template: np.ndarray  # the running-sum entries, zeros at the slots
+    system_slots: np.ndarray
+
+    def matrix(self, coefficients: np.ndarray) -> sp.csr_matrix:
+        """The generator for these coefficients."""
+        return sp.csr_matrix(
+            (self.weights @ coefficients, self.indices, self.indptr), shape=(self.size, self.size)
+        )
+
+    def system(self, data: np.ndarray) -> sp.csc_matrix:
+        """The steady-state system of the generator whose CSR data is ``data``."""
+        values = self.system_template.copy()
+        values[self.system_slots] = data[self.data_start :]
+        size = len(self.system_indptr) - 1
+        return sp.csc_matrix(
+            (values, self.system_indices, self.system_indptr), shape=(size, size)
+        )
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def sector_pattern(fock_cutoff: int, bath: bool) -> SectorPattern:
+    """The ``SectorPattern`` of a cutoff, with or without the bath channel; cached."""
+    ix = _indices(fock_cutoff)
+    m, n = fock_cutoff + 1, fock_cutoff
+    d, size = 4 * m, 6 * fock_cutoff + 4
+    jumps = _jumps(ix, m)
+    per_coefficient = _hamiltonian_entries(ix, d, n) + [
+        _dissipator_entries(ix, d, n, jumps[name]) for name in _JUMPS[: 6 if bath else 4]
+    ]
+    k = np.concatenate([np.full(len(part[0]), c) for c, part in enumerate(per_coefficient)])
+    rows, cols, vals = (np.concatenate(part) for part in zip(*per_coefficient))
+    nonzero = vals != 0
+    k, rows, cols, vals = k[nonzero], rows[nonzero], cols[nonzero], vals[nonzero]
+
+    key, slot = np.unique(rows * size + cols, return_inverse=True)  # row-major: CSR order
+    pattern_rows, indices = np.divmod(key, size)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(pattern_rows, minlength=size))])
+    weights = sp.csr_matrix((vals, (slot, k)), shape=(len(key), 9), dtype=complex)
+    terms = sp.csr_matrix((vals, (k * size + rows, cols)), shape=(9 * size, size), dtype=complex)
+
+    # The steady-state system drops the first population row and imposes the
+    # trace through running sums: unknown size + j is s_j, and row
+    # size - 1 + j reads s_j - s_(j-1) - p_j = 0; the last row is s_last = 1.
+    start = int(indptr[1])
+    j = np.arange(d)
+    running, last = size - 1 + j, size + d - 1
+    sys_rows = np.concatenate([pattern_rows[start:] - 1, running, running[1:], running, [last]])
+    sys_cols = np.concatenate([indices[start:], size + j, size + j[:-1], j, [last]])
+    order = np.lexsort((sys_rows, sys_cols))  # column-major: CSC order
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    slots = position[: len(key) - start]
+    template = np.zeros(len(order), dtype=complex)
+    template[position[len(key) - start :]] = np.concatenate(
+        [np.ones(d), -np.ones(d - 1), -np.ones(d), [1.0]]
+    )
+    sys_indptr = np.concatenate([[0], np.cumsum(np.bincount(sys_cols, minlength=size + d))])
+
+    _read_only(weights.data, weights.indices, weights.indptr)
+    _read_only(terms.data, terms.indices, terms.indptr)
+    index = np.int32 if len(order) < 2**31 and 9 * size < 2**31 else np.int64
+    indptr, indices, sys_indptr, sys_indices, template, slots = _read_only(
+        indptr.astype(index), indices.astype(index), sys_indptr.astype(index),
+        sys_rows[order].astype(index), template, slots,
+    )
+    return SectorPattern(
+        size, indptr, indices, weights, terms, start, sys_indptr, sys_indices, template, slots
+    )
 
 
 def build_sector_liouvillian(
     layout: HilbertLayout, spec: SystemSpec, occupations: Occupations | None = None
 ) -> Liouvillian:
-    """Generator of the master equation on the ΔQ = 0 sector, one piece per channel.
+    """Generator of the master equation on the ΔQ = 0 sector.
 
-    Assembled from index arithmetic on the flat basis: no dense operator and
-    no full-space superoperator is formed.  It equals the ΔQ = 0 slice of
-    ``build_liouvillian`` entry for entry, for either fermion ordering.
+    The cached ``sector_pattern`` of the cutoff holds the index arithmetic;
+    this fills its values from the nine coefficients of the scenario.  No
+    dense operator and no full-space superoperator is formed.  It equals
+    the ΔQ = 0 slice of ``build_liouvillian`` entry for entry, for either
+    fermion ordering.
     """
     if spec.cavity is None:
         raise ValueError("quantum treatment requires a cavity")
     occ = occupations or resolve_occupations(spec, "quantum")
-    jumps = _jumps(layout)
-    gamma_u, gamma_l = spec.reservoir_u.gamma, spec.reservoir_l.gamma
-    entries = {
-        "h": [_hamiltonian_entries(layout, spec)],
-        "u": [
-            _dissipator_entries(layout, jumps["c_u+"], gamma_u * occ.f_u),
-            _dissipator_entries(layout, jumps["c_u"], gamma_u * (1.0 - occ.f_u)),
-        ],
-        "l": [
-            _dissipator_entries(layout, jumps["c_l+"], gamma_l * occ.f_l),
-            _dissipator_entries(layout, jumps["c_l"], gamma_l * (1.0 - occ.f_l)),
-        ],
-        "b": [],
-    }
-    if spec.bath is not None and spec.bath.gamma > 0:
+    bath = spec.bath is not None and spec.bath.gamma > 0
+    gamma_b, n_b = 0.0, 0.0
+    if bath:
         if occ.n_b is None:
             raise ValueError("bosonic bath present but no occupation resolved")
-        entries["b"] = [
-            _dissipator_entries(layout, jumps["a"], spec.bath.gamma * (occ.n_b + 1.0)),
-            _dissipator_entries(layout, jumps["a+"], spec.bath.gamma * occ.n_b),
-        ]
-    channels = {name: _csr(parts, layout.sector_size) for name, parts in entries.items()}
-    matrix = channels["h"] + channels["u"] + channels["l"] + channels["b"]
-    return Liouvillian(matrix=matrix.tocsr(), layout=layout, channels=channels)
+        gamma_b, n_b = spec.bath.gamma, occ.n_b
+    g = complex(spec.cavity.g)
+    split = spec.levels.e_lower + spec.cavity.omega_cav - spec.levels.e_upper
+    gamma_u, gamma_l = spec.reservoir_u.gamma, spec.reservoir_l.gamma
+    rates = (  # of the jumps in _JUMPS order
+        gamma_u * occ.f_u, gamma_u * (1.0 - occ.f_u), gamma_l * occ.f_l,
+        gamma_l * (1.0 - occ.f_l), gamma_b * (n_b + 1.0), gamma_b * n_b,
+    )
+    coefficients = np.array([g, g.conjugate(), split, *rates], dtype=complex)
+    pattern = sector_pattern(layout.fock_cutoff, bath)
+    return Liouvillian(pattern.matrix(coefficients), layout, pattern, coefficients)
 
 
 def thermal_state(layout: HilbertLayout, f_u: float, f_l: float, n_b: float) -> QuantumState:
@@ -453,16 +588,15 @@ def sector_observables(state: QuantumState, spec: SystemSpec) -> QuantumObservab
     """``observables`` of a sector state, from its populations and coherences."""
     layout = state.layout
     d, n = layout.dim, layout.fock_cutoff
+    ix = _indices(n)
     # rows: (n_l, n_u) = (0, 0), (0, 1), (1, 0), (1, 1)
     p = state.populations.reshape(4, layout.n_photon_states)
-    photons = np.arange(layout.n_photon_states)
+    photons = ix.photons
     sigma_uu = float(p[1].sum() + p[3].sum())
     sigma_ll = float(p[2].sum() + p[3].sum())
     n_ph = float(p.sum(axis=0) @ photons)
     # Y = conj(g) Tr{c_l^+ c_u a^+ rho} = conj(g) sum_n sqrt(n+1) <0,1,n|rho|1,0,n+1>
-    y = complex(spec.cavity.g).conjugate() * complex(
-        np.sqrt(np.arange(1, n + 1)) @ state.vector[d + n :]
-    )
+    y = complex(spec.cavity.g).conjugate() * complex(ix.root @ state.vector[d + n :])
     f_exact = float(p[1].sum() + (p[1] - p[2]) @ photons)
     f_hf = sigma_uu * (1.0 - sigma_ll) + (sigma_uu - sigma_ll) * n_ph
     return QuantumObservables(
@@ -629,31 +763,24 @@ def steady_state(liouvillian: Liouvillian) -> QuantumState:
     dropped, the trace condition takes its place and the system is solved
     directly.  The trace enters through running sums s_k = s_(k-1) + p_k
     with s_last = 1: a dense trace row would fill the LU factors, O(N^2),
-    where the running sums keep the system as sparse as the generator.
-    Raises ValueError for a full-space generator, SteadyStateError when the
+    where the running sums keep the system as sparse as the generator.  The
+    system's pattern is the cached one of ``SectorPattern``; only its values
+    come from the generator.  Raises ValueError for a generator not
+    assembled by ``build_sector_liouvillian``, SteadyStateError when the
     residual exceeds tolerance and FockCutoffError when the top of the Fock
     ladder is populated.
     """
     layout = liouvillian.layout
     matrix = _sector_matrix(liouvillian)
+    pattern = liouvillian.pattern
+    if pattern is None or not (
+        np.array_equal(matrix.indptr, pattern.indptr)
+        and np.array_equal(matrix.indices, pattern.indices)
+    ):
+        raise ValueError("generator lacks the pattern build_sector_liouvillian gives it")
     n = matrix.shape[0]
-
-    d = layout.dim  # the populations are the first d entries
-    k = np.arange(d)
-    rest = matrix[1:].tocoo()
-    running = n - 1 + k  # row of s_k - s_(k-1) - p_k = 0; s_k is unknown n + k
-    system = sp.csc_matrix(
-        (
-            np.concatenate([rest.data, np.ones(d), -np.ones(d - 1), -np.ones(d), [1.0]]),
-            (
-                np.concatenate([rest.row, running, running[1:], running, [n + d - 1]]),
-                np.concatenate([rest.col, n + k, n + k[:-1], k, [n + d - 1]]),
-            ),
-        ),
-        shape=(n + d, n + d),
-        dtype=complex,
-    )
-    b = np.zeros(n + d, dtype=complex)
+    system = pattern.system(matrix.data)
+    b = np.zeros(system.shape[0], dtype=complex)
     b[-1] = 1.0
     try:
         x = splu(system).solve(b)[:n]
@@ -708,13 +835,7 @@ def quantum_steady_state(
             )
             continue
         return QuantumSolution(
-            state=state,
-            layout=layout,
-            liouvillian=liouv,
-            occupations=occ,
-            residual=float(np.max(np.abs(liouv.matrix @ state.vector))),
-            fock_tail=fock_tail(state),
-            spec=spec,
+            state=state, layout=layout, liouvillian=liouv, occupations=occ, spec=spec
         )
     raise ValueError("max_enlargements must be non-negative")
 
@@ -751,11 +872,11 @@ def evolve_quantum(
 
 def _trace_weights(layout: HilbertLayout, spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     """Sector vectors h, q with Tr(H X) = h @ x and Tr((N_u + N_l) X) = q @ x."""
-    n_l, n_u, _ = layout.basis_labels()
-    t = _hopping(layout, spec)  # Tr(H X) picks <B|H|A> X_AB + <A|H|B> X_BA
-    h = np.concatenate([_energies(layout, spec), t, t.conj()])
-    q = np.concatenate([n_u + n_l, np.zeros(2 * layout.fock_cutoff)])
-    return h, q
+    ix = _indices(layout.fock_cutoff)
+    levels = spec.levels
+    energies = levels.e_upper * ix.n_u + levels.e_lower * ix.n_l + spec.cavity.omega_cav * ix.n_ph
+    t = complex(spec.cavity.g) * ix.root  # Tr(H X) picks <B|H|A> X_AB + <A|H|B> X_BA
+    return np.concatenate([energies, t, t.conj()]), ix.charge
 
 
 def fluxes_quantum(
@@ -768,24 +889,28 @@ def fluxes_quantum(
 
     ``state`` and ``liouvillian`` belong to the ΔQ = 0 sector
     (``build_sector_liouvillian``).  Each flow is the trace of H or
-    N_u + N_l against its channel's action on the state.  Each energy flow is
-    also evaluated through its closed form in terms of populations and the
-    coherence correlator; disagreement beyond 1e-9 raises, since it signals
-    an inconsistent generator.
+    N_u + N_l against its channel's action on the state; one product with
+    the pattern's stack of terms gives the action of every coefficient.
+    Each energy flow is also evaluated through its closed form in terms of
+    populations and the coherence correlator; disagreement beyond 1e-9
+    raises, since it signals an inconsistent generator.
     """
-    if not liouvillian.channels:
+    pattern = liouvillian.pattern
+    if pattern is None:
         raise ValueError("fluxes_quantum needs the sector generator with its channels")
     occ = occupations or resolve_occupations(spec, "quantum")
-    actions = {name: piece @ state.vector for name, piece in liouvillian.channels.items()}
+    actions = (pattern.terms @ state.vector).reshape(-1, pattern.size)
+    actions *= liouvillian.coefficients[:, None]  # row k: coefficient k's term of L x
 
-    residual = float(np.max(np.abs(sum(actions.values()))))
+    residual = float(np.max(np.abs(actions.sum(axis=0))))
     if residual > _RESIDUAL_TOL:
         raise ValueError(f"state is not stationary (residual {residual:.3e})")
 
     h, q = _trace_weights(state.layout, spec)
-    edot = {name: float((h @ actions[name]).real) for name in ("u", "l", "b")}
-    ndot_u = float((q @ actions["u"]).real)
-    ndot_l = float((q @ actions["l"]).real)
+    energy, charge = actions @ h, actions @ q
+    edot = {name: float(energy[_CHANNELS[name]].sum().real) for name in ("u", "l", "b")}
+    ndot_u = float(charge[_CHANNELS["u"]].sum().real)
+    ndot_l = float(charge[_CHANNELS["l"]].sum().real)
 
     obs = sector_observables(state, spec)
     two_re_y = 2.0 * obs.y.real

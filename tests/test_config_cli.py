@@ -481,3 +481,26 @@ def test_find_violation_exit_codes(tmp_path):
         "--range", "drive.omega=1.0:1.0",
     ])
     assert code == 4
+
+
+def test_audit_sweep_checks_levels_on_their_final_values(classical_cfg_file, tmp_path):
+    # 3 of these 20 points have e_upper above e_lower only once both keys are
+    # set; they must solve in either key order, and the two orders must agree.
+    ranges = {"e_upper": "e_upper=-0.5:1.5:5", "e_lower": "e_lower=-1:1.2:4"}
+    rows_by_order = []
+    for order in (("e_upper", "e_lower"), ("e_lower", "e_upper")):
+        out = tmp_path / f"{order[0]}.csv"
+        argv = ["audit", "--config", str(classical_cfg_file), "--out", str(out)]
+        for key in order:
+            argv += ["--sweep", ranges[key]]
+        assert main(argv) == 0
+        _, rows = _read_csv(out)
+        assert len(rows) == 20
+        for row in rows:
+            valid = float(row["e_upper"]) > float(row["e_lower"])
+            assert ("error=" not in row["flags"]) == valid, row
+        rows_by_order.append(
+            sorted((r["e_upper"], r["e_lower"], r["Sdot_total"], r["flags"]) for r in rows)
+        )
+    assert sum(float(u) > float(l) for u, l, _, _ in rows_by_order[0]) == 13
+    assert rows_by_order[0] == rows_by_order[1]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,9 @@ from detuned_tls import (
     fermi,
     resolve_occupations,
     with_parameter,
+    with_parameters,
 )
+from detuned_tls.model import spec_columns
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -287,3 +290,30 @@ def test_with_parameter_updates():
     )
     with pytest.raises(ValueError):
         with_parameter(bare, "drive.omega", 1.0)
+
+
+def test_with_parameters_checks_each_section_on_its_final_values():
+    # e_upper = -0.5 lies below the base e_lower = 0 but above the new -1.0:
+    # the point is valid, and must be accepted in either key order.
+    spec = _spec(OccupationSpec.fixed(0.5), OccupationSpec.fixed(0.5))
+    for params in ({"e_upper": -0.5, "e_lower": -1.0}, {"e_lower": -1.0, "e_upper": -0.5}):
+        levels = with_parameters(spec, params).levels
+        assert (levels.e_upper, levels.e_lower) == (-0.5, -1.0)
+    for params in ({"e_upper": -1.0, "e_lower": -0.5}, {"e_lower": -0.5, "e_upper": -1.0}):
+        with pytest.raises(ValueError, match="e_upper must be strictly above e_lower"):
+            with_parameters(spec, params)
+
+
+def test_spec_columns_check_each_section_on_its_final_values():
+    spec = _spec(OccupationSpec.fixed(0.5), OccupationSpec.fixed(0.5))
+    table = np.array([[-0.5, -1.0], [-1.0, -0.5], [2.0, 0.0], [0.0, 2.0]])
+    for keys, rows in ((["e_upper", "e_lower"], table), (["e_lower", "e_upper"], table[:, ::-1])):
+        columns = spec_columns(spec, keys, rows)
+        for row, error in zip(rows, columns.errors):
+            try:
+                with_parameters(spec, dict(zip(keys, row)))
+            except ValueError as exc:
+                assert repr(error) == repr(exc)
+            else:
+                assert error is None
+        assert [e is None for e in columns.errors] == [True, False, True, False]

@@ -4,12 +4,18 @@ import cmath
 import dataclasses
 import logging
 import math
+import os
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply, splu
 
 from detuned_tls import (
@@ -22,6 +28,7 @@ from detuned_tls import (
     HilbertLayout,
     OccupationSpec,
     QuantumState,
+    SteadyStateError,
     SystemSpec,
     build_sector_liouvillian,
     effective_energies_quantum,
@@ -39,6 +46,7 @@ from detuned_tls.quantum import (
     build_liouvillian,
     build_operators,
     observables,
+    sector_pattern,
     thermal_product_state,
 )
 
@@ -625,6 +633,51 @@ def test_sector_generator_equals_full_space_slice(cutoff, ordering, bath):
     assert (sector.channels["b"].nnz > 0) == bath
 
 
+_rate = st.floats(1e-3, 3.0)
+_filling = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)  # 0 and 1 zero a jump rate
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cutoff=st.integers(1, 10),
+    g=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    e_upper=st.floats(0.0, 2.0),
+    gap=st.floats(1e-3, 2.0),
+    omega_cav=st.floats(0.1, 3.0),
+    gamma_u=_rate,
+    gamma_l=_rate,
+    f_u=_filling,
+    f_l=_filling,
+    bath=st.sampled_from(["none", "gamma-zero", "on"]),
+    gamma_b=_rate,
+    n_b=st.just(0.0) | st.floats(0.0, 3.0),
+)
+def test_sector_generator_equals_full_space_slice_for_random_parameters(
+    cutoff, g, e_upper, gap, omega_cav, gamma_u, gamma_l, f_u, f_l, bath, gamma_b, n_b
+):
+    spec = SystemSpec(
+        levels=EnergyLevels(e_upper, e_upper - gap),
+        reservoir_u=FermionicReservoir(gamma_u, OccupationSpec.fixed(f_u), 0.9, 0.2),
+        reservoir_l=FermionicReservoir(gamma_l, OccupationSpec.fixed(f_l), 0.1, 0.2),
+        cavity=CavitySpec(omega_cav=omega_cav, g=g, fock_cutoff=cutoff),
+        bath=None
+        if bath == "none"
+        else BosonicBath(0.0 if bath == "gamma-zero" else gamma_b, OccupationSpec.fixed(n_b), 0.3),
+    )
+    layout = HilbertLayout(cutoff)
+    index = layout.sector_indices()
+    reference = build_liouvillian(build_operators(layout, spec), spec).matrix[index][:, index]
+    reference = reference.toarray()
+    sector = build_sector_liouvillian(layout, spec)
+    matrix = sector.matrix.toarray()
+    largest = np.max(np.abs(reference))
+    assert np.max(np.abs(matrix - reference)) < 1e-14 * largest
+    # 1e-15 as in the fixed-parameter test, scaled only where entries exceed 1
+    total = sum(piece.toarray() for piece in sector.channels.values())
+    assert np.max(np.abs(total - matrix)) < 1e-15 * max(1.0, largest)
+    assert (sector.channels["b"].nnz > 0) == (bath == "on")
+
+
 @pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
 @pytest.mark.parametrize("ordering", ORDERINGS, ids=("lu", "ul"))
 @pytest.mark.parametrize("cutoff", (1, 2, 5, 10))
@@ -747,3 +800,157 @@ def test_fock_cutoff_enlargements_are_logged(caplog):
         assert record.levelno == logging.INFO
         assert record.args[2] > 1e-6
         assert "Fock cutoff" in record.getMessage()
+
+
+# -- the per-cutoff pattern cache ----------------------------------------------
+
+
+def _cache_scenarios():
+    """Scenarios with different parameters, interleaved at equal and at different cutoffs."""
+    return [
+        make_spec(g=0.05, n_b=0.01, cutoff=3),
+        make_spec(g=0.08 + 0.04j, n_b=0.01, cutoff=5),
+        replace(make_spec(g=0.08 + 0.04j, f_u=0.1, f_l=0.9, cutoff=3), bath=None),
+        make_spec(g=0.04j, f_u=0.3, n_b=0.02, gamma_b=0.5, cutoff=8),
+        make_spec(g=0.06, f_u=0.0, f_l=1.0, gamma_b=0.0, cutoff=5),  # zero rates, no bath channel
+        make_spec(g=0.1, n_b=0.05, cutoff=3),
+        make_spec(g=0.03, n_b=0.02, gamma_u=0.6, cutoff=8),
+    ]
+
+
+def _assert_same_generator(a, b):
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a.matrix, name), getattr(b.matrix, name)), name
+    assert np.array_equal(a.coefficients, b.coefficients)
+
+
+def _steady_outcome(liouv):
+    try:
+        return steady_state(liouv).vector
+    except SteadyStateError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_cached_builds_equal_fresh_builds():
+    specs = _cache_scenarios()
+    cached = []
+    for spec in specs + specs[::-1]:  # every key is built from a warm cache too
+        layout = HilbertLayout(spec.cavity.fock_cutoff)
+        cached.append((layout, spec, build_sector_liouvillian(layout, spec)))
+    for layout, spec, liouv in cached:
+        sector_pattern.cache_clear()
+        fresh = build_sector_liouvillian(layout, spec)
+        _assert_same_generator(liouv, fresh)
+        for name, piece in liouv.channels.items():
+            assert np.array_equal(piece.toarray(), fresh.channels[name].toarray()), name
+        outcome, expected = _steady_outcome(liouv), _steady_outcome(fresh)
+        if isinstance(expected, tuple):
+            assert outcome == expected
+        else:
+            assert np.array_equal(outcome, expected)
+
+
+def test_cached_arrays_are_read_only():
+    layout = HilbertLayout(10)
+    liouv = build_sector_liouvillian(layout, _oracle_spec(True))
+    pattern = liouv.pattern
+    shared = [
+        pattern.indptr,
+        pattern.indices,
+        pattern.weights.data,
+        pattern.weights.indices,
+        pattern.weights.indptr,
+        pattern.terms.data,
+        pattern.terms.indices,
+        pattern.terms.indptr,
+        pattern.system_indptr,
+        pattern.system_indices,
+        pattern.system_template,
+        pattern.system_slots,
+        liouv.matrix.indices,
+        liouv.matrix.indptr,
+        layout.sector_indices(),
+        *layout.coherence_pairs(),
+        *layout.basis_labels(),
+    ]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    state = steady_state(liouv)  # the solve writes into none of them
+    again = build_sector_liouvillian(layout, _oracle_spec(True))
+    _assert_same_generator(again, liouv)
+    assert np.array_equal(steady_state(again).vector, state.vector)
+
+
+def test_sector_pattern_is_built_once_per_key():
+    sector_pattern.cache_clear()
+    keys = [(3, True), (3, False), (5, True), (5, False)]
+    for repeat in range(3):
+        for cutoff, bath in keys:
+            spec = make_spec(g=0.05 * (repeat + 1), gamma_b=0.25 if bath else 0.0, cutoff=cutoff)
+            build_sector_liouvillian(HilbertLayout(cutoff), spec)
+    info = sector_pattern.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 8, 4)
+    assert info.maxsize is not None  # bounded
+
+
+def _solve_record(spec):
+    layout = HilbertLayout(spec.cavity.fock_cutoff)
+    liouv = build_sector_liouvillian(layout, spec)
+    try:
+        sol = quantum_steady_state(spec)
+        flux = fluxes_quantum(sol.state, sol.liouvillian, spec, sol.occupations)
+    except RuntimeError as exc:  # the solver's failures, bath-flow mismatch included
+        return liouv, type(exc).__name__, str(exc)
+    return liouv, sol.layout.fock_cutoff, sol.state.vector, dataclasses.astuple(flux)
+
+
+def _assert_same_record(got, want):
+    _assert_same_generator(got[0], want[0])
+    if isinstance(want[1], str):
+        assert got[1:] == want[1:]
+        return
+    assert got[1] == want[1]
+    assert np.max(np.abs(got[2] - want[2])) <= 1e-14 * np.max(np.abs(want[2]))
+    for value, expected in zip(got[3], want[3]):
+        if isinstance(expected, float):
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-15, nan_ok=True)
+        else:
+            assert value == expected
+
+
+def test_concurrent_builds_and_solves_equal_the_serial_ones():
+    # More threads than cores, GIL handed over every microsecond, and one
+    # thread emptying the cache now and then, so that builds race each other.
+    specs = _cache_scenarios() + [make_spec(cutoff=2, n_b=0.25)]  # enlarges, then fails
+    serial = [_solve_record(spec) for spec in specs]
+    failures, done = [], []
+    deadline = time.monotonic() + 1.0
+
+    def work(offset):
+        count = 0
+        while time.monotonic() < deadline:
+            if offset == 0 and count % 5 == 0:
+                sector_pattern.cache_clear()
+            j = (offset + count) % len(specs)
+            try:
+                _assert_same_record(_solve_record(specs[j]), serial[j])
+            except Exception as exc:  # reported below, with the scenario
+                failures.append((j, exc))
+                return
+            count += 1
+        done.append(count)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range((os.cpu_count() or 1) + 3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[:3]
+    assert len(done) == len(threads) and min(done) > 0
