@@ -18,7 +18,6 @@ from .classical import (
 )
 from .config import (
     ConfigError,
-    ScenarioConfig,
     build_system_spec,
     config_from_system_spec,
     parse_config,

@@ -146,7 +146,7 @@ def _param_columns(
     spec still serialize.  A sampled cell shows the value as the solve used
     it, cast to its key's type.
     """
-    base_cfg = config_from_system_spec(base).values
+    base_cfg = config_from_system_spec(base)
     keys = [k for k in SCENARIO_KEYS if k in base_cfg or k in ranges]
     sampled, n = dict(zip(ranges, table.T)), len(table)
     cells = [
@@ -342,7 +342,7 @@ def _cmd_find_violation(args: argparse.Namespace) -> int:
     if result is None:
         sys.stderr.write("no second-law violation found within the sample budget\n")
         return 4
-    cfg = config_from_system_spec(result.spec).values
+    cfg = config_from_system_spec(result.spec)
     table = thermo.SweepColumns.stack(
         [(result.flux, result.entropy_total, result.regime)], args.tolerance
     )

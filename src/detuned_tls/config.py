@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,22 +35,12 @@ class ConfigError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Validated key-value view of a scenario file.
+def parse_config(text: str) -> dict[str, str]:
+    """Parse a scenario document, rejecting unknown or duplicate keys.
 
-    Values are kept as their parsed text so that parse -> serialize -> parse
-    is the identity.
+    Values are kept as their parsed text, in canonical key order, so that
+    parse -> serialize -> parse is the identity.
     """
-
-    values: dict[str, str]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.values
-
-
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse a scenario document, rejecting unknown or duplicate keys."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -69,12 +58,12 @@ def parse_config(text: str) -> ScenarioConfig:
         if not value:
             raise ConfigError(f"empty value for key {key!r}", lineno)
         values[key] = value
-    return ScenarioConfig(values={k: values[k] for k in SCENARIO_KEYS if k in values})
+    return {k: values[k] for k in SCENARIO_KEYS if k in values}
 
 
-def serialize_config(config: ScenarioConfig) -> str:
+def serialize_config(config: dict[str, str]) -> str:
     """Canonically ordered text form of a scenario."""
-    lines = [f"{key} = {config.values[key]}" for key in SCENARIO_KEYS if key in config.values]
+    lines = [f"{key} = {config[key]}" for key in SCENARIO_KEYS if key in config]
     return "\n".join(lines) + "\n"
 
 
@@ -109,9 +98,9 @@ def format_column(values, kind: type = float) -> list[str]:
     return list(map(format, values, itertools.repeat(_DIGITS)))
 
 
-def _parse(config: ScenarioConfig, key: str):
+def _parse(config: dict[str, str], key: str):
     """The value of ``key``, parsed as its type in SCENARIO_KEYS."""
-    raw = config.values[key]
+    raw = config[key]
     kind = SCENARIO_KEYS[key]
     if kind is OccupationSpec:
         if raw in (OCC_BARE, OCC_EFFECTIVE):
@@ -147,7 +136,7 @@ _OPTIONAL_SECTIONS = ("drive", "cavity", "bath")
 _DEFAULTED = ("cavity.fock_cutoff",)
 
 
-def build_system_spec(config: ScenarioConfig) -> SystemSpec:
+def build_system_spec(config: dict[str, str]) -> SystemSpec:
     """Build a SystemSpec from the keys present in the scenario.
 
     The drive, cavity, and bath sections are optional as a whole but must be
@@ -173,7 +162,7 @@ def build_system_spec(config: ScenarioConfig) -> SystemSpec:
     return SystemSpec(**sections)
 
 
-def config_from_system_spec(spec: SystemSpec) -> ScenarioConfig:
+def config_from_system_spec(spec: SystemSpec) -> dict[str, str]:
     """Canonical scenario text for a SystemSpec (inverse of build)."""
     values: dict[str, str] = {}
     for key, kind in SCENARIO_KEYS.items():
@@ -188,7 +177,7 @@ def config_from_system_spec(spec: SystemSpec) -> ScenarioConfig:
             values[key] = f"fixed:{format_number(value.value)}"
         else:
             values[key] = value.kind
-    return ScenarioConfig(values=values)
+    return values
 
 
 def resolve_parameter_key(name: str) -> str:

@@ -19,7 +19,9 @@ sample, a ``SpecColumns``; the occupation functions work elementwise on it.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 from typing import Literal, NamedTuple, Sequence
@@ -86,6 +88,14 @@ class _Section:
                 raise ValueError(message)
 
 
+def _finite(message: str, *names: str) -> tuple:
+    """A rule that each named value of a section is finite."""
+    return (
+        lambda s: functools.reduce(operator.and_, (np.isfinite(getattr(s, n)) for n in names)),
+        message,
+    )
+
+
 @dataclass(frozen=True)
 class EnergyLevels(_Section):
     """Bare energies of the two electronic levels, e_upper > e_lower."""
@@ -93,7 +103,10 @@ class EnergyLevels(_Section):
     e_upper: float
     e_lower: float
 
-    RULES = ((lambda s: s.e_upper > s.e_lower, "e_upper must be strictly above e_lower"),)
+    RULES = (
+        (lambda s: s.e_upper > s.e_lower, "e_upper must be strictly above e_lower"),
+        _finite("energy levels must be finite", "e_upper", "e_lower"),
+    )
 
     @property
     def gap(self) -> float:
@@ -114,6 +127,7 @@ class ClassicalDrive(_Section):
     RULES = (
         (lambda s: s.omega > 0, "drive frequency must be positive"),
         (lambda s: np.isfinite(abs(s.epsilon)), "drive amplitude must be finite"),
+        _finite("drive frequency must be finite", "omega"),
     )
 
 
@@ -128,6 +142,7 @@ class CavitySpec(_Section):
     RULES = (
         (lambda s: s.omega_cav > 0, "cavity frequency must be positive"),
         (lambda s: s.fock_cutoff >= 1, "fock_cutoff must be at least 1"),
+        _finite("cavity frequency and coupling must be finite", "omega_cav", "g"),
     )
 
 
@@ -147,6 +162,9 @@ class FermionicReservoir(_Section):
             lambda s: s.occupation.kind != OCC_FIXED or 0.0 <= s.occupation.value <= 1.0,
             "fixed fermionic occupation must lie in [0, 1]",
         ),
+        _finite(
+            "reservoir gamma, mu and temperature must be finite", "gamma", "mu", "temperature"
+        ),
     )
 
 
@@ -164,6 +182,11 @@ class BosonicBath(_Section):
         (
             lambda s: s.occupation.kind != OCC_FIXED or not s.occupation.value < 0,
             "fixed bosonic occupation must be non-negative",
+        ),
+        _finite("bath coupling and temperature must be finite", "gamma", "temperature"),
+        (
+            lambda s: s.occupation.kind != OCC_FIXED or np.isfinite(s.occupation.value),
+            "fixed bosonic occupation must be finite",
         ),
     )
 

@@ -59,6 +59,7 @@ from .model import (
 _RESIDUAL_TOL = 1e-10
 _FOCK_TAIL_TOL = 1e-6
 _HERMITICITY_TOL = 1e-12
+_MAX_ENLARGEMENTS = 2  # cutoff raises of 4 before a FockCutoffError stands
 
 logger = logging.getLogger(__name__)
 
@@ -242,13 +243,13 @@ class QuantumState:
 
     def validate(self) -> None:
         herm = self.hermiticity_error()
-        if herm > _HERMITICITY_TOL:
+        if not herm <= _HERMITICITY_TOL:
             raise ValueError(f"state not Hermitian (deviation {herm:.3e})")
         tr = self.trace()
-        if abs(tr - 1.0) > 1e-12:
+        if not abs(tr - 1.0) <= 1e-12:
             raise ValueError(f"state trace {tr} differs from 1")
         lowest = self.lowest_eigenvalue()
-        if lowest < -1e-10:
+        if not lowest >= -1e-10:
             raise ValueError(f"state has negative eigenvalue {lowest:.3e}")
 
 
@@ -803,29 +804,26 @@ def steady_state(liouvillian: Liouvillian) -> QuantumState:
 
 
 def quantum_steady_state(
-    spec: SystemSpec,
-    occupations: Occupations | None = None,
-    fock_cutoff: int | None = None,
-    max_enlargements: int = 2,
+    spec: SystemSpec, occupations: Occupations | None = None
 ) -> QuantumSolution:
     """Solve for the steady state in the ΔQ = 0 sector, enlarging the Fock cutoff on demand.
 
-    On a FockCutoffError the cutoff is raised by 4 and the solve is retried,
-    up to ``max_enlargements`` times.  Each enlargement is logged at INFO
-    level with the old and new cutoff and the tail that triggered it.
+    The solve starts at ``spec.cavity.fock_cutoff``.  On a FockCutoffError
+    the cutoff is raised by 4 and the solve is retried, at most twice.  Each
+    enlargement is logged at INFO level with the old and new cutoff and the
+    tail that triggered it.
     """
     if spec.cavity is None:
         raise ValueError("quantum treatment requires a cavity")
     occ = occupations or resolve_occupations(spec, "quantum")
-    cutoff = fock_cutoff if fock_cutoff is not None else spec.cavity.fock_cutoff
 
-    for attempt in range(max_enlargements + 1):
-        layout = HilbertLayout(cutoff + 4 * attempt)
+    for attempt in range(_MAX_ENLARGEMENTS + 1):
+        layout = HilbertLayout(spec.cavity.fock_cutoff + 4 * attempt)
         liouv = build_sector_liouvillian(layout, spec, occ)
         try:
             state = steady_state(liouv)
         except FockCutoffError as exc:
-            if attempt == max_enlargements:
+            if attempt == _MAX_ENLARGEMENTS:
                 raise
             logger.info(
                 "Fock cutoff %d -> %d: top two levels hold %.3e",
@@ -837,7 +835,6 @@ def quantum_steady_state(
         return QuantumSolution(
             state=state, layout=layout, liouvillian=liouv, occupations=occ, spec=spec
         )
-    raise ValueError("max_enlargements must be non-negative")
 
 
 def evolve_quantum(
@@ -857,7 +854,7 @@ def evolve_quantum(
     current = QuantumState(y, liouvillian.layout)
     trace_drift = abs(current.trace() - 1.0)
     herm_drift = current.hermiticity_error()
-    if trace_drift > 1e-9 or herm_drift > 1e-9:
+    if not (trace_drift <= 1e-9 and herm_drift <= 1e-9):
         raise EvolutionError(
             f"invariant drift at t = {t_final:.6g}: "
             f"|tr-1| = {trace_drift:.3e}, hermiticity = {herm_drift:.3e}"
@@ -940,15 +937,13 @@ def fluxes_quantum(
     )
 
 
-def _sign_with_deadband(x: float, deadband: float) -> int:
-    if abs(x) < deadband:
+def _sign_with_deadband(x: float) -> int:
+    if abs(x) < RATE_DEADBAND:
         return 0
     return 1 if x > 0 else -1
 
 
-def sign_condition(
-    obs: QuantumObservables, occupations: Occupations, deadband: float = RATE_DEADBAND
-) -> SignCondition:
+def sign_condition(obs: QuantumObservables, occupations: Occupations) -> SignCondition:
     """Mean-field sign prediction for the rate against the exact sign.
 
     The prediction compares the emission odds f_u/(1-f_u) with the
@@ -961,9 +956,9 @@ def sign_condition(
     if f_u >= 1.0 or f_l >= 1.0:
         raise ValueError("occupations must be strictly below 1")
 
-    lhs_sign = _sign_with_deadband(obs.rate, deadband)
+    lhs_sign = _sign_with_deadband(obs.rate)
     if lhs_sign == 0:
         return SignCondition(0, 0, True)
     rhs = f_u / (1.0 - f_u) - (f_l / (1.0 - f_l)) * (n_b / (1.0 + n_b))
-    rhs_sign = _sign_with_deadband(rhs, deadband)
+    rhs_sign = _sign_with_deadband(rhs)
     return SignCondition(lhs_sign, rhs_sign, lhs_sign == rhs_sign)

@@ -435,7 +435,7 @@ def test_criterion_9_sign_condition_agreement():
         occ = resolve_occupations(spec, "quantum")
         sol = quantum_steady_state(spec, occ)
         obs = observables(sol.state.rho, sol.ops, spec)
-        check = sign_condition(obs, occ, deadband=1e-12)
+        check = sign_condition(obs, occ)
         if not check.agree:
             mismatches.append((k, occ, obs.rate))
     for k, occ, rate in mismatches:

@@ -70,7 +70,7 @@ def test_parse_serialize_round_trip_is_idempotent():
     cfg = parse_config(CLASSICAL_CFG)
     text = serialize_config(cfg)
     cfg2 = parse_config(text)
-    assert cfg2.values == cfg.values
+    assert cfg2 == cfg
     assert serialize_config(cfg2) == text
 
 
@@ -363,6 +363,35 @@ def test_classical_evolve_bad_input_exits_2(classical_cfg_file, capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "config error" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("quantum-evolve", "cavity.g", "nan"),
+        ("laser", "cavity.g", "nan"),
+        ("laser", "cavity.omega_cav", "inf"),
+        ("quantum-ss", "bath.temperature", "inf"),
+        ("laser", "bath.temperature", "inf"),
+        ("quantum-evolve", "bath.temperature", "inf"),
+        ("quantum-ss", "bath.occupation", "fixed:nan"),
+        ("laser", "bath.occupation", "fixed:inf"),
+        ("classical-ss", "e_upper", "inf"),
+        ("classical-ss", "drive.omega", "inf"),
+        ("classical-ss", "reservoir_u.mu", "nan"),
+    ],
+)
+def test_non_finite_scenario_value_exits_2(tmp_path, capsys, command, key, value):
+    text = CLASSICAL_CFG if command.startswith("classical") else LASER_CFG
+    lines = [line for line in text.splitlines() if not line.startswith(key + " ")]
+    path = tmp_path / "scenario.cfg"
+    path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    extra = ["--t-final", "1"] if command.endswith("evolve") else []
+    assert main([command, "--config", str(path)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: " in captured.err
+    assert "must be finite" in captured.err
 
 
 def test_audit_integer_cells_show_the_value_solved(quantum_cfg_file, tmp_path):

@@ -23,6 +23,7 @@ from detuned_tls import (
     resolve_occupations,
     solve_lasing,
 )
+from detuned_tls import laser
 
 LEVELS = EnergyLevels(1.0, 0.0)
 
@@ -186,9 +187,24 @@ def test_meanfield_seed_decays_below_threshold():
     assert abs(traj.final.field) < 1e-7
 
 
-def test_meanfield_divergence_detected():
-    spec = make_spec(gamma_b=1e-4, g=0.9)
-    with pytest.raises(RuntimeError):
-        evolve_meanfield(
-            MeanFieldState(0.95, 0.05, 0.0j, 1e3 + 0.0j), spec, 5000.0, dt=0.01
-        )
+def test_meanfield_divergence_detected(monkeypatch):
+    # The seeded field grows towards |a_ss| = 0.606; with the bound at half of
+    # that it crosses the bound on the way up (at t of about 68.5).
+    spec = make_spec()
+    a_ss = abs(solve_lasing(spec).a_ss)
+    monkeypatch.setattr(laser, "_DIVERGENCE_BOUND", 0.5 * a_ss)
+    with pytest.raises(RuntimeError, match="field diverged at t = "):
+        evolve_meanfield(MeanFieldState(0.95, 0.05, 0.0j, 1e-3 + 0.0j), spec, 500.0)
+    with pytest.raises(RuntimeError, match="field diverged at t = 0"):
+        evolve_meanfield(MeanFieldState(0.95, 0.05, 0.0j, a_ss + 0.0j), spec, 500.0)
+
+
+def test_evolve_meanfield_has_no_step_size():
+    spec = make_spec()
+    state0 = MeanFieldState(0.95, 0.05, 0.0j, 1e-3 + 0.0j)
+    for option in ("dt", "max_store"):
+        with pytest.raises(TypeError):
+            evolve_meanfield(state0, spec, 10.0, **{option: 0.01})
+    for t_final in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_final"):
+            evolve_meanfield(state0, spec, t_final)

@@ -40,6 +40,7 @@ from detuned_tls import (
     sign_condition,
     steady_state,
     thermal_state,
+    with_parameter,
 )
 from detuned_tls.model import Occupations
 from detuned_tls.quantum import (
@@ -250,7 +251,7 @@ def test_steady_state_matches_time_evolution():
 def test_doubling_cutoff_changes_observables_below_tail():
     spec = make_spec(cutoff=10, n_b=0.12)
     sol10 = quantum_steady_state(spec)
-    sol20 = quantum_steady_state(spec, fock_cutoff=20)
+    sol20 = quantum_steady_state(with_parameter(spec, "cavity.fock_cutoff", 20))
     obs10 = observables(sol10.state.rho, sol10.ops, spec)
     obs20 = observables(sol20.state.rho, sol20.ops, spec)
     assert abs(obs10.n_ph - obs20.n_ph) < max(sol10.fock_tail, 1e-12)
@@ -417,6 +418,19 @@ def test_evolve_rejects_trace_drift():
     rho0 = thermal_state(layout, 0.3, 0.4, 0.2)
     with pytest.raises(EvolutionError, match="drift"):
         evolve_quantum(rho0, lossy, 1.0)
+
+
+def test_evolve_rejects_a_generator_with_nan_coefficients():
+    # what a scenario with cavity.g = nan would assemble
+    layout = HilbertLayout(4)
+    liouv = build_sector_liouvillian(layout, make_spec(cutoff=4))
+    coefficients = liouv.coefficients.copy()
+    coefficients[:2] = math.nan
+    nan_liouv = replace(liouv, matrix=liouv.pattern.matrix(coefficients), coefficients=coefficients)
+    with pytest.raises(EvolutionError, match="drift"):
+        evolve_quantum(thermal_state(layout, 0.3, 0.4, 0.2), nan_liouv, 1.0)
+    with pytest.raises(ValueError, match="Hermitian"):
+        QuantumState(np.full(layout.sector_size, math.nan + 0j), layout).validate()
 
 
 def test_fluxes_reject_non_stationary_state():
