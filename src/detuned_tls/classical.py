@@ -10,7 +10,8 @@ The equations of motion, the closed form and the fluxes are written once, as
 elementwise NumPy arithmetic: a ``SystemSpec`` is the scalar case and a
 ``SpecColumns`` (``model.spec_columns``) gives one entry per sample.  Powers
 and complex quotients follow libm and CPython, so every sample of a column
-equals its scalar evaluation bit for bit.
+equals its scalar evaluation bit for bit.  Each function reads the
+reservoir occupations from ``spec.classical_occupations``.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ import scipy.linalg
 
 from .model import (
     FluxReport,
-    Occupations,
+    SteadyStateError,
     SystemSpec,
     any_of,
     detuning,
     effective_energies_classical,
     flux_report,
     plain,
-    resolve_occupations,
     where,
 )
 
@@ -75,7 +75,7 @@ def check_physical(state: BlochState) -> None:
     enforced: the two-reservoir equations of motion do not guarantee it for
     arbitrary transients.
     """
-    coherence = abs(state.sigma_ul) ** 2
+    coherence = np.abs(state.sigma_ul) ** 2
     product = state.sigma_uu * state.sigma_ll
     offending = coherence > product + 1e-9
     if not any_of(offending):
@@ -89,13 +89,11 @@ def check_physical(state: BlochState) -> None:
         )
 
 
-def bloch_rhs(
-    state: BlochState, spec: SystemSpec, occupations: Occupations | None = None
-) -> BlochState:
+def bloch_rhs(state: BlochState, spec: SystemSpec) -> BlochState:
     """Time derivative of the reduced density matrix in the rotating frame."""
     if spec.drive is None:
         raise ValueError("classical dynamics requires a drive")
-    occ = occupations or resolve_occupations(spec, "classical")
+    occ = spec.classical_occupations
     gamma_u = spec.reservoir_u.gamma
     gamma_l = spec.reservoir_l.gamma
     eps = spec.drive.epsilon + 0j
@@ -123,7 +121,7 @@ def _from_vector(y: np.ndarray) -> BlochState:
     return BlochState(float(y[0]), float(y[1]), complex(y[2], y[3]))
 
 
-def _affine_generator(spec: SystemSpec, occ: Occupations) -> np.ndarray:
+def _affine_generator(spec: SystemSpec) -> np.ndarray:
     """Augmented 5x5 generator G = [[M, b], [0, 0]] of y' = M y + b.
 
     With z = [y, 1] the affine equations read z' = G z, so exp(G t) is their
@@ -133,7 +131,7 @@ def _affine_generator(spec: SystemSpec, occ: Occupations) -> np.ndarray:
     """
     probes = np.vstack([np.zeros(4), np.eye(4)])
     state = BlochState(probes[:, 0], probes[:, 1], probes[:, 2] + 1j * probes[:, 3])
-    drift = bloch_rhs(state, spec, occ)
+    drift = bloch_rhs(state, spec)
     columns = np.array([drift.sigma_uu, drift.sigma_ll, drift.sigma_ul.real, drift.sigma_ul.imag])
     gen = np.zeros((5, 5))
     gen[:4] = np.column_stack([columns[:, 1:] - columns[:, :1], columns[:, 0]])
@@ -145,12 +143,7 @@ def _populations_in_range(y: np.ndarray) -> bool:
     return bool(np.all((y[:2] >= -_POPULATION_SLACK) & (y[:2] <= 1.0 + _POPULATION_SLACK)))
 
 
-def evolve(
-    state0: BlochState,
-    spec: SystemSpec,
-    t_final: float,
-    occupations: Occupations | None = None,
-) -> BlochState:
+def evolve(state0: BlochState, spec: SystemSpec, t_final: float) -> BlochState:
     """exp(G t_final) applied to [y0, 1]: the exact flow of the Bloch equations.
 
     ``scipy.linalg.expm`` evaluates the exponential of the augmented
@@ -167,8 +160,7 @@ def evolve(
             f"initial populations ({y0[0]:.6g}, {y0[1]:.6g}) must lie in [0, 1] "
             "with a finite coherence"
         )
-    occ = occupations or resolve_occupations(spec, "classical")
-    y = (scipy.linalg.expm(_affine_generator(spec, occ) * t_final) @ np.append(y0, 1.0))[:4]
+    y = (scipy.linalg.expm(_affine_generator(spec) * t_final) @ np.append(y0, 1.0))[:4]
     if not _populations_in_range(y):
         raise RuntimeError(f"population left [0, 1] at t = {t_final:.6g}")
     return _from_vector(y)
@@ -197,9 +189,7 @@ def _quotient(a, b_re, b_im):
 
 
 @np.errstate(all="ignore")  # a sample that overflows fails the stationarity check
-def steady_state_closed_form(
-    spec: SystemSpec, occupations: Occupations | None = None
-) -> ClassicalSteadyState:
+def steady_state_closed_form(spec: SystemSpec) -> ClassicalSteadyState:
     """Explicit steady state of the rotating-frame equations, elementwise.
 
     alpha is the power-broadened Lorentzian rate, saturation_h in (0, 1]
@@ -208,7 +198,7 @@ def steady_state_closed_form(
     """
     if spec.drive is None:
         raise ValueError("classical steady state requires a drive")
-    occ = occupations or resolve_occupations(spec, "classical")
+    occ = spec.classical_occupations
     gamma_u = spec.reservoir_u.gamma
     gamma_l = spec.reservoir_l.gamma
     eps = spec.drive.epsilon + 0j
@@ -230,20 +220,18 @@ def steady_state_closed_form(
 
 
 @np.errstate(all="ignore")  # a sample that overflowed fails the stationarity check
-def fluxes_classical(
-    ss: ClassicalSteadyState, spec: SystemSpec, occupations: Occupations | None = None
-) -> FluxReport:
+def fluxes_classical(ss: ClassicalSteadyState, spec: SystemSpec) -> FluxReport:
     """Steady-state fluxes and the effective energies they encode, elementwise.
 
     Energy flows are evaluated from the general trace formulas; the closed
     forms E_eff * rate emerge identically and are reported both ways.  A
-    sample whose state is not stationary fails with ValueError.
+    sample whose state is not stationary fails with SteadyStateError.
     """
-    occ = occupations or resolve_occupations(spec, "classical")
-    drift = bloch_rhs(ss.bloch, spec, occ)
-    residual = np.maximum.reduce([abs(drift.sigma_uu), abs(drift.sigma_ll), abs(drift.sigma_ul)])
+    occ = spec.classical_occupations
+    drift = bloch_rhs(ss.bloch, spec)
+    residual = np.maximum.reduce(np.abs([drift.sigma_uu, drift.sigma_ll, drift.sigma_ul]))
     message = "state is not stationary (residual {:.3e})"
-    spec.reject(np.logical_not(residual <= 1e-9), ValueError, message, residual)
+    spec.reject(np.logical_not(residual <= 1e-9), SteadyStateError, message, residual)
 
     gamma_u = spec.reservoir_u.gamma
     gamma_l = spec.reservoir_l.gamma

@@ -1,7 +1,8 @@
 """Command-line front end: scenario files in, CSV out.
 
-Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
-4 counterexample search exhausted its budget.
+Exit codes: 0 success, 2 configuration error, 3 solver error (no steady
+state, or a state that is not stationary), 4 counterexample search
+exhausted its budget.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .laser import solve_lasing
 from .model import (
     SCENARIO_KEYS,
     SystemSpec,
-    resolve_occupations,
     with_parameter,
     with_parameters,
 )
@@ -244,11 +244,10 @@ def _cmd_classical_evolve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     if spec.drive is None:
         raise ConfigError("classical commands require a drive section")
-    occ = resolve_occupations(spec, "classical")
     rows = _evolve_rows(
         args,
         BlochState(args.sigma_uu0, args.sigma_ll0, 0.0 + 0.0j),
-        lambda state, seg: evolve(state, spec, seg, occupations=occ),
+        lambda state, seg: evolve(state, spec, seg),
         lambda s: (s.sigma_uu, s.sigma_ll, s.sigma_ul.real, s.sigma_ul.imag),
     )
     _write_rows(args.out, ["t", "sigma_uu", "sigma_ll", "re_sigma_ul", "im_sigma_ul"], rows)
@@ -260,7 +259,7 @@ def _cmd_quantum_evolve(args: argparse.Namespace) -> int:
     if spec.cavity is None or spec.bath is None:
         raise ConfigError("quantum commands require cavity and bath sections")
     layout = HilbertLayout(spec.cavity.fock_cutoff)
-    liouv = build_sector_liouvillian(layout, spec, resolve_occupations(spec, "quantum"))
+    liouv = build_sector_liouvillian(layout, spec)
 
     def observe(state):
         obs = sector_observables(state, spec)

@@ -6,6 +6,7 @@ the oscillation frequency fixes that frequency to a rate-weighted mean of the
 cavity and transition frequencies (frequency pulling) and yields a closed
 form for the saturated intensity.  ``evolve_meanfield`` checks that a seeded
 field settles there, integrating the same equations with adaptive DOP853.
+Both read the reservoir occupations from ``spec.quantum_occupations``.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    CavitySpec,
-    EnergyLevels,
-    Occupations,
-    SystemSpec,
-    resolve_occupations,
-)
+from .model import CavitySpec, EnergyLevels, SystemSpec
 
 
 # Tolerances of the adaptive integrator, and the field magnitude taken as divergence.
@@ -108,7 +103,7 @@ def _laser_coefficients(spec: SystemSpec) -> tuple[float, float, float, float, f
     return omega, delta, delta_c, a_coeff, saturation
 
 
-def solve_lasing(spec: SystemSpec, occupations: Occupations | None = None) -> LaserSolution:
+def solve_lasing(spec: SystemSpec) -> LaserSolution:
     """Closed-form lasing solution from the gain-saturation balance.
 
     An inversion-free medium (f_u <= f_l) is below threshold, not an error.
@@ -117,7 +112,7 @@ def solve_lasing(spec: SystemSpec, occupations: Occupations | None = None) -> La
         raise ValueError("lasing requires a cavity and a bosonic bath")
     if spec.bath.gamma <= 0:
         raise ValueError("lasing requires a lossy cavity (bath gamma > 0)")
-    occ = occupations or resolve_occupations(spec, "quantum")
+    occ = spec.quantum_occupations
 
     omega, _, delta_c, a_coeff, saturation = _laser_coefficients(spec)
     g = complex(spec.cavity.g)
@@ -152,10 +147,7 @@ def solve_lasing(spec: SystemSpec, occupations: Occupations | None = None) -> La
 
 
 def evolve_meanfield(
-    state0: MeanFieldState,
-    spec: SystemSpec,
-    t_final: float,
-    occupations: Occupations | None = None,
+    state0: MeanFieldState, spec: SystemSpec, t_final: float
 ) -> MeanFieldTrajectory:
     """Adaptive DOP853 integration of the factorized equations in the pulled frame.
 
@@ -172,7 +164,7 @@ def evolve_meanfield(
     # and no CLI command integrates the mean-field equations.
     from scipy.integrate import solve_ivp
 
-    occ = occupations or resolve_occupations(spec, "quantum")
+    occ = spec.quantum_occupations
     _, delta, delta_c, _, _ = _laser_coefficients(spec)
 
     gamma_u = spec.reservoir_u.gamma

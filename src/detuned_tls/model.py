@@ -15,6 +15,12 @@ entropy production; occupations evaluated at the bare energies do not.
 
 ``spec_columns`` turns a table of sampled parameters into one scenario per
 sample, a ``SpecColumns``; the occupation functions work elementwise on it.
+
+The occupations are a function of the scenario and the treatment, so a spec
+resolves them itself: ``SystemSpec.classical_occupations`` and
+``quantum_occupations`` call ``resolve_occupations`` on first read and keep
+the result on the frozen spec.  The solvers read them there and take no
+occupations of their own.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ OCC_EFFECTIVE = "effective"
 # Rates of magnitude below this count as zero: the regime reads idle and
 # flux ratios are not formed.
 RATE_DEADBAND = 1e-12
+
+
+class SteadyStateError(RuntimeError):
+    """A solver did not reach a steady state, or its state is not stationary."""
 
 
 @dataclass(frozen=True)
@@ -205,6 +215,18 @@ class SystemSpec:
     drive: ClassicalDrive | None = None
     cavity: CavitySpec | None = None
     bath: BosonicBath | None = None
+
+    # Resolved on first read and kept: the spec is frozen, so they cannot go
+    # stale, and ``dataclasses.replace`` builds a spec that resolves afresh.
+    @functools.cached_property
+    def classical_occupations(self) -> Occupations:
+        """``resolve_occupations(self, "classical")``, once per spec."""
+        return resolve_occupations(self, "classical")
+
+    @functools.cached_property
+    def quantum_occupations(self) -> Occupations:
+        """``resolve_occupations(self, "quantum")``, once per spec."""
+        return resolve_occupations(self, "quantum")
 
     def reject(self, bad, error: type[Exception], message: str, *values) -> None:
         """Raise ``error(message.format(*values))`` if ``bad`` holds."""

@@ -32,6 +32,9 @@ The full-space construction (dense ``build_operators``, the row-major
 superoperator of ``build_liouvillian``, dense ``observables`` and
 ``thermal_product_state``) is only the reference the sector is tested
 against; ``steady_state`` and ``evolve_quantum`` refuse its generator.
+
+Both generators, the steady-state solve and the flows read the reservoir
+occupations from ``spec.quantum_occupations``.
 """
 
 from __future__ import annotations
@@ -50,10 +53,10 @@ from .model import (
     RATE_DEADBAND,
     FluxReport,
     Occupations,
+    SteadyStateError,
     SystemSpec,
     effective_energies_quantum,
     flux_report,
-    resolve_occupations,
 )
 
 _RESIDUAL_TOL = 1e-10
@@ -62,10 +65,6 @@ _HERMITICITY_TOL = 1e-12
 _MAX_ENLARGEMENTS = 2  # cutoff raises of 4 before a FockCutoffError stands
 
 logger = logging.getLogger(__name__)
-
-
-class SteadyStateError(RuntimeError):
-    """Steady-state solve failed or left a residual above tolerance."""
 
 
 class FockCutoffError(SteadyStateError):
@@ -281,20 +280,16 @@ class SignCondition(NamedTuple):
 class QuantumSolution:
     """Steady state together with the objects used to produce it.
 
-    ``residual``, ``fock_tail`` and ``ops`` (the dense full-space operators)
-    are computed on first access only: ``steady_state`` has checked the
-    first two, and the solve never needs the last.
+    ``fock_tail`` and ``ops`` (the dense full-space operators) are computed
+    on first access only: ``steady_state`` has checked the first, and the
+    solve never needs the last.  The occupations the generator was built
+    with are ``spec.quantum_occupations``.
     """
 
     state: QuantumState
     layout: HilbertLayout
     liouvillian: Liouvillian
-    occupations: Occupations
     spec: SystemSpec
-
-    @cached_property
-    def residual(self) -> float:
-        return float(np.max(np.abs(self.liouvillian.matrix @ self.state.vector)))
 
     @cached_property
     def fock_tail(self) -> float:
@@ -527,9 +522,7 @@ def sector_pattern(fock_cutoff: int, bath: bool) -> SectorPattern:
     )
 
 
-def build_sector_liouvillian(
-    layout: HilbertLayout, spec: SystemSpec, occupations: Occupations | None = None
-) -> Liouvillian:
+def build_sector_liouvillian(layout: HilbertLayout, spec: SystemSpec) -> Liouvillian:
     """Generator of the master equation on the ΔQ = 0 sector.
 
     The cached ``sector_pattern`` of the cutoff holds the index arithmetic;
@@ -540,13 +533,9 @@ def build_sector_liouvillian(
     """
     if spec.cavity is None:
         raise ValueError("quantum treatment requires a cavity")
-    occ = occupations or resolve_occupations(spec, "quantum")
+    occ = spec.quantum_occupations
     bath = spec.bath is not None and spec.bath.gamma > 0
-    gamma_b, n_b = 0.0, 0.0
-    if bath:
-        if occ.n_b is None:
-            raise ValueError("bosonic bath present but no occupation resolved")
-        gamma_b, n_b = spec.bath.gamma, occ.n_b
+    gamma_b, n_b = (spec.bath.gamma, occ.n_b) if bath else (0.0, 0.0)
     g = complex(spec.cavity.g)
     split = spec.levels.e_lower + spec.cavity.omega_cav - spec.levels.e_upper
     gamma_u, gamma_l = spec.reservoir_u.gamma, spec.reservoir_l.gamma
@@ -681,11 +670,9 @@ def _dissipator_super(m: np.ndarray) -> sp.csr_matrix:
     return sandwich - 0.5 * (_spre(mdm) + _spost(mdm))
 
 
-def build_liouvillian(
-    ops: OperatorSet, spec: SystemSpec, occupations: Occupations | None = None
-) -> Liouvillian:
+def build_liouvillian(ops: OperatorSet, spec: SystemSpec) -> Liouvillian:
     """Vectorized generator of the master equation as a sparse matrix."""
-    occ = occupations or resolve_occupations(spec, "quantum")
+    occ = spec.quantum_occupations
     layout = HilbertLayout(ops.a.shape[0] // 4 - 1)
 
     h = ops.hamiltonian
@@ -699,8 +686,6 @@ def build_liouvillian(
         + (1.0 - occ.f_l) * _dissipator_super(ops.c_l)
     )
     if spec.bath is not None and spec.bath.gamma > 0:
-        if occ.n_b is None:
-            raise ValueError("bosonic bath present but no occupation resolved")
         lmat = lmat + spec.bath.gamma * (
             (occ.n_b + 1.0) * _dissipator_super(ops.a)
             + occ.n_b * _dissipator_super(ops.a.conj().T)
@@ -803,9 +788,7 @@ def steady_state(liouvillian: Liouvillian) -> QuantumState:
     return state
 
 
-def quantum_steady_state(
-    spec: SystemSpec, occupations: Occupations | None = None
-) -> QuantumSolution:
+def quantum_steady_state(spec: SystemSpec) -> QuantumSolution:
     """Solve for the steady state in the ΔQ = 0 sector, enlarging the Fock cutoff on demand.
 
     The solve starts at ``spec.cavity.fock_cutoff``.  On a FockCutoffError
@@ -815,11 +798,10 @@ def quantum_steady_state(
     """
     if spec.cavity is None:
         raise ValueError("quantum treatment requires a cavity")
-    occ = occupations or resolve_occupations(spec, "quantum")
 
     for attempt in range(_MAX_ENLARGEMENTS + 1):
         layout = HilbertLayout(spec.cavity.fock_cutoff + 4 * attempt)
-        liouv = build_sector_liouvillian(layout, spec, occ)
+        liouv = build_sector_liouvillian(layout, spec)
         try:
             state = steady_state(liouv)
         except FockCutoffError as exc:
@@ -832,9 +814,7 @@ def quantum_steady_state(
                 exc.tail,
             )
             continue
-        return QuantumSolution(
-            state=state, layout=layout, liouvillian=liouv, occupations=occ, spec=spec
-        )
+        return QuantumSolution(state=state, layout=layout, liouvillian=liouv, spec=spec)
 
 
 def evolve_quantum(
@@ -876,12 +856,7 @@ def _trace_weights(layout: HilbertLayout, spec: SystemSpec) -> tuple[np.ndarray,
     return np.concatenate([energies, t, t.conj()]), ix.charge
 
 
-def fluxes_quantum(
-    state: QuantumState,
-    liouvillian: Liouvillian,
-    spec: SystemSpec,
-    occupations: Occupations | None = None,
-) -> FluxReport:
+def fluxes_quantum(state: QuantumState, liouvillian: Liouvillian, spec: SystemSpec) -> FluxReport:
     """Per-reservoir energy and particle flows in the steady state.
 
     ``state`` and ``liouvillian`` belong to the ΔQ = 0 sector
@@ -890,18 +865,19 @@ def fluxes_quantum(
     the pattern's stack of terms gives the action of every coefficient.
     Each energy flow is also evaluated through its closed form in terms of
     populations and the coherence correlator; disagreement beyond 1e-9
-    raises, since it signals an inconsistent generator.
+    raises, since it signals an inconsistent generator.  A state that is
+    not stationary raises SteadyStateError.
     """
     pattern = liouvillian.pattern
     if pattern is None:
         raise ValueError("fluxes_quantum needs the sector generator with its channels")
-    occ = occupations or resolve_occupations(spec, "quantum")
+    occ = spec.quantum_occupations
     actions = (pattern.terms @ state.vector).reshape(-1, pattern.size)
     actions *= liouvillian.coefficients[:, None]  # row k: coefficient k's term of L x
 
     residual = float(np.max(np.abs(actions.sum(axis=0))))
     if residual > _RESIDUAL_TOL:
-        raise ValueError(f"state is not stationary (residual {residual:.3e})")
+        raise SteadyStateError(f"state is not stationary (residual {residual:.3e})")
 
     h, q = _trace_weights(state.layout, spec)
     energy, charge = actions @ h, actions @ q

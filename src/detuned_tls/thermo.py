@@ -34,7 +34,6 @@ from .model import (
     Treatment,
     any_of,
     plain,
-    resolve_occupations,
     spec_columns,
     where,
     with_parameters,
@@ -164,12 +163,13 @@ def audit_point(
     A classical ``SpecColumns`` is solved and audited in one pass over its
     columns, each report holding one entry per sample.
     """
-    occ = resolve_occupations(spec, treatment)
     if treatment == "classical":
-        flux = fluxes_classical(steady_state_closed_form(spec, occ), spec, occ)
+        flux = fluxes_classical(steady_state_closed_form(spec), spec)
+    elif treatment == "quantum":
+        solution = quantum_steady_state(spec)
+        flux = fluxes_quantum(solution.state, solution.liouvillian, spec)
     else:
-        solution = quantum_steady_state(spec, occ)
-        flux = fluxes_quantum(solution.state, solution.liouvillian, spec, occ)
+        raise ValueError(f"unknown treatment {treatment!r}")
     return flux, entropy_report(flux, spec), classify_regime(flux, spec)
 
 

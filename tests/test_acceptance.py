@@ -38,7 +38,6 @@ from detuned_tls import (
     pulled_frequency,
     quantum_steady_state,
     recheck_with_effective_energies,
-    resolve_occupations,
     sign_condition,
     solve_lasing,
     steady_state_closed_form,
@@ -100,16 +99,16 @@ def classical_runs():
             reservoir_l=FermionicReservoir(gamma_l, occ_l, mu_l, temp_l),
             drive=ClassicalDrive(omega=omega, epsilon=eps),
         )
-        occ = resolve_occupations(spec, "classical")
-        ss = steady_state_closed_form(spec, occ)
+        occ = spec.classical_occupations
+        ss = steady_state_closed_form(spec)
         t_final = 50.0 / min(gamma_u, gamma_l)
-        final = evolve(BlochState(occ.f_u, occ.f_l, 0.0j), spec, t_final, occupations=occ)
+        final = evolve(BlochState(occ.f_u, occ.f_l, 0.0j), spec, t_final)
         dev = max(
             abs(final.sigma_uu - ss.bloch.sigma_uu),
             abs(final.sigma_ll - ss.bloch.sigma_ll),
             abs(final.sigma_ul - ss.bloch.sigma_ul),
         )
-        flux = fluxes_classical(ss, spec, occ)
+        flux = fluxes_classical(ss, spec)
         runs.append(ClassicalRun(spec, flux, dev, equal_t_thermal))
     elapsed = time.monotonic() - t0
     return runs, elapsed
@@ -145,8 +144,8 @@ def _quantum_case_specs():
 def quantum_runs():
     runs = []
     for spec in _quantum_case_specs():
-        occ = resolve_occupations(spec, "quantum")
-        sol = quantum_steady_state(spec, occ)
+        occ = spec.quantum_occupations
+        sol = quantum_steady_state(spec)
         obs = observables(sol.state.rho, sol.ops, spec)
 
         rates = (spec.reservoir_u.gamma, spec.reservoir_l.gamma, spec.bath.gamma)
@@ -163,7 +162,7 @@ def quantum_runs():
         total = sum(rates)
         coherence_residual = abs(obs.y.real + delta_cav * obs.rate / total)
 
-        flux = fluxes_quantum(sol.state, sol.liouvillian, spec, occ)
+        flux = fluxes_quantum(sol.state, sol.liouvillian, spec)
         equal_t_thermal = spec.reservoir_u.occupation.kind == "effective"
         runs.append(
             QuantumRun(
@@ -222,9 +221,8 @@ def test_criterion_3_effective_energy_extraction():
                     cavity=CavitySpec(omega_cav=LEVELS.gap + 0.2, g=0.02, fock_cutoff=12),
                     bath=BosonicBath(gamma_b, OccupationSpec.fixed(0.15), 0.3),
                 )
-                occ = resolve_occupations(spec, "quantum")
-                sol = quantum_steady_state(spec, occ)
-                flux = fluxes_quantum(sol.state, sol.liouvillian, spec, occ)
+                sol = quantum_steady_state(spec)
+                flux = fluxes_quantum(sol.state, sol.liouvillian, spec)
                 eff = effective_energies_quantum(
                     spec.levels, spec.cavity, gamma_u, gamma_l, gamma_b
                 )
@@ -280,8 +278,7 @@ def test_criterion_5_second_law_with_effective_energies():
                 epsilon=rng.uniform(0.02, 0.5) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
             ),
         )
-        occ = resolve_occupations(spec, "classical")
-        flux = fluxes_classical(steady_state_closed_form(spec, occ), spec, occ)
+        flux = fluxes_classical(steady_state_closed_form(spec), spec)
         worst_classical = min(worst_classical, entropy_report(flux, spec).total)
 
     worst_quantum = math.inf
@@ -305,9 +302,8 @@ def test_criterion_5_second_law_with_effective_energies():
             ),
             bath=BosonicBath(gamma_b, OccupationSpec.thermal_effective(), rng.uniform(0.1, 0.3)),
         )
-        occ = resolve_occupations(spec, "quantum")
-        sol = quantum_steady_state(spec, occ)
-        flux = fluxes_quantum(sol.state, sol.liouvillian, spec, occ)
+        sol = quantum_steady_state(spec)
+        flux = fluxes_quantum(sol.state, sol.liouvillian, spec)
         worst_quantum = min(worst_quantum, entropy_report(flux, spec).total)
 
     ok = worst_classical >= -1e-10 and worst_quantum >= -1e-10
@@ -432,8 +428,8 @@ def test_criterion_9_sign_condition_agreement():
             ),
             bath=BosonicBath(gamma_b, OccupationSpec.fixed(rng.uniform(0.0, 0.2)), 0.3),
         )
-        occ = resolve_occupations(spec, "quantum")
-        sol = quantum_steady_state(spec, occ)
+        occ = spec.quantum_occupations
+        sol = quantum_steady_state(spec)
         obs = observables(sol.state.rho, sol.ops, spec)
         check = sign_condition(obs, occ)
         if not check.agree:

@@ -25,7 +25,7 @@ from detuned_tls import (
     steady_state_closed_form,
 )
 from detuned_tls.classical import check_physical
-from detuned_tls.model import effective_energies_classical, resolve_occupations
+from detuned_tls.model import SteadyStateError, effective_energies_classical
 
 
 def make_spec(gamma_u=0.3, gamma_l=0.2, omega=1.1, epsilon=0.1 + 0.0j, f_u=0.8, f_l=0.2):
@@ -200,10 +200,10 @@ def test_oracle_equivalence_random_sample():
     rng = np.random.default_rng(11)
     for _ in range(25):
         spec = random_spec(rng)
-        occ = resolve_occupations(spec, "classical")
-        ss = steady_state_closed_form(spec, occ)
+        occ = spec.classical_occupations
+        ss = steady_state_closed_form(spec)
         t_final = 50.0 / min(spec.reservoir_u.gamma, spec.reservoir_l.gamma)
-        final = evolve(BlochState(occ.f_u, occ.f_l, 0.0j), spec, t_final, occupations=occ)
+        final = evolve(BlochState(occ.f_u, occ.f_l, 0.0j), spec, t_final)
         assert final.sigma_uu == pytest.approx(ss.bloch.sigma_uu, abs=1e-7)
         assert final.sigma_ll == pytest.approx(ss.bloch.sigma_ll, abs=1e-7)
         assert abs(final.sigma_ul - ss.bloch.sigma_ul) < 1e-7
@@ -260,8 +260,7 @@ def test_fluxes_first_law_and_ratio_oracle():
     rng = np.random.default_rng(23)
     for _ in range(30):
         spec = random_spec(rng)
-        occ = resolve_occupations(spec, "classical")
-        report = fluxes_classical(steady_state_closed_form(spec, occ), spec, occ)
+        report = fluxes_classical(steady_state_closed_form(spec), spec)
         scale = abs(spec.drive.omega * report.rate)
         assert abs(report.first_law_residual) < 1e-10 * scale + 1e-14
         eff = effective_energies_classical(
@@ -282,7 +281,7 @@ def test_fluxes_reject_non_stationary_state():
         alpha=ss.alpha,
         saturation_h=ss.saturation_h,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(SteadyStateError):
         fluxes_classical(bad, spec)
 
 
@@ -316,8 +315,7 @@ def test_entropy_non_negative_with_effective_occupations():
     worst = math.inf
     for _ in range(10_000):
         spec = _thermal_spec(rng)
-        occ = resolve_occupations(spec, "classical")
-        report = fluxes_classical(steady_state_closed_form(spec, occ), spec, occ)
+        report = fluxes_classical(steady_state_closed_form(spec), spec)
         total = entropy_production_classical(report, spec)
         worst = min(worst, total)
     assert worst >= -1e-12
@@ -338,8 +336,7 @@ def test_entropy_sign_tracks_bias_excess_at_equal_temperature():
             ),
             drive=spec.drive,
         )
-        occ = resolve_occupations(spec, "classical")
-        report = fluxes_classical(steady_state_closed_form(spec, occ), spec, occ)
+        report = fluxes_classical(steady_state_closed_form(spec), spec)
         total = entropy_production_classical(report, spec)
         excess = spec.reservoir_u.mu - spec.reservoir_l.mu - spec.drive.omega
         if abs(report.rate) > 1e-12 and abs(excess) > 1e-9:

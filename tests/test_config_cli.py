@@ -275,6 +275,23 @@ def test_quantum_ss_exhausted_cutoff_exits_3(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+def test_extreme_drive_fails_alike_in_one_point_and_in_a_sweep(tmp_path, capsys):
+    # |epsilon|^2 overflows, so the closed form is NaN: a solver failure, not bad input
+    path = tmp_path / "extreme.cfg"
+    path.write_text(CLASSICAL_CFG.replace("drive.epsilon = 0.1", "drive.epsilon = 1e200"))
+    assert main(["classical-ss", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "solver error: state is not stationary (residual nan)\n"
+    out = tmp_path / "sweep.csv"
+    argv = ["audit", "--treatment", "classical", "--config", str(path),
+            "--sweep", "drive.epsilon=0.1:1e200:2", "--out", str(out)]
+    assert main(argv) == 0
+    _, rows = _read_csv(out)
+    assert rows[0]["flags"].startswith("regime=")
+    assert rows[1]["flags"] == "error=SteadyStateError: state is not stationary (residual nan)"
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("e_upper = 1.0\nwhatever = 3\n")

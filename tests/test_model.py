@@ -1,6 +1,10 @@
 """Parameter types, occupation functions, and effective-energy formulas."""
 
 import math
+import os
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,16 +19,26 @@ from detuned_tls import (
     FermionicReservoir,
     OccupationSpec,
     SystemSpec,
+    bloch_rhs,
     bose,
+    build_sector_liouvillian,
     detuning,
     effective_energies_classical,
     effective_energies_quantum,
+    evolve,
+    evolve_meanfield,
     fermi,
+    fluxes_classical,
+    fluxes_quantum,
+    quantum_steady_state,
     resolve_occupations,
+    solve_lasing,
+    steady_state_closed_form,
     with_parameter,
     with_parameters,
 )
 from detuned_tls.model import spec_columns
+from detuned_tls.quantum import build_liouvillian
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -262,6 +276,70 @@ def test_resolve_requires_matching_sections():
         resolve_occupations(spec, "quantum")
     with pytest.raises(ValueError):
         resolve_occupations(_spec(OccupationSpec.fixed(0.5), OccupationSpec.fixed(0.5)), "other")
+
+
+def test_spec_keeps_the_occupations_of_each_treatment():
+    # the drive and the cavity share a frequency, but the lossy cavity moves
+    # the quantum effective energies: the two treatments resolve differently
+    spec = _spec(OccupationSpec.thermal_effective(), OccupationSpec.thermal_effective())
+    spec = replace(spec, bath=replace(spec.bath, occupation=OccupationSpec.thermal_effective()))
+    classical, quantum = spec.classical_occupations, spec.quantum_occupations
+    assert classical == resolve_occupations(spec, "classical")
+    assert quantum == resolve_occupations(spec, "quantum")
+    assert classical.f_u != quantum.f_u and classical.n_b != quantum.n_b
+    assert spec.classical_occupations is classical and spec.quantum_occupations is quantum
+
+
+def test_replaced_spec_resolves_afresh():
+    spec = _spec(OccupationSpec.fixed(0.3), OccupationSpec.fixed(0.6))
+    assert spec.classical_occupations.f_u == spec.quantum_occupations.f_u == 0.3
+    moved = replace(spec, reservoir_u=replace(spec.reservoir_u, occupation=OccupationSpec.fixed(0.9)))
+    assert moved.classical_occupations.f_u == moved.quantum_occupations.f_u == 0.9
+    assert spec.classical_occupations.f_u == 0.3
+
+
+def test_concurrent_first_reads_of_the_memo_agree():
+    # More threads than cores, GIL handed over every microsecond, all reading
+    # the occupations of the same fresh specs for the first time.
+    base = _spec(OccupationSpec.thermal_effective(), OccupationSpec.thermal_effective())
+    specs = [with_parameters(base, {"drive.omega": 1.0 + 0.01 * k}) for k in range(100)]
+    want = [(resolve_occupations(s, "classical"), resolve_occupations(s, "quantum")) for s in specs]
+    n = (os.cpu_count() or 1) + 3
+    got = [None] * n
+    barrier = threading.Barrier(n, timeout=30)
+
+    def work(k):
+        barrier.wait()
+        got[k] = [(s.classical_occupations, s.quantum_occupations) for s in specs]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [want] * n
+    assert [(s.classical_occupations, s.quantum_occupations) for s in specs] == want
+
+
+@pytest.mark.parametrize(
+    "solver, n_args",
+    [
+        (bloch_rhs, 2), (evolve, 3), (steady_state_closed_form, 1), (fluxes_classical, 2),
+        (build_sector_liouvillian, 2), (build_liouvillian, 2), (quantum_steady_state, 1),
+        (fluxes_quantum, 3), (solve_lasing, 1), (evolve_meanfield, 3),
+    ],
+    ids=lambda p: getattr(p, "__name__", ""),
+)
+def test_solvers_take_no_occupations(solver, n_args):
+    occ = _spec(OccupationSpec.fixed(0.3), OccupationSpec.fixed(0.6)).quantum_occupations
+    with pytest.raises(TypeError, match="unexpected keyword argument 'occupations'"):
+        solver(*[None] * n_args, occupations=occ)
 
 
 def test_occupation_spec_validation():

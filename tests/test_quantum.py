@@ -35,7 +35,6 @@ from detuned_tls import (
     evolve_quantum,
     fluxes_quantum,
     quantum_steady_state,
-    resolve_occupations,
     sector_observables,
     sign_condition,
     steady_state,
@@ -150,14 +149,13 @@ def test_jordan_wigner_ordering_swap_leaves_observables_invariant():
     # Full-space reference at the cutoff the sector solve settled on; the
     # sector itself carries no ordering.
     spec = make_spec(g=0.08 + 0.04j)
-    occ = resolve_occupations(spec, "quantum")
-    sol = quantum_steady_state(spec, occ)
+    sol = quantum_steady_state(spec)
     layout = sol.layout
     obs = sector_observables(sol.state, spec)
     results = [(obs.sigma_uu, obs.sigma_ll, obs.n_ph, obs.rate, obs.f_exact)]
     for ordering in (("l", "u"), ("u", "l")):
         ops = build_operators(layout, spec, ordering=ordering)
-        rho = _full_steady_state(build_liouvillian(ops, spec, occ))
+        rho = _full_steady_state(build_liouvillian(ops, spec))
         obs = observables(rho, ops, spec)
         results.append((obs.sigma_uu, obs.sigma_ll, obs.n_ph, obs.rate, obs.f_exact))
     for values in zip(*results):
@@ -196,8 +194,8 @@ def test_liouvillian_matches_dense_master_equation():
     spec = make_spec(cutoff=4, g=0.06 + 0.02j)
     layout = HilbertLayout(4)
     ops = build_operators(layout, spec)
-    occ = resolve_occupations(spec, "quantum")
-    liouv = build_liouvillian(ops, spec, occ)
+    occ = spec.quantum_occupations
+    liouv = build_liouvillian(ops, spec)
 
     rng = np.random.default_rng(5)
     x = rng.normal(size=(layout.dim, layout.dim)) + 1j * rng.normal(size=(layout.dim, layout.dim))
@@ -341,7 +339,7 @@ def test_stationarity_relations_and_flux_ratios_on_grid():
                 spec = make_spec(gamma_u, gamma_l, gamma_b, g=0.04, cutoff=12)
                 sol = quantum_steady_state(spec)
                 obs = observables(sol.state.rho, sol.ops, spec)
-                occ = sol.occupations
+                occ = sol.spec.quantum_occupations
                 rate = obs.rate
                 assert spec.reservoir_u.gamma * (occ.f_u - obs.sigma_uu) == pytest.approx(
                     rate, abs=1e-9
@@ -356,7 +354,7 @@ def test_stationarity_relations_and_flux_ratios_on_grid():
                 total = gamma_u + gamma_l + gamma_b
                 assert obs.y.real == pytest.approx(-delta_cav * rate / total, abs=1e-9)
 
-                flux = fluxes_quantum(sol.state, sol.liouvillian, spec, occ)
+                flux = fluxes_quantum(sol.state, sol.liouvillian, spec)
                 assert abs(flux.first_law_residual) < 1e-9 * max(1.0, abs(flux.edot_u))
                 eff = effective_energies_quantum(
                     spec.levels, spec.cavity, gamma_u, gamma_l, gamma_b
@@ -437,7 +435,7 @@ def test_fluxes_reject_non_stationary_state():
     spec = make_spec(cutoff=6)
     layout = HilbertLayout(6)
     state = thermal_state(layout, 0.9, 0.1, 0.3)  # not the steady state
-    with pytest.raises(ValueError):
+    with pytest.raises(SteadyStateError):
         fluxes_quantum(state, build_sector_liouvillian(layout, spec), spec)
 
 
@@ -445,7 +443,7 @@ def test_sign_condition_examples():
     spec = make_spec(g=0.01, n_b=0.0, f_u=0.4, f_l=0.3)
     sol = quantum_steady_state(spec)
     obs = observables(sol.state.rho, sol.ops, spec)
-    check = sign_condition(obs, sol.occupations)
+    check = sign_condition(obs, sol.spec.quantum_occupations)
     # empty bath, occupied upper feed: net emission
     assert check.rhs_sign == 1
     assert check.lhs_sign == 1
@@ -479,7 +477,7 @@ def test_sign_condition_balanced_odds_gives_small_rate():
     assert abs(rate_balanced) < 0.05 * abs(rate_perturbed)
 
     check = sign_condition(
-        observables(sol.state.rho, sol.ops, balanced), sol.occupations
+        observables(sol.state.rho, sol.ops, balanced), sol.spec.quantum_occupations
     )
     assert check.rhs_sign == 0 or check.agree
 
@@ -503,7 +501,7 @@ def test_sign_condition_weak_coupling_sweep_statistics():
         )
         sol = quantum_steady_state(spec)
         obs = observables(sol.state.rho, sol.ops, spec)
-        check = sign_condition(obs, sol.occupations)
+        check = sign_condition(obs, sol.spec.quantum_occupations)
         if not check.agree:
             mismatches.append((spec, check))
     print(f"sign-condition agreement: {n_points - len(mismatches)}/{n_points}")
@@ -542,9 +540,8 @@ def test_entropy_condition_weak_coupling_sweep():
                 temperature=rng.uniform(0.1, 0.25),
             ),
         )
-        occ = resolve_occupations(spec, "quantum")
-        sol = quantum_steady_state(spec, occ)
-        flux = fluxes_quantum(sol.state, sol.liouvillian, spec, occ)
+        sol = quantum_steady_state(spec)
+        flux = fluxes_quantum(sol.state, sol.liouvillian, spec)
         eff = effective_energies_quantum(spec.levels, spec.cavity, gamma_u, gamma_l, gamma_b)
         bracket = (
             eff.e_photon / spec.bath.temperature
@@ -697,11 +694,11 @@ def test_sector_generator_equals_full_space_slice_for_random_parameters(
 @pytest.mark.parametrize("cutoff", (1, 2, 5, 10))
 def test_sector_steady_state_matches_full_space(cutoff, ordering, bath):
     spec = _oracle_spec(bath)
-    occ = resolve_occupations(spec, "quantum")
+    occ = spec.quantum_occupations
     layout = HilbertLayout(cutoff)
     ops = build_operators(layout, spec, ordering)
-    sector = build_sector_liouvillian(layout, spec, occ)
-    full = build_liouvillian(ops, spec, occ)
+    sector = build_sector_liouvillian(layout, spec)
+    full = build_liouvillian(ops, spec)
     reference = _full_steady_state(full)
     if cutoff < 5:  # the tail check refuses the sector solve at the full-space tail
         with pytest.raises(FockCutoffError) as sector_error:
@@ -719,7 +716,7 @@ def test_sector_steady_state_matches_full_space(cutoff, ordering, bath):
     for name in ("sigma_uu", "sigma_ll", "n_ph", "y", "f_exact", "f_hf", "rate"):
         assert abs(getattr(obs, name) - getattr(expected, name)) < 1e-12, name
 
-    flux = fluxes_quantum(state, sector, spec, occ)
+    flux = fluxes_quantum(state, sector, spec)
     expected = _dense_flux_fields(reference, ops, spec, occ)
     for f in dataclasses.fields(flux):
         value, want = getattr(flux, f.name), expected[f.name]
@@ -913,7 +910,7 @@ def _solve_record(spec):
     liouv = build_sector_liouvillian(layout, spec)
     try:
         sol = quantum_steady_state(spec)
-        flux = fluxes_quantum(sol.state, sol.liouvillian, spec, sol.occupations)
+        flux = fluxes_quantum(sol.state, sol.liouvillian, spec)
     except RuntimeError as exc:  # the solver's failures, bath-flow mismatch included
         return liouv, type(exc).__name__, str(exc)
     return liouv, sol.layout.fock_cutoff, sol.state.vector, dataclasses.astuple(flux)

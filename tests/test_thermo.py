@@ -22,12 +22,11 @@ from detuned_tls import (
     find_violation_with_bare_energies,
     fluxes_classical,
     recheck_with_effective_energies,
-    resolve_occupations,
     steady_state_closed_form,
     sweep,
     with_parameters,
 )
-from detuned_tls import model, thermo
+from detuned_tls import model, quantum, thermo
 from detuned_tls.model import effective_energies_quantum
 from detuned_tls.quantum import FockCutoffError
 from detuned_tls.thermo import DEFAULT_VIOLATION_RANGES, default_violation_scenario
@@ -71,8 +70,7 @@ def test_entropy_zero_without_transitions():
 
 def test_classical_entropy_report_matches_closed_form():
     spec = classical_spec()
-    occ = resolve_occupations(spec, "classical")
-    flux = fluxes_classical(steady_state_closed_form(spec, occ), spec, occ)
+    flux = fluxes_classical(steady_state_closed_form(spec), spec)
     report = entropy_report(flux, spec)
     assert report.s_dot_b == 0.0
     assert report.total == pytest.approx(
@@ -95,8 +93,7 @@ def test_quantum_entropy_report_matches_rate_bracket_form():
 def test_balanced_bias_gives_no_transitions():
     # equal temperatures and bias equal to the photon quantum: detailed balance
     spec = classical_spec(mu_u=1.2, mu_l=0.0, omega=1.2)
-    occ = resolve_occupations(spec, "classical")
-    flux = fluxes_classical(steady_state_closed_form(spec, occ), spec, occ)
+    flux = fluxes_classical(steady_state_closed_form(spec), spec)
     assert flux.rate == pytest.approx(0.0, abs=1e-12)
     assert entropy_report(flux, spec).regime == "idle"
 
@@ -344,3 +341,27 @@ def test_classical_sweep_solves_its_samples_as_columns(monkeypatch):
     assert results[-1].index == 499
     assert [r.index for r in results[2:5]] == [2, 3, 4]
     assert sum(1 for _ in results) == 500
+
+
+def test_an_audit_resolves_its_occupations_once(monkeypatch):
+    # once for a whole classical column audit, and once for a quantum point
+    # whose solve is retried at an enlarged cutoff
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(model, "resolve_occupations", counted("resolve", model.resolve_occupations))
+    monkeypatch.setattr(
+        quantum, "build_sector_liouvillian", counted("build", quantum.build_sector_liouvillian)
+    )
+    ranges = {"drive.omega": (0.6, 1.6), "reservoir_u.mu": (0.0, 1.5)}
+    assert len(sweep(classical_spec(), ranges, n_samples=500, seed=3)) == 500
+    assert calls == ["resolve"]
+    calls.clear()
+    audit_point(quantum_spec(cutoff=1), "quantum")
+    assert sorted(calls) == ["build", "build", "resolve"]
