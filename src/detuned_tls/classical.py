@@ -121,6 +121,7 @@ def _from_vector(y: np.ndarray) -> BlochState:
     return BlochState(float(y[0]), float(y[1]), complex(y[2], y[3]))
 
 
+@np.errstate(all="ignore")  # an overflowed generator fails the population check
 def _affine_generator(spec: SystemSpec) -> np.ndarray:
     """Augmented 5x5 generator G = [[M, b], [0, 0]] of y' = M y + b.
 
@@ -205,7 +206,7 @@ def steady_state_closed_form(spec: SystemSpec) -> ClassicalSteadyState:
     delta = detuning(spec.levels, spec.drive.omega)
     gamma_sum = gamma_u + gamma_l
 
-    alpha = _square(abs(eps)) * gamma_sum / (_square(gamma_sum) / 4.0 + _square(delta))
+    alpha = _square(np.abs(eps)) * gamma_sum / (_square(gamma_sum) / 4.0 + _square(delta))
     h = gamma_u * gamma_l / (gamma_u * gamma_l + alpha * gamma_sum)
     pumped = alpha * (gamma_u * occ.f_u + gamma_l * occ.f_l)
     denom = gamma_u * gamma_l + alpha * gamma_sum

@@ -115,7 +115,8 @@ def _ranges(args: argparse.Namespace) -> dict[str, tuple]:
 
     --sweep key=lo:hi:n gives a grid axis, --range key=lo:hi a random
     interval.  ``audit`` samples --range keys only with --random N >= 1, and
-    never together with --sweep.  A key may be sampled once.
+    never together with --sweep; ``find-violation`` draws --max-samples
+    N >= 1.  A key may be sampled once.
     """
     sweeps = getattr(args, "sweep", None) or []
     intervals = getattr(args, "range", None) or []
@@ -129,6 +130,8 @@ def _ranges(args: argparse.Namespace) -> dict[str, tuple]:
                 raise ConfigError("--random cannot be combined with --sweep")
             if not intervals:
                 raise ConfigError("--random requires at least one --range key=lo:hi")
+    if args.command == "find-violation" and args.max_samples < 1:
+        raise ConfigError("--max-samples N requires N >= 1")
     ranges: dict[str, tuple] = {}
     for key, bounds in [_parse_sweep(a) for a in sweeps] + [_parse_range(a) for a in intervals]:
         if key in ranges:

@@ -136,7 +136,7 @@ class ClassicalDrive(_Section):
 
     RULES = (
         (lambda s: s.omega > 0, "drive frequency must be positive"),
-        (lambda s: np.isfinite(abs(s.epsilon)), "drive amplitude must be finite"),
+        _finite("drive amplitude must be finite", "epsilon"),
         _finite("drive frequency must be finite", "omega"),
     )
 

@@ -21,6 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 from detuned_tls import cli, thermo
+from detuned_tls.config import build_system_spec, parse_config
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -79,6 +80,62 @@ def test_gate_rechecks_a_find_violation_row():
         assert cli.main(["find-violation", "--seed", "1"]) == 0
     verdict = gate.check_violation_row(out.getvalue())
     assert verdict.samples == 1 and not verdict.errors and not verdict.wrong
+
+
+def _cli_output(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+_PUMPED_EMITTER = """\
+e_upper = 1.0
+e_lower = 0.0
+reservoir_u.mu = 0.9
+reservoir_u.temperature = 0.2
+reservoir_u.occupation = fixed:0.95
+reservoir_l.mu = 0.1
+reservoir_l.temperature = 0.2
+reservoir_l.occupation = fixed:0.02
+"""
+
+
+def test_gate_checks_a_quantum_evolve_trajectory(tmp_path):
+    # check_evolution reads build_liouvillian(...).matrix, observables,
+    # thermal_product_state and quantum_steady_state(spec).ops and .state.rho.
+    gate = _load("gate")
+    text = _PUMPED_EMITTER + (
+        "cavity.omega_cav = 1.05\ncavity.g = 0.2\ncavity.fock_cutoff = 6\n"
+        "reservoir_u.gamma = 0.5\nreservoir_l.gamma = 0.5\n"
+        "bath.gamma = 0.5\nbath.temperature = 0.3\nbath.occupation = effective\n"
+    )
+    path = tmp_path / "evolve.cfg"
+    path.write_text(text)
+    output = _cli_output(
+        ["quantum-evolve", "--config", str(path), "--t-final", "30", "--n-store", "4"]
+    )
+    spec = build_system_spec(parse_config(text))
+    verdict = gate.check_evolution(output, spec, 4, 30.0)
+    assert verdict.samples == 1 and not verdict.errors and not verdict.wrong
+
+
+def test_gate_checks_the_exact_laser_against_mean_field(tmp_path):
+    # Above threshold (mean-field intensity 13.69 at g = 0.3), so the
+    # photon-number comparison runs on both points.
+    gate = _load("gate")
+    path = tmp_path / "laser.cfg"
+    path.write_text(_PUMPED_EMITTER + (
+        "cavity.omega_cav = 1.05\ncavity.g = 0.3\n"
+        "reservoir_u.gamma = 0.3\nreservoir_l.gamma = 0.3\n"
+        "bath.gamma = 0.01\nbath.temperature = 0.05\nbath.occupation = effective\n"
+    ))
+    sweep = ["--config", str(path), "--sweep", "cavity.g=0.28:0.3:2"]
+    exact = _cli_output(["quantum-ss", "--fock-cutoff", "40"] + sweep)
+    mean_field = _cli_output(["laser"] + sweep)
+    assert all(float(row["intensity"]) >= gate.LASING_MIN_PHOTONS for row in gate.rows(mean_field))
+    verdict = gate.check_lasing(exact, mean_field, 2)
+    assert verdict.samples == 2 and not verdict.errors and not verdict.wrong
 
 
 def test_tracer_counts_the_error_rows_of_a_sweep():

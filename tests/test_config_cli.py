@@ -278,11 +278,12 @@ def test_quantum_ss_exhausted_cutoff_exits_3(tmp_path, capsys):
 def test_extreme_drive_fails_alike_in_one_point_and_in_a_sweep(tmp_path, capsys):
     # |epsilon|^2 overflows, so the closed form is NaN: a solver failure, not bad input
     path = tmp_path / "extreme.cfg"
-    path.write_text(CLASSICAL_CFG.replace("drive.epsilon = 0.1", "drive.epsilon = 1e200"))
-    assert main(["classical-ss", "--config", str(path)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "solver error: state is not stationary (residual nan)\n"
+    for epsilon in ("1.5e308+1.5e308j", "1e200"):  # finite parts, modulus overflows or not
+        path.write_text(CLASSICAL_CFG.replace("drive.epsilon = 0.1", f"drive.epsilon = {epsilon}"))
+        assert main(["classical-ss", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "solver error: state is not stationary (residual nan)\n"
     out = tmp_path / "sweep.csv"
     argv = ["audit", "--treatment", "classical", "--config", str(path),
             "--sweep", "drive.epsilon=0.1:1e200:2", "--out", str(out)]
@@ -290,6 +291,16 @@ def test_extreme_drive_fails_alike_in_one_point_and_in_a_sweep(tmp_path, capsys)
     _, rows = _read_csv(out)
     assert rows[0]["flags"].startswith("regime=")
     assert rows[1]["flags"] == "error=SteadyStateError: state is not stationary (residual nan)"
+
+
+def test_overflowing_drive_amplitude_fails_evolution_as_a_solver_error(tmp_path, capsys):
+    path = tmp_path / "extreme.cfg"
+    path.write_text(
+        CLASSICAL_CFG.replace("drive.epsilon = 0.1", "drive.epsilon = 1.5e308+1.5e308j")
+    )
+    argv = ["classical-evolve", "--config", str(path), "--t-final", "1", "--n-store", "2"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "solver error: population left [0, 1] at t = 1\n"
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
@@ -479,6 +490,12 @@ def test_audit_grid_handles_failed_samples(classical_cfg_file, tmp_path):
 def test_ambiguous_sampling_flags_exit_2(classical_cfg_file, argv, capsys):
     assert main([argv[0], "--config", str(classical_cfg_file)] + argv[1:]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ("0", "-1"))
+def test_find_violation_rejects_an_empty_sample_budget(n, capsys):
+    assert main(["find-violation", "--max-samples", n]) == 2
+    assert capsys.readouterr().err == "config error: --max-samples N requires N >= 1\n"
 
 
 def test_find_violation_row_reports_the_bare_spec_it_solved(classical_cfg_file, tmp_path):

@@ -43,6 +43,7 @@ from detuned_tls import (
 )
 from detuned_tls.model import Occupations
 from detuned_tls.quantum import (
+    Liouvillian,
     build_liouvillian,
     build_operators,
     observables,
@@ -772,6 +773,19 @@ def test_steady_state_rejects_a_full_space_generator():
         steady_state(full)
 
 
+@pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
+def test_steady_state_solves_a_generator_assembled_elsewhere(bath):
+    # The solve reads only the matrix and its layout: the sliced full-space
+    # generator has the sector generator's entries but no pattern.
+    spec = _oracle_spec(bath)
+    layout = HilbertLayout(10)
+    full = build_liouvillian(build_operators(layout, spec), spec)
+    index = layout.sector_indices()
+    sliced = Liouvillian(full.matrix[index][:, index].tocsr(), layout)
+    expected = steady_state(build_sector_liouvillian(layout, spec)).vector
+    assert np.max(np.abs(steady_state(sliced).vector - expected)) < 1e-12
+
+
 def test_evolve_rejects_a_full_space_generator():
     spec = make_spec(cutoff=3)
     layout = HilbertLayout(3)
@@ -874,10 +888,6 @@ def test_cached_arrays_are_read_only():
         pattern.terms.data,
         pattern.terms.indices,
         pattern.terms.indptr,
-        pattern.system_indptr,
-        pattern.system_indices,
-        pattern.system_template,
-        pattern.system_slots,
         liouv.matrix.indices,
         liouv.matrix.indptr,
         layout.sector_indices(),
