@@ -345,13 +345,15 @@ def _cmd_find_violation(args: argparse.Namespace) -> int:
         sys.stderr.write("no second-law violation found within the sample budget\n")
         return 4
     cfg = config_from_system_spec(result.spec)
-    table = thermo.SweepColumns.stack(
-        [(result.flux, result.entropy_total, result.regime)], args.tolerance
+    table = thermo.SweepColumns(
+        (), np.empty((1, 0)), [None], result.flux, result.entropy_total, result.regime,
+        args.tolerance,
     )
     _write_audit(args, [str(result.index)], list(cfg), [[v] for v in cfg.values()], table)
     return 0
 
 
+@functools.cache  # every ``append`` option defaults to None: no list is shared between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detuned-tls",

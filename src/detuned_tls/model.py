@@ -233,6 +233,10 @@ class SystemSpec:
         if bad:
             raise error(message.format(*values))
 
+    def take(self, index) -> SystemSpec:
+        """The samples ``index``: a scenario is every sample's."""
+        return self
+
 
 @dataclass(frozen=True)
 class SpecColumns(SystemSpec):
@@ -250,6 +254,20 @@ class SpecColumns(SystemSpec):
         for i in np.flatnonzero(np.broadcast_to(bad, n)):
             if self.errors[i] is None:
                 self.errors[i] = error(message.format(*(np.broadcast_to(v, n)[i] for v in values)))
+
+    def take(self, index) -> SpecColumns:
+        """The samples ``index`` as columns of their own, with their errors."""
+        sections = {}
+        for f in fields(SystemSpec):
+            section = getattr(self, f.name)
+            sampled = {
+                name: value[index]
+                for name, value in (vars(section) if section is not None else {}).items()
+                if isinstance(value, np.ndarray)
+            }
+            if sampled:
+                sections[f.name] = replace(section, **sampled)
+        return replace(self, errors=[self.errors[i] for i in index], **sections)
 
 
 @dataclass(frozen=True)

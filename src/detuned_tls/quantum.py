@@ -16,17 +16,28 @@ B_k whose entries couple photon numbers at most one apart.  Everything
 that depends only on the Fock cutoff and on whether the bath channel
 exists is built once from index arithmetic and cached (``sector_pattern``):
 the pattern of the generator and the map from the c_k onto its values,
-and the stack of the B_k.  ``build_sector_liouvillian`` only fills in the
-values of a scenario.  The steady state comes from a direct sparse solve
-with the trace condition in place of one row, factored transposed so that
-the LU fill stays linear in the cutoff.  The generator is linear and time
-independent, so time evolution is the action of its exponential,
-exp(L t) rho0 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)); it
-never factorizes L and is an independent oracle for the steady state.
-Each flow is an O(N) trace of H or N against one channel's action, read
-off one product with the stack.  Positivity is checked on the 2x2 blocks
-that the coherences form with their two populations.  The cached arrays
-are read-only, so threads may share them.
+the stack of the B_k, and the map from the c_k onto its Q2 blocks.
+``build_sector_liouvillian`` only fills in the values of a scenario.
+
+H, the c_l jumps and the Q2-conserving parts of the dissipators keep
+Q2 = N_u + N_ph; every c_u jump and every photon jump moves it by one.
+Ordered by Q2, the generator is block tridiagonal, with blocks of six
+slots (Albert & Jiang, above), so its null vector is a matrix continued
+fraction computed downwards from the top of the Fock ladder (Risken, *The
+Fokker-Planck Equation*, 2nd ed. (1989), ch. 9; ``_null_vectors``).  The
+blocks are linear in the c_k, so one product builds them for a whole
+(S, 9) table of coefficients, and each step of the recursion is one
+stacked 6x6 solve over all S samples.  ``steady_state_fluxes`` audits the
+samples of a ``SpecColumns`` this way, in batches of one cutoff and bath
+flag; a scenario, ``quantum_steady_state`` and ``steady_state`` are its
+one-sample case.  The generator is linear and time independent, so time
+evolution is the action of its exponential, exp(L t) rho0 (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)); it never factorizes L and is
+an independent oracle for the steady state.  Each flow is an O(N) trace
+of H or N against one channel's action, read off one product with the
+stack of the B_k, which also gives the residual.  Positivity is checked on
+the 2x2 blocks that the coherences form with their two populations.  The
+cached arrays are read-only, so threads may share them.
 
 The full-space construction (dense ``build_operators``, the row-major
 superoperator of ``build_liouvillian``, dense ``observables`` and
@@ -47,16 +58,19 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply, splu
+from scipy.sparse.linalg import expm_multiply
 
 from .model import (
     RATE_DEADBAND,
     FluxReport,
     Occupations,
+    SpecColumns,
     SteadyStateError,
     SystemSpec,
     effective_energies_quantum,
     flux_report,
+    plain,
+    where,
 )
 
 _RESIDUAL_TOL = 1e-10
@@ -205,17 +219,12 @@ class QuantumState:
         flat[self.layout.sector_indices()] = self.vector
         return flat.reshape(d, d)
 
-    @property
-    def populations(self) -> np.ndarray:
-        """Real diagonal of rho in flat-index order."""
-        return self.vector[: self.layout.dim].real
-
     def trace(self) -> complex:
         return complex(self.vector[: self.layout.dim].sum())
 
     def adjoint(self) -> np.ndarray:
         """The vector of rho^dagger: the populations conjugated, each c_n swapped with c_n*."""
-        return self.vector[_indices(self.layout.fock_cutoff).adjoint].conj()
+        return _adjoint(self.vector, self.layout.fock_cutoff)
 
     def hermiticity_error(self) -> float:
         return float(np.max(np.abs(self.vector - self.adjoint())))
@@ -226,30 +235,14 @@ class QuantumState:
         return QuantumState(herm.vector / herm.trace().real, self.layout)
 
     def lowest_eigenvalue(self) -> float:
-        """Lowest eigenvalue of (rho + rho^dagger) / 2.
-
-        rho is block diagonal: a 2x2 block [[p(1,0,n+1), c_n], [c_n*, p(0,1,n)]]
-        for each n < N and a 1x1 block for every other population.
-        """
-        ix = _indices(self.layout.fock_cutoff)
-        herm = 0.5 * (self.vector + self.adjoint())
-        d = self.layout.dim
-        pops = herm[:d].real
-        upper, lower = ix.upper, ix.lower
-        mean, half_gap = 0.5 * (pops[upper] + pops[lower]), 0.5 * (pops[upper] - pops[lower])
-        pairs = mean - np.hypot(half_gap, np.abs(herm[d : d + self.layout.fock_cutoff]))
-        return float(min(pops[ix.single].min(), pairs.min()))
+        """Lowest eigenvalue of (rho + rho^dagger) / 2 (see ``_lowest_eigenvalues``)."""
+        return float(_lowest_eigenvalues(self.vector, self.layout.fock_cutoff))
 
     def validate(self) -> None:
-        herm = self.hermiticity_error()
-        if not herm <= _HERMITICITY_TOL:
-            raise ValueError(f"state not Hermitian (deviation {herm:.3e})")
-        tr = self.trace()
-        if not abs(tr - 1.0) <= 1e-12:
-            raise ValueError(f"state trace {tr} differs from 1")
-        lowest = self.lowest_eigenvalue()
-        if not lowest >= -1e-10:
-            raise ValueError(f"state has negative eigenvalue {lowest:.3e}")
+        errors = [None]
+        _validate(self.vector, self.layout.fock_cutoff, errors, [0])
+        if errors[0] is not None:
+            raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -327,17 +320,21 @@ class _Indices(NamedTuple):
     photons: np.ndarray  # 0, 1, ..., N
     root: np.ndarray  # sqrt(n + 1) for n < N
     charge: np.ndarray  # Tr((N_u + N_l) X) = charge @ x
+    slot: np.ndarray  # 6 Q2 + place in the Q2 block, of each sector entry
+    empty: np.ndarray  # the slots outside the ladder
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _indices(fock_cutoff: int) -> _Indices:
     m, n = fock_cutoff + 1, fock_cutoff
-    d = 4 * m
+    d, blocks = 4 * m, fock_cutoff + 2
     fermion, n_ph = np.divmod(np.arange(d), m)
     n_l, n_u = fermion // 2, fermion % 2
     upper, lower = 2 * m + np.arange(n) + 1, m + np.arange(n)
     single = np.ones(d, dtype=bool)
     single[upper] = single[lower] = False
+    coherent = 6 * np.arange(1, m)  # c_n sits in block Q2 = n + 1
+    slot = np.concatenate([6 * (n_u + n_ph) + n_l + 2 * n_u, coherent + 4, coherent + 5])
     return _Indices(*_read_only(
         n_l, n_u, n_ph, upper, lower, single,
         np.r_[:d, d + n : d + 2 * n, d : d + n],
@@ -345,7 +342,23 @@ def _indices(fock_cutoff: int) -> _Indices:
         np.arange(m, dtype=float),
         np.sqrt(np.arange(1, m)),
         np.concatenate([n_u + n_l, np.zeros(2 * n)]),
+        slot,
+        np.setdiff1d(np.arange(6 * blocks), slot),
     ))
+
+
+def _block_positions(fock_cutoff: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Place of each generator entry in the blocks, flat in (3, N + 2, 36).
+
+    Stack 0 holds the blocks A_k that couple block Q2 = k to k - 1, stack 1
+    the diagonal blocks D_k and stack 2 the blocks C_k that couple k to k + 1.
+    """
+    slot = _indices(fock_cutoff).slot
+    (block, place), (other, column) = np.divmod(slot[rows], 6), np.divmod(slot[cols], 6)
+    side = other - block + 1
+    if not np.all((side >= 0) & (side <= 2)):
+        raise ValueError("generator couples Q2 blocks more than one apart")
+    return ((side * (fock_cutoff + 2) + block) * 6 + place) * 6 + column
 
 
 Entries = tuple[np.ndarray, np.ndarray, np.ndarray]  # rows, columns, values
@@ -437,8 +450,16 @@ class SectorPattern:
     The generator is sum_k coefficient_k B_k over fixed matrices B_k.
     ``indptr``/``indices`` are its CSR pattern and ``weights`` (nnz x 9)
     maps the coefficients onto its CSR data; ``terms`` stacks the B_k, so
-    ``terms @ x`` gives every coefficient's action on x at once.  Built once
-    per key by ``sector_pattern``; every array is read-only.
+    ``terms @ x`` gives every coefficient's action on x at once.
+
+    Ordered by Q2 = N_u + N_ph the generator is block tridiagonal, with one
+    block of six slots per Q2 = 0 ... N + 1: |0,0,Q2>, |1,0,Q2>, |0,1,Q2-1>,
+    |1,1,Q2-1>, c_(Q2-1) and its conjugate; the slots that fall outside the
+    ladder (four in the first block, four in the last) stay empty.
+    ``stacks`` maps the coefficients onto the entries of the sub-diagonal,
+    diagonal and super-diagonal blocks that can be non-zero, and ``places``
+    says where each sits (``_block_positions``).  Built once per key by
+    ``sector_pattern``; every array is read-only.
     """
 
     size: int
@@ -446,12 +467,22 @@ class SectorPattern:
     indices: np.ndarray
     weights: sp.csr_matrix
     terms: sp.csr_matrix
+    stacks: sp.csr_matrix
+    places: np.ndarray
 
     def matrix(self, coefficients: np.ndarray) -> sp.csr_matrix:
         """The generator for these coefficients."""
         return sp.csr_matrix(
             (self.weights @ coefficients, self.indices, self.indptr), shape=(self.size, self.size)
         )
+
+    def blocks(self, coefficients: np.ndarray) -> np.ndarray:
+        """The (3, N + 2, S, 6, 6) blocks of the generators of the (S, 9) ``coefficients``."""
+        count = (self.size - 4) // 6 + 2
+        blocks = np.zeros((3 * count, len(coefficients), 36), dtype=complex)
+        block, entry = np.divmod(self.places, 36)
+        blocks[block, :, entry] = self.stacks @ coefficients.T
+        return blocks.reshape(3, count, -1, 6, 6)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -474,12 +505,32 @@ def sector_pattern(fock_cutoff: int, bath: bool) -> SectorPattern:
     indptr = np.concatenate([[0], np.cumsum(np.bincount(pattern_rows, minlength=size))])
     weights = sp.csr_matrix((vals, (slot, k)), shape=(len(key), 9), dtype=complex)
     terms = sp.csr_matrix((vals, (k * size + rows, cols)), shape=(9 * size, size), dtype=complex)
+    places, place = np.unique(_block_positions(fock_cutoff, rows, cols), return_inverse=True)
+    stacks = sp.csr_matrix((vals, (place, k)), shape=(len(places), 9), dtype=complex)
 
-    _read_only(weights.data, weights.indices, weights.indptr)
-    _read_only(terms.data, terms.indices, terms.indptr)
+    for matrix in (weights, terms, stacks):
+        _read_only(matrix.data, matrix.indices, matrix.indptr)
     index = np.int32 if len(key) < 2**31 and 9 * size < 2**31 else np.int64
-    indptr, indices = _read_only(indptr.astype(index), indices.astype(index))
-    return SectorPattern(size, indptr, indices, weights, terms)
+    indptr, indices, places = _read_only(indptr.astype(index), indices.astype(index), places)
+    return SectorPattern(size, indptr, indices, weights, terms, stacks, places)
+
+
+def _coefficients(spec: SystemSpec) -> np.ndarray:
+    """The nine coefficients of the generator, elementwise: (9,) for a scenario, (S, 9) for columns."""
+    occ = spec.quantum_occupations
+    gamma_b = n_b = 0.0
+    if spec.bath is not None:
+        bath = spec.bath.gamma > 0
+        gamma_b, n_b = where(bath, spec.bath.gamma, 0.0), where(bath, occ.n_b, 0.0)
+    g = spec.cavity.g
+    split = spec.levels.e_lower + spec.cavity.omega_cav - spec.levels.e_upper
+    gamma_u, gamma_l = spec.reservoir_u.gamma, spec.reservoir_l.gamma
+    rates = (  # of the jumps in _JUMPS order
+        gamma_u * occ.f_u, gamma_u * (1.0 - occ.f_u), gamma_l * occ.f_l,
+        gamma_l * (1.0 - occ.f_l), gamma_b * (n_b + 1.0), gamma_b * n_b,
+    )
+    values = np.broadcast_arrays(g, np.conj(g), split, *rates)
+    return np.stack(values, axis=-1).astype(complex)
 
 
 def build_sector_liouvillian(layout: HilbertLayout, spec: SystemSpec) -> Liouvillian:
@@ -493,17 +544,8 @@ def build_sector_liouvillian(layout: HilbertLayout, spec: SystemSpec) -> Liouvil
     """
     if spec.cavity is None:
         raise ValueError("quantum treatment requires a cavity")
-    occ = spec.quantum_occupations
+    coefficients = _coefficients(spec)
     bath = spec.bath is not None and spec.bath.gamma > 0
-    gamma_b, n_b = (spec.bath.gamma, occ.n_b) if bath else (0.0, 0.0)
-    g = complex(spec.cavity.g)
-    split = spec.levels.e_lower + spec.cavity.omega_cav - spec.levels.e_upper
-    gamma_u, gamma_l = spec.reservoir_u.gamma, spec.reservoir_l.gamma
-    rates = (  # of the jumps in _JUMPS order
-        gamma_u * occ.f_u, gamma_u * (1.0 - occ.f_u), gamma_l * occ.f_l,
-        gamma_l * (1.0 - occ.f_l), gamma_b * (n_b + 1.0), gamma_b * n_b,
-    )
-    coefficients = np.array([g, g.conjugate(), split, *rates], dtype=complex)
     pattern = sector_pattern(layout.fock_cutoff, bath)
     return Liouvillian(pattern.matrix(coefficients), layout, pattern, coefficients)
 
@@ -536,28 +578,31 @@ def thermal_product_state(
 
 def sector_observables(state: QuantumState, spec: SystemSpec) -> QuantumObservables:
     """``observables`` of a sector state, from its populations and coherences."""
-    layout = state.layout
-    d, n = layout.dim, layout.fock_cutoff
-    ix = _indices(n)
+    return _observables(state.vector, state.layout.fock_cutoff, spec)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over the last axis of ``a``.  Over rows it is an explicit
+    sum, since BLAS may round a row differently with other rows beside it;
+    one vector keeps the BLAS dot of the one-state observables."""
+    return a @ b if a.ndim == 1 else (a * b).sum(axis=-1)
+
+
+def _observables(vectors: np.ndarray, fock_cutoff: int, spec: SystemSpec) -> QuantumObservables:
+    """``sector_observables`` of each sector vector along the last axis, elementwise in ``spec``."""
+    ix = _indices(fock_cutoff)
+    d, n = 4 * (fock_cutoff + 1), fock_cutoff
     # rows: (n_l, n_u) = (0, 0), (0, 1), (1, 0), (1, 1)
-    p = state.populations.reshape(4, layout.n_photon_states)
+    p = vectors[..., :d].real.reshape(*vectors.shape[:-1], 4, fock_cutoff + 1)
     photons = ix.photons
-    sigma_uu = float(p[1].sum() + p[3].sum())
-    sigma_ll = float(p[2].sum() + p[3].sum())
-    n_ph = float(p.sum(axis=0) @ photons)
+    sigma_uu = p[..., 1, :].sum(axis=-1) + p[..., 3, :].sum(axis=-1)
+    sigma_ll = p[..., 2, :].sum(axis=-1) + p[..., 3, :].sum(axis=-1)
+    n_ph = _dot(p.sum(axis=-2), photons)
     # Y = conj(g) Tr{c_l^+ c_u a^+ rho} = conj(g) sum_n sqrt(n+1) <0,1,n|rho|1,0,n+1>
-    y = complex(spec.cavity.g).conjugate() * complex(ix.root @ state.vector[d + n :])
-    f_exact = float(p[1].sum() + (p[1] - p[2]) @ photons)
+    y = np.conj(spec.cavity.g) * _dot(vectors[..., d + n :], ix.root)
+    f_exact = p[..., 1, :].sum(axis=-1) + _dot(p[..., 1, :] - p[..., 2, :], photons)
     f_hf = sigma_uu * (1.0 - sigma_ll) + (sigma_uu - sigma_ll) * n_ph
-    return QuantumObservables(
-        sigma_uu=sigma_uu,
-        sigma_ll=sigma_ll,
-        n_ph=n_ph,
-        y=y,
-        f_exact=f_exact,
-        f_hf=f_hf,
-        rate=2.0 * y.imag,
-    )
+    return QuantumObservables(*map(plain, (sigma_uu, sigma_ll, n_ph, y, f_exact, f_hf, 2.0 * y.imag)))
 
 
 # -- full space: the reference the sector is tested against --------------------
@@ -684,14 +729,16 @@ def observables(rho: np.ndarray, ops: OperatorSet, spec: SystemSpec) -> QuantumO
 # -- solving and evolving -------------------------------------------------------
 
 
-def photon_populations(state: QuantumState) -> np.ndarray:
-    """Diagonal photon-number distribution traced over the fermions."""
-    return state.populations.reshape(4, state.layout.n_photon_states).sum(axis=0)
-
-
 def fock_tail(state: QuantumState) -> float:
     """Population of the top two Fock levels; the truncation-error monitor."""
-    return float(photon_populations(state)[-2:].sum())
+    return float(_fock_tails(state.vector, state.layout.fock_cutoff))
+
+
+def _fock_tails(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
+    """``fock_tail`` of each sector vector along the last axis."""
+    m = fock_cutoff + 1
+    populations = vectors[..., : 4 * m].real.reshape(*vectors.shape[:-1], 4, m)
+    return populations.sum(axis=-2)[..., -2:].sum(axis=-1)
 
 
 def _sector_matrix(liouvillian: Liouvillian) -> sp.csr_matrix:
@@ -702,82 +749,201 @@ def _sector_matrix(liouvillian: Liouvillian) -> sp.csr_matrix:
     return liouvillian.matrix
 
 
+def _adjoint(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
+    """The vector of rho^dagger for each sector vector along the last axis."""
+    return np.take(vectors, _indices(fock_cutoff).adjoint, axis=-1).conj()
+
+
+def _lowest_eigenvalues(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
+    """Lowest eigenvalue of (rho + rho^dagger) / 2 for each sector vector along the last axis.
+
+    rho is block diagonal: a 2x2 block [[p(1,0,n+1), c_n], [c_n*, p(0,1,n)]]
+    for each n < N and a 1x1 block for every other population.
+    """
+    ix = _indices(fock_cutoff)
+    d, n = 4 * (fock_cutoff + 1), fock_cutoff
+    herm = 0.5 * (vectors + _adjoint(vectors, fock_cutoff))
+    pops = herm[..., :d].real
+    upper, lower = pops[..., ix.upper], pops[..., ix.lower]
+    mean, half_gap = 0.5 * (upper + lower), 0.5 * (upper - lower)
+    pairs = mean - np.hypot(half_gap, np.abs(herm[..., d : d + n]))
+    return np.minimum(pops[..., ix.single].min(axis=-1), pairs.min(axis=-1))
+
+
+def _fail(errors: list, index, bad, error, *values) -> None:
+    """Sample ``index[j]`` fails with ``error(*values at j)`` where ``bad[j]``,
+    unless it failed before: every sample keeps its first error."""
+    columns = [np.ravel(v) for v in values]
+    for j in np.flatnonzero(bad):
+        if errors[index[j]] is None:
+            errors[index[j]] = error(*(c[j] for c in columns))
+
+
+def _validate(vectors: np.ndarray, fock_cutoff: int, errors: list, index) -> None:
+    """``QuantumState.validate`` of each sector vector along the last axis."""
+    herm = np.max(np.abs(vectors - _adjoint(vectors, fock_cutoff)), axis=-1)
+    _fail(errors, index, ~(herm <= _HERMITICITY_TOL),
+          lambda h: ValueError(f"state not Hermitian (deviation {h:.3e})"), herm)
+    trace = vectors[..., : 4 * (fock_cutoff + 1)].sum(axis=-1)
+    _fail(errors, index, ~(abs(trace - 1.0) <= 1e-12),
+          lambda t: ValueError(f"state trace {complex(t)} differs from 1"), trace)
+    lowest = _lowest_eigenvalues(vectors, fock_cutoff)
+    _fail(errors, index, ~(lowest >= -1e-10),
+          lambda e: ValueError(f"state has negative eigenvalue {e:.3e}"), lowest)
+
+
+def _check(vectors: np.ndarray, residuals: np.ndarray, fock_cutoff: int, errors: list, index):
+    """The residual L x, the Fock tail and ``validate``, in this order, per sample."""
+    residual = np.max(np.abs(residuals), axis=-1)
+    _fail(errors, index, ~(residual <= _RESIDUAL_TOL),
+          lambda r: SteadyStateError(f"steady-state residual {r:.3e} above tolerance"), residual)
+    tail = _fock_tails(vectors, fock_cutoff)
+    message = "top Fock levels hold population {:.3e}; increase the cutoff"
+    _fail(errors, index, tail > _FOCK_TAIL_TOL, lambda t: FockCutoffError(message.format(t), t), tail)
+    _validate(vectors, fock_cutoff, errors, index)
+
+
+def _solve(matrices: np.ndarray, rhs: np.ndarray, errors: list, index) -> np.ndarray:
+    """``np.linalg.solve`` over a stack; a singular matrix fails its own sample only."""
+    try:
+        return np.linalg.solve(matrices, rhs)
+    except np.linalg.LinAlgError:
+        matrices = matrices.copy()
+        for j, matrix in enumerate(matrices):
+            try:
+                np.linalg.solve(matrix, rhs[j])
+            except np.linalg.LinAlgError as exc:
+                _fail(errors, index[j : j + 1], True,
+                      lambda: SteadyStateError(f"steady-state solve failed: {exc}"))
+                matrices[j] = np.eye(len(matrix))
+        return np.linalg.solve(matrices, rhs)
+
+
+def _null_vectors(blocks: np.ndarray, fock_cutoff: int, errors: list, index) -> np.ndarray:
+    """The null vector of each generator of a stack, as the Hermitian part of unit trace.
+
+    ``blocks`` (3, K, S, 6, 6), K = N + 2, holds the sub-diagonal, diagonal
+    and super-diagonal blocks of S generators (``SectorPattern``); the
+    recursion writes into it.  Row k of L x = 0 reads A_k x_(k-1) + D_k x_k
+    + C_k x_(k+1) = 0, so x_k = S_k x_(k-1) with the matrix continued
+    fraction S_K = -D_K^-1 A_K, S_k = -(D_k + C_k S_(k+1))^-1 A_k, taken
+    downwards from the top of the Fock ladder; x_0 spans the null space of
+    the 2x2 population block of D_0 + C_0 S_1.  An empty slot has a unit
+    diagonal and no coupling, so it stays zero.  Each step is one stacked
+    solve; a sample whose step is singular fails with SteadyStateError.
+    """
+    # C-contiguous (S, ...) stacks, here and below, keep each sample's
+    # arithmetic (the order of every sum) independent of the number S
+    ix = _indices(fock_cutoff)
+    count, top, d = blocks.shape[2], fock_cutoff + 1, 4 * (fock_cutoff + 1)
+    lower, diagonal, upper = blocks
+    diagonal[ix.empty // 6, :, ix.empty % 6, ix.empty % 6] = 1.0
+    ratios = np.empty_like(lower)
+    schur = diagonal[top]
+    with np.errstate(all="ignore"):  # a failed sample may run through inf and nan
+        for k in range(top, 0, -1):
+            ratios[k] = -_solve(schur, lower[k], errors, index)
+            schur = diagonal[k - 1] + upper[k - 1] @ ratios[k]
+        a, b = schur[:, 0, :2].T, schur[:, 1, :2].T  # the rows of the 2x2 block, S_1 x_0 = 0
+        row = np.where(abs(a[0]) ** 2 + abs(a[1]) ** 2 >= abs(b[0]) ** 2 + abs(b[1]) ** 2, a, b)
+        x = np.zeros((top + 1, count, 6), dtype=complex)
+        x[0, :, 0], x[0, :, 1] = -row[1], row[0]
+        for k in range(1, top + 1):
+            x[k] = (ratios[k] * x[k - 1, :, None, :]).sum(axis=-1)
+        vectors = np.ascontiguousarray(x[ix.slot // 6, :, ix.slot % 6].T)
+        vectors /= vectors[:, :d].sum(axis=1, keepdims=True)
+        herm = 0.5 * (vectors + _adjoint(vectors, fock_cutoff))
+        return herm / herm[:, :d].sum(axis=1, keepdims=True).real
+
+
 def steady_state(liouvillian: Liouvillian) -> QuantumState:
     """Null vector of a sector generator, normalized to unit trace.
 
-    The population rows of the generator sum to zero, so the first is
-    dropped and the trace row (ones on the populations) takes its place.
-    The CSR arrays of that system are the CSC arrays of its transpose, which
-    SuperLU factors as they stand and solves transposed.  The transpose is
-    also what keeps the factors sparse: SuperLU's COLAMD column ordering
-    works on the pattern of A^T A, which a dense row fills and a dense
-    column does not.  Factored as it stands, the system fills its factors
-    quadratically in the cutoff (7.6e6 entries at cutoff 1,000 with the
-    bath); its transpose gives 9.2e4, under three times the generator's
-    3.4e4, and grows linearly.  Raises SteadyStateError when the
-    factorization is singular or the residual exceeds tolerance and
-    FockCutoffError when the top of the Fock ladder is populated.
+    The generator's CSR entries are scattered into its Q2 blocks and
+    ``_null_vectors`` solves them, so a generator assembled elsewhere solves
+    as well as one of ``build_sector_liouvillian``.  Raises SteadyStateError
+    when a step of the recursion is singular or the residual exceeds
+    tolerance and FockCutoffError when the top of the Fock ladder is
+    populated.
     """
     layout = liouvillian.layout
+    cutoff = layout.fock_cutoff
     matrix = _sector_matrix(liouvillian)
-    populations, start = layout.dim, int(matrix.indptr[1])
-    system = sp.csc_matrix(  # the transpose of the system, read as CSC
-        (
-            np.concatenate([np.ones(populations, dtype=complex), matrix.data[start:]]),
-            np.concatenate([np.arange(populations), matrix.indices[start:]]),
-            np.concatenate([[0], matrix.indptr[1:] - start + populations]),
-        ),
-        shape=matrix.shape,
-    )
-    b = np.zeros(matrix.shape[0], dtype=complex)
-    b[0] = 1.0
-    try:
-        x = splu(system).solve(b, trans="T")
-    except RuntimeError as exc:  # singular factorization
-        raise SteadyStateError(f"steady-state solve failed: {exc}") from exc
+    rows = np.repeat(np.arange(layout.sector_size), np.diff(matrix.indptr))
+    blocks = np.zeros((3, cutoff + 2, 1, 6, 6), dtype=complex)
+    np.add.at(blocks.reshape(-1), _block_positions(cutoff, rows, matrix.indices), matrix.data)
+    errors, index = [None], [0]
+    vectors = _null_vectors(blocks, cutoff, errors, index)
+    _check(vectors, (matrix @ vectors.T).T, cutoff, errors, index)
+    if errors[0] is not None:
+        raise errors[0]
+    return QuantumState(vectors[0], layout)
 
-    state = QuantumState(x, layout).hermitian_part()
-    residual = float(np.max(np.abs(matrix @ state.vector)))
-    if not math.isfinite(residual) or residual > _RESIDUAL_TOL:
-        raise SteadyStateError(f"steady-state residual {residual:.3e} above tolerance")
 
-    tail = fock_tail(state)
-    if tail > _FOCK_TAIL_TOL:
-        raise FockCutoffError(
-            f"top Fock levels hold population {tail:.3e}; increase the cutoff", tail
-        )
+def _actions(pattern: SectorPattern, coefficients: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Each coefficient's term of L x, (..., 9, size), from one product with ``terms``."""
+    products = (pattern.terms @ vectors.T).T
+    return products.reshape(*vectors.shape[:-1], 9, pattern.size) * coefficients[..., :, None]
 
-    state.validate()
-    return state
+
+def _steady_states(spec: SystemSpec, errors: list):
+    """Solve every sample of ``spec`` that has no error yet, batched by Fock cutoff and bath flag.
+
+    Each batch is one ``_null_vectors`` solve and one product with the
+    pattern's ``terms``, whose sum is the residual.  A sample whose Fock
+    tail fails is solved again with the next batch at its cutoff + 4, at
+    most twice, and each enlargement is logged at INFO level with the old
+    and new cutoff and the tail that triggered it.  Yields the solved
+    samples of each batch: (index, layout, pattern, coefficients, vectors,
+    actions).  The others keep their first error in ``errors``.
+    """
+    if spec.cavity is None:
+        raise ValueError("quantum treatment requires a cavity")
+    n = len(errors)
+    coefficients = np.broadcast_to(_coefficients(spec), (n, 9))
+    bath = np.broadcast_to(spec.bath is not None and spec.bath.gamma > 0, n)
+    cutoffs = np.broadcast_to(spec.cavity.fock_cutoff, n).astype(int)
+    attempts = np.zeros(n, dtype=int)
+    pending = np.array([i for i, error in enumerate(errors) if error is None], dtype=int)
+    while pending.size:
+        key = 2 * cutoffs[pending] + bath[pending]
+        first = key == key.min()
+        batch, pending = pending[first], pending[~first]
+        cutoff = int(cutoffs[batch[0]])
+        pattern = sector_pattern(cutoff, bool(bath[batch[0]]))
+        batch_coefficients = coefficients[batch]
+        vectors = _null_vectors(pattern.blocks(batch_coefficients), cutoff, errors, batch)
+        actions = _actions(pattern, batch_coefficients, vectors)
+        _check(vectors, actions.sum(axis=-2), cutoff, errors, batch)
+        retry = np.array([
+            isinstance(errors[i], FockCutoffError) and attempts[i] < _MAX_ENLARGEMENTS
+            for i in batch
+        ])
+        for i in batch[retry]:
+            logger.info("Fock cutoff %d -> %d: top two levels hold %.3e",
+                        cutoff, cutoff + 4, errors[i].tail)
+            errors[i] = None
+        cutoffs[batch[retry]] += 4
+        attempts[batch[retry]] += 1
+        pending = np.sort(np.concatenate([pending, batch[retry]]))
+        solved = np.array([errors[i] is None for i in batch]) & ~retry
+        if solved.any():
+            yield (batch[solved], HilbertLayout(cutoff), pattern,
+                   batch_coefficients[solved], vectors[solved], actions[solved])
 
 
 def quantum_steady_state(spec: SystemSpec) -> QuantumSolution:
     """Solve for the steady state in the ΔQ = 0 sector, enlarging the Fock cutoff on demand.
 
-    The solve starts at ``spec.cavity.fock_cutoff``.  On a FockCutoffError
-    the cutoff is raised by 4 and the solve is retried, at most twice.  Each
-    enlargement is logged at INFO level with the old and new cutoff and the
-    tail that triggered it.
+    The one-sample case of the batched solve (``_steady_states``): it starts
+    at ``spec.cavity.fock_cutoff`` and raises the cutoff by 4 on a
+    FockCutoffError, at most twice, logging each enlargement at INFO level.
     """
-    if spec.cavity is None:
-        raise ValueError("quantum treatment requires a cavity")
-
-    for attempt in range(_MAX_ENLARGEMENTS + 1):
-        layout = HilbertLayout(spec.cavity.fock_cutoff + 4 * attempt)
-        liouv = build_sector_liouvillian(layout, spec)
-        try:
-            state = steady_state(liouv)
-        except FockCutoffError as exc:
-            if attempt == _MAX_ENLARGEMENTS:
-                raise
-            logger.info(
-                "Fock cutoff %d -> %d: top two levels hold %.3e",
-                layout.fock_cutoff,
-                layout.fock_cutoff + 4,
-                exc.tail,
-            )
-            continue
-        return QuantumSolution(state=state, layout=layout, liouvillian=liouv, spec=spec)
+    errors = [None]
+    for _, layout, pattern, coefficients, vectors, _ in _steady_states(spec, errors):
+        liouv = Liouvillian(pattern.matrix(coefficients[0]), layout, pattern, coefficients[0])
+        return QuantumSolution(QuantumState(vectors[0], layout), layout, liouv, spec)
+    raise errors[0]
 
 
 def evolve_quantum(
@@ -810,13 +976,72 @@ def evolve_quantum(
 # -- flows ------------------------------------------------------------------------
 
 
-def _trace_weights(layout: HilbertLayout, spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Sector vectors h, q with Tr(H X) = h @ x and Tr((N_u + N_l) X) = q @ x."""
-    ix = _indices(layout.fock_cutoff)
-    levels = spec.levels
-    energies = levels.e_upper * ix.n_u + levels.e_lower * ix.n_l + spec.cavity.omega_cav * ix.n_ph
-    t = complex(spec.cavity.g) * ix.root  # Tr(H X) picks <B|H|A> X_AB + <A|H|B> X_BA
-    return np.concatenate([energies, t, t.conj()]), ix.charge
+def _trace_weights(fock_cutoff: int, spec: SystemSpec) -> np.ndarray:
+    """Sector vectors h with Tr(H X) = h @ x, elementwise in ``spec``: (..., size)."""
+    ix = _indices(fock_cutoff)
+    d, n = 4 * (fock_cutoff + 1), fock_cutoff
+    levels, cavity = spec.levels, spec.cavity
+    energies = (
+        np.multiply.outer(levels.e_upper, ix.n_u)
+        + np.multiply.outer(levels.e_lower, ix.n_l)
+        + np.multiply.outer(cavity.omega_cav, ix.n_ph)
+    )
+    t = np.multiply.outer(cavity.g, ix.root)  # Tr(H X) picks <B|H|A> X_AB + <A|H|B> X_BA
+    h = np.empty(np.broadcast_shapes(energies.shape[:-1], t.shape[:-1]) + (d + 2 * n,), complex)
+    h[..., :d], h[..., d : d + n], h[..., d + n :] = energies, t, t.conj()
+    return h
+
+
+def _flows(vectors, actions, fock_cutoff: int, spec: SystemSpec, errors: list, index) -> tuple:
+    """Rate and per-reservoir flows (rate, ndot_u, ndot_l, edot_u, edot_l, edot_b)
+    of sector vectors along the last axis, from each coefficient's term of L x.
+
+    A sample fails with SteadyStateError when its state is not stationary
+    and with RuntimeError when an energy flow's trace form and closed form
+    disagree beyond 1e-9, since that signals an inconsistent generator.
+    """
+    residual = np.max(np.abs(actions.sum(axis=-2)), axis=-1)
+    _fail(errors, index, residual > _RESIDUAL_TOL,
+          lambda r: SteadyStateError(f"state is not stationary (residual {r:.3e})"), residual)
+    occ = spec.quantum_occupations
+    energy = (actions * _trace_weights(fock_cutoff, spec)[..., None, :]).sum(axis=-1)
+    charge = (actions * _indices(fock_cutoff).charge).sum(axis=-1)
+    edot = {name: energy[..., _CHANNELS[name]].sum(axis=-1).real for name in ("u", "l", "b")}
+    ndot_u = charge[..., _CHANNELS["u"]].sum(axis=-1).real
+    ndot_l = charge[..., _CHANNELS["l"]].sum(axis=-1).real
+
+    obs = _observables(vectors, fock_cutoff, spec)
+    two_re_y = 2.0 * np.real(obs.y)
+    gamma_b = spec.bath.gamma if spec.bath is not None else 0.0
+    n_b = occ.n_b if occ.n_b is not None else 0.0
+    closed = {
+        "u": spec.levels.e_upper * spec.reservoir_u.gamma * (occ.f_u - obs.sigma_uu)
+        - 0.5 * spec.reservoir_u.gamma * two_re_y,
+        "l": spec.levels.e_lower * spec.reservoir_l.gamma * (occ.f_l - obs.sigma_ll)
+        - 0.5 * spec.reservoir_l.gamma * two_re_y,
+        "b": spec.cavity.omega_cav * gamma_b * (n_b - obs.n_ph)
+        - 0.5 * gamma_b * two_re_y,
+    }
+    for name in ("u", "l", "b"):
+        mismatch = abs(edot[name] - closed[name])
+        _fail(
+            errors, index, mismatch > 1e-9 * np.maximum(1.0, abs(edot[name])),
+            lambda trace, form: RuntimeError(
+                f"energy flow {name}: trace form {trace:.12e} and closed form {form:.12e} disagree"
+            ),
+            edot[name], closed[name],
+        )
+    return obs.rate, ndot_u, ndot_l, edot["u"], edot["l"], edot["b"]
+
+
+def _flux_report(spec: SystemSpec, rate, ndot_u, ndot_l, edot_u, edot_l, edot_b) -> FluxReport:
+    gamma_b = spec.bath.gamma if spec.bath is not None else 0.0
+    eff = effective_energies_quantum(
+        spec.levels, spec.cavity, spec.reservoir_u.gamma, spec.reservoir_l.gamma, gamma_b
+    )
+    return flux_report(
+        "quantum", spec.quantum_occupations, eff, rate, ndot_u, ndot_l, edot_u, edot_l, edot_b
+    )
 
 
 def fluxes_quantum(state: QuantumState, liouvillian: Liouvillian, spec: SystemSpec) -> FluxReport:
@@ -834,46 +1059,34 @@ def fluxes_quantum(state: QuantumState, liouvillian: Liouvillian, spec: SystemSp
     pattern = liouvillian.pattern
     if pattern is None:
         raise ValueError("fluxes_quantum needs the sector generator with its channels")
-    occ = spec.quantum_occupations
-    actions = (pattern.terms @ state.vector).reshape(-1, pattern.size)
-    actions *= liouvillian.coefficients[:, None]  # row k: coefficient k's term of L x
+    actions = _actions(pattern, liouvillian.coefficients, state.vector)
+    errors = [None]
+    flows = _flows(state.vector, actions, state.layout.fock_cutoff, spec, errors, [0])
+    if errors[0] is not None:
+        raise errors[0]
+    return _flux_report(spec, *flows)
 
-    residual = float(np.max(np.abs(actions.sum(axis=0))))
-    if residual > _RESIDUAL_TOL:
-        raise SteadyStateError(f"state is not stationary (residual {residual:.3e})")
 
-    h, q = _trace_weights(state.layout, spec)
-    energy, charge = actions @ h, actions @ q
-    edot = {name: float(energy[_CHANNELS[name]].sum().real) for name in ("u", "l", "b")}
-    ndot_u = float(charge[_CHANNELS["u"]].sum().real)
-    ndot_l = float(charge[_CHANNELS["l"]].sum().real)
+def steady_state_fluxes(spec: SystemSpec) -> FluxReport:
+    """``fluxes_quantum`` of the steady state of every sample, solved in batches.
 
-    obs = sector_observables(state, spec)
-    two_re_y = 2.0 * obs.y.real
-    gamma_b = spec.bath.gamma if spec.bath is not None else 0.0
-    n_b = occ.n_b if occ.n_b is not None else 0.0
-    closed = {
-        "u": spec.levels.e_upper * spec.reservoir_u.gamma * (occ.f_u - obs.sigma_uu)
-        - 0.5 * spec.reservoir_u.gamma * two_re_y,
-        "l": spec.levels.e_lower * spec.reservoir_l.gamma * (occ.f_l - obs.sigma_ll)
-        - 0.5 * spec.reservoir_l.gamma * two_re_y,
-        "b": spec.cavity.omega_cav * gamma_b * (n_b - obs.n_ph)
-        - 0.5 * gamma_b * two_re_y,
-    }
-    for name in ("u", "l", "b"):
-        mismatch = abs(edot[name] - closed[name])
-        if mismatch > 1e-9 * max(1.0, abs(edot[name])):
-            raise RuntimeError(
-                f"energy flow {name}: trace form {edot[name]:.12e} and closed form "
-                f"{closed[name]:.12e} disagree"
-            )
-
-    eff = effective_energies_quantum(
-        spec.levels, spec.cavity, spec.reservoir_u.gamma, spec.reservoir_l.gamma, gamma_b
-    )
-    return flux_report(
-        "quantum", occ, eff, obs.rate, ndot_u, ndot_l, edot["u"], edot["l"], edot["b"]
-    )
+    A scenario is the one-sample case and raises its first error.  For a
+    ``SpecColumns`` each field holds one entry per sample; a sample that
+    fails keeps its first error in ``spec.errors`` and NaN entries.  The
+    order of the errors is that of ``quantum_steady_state`` followed by
+    ``fluxes_quantum``.
+    """
+    columns = isinstance(spec, SpecColumns)
+    errors = spec.errors if columns else [None]
+    flows = np.full((6, len(errors)), np.nan)
+    for index, layout, _, _, vectors, actions in _steady_states(spec, errors):
+        part = spec.take(index)
+        flows[:, index] = _flows(vectors, actions, layout.fock_cutoff, part, errors, index)
+    if not columns:
+        if errors[0] is not None:
+            raise errors[0]
+        flows = flows[:, 0]
+    return _flux_report(spec, *flows)
 
 
 def _sign_with_deadband(x: float) -> int:

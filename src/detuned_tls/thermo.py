@@ -6,18 +6,19 @@ with occupations thermal at the bare energies it can turn negative at finite
 detuning, and ``find_violation_with_bare_energies`` searches for a concrete
 counterexample.
 
-The entropy account and the regime are elementwise, like the classical
-closed form they follow.  A classical sweep or search turns its drawn table
-into one ``SpecColumns`` and audits all samples in one pass; ``sweep``
-returns a ``SweepColumns``, whose items are the ``SweepResult`` of each
-sample, built when read.  A quantum sweep solves point by point.
+The entropy account and the regime are elementwise, like the closed form
+and the batched steady-state solve they follow.  A sweep or search turns its
+drawn table into one ``SpecColumns`` and audits all samples in one pass;
+``sweep`` returns a ``SweepColumns``, whose items are the ``SweepResult`` of
+each sample, built when read.  A quantum sweep solves its samples in batches
+of one Fock cutoff and bath flag (``quantum.steady_state_fluxes``).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .model import (
     where,
     with_parameters,
 )
-from .quantum import fluxes_quantum, quantum_steady_state
+from .quantum import steady_state_fluxes
 
 
 @dataclass(frozen=True)
@@ -160,14 +161,14 @@ def audit_point(
 ) -> tuple[FluxReport, EntropyReport, RegimeReport]:
     """Solve one scenario and return fluxes, entropy account, and regime.
 
-    A classical ``SpecColumns`` is solved and audited in one pass over its
-    columns, each report holding one entry per sample.
+    A ``SpecColumns`` is solved and audited in one pass over its columns,
+    each report holding one entry per sample; a sample that fails keeps its
+    error in ``spec.errors``.
     """
     if treatment == "classical":
         flux = fluxes_classical(steady_state_closed_form(spec), spec)
     elif treatment == "quantum":
-        solution = quantum_steady_state(spec)
-        flux = fluxes_quantum(solution.state, solution.liouvillian, spec)
+        flux = steady_state_fluxes(spec)
     else:
         raise ValueError(f"unknown treatment {treatment!r}")
     return flux, entropy_report(flux, spec), classify_regime(flux, spec)
@@ -194,15 +195,6 @@ def _row(report, index: int):
     return type(report)(*[_entry(column, index) for column in vars(report).values()])
 
 
-def _stack(reports: list):
-    """Reports as one report of columns; a failed sample (None) repeats the first report."""
-    first = next((r for r in reports if r is not None), None)
-    if first is None:
-        return None
-    names = [f.name for f in fields(first)]
-    return type(first)(*(np.array([getattr(r or first, n) for r in reports]) for n in names))
-
-
 @dataclass(frozen=True, eq=False)
 class SweepColumns(Sequence):
     """Audited samples as columns; item ``i`` is sample i's SweepResult, built when read.
@@ -220,20 +212,6 @@ class SweepColumns(Sequence):
     entropy_total: np.ndarray | float | None = None
     regime: RegimeReport | None = None
     tolerance: float = 1e-10
-
-    @classmethod
-    def stack(cls, audits: list, tolerance: float, keys=(), values=None) -> "SweepColumns":
-        """Columns of per-sample ``(flux, entropy_total, regime)`` or the exception raised."""
-        solved = [None if isinstance(a, Exception) else a for a in audits]
-        return cls(
-            tuple(keys),
-            np.empty((len(audits), 0)) if values is None else values,
-            [a if isinstance(a, Exception) else None for a in audits],
-            _stack([s and s[0] for s in solved]),
-            np.array([np.nan if s is None else s[1] for s in solved]),
-            _stack([s and s[2] for s in solved]),
-            tolerance,
-        )
 
     def __len__(self) -> int:
         return len(self.errors)
@@ -276,11 +254,12 @@ def sample_table(
     return keys, table
 
 
-def _audit_columns(base: SystemSpec, keys: list, table: np.ndarray, tolerance: float):
-    """Classical audit of every row of ``table`` on ``base``, one column at a time."""
+def _audit_columns(base: SystemSpec, keys: list, table: np.ndarray, tolerance: float,
+                   treatment: Treatment = "classical") -> SweepColumns:
+    """Audit of every row of ``table`` on ``base``, one column at a time."""
     spec = spec_columns(base, keys, table)
     try:
-        flux, entropy, regime = audit_point(spec, "classical")
+        flux, entropy, regime = audit_point(spec, treatment)
     except _SAMPLE_FAILURES as exc:  # every sample fails alike
         errors = [exc if e is None else e for e in spec.errors]
         return SweepColumns(tuple(keys), table, errors, tolerance=tolerance)
@@ -300,23 +279,11 @@ def sweep(
 
     ``ranges`` maps dotted parameter keys to (lo, hi) for random sampling or
     (lo, hi, n) for grids.  Results are deterministic for a given seed;
-    per-sample solver failures are recorded and the sweep continues.  The
-    classical treatment evaluates all samples at once over arrays; the
-    quantum one solves point by point.
+    per-sample solver failures are recorded and the sweep continues.  Either
+    treatment audits all samples at once over arrays; the quantum one solves
+    them in batches of one Fock cutoff and bath flag.
     """
-    keys, table = sample_table(ranges, sampler, n_samples, seed)
-    if treatment == "classical":
-        return _audit_columns(base, keys, table, tolerance)
-    audits = []
-    for row in table:
-        try:
-            flux, entropy, regime = audit_point(
-                with_parameters(base, dict(zip(keys, map(float, row)))), treatment
-            )
-            audits.append((flux, entropy.total, regime))
-        except _SAMPLE_FAILURES as exc:  # recorded, the sweep continues
-            audits.append(exc)
-    return SweepColumns.stack(audits, tolerance, keys, table)
+    return _audit_columns(base, *sample_table(ranges, sampler, n_samples, seed), tolerance, treatment)
 
 
 def _violation_base(base: SystemSpec | None, occupation: OccupationSpec) -> SystemSpec:

@@ -1,5 +1,10 @@
 """Scenario-file parsing and the command-line front end."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from detuned_tls import (
@@ -9,6 +14,7 @@ from detuned_tls import (
     parse_config,
     serialize_config,
 )
+from detuned_tls import cli
 from detuned_tls.cli import FLUX_COLUMNS, main
 from detuned_tls.config import config_from_system_spec, format_number, resolve_parameter_key
 
@@ -455,6 +461,24 @@ def test_audit_random_deterministic_and_flags(classical_cfg_file, tmp_path):
     assert len(rows) == 25
     assert all(row["flags"].startswith("regime=") for row in rows)
     assert not any("violation" in row["flags"] for row in rows)
+
+
+def test_the_parser_is_built_once_and_keeps_no_option_values(classical_cfg_file, tmp_path):
+    # The argparse tree is cached; an `append` option given in one call must
+    # not reach the next, so `audit` without --range prints what a fresh
+    # process prints.
+    assert cli._build_parser() is cli._build_parser()
+    drawn, swept, fresh = tmp_path / "drawn.csv", tmp_path / "swept.csv", tmp_path / "fresh.csv"
+    config = ["--config", str(classical_cfg_file)]
+    assert main(["audit", *config, "--random", "3", "--range", "drive.omega=0.6:1.8",
+                 "--out", str(drawn)]) == 0
+    second = ["audit", *config, "--sweep", "reservoir_u.mu=0.0:1.0:3"]
+    assert main(second + ["--out", str(swept)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    subprocess.run([sys.executable, "-m", "detuned_tls.cli", *second, "--out", str(fresh)],
+                   env=env, check=True)
+    assert swept.read_bytes() == fresh.read_bytes()
+    assert len(_read_csv(swept)[1]) == 3
 
 
 def test_audit_grid_handles_failed_samples(classical_cfg_file, tmp_path):

@@ -40,14 +40,17 @@ from detuned_tls import (
     steady_state,
     thermal_state,
     with_parameter,
+    with_parameters,
 )
-from detuned_tls.model import Occupations
+from detuned_tls import quantum
+from detuned_tls.model import Occupations, spec_columns
 from detuned_tls.quantum import (
     Liouvillian,
     build_liouvillian,
     build_operators,
     observables,
     sector_pattern,
+    steady_state_fluxes,
     thermal_product_state,
 )
 
@@ -825,6 +828,69 @@ def test_fock_cutoff_enlargements_are_logged(caplog):
         assert record.levelno == logging.INFO
         assert record.args[2] > 1e-6
         assert "Fock cutoff" in record.getMessage()
+
+
+# -- the batched solve ----------------------------------------------------------
+
+
+def _audit_scenario(cutoff=12):
+    """The quantum-audit scenario of the benchmark: inverted fixed fillings, effective bath."""
+    return SystemSpec(
+        levels=EnergyLevels(1.0, 0.0),
+        reservoir_u=FermionicReservoir(0.3, OccupationSpec.fixed(0.95), 0.9, 0.2),
+        reservoir_l=FermionicReservoir(0.3, OccupationSpec.fixed(0.02), 0.1, 0.2),
+        cavity=CavitySpec(omega_cav=1.05, g=0.1, fock_cutoff=cutoff),
+        bath=BosonicBath(0.1, OccupationSpec.thermal_effective(), temperature=0.3),
+    )
+
+
+def test_batched_solve_equals_one_sample_solves():
+    # 100 samples of the benchmark's ranges in one batch per cutoff, against
+    # the one-sample solve of each; the enlarged cutoffs agree as well.
+    base, keys = _audit_scenario(), ["cavity.g", "bath.gamma"]
+    table = np.random.default_rng(12).uniform([0.05, 0.02], [0.3, 0.15], size=(100, 2))
+    spec = spec_columns(base, keys, table)
+    solved = {}
+    for index, layout, _, _, vectors, _ in quantum._steady_states(spec, spec.errors):
+        solved.update((i, (layout.fock_cutoff, v)) for i, v in zip(index, vectors))
+    assert len(solved) > 90 and len({c for c, _ in solved.values()}) > 1
+    for i, row in enumerate(table):
+        point = with_parameters(base, dict(zip(keys, row)))
+        try:
+            sol = quantum_steady_state(point)
+        except SteadyStateError as exc:
+            assert (type(spec.errors[i]), str(spec.errors[i])) == (type(exc), str(exc))
+            continue
+        cutoff, vector = solved[i]
+        assert cutoff == sol.layout.fock_cutoff
+        assert np.max(np.abs(vector - sol.state.vector)) < 1e-14
+
+
+def test_a_singular_step_fails_its_own_sample_only():
+    # f_u = 1 and f_l = 0 (Fermi functions that round to 1 and 0) without
+    # a bath channel leave |0,1,N> without any transition: the first step
+    # of the recursion is singular for that sample alone.
+    base = replace(
+        _audit_scenario(cutoff=8),
+        reservoir_u=FermionicReservoir(0.3, OccupationSpec.thermal_bare(), 0.9, 0.2),
+        reservoir_l=FermionicReservoir(0.2, OccupationSpec.thermal_bare(), 0.1, 0.2),
+        bath=BosonicBath(0.0, OccupationSpec.fixed(0.1), 0.3),
+    )
+    keys = ["reservoir_u.mu", "reservoir_l.mu"]
+    table = np.array([[-1.0, 1.5], [100.0, -200.0], [-0.5, 1.2]])
+    spec = spec_columns(base, keys, table)
+    flux = steady_state_fluxes(spec)
+    assert [type(e) for e in spec.errors] == [type(None), SteadyStateError, type(None)]
+    assert str(spec.errors[1]) == "steady-state solve failed: Singular matrix"
+    with pytest.raises(SteadyStateError, match="Singular matrix"):
+        quantum_steady_state(with_parameters(base, dict(zip(keys, table[1]))))
+    for i in (0, 2):
+        point = with_parameters(base, dict(zip(keys, table[i])))
+        sol = quantum_steady_state(point)
+        expected = fluxes_quantum(sol.state, sol.liouvillian, point)
+        for name in ("rate", "ndot_u", "ndot_l", "edot_u", "edot_l", "edot_opt"):
+            assert getattr(flux, name)[i] == pytest.approx(getattr(expected, name), abs=1e-15)
+    assert np.isnan(flux.rate[1])
 
 
 # -- the per-cutoff pattern cache ----------------------------------------------

@@ -317,6 +317,53 @@ def test_batched_sweep_equals_one_point_sweeps(keys, n, seed, occupation):
         assert row.regime == regime
 
 
+def _column_scale(values):
+    finite = [abs(v) for v in values if v is not None and np.isfinite(v)]
+    return max(finite, default=0.0)
+
+
+@given(
+    cutoffs=st.tuples(st.integers(1, 4), st.integers(1, 8)),
+    g=st.floats(0.0, 0.4),
+    omega_cav=st.floats(0.6, 1.6),
+    t_b=st.floats(0.05, 1.0),
+    mu_u=st.floats(-0.5, 2.0),
+)
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_quantum_sweep_equals_one_point_audits(cutoffs, g, omega_cav, t_b, mu_u):
+    # One sweep mixes (cutoff, bath flag) batches: bath.gamma = 0 drops the
+    # bath channel, a negative one is refused by with_parameters, and low
+    # cutoffs enlarge or fail.  Each row must equal the audit of its point.
+    ranges = {
+        "cavity.fock_cutoff": (*cutoffs, 3),
+        "bath.gamma": (-0.1, 0.3, 5),
+        "cavity.g": (0.0, g, 2),
+        "cavity.omega_cav": (omega_cav, omega_cav, 1),
+        "bath.temperature": (t_b, t_b, 1),
+        "reservoir_u.mu": (mu_u, mu_u, 1),
+    }
+    rows = sweep(quantum_spec(), ranges, treatment="quantum", sampler="grid")
+    expected = []
+    for row in rows:
+        try:
+            expected.append(audit_point(with_parameters(quantum_spec(), row.params), "quantum"))
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            expected.append(f"{type(exc).__name__}: {exc}")
+    assert [r.error for r in rows] == [e if isinstance(e, str) else None for e in expected]
+    solved = [(r, e) for r, e in zip(rows, expected) if r.error is None]
+    for name in ("rate", "ndot_u", "ndot_l", "edot_u", "edot_l", "edot_opt", "e_eff_ph",
+                 "e_flux_u", "e_flux_l", "e_flux_ph", "first_law_residual", "n_b"):
+        got = [getattr(r.flux, name) for r, _ in solved]
+        want = [getattr(e[0], name) for _, e in solved]
+        scale = _column_scale(want)
+        for a, b in zip(got, want):
+            assert a == pytest.approx(b, rel=0, abs=1e-12 * scale, nan_ok=True), name
+    totals = [e[1].total for _, e in solved]
+    for (r, e), total in zip(solved, totals):
+        assert r.entropy_total == pytest.approx(total, rel=0, abs=1e-12 * _column_scale(totals))
+        assert r.regime.regime == e[2].regime
+
+
 def test_classical_sweep_solves_its_samples_as_columns(monkeypatch):
     # One audit over arrays, with no spec rebuilt per sample; the results are
     # SweepResults built when an item is read.
@@ -356,12 +403,10 @@ def test_an_audit_resolves_its_occupations_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(model, "resolve_occupations", counted("resolve", model.resolve_occupations))
-    monkeypatch.setattr(
-        quantum, "build_sector_liouvillian", counted("build", quantum.build_sector_liouvillian)
-    )
+    monkeypatch.setattr(quantum, "sector_pattern", counted("pattern", quantum.sector_pattern))
     ranges = {"drive.omega": (0.6, 1.6), "reservoir_u.mu": (0.0, 1.5)}
     assert len(sweep(classical_spec(), ranges, n_samples=500, seed=3)) == 500
     assert calls == ["resolve"]
     calls.clear()
     audit_point(quantum_spec(cutoff=1), "quantum")
-    assert sorted(calls) == ["build", "build", "resolve"]
+    assert sorted(calls) == ["pattern", "pattern", "resolve"]
