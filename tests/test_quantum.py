@@ -954,6 +954,8 @@ def test_cached_arrays_are_read_only():
         pattern.terms.data,
         pattern.terms.indices,
         pattern.terms.indptr,
+        pattern.stacks.data,
+        pattern.places,
         liouv.matrix.indices,
         liouv.matrix.indptr,
         layout.sector_indices(),
