@@ -77,6 +77,7 @@ _RESIDUAL_TOL = 1e-10
 _FOCK_TAIL_TOL = 1e-6
 _HERMITICITY_TOL = 1e-12
 _MAX_ENLARGEMENTS = 2  # cutoff raises of 4 before a FockCutoffError stands
+_BATCH_ENTRIES = 2**19  # block entries (16 bytes each) a batch may hold; larger audits take several
 
 logger = logging.getLogger(__name__)
 
@@ -889,11 +890,12 @@ def _actions(pattern: SectorPattern, coefficients: np.ndarray, vectors: np.ndarr
 def _steady_states(spec: SystemSpec, errors: list):
     """Solve every sample of ``spec`` that has no error yet, batched by Fock cutoff and bath flag.
 
-    Each batch is one ``_null_vectors`` solve and one product with the
-    pattern's ``terms``, whose sum is the residual.  A sample whose Fock
-    tail fails is solved again with the next batch at its cutoff + 4, at
-    most twice, and each enlargement is logged at INFO level with the old
-    and new cutoff and the tail that triggered it.  Yields the solved
+    A batch holds at most ``_BATCH_ENTRIES`` block entries.  Each is one
+    ``_null_vectors`` solve and one product with the pattern's ``terms``,
+    whose sum is the residual.  A sample whose Fock tail fails is solved
+    again with a later batch at its cutoff + 4, at most twice, and each
+    enlargement is logged at INFO level with the old and new cutoff and the
+    tail that triggered it.  Yields the solved
     samples of each batch: (index, layout, pattern, coefficients, vectors,
     actions).  The others keep their first error in ``errors``.
     """
@@ -907,9 +909,9 @@ def _steady_states(spec: SystemSpec, errors: list):
     pending = np.array([i for i, error in enumerate(errors) if error is None], dtype=int)
     while pending.size:
         key = 2 * cutoffs[pending] + bath[pending]
-        first = key == key.min()
-        batch, pending = pending[first], pending[~first]
-        cutoff = int(cutoffs[batch[0]])
+        cutoff = int(cutoffs[pending[np.argmin(key)]])
+        chosen = np.flatnonzero(key == key.min())[: max(1, _BATCH_ENTRIES // (108 * (cutoff + 2)))]
+        batch, pending = pending[chosen], np.delete(pending, chosen)
         pattern = sector_pattern(cutoff, bool(bath[batch[0]]))
         batch_coefficients = coefficients[batch]
         vectors = _null_vectors(pattern.blocks(batch_coefficients), cutoff, errors, batch)

@@ -866,6 +866,18 @@ def test_batched_solve_equals_one_sample_solves():
         assert np.max(np.abs(vector - sol.state.vector)) < 1e-14
 
 
+def test_small_batches_give_the_rows_of_one_batch(monkeypatch):
+    # A batch holds at most _BATCH_ENTRIES block entries; a sample's result
+    # does not depend on the batch it was solved in.
+    base, keys = _audit_scenario(), ["cavity.g", "bath.gamma"]
+    table = np.random.default_rng(5).uniform([0.05, 0.02], [0.3, 0.15], size=(40, 2))
+    whole = steady_state_fluxes(spec_columns(base, keys, table))
+    monkeypatch.setattr(quantum, "_BATCH_ENTRIES", 3 * 108 * 14)  # 3 samples at cutoff 12
+    spec = spec_columns(base, keys, table)
+    assert repr(steady_state_fluxes(spec)) == repr(whole)
+    assert all(error is None or isinstance(error, RuntimeError) for error in spec.errors)
+
+
 def test_a_singular_step_fails_its_own_sample_only():
     # f_u = 1 and f_l = 0 (Fermi functions that round to 1 and 0) without
     # a bath channel leave |0,1,N> without any transition: the first step
