@@ -763,21 +763,21 @@ def _lowest_eigenvalues(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
     """
     ix = _indices(fock_cutoff)
     d, n = 4 * (fock_cutoff + 1), fock_cutoff
-    herm = 0.5 * (vectors + _adjoint(vectors, fock_cutoff))
-    pops = herm[..., :d].real
-    upper, lower = pops[..., ix.upper], pops[..., ix.lower]
+    herm = (0.5 * (vectors + _adjoint(vectors, fock_cutoff))).T  # entries first: one index for all
+    pops = herm[:d].real
+    upper, lower = pops[ix.upper], pops[ix.lower]
     mean, half_gap = 0.5 * (upper + lower), 0.5 * (upper - lower)
-    pairs = mean - np.hypot(half_gap, np.abs(herm[..., d : d + n]))
-    return np.minimum(pops[..., ix.single].min(axis=-1), pairs.min(axis=-1))
+    pairs = mean - np.hypot(half_gap, np.abs(herm[d : d + n]))
+    return np.minimum(pops[ix.single].min(axis=0), pairs.min(axis=0))
 
 
 def _fail(errors: list, index, bad, error, *values) -> None:
     """Sample ``index[j]`` fails with ``error(*values at j)`` where ``bad[j]``,
     unless it failed before: every sample keeps its first error."""
-    columns = [np.ravel(v) for v in values]
-    for j in np.flatnonzero(bad):
+    bad = np.asarray(bad)
+    for j in np.flatnonzero(bad) if bad.any() else ():
         if errors[index[j]] is None:
-            errors[index[j]] = error(*(c[j] for c in columns))
+            errors[index[j]] = error(*(np.ravel(v)[j] for v in values))
 
 
 def _validate(vectors: np.ndarray, fock_cutoff: int, errors: list, index) -> None:
