@@ -79,6 +79,7 @@ from .quantum import (
     sign_condition,
     steady_state,
     thermal_state,
+    trajectory,
 )
 from .thermo import (
     EntropyReport,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -24,7 +25,6 @@ from .config import (
     build_system_spec,
     config_from_system_spec,
     format_column,
-    format_number,
     parse_config,
     resolve_parameter_key,
 )
@@ -40,9 +40,9 @@ from .quantum import (
     HilbertLayout,
     SteadyStateError,
     build_sector_liouvillian,
-    evolve_quantum,
-    sector_observables,
+    stacked_observables,
     thermal_state,
+    trajectory,
 )
 
 FLUX_COLUMNS = (
@@ -222,38 +222,34 @@ def _cmd_audit(args: argparse.Namespace, solve: str | None = None) -> int:
     return 0
 
 
-def _evolve_rows(args: argparse.Namespace, state, step, observe) -> list[list[str]]:
-    """Rows at --n-store evenly spaced times from 0 to --t-final.
+def _evolve_times(args: argparse.Namespace) -> tuple[float, list[float]]:
+    """The segment and the --n-store evenly spaced times from 0 to --t-final.
 
-    ``step(state, seg)`` advances the state by one segment; a row is t
-    followed by ``observe(state)``.
+    Each time is the running sum of the segments before it, so the t column
+    reads the same whatever advances the state.
     """
     if args.n_store < 2:
         raise ConfigError("--n-store must be at least 2 (the initial and the final state)")
     if not (math.isfinite(args.t_final) and args.t_final >= 0):
         raise ConfigError(f"--t-final must be finite and non-negative, not {args.t_final!r}")
     seg = args.t_final / (args.n_store - 1)
-    rows = []
-    t = 0.0
-    for i in range(args.n_store):
-        if i > 0:
-            state = step(state, seg)
-            t += seg
-        rows.append([format_number(t)] + [format_number(v) for v in observe(state)])
-    return rows
+    return seg, list(itertools.accumulate(itertools.repeat(seg, args.n_store - 1), initial=0.0))
+
+
+def _write_evolution(args: argparse.Namespace, header: list[str], times, columns) -> None:
+    _write_rows(args.out, ["t"] + header, zip(*map(format_column, [times, *columns])))
 
 
 def _cmd_classical_evolve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     if spec.drive is None:
         raise ConfigError("classical commands require a drive section")
-    rows = _evolve_rows(
-        args,
-        BlochState(args.sigma_uu0, args.sigma_ll0, 0.0 + 0.0j),
-        lambda state, seg: evolve(state, spec, seg),
-        lambda s: (s.sigma_uu, s.sigma_ll, s.sigma_ul.real, s.sigma_ul.imag),
-    )
-    _write_rows(args.out, ["t", "sigma_uu", "sigma_ll", "re_sigma_ul", "im_sigma_ul"], rows)
+    seg, times = _evolve_times(args)
+    states = [BlochState(args.sigma_uu0, args.sigma_ll0, 0.0 + 0.0j)]
+    for _ in times[1:]:
+        states.append(evolve(states[-1], spec, seg))
+    columns = zip(*[(s.sigma_uu, s.sigma_ll, s.sigma_ul.real, s.sigma_ul.imag) for s in states])
+    _write_evolution(args, ["sigma_uu", "sigma_ll", "re_sigma_ul", "im_sigma_ul"], times, columns)
     return 0
 
 
@@ -261,20 +257,13 @@ def _cmd_quantum_evolve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     if spec.cavity is None or spec.bath is None:
         raise ConfigError("quantum commands require cavity and bath sections")
+    _, times = _evolve_times(args)
     layout = HilbertLayout(spec.cavity.fock_cutoff)
     liouv = build_sector_liouvillian(layout, spec)
-
-    def observe(state):
-        obs = sector_observables(state, spec)
-        return obs.sigma_uu, obs.sigma_ll, obs.n_ph, obs.rate
-
-    rows = _evolve_rows(
-        args,
-        thermal_state(layout, 0.0, 0.0, 0.0),
-        lambda state, seg: evolve_quantum(state, liouv, seg),
-        observe,
-    )
-    _write_rows(args.out, ["t", "sigma_uu", "sigma_ll", "n_ph", "rate"], rows)
+    states = trajectory(thermal_state(layout, 0.0, 0.0, 0.0), liouv, args.t_final, args.n_store)
+    obs = stacked_observables(states, layout.fock_cutoff, spec)
+    columns = (obs.sigma_uu, obs.sigma_ll, obs.n_ph, obs.rate)
+    _write_evolution(args, ["sigma_uu", "sigma_ll", "n_ph", "rate"], times, columns)
     return 0
 
 

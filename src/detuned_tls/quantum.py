@@ -30,10 +30,13 @@ blocks are linear in the c_k, so one product builds them for a whole
 stacked 6x6 solve over all S samples.  ``steady_state_fluxes`` audits the
 samples of a ``SpecColumns`` this way, in batches of one cutoff and bath
 flag; a scenario, ``quantum_steady_state`` and ``steady_state`` are its
-one-sample case.  The generator is linear and time independent, so time
-evolution is the action of its exponential, exp(L t) rho0 (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488 (2011)); it never factorizes L and is
-an independent oracle for the steady state.  Each flow is an O(N) trace
+one-sample case.  The generator is linear and time independent, so a
+trajectory of evenly spaced rows applies one propagator exp(L seg) per
+segment: ``trajectory`` forms it once by scaling and squaring while the
+sector is small enough for a dense matrix, and above that size applies
+each segment with ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 488 (2011)).  Neither solves L x = 0, so the evolution is an
+independent oracle for the steady state.  Each flow is an O(N) trace
 of H or N against one channel's action, read off one product with the
 stack of the B_k, which also gives the residual.  Positivity is checked on
 the 2x2 blocks that the coherences form with their two populations.  The
@@ -42,7 +45,8 @@ cached arrays are read-only, so threads may share them.
 The full-space construction (dense ``build_operators``, the row-major
 superoperator of ``build_liouvillian``, dense ``observables`` and
 ``thermal_product_state``) is only the reference the sector is tested
-against; ``steady_state`` and ``evolve_quantum`` refuse its generator.
+against; ``steady_state``, ``trajectory`` and ``evolve_quantum`` refuse its
+generator.
 
 Both generators, the steady-state solve and the flows read the reservoir
 occupations from ``spec.quantum_occupations``.
@@ -53,10 +57,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
@@ -78,6 +83,10 @@ _FOCK_TAIL_TOL = 1e-6
 _HERMITICITY_TOL = 1e-12
 _MAX_ENLARGEMENTS = 2  # cutoff raises of 4 before a FockCutoffError stands
 _BATCH_ENTRIES = 2**19  # block entries (16 bytes each) a batch may hold; larger audits take several
+# Sector entries up to which ``trajectory`` forms the dense propagator: its O(size^3)
+# cost met that of one expm_multiply per segment at 460-472 entries (cutoff 76-78)
+# on the quantum-evolve scenario, 41 rows over t = 30, one BLAS thread.
+_DENSE_SIZE = 460
 
 logger = logging.getLogger(__name__)
 
@@ -579,7 +588,7 @@ def thermal_product_state(
 
 def sector_observables(state: QuantumState, spec: SystemSpec) -> QuantumObservables:
     """``observables`` of a sector state, from its populations and coherences."""
-    return _observables(state.vector, state.layout.fock_cutoff, spec)
+    return stacked_observables(state.vector, state.layout.fock_cutoff, spec)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -589,8 +598,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b if a.ndim == 1 else (a * b).sum(axis=-1)
 
 
-def _observables(vectors: np.ndarray, fock_cutoff: int, spec: SystemSpec) -> QuantumObservables:
-    """``sector_observables`` of each sector vector along the last axis, elementwise in ``spec``."""
+def stacked_observables(
+    vectors: np.ndarray, fock_cutoff: int, spec: SystemSpec
+) -> QuantumObservables:
+    """``sector_observables`` of each sector vector along the last axis (the rows of a
+    ``trajectory``, or a batch of steady states), elementwise in ``spec``."""
     ix = _indices(fock_cutoff)
     d, n = 4 * (fock_cutoff + 1), fock_cutoff
     # rows: (n_l, n_u) = (0, 0), (0, 1), (1, 0), (1, 1)
@@ -948,31 +960,69 @@ def quantum_steady_state(spec: SystemSpec) -> QuantumSolution:
     raise errors[0]
 
 
+def trajectory(
+    state0: QuantumState, liouvillian: Liouvillian, t_final: float, n_store: int
+) -> np.ndarray:
+    """The states at ``n_store`` evenly spaced times from 0 to ``t_final``, as an
+    (n_store, sector size) stack whose row 0 is ``state0``.
+
+    Each later row is the one-segment propagator P = exp(L seg), seg =
+    t_final / (n_store - 1), applied to the row before it.  Up to
+    ``_DENSE_SIZE`` sector entries P is formed once by scaling and squaring
+    (``scipy.linalg.expm``; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
+    970 (2009)); above it each segment is one ``expm_multiply`` call.  Every
+    propagated row must have unit trace and be Hermitian to 1e-9, else
+    EvolutionError; it is symmetrized and renormalized before the next
+    step, and validated.  The first failing row raises its error.  A
+    full-space generator raises ValueError.
+    """
+    if t_final < 0:
+        raise ValueError("t_final must be non-negative")
+    if n_store < 2:
+        raise ValueError("n_store must be at least 2 (the initial and the final state)")
+    matrix = _sector_matrix(liouvillian)
+    cutoff = liouvillian.layout.fock_cutoff
+    d = 4 * (cutoff + 1)
+    seg = t_final / (n_store - 1)
+    states = np.empty((n_store, matrix.shape[0]), dtype=complex)
+    states[0] = state0.vector
+    propagated = np.empty_like(states[1:])  # row i - 1 holds P applied to row i - 1
+    # L seg may overflow; the dense P is then NaN, and so are the rows it gives.
+    with np.errstate(all="ignore"):
+        generator = matrix * seg
+        if matrix.shape[0] <= _DENSE_SIZE:
+            step = scipy.linalg.expm(generator.toarray()).__matmul__
+        else:
+            step = partial(expm_multiply, generator)
+        for i in range(1, n_store):
+            try:
+                y = propagated[i - 1] = step(states[i - 1])
+            except (OverflowError, ValueError) as exc:  # an infinite or NaN norm of L seg
+                raise EvolutionError(f"propagator overflows at t = {i * seg:.6g}: {exc}") from exc
+            herm = 0.5 * (y + _adjoint(y, cutoff))
+            states[i] = herm / herm[:d].sum().real
+
+        errors, index = [None] * (n_store - 1), range(n_store - 1)
+        trace_drift = abs(propagated[:, :d].sum(axis=1) - 1.0)
+        herm_drift = np.max(np.abs(propagated - _adjoint(propagated, cutoff)), axis=1)
+        message = "invariant drift at t = {:.6g}: |tr-1| = {:.3e}, hermiticity = {:.3e}"
+        _fail(errors, index, ~((trace_drift <= 1e-9) & (herm_drift <= 1e-9)),
+              lambda *v: EvolutionError(message.format(*v)),
+              seg * np.arange(1, n_store), trace_drift, herm_drift)
+        _validate(states[1:], cutoff, errors, index)
+    failure = next((error for error in errors if error is not None), None)
+    if failure is not None:
+        raise failure
+    return states
+
+
 def evolve_quantum(
     state0: QuantumState,
     liouvillian: Liouvillian,
     t_final: float,
 ) -> QuantumState:
-    """exp(L t_final) applied to a sector state; a full-space generator raises ValueError.
-
-    The propagated state must have unit trace and be Hermitian to 1e-9,
-    else EvolutionError; the returned state is symmetrized, renormalized
-    and validated.
-    """
-    if t_final < 0:
-        raise ValueError("t_final must be non-negative")
-    y = expm_multiply(_sector_matrix(liouvillian) * t_final, state0.vector)
-    current = QuantumState(y, liouvillian.layout)
-    trace_drift = abs(current.trace() - 1.0)
-    herm_drift = current.hermiticity_error()
-    if not (trace_drift <= 1e-9 and herm_drift <= 1e-9):
-        raise EvolutionError(
-            f"invariant drift at t = {t_final:.6g}: "
-            f"|tr-1| = {trace_drift:.3e}, hermiticity = {herm_drift:.3e}"
-        )
-    state = current.hermitian_part()
-    state.validate()
-    return state
+    """exp(L t_final) applied to a sector state: the last row of a two-row ``trajectory``."""
+    return QuantumState(trajectory(state0, liouvillian, t_final, 2)[-1], liouvillian.layout)
 
 
 # -- flows ------------------------------------------------------------------------
@@ -1012,7 +1062,7 @@ def _flows(vectors, actions, fock_cutoff: int, spec: SystemSpec, errors: list, i
     ndot_u = charge[..., _CHANNELS["u"]].sum(axis=-1).real
     ndot_l = charge[..., _CHANNELS["l"]].sum(axis=-1).real
 
-    obs = _observables(vectors, fock_cutoff, spec)
+    obs = stacked_observables(vectors, fock_cutoff, spec)
     two_re_y = 2.0 * np.real(obs.y)
     gamma_b = spec.bath.gamma if spec.bath is not None else 0.0
     n_b = occ.n_b if occ.n_b is not None else 0.0

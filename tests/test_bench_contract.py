@@ -101,22 +101,27 @@ reservoir_l.occupation = fixed:0.02
 """
 
 
-def test_gate_checks_a_quantum_evolve_trajectory(tmp_path):
+# Cutoff 6 runs the dense propagator and cutoff 77 one expm_multiply per segment
+# (test_quantum.py checks that they straddle the size between them).  The gate
+# propagates the full space over the first segment, so the large cutoff stores
+# more rows to keep that segment short.
+@pytest.mark.parametrize(("cutoff", "n_store"), [(6, 4), (77, 61)], ids=("dense", "sparse"))
+def test_gate_checks_a_quantum_evolve_trajectory(tmp_path, cutoff, n_store):
     # check_evolution reads build_liouvillian(...).matrix, observables,
     # thermal_product_state and quantum_steady_state(spec).ops and .state.rho.
     gate = _load("gate")
     text = _PUMPED_EMITTER + (
-        "cavity.omega_cav = 1.05\ncavity.g = 0.2\ncavity.fock_cutoff = 6\n"
+        f"cavity.omega_cav = 1.05\ncavity.g = 0.2\ncavity.fock_cutoff = {cutoff}\n"
         "reservoir_u.gamma = 0.5\nreservoir_l.gamma = 0.5\n"
         "bath.gamma = 0.5\nbath.temperature = 0.3\nbath.occupation = effective\n"
     )
     path = tmp_path / "evolve.cfg"
     path.write_text(text)
     output = _cli_output(
-        ["quantum-evolve", "--config", str(path), "--t-final", "30", "--n-store", "4"]
+        ["quantum-evolve", "--config", str(path), "--t-final", "30", "--n-store", str(n_store)]
     )
     spec = build_system_spec(parse_config(text))
-    verdict = gate.check_evolution(output, spec, 4, 30.0)
+    verdict = gate.check_evolution(output, spec, n_store, 30.0)
     assert verdict.samples == 1 and not verdict.errors and not verdict.wrong
 
 

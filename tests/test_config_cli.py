@@ -345,6 +345,43 @@ def test_quantum_evolve_trajectory(quantum_cfg_file, tmp_path):
     assert float(rows[-1]["sigma_uu"]) > 0.0
 
 
+@pytest.mark.parametrize("command", tuple(EVOLVE_CONFIGS))
+def test_evolve_times_are_a_running_sum_of_segments(tmp_path, command):
+    # 2/6 is inexact: the running sum ends at 1.9999999999999998, where 6 * seg is 2.
+    out = tmp_path / "traj.csv"
+    path = _evolve_cfg_file(tmp_path, command)
+    code = main([command, "--config", str(path), "--t-final", "2.0", "--n-store", "7",
+                 "--out", str(out)])
+    assert code == 0
+    times, t = [], 0.0
+    for i in range(7):
+        t += 2.0 / 6 if i else 0.0
+        times.append(format_number(t))
+    assert [row["t"] for row in _read_csv(out)[1]] == times
+
+
+@pytest.mark.parametrize("cutoff", ("6", "77"))  # the dense propagator, and expm_multiply
+def test_quantum_evolve_over_zero_time_stays_in_the_vacuum(quantum_cfg_file, capsys, cutoff):
+    argv = ["quantum-evolve", "--config", str(quantum_cfg_file), "--fock-cutoff", cutoff,
+            "--t-final", "0", "--n-store", "3"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["t,sigma_uu,sigma_ll,n_ph,rate"] + ["0,0,0,0,0"] * 3
+
+
+@pytest.mark.parametrize("t_final", ("1e300", "1.7e308"))
+@pytest.mark.parametrize("cutoff", ("6", "77"))  # the dense propagator, and expm_multiply
+def test_quantum_evolve_over_an_overflowing_time_is_a_solver_error(
+    quantum_cfg_file, capsys, cutoff, t_final
+):
+    argv = ["quantum-evolve", "--config", str(quantum_cfg_file), "--fock-cutoff", cutoff,
+            "--t-final", t_final, "--n-store", "2"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "command",
     (

@@ -762,6 +762,64 @@ def test_evolution_matches_dense_matrix_exponential(cutoff, bath):
         assert np.max(np.abs(vec_rho - exact)) < 1e-12
 
 
+def _per_segment_trajectory(state0, liouv, t_final, n_store):
+    """One ``expm_multiply`` per segment, each state symmetrized and renormalized."""
+    d, cutoff = liouv.layout.dim, liouv.layout.fock_cutoff
+    rows = [state0.vector]
+    for _ in range(n_store - 1):
+        y = expm_multiply(liouv.matrix * (t_final / (n_store - 1)), rows[-1])
+        assert abs(y[:d].sum() - 1.0) <= 1e-9
+        assert np.max(np.abs(y - quantum._adjoint(y, cutoff))) <= 1e-9
+        herm = 0.5 * (y + quantum._adjoint(y, cutoff))
+        rows.append(herm / herm[:d].sum().real)
+    return np.array(rows)
+
+
+# The dense propagator serves cutoff 6 and one expm_multiply per segment cutoff 77.
+SIDES_OF_THE_DENSE_SIZE = (6, 77)
+
+
+def test_the_sides_straddle_the_dense_size():
+    small, large = (HilbertLayout(c).sector_size for c in SIDES_OF_THE_DENSE_SIZE)
+    assert small <= quantum._DENSE_SIZE < large
+
+
+@pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
+@pytest.mark.parametrize("cutoff", SIDES_OF_THE_DENSE_SIZE)
+def test_trajectory_matches_one_expm_multiply_per_segment(monkeypatch, cutoff, bath):
+    spec = replace(_oracle_spec(bath), cavity=CavitySpec(1.2, 0.2, cutoff))
+    layout = HilbertLayout(cutoff)
+    liouv = build_sector_liouvillian(layout, spec)
+    rho0 = thermal_state(layout, 0.0, 0.0, 0.0)
+    calls = []
+    monkeypatch.setattr(quantum, "expm_multiply", lambda *a: calls.append(a) or expm_multiply(*a))
+    rows = quantum.trajectory(rho0, liouv, 6.0, 5)
+    assert len(calls) == (0 if layout.sector_size <= quantum._DENSE_SIZE else 4)
+    assert rows.shape == (5, layout.sector_size)
+    assert np.array_equal(rows[0], rho0.vector)
+    assert np.max(np.abs(rows - _per_segment_trajectory(rho0, liouv, 6.0, 5))) < 1e-12
+    last = evolve_quantum(rho0, liouv, 6.0)
+    assert np.array_equal(last.vector, quantum.trajectory(rho0, liouv, 6.0, 2)[-1])
+
+
+@pytest.mark.parametrize("cutoff", SIDES_OF_THE_DENSE_SIZE)
+def test_trajectory_of_zero_time_repeats_the_start(cutoff):
+    layout = HilbertLayout(cutoff)
+    liouv = build_sector_liouvillian(layout, make_spec(cutoff=cutoff))
+    rho0 = thermal_state(layout, 0.0, 0.0, 0.0)
+    assert np.array_equal(quantum.trajectory(rho0, liouv, 0.0, 3), np.tile(rho0.vector, (3, 1)))
+
+
+def test_trajectory_raises_the_error_of_its_first_failing_row():
+    # Each row is renormalized, so every segment drifts by about 1e-6 and
+    # every row fails; the first, at t = 1, raises.
+    layout = HilbertLayout(3)
+    lossy = build_sector_liouvillian(layout, make_spec(cutoff=3))
+    lossy = replace(lossy, matrix=lossy.matrix - 1e-6 * sp.identity(layout.sector_size))
+    with pytest.raises(EvolutionError, match="drift at t = 1:"):
+        quantum.trajectory(thermal_state(layout, 0.3, 0.4, 0.2), lossy, 4.0, 5)
+
+
 def test_quantum_state_rejects_a_full_space_vector():
     layout = HilbertLayout(3)
     rho = thermal_product_state(layout, 0.6, 0.3, 0.2)
