@@ -229,21 +229,6 @@ class QuantumState:
         flat[self.layout.sector_indices()] = self.vector
         return flat.reshape(d, d)
 
-    def trace(self) -> complex:
-        return complex(self.vector[: self.layout.dim].sum())
-
-    def adjoint(self) -> np.ndarray:
-        """The vector of rho^dagger: the populations conjugated, each c_n swapped with c_n*."""
-        return _adjoint(self.vector, self.layout.fock_cutoff)
-
-    def hermiticity_error(self) -> float:
-        return float(np.max(np.abs(self.vector - self.adjoint())))
-
-    def hermitian_part(self) -> QuantumState:
-        """(rho + rho^dagger) / 2, scaled to unit trace."""
-        herm = QuantumState(0.5 * (self.vector + self.adjoint()), self.layout)
-        return QuantumState(herm.vector / herm.trace().real, self.layout)
-
     def lowest_eigenvalue(self) -> float:
         """Lowest eigenvalue of (rho + rho^dagger) / 2 (see ``_lowest_eigenvalues``)."""
         return float(_lowest_eigenvalues(self.vector, self.layout.fock_cutoff))
@@ -763,7 +748,8 @@ def _sector_matrix(liouvillian: Liouvillian) -> sp.csr_matrix:
 
 
 def _adjoint(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
-    """The vector of rho^dagger for each sector vector along the last axis."""
+    """The vector of rho^dagger for each sector vector along the last axis: the
+    populations conjugated, each c_n swapped with c_n*."""
     return np.take(vectors, _indices(fock_cutoff).adjoint, axis=-1).conj()
 
 
@@ -973,16 +959,16 @@ def trajectory(
     970 (2009)); above it each segment is one ``expm_multiply`` call.  Every
     propagated row must have unit trace and be Hermitian to 1e-9, else
     EvolutionError; it is symmetrized and renormalized before the next
-    step, and validated.  The first failing row raises its error.  A
-    full-space generator raises ValueError.
+    step, and validated.  The first failing row raises its error; so does
+    a propagator of L seg that overflows.  A full-space generator raises
+    ValueError.
     """
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
     if n_store < 2:
         raise ValueError("n_store must be at least 2 (the initial and the final state)")
     matrix = _sector_matrix(liouvillian)
-    cutoff = liouvillian.layout.fock_cutoff
-    d = 4 * (cutoff + 1)
+    cutoff, d = liouvillian.layout.fock_cutoff, liouvillian.layout.dim
     seg = t_final / (n_store - 1)
     states = np.empty((n_store, matrix.shape[0]), dtype=complex)
     states[0] = state0.vector
@@ -997,7 +983,7 @@ def trajectory(
         for i in range(1, n_store):
             try:
                 y = propagated[i - 1] = step(states[i - 1])
-            except (OverflowError, ValueError) as exc:  # an infinite or NaN norm of L seg
+            except (OverflowError, ValueError) as exc:  # int() of a step count from ||L seg||
                 raise EvolutionError(f"propagator overflows at t = {i * seg:.6g}: {exc}") from exc
             herm = 0.5 * (y + _adjoint(y, cutoff))
             states[i] = herm / herm[:d].sum().real
