@@ -973,7 +973,8 @@ def trajectory(
     states = np.empty((n_store, matrix.shape[0]), dtype=complex)
     states[0] = state0.vector
     propagated = np.empty_like(states[1:])  # row i - 1 holds P applied to row i - 1
-    # L seg may overflow; the dense P is then NaN, and so are the rows it gives.
+    # L seg, or a squaring of expm, may overflow: P is then NaN, and so are the rows it
+    # gives, which fail the drift check.
     with np.errstate(all="ignore"):
         generator = matrix * seg
         if matrix.shape[0] <= _DENSE_SIZE:

@@ -802,14 +802,6 @@ def test_trajectory_matches_one_expm_multiply_per_segment(monkeypatch, cutoff, b
     assert np.array_equal(last.vector, quantum.trajectory(rho0, liouv, 6.0, 2)[-1])
 
 
-@pytest.mark.parametrize("cutoff", SIDES_OF_THE_DENSE_SIZE)
-def test_trajectory_of_zero_time_repeats_the_start(cutoff):
-    layout = HilbertLayout(cutoff)
-    liouv = build_sector_liouvillian(layout, make_spec(cutoff=cutoff))
-    rho0 = thermal_state(layout, 0.0, 0.0, 0.0)
-    assert np.array_equal(quantum.trajectory(rho0, liouv, 0.0, 3), np.tile(rho0.vector, (3, 1)))
-
-
 def test_trajectory_raises_the_error_of_its_first_failing_row():
     # Each row is renormalized, so every segment drifts by about 1e-6 and
     # every row fails; the first, at t = 1, raises.
