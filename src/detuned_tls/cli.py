@@ -32,6 +32,7 @@ from .laser import solve_lasing
 from .model import (
     SCENARIO_KEYS,
     SystemSpec,
+    raise_first,
     with_parameter,
     with_parameters,
 )
@@ -168,7 +169,7 @@ def _flags_text(regime: str, marks: int) -> str:
     return ";".join([f"regime={regime}"] + [f for bit, f in enumerate(_FLAGS) if marks >> bit & 1])
 
 
-def _flux_columns(table: thermo.SweepColumns, tol: float) -> list[list[str]]:
+def _flux_columns(table: thermo.SweepColumns) -> list[list[str]]:
     """The FLUX_COLUMNS cells, one column at a time; a failed sample reads nan and its error."""
     n = len(table)
     columns = [["nan"] * n for _ in FLUX_COLUMNS]
@@ -180,7 +181,7 @@ def _flux_columns(table: thermo.SweepColumns, tol: float) -> list[list[str]]:
         numbers += [table.entropy_total, flux.first_law_residual]
         columns = [format_column(np.broadcast_to(v, n)) for v in numbers]
         # The checks are None where they do not apply; only False is a violation.
-        flagged = (table.entropy_total < -tol, regime.cooling,
+        flagged = (table.entropy_total < -thermo.VIOLATION_TOL, regime.cooling,
                    regime.sign_law_ok == False, regime.carnot_ok == False)  # noqa: E712
         marks = sum(np.broadcast_to(f, n).astype(int) << bit for bit, f in enumerate(flagged))
         labels = np.broadcast_to(regime.regime, n).tolist()
@@ -194,7 +195,7 @@ def _flux_columns(table: thermo.SweepColumns, tol: float) -> list[list[str]]:
 
 
 def _write_audit(args: argparse.Namespace, ids, keys, param_cells, table) -> None:
-    columns = [ids] + param_cells + _flux_columns(table, args.tolerance)
+    columns = [ids] + param_cells + _flux_columns(table)
     _write_rows(args.out, ["sample_id"] + keys + list(FLUX_COLUMNS), zip(*columns))
 
 
@@ -213,10 +214,9 @@ def _cmd_audit(args: argparse.Namespace, solve: str | None = None) -> int:
     ranges = _ranges(args)
     n_random = getattr(args, "random", None)
     sampler = "grid" if n_random is None else "random"
-    table = thermo.sweep(base, ranges, treatment, sampler, n_random, args.seed, args.tolerance)
-    failure = next((e for e in table.errors if e is not None), None)
-    if solve and failure is not None:
-        raise failure
+    table = thermo.sweep(base, ranges, treatment, sampler, n_random, args.seed)
+    if solve:
+        raise_first(table.errors)
     keys, param_cells = _param_columns(base, ranges, table.values)
     _write_audit(args, list(map(str, range(len(table)))), keys, param_cells, table)
     return 0
@@ -328,15 +328,13 @@ def _cmd_find_violation(args: argparse.Namespace) -> int:
         seed=args.seed,
         base=_load_spec(args) if args.config else None,
         max_samples=args.max_samples,
-        tolerance=args.tolerance,
     )
     if result is None:
         sys.stderr.write("no second-law violation found within the sample budget\n")
         return 4
     cfg = config_from_system_spec(result.spec)
     table = thermo.SweepColumns(
-        (), np.empty((1, 0)), [None], result.flux, result.entropy_total, result.regime,
-        args.tolerance,
+        (), np.empty((1, 0)), [None], result.flux, result.entropy_total, result.regime
     )
     _write_audit(args, [str(result.index)], list(cfg), [[v] for v in cfg.values()], table)
     return 0
@@ -356,9 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
         p.add_argument("--seed", type=int, default=0, help="RNG seed for sampling")
         p.add_argument("--fock-cutoff", type=int, default=None, help="override Fock cutoff")
-        p.add_argument(
-            "--tolerance", type=float, default=1e-10, help="entropy-violation tolerance"
-        )
 
     def sweep_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--sweep", action="append", metavar="KEY=LO:HI:N")

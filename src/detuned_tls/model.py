@@ -49,6 +49,23 @@ class SteadyStateError(RuntimeError):
     """A solver did not reach a steady state, or its state is not stationary."""
 
 
+def fail_samples(errors: list, index, bad, error, *values) -> None:
+    """Sample ``index[j]`` fails with ``error(*values at j)`` where ``bad[j]``,
+    unless it failed before: every sample keeps its first error.  ``bad`` and
+    each value hold one entry per sample of ``index``, or one they all share."""
+    bad = np.broadcast_to(bad, len(index))
+    for j in np.flatnonzero(bad) if bad.any() else ():
+        if errors[index[j]] is None:
+            errors[index[j]] = error(*(np.broadcast_to(v, len(index))[j] for v in values))
+
+
+def raise_first(errors: list) -> None:
+    """Raise the first error that ``errors`` holds, if any."""
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 @dataclass(frozen=True)
 class OccupationSpec:
     """How a reservoir occupation number is produced.
@@ -250,10 +267,8 @@ class SpecColumns(SystemSpec):
 
     def reject(self, bad, error: type[Exception], message: str, *values) -> None:
         """Fail each sample where ``bad`` holds that has not failed yet."""
-        n = len(self.errors)
-        for i in np.flatnonzero(np.broadcast_to(bad, n)):
-            if self.errors[i] is None:
-                self.errors[i] = error(message.format(*(np.broadcast_to(v, n)[i] for v in values)))
+        fail_samples(self.errors, range(len(self.errors)), bad,
+                     lambda *v: error(message.format(*v)), *values)
 
     def take(self, index) -> SpecColumns:
         """The samples ``index`` as columns of their own, with their errors."""

@@ -16,7 +16,7 @@ B_k whose entries couple photon numbers at most one apart.  Everything
 that depends only on the Fock cutoff and on whether the bath channel
 exists is built once from index arithmetic and cached (``sector_pattern``):
 the pattern of the generator and the map from the c_k onto its values,
-the stack of the B_k, and the map from the c_k onto its Q2 blocks.
+the stack of the B_k, and the place of each value in the Q2 blocks.
 ``build_sector_liouvillian`` only fills in the values of a scenario.
 
 H, the c_l jumps and the Q2-conserving parts of the dissipators keep
@@ -73,8 +73,10 @@ from .model import (
     SteadyStateError,
     SystemSpec,
     effective_energies_quantum,
+    fail_samples,
     flux_report,
     plain,
+    raise_first,
     where,
 )
 
@@ -187,24 +189,6 @@ class Liouvillian:
     pattern: SectorPattern | None = None
     coefficients: np.ndarray | None = None
 
-    @cached_property
-    def channels(self) -> dict[str, sp.csr_matrix]:
-        """The piece of each channel (``h``: Hamiltonian, ``u``, ``l``:
-        reservoirs, ``b``: bath) of a sector generator; they sum to
-        ``matrix``.  Built on first access: the solve and the flows never
-        need them."""
-        if self.pattern is None:
-            return {}
-        size, terms = self.pattern.size, self.pattern.terms
-        empty = sp.csr_matrix((size, size), dtype=complex)
-        return {  # sum of c_k B_k over the channel's run of coefficients
-            name: sum(
-                (self.coefficients[k] * terms[k * size : (k + 1) * size] for k in range(9)[part]),
-                empty,
-            )
-            for name, part in _CHANNELS.items()
-        }
-
 
 @dataclass(frozen=True)
 class QuantumState:
@@ -236,8 +220,7 @@ class QuantumState:
     def validate(self) -> None:
         errors = [None]
         _validate(self.vector, self.layout.fock_cutoff, errors, [0])
-        if errors[0] is not None:
-            raise errors[0]
+        raise_first(errors)
 
 
 @dataclass(frozen=True)
@@ -281,7 +264,8 @@ class QuantumSolution:
 
     @cached_property
     def fock_tail(self) -> float:
-        return fock_tail(self.state)
+        """Population of the top two Fock levels; the truncation-error monitor."""
+        return float(_fock_tails(self.state.vector, self.layout.fock_cutoff))
 
     @cached_property
     def ops(self) -> OperatorSet:
@@ -354,6 +338,16 @@ def _block_positions(fock_cutoff: int, rows: np.ndarray, cols: np.ndarray) -> np
     if not np.all((side >= 0) & (side <= 2)):
         raise ValueError("generator couples Q2 blocks more than one apart")
     return ((side * (fock_cutoff + 2) + block) * 6 + place) * 6 + column
+
+
+def _scatter(positions: np.ndarray, values: np.ndarray, fock_cutoff: int) -> np.ndarray:
+    """The (3, N + 2, S, 6, 6) blocks holding the (entries, S) ``values`` at their
+    distinct ``positions`` (``_block_positions``), zero elsewhere."""
+    count = fock_cutoff + 2
+    blocks = np.zeros((3 * count, values.shape[1], 36), dtype=complex)
+    block, entry = np.divmod(positions, 36)
+    blocks[block, :, entry] = values
+    return blocks.reshape(3, count, -1, 6, 6)
 
 
 Entries = tuple[np.ndarray, np.ndarray, np.ndarray]  # rows, columns, values
@@ -451,9 +445,9 @@ class SectorPattern:
     block of six slots per Q2 = 0 ... N + 1: |0,0,Q2>, |1,0,Q2>, |0,1,Q2-1>,
     |1,1,Q2-1>, c_(Q2-1) and its conjugate; the slots that fall outside the
     ladder (four in the first block, four in the last) stay empty.
-    ``stacks`` maps the coefficients onto the entries of the sub-diagonal,
-    diagonal and super-diagonal blocks that can be non-zero, and ``places``
-    says where each sits (``_block_positions``).  Built once per key by
+    ``positions`` says where each CSR entry sits in the sub-diagonal,
+    diagonal and super-diagonal blocks (``_block_positions``), so the
+    values of ``weights`` fill the blocks too.  Built once per key by
     ``sector_pattern``; every array is read-only.
     """
 
@@ -462,22 +456,13 @@ class SectorPattern:
     indices: np.ndarray
     weights: sp.csr_matrix
     terms: sp.csr_matrix
-    stacks: sp.csr_matrix
-    places: np.ndarray
+    positions: np.ndarray
 
     def matrix(self, coefficients: np.ndarray) -> sp.csr_matrix:
         """The generator for these coefficients."""
         return sp.csr_matrix(
             (self.weights @ coefficients, self.indices, self.indptr), shape=(self.size, self.size)
         )
-
-    def blocks(self, coefficients: np.ndarray) -> np.ndarray:
-        """The (3, N + 2, S, 6, 6) blocks of the generators of the (S, 9) ``coefficients``."""
-        count = (self.size - 4) // 6 + 2
-        blocks = np.zeros((3 * count, len(coefficients), 36), dtype=complex)
-        block, entry = np.divmod(self.places, 36)
-        blocks[block, :, entry] = self.stacks @ coefficients.T
-        return blocks.reshape(3, count, -1, 6, 6)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -500,14 +485,13 @@ def sector_pattern(fock_cutoff: int, bath: bool) -> SectorPattern:
     indptr = np.concatenate([[0], np.cumsum(np.bincount(pattern_rows, minlength=size))])
     weights = sp.csr_matrix((vals, (slot, k)), shape=(len(key), 9), dtype=complex)
     terms = sp.csr_matrix((vals, (k * size + rows, cols)), shape=(9 * size, size), dtype=complex)
-    places, place = np.unique(_block_positions(fock_cutoff, rows, cols), return_inverse=True)
-    stacks = sp.csr_matrix((vals, (place, k)), shape=(len(places), 9), dtype=complex)
+    positions = _block_positions(fock_cutoff, pattern_rows, indices)
 
-    for matrix in (weights, terms, stacks):
+    for matrix in (weights, terms):
         _read_only(matrix.data, matrix.indices, matrix.indptr)
     index = np.int32 if len(key) < 2**31 and 9 * size < 2**31 else np.int64
-    indptr, indices, places = _read_only(indptr.astype(index), indices.astype(index), places)
-    return SectorPattern(size, indptr, indices, weights, terms, stacks, places)
+    indptr, indices, positions = _read_only(indptr.astype(index), indices.astype(index), positions)
+    return SectorPattern(size, indptr, indices, weights, terms, positions)
 
 
 def _coefficients(spec: SystemSpec) -> np.ndarray:
@@ -727,13 +711,8 @@ def observables(rho: np.ndarray, ops: OperatorSet, spec: SystemSpec) -> QuantumO
 # -- solving and evolving -------------------------------------------------------
 
 
-def fock_tail(state: QuantumState) -> float:
-    """Population of the top two Fock levels; the truncation-error monitor."""
-    return float(_fock_tails(state.vector, state.layout.fock_cutoff))
-
-
 def _fock_tails(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
-    """``fock_tail`` of each sector vector along the last axis."""
+    """Population of the top two Fock levels of each sector vector along the last axis."""
     m = fock_cutoff + 1
     populations = vectors[..., : 4 * m].real.reshape(*vectors.shape[:-1], 4, m)
     return populations.sum(axis=-2)[..., -2:].sum(axis=-1)
@@ -769,36 +748,28 @@ def _lowest_eigenvalues(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
     return np.minimum(pops[ix.single].min(axis=0), pairs.min(axis=0))
 
 
-def _fail(errors: list, index, bad, error, *values) -> None:
-    """Sample ``index[j]`` fails with ``error(*values at j)`` where ``bad[j]``,
-    unless it failed before: every sample keeps its first error."""
-    bad = np.asarray(bad)
-    for j in np.flatnonzero(bad) if bad.any() else ():
-        if errors[index[j]] is None:
-            errors[index[j]] = error(*(np.ravel(v)[j] for v in values))
-
-
 def _validate(vectors: np.ndarray, fock_cutoff: int, errors: list, index) -> None:
     """``QuantumState.validate`` of each sector vector along the last axis."""
     herm = np.max(np.abs(vectors - _adjoint(vectors, fock_cutoff)), axis=-1)
-    _fail(errors, index, ~(herm <= _HERMITICITY_TOL),
-          lambda h: ValueError(f"state not Hermitian (deviation {h:.3e})"), herm)
+    fail_samples(errors, index, ~(herm <= _HERMITICITY_TOL),
+                 lambda h: ValueError(f"state not Hermitian (deviation {h:.3e})"), herm)
     trace = vectors[..., : 4 * (fock_cutoff + 1)].sum(axis=-1)
-    _fail(errors, index, ~(abs(trace - 1.0) <= 1e-12),
-          lambda t: ValueError(f"state trace {complex(t)} differs from 1"), trace)
+    fail_samples(errors, index, ~(abs(trace - 1.0) <= 1e-12),
+                 lambda t: ValueError(f"state trace {complex(t)} differs from 1"), trace)
     lowest = _lowest_eigenvalues(vectors, fock_cutoff)
-    _fail(errors, index, ~(lowest >= -1e-10),
-          lambda e: ValueError(f"state has negative eigenvalue {e:.3e}"), lowest)
+    fail_samples(errors, index, ~(lowest >= -1e-10),
+                 lambda e: ValueError(f"state has negative eigenvalue {e:.3e}"), lowest)
 
 
 def _check(vectors: np.ndarray, residuals: np.ndarray, fock_cutoff: int, errors: list, index):
     """The residual L x, the Fock tail and ``validate``, in this order, per sample."""
     residual = np.max(np.abs(residuals), axis=-1)
-    _fail(errors, index, ~(residual <= _RESIDUAL_TOL),
-          lambda r: SteadyStateError(f"steady-state residual {r:.3e} above tolerance"), residual)
+    fail_samples(errors, index, ~(residual <= _RESIDUAL_TOL), lambda r: SteadyStateError(
+        f"steady-state residual {r:.3e} above tolerance"), residual)
     tail = _fock_tails(vectors, fock_cutoff)
     message = "top Fock levels hold population {:.3e}; increase the cutoff"
-    _fail(errors, index, tail > _FOCK_TAIL_TOL, lambda t: FockCutoffError(message.format(t), t), tail)
+    fail_samples(errors, index, tail > _FOCK_TAIL_TOL,
+                 lambda t: FockCutoffError(message.format(t), t), tail)
     _validate(vectors, fock_cutoff, errors, index)
 
 
@@ -812,8 +783,8 @@ def _solve(matrices: np.ndarray, rhs: np.ndarray, errors: list, index) -> np.nda
             try:
                 np.linalg.solve(matrix, rhs[j])
             except np.linalg.LinAlgError as exc:
-                _fail(errors, index[j : j + 1], True,
-                      lambda: SteadyStateError(f"steady-state solve failed: {exc}"))
+                fail_samples(errors, index[j : j + 1], True,
+                             lambda: SteadyStateError(f"steady-state solve failed: {exc}"))
                 matrices[j] = np.eye(len(matrix))
         return np.linalg.solve(matrices, rhs)
 
@@ -822,7 +793,7 @@ def _null_vectors(blocks: np.ndarray, fock_cutoff: int, errors: list, index) -> 
     """The null vector of each generator of a stack, as the Hermitian part of unit trace.
 
     ``blocks`` (3, K, S, 6, 6), K = N + 2, holds the sub-diagonal, diagonal
-    and super-diagonal blocks of S generators (``SectorPattern``); the
+    and super-diagonal blocks of S generators (``_scatter``); the
     recursion writes into it.  Row k of L x = 0 reads A_k x_(k-1) + D_k x_k
     + C_k x_(k+1) = 0, so x_k = S_k x_(k-1) with the matrix continued
     fraction S_K = -D_K^-1 A_K, S_k = -(D_k + C_k S_(k+1))^-1 A_k, taken
@@ -860,22 +831,21 @@ def steady_state(liouvillian: Liouvillian) -> QuantumState:
 
     The generator's CSR entries are scattered into its Q2 blocks and
     ``_null_vectors`` solves them, so a generator assembled elsewhere solves
-    as well as one of ``build_sector_liouvillian``.  Raises SteadyStateError
-    when a step of the recursion is singular or the residual exceeds
-    tolerance and FockCutoffError when the top of the Fock ladder is
-    populated.
+    as well as one of ``build_sector_liouvillian``; duplicate entries count
+    as their sum.  Raises SteadyStateError when a step of the recursion is
+    singular or the residual exceeds tolerance and FockCutoffError when the
+    top of the Fock ladder is populated.
     """
     layout = liouvillian.layout
     cutoff = layout.fock_cutoff
     matrix = _sector_matrix(liouvillian)
-    rows = np.repeat(np.arange(layout.sector_size), np.diff(matrix.indptr))
-    blocks = np.zeros((3, cutoff + 2, 1, 6, 6), dtype=complex)
-    np.add.at(blocks.reshape(-1), _block_positions(cutoff, rows, matrix.indices), matrix.data)
+    entries = matrix.tocoo(copy=True)  # summing its duplicates leaves the caller's matrix as it is
+    entries.sum_duplicates()
+    positions = _block_positions(cutoff, entries.row, entries.col)
     errors, index = [None], [0]
-    vectors = _null_vectors(blocks, cutoff, errors, index)
+    vectors = _null_vectors(_scatter(positions, entries.data[:, None], cutoff), cutoff, errors, index)
     _check(vectors, (matrix @ vectors.T).T, cutoff, errors, index)
-    if errors[0] is not None:
-        raise errors[0]
+    raise_first(errors)
     return QuantumState(vectors[0], layout)
 
 
@@ -912,7 +882,9 @@ def _steady_states(spec: SystemSpec, errors: list):
         batch, pending = pending[chosen], np.delete(pending, chosen)
         pattern = sector_pattern(cutoff, bool(bath[batch[0]]))
         batch_coefficients = coefficients[batch]
-        vectors = _null_vectors(pattern.blocks(batch_coefficients), cutoff, errors, batch)
+        vectors = _null_vectors(  # unnamed, so the product and the blocks are freed early
+            _scatter(pattern.positions, pattern.weights @ batch_coefficients.T, cutoff),
+            cutoff, errors, batch)
         actions = _actions(pattern, batch_coefficients, vectors)
         _check(vectors, actions.sum(axis=-2), cutoff, errors, batch)
         retry = np.array([
@@ -993,13 +965,11 @@ def trajectory(
         trace_drift = abs(propagated[:, :d].sum(axis=1) - 1.0)
         herm_drift = np.max(np.abs(propagated - _adjoint(propagated, cutoff)), axis=1)
         message = "invariant drift at t = {:.6g}: |tr-1| = {:.3e}, hermiticity = {:.3e}"
-        _fail(errors, index, ~((trace_drift <= 1e-9) & (herm_drift <= 1e-9)),
-              lambda *v: EvolutionError(message.format(*v)),
-              seg * np.arange(1, n_store), trace_drift, herm_drift)
+        fail_samples(errors, index, ~((trace_drift <= 1e-9) & (herm_drift <= 1e-9)),
+                     lambda *v: EvolutionError(message.format(*v)),
+                     seg * np.arange(1, n_store), trace_drift, herm_drift)
         _validate(states[1:], cutoff, errors, index)
-    failure = next((error for error in errors if error is not None), None)
-    if failure is not None:
-        raise failure
+    raise_first(errors)
     return states
 
 
@@ -1035,13 +1005,10 @@ def _flows(vectors, actions, fock_cutoff: int, spec: SystemSpec, errors: list, i
     """Rate and per-reservoir flows (rate, ndot_u, ndot_l, edot_u, edot_l, edot_b)
     of sector vectors along the last axis, from each coefficient's term of L x.
 
-    A sample fails with SteadyStateError when its state is not stationary
-    and with RuntimeError when an energy flow's trace form and closed form
-    disagree beyond 1e-9, since that signals an inconsistent generator.
+    A sample fails with RuntimeError when an energy flow's trace form and
+    closed form disagree beyond 1e-9, since that signals an inconsistent
+    generator.
     """
-    residual = np.max(np.abs(actions.sum(axis=-2)), axis=-1)
-    _fail(errors, index, residual > _RESIDUAL_TOL,
-          lambda r: SteadyStateError(f"state is not stationary (residual {r:.3e})"), residual)
     occ = spec.quantum_occupations
     energy = (actions * _trace_weights(fock_cutoff, spec)[..., None, :]).sum(axis=-1)
     charge = (actions * _indices(fock_cutoff).charge).sum(axis=-1)
@@ -1063,7 +1030,7 @@ def _flows(vectors, actions, fock_cutoff: int, spec: SystemSpec, errors: list, i
     }
     for name in ("u", "l", "b"):
         mismatch = abs(edot[name] - closed[name])
-        _fail(
+        fail_samples(
             errors, index, mismatch > 1e-9 * np.maximum(1.0, abs(edot[name])),
             lambda trace, form: RuntimeError(
                 f"energy flow {name}: trace form {trace:.12e} and closed form {form:.12e} disagree"
@@ -1099,10 +1066,12 @@ def fluxes_quantum(state: QuantumState, liouvillian: Liouvillian, spec: SystemSp
     if pattern is None:
         raise ValueError("fluxes_quantum needs the sector generator with its channels")
     actions = _actions(pattern, liouvillian.coefficients, state.vector)
+    residual = np.max(np.abs(actions.sum(axis=0)))
+    if residual > _RESIDUAL_TOL:
+        raise SteadyStateError(f"state is not stationary (residual {residual:.3e})")
     errors = [None]
     flows = _flows(state.vector, actions, state.layout.fock_cutoff, spec, errors, [0])
-    if errors[0] is not None:
-        raise errors[0]
+    raise_first(errors)
     return _flux_report(spec, *flows)
 
 
@@ -1122,8 +1091,7 @@ def steady_state_fluxes(spec: SystemSpec) -> FluxReport:
         part = spec.take(index)
         flows[:, index] = _flows(vectors, actions, layout.fock_cutoff, part, errors, index)
     if not columns:
-        if errors[0] is not None:
-            raise errors[0]
+        raise_first(errors)
         flows = flows[:, 0]
     return _flux_report(spec, *flows)
 

@@ -41,6 +41,9 @@ from .model import (
 )
 from .quantum import steady_state_fluxes
 
+# A total entropy production below -VIOLATION_TOL is a second-law violation.
+VIOLATION_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class EntropyReport:
@@ -211,7 +214,6 @@ class SweepColumns(Sequence):
     flux: FluxReport | None = None
     entropy_total: np.ndarray | float | None = None
     regime: RegimeReport | None = None
-    tolerance: float = 1e-10
 
     def __len__(self) -> int:
         return len(self.errors)
@@ -226,7 +228,7 @@ class SweepColumns(Sequence):
             return SweepResult(index, params, None, None, False, describe(error))
         flux, regime = _row(self.flux, index), _row(self.regime, index)
         total = _entry(self.entropy_total, index)
-        return SweepResult(index, params, flux, total, total < -self.tolerance, None, regime)
+        return SweepResult(index, params, flux, total, total < -VIOLATION_TOL, None, regime)
 
 
 def sample_table(
@@ -254,7 +256,7 @@ def sample_table(
     return keys, table
 
 
-def _audit_columns(base: SystemSpec, keys: list, table: np.ndarray, tolerance: float,
+def _audit_columns(base: SystemSpec, keys: list, table: np.ndarray,
                    treatment: Treatment = "classical") -> SweepColumns:
     """Audit of every row of ``table`` on ``base``, one column at a time."""
     spec = spec_columns(base, keys, table)
@@ -262,8 +264,8 @@ def _audit_columns(base: SystemSpec, keys: list, table: np.ndarray, tolerance: f
         flux, entropy, regime = audit_point(spec, treatment)
     except _SAMPLE_FAILURES as exc:  # every sample fails alike
         errors = [exc if e is None else e for e in spec.errors]
-        return SweepColumns(tuple(keys), table, errors, tolerance=tolerance)
-    return SweepColumns(tuple(keys), table, spec.errors, flux, entropy.total, regime, tolerance)
+        return SweepColumns(tuple(keys), table, errors)
+    return SweepColumns(tuple(keys), table, spec.errors, flux, entropy.total, regime)
 
 
 def sweep(
@@ -273,7 +275,6 @@ def sweep(
     sampler: str = "random",
     n_samples: int | None = None,
     seed: int = 0,
-    tolerance: float = 1e-10,
 ) -> SweepColumns:
     """Audit the scenario over a parameter grid or random sample.
 
@@ -283,7 +284,7 @@ def sweep(
     treatment audits all samples at once over arrays; the quantum one solves
     them in batches of one Fock cutoff and bath flag.
     """
-    return _audit_columns(base, *sample_table(ranges, sampler, n_samples, seed), tolerance, treatment)
+    return _audit_columns(base, *sample_table(ranges, sampler, n_samples, seed), treatment)
 
 
 def _violation_base(base: SystemSpec | None, occupation: OccupationSpec) -> SystemSpec:
@@ -318,21 +319,20 @@ def find_violation_with_bare_energies(
     seed: int = 0,
     base: SystemSpec | None = None,
     max_samples: int = 2000,
-    tolerance: float = 1e-10,
 ) -> SweepResult | None:
     """Search for negative total entropy production under bare occupations.
 
     Both fermionic occupations are forced to thermal-at-bare-energy and
     random classical scenarios are audited until one shows total entropy
-    production below -tolerance; samples that fail to solve are skipped.
+    production below -VIOLATION_TOL; samples that fail to solve are skipped.
     The result carries the spec it solved.  Returns None when the budget is
     exhausted (absence is reported, not asserted).
     """
     base = _violation_base(base, OccupationSpec.thermal_bare())
     if ranges is None:
         ranges = DEFAULT_VIOLATION_RANGES
-    audited = _audit_columns(base, *sample_table(ranges, "random", max_samples, seed), tolerance)
-    negative = audited.flux is not None and audited.entropy_total < -tolerance
+    audited = _audit_columns(base, *sample_table(ranges, "random", max_samples, seed))
+    negative = audited.flux is not None and audited.entropy_total < -VIOLATION_TOL
     for index in np.flatnonzero(np.broadcast_to(negative, len(audited))):
         if audited.errors[index] is None:
             result = audited[index]

@@ -65,6 +65,10 @@ def test_arguments_the_tracer_binds_by_name_exist(layer, function, parameter):
     assert parameter in inspect.signature(getattr(module, function)).parameters
 
 
+def test_gate_flags_violations_at_the_programs_tolerance():
+    assert _load("gate").SDOT_TOL == thermo.VIOLATION_TOL
+
+
 def test_gate_rechecks_a_find_violation_row():
     # check_violation_row builds thermo.SweepResult(index, params, None, None,
     # True, None) from the row, takes params from DEFAULT_VIOLATION_RANGES and

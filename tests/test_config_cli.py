@@ -530,6 +530,13 @@ def test_audit_grid_handles_failed_samples(classical_cfg_file, tmp_path):
     assert any("regime=" in row["flags"] for row in rows)
 
 
+def test_audit_has_no_tolerance_flag(classical_cfg_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--config", str(classical_cfg_file), "--sweep", "drive.omega=0.9:1.1:3",
+              "--tolerance", "1e-9"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -624,6 +624,14 @@ def test_full_liouvillian_has_no_elements_across_charge_blocks(cutoff, ordering,
     assert np.array_equal(in_sector, np.all(delta_q(np.arange(d * d)) == 0, axis=0))
 
 
+def _sum_of_terms(liouv):
+    """sum_k c_k B_k, dense, over the stack of terms that the flows read, and whether
+    the stack holds bath terms."""
+    size, terms = liouv.pattern.size, liouv.pattern.terms
+    pieces = (liouv.coefficients[k] * terms[k * size : (k + 1) * size] for k in range(9))
+    return sum(piece.toarray() for piece in pieces), terms[7 * size :].nnz > 0
+
+
 @pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
 @pytest.mark.parametrize("ordering", ORDERINGS, ids=("lu", "ul"))
 @pytest.mark.parametrize("cutoff", (1, 2, 5, 10))
@@ -643,9 +651,9 @@ def test_sector_generator_equals_full_space_slice(cutoff, ordering, bath):
     sector = build_sector_liouvillian(layout, spec)
     assert sector.matrix.shape == (6 * cutoff + 4,) * 2
     assert np.max(np.abs(sector.matrix.toarray() - reference)) < 1e-14 * np.max(np.abs(reference))
-    total = sum(piece.toarray() for piece in sector.channels.values())
+    total, has_bath = _sum_of_terms(sector)
     assert np.max(np.abs(total - sector.matrix.toarray())) < 1e-15
-    assert (sector.channels["b"].nnz > 0) == bath
+    assert has_bath == bath
 
 
 _rate = st.floats(1e-3, 3.0)
@@ -688,9 +696,9 @@ def test_sector_generator_equals_full_space_slice_for_random_parameters(
     largest = np.max(np.abs(reference))
     assert np.max(np.abs(matrix - reference)) < 1e-14 * largest
     # 1e-15 as in the fixed-parameter test, scaled only where entries exceed 1
-    total = sum(piece.toarray() for piece in sector.channels.values())
+    total, has_bath = _sum_of_terms(sector)
     assert np.max(np.abs(total - matrix)) < 1e-15 * max(1.0, largest)
-    assert (sector.channels["b"].nnz > 0) == (bath == "on")
+    assert has_bath == (bath == "on")
 
 
 @pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
@@ -837,6 +845,29 @@ def test_steady_state_solves_a_generator_assembled_elsewhere(bath):
     sliced = Liouvillian(full.matrix[index][:, index].tocsr(), layout)
     expected = steady_state(build_sector_liouvillian(layout, spec)).vector
     assert np.max(np.abs(steady_state(sliced).vector - expected)) < 1e-12
+
+
+def test_steady_state_sums_duplicate_entries_on_a_copy():
+    # Each off-diagonal entry of the cutoff-10 generator stored as two halves,
+    # which sum back to it exactly, so the solve must give the canonical
+    # generator's vector.  (Halving every entry would halve the generator and
+    # keep its null vector, so a solve that kept one half would pass.)
+    layout = HilbertLayout(10)
+    canonical = build_sector_liouvillian(layout, _oracle_spec(True)).matrix
+    rows = np.repeat(np.arange(layout.sector_size), np.diff(canonical.indptr))
+    counts = np.where(rows == canonical.indices, 1, 2)
+    split = sp.csr_matrix(
+        (np.repeat(canonical.data / counts, counts), np.repeat(canonical.indices, counts),
+         np.concatenate([[0], np.cumsum(counts)])[canonical.indptr]),
+        shape=canonical.shape,
+    )
+    assert not split.has_canonical_format and split.nnz == counts.sum() > canonical.nnz
+    before = [getattr(split, name).copy() for name in ("data", "indices", "indptr")]
+    state = steady_state(Liouvillian(split, layout))
+    assert np.array_equal(state.vector, steady_state(Liouvillian(canonical, layout)).vector)
+    for name, array in zip(("data", "indices", "indptr"), before):
+        assert np.array_equal(getattr(split, name), array), name
+    assert not split.has_canonical_format
 
 
 def test_evolve_rejects_a_full_space_generator():
@@ -994,8 +1025,10 @@ def test_cached_builds_equal_fresh_builds():
         sector_pattern.cache_clear()
         fresh = build_sector_liouvillian(layout, spec)
         _assert_same_generator(liouv, fresh)
-        for name, piece in liouv.channels.items():
-            assert np.array_equal(piece.toarray(), fresh.channels[name].toarray()), name
+        for name in ("weights", "terms"):
+            cached_matrix, fresh_matrix = getattr(liouv.pattern, name), getattr(fresh.pattern, name)
+            assert np.array_equal(cached_matrix.toarray(), fresh_matrix.toarray()), name
+        assert np.array_equal(liouv.pattern.positions, fresh.pattern.positions)
         outcome, expected = _steady_outcome(liouv), _steady_outcome(fresh)
         if isinstance(expected, tuple):
             assert outcome == expected
@@ -1016,8 +1049,7 @@ def test_cached_arrays_are_read_only():
         pattern.terms.data,
         pattern.terms.indices,
         pattern.terms.indptr,
-        pattern.stacks.data,
-        pattern.places,
+        pattern.positions,
         liouv.matrix.indices,
         liouv.matrix.indptr,
         layout.sector_indices(),
