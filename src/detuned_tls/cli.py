@@ -66,8 +66,11 @@ def _write_rows(out: str | None, header: list[str], rows: Iterable[Sequence[str]
     text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out!r}: {exc}") from exc
 
 
 def _load_spec(args: argparse.Namespace) -> SystemSpec:
@@ -179,7 +182,11 @@ def _flux_columns(table: thermo.SweepColumns) -> list[list[str]]:
                  "e_eff_u", "e_eff_l", "e_eff_ph")
         numbers = [getattr(flux, f) for f in names]
         numbers += [table.entropy_total, flux.first_law_residual]
-        columns = [format_column(np.broadcast_to(v, n)) for v in numbers]
+        # A value every row shares (a 0-d field) is formatted once.
+        columns = [
+            format_column(np.broadcast_to(v, n)) if np.ndim(v) else format_column([v]) * n
+            for v in numbers
+        ]
         # The checks are None where they do not apply; only False is a violation.
         flagged = (table.entropy_total < -thermo.VIOLATION_TOL, regime.cooling,
                    regime.sign_law_ok == False, regime.carnot_ok == False)  # noqa: E712

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from detuned_tls import (
@@ -14,9 +15,10 @@ from detuned_tls import (
     parse_config,
     serialize_config,
 )
-from detuned_tls import cli
+from detuned_tls import cli, config, thermo
 from detuned_tls.cli import FLUX_COLUMNS, main
 from detuned_tls.config import config_from_system_spec, format_number, resolve_parameter_key
+from detuned_tls.model import SCENARIO_KEYS
 
 CLASSICAL_CFG = """\
 # resonant scenario
@@ -498,6 +500,78 @@ def test_audit_random_deterministic_and_flags(classical_cfg_file, tmp_path):
     assert len(rows) == 25
     assert all(row["flags"].startswith("regime=") for row in rows)
     assert not any("violation" in row["flags"] for row in rows)
+
+
+FLUX_FIELDS = {
+    "R_ss": "rate",
+    "Ndot_u": "ndot_u",
+    "Ndot_l": "ndot_l",
+    "Edot_u": "edot_u",
+    "Edot_l": "edot_l",
+    "Edot_b_or_P_S": "edot_opt",
+    "Eeff_u": "e_eff_u",
+    "Eeff_l": "e_eff_l",
+    "Eeff_ph": "e_eff_ph",
+    "law1_residual": "first_law_residual",
+}
+
+
+def _sweep_cells(table: thermo.SweepColumns) -> list[dict[str, str]]:
+    """``format_number`` of each sampled value and flow of a sweep, one sample at a time."""
+    rows = []
+    for item in table:
+        cells = {k: format_number(SCENARIO_KEYS[k](v)) for k, v in item.params.items()}
+        cells.update({c: format_number(float(getattr(item.flux, f))) for c, f in FLUX_FIELDS.items()})
+        cells["Sdot_total"] = format_number(float(item.entropy_total))
+        rows.append(cells)
+    return rows
+
+
+def _assert_rows_show(path, table) -> None:
+    _, rows = _read_csv(path)
+    expected = _sweep_cells(table)
+    assert [{k: row[k] for k in cells} for row, cells in zip(rows, expected)] == expected
+    assert len(rows) == len(expected)
+
+
+def test_audit_above_the_kernel_cutoff_prints_each_sampled_value(classical_cfg_file, tmp_path):
+    # Columns this long take the array kernel of format_column; drive.epsilon
+    # is complex-typed and its real draws read as floats.
+    n = 2 * config._KERNEL_SIZE
+    ranges = {"drive.epsilon": (0.05, 0.3), "drive.omega": (0.6, 1.8)}
+    out = tmp_path / "random.csv"
+    argv = ["audit", "--treatment", "classical", "--config", str(classical_cfg_file),
+            "--random", str(n), "--seed", "5", "--out", str(out)]
+    argv += [a for k, (lo, hi) in ranges.items() for a in ("--range", f"{k}={lo}:{hi}")]
+    assert main(argv) == 0
+    base = build_system_spec(parse_config(CLASSICAL_CFG))
+    _assert_rows_show(out, thermo.sweep(base, ranges, "classical", "random", n, 5))
+
+
+def test_a_value_every_row_shares_prints_as_in_one_row(classical_cfg_file, tmp_path):
+    # The effective energies do not depend on reservoir_u.mu, so a sweep of it
+    # shares them between rows, and each is formatted once.
+    base = build_system_spec(parse_config(CLASSICAL_CFG))
+    table = thermo.sweep(base, {"reservoir_u.mu": (0.0, 1.0, 5)}, "classical", "grid")
+    assert [np.ndim(getattr(table.flux, f)) for f in ("e_eff_u", "e_eff_l", "e_eff_ph")] == [0] * 3
+    out = tmp_path / "mu.csv"
+    assert main(["audit", "--config", str(classical_cfg_file),
+                 "--sweep", "reservoir_u.mu=0:1:5", "--out", str(out)]) == 0
+    _assert_rows_show(out, table)
+
+
+GAIN_ARGV = ["bloch-gain", "--equal-occupations", "fermi:T=0.1,mu=0.2",
+             "--e-k0", "0.3", "--gamma-u", "0.05", "--gamma-l", "0.05", "--grid=-1:1:5"]
+
+
+@pytest.mark.parametrize("command", ("classical-ss", "bloch-gain"))
+def test_an_unwritable_out_exits_2(classical_cfg_file, tmp_path, capsys, command):
+    argv = GAIN_ARGV if command == "bloch-gain" else [command, "--config", str(classical_cfg_file)]
+    out = str(tmp_path / "missing" / "out.csv")
+    assert main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write output {out!r}: ")
 
 
 def test_the_parser_is_built_once_and_keeps_no_option_values(classical_cfg_file, tmp_path):
