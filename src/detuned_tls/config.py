@@ -95,8 +95,12 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for doubles
 _E16, _E17 = 10**16, 10**17
 _POWERS = range(-270, 301)  # the exponents e of 10**e the kernel scales by
 _WIDTH = 25  # the longest cell, "-1.2345678901234567e-100", and its newline
-# A cell's source bytes: three pad bytes, the 17 digits, ".-0e", the exponent
-# sign and three exponent digits, NUL (the pad of short cells) and newline.
+# Cells per gather of the text: its index takes 8 * _WIDTH bytes a cell, and a
+# 20,000-cell column gathered at once raised a classical audit's peak RSS 7%.
+_GATHER_ROWS = 2048
+# A cell's source bytes: the 17 digits as 4-digit groups (the first is "000" and
+# the leading digit), ".-0e", the exponent sign and three exponent digits, NUL
+# (the pad of short cells) and newline.
 _DIGIT0, _POINT, _MINUS, _ZERO, _E, _EXP_SIGN, _EXP0, _NUL, _NEWLINE = (
     3, 20, 21, 22, 23, 24, 25, 28, 29
 )
@@ -159,8 +163,7 @@ def _scaled(a, k, powers):
     Dekker's product of ``a`` with the hi part is exact (Numer. Math. 18,
     224 (1971)); the lo part and the roundings add less than 1e-14.
     """
-    at = np.clip(16 - k - _POWERS.start, 0, len(_POWERS) - 1)
-    hi, hi_high, hi_low, lo = (p.take(at) for p in powers)
+    hi, hi_high, hi_low, lo = (p.take(16 - k - _POWERS.start) for p in powers)
     a_high, a_low = _split(a)
     p = a * hi
     t = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low + a * lo
@@ -208,15 +211,19 @@ def format_column(values, kind: type = float) -> list[str]:
     for i, scale in enumerate((10**12, 10**8, 10**4, 1), start=1):
         words[:, i] = groups.take(d // scale % 10**4)
     words[:, 5] = np.frombuffer(b".-0e", "<u4")
-    words[:, 6] = groups.take(np.abs(k), mode="clip")
+    words[:, 6] = groups.take(np.abs(k))
     words[:, 7] = np.frombuffer(b"\0\n\0\0", "<u4")
     source = words.view(np.uint8)
     source[:, _EXP_SIGN] = np.where(k < 0, ord("-"), ord("+"))
     n = 17 - np.argmax(source[:, _DIGIT0 + 16 : _DIGIT0 - 1 : -1] != ord("0"), axis=1)
     kinds = np.where((k >= -4) & (k < 17), k + 4, np.where(np.abs(k) < 100, 21, 22))
-    at = layouts.take(((values < 0) * 23 + kinds) * 18 + n, axis=0)
-    at += np.arange(0, source.size, source.shape[1])[:, None]
-    cells = source.take(at).tobytes().translate(None, b"\0").decode("ascii").splitlines()
+    codes = ((values < 0) * 23 + kinds) * 18 + n
+    cells = []
+    for start in range(0, len(codes), _GATHER_ROWS):
+        at = layouts.take(codes[start : start + _GATHER_ROWS], axis=0)
+        at += source.shape[1] * np.arange(len(at))[:, None]
+        text = source[start : start + _GATHER_ROWS].take(at).tobytes().translate(None, b"\0")
+        cells += text.decode("ascii").splitlines()
     for i in np.flatnonzero(~decided).tolist():
         cells[i] = format(values[i].item(), _DIGITS)
     return cells
