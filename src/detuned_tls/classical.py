@@ -3,8 +3,9 @@
 The reduced density matrix (sigma_uu, sigma_ll, sigma_ul) obeys a linear
 affine ODE in the frame co-rotating with the drive.  This module provides the
 equations of motion, their exact flow (the matrix exponential of the
-augmented affine generator), the closed-form steady state, and the
-steady-state particle/energy fluxes.
+augmented affine generator, formed once per ``trajectory`` of evenly spaced
+rows), the closed-form steady state, and the steady-state particle/energy
+fluxes.
 
 The equations of motion, the closed form and the fluxes are written once, as
 elementwise NumPy arithmetic: a ``SystemSpec`` is the scalar case and a
@@ -144,27 +145,43 @@ def _populations_in_range(y: np.ndarray) -> bool:
     return bool(np.all((y[:2] >= -_POPULATION_SLACK) & (y[:2] <= 1.0 + _POPULATION_SLACK)))
 
 
-def evolve(state0: BlochState, spec: SystemSpec, t_final: float) -> BlochState:
-    """exp(G t_final) applied to [y0, 1]: the exact flow of the Bloch equations.
+def trajectory(state0: BlochState, spec: SystemSpec, t_final: float, n_store: int) -> np.ndarray:
+    """The states at ``n_store`` evenly spaced times from 0 to ``t_final``, as an
+    (n_store, 4) stack of (sigma_uu, sigma_ll, Re sigma_ul, Im sigma_ul) whose
+    row 0 is ``state0``.
 
-    ``scipy.linalg.expm`` evaluates the exponential of the augmented
-    generator to rounding (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
-    970 (2009)).  Negative ``t_final`` evolves backwards.  A non-finite
-    initial state or an initial population outside [0, 1] raises ValueError;
-    a propagated population outside [0, 1] raises RuntimeError.
+    The one-segment propagator exp(G seg), seg = t_final / (n_store - 1),
+    is the exact flow of the Bloch equations; ``scipy.linalg.expm`` forms it
+    once, to rounding (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
+    970 (2009)), and each later row is it applied to [y, 1] of the row
+    before.  Negative ``t_final`` evolves backwards.  A non-finite initial
+    state or an initial population outside [0, 1] raises ValueError; the
+    first row whose population leaves [0, 1] raises RuntimeError naming its
+    time.
     """
     if spec.drive is None:
         raise ValueError("classical dynamics requires a drive")
-    y0 = _as_vector(state0)
-    if not (np.all(np.isfinite(y0)) and _populations_in_range(y0)):
+    if n_store < 2:
+        raise ValueError("n_store must be at least 2 (the initial and the final state)")
+    rows = np.empty((n_store, 4))
+    rows[0] = _as_vector(state0)
+    if not (np.all(np.isfinite(rows[0])) and _populations_in_range(rows[0])):
         raise ValueError(
-            f"initial populations ({y0[0]:.6g}, {y0[1]:.6g}) must lie in [0, 1] "
+            f"initial populations ({rows[0, 0]:.6g}, {rows[0, 1]:.6g}) must lie in [0, 1] "
             "with a finite coherence"
         )
-    y = (scipy.linalg.expm(_affine_generator(spec) * t_final) @ np.append(y0, 1.0))[:4]
-    if not _populations_in_range(y):
-        raise RuntimeError(f"population left [0, 1] at t = {t_final:.6g}")
-    return _from_vector(y)
+    seg = t_final / (n_store - 1)
+    propagator = scipy.linalg.expm(_affine_generator(spec) * seg)
+    for i in range(1, n_store):
+        rows[i] = (propagator @ np.append(rows[i - 1], 1.0))[:4]
+        if not _populations_in_range(rows[i]):
+            raise RuntimeError(f"population left [0, 1] at t = {i * seg:.6g}")
+    return rows
+
+
+def evolve(state0: BlochState, spec: SystemSpec, t_final: float) -> BlochState:
+    """exp(G t_final) applied to [y0, 1]: the last row of a two-row ``trajectory``."""
+    return _from_vector(trajectory(state0, spec, t_final, 2)[-1])
 
 
 def _square(x):

@@ -17,9 +17,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import classical
 from . import gain as gain_mod
 from . import thermo
-from .classical import BlochState, evolve
 from .config import (
     ConfigError,
     build_system_spec,
@@ -229,8 +229,8 @@ def _cmd_audit(args: argparse.Namespace, solve: str | None = None) -> int:
     return 0
 
 
-def _evolve_times(args: argparse.Namespace) -> tuple[float, list[float]]:
-    """The segment and the --n-store evenly spaced times from 0 to --t-final.
+def _evolve_times(args: argparse.Namespace) -> list[float]:
+    """The --n-store evenly spaced times from 0 to --t-final.
 
     Each time is the running sum of the segments before it, so the t column
     reads the same whatever advances the state.
@@ -240,7 +240,7 @@ def _evolve_times(args: argparse.Namespace) -> tuple[float, list[float]]:
     if not (math.isfinite(args.t_final) and args.t_final >= 0):
         raise ConfigError(f"--t-final must be finite and non-negative, not {args.t_final!r}")
     seg = args.t_final / (args.n_store - 1)
-    return seg, list(itertools.accumulate(itertools.repeat(seg, args.n_store - 1), initial=0.0))
+    return list(itertools.accumulate(itertools.repeat(seg, args.n_store - 1), initial=0.0))
 
 
 def _write_evolution(args: argparse.Namespace, header: list[str], times, columns) -> None:
@@ -251,12 +251,10 @@ def _cmd_classical_evolve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     if spec.drive is None:
         raise ConfigError("classical commands require a drive section")
-    seg, times = _evolve_times(args)
-    states = [BlochState(args.sigma_uu0, args.sigma_ll0, 0.0 + 0.0j)]
-    for _ in times[1:]:
-        states.append(evolve(states[-1], spec, seg))
-    columns = zip(*[(s.sigma_uu, s.sigma_ll, s.sigma_ul.real, s.sigma_ul.imag) for s in states])
-    _write_evolution(args, ["sigma_uu", "sigma_ll", "re_sigma_ul", "im_sigma_ul"], times, columns)
+    times = _evolve_times(args)
+    state0 = classical.BlochState(args.sigma_uu0, args.sigma_ll0, 0.0 + 0.0j)
+    rows = classical.trajectory(state0, spec, args.t_final, args.n_store)
+    _write_evolution(args, ["sigma_uu", "sigma_ll", "re_sigma_ul", "im_sigma_ul"], times, rows.T)
     return 0
 
 
@@ -264,7 +262,7 @@ def _cmd_quantum_evolve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     if spec.cavity is None or spec.bath is None:
         raise ConfigError("quantum commands require cavity and bath sections")
-    _, times = _evolve_times(args)
+    times = _evolve_times(args)
     layout = HilbertLayout(spec.cavity.fock_cutoff)
     liouv = build_sector_liouvillian(layout, spec)
     states = trajectory(thermal_state(layout, 0.0, 0.0, 0.0), liouv, args.t_final, args.n_store)

@@ -32,7 +32,12 @@ samples of a ``SpecColumns`` this way, in batches of one cutoff and bath
 flag; a scenario, ``quantum_steady_state`` and ``steady_state`` are its
 one-sample case.  The generator is linear and time independent, so a
 trajectory of evenly spaced rows applies one propagator exp(L seg) per
-segment: ``trajectory`` forms it once by scaling and squaring while the
+segment.  L maps Hermitian matrices to Hermitian ones, so ``trajectory``
+works in the real coordinates of the sector, the populations and the real
+and imaginary parts of the c_n (the coherence vector of Alicki & Lendi,
+*Quantum Dynamical Semigroups and Applications*, LNP 286 (1987);
+``_real_basis``), where the generator is a real matrix of the same size.
+It forms the real propagator once by scaling and squaring while the
 sector is small enough for a dense matrix, and above that size applies
 each segment with ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33, 488 (2011)).  Neither solves L x = 0, so the evolution is an
@@ -85,10 +90,10 @@ _FOCK_TAIL_TOL = 1e-6
 _HERMITICITY_TOL = 1e-12
 _MAX_ENLARGEMENTS = 2  # cutoff raises of 4 before a FockCutoffError stands
 _BATCH_ENTRIES = 2**19  # block entries (16 bytes each) a batch may hold; larger audits take several
-# Sector entries up to which ``trajectory`` forms the dense propagator: its O(size^3)
-# cost met that of one expm_multiply per segment at 460-472 entries (cutoff 76-78)
-# on the quantum-evolve scenario, 41 rows over t = 30, one BLAS thread.
-_DENSE_SIZE = 460
+# Sector entries up to which ``trajectory`` forms the dense real propagator: its
+# O(size^3) cost met that of one real expm_multiply per segment at 724-748 entries
+# (cutoff 120-124) on the quantum-evolve scenario, 41 rows over t = 30, one BLAS thread.
+_DENSE_SIZE = 724
 
 logger = logging.getLogger(__name__)
 
@@ -324,6 +329,34 @@ def _indices(fock_cutoff: int) -> _Indices:
         slot,
         np.setdiff1d(np.arange(6 * blocks), slot),
     ))
+
+
+class _RealBasis(NamedTuple):
+    """The real coordinates y = [p; u; v] of a Hermitian sector vector x = forward @ y.
+
+    p are the populations and c_n = u_n + i v_n, so c_n* = u_n - i v_n;
+    ``inverse`` maps x back to y.  Built once per cutoff; read-only.
+    """
+
+    forward: sp.csr_array
+    inverse: sp.csr_array
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _real_basis(fock_cutoff: int) -> _RealBasis:
+    d, n = 4 * (fock_cutoff + 1), fock_cutoff
+    p, c = np.arange(d), d + np.arange(n)
+    cc = c + n
+    rows = np.concatenate([p, c, c, cc, cc])
+    cols = np.concatenate([p, c, cc, c, cc])
+    one = np.ones(n)
+    forward = (np.ones(d), one, 1j * one, one, -1j * one)
+    inverse = (np.ones(d), 0.5 * one, 0.5 * one, -0.5j * one, 0.5j * one)
+    matrices = [sp.csr_array((np.concatenate(values), (rows, cols)), shape=(d + 2 * n,) * 2)
+                for values in (forward, inverse)]
+    for matrix in matrices:
+        _read_only(matrix.data, matrix.indices, matrix.indptr)
+    return _RealBasis(*matrices)
 
 
 def _block_positions(fock_cutoff: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -918,21 +951,37 @@ def quantum_steady_state(spec: SystemSpec) -> QuantumSolution:
     raise errors[0]
 
 
+def _real_part(values, bound: float, name: str):
+    """The real part of a generator or state in the real basis (``_real_basis``);
+    EvolutionError unless its imaginary part is at most ``bound`` (NaN fails)."""
+    drift = abs(values.imag).max()
+    if not drift <= bound:
+        raise EvolutionError(f"Hermiticity drift of the {name} in the real basis: "
+                             f"imaginary part {drift:.3e}")
+    return values.real
+
+
 def trajectory(
     state0: QuantumState, liouvillian: Liouvillian, t_final: float, n_store: int
 ) -> np.ndarray:
     """The states at ``n_store`` evenly spaced times from 0 to ``t_final``, as an
     (n_store, sector size) stack whose row 0 is ``state0``.
 
-    Each later row is the one-segment propagator P = exp(L seg), seg =
-    t_final / (n_store - 1), applied to the row before it.  Up to
-    ``_DENSE_SIZE`` sector entries P is formed once by scaling and squaring
-    (``scipy.linalg.expm``; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
-    970 (2009)); above it each segment is one ``expm_multiply`` call.  Every
-    propagated row must have unit trace and be Hermitian to 1e-9, else
-    EvolutionError; it is symmetrized and renormalized before the next
-    step, and validated.  The first failing row raises its error; so does
-    a propagator of L seg that overflows.  A full-space generator raises
+    L maps Hermitian matrices to Hermitian ones, so the rows are propagated
+    in the real coordinates y = T^-1 x = [p; u; v] of ``_real_basis``, with
+    c_n = u_n + i v_n, where the generator L_r = T^-1 L T is a real matrix
+    of the sector's size.  Before any row is formed, the imaginary part of
+    L_r must be at most 1e-12 of its largest entry and that of T^-1 x_0 at
+    most 1e-9, else EvolutionError.  Each later row is the one-segment
+    propagator P = exp(L_r seg), seg = t_final / (n_store - 1), applied to
+    the row before it.  Up to ``_DENSE_SIZE`` sector entries P is formed
+    once by scaling and squaring (``scipy.linalg.expm``; Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31, 970 (2009)); above it each segment is
+    one ``expm_multiply`` call.  Every propagated row must have unit trace
+    to 1e-9, else EvolutionError; it is renormalized before the next step.
+    The real rows are turned back into sector vectors once, and each is
+    validated.  The first failing row raises its error; so does a
+    propagator of L seg that overflows.  A full-space generator raises
     ValueError.
     """
     if t_final < 0:
@@ -941,33 +990,38 @@ def trajectory(
         raise ValueError("n_store must be at least 2 (the initial and the final state)")
     matrix = _sector_matrix(liouvillian)
     cutoff, d = liouvillian.layout.fock_cutoff, liouvillian.layout.dim
+    basis = _real_basis(cutoff)
     seg = t_final / (n_store - 1)
-    states = np.empty((n_store, matrix.shape[0]), dtype=complex)
-    states[0] = state0.vector
-    propagated = np.empty_like(states[1:])  # row i - 1 holds P applied to row i - 1
+    rows = np.empty((n_store, matrix.shape[0]))
+    propagated = np.empty_like(rows[1:])  # row i - 1 holds P applied to row i - 1
     # L seg, or a squaring of expm, may overflow: P is then NaN, and so are the rows it
     # gives, which fail the drift check.
     with np.errstate(all="ignore"):
-        generator = matrix * seg
-        if matrix.shape[0] <= _DENSE_SIZE:
-            step = scipy.linalg.expm(generator.toarray()).__matmul__
+        dense = matrix.shape[0] <= _DENSE_SIZE
+        generator = basis.inverse @ (matrix.toarray() if dense else matrix) @ basis.forward
+        bound = _HERMITICITY_TOL * abs(generator).max()
+        generator = _real_part(generator, bound, "generator") * seg
+        rows[0] = _real_part(basis.inverse @ state0.vector, 1e-9, "initial state")
+        if dense:
+            step = scipy.linalg.expm(generator).__matmul__
         else:
             step = partial(expm_multiply, generator)
         for i in range(1, n_store):
             try:
-                y = propagated[i - 1] = step(states[i - 1])
+                y = propagated[i - 1] = step(rows[i - 1])
             except (OverflowError, ValueError) as exc:  # int() of a step count from ||L seg||
                 raise EvolutionError(f"propagator overflows at t = {i * seg:.6g}: {exc}") from exc
-            herm = 0.5 * (y + _adjoint(y, cutoff))
-            states[i] = herm / herm[:d].sum().real
+            rows[i] = y / y[:d].sum()
 
         errors, index = [None] * (n_store - 1), range(n_store - 1)
         trace_drift = abs(propagated[:, :d].sum(axis=1) - 1.0)
-        herm_drift = np.max(np.abs(propagated - _adjoint(propagated, cutoff)), axis=1)
-        message = "invariant drift at t = {:.6g}: |tr-1| = {:.3e}, hermiticity = {:.3e}"
-        fail_samples(errors, index, ~((trace_drift <= 1e-9) & (herm_drift <= 1e-9)),
+        message = "invariant drift at t = {:.6g}: |tr-1| = {:.3e}"
+        fail_samples(errors, index, ~(trace_drift <= 1e-9),
                      lambda *v: EvolutionError(message.format(*v)),
-                     seg * np.arange(1, n_store), trace_drift, herm_drift)
+                     seg * np.arange(1, n_store), trace_drift)
+        states = np.empty(rows.shape, dtype=complex)
+        states[0] = state0.vector
+        states[1:] = (basis.forward @ rows[1:].T).T
         _validate(states[1:], cutoff, errors, index)
     raise_first(errors)
     return states

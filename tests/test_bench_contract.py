@@ -105,11 +105,11 @@ reservoir_l.occupation = fixed:0.02
 """
 
 
-# Cutoff 6 runs the dense propagator and cutoff 77 one expm_multiply per segment
+# Cutoff 6 runs the dense propagator and cutoff 121 one expm_multiply per segment
 # (test_quantum.py checks that they straddle the size between them).  The gate
 # propagates the full space over the first segment, so the large cutoff stores
 # more rows to keep that segment short.
-@pytest.mark.parametrize(("cutoff", "n_store"), [(6, 4), (77, 61)], ids=("dense", "sparse"))
+@pytest.mark.parametrize(("cutoff", "n_store"), [(6, 4), (121, 61)], ids=("dense", "sparse"))
 def test_gate_checks_a_quantum_evolve_trajectory(tmp_path, cutoff, n_store):
     # check_evolution reads build_liouvillian(...).matrix, observables,
     # thermal_product_state and quantum_steady_state(spec).ops and .state.rho.

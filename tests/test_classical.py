@@ -24,7 +24,7 @@ from detuned_tls import (
     fluxes_classical,
     steady_state_closed_form,
 )
-from detuned_tls.classical import check_physical
+from detuned_tls.classical import check_physical, trajectory
 from detuned_tls.model import SteadyStateError, effective_energies_classical
 
 
@@ -161,6 +161,38 @@ def test_evolve_checks_propagated_populations():
     # A coherence far beyond the positivity bound drives sigma_uu below 0.
     with pytest.raises(RuntimeError, match="population left"):
         evolve(BlochState(0.5, 0.5, 5j), make_spec(), 1.0)
+
+
+def test_trajectory_rows_are_the_flow_of_the_row_before():
+    spec = make_spec(gamma_u=0.5, gamma_l=0.3, omega=1.4, epsilon=0.3 + 0.2j)
+    state0 = BlochState(0.1, 0.8, 0.05 - 0.02j)
+    rows = trajectory(state0, spec, 6.0, 7)
+    assert rows.shape == (7, 4)
+    assert np.array_equal(rows[0], _bloch_vector(state0))
+    for before, after in zip(rows, rows[1:]):
+        state = BlochState(before[0], before[1], complex(before[2], before[3]))
+        assert np.array_equal(after, _bloch_vector(evolve(state, spec, 1.0)))
+    last = trajectory(state0, spec, 6.0, 2)[-1]
+    assert np.array_equal(last, _bloch_vector(evolve(state0, spec, 6.0)))
+
+
+def test_trajectory_error_names_the_failing_row():
+    # A coherence far beyond the positivity bound drives sigma_uu below 0 after
+    # some segments; the error names that row's time, not the segment.
+    spec, state, seg = make_spec(), BlochState(0.5, 0.5, 5j), 0.05
+    for failing in range(1, 41):
+        try:
+            state = evolve(state, spec, seg)
+        except RuntimeError:
+            break
+    assert 1 < failing < 40
+    with pytest.raises(RuntimeError, match=rf"population left \[0, 1\] at t = {failing * seg:.6g}$"):
+        trajectory(BlochState(0.5, 0.5, 5j), spec, 40 * seg, 41)
+
+
+def test_trajectory_needs_two_rows():
+    with pytest.raises(ValueError, match="n_store"):
+        trajectory(BlochState(0.0, 0.0, 0.0j), make_spec(), 1.0, 1)
 
 
 def test_closed_form_equal_occupations_is_dark():

@@ -362,7 +362,8 @@ def test_evolve_times_are_a_running_sum_of_segments(tmp_path, command):
     assert [row["t"] for row in _read_csv(out)[1]] == times
 
 
-@pytest.mark.parametrize("cutoff", ("6", "77"))  # the dense propagator, and expm_multiply
+# the dense propagator at cutoffs 6 and 77, one expm_multiply per segment at 121
+@pytest.mark.parametrize("cutoff", ("6", "77", "121"))
 def test_quantum_evolve_over_zero_time_stays_in_the_vacuum(quantum_cfg_file, capsys, cutoff):
     argv = ["quantum-evolve", "--config", str(quantum_cfg_file), "--fock-cutoff", cutoff,
             "--t-final", "0", "--n-store", "3"]
@@ -372,7 +373,8 @@ def test_quantum_evolve_over_zero_time_stays_in_the_vacuum(quantum_cfg_file, cap
 
 
 @pytest.mark.parametrize("t_final", ("1e300", "1.7e308"))
-@pytest.mark.parametrize("cutoff", ("6", "77"))  # the dense propagator, and expm_multiply
+# the dense propagator at cutoffs 6 and 77, one expm_multiply per segment at 121
+@pytest.mark.parametrize("cutoff", ("6", "77", "121"))
 def test_quantum_evolve_over_an_overflowing_time_is_a_solver_error(
     quantum_cfg_file, capsys, cutoff, t_final
 ):

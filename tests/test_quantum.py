@@ -783,8 +783,8 @@ def _per_segment_trajectory(state0, liouv, t_final, n_store):
     return np.array(rows)
 
 
-# The dense propagator serves cutoff 6 and one expm_multiply per segment cutoff 77.
-SIDES_OF_THE_DENSE_SIZE = (6, 77)
+# The dense propagator serves cutoff 6 and one expm_multiply per segment cutoff 121.
+SIDES_OF_THE_DENSE_SIZE = (6, 121)
 
 
 def test_the_sides_straddle_the_dense_size():
@@ -818,6 +818,62 @@ def test_trajectory_raises_the_error_of_its_first_failing_row():
     lossy = replace(lossy, matrix=lossy.matrix - 1e-6 * sp.identity(layout.sector_size))
     with pytest.raises(EvolutionError, match="drift at t = 1:"):
         quantum.trajectory(thermal_state(layout, 0.3, 0.4, 0.2), lossy, 4.0, 5)
+
+
+@pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
+@pytest.mark.parametrize("g", (0.2, 0.15 - 0.1j), ids=("real-g", "complex-g"))
+@pytest.mark.parametrize("cutoff", (1, 6, 12))
+def test_the_generator_is_real_in_the_real_basis(cutoff, g, bath):
+    spec = replace(_oracle_spec(bath), cavity=CavitySpec(1.2, g, cutoff))
+    matrix = build_sector_liouvillian(HilbertLayout(cutoff), spec).matrix
+    basis = quantum._real_basis(cutoff)
+    for generator in (matrix, matrix.toarray()):  # the sparse and the dense propagator's
+        real = basis.inverse @ generator @ basis.forward
+        assert sp.issparse(real) == sp.issparse(generator)
+        assert abs(real.imag).max() == 0.0 < abs(real).max()
+
+
+@pytest.mark.parametrize("cutoff", (1, 6, 12))
+def test_the_real_basis_round_trip_leaves_hermitian_vectors_unchanged(cutoff):
+    layout = HilbertLayout(cutoff)
+    d, n = layout.dim, cutoff
+    basis = quantum._real_basis(cutoff)
+    rng = np.random.default_rng(cutoff)
+    vectors = np.empty((50, layout.sector_size), dtype=complex)
+    vectors[:, :d] = rng.normal(size=(50, d)) * 10.0 ** rng.uniform(-300, 300, size=(50, d))
+    re, im = (rng.normal(size=(50, n)) * 10.0 ** rng.uniform(-300, 300, size=(50, n)) for _ in "ri")
+    coherences = re + 1j * im
+    vectors[:, d : d + n], vectors[:, d + n :] = coherences, coherences.conj()
+    for x in (*vectors, thermal_state(layout, 0.3, 0.4, 0.2).vector):
+        y = basis.inverse @ x
+        assert np.all(y.imag == 0.0)
+        assert np.array_equal(basis.forward @ y.real, x)
+
+
+@pytest.mark.parametrize("cutoff", SIDES_OF_THE_DENSE_SIZE)
+def test_a_generator_that_breaks_hermiticity_raises_before_any_row(monkeypatch, cutoff):
+    # 1e-6j on the diagonal entries of the c_n but not of their conjugates
+    layout = HilbertLayout(cutoff)
+    spec = replace(_oracle_spec(True), cavity=CavitySpec(1.2, 0.2, cutoff))
+    liouv = build_sector_liouvillian(layout, spec)
+    coherences = layout.dim + np.arange(cutoff)
+    broken = liouv.matrix + sp.csr_matrix(
+        (np.full(cutoff, 1e-6j), (coherences, coherences)), shape=liouv.matrix.shape)
+    calls = []
+    monkeypatch.setattr(scipy.linalg, "expm", lambda *a: calls.append(a))
+    monkeypatch.setattr(quantum, "expm_multiply", lambda *a: calls.append(a))
+    with pytest.raises(EvolutionError, match="drift of the generator"):
+        quantum.trajectory(thermal_state(layout, 0.0, 0.0, 0.0), replace(liouv, matrix=broken), 6, 5)
+    assert calls == []
+
+
+def test_a_state_that_is_not_hermitian_raises_before_any_row():
+    layout = HilbertLayout(4)
+    liouv = build_sector_liouvillian(layout, make_spec(cutoff=4))
+    vector = thermal_state(layout, 0.3, 0.4, 0.2).vector.copy()
+    vector[layout.dim] = 1e-3  # c_0 without its conjugate
+    with pytest.raises(EvolutionError, match="drift of the initial state"):
+        quantum.trajectory(QuantumState(vector, layout), liouv, 1.0, 3)
 
 
 def test_quantum_state_rejects_a_full_space_vector():
