@@ -171,7 +171,8 @@ def trajectory(state0: BlochState, spec: SystemSpec, t_final: float, n_store: in
             "with a finite coherence"
         )
     seg = t_final / (n_store - 1)
-    propagator = scipy.linalg.expm(_affine_generator(spec) * seg)
+    with np.errstate(all="ignore"):  # an overflowed propagator fails the population check
+        propagator = scipy.linalg.expm(_affine_generator(spec) * seg)
     for i in range(1, n_store):
         rows[i] = (propagator @ np.append(rows[i - 1], 1.0))[:4]
         if not _populations_in_range(rows[i]):

@@ -311,6 +311,17 @@ def test_overflowing_drive_amplitude_fails_evolution_as_a_solver_error(tmp_path,
     assert capsys.readouterr().err == "solver error: population left [0, 1] at t = 1\n"
 
 
+def test_an_overflowing_propagator_fails_evolution_without_a_warning(tmp_path, capsys):
+    # |epsilon| seg overflows in the generator times seg = 5, not only in expm
+    path = tmp_path / "extreme.cfg"
+    path.write_text(
+        CLASSICAL_CFG.replace("drive.epsilon = 0.1", "drive.epsilon = 1.5e308+1.5e308j")
+    )
+    argv = ["classical-evolve", "--config", str(path), "--t-final", "10", "--n-store", "3"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "solver error: population left [0, 1] at t = 5\n"
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("e_upper = 1.0\nwhatever = 3\n")
