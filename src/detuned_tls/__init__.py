@@ -21,7 +21,6 @@ from .config import (
     build_system_spec,
     config_from_system_spec,
     parse_config,
-    serialize_config,
 )
 from .gain import (
     AverageEnergyCheck,

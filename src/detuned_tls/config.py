@@ -39,8 +39,8 @@ class ConfigError(ValueError):
 def parse_config(text: str) -> dict[str, str]:
     """Parse a scenario document, rejecting unknown or duplicate keys.
 
-    Values are kept as their parsed text, in canonical key order, so that
-    parse -> serialize -> parse is the identity.
+    Values are kept as their stripped text, in the canonical key order of
+    ``SCENARIO_KEYS``.
     """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -60,12 +60,6 @@ def parse_config(text: str) -> dict[str, str]:
             raise ConfigError(f"empty value for key {key!r}", lineno)
         values[key] = value
     return {k: values[k] for k in SCENARIO_KEYS if k in values}
-
-
-def serialize_config(config: dict[str, str]) -> str:
-    """Canonically ordered text form of a scenario."""
-    lines = [f"{key} = {config[key]}" for key in SCENARIO_KEYS if key in config]
-    return "\n".join(lines) + "\n"
 
 
 # Canonical number text: 17 significant digits read back as the same float.

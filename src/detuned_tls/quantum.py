@@ -12,11 +12,12 @@ their conjugates: 6N + 4 entries.
 
 The generator on the sector is sum_k c_k B_k: nine coefficients c_k (g,
 g*, the level split and the six jump rates) times fixed sparse matrices
-B_k whose entries couple photon numbers at most one apart.  Everything
-that depends only on the Fock cutoff and on whether the bath channel
-exists is built once from index arithmetic and cached (``sector_pattern``):
-the pattern of the generator and the map from the c_k onto its values,
-the stack of the B_k, and the place of each value in the Q2 blocks.
+B_k whose entries couple photon numbers at most one apart.  Without a
+bath, or with gamma_b <= 0, the two photon rates are zero, so the B_k
+depend on the Fock cutoff alone.  Built once per cutoff from index
+arithmetic and cached (``sector_pattern``) are the pattern of the
+generator and the map from the c_k onto its values, the stack of the B_k,
+and the place of each value in the Q2 blocks.
 ``build_sector_liouvillian`` only fills in the values of a scenario.
 
 H, the c_l jumps and the Q2-conserving parts of the dissipators keep
@@ -28,15 +29,15 @@ Fokker-Planck Equation*, 2nd ed. (1989), ch. 9; ``_null_vectors``).  The
 blocks are linear in the c_k, so one product builds them for a whole
 (S, 9) table of coefficients, and each step of the recursion is one
 stacked 6x6 solve over all S samples.  ``steady_state_fluxes`` audits the
-samples of a ``SpecColumns`` this way, in batches of one cutoff and bath
-flag; a scenario, ``quantum_steady_state`` and ``steady_state`` are its
+samples of a ``SpecColumns`` this way, in batches of one cutoff; a
+scenario, ``quantum_steady_state`` and ``steady_state`` are its
 one-sample case.  The generator is linear and time independent, so a
 trajectory of evenly spaced rows applies one propagator exp(L seg) per
 segment.  L maps Hermitian matrices to Hermitian ones, so ``trajectory``
 works in the real coordinates of the sector, the populations and the real
 and imaginary parts of the c_n (the coherence vector of Alicki & Lendi,
-*Quantum Dynamical Semigroups and Applications*, LNP 286 (1987);
-``_real_basis``), where the generator is a real matrix of the same size.
+*Quantum Dynamical Semigroups and Applications*, LNP 286 (1987); T and
+T^-1 of ``_Indices``), where the generator is a real matrix of the same size.
 It forms the real propagator once by scaling and squaring while the
 sector is small enough for a dense matrix, and above that size applies
 each segment with ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
@@ -136,30 +137,6 @@ class HilbertLayout:
     def sector_size(self) -> int:
         """Entries of the ΔQ = 0 sector: 4(N+1) populations and 2N coherences."""
         return 6 * self.fock_cutoff + 4
-
-    def flat_index(self, n_l: int, n_u: int, n_ph: int) -> int:
-        if n_l not in (0, 1) or n_u not in (0, 1):
-            raise ValueError("fermionic occupations must be 0 or 1")
-        if not 0 <= n_ph <= self.fock_cutoff:
-            raise ValueError("photon number outside the truncated ladder")
-        return (2 * n_l + n_u) * self.n_photon_states + n_ph
-
-    def labels(self, index: int) -> tuple[int, int, int]:
-        if not 0 <= index < self.dim:
-            raise ValueError("flat index out of range")
-        fermion, n_ph = divmod(index, self.n_photon_states)
-        n_l, n_u = divmod(fermion, 2)
-        return n_l, n_u, n_ph
-
-    def basis_labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``labels`` of every flat index, as read-only arrays n_l, n_u, n_ph."""
-        ix = _indices(self.fock_cutoff)
-        return ix.n_l, ix.n_u, ix.n_ph
-
-    def coherence_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat indices of |1,0,n+1> and |0,1,n> for n < N: the states the coupling mixes."""
-        ix = _indices(self.fock_cutoff)
-        return ix.upper, ix.lower
 
     def sector_indices(self) -> np.ndarray:
         """Positions in row-major vec(rho) of the sector entries, in sector order."""
@@ -279,8 +256,8 @@ class QuantumSolution:
 
 # -- the ΔQ = 0 sector ---------------------------------------------------------
 
-# Cached structures kept per process: one per cutoff (and bath flag).  The
-# audit uses three cutoffs with and without a bath, lasing one or three.
+# Cached structures kept per process: one per Fock cutoff.  The audit uses
+# three cutoffs, lasing one or three.
 _CACHE_SIZE = 16
 
 
@@ -291,7 +268,7 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class _Indices(NamedTuple):
-    """Index arrays of one Fock cutoff, read-only and shared by every state of it."""
+    """Index arrays and real basis of one Fock cutoff, read-only and shared by its states."""
 
     n_l: np.ndarray  # basis labels of each flat index
     n_u: np.ndarray
@@ -306,6 +283,10 @@ class _Indices(NamedTuple):
     charge: np.ndarray  # Tr((N_u + N_l) X) = charge @ x
     slot: np.ndarray  # 6 Q2 + place in the Q2 block, of each sector entry
     empty: np.ndarray  # the slots outside the ladder
+    # The real coordinates y = [p; u; v] of a Hermitian sector vector x = forward @ y:
+    # p are the populations and c_n = u_n + i v_n, so c_n* = u_n - i v_n (sparse T, T^-1).
+    forward: sp.csr_array
+    inverse: sp.csr_array
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -319,6 +300,16 @@ def _indices(fock_cutoff: int) -> _Indices:
     single[upper] = single[lower] = False
     coherent = 6 * np.arange(1, m)  # c_n sits in block Q2 = n + 1
     slot = np.concatenate([6 * (n_u + n_ph) + n_l + 2 * n_u, coherent + 4, coherent + 5])
+    p, c = np.arange(d), d + np.arange(n)
+    rows, cols = np.concatenate([p, c, c, c + n, c + n]), np.concatenate([p, c, c + n, c, c + n])
+    one = np.ones(n)
+    forward, inverse = (
+        sp.csr_array((np.concatenate(values), (rows, cols)), shape=(d + 2 * n,) * 2)
+        for values in ((np.ones(d), one, 1j * one, one, -1j * one),
+                       (np.ones(d), 0.5 * one, 0.5 * one, -0.5j * one, 0.5j * one))
+    )
+    for matrix in (forward, inverse):
+        _read_only(matrix.data, matrix.indices, matrix.indptr)
     return _Indices(*_read_only(
         n_l, n_u, n_ph, upper, lower, single,
         np.r_[:d, d + n : d + 2 * n, d : d + n],
@@ -328,35 +319,7 @@ def _indices(fock_cutoff: int) -> _Indices:
         np.concatenate([n_u + n_l, np.zeros(2 * n)]),
         slot,
         np.setdiff1d(np.arange(6 * blocks), slot),
-    ))
-
-
-class _RealBasis(NamedTuple):
-    """The real coordinates y = [p; u; v] of a Hermitian sector vector x = forward @ y.
-
-    p are the populations and c_n = u_n + i v_n, so c_n* = u_n - i v_n;
-    ``inverse`` maps x back to y.  Built once per cutoff; read-only.
-    """
-
-    forward: sp.csr_array
-    inverse: sp.csr_array
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _real_basis(fock_cutoff: int) -> _RealBasis:
-    d, n = 4 * (fock_cutoff + 1), fock_cutoff
-    p, c = np.arange(d), d + np.arange(n)
-    cc = c + n
-    rows = np.concatenate([p, c, c, cc, cc])
-    cols = np.concatenate([p, c, cc, c, cc])
-    one = np.ones(n)
-    forward = (np.ones(d), one, 1j * one, one, -1j * one)
-    inverse = (np.ones(d), 0.5 * one, 0.5 * one, -0.5j * one, 0.5j * one)
-    matrices = [sp.csr_array((np.concatenate(values), (rows, cols)), shape=(d + 2 * n,) * 2)
-                for values in (forward, inverse)]
-    for matrix in matrices:
-        _read_only(matrix.data, matrix.indices, matrix.indptr)
-    return _RealBasis(*matrices)
+    ), forward, inverse)
 
 
 def _block_positions(fock_cutoff: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -467,12 +430,13 @@ def _dissipator_entries(
 
 @dataclass(frozen=True, eq=False)
 class SectorPattern:
-    """What the sector generator owes to its Fock cutoff and bath flag alone.
+    """What the sector generator owes to its Fock cutoff alone.
 
     The generator is sum_k coefficient_k B_k over fixed matrices B_k.
     ``indptr``/``indices`` are its CSR pattern and ``weights`` (nnz x 9)
     maps the coefficients onto its CSR data; ``terms`` stacks the B_k, so
-    ``terms @ x`` gives every coefficient's action on x at once.
+    ``terms @ x`` gives every coefficient's action on x at once.  All six
+    jumps are in the pattern; without a bath the photon rates are zero.
 
     Ordered by Q2 = N_u + N_ph the generator is block tridiagonal, with one
     block of six slots per Q2 = 0 ... N + 1: |0,0,Q2>, |1,0,Q2>, |0,1,Q2-1>,
@@ -480,7 +444,7 @@ class SectorPattern:
     ladder (four in the first block, four in the last) stay empty.
     ``positions`` says where each CSR entry sits in the sub-diagonal,
     diagonal and super-diagonal blocks (``_block_positions``), so the
-    values of ``weights`` fill the blocks too.  Built once per key by
+    values of ``weights`` fill the blocks too.  Built once per cutoff by
     ``sector_pattern``; every array is read-only.
     """
 
@@ -499,14 +463,14 @@ class SectorPattern:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def sector_pattern(fock_cutoff: int, bath: bool) -> SectorPattern:
-    """The ``SectorPattern`` of a cutoff, with or without the bath channel; cached."""
+def sector_pattern(fock_cutoff: int) -> SectorPattern:
+    """The ``SectorPattern`` of a cutoff; cached."""
     ix = _indices(fock_cutoff)
     m, n = fock_cutoff + 1, fock_cutoff
     d, size = 4 * m, 6 * fock_cutoff + 4
     jumps = _jumps(ix, m)
     per_coefficient = _hamiltonian_entries(ix, d, n) + [
-        _dissipator_entries(ix, d, n, jumps[name]) for name in _JUMPS[: 6 if bath else 4]
+        _dissipator_entries(ix, d, n, jumps[name]) for name in _JUMPS
     ]
     k = np.concatenate([np.full(len(part[0]), c) for c, part in enumerate(per_coefficient)])
     rows, cols, vals = (np.concatenate(part) for part in zip(*per_coefficient))
@@ -557,8 +521,7 @@ def build_sector_liouvillian(layout: HilbertLayout, spec: SystemSpec) -> Liouvil
     if spec.cavity is None:
         raise ValueError("quantum treatment requires a cavity")
     coefficients = _coefficients(spec)
-    bath = spec.bath is not None and spec.bath.gamma > 0
-    pattern = sector_pattern(layout.fock_cutoff, bath)
+    pattern = sector_pattern(layout.fock_cutoff)
     return Liouvillian(pattern.matrix(coefficients), layout, pattern, coefficients)
 
 
@@ -889,31 +852,30 @@ def _actions(pattern: SectorPattern, coefficients: np.ndarray, vectors: np.ndarr
 
 
 def _steady_states(spec: SystemSpec, errors: list):
-    """Solve every sample of ``spec`` that has no error yet, batched by Fock cutoff and bath flag.
+    """Solve every sample of ``spec`` that has no error yet, batched by Fock cutoff.
 
     A batch holds at most ``_BATCH_ENTRIES`` block entries.  Each is one
     ``_null_vectors`` solve and one product with the pattern's ``terms``,
     whose sum is the residual.  A sample whose Fock tail fails is solved
     again with a later batch at its cutoff + 4, at most twice, and each
     enlargement is logged at INFO level with the old and new cutoff and the
-    tail that triggered it.  Yields the solved
-    samples of each batch: (index, layout, pattern, coefficients, vectors,
-    actions).  The others keep their first error in ``errors``.
+    tail that triggered it.  Yields the solved samples of each batch:
+    (index, layout, vectors, actions).  The others keep their first error
+    in ``errors``.
     """
     if spec.cavity is None:
         raise ValueError("quantum treatment requires a cavity")
     n = len(errors)
     coefficients = np.broadcast_to(_coefficients(spec), (n, 9))
-    bath = np.broadcast_to(spec.bath is not None and spec.bath.gamma > 0, n)
     cutoffs = np.broadcast_to(spec.cavity.fock_cutoff, n).astype(int)
     attempts = np.zeros(n, dtype=int)
     pending = np.array([i for i, error in enumerate(errors) if error is None], dtype=int)
     while pending.size:
-        key = 2 * cutoffs[pending] + bath[pending]
-        cutoff = int(cutoffs[pending[np.argmin(key)]])
-        chosen = np.flatnonzero(key == key.min())[: max(1, _BATCH_ENTRIES // (108 * (cutoff + 2)))]
+        cutoff = int(cutoffs[pending].min())
+        chosen = np.flatnonzero(cutoffs[pending] == cutoff)
+        chosen = chosen[: max(1, _BATCH_ENTRIES // (108 * (cutoff + 2)))]
         batch, pending = pending[chosen], np.delete(pending, chosen)
-        pattern = sector_pattern(cutoff, bool(bath[batch[0]]))
+        pattern = sector_pattern(cutoff)
         batch_coefficients = coefficients[batch]
         vectors = _null_vectors(  # unnamed, so the product and the blocks are freed early
             _scatter(pattern.positions, pattern.weights @ batch_coefficients.T, cutoff),
@@ -933,8 +895,7 @@ def _steady_states(spec: SystemSpec, errors: list):
         pending = np.sort(np.concatenate([pending, batch[retry]]))
         solved = np.array([errors[i] is None for i in batch]) & ~retry
         if solved.any():
-            yield (batch[solved], HilbertLayout(cutoff), pattern,
-                   batch_coefficients[solved], vectors[solved], actions[solved])
+            yield batch[solved], HilbertLayout(cutoff), vectors[solved], actions[solved]
 
 
 def quantum_steady_state(spec: SystemSpec) -> QuantumSolution:
@@ -945,14 +906,14 @@ def quantum_steady_state(spec: SystemSpec) -> QuantumSolution:
     FockCutoffError, at most twice, logging each enlargement at INFO level.
     """
     errors = [None]
-    for _, layout, pattern, coefficients, vectors, _ in _steady_states(spec, errors):
-        liouv = Liouvillian(pattern.matrix(coefficients[0]), layout, pattern, coefficients[0])
+    for _, layout, vectors, _ in _steady_states(spec, errors):
+        liouv = build_sector_liouvillian(layout, spec)
         return QuantumSolution(QuantumState(vectors[0], layout), layout, liouv, spec)
     raise errors[0]
 
 
 def _real_part(values, bound: float, name: str):
-    """The real part of a generator or state in the real basis (``_real_basis``);
+    """The real part of a generator or state in the real basis (``_Indices``);
     EvolutionError unless its imaginary part is at most ``bound`` (NaN fails)."""
     drift = abs(values.imag).max()
     if not drift <= bound:
@@ -968,7 +929,7 @@ def trajectory(
     (n_store, sector size) stack whose row 0 is ``state0``.
 
     L maps Hermitian matrices to Hermitian ones, so the rows are propagated
-    in the real coordinates y = T^-1 x = [p; u; v] of ``_real_basis``, with
+    in the real coordinates y = T^-1 x = [p; u; v] of ``_Indices``, with
     c_n = u_n + i v_n, where the generator L_r = T^-1 L T is a real matrix
     of the sector's size.  Before any row is formed, the imaginary part of
     L_r must be at most 1e-12 of its largest entry and that of T^-1 x_0 at
@@ -990,7 +951,7 @@ def trajectory(
         raise ValueError("n_store must be at least 2 (the initial and the final state)")
     matrix = _sector_matrix(liouvillian)
     cutoff, d = liouvillian.layout.fock_cutoff, liouvillian.layout.dim
-    basis = _real_basis(cutoff)
+    basis = _indices(cutoff)
     seg = t_final / (n_store - 1)
     rows = np.empty((n_store, matrix.shape[0]))
     propagated = np.empty_like(rows[1:])  # row i - 1 holds P applied to row i - 1
@@ -1132,16 +1093,17 @@ def fluxes_quantum(state: QuantumState, liouvillian: Liouvillian, spec: SystemSp
 def steady_state_fluxes(spec: SystemSpec) -> FluxReport:
     """``fluxes_quantum`` of the steady state of every sample, solved in batches.
 
-    A scenario is the one-sample case and raises its first error.  For a
-    ``SpecColumns`` each field holds one entry per sample; a sample that
-    fails keeps its first error in ``spec.errors`` and NaN entries.  The
-    order of the errors is that of ``quantum_steady_state`` followed by
-    ``fluxes_quantum``.
+    A batch holds samples of one Fock cutoff, with or without a bath: a
+    sample without one has zero photon rates.  A scenario is the one-sample
+    case and raises its first error.  For a ``SpecColumns`` each field holds
+    one entry per sample; a sample that fails keeps its first error in
+    ``spec.errors`` and NaN entries.  The order of the errors is that of
+    ``quantum_steady_state`` followed by ``fluxes_quantum``.
     """
     columns = isinstance(spec, SpecColumns)
     errors = spec.errors if columns else [None]
     flows = np.full((6, len(errors)), np.nan)
-    for index, layout, _, _, vectors, actions in _steady_states(spec, errors):
+    for index, layout, vectors, actions in _steady_states(spec, errors):
         part = spec.take(index)
         flows[:, index] = _flows(vectors, actions, layout.fock_cutoff, part, errors, index)
     if not columns:

@@ -11,7 +11,8 @@ and the batched steady-state solve they follow.  A sweep or search turns its
 drawn table into one ``SpecColumns`` and audits all samples in one pass;
 ``sweep`` returns a ``SweepColumns``, whose items are the ``SweepResult`` of
 each sample, built when read.  A quantum sweep solves its samples in batches
-of one Fock cutoff and bath flag (``quantum.steady_state_fluxes``).
+of one Fock cutoff (``quantum.steady_state_fluxes``); a sample without a
+bath, or with gamma_b <= 0, shares its cutoff's batch with zero photon rates.
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ def sweep(
     (lo, hi, n) for grids.  Results are deterministic for a given seed;
     per-sample solver failures are recorded and the sweep continues.  Either
     treatment audits all samples at once over arrays; the quantum one solves
-    them in batches of one Fock cutoff and bath flag.
+    them in batches of one Fock cutoff.
     """
     return _audit_columns(base, *sample_table(ranges, sampler, n_samples, seed), treatment)
 

@@ -13,7 +13,6 @@ from detuned_tls import (
     audit_point,
     build_system_spec,
     parse_config,
-    serialize_config,
 )
 from detuned_tls import cli, config, thermo
 from detuned_tls.cli import FLUX_COLUMNS, main
@@ -74,12 +73,12 @@ bath.occupation = fixed:0.0
 """
 
 
-def test_parse_serialize_round_trip_is_idempotent():
+def test_parse_keeps_value_text_in_canonical_key_order():
     cfg = parse_config(CLASSICAL_CFG)
-    text = serialize_config(cfg)
-    cfg2 = parse_config(text)
-    assert cfg2 == cfg
-    assert serialize_config(cfg2) == text
+    assert list(cfg) == [key for key in SCENARIO_KEYS if key in cfg]
+    assert cfg["drive.omega"] == "1.0"  # the comment and the spaces are gone
+    reordered = parse_config("".join(f"{key} = {value}\n" for key, value in reversed(cfg.items())))
+    assert list(reordered.items()) == list(cfg.items())
 
 
 def test_parse_rejects_unknown_key_with_line_number():

@@ -75,23 +75,23 @@ def make_spec(
     )
 
 
+def _flat_index(layout, n_l, n_u, n_ph):
+    """Flat index of |n_l, n_u, n_ph>: (2 n_l + n_u) (N + 1) + n_ph."""
+    return (2 * n_l + n_u) * layout.n_photon_states + n_ph
+
+
 def test_layout_index_maps_are_inverse_bijections():
     layout = HilbertLayout(5)
     assert layout.dim == 24
+    ix = quantum._indices(5)
     seen = set()
     for n_l in (0, 1):
         for n_u in (0, 1):
             for n_ph in range(6):
-                idx = layout.flat_index(n_l, n_u, n_ph)
-                assert layout.labels(idx) == (n_l, n_u, n_ph)
+                idx = _flat_index(layout, n_l, n_u, n_ph)
+                assert (ix.n_l[idx], ix.n_u[idx], ix.n_ph[idx]) == (n_l, n_u, n_ph)
                 seen.add(idx)
-    assert seen == set(range(layout.dim))
-    with pytest.raises(ValueError):
-        layout.flat_index(2, 0, 0)
-    with pytest.raises(ValueError):
-        layout.flat_index(0, 0, 6)
-    with pytest.raises(ValueError):
-        layout.labels(24)
+    assert seen == set(range(layout.dim)) and len(ix.n_ph) == layout.dim
 
 
 def test_operator_algebra():
@@ -113,8 +113,7 @@ def test_operator_algebra():
     # [a, a dagger] = 1 away from the truncation edge
     comm = ops.a @ ops.a.conj().T - ops.a.conj().T @ ops.a
     for idx in range(dim):
-        n_l, n_u, n_ph = layout.labels(idx)
-        if n_ph < layout.fock_cutoff:
+        if quantum._indices(6).n_ph[idx] < layout.fock_cutoff:
             row = comm[idx].copy()
             row[idx] -= 1.0
             assert np.max(np.abs(row)) < 1e-14
@@ -122,7 +121,7 @@ def test_operator_algebra():
     h = ops.hamiltonian
     assert np.max(np.abs(h - h.conj().T)) < 1e-14
     vacuum = np.zeros(dim)
-    vacuum[layout.flat_index(0, 0, 0)] = 1.0
+    vacuum[_flat_index(layout, 0, 0, 0)] = 1.0
     assert abs(vacuum @ h @ vacuum) < 1e-15
 
 
@@ -298,29 +297,25 @@ def test_observables_match_elementwise_traces():
     x = rng.normal(size=(layout.dim, layout.dim)) + 1j * rng.normal(size=(layout.dim, layout.dim))
     rho = x @ x.conj().T
     rho /= np.trace(rho)
+    # the labels (n_l, n_u, n_ph) of each flat index, written out
+    labels = [(*divmod(i // layout.n_photon_states, 2), i % layout.n_photon_states)
+              for i in range(layout.dim)]
 
-    sigma_uu = sum(
-        rho[i, i].real for i in range(layout.dim) if layout.labels(i)[1] == 1
-    )
-    sigma_ll = sum(
-        rho[i, i].real for i in range(layout.dim) if layout.labels(i)[0] == 1
-    )
-    n_ph = sum(rho[i, i].real * layout.labels(i)[2] for i in range(layout.dim))
+    sigma_uu = sum(rho[i, i].real for i in range(layout.dim) if labels[i][1] == 1)
+    sigma_ll = sum(rho[i, i].real for i in range(layout.dim) if labels[i][0] == 1)
+    n_ph = sum(rho[i, i].real * labels[i][2] for i in range(layout.dim))
     f_spont = sum(
-        rho[i, i].real
-        for i in range(layout.dim)
-        if layout.labels(i)[1] == 1 and layout.labels(i)[0] == 0
+        rho[i, i].real for i in range(layout.dim) if labels[i][1] == 1 and labels[i][0] == 0
     )
     f_stim = sum(
-        rho[i, i].real * layout.labels(i)[2] * (layout.labels(i)[1] - layout.labels(i)[0])
-        for i in range(layout.dim)
+        rho[i, i].real * labels[i][2] * (labels[i][1] - labels[i][0]) for i in range(layout.dim)
     )
     # Y = conj(g) Tr{c_l^+ c_u a^+ rho}: the operator maps |0,1,n> -> sqrt(n+1)|1,0,n+1>
     y = 0.0 + 0.0j
     for i in range(layout.dim):
-        n_l, n_u, n_ph_i = layout.labels(i)
+        n_l, n_u, n_ph_i = labels[i]
         if n_l == 0 and n_u == 1 and n_ph_i < layout.fock_cutoff:
-            j = layout.flat_index(1, 0, n_ph_i + 1)
+            j = _flat_index(layout, 1, 0, n_ph_i + 1)
             y += math.sqrt(n_ph_i + 1) * rho[i, j]
     y *= complex(spec.cavity.g).conjugate()
 
@@ -609,8 +604,8 @@ def test_full_liouvillian_has_no_elements_across_charge_blocks(cutoff, ordering,
     spec = _oracle_spec(bath)
     layout = HilbertLayout(cutoff)
     full = build_liouvillian(build_operators(layout, spec, ordering), spec).matrix.tocoo()
-    n_l, n_u, n_ph = layout.basis_labels()
-    charges = np.stack([n_u + n_l, n_u + n_ph])
+    ix = quantum._indices(cutoff)
+    charges = np.stack([ix.n_u + ix.n_l, ix.n_u + ix.n_ph])
     d = layout.dim
 
     def delta_q(index):
@@ -625,11 +620,10 @@ def test_full_liouvillian_has_no_elements_across_charge_blocks(cutoff, ordering,
 
 
 def _sum_of_terms(liouv):
-    """sum_k c_k B_k, dense, over the stack of terms that the flows read, and whether
-    the stack holds bath terms."""
+    """sum_k c_k B_k, dense, over the stack of terms that the flows read."""
     size, terms = liouv.pattern.size, liouv.pattern.terms
     pieces = (liouv.coefficients[k] * terms[k * size : (k + 1) * size] for k in range(9))
-    return sum(piece.toarray() for piece in pieces), terms[7 * size :].nnz > 0
+    return sum(piece.toarray() for piece in pieces)
 
 
 @pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
@@ -642,7 +636,8 @@ def test_sector_generator_equals_full_space_slice(cutoff, ordering, bath):
     layout = HilbertLayout(cutoff)
     ops = build_operators(layout, spec, ordering)
     hop = ops.c_l.conj().T @ ops.c_u @ ops.a.conj().T
-    upper, lower = layout.coherence_pairs()
+    ix = quantum._indices(cutoff)
+    upper, lower = ix.upper, ix.lower
     assert np.array_equal(hop[upper, lower], np.sqrt(np.arange(1, cutoff + 1)))
 
     full = build_liouvillian(ops, spec).matrix
@@ -651,9 +646,10 @@ def test_sector_generator_equals_full_space_slice(cutoff, ordering, bath):
     sector = build_sector_liouvillian(layout, spec)
     assert sector.matrix.shape == (6 * cutoff + 4,) * 2
     assert np.max(np.abs(sector.matrix.toarray() - reference)) < 1e-14 * np.max(np.abs(reference))
-    total, has_bath = _sum_of_terms(sector)
-    assert np.max(np.abs(total - sector.matrix.toarray())) < 1e-15
-    assert has_bath == bath
+    assert np.max(np.abs(_sum_of_terms(sector) - sector.matrix.toarray())) < 1e-15
+    # one pattern per cutoff: without a bath the two photon rates are zero
+    assert sector.pattern is sector_pattern(cutoff)
+    assert np.array_equal(sector.coefficients[7:] != 0, [bath] * 2)
 
 
 _rate = st.floats(1e-3, 3.0)
@@ -696,9 +692,9 @@ def test_sector_generator_equals_full_space_slice_for_random_parameters(
     largest = np.max(np.abs(reference))
     assert np.max(np.abs(matrix - reference)) < 1e-14 * largest
     # 1e-15 as in the fixed-parameter test, scaled only where entries exceed 1
-    total, has_bath = _sum_of_terms(sector)
-    assert np.max(np.abs(total - matrix)) < 1e-15 * max(1.0, largest)
-    assert has_bath == (bath == "on")
+    assert np.max(np.abs(_sum_of_terms(sector) - matrix)) < 1e-15 * max(1.0, largest)
+    assert sector.pattern is sector_pattern(cutoff)
+    assert (sector.coefficients[7] != 0) == (bath == "on")
 
 
 @pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
@@ -826,7 +822,7 @@ def test_trajectory_raises_the_error_of_its_first_failing_row():
 def test_the_generator_is_real_in_the_real_basis(cutoff, g, bath):
     spec = replace(_oracle_spec(bath), cavity=CavitySpec(1.2, g, cutoff))
     matrix = build_sector_liouvillian(HilbertLayout(cutoff), spec).matrix
-    basis = quantum._real_basis(cutoff)
+    basis = quantum._indices(cutoff)
     for generator in (matrix, matrix.toarray()):  # the sparse and the dense propagator's
         real = basis.inverse @ generator @ basis.forward
         assert sp.issparse(real) == sp.issparse(generator)
@@ -837,7 +833,7 @@ def test_the_generator_is_real_in_the_real_basis(cutoff, g, bath):
 def test_the_real_basis_round_trip_leaves_hermitian_vectors_unchanged(cutoff):
     layout = HilbertLayout(cutoff)
     d, n = layout.dim, cutoff
-    basis = quantum._real_basis(cutoff)
+    basis = quantum._indices(cutoff)
     rng = np.random.default_rng(cutoff)
     vectors = np.empty((50, layout.sector_size), dtype=complex)
     vectors[:, :d] = rng.normal(size=(50, d)) * 10.0 ** rng.uniform(-300, 300, size=(50, d))
@@ -988,7 +984,7 @@ def test_batched_solve_equals_one_sample_solves():
     table = np.random.default_rng(12).uniform([0.05, 0.02], [0.3, 0.15], size=(100, 2))
     spec = spec_columns(base, keys, table)
     solved = {}
-    for index, layout, _, _, vectors, _ in quantum._steady_states(spec, spec.errors):
+    for index, layout, vectors, _ in quantum._steady_states(spec, spec.errors):
         solved.update((i, (layout.fock_cutoff, v)) for i, v in zip(index, vectors))
     assert len(solved) > 90 and len({c for c, _ in solved.values()}) > 1
     for i, row in enumerate(table):
@@ -1095,7 +1091,7 @@ def test_cached_builds_equal_fresh_builds():
 def test_cached_arrays_are_read_only():
     layout = HilbertLayout(10)
     liouv = build_sector_liouvillian(layout, _oracle_spec(True))
-    pattern = liouv.pattern
+    pattern, ix = liouv.pattern, quantum._indices(10)
     shared = [
         pattern.indptr,
         pattern.indices,
@@ -1109,8 +1105,9 @@ def test_cached_arrays_are_read_only():
         liouv.matrix.indices,
         liouv.matrix.indptr,
         layout.sector_indices(),
-        *layout.coherence_pairs(),
-        *layout.basis_labels(),
+        *ix[:-2],  # the index arrays, then the CSR arrays of T and T^-1
+        *(getattr(matrix, name) for matrix in (ix.forward, ix.inverse)
+          for name in ("data", "indices", "indptr")),
     ]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
@@ -1122,14 +1119,16 @@ def test_cached_arrays_are_read_only():
 
 
 def test_sector_pattern_is_built_once_per_key():
+    # the key is the cutoff alone: a scenario with, with zero and without a bath share it
     sector_pattern.cache_clear()
-    keys = [(3, True), (3, False), (5, True), (5, False)]
     for repeat in range(3):
-        for cutoff, bath in keys:
-            spec = make_spec(g=0.05 * (repeat + 1), gamma_b=0.25 if bath else 0.0, cutoff=cutoff)
-            build_sector_liouvillian(HilbertLayout(cutoff), spec)
+        for cutoff in (3, 5):
+            for spec in (make_spec(g=0.05 * (repeat + 1), gamma_b=gamma_b, cutoff=cutoff)
+                         for gamma_b in (0.25, 0.0)):
+                build_sector_liouvillian(HilbertLayout(cutoff), spec)
+                build_sector_liouvillian(HilbertLayout(cutoff), replace(spec, bath=None))
     info = sector_pattern.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (4, 8, 4)
+    assert (info.misses, info.hits, info.currsize) == (2, 22, 2)
     assert info.maxsize is not None  # bounded
 
 

@@ -331,9 +331,9 @@ def _column_scale(values):
 )
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_quantum_sweep_equals_one_point_audits(cutoffs, g, omega_cav, t_b, mu_u):
-    # One sweep mixes (cutoff, bath flag) batches: bath.gamma = 0 drops the
-    # bath channel, a negative one is refused by with_parameters, and low
-    # cutoffs enlarge or fail.  Each row must equal the audit of its point.
+    # One sweep mixes cutoffs, and bath.gamma = 0 and > 0 in the batch of each
+    # cutoff; a negative one is refused by with_parameters, and low cutoffs
+    # enlarge or fail.  Each row must equal the audit of its point.
     ranges = {
         "cavity.fock_cutoff": (*cutoffs, 3),
         "bath.gamma": (-0.1, 0.3, 5),
@@ -362,6 +362,22 @@ def test_quantum_sweep_equals_one_point_audits(cutoffs, g, omega_cav, t_b, mu_u)
     for (r, e), total in zip(solved, totals):
         assert r.entropy_total == pytest.approx(total, rel=0, abs=1e-12 * _column_scale(totals))
         assert r.regime.regime == e[2].regime
+
+
+def test_quantum_sweep_mixing_bath_rates_equals_one_point_audits_exactly():
+    # gamma_b = 0 (zero photon rates) and gamma_b > 0 share the batch of each
+    # cutoff, and neither changes the other's arithmetic: repr for repr.
+    base = quantum_spec(mu_u=0.5)  # absorbing, so the Fock tail stays small at gamma_b = 0
+    ranges = {"bath.gamma": (0.0, 0.3, 4), "cavity.g": (0.01, 0.05, 3),
+              "cavity.fock_cutoff": (6, 10, 2)}
+    rows = sweep(base, ranges, treatment="quantum", sampler="grid")
+    assert len(rows) == 24 and {row.params["bath.gamma"] for row in rows} >= {0.0, 0.3}
+    for row in rows:
+        flux, entropy, regime = audit_point(with_parameters(base, row.params), "quantum")
+        assert row.error is None
+        assert repr(row.flux) == repr(flux)
+        assert repr(row.entropy_total) == repr(entropy.total)
+        assert repr(row.regime) == repr(regime)
 
 
 def test_classical_sweep_solves_its_samples_as_columns(monkeypatch):
