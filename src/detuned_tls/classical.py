@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import (
     FluxReport,
@@ -170,6 +169,8 @@ def trajectory(state0: BlochState, spec: SystemSpec, t_final: float, n_store: in
             f"initial populations ({rows[0, 0]:.6g}, {rows[0, 1]:.6g}) must lie in [0, 1] "
             "with a finite coherence"
         )
+    import scipy.linalg  # here, not at the top: no other classical code needs SciPy
+
     seg = t_final / (n_store - 1)
     with np.errstate(all="ignore"):  # an overflowed propagator fails the population check
         propagator = scipy.linalg.expm(_affine_generator(spec) * seg)

@@ -85,6 +85,21 @@ def _load_spec(args: argparse.Namespace) -> SystemSpec:
     return spec
 
 
+_SECTIONS = {"classical": (("drive",), "a drive section"),
+             "quantum": (("cavity", "bath"), "cavity and bath sections")}
+
+
+def _require_sections(spec: SystemSpec, treatment: str, command: str | None = None) -> None:
+    """ConfigError unless ``spec`` has the sections that ``treatment`` solves with.
+
+    The message names ``command``, or else every command of the treatment.
+    """
+    names, sections = _SECTIONS[treatment]
+    if any(getattr(spec, name) is None for name in names):
+        subject = f"{command} command requires" if command else f"{treatment} commands require"
+        raise ConfigError(f"{subject} {sections}")
+
+
 def _parse_points(text: str, what: str, form: str) -> tuple[float, float, int]:
     """``lo:hi:n`` with n >= 1 as (lo, hi, n); ``what`` and ``form`` word the errors."""
     try:
@@ -213,11 +228,8 @@ def _cmd_audit(args: argparse.Namespace, solve: str | None = None) -> int:
     a point that fails is then the command's error, not an error row.
     """
     base = _load_spec(args)
-    if solve == "classical" and base.drive is None:
-        raise ConfigError("classical commands require a drive section")
-    if solve == "quantum" and (base.cavity is None or base.bath is None):
-        raise ConfigError("quantum commands require cavity and bath sections")
     treatment = solve or args.treatment or ("quantum" if base.cavity is not None else "classical")
+    _require_sections(base, treatment)
     ranges = _ranges(args)
     n_random = getattr(args, "random", None)
     sampler = "grid" if n_random is None else "random"
@@ -249,8 +261,7 @@ def _write_evolution(args: argparse.Namespace, header: list[str], times, columns
 
 def _cmd_classical_evolve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    if spec.drive is None:
-        raise ConfigError("classical commands require a drive section")
+    _require_sections(spec, "classical")
     times = _evolve_times(args)
     state0 = classical.BlochState(args.sigma_uu0, args.sigma_ll0, 0.0 + 0.0j)
     rows = classical.trajectory(state0, spec, args.t_final, args.n_store)
@@ -260,8 +271,7 @@ def _cmd_classical_evolve(args: argparse.Namespace) -> int:
 
 def _cmd_quantum_evolve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    if spec.cavity is None or spec.bath is None:
-        raise ConfigError("quantum commands require cavity and bath sections")
+    _require_sections(spec, "quantum")
     times = _evolve_times(args)
     layout = HilbertLayout(spec.cavity.fock_cutoff)
     liouv = build_sector_liouvillian(layout, spec)
@@ -274,8 +284,7 @@ def _cmd_quantum_evolve(args: argparse.Namespace) -> int:
 
 def _cmd_laser(args: argparse.Namespace) -> int:
     base = _load_spec(args)
-    if base.cavity is None or base.bath is None:
-        raise ConfigError("laser command requires cavity and bath sections")
+    _require_sections(base, "quantum", "laser")
     ranges = _ranges(args)
     keys, table = thermo.sample_table(ranges, "grid", None, 0)
     names, param_cells = _param_columns(base, ranges, table)

@@ -160,8 +160,8 @@ def evolve_meanfield(
         raise ValueError("mean-field dynamics requires a cavity and a bath")
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError("t_final must be finite and positive")
-    # Imported here: scipy.integrate adds about 0.09 s to the package import,
-    # and no CLI command integrates the mean-field equations.
+    # Imported here: SciPy with scipy.integrate adds about 0.5 s to the package
+    # import (2-core Intel Xeon), and no CLI command integrates the mean-field equations.
     from scipy.integrate import solve_ivp
 
     occ = spec.quantum_occupations

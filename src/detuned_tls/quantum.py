@@ -64,12 +64,9 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .model import (
     RATE_DEADBAND,
@@ -85,6 +82,11 @@ from .model import (
     raise_first,
     where,
 )
+
+# SciPy is imported by the functions that call it, so that importing the package
+# (and every classical command) loads none of it.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _RESIDUAL_TOL = 1e-10
 _FOCK_TAIL_TOL = 1e-6
@@ -291,6 +293,8 @@ class _Indices(NamedTuple):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _indices(fock_cutoff: int) -> _Indices:
+    import scipy.sparse as sp
+
     m, n = fock_cutoff + 1, fock_cutoff
     d, blocks = 4 * m, fock_cutoff + 2
     fermion, n_ph = np.divmod(np.arange(d), m)
@@ -457,6 +461,8 @@ class SectorPattern:
 
     def matrix(self, coefficients: np.ndarray) -> sp.csr_matrix:
         """The generator for these coefficients."""
+        import scipy.sparse as sp
+
         return sp.csr_matrix(
             (self.weights @ coefficients, self.indices, self.indptr), shape=(self.size, self.size)
         )
@@ -465,6 +471,8 @@ class SectorPattern:
 @lru_cache(maxsize=_CACHE_SIZE)
 def sector_pattern(fock_cutoff: int) -> SectorPattern:
     """The ``SectorPattern`` of a cutoff; cached."""
+    import scipy.sparse as sp
+
     ix = _indices(fock_cutoff)
     m, n = fock_cutoff + 1, fock_cutoff
     d, size = 4 * m, 6 * fock_cutoff + 4
@@ -637,16 +645,22 @@ def build_operators(
 
 def _spre(m: np.ndarray) -> sp.csr_matrix:
     # Row-major vectorization: vec(A X B) = kron(A, B^T) vec(X).
+    import scipy.sparse as sp
+
     d = m.shape[0]
     return sp.kron(sp.csr_matrix(m), sp.identity(d, dtype=complex, format="csr"), format="csr")
 
 
 def _spost(m: np.ndarray) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     d = m.shape[0]
     return sp.kron(sp.identity(d, dtype=complex, format="csr"), sp.csr_matrix(m.T), format="csr")
 
 
 def _dissipator_super(m: np.ndarray) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     md = m.conj().T
     mdm = md @ m
     sandwich = sp.kron(sp.csr_matrix(m), sp.csr_matrix(m.conj()), format="csr")
@@ -964,8 +978,12 @@ def trajectory(
         generator = _real_part(generator, bound, "generator") * seg
         rows[0] = _real_part(basis.inverse @ state0.vector, 1e-9, "initial state")
         if dense:
+            import scipy.linalg
+
             step = scipy.linalg.expm(generator).__matmul__
         else:
+            from scipy.sparse.linalg import expm_multiply
+
             step = partial(expm_multiply, generator)
         for i in range(1, n_store):
             try:

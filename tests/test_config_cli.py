@@ -1,5 +1,6 @@
 """Scenario-file parsing and the command-line front end."""
 
+import json
 import os
 import subprocess
 import sys
@@ -721,3 +722,82 @@ def test_audit_sweep_checks_levels_on_their_final_values(classical_cfg_file, tmp
         )
     assert sum(float(u) > float(l) for u, l, _, _ in rows_by_order[0]) == 13
     assert rows_by_order[0] == rows_by_order[1]
+
+
+QUANTUM_WITHOUT_BATH_CFG = "".join(
+    line for line in QUANTUM_CFG.splitlines(keepends=True) if not line.startswith("bath.")
+)
+
+
+@pytest.mark.parametrize(
+    "text, treatment",
+    [(CLASSICAL_CFG, "quantum"), (QUANTUM_WITHOUT_BATH_CFG, "quantum"),
+     (QUANTUM_WITHOUT_BATH_CFG, None), (QUANTUM_CFG, "classical")],
+    ids=["no-cavity", "no-bath", "no-bath-by-default", "no-drive"],
+)
+def test_audit_refuses_a_scenario_its_treatment_cannot_solve(
+    tmp_path, capsys, monkeypatch, text, treatment
+):
+    # audit refuses what the treatment's steady-state command refuses, with
+    # the same message, before it samples or solves anything
+    path = tmp_path / "scenario.cfg"
+    path.write_text(text)
+    assert main([f"{treatment or 'quantum'}-ss", "--config", str(path)]) == 2
+    expected = capsys.readouterr().err
+    assert expected.startswith(f"config error: {treatment or 'quantum'} commands require ")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sampled a scenario its treatment cannot solve")
+
+    monkeypatch.setattr(thermo, "sweep", unreachable)
+    flags = ["--treatment", treatment] if treatment else []
+    argv = ["audit", "--config", str(path), *flags, "--random", "3", "--range", "e_upper=1:2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == expected
+
+
+# Runs in a fresh interpreter: imports the CLI, then runs each (name, argv) in
+# turn and prints, as JSON, the exit code and the SciPy modules loaded after each.
+_SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from detuned_tls import cli
+report = {"import": [0, scipy_modules()]}
+for name, argv in json.loads(sys.argv[1]):
+    report[name] = [cli.main(argv), scipy_modules()]
+print(json.dumps(report))
+"""
+
+
+def test_only_the_quantum_commands_load_scipy(tmp_path):
+    # Importing SciPy's sparse and linear-algebra stacks costs more than the
+    # rest of a classical command: the package import and the classical
+    # commands load none of it, the quantum steady state only scipy.sparse.
+    paths = {}
+    for name, text in (("classical", CLASSICAL_CFG), ("laser", LASER_CFG),
+                       ("quantum", QUANTUM_CFG)):
+        paths[name] = tmp_path / f"{name}.cfg"
+        paths[name].write_text(text)
+    out = ["--out", str(tmp_path / "out.csv")]
+    classical = ["--config", str(paths["classical"])]
+    commands = [
+        ("classical-ss", ["classical-ss", *classical, *out]),
+        ("classical audit", ["audit", *classical, "--treatment", "classical", "--random", "20",
+                             "--range", "drive.omega=0.6:1.8", *out]),
+        ("find-violation", ["find-violation", "--seed", "3", *out]),
+        ("bloch-gain", GAIN_ARGV + out),
+        ("laser", ["laser", "--config", str(paths["laser"]), "--sweep", "cavity.g=0.3:0.4:3",
+                   *out]),
+        ("quantum-ss", ["quantum-ss", "--config", str(paths["quantum"]), *out]),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+                           env=env, check=True, capture_output=True, text=True)
+    report = json.loads(probe.stdout)
+    for name in ["import"] + [name for name, _ in commands[:-1]]:
+        assert report[name] == [0, []], name
+    code, modules = report["quantum-ss"]
+    assert code == 0
+    assert "scipy.sparse" in modules
+    assert "scipy.linalg" not in modules and "scipy.sparse.linalg" not in modules

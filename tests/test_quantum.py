@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply, splu
@@ -796,7 +797,8 @@ def test_trajectory_matches_one_expm_multiply_per_segment(monkeypatch, cutoff, b
     liouv = build_sector_liouvillian(layout, spec)
     rho0 = thermal_state(layout, 0.0, 0.0, 0.0)
     calls = []
-    monkeypatch.setattr(quantum, "expm_multiply", lambda *a: calls.append(a) or expm_multiply(*a))
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
+                        lambda *a: calls.append(a) or expm_multiply(*a))
     rows = quantum.trajectory(rho0, liouv, 6.0, 5)
     assert len(calls) == (0 if layout.sector_size <= quantum._DENSE_SIZE else 4)
     assert rows.shape == (5, layout.sector_size)
@@ -857,7 +859,7 @@ def test_a_generator_that_breaks_hermiticity_raises_before_any_row(monkeypatch, 
         (np.full(cutoff, 1e-6j), (coherences, coherences)), shape=liouv.matrix.shape)
     calls = []
     monkeypatch.setattr(scipy.linalg, "expm", lambda *a: calls.append(a))
-    monkeypatch.setattr(quantum, "expm_multiply", lambda *a: calls.append(a))
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", lambda *a: calls.append(a))
     with pytest.raises(EvolutionError, match="drift of the generator"):
         quantum.trajectory(thermal_state(layout, 0.0, 0.0, 0.0), replace(liouv, matrix=broken), 6, 5)
     assert calls == []
