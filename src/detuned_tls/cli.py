@@ -37,9 +37,7 @@ from .model import (
     with_parameters,
 )
 from .quantum import (
-    EvolutionError,
     HilbertLayout,
-    SteadyStateError,
     build_sector_liouvillian,
     stacked_observables,
     thermal_state,
@@ -130,7 +128,7 @@ def _parse_range(arg: str) -> tuple[str, tuple[float, float]]:
 
 
 def _ranges(args: argparse.Namespace) -> dict[str, tuple]:
-    """The one place that turns sampling flags into sampler ranges.
+    """The one place that turns sampling flags into sampling ranges.
 
     --sweep key=lo:hi:n gives a grid axis, --range key=lo:hi a random
     interval.  ``audit`` samples --range keys only with --random N >= 1, and
@@ -231,9 +229,7 @@ def _cmd_audit(args: argparse.Namespace, solve: str | None = None) -> int:
     treatment = solve or args.treatment or ("quantum" if base.cavity is not None else "classical")
     _require_sections(base, treatment)
     ranges = _ranges(args)
-    n_random = getattr(args, "random", None)
-    sampler = "grid" if n_random is None else "random"
-    table = thermo.sweep(base, ranges, treatment, sampler, n_random, args.seed)
+    table = thermo.sweep(base, ranges, treatment, getattr(args, "random", None), args.seed)
     if solve:
         raise_first(table.errors)
     keys, param_cells = _param_columns(base, ranges, table.values)
@@ -286,7 +282,7 @@ def _cmd_laser(args: argparse.Namespace) -> int:
     base = _load_spec(args)
     _require_sections(base, "quantum", "laser")
     ranges = _ranges(args)
-    keys, table = thermo.sample_table(ranges, "grid", None, 0)
+    keys, table = thermo.sample_table(ranges)
     names, param_cells = _param_columns(base, ranges, table)
     sols = [solve_lasing(with_parameters(base, dict(zip(keys, map(float, row))))) for row in table]
     columns = [format_column([getattr(s, f) for s in sols]) for f in ("omega", "intensity")]
@@ -443,7 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    except (SteadyStateError, EvolutionError, RuntimeError) as exc:
+    except RuntimeError as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return 3
     except ValueError as exc:

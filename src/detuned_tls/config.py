@@ -238,12 +238,10 @@ def _parse(config: dict[str, str], key: str):
         raise ConfigError(
             f"key {key!r}: occupation must be 'bare', 'effective', or 'fixed:<value>'"
         )
-    if kind is int:
-        return int(raw)
     try:
         return kind(raw.replace(" ", "")) if kind is complex else kind(raw)
     except ValueError as exc:
-        noun = "a complex number" if kind is complex else "a number"
+        noun = {int: "an integer", complex: "a complex number"}.get(kind, "a number")
         raise ConfigError(f"key {key!r}: not {noun}: {raw!r}") from exc
 
 

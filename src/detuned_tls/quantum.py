@@ -164,8 +164,11 @@ class Liouvillian:
 
     ``build_sector_liouvillian`` gives it on the ΔQ = 0 sector, together
     with the ``pattern`` it was assembled on and the ``coefficients`` that
-    filled it.  The full-space reference of ``build_liouvillian`` acts on
-    row-major vec(rho) and has neither.
+    filled it, so that ``matrix`` is ``pattern.matrix(coefficients)``.  The
+    steady-state solve and the flows read ``pattern`` and ``coefficients``;
+    ``trajectory`` and ``evolve_quantum`` read ``matrix``.  The full-space
+    reference of ``build_liouvillian`` acts on row-major vec(rho) and has
+    neither pattern nor coefficients.
     """
 
     matrix: sp.csr_matrix
@@ -565,10 +568,10 @@ def sector_observables(state: QuantumState, spec: SystemSpec) -> QuantumObservab
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` over the last axis of ``a``.  Over rows it is an explicit
-    sum, since BLAS may round a row differently with other rows beside it;
-    one vector keeps the BLAS dot of the one-state observables."""
-    return a @ b if a.ndim == 1 else (a * b).sum(axis=-1)
+    """``a @ b`` over the last axis of ``a``, as an explicit sum: BLAS may round a
+    row differently with other rows beside it, so one state would read apart from
+    the same state in a stack."""
+    return (a * b).sum(axis=-1)
 
 
 def stacked_observables(
@@ -839,22 +842,21 @@ def _null_vectors(blocks: np.ndarray, fock_cutoff: int, errors: list, index) -> 
 def steady_state(liouvillian: Liouvillian) -> QuantumState:
     """Null vector of a sector generator, normalized to unit trace.
 
-    The generator's CSR entries are scattered into its Q2 blocks and
-    ``_null_vectors`` solves them, so a generator assembled elsewhere solves
-    as well as one of ``build_sector_liouvillian``; duplicate entries count
-    as their sum.  Raises SteadyStateError when a step of the recursion is
-    singular or the residual exceeds tolerance and FockCutoffError when the
-    top of the Fock ladder is populated.
+    The one-sample case of the batched solve (``_solve_batch``): it reads
+    the generator's ``pattern`` and ``coefficients``, not its ``matrix``,
+    so the vector is bit for bit the one ``quantum_steady_state`` and the
+    audit give.  A full-space generator, and a sector one without its
+    pattern, raise ValueError.  Raises SteadyStateError when a step of the
+    recursion is singular or the residual exceeds tolerance and
+    FockCutoffError when the top of the Fock ladder is populated.
     """
     layout = liouvillian.layout
-    cutoff = layout.fock_cutoff
-    matrix = _sector_matrix(liouvillian)
-    entries = matrix.tocoo(copy=True)  # summing its duplicates leaves the caller's matrix as it is
-    entries.sum_duplicates()
-    positions = _block_positions(cutoff, entries.row, entries.col)
-    errors, index = [None], [0]
-    vectors = _null_vectors(_scatter(positions, entries.data[:, None], cutoff), cutoff, errors, index)
-    _check(vectors, (matrix @ vectors.T).T, cutoff, errors, index)
+    _sector_matrix(liouvillian)
+    if liouvillian.pattern is None:
+        raise ValueError("steady_state needs the sector generator with its channels")
+    errors = [None]
+    vectors, _ = _solve_batch(
+        liouvillian.pattern, liouvillian.coefficients[None], layout.fock_cutoff, errors, [0])
     raise_first(errors)
     return QuantumState(vectors[0], layout)
 
@@ -865,15 +867,26 @@ def _actions(pattern: SectorPattern, coefficients: np.ndarray, vectors: np.ndarr
     return products.reshape(*vectors.shape[:-1], 9, pattern.size) * coefficients[..., :, None]
 
 
+def _solve_batch(pattern: SectorPattern, coefficients: np.ndarray, fock_cutoff: int,
+                 errors: list, index) -> tuple[np.ndarray, np.ndarray]:
+    """The steady states of an (S, 9) table of ``coefficients`` and their ``_actions``,
+    whose sum is the residual that ``_check`` reads; failed samples keep their error."""
+    vectors = _null_vectors(  # unnamed, so the product and the blocks are freed early
+        _scatter(pattern.positions, pattern.weights @ coefficients.T, fock_cutoff),
+        fock_cutoff, errors, index)
+    actions = _actions(pattern, coefficients, vectors)
+    _check(vectors, actions.sum(axis=-2), fock_cutoff, errors, index)
+    return vectors, actions
+
+
 def _steady_states(spec: SystemSpec, errors: list):
     """Solve every sample of ``spec`` that has no error yet, batched by Fock cutoff.
 
-    A batch holds at most ``_BATCH_ENTRIES`` block entries.  Each is one
-    ``_null_vectors`` solve and one product with the pattern's ``terms``,
-    whose sum is the residual.  A sample whose Fock tail fails is solved
-    again with a later batch at its cutoff + 4, at most twice, and each
-    enlargement is logged at INFO level with the old and new cutoff and the
-    tail that triggered it.  Yields the solved samples of each batch:
+    A batch holds at most ``_BATCH_ENTRIES`` block entries; each is one
+    ``_solve_batch``.  A sample whose Fock tail fails is solved again with a
+    later batch at its cutoff + 4, at most twice, and each enlargement is
+    logged at INFO level with the old and new cutoff and the tail that
+    triggered it.  Yields the solved samples of each batch:
     (index, layout, vectors, actions).  The others keep their first error
     in ``errors``.
     """
@@ -889,13 +902,8 @@ def _steady_states(spec: SystemSpec, errors: list):
         chosen = np.flatnonzero(cutoffs[pending] == cutoff)
         chosen = chosen[: max(1, _BATCH_ENTRIES // (108 * (cutoff + 2)))]
         batch, pending = pending[chosen], np.delete(pending, chosen)
-        pattern = sector_pattern(cutoff)
-        batch_coefficients = coefficients[batch]
-        vectors = _null_vectors(  # unnamed, so the product and the blocks are freed early
-            _scatter(pattern.positions, pattern.weights @ batch_coefficients.T, cutoff),
-            cutoff, errors, batch)
-        actions = _actions(pattern, batch_coefficients, vectors)
-        _check(vectors, actions.sum(axis=-2), cutoff, errors, batch)
+        vectors, actions = _solve_batch(
+            sector_pattern(cutoff), coefficients[batch], cutoff, errors, batch)
         retry = np.array([
             isinstance(errors[i], FockCutoffError) and attempts[i] < _MAX_ENLARGEMENTS
             for i in batch

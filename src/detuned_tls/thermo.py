@@ -233,27 +233,24 @@ class SweepColumns(Sequence):
 
 
 def sample_table(
-    ranges: dict[str, tuple], sampler: str, n_samples: int | None, seed: int
+    ranges: dict[str, tuple], n_samples: int | None = None, seed: int = 0
 ) -> tuple[list[str], np.ndarray]:
     """Parameter points for a sweep or a search: the keys and one row per point.
 
-    ``grid``: the Cartesian product of ``linspace(lo, hi, n)`` over the keys
-    of ``ranges`` (last key fastest); no keys give the one empty point.
-    ``random``: ``n_samples`` points drawn uniformly in [lo, hi) from
-    ``default_rng(seed)``, key by key within a point.
+    Without ``n_samples``, the grid: the Cartesian product of
+    ``linspace(lo, hi, n)`` over the keys of ``ranges`` (last key fastest);
+    no keys give the one empty point.  With it, ``n_samples`` random points
+    drawn uniformly in [lo, hi) from ``default_rng(seed)``, key by key
+    within a point.
     """
     keys = list(ranges)
-    if sampler == "grid":
+    if n_samples is None:
         axes = (np.linspace(lo, hi, int(n)) for lo, hi, n in ranges.values())
         table = np.array(list(itertools.product(*axes)), dtype=float)
-    elif sampler == "random":
-        if n_samples is None:
-            raise ValueError("random sampling requires n_samples")
+    else:
         bounds = np.array([r[:2] for r in ranges.values()], dtype=float).reshape(-1, 2)
         rng = np.random.default_rng(seed)
         table = rng.uniform(bounds[:, 0], bounds[:, 1], size=(n_samples, len(keys)))
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}")
     return keys, table
 
 
@@ -273,19 +270,18 @@ def sweep(
     base: SystemSpec,
     ranges: dict[str, tuple],
     treatment: Treatment = "classical",
-    sampler: str = "random",
     n_samples: int | None = None,
     seed: int = 0,
 ) -> SweepColumns:
-    """Audit the scenario over a parameter grid or random sample.
+    """Audit the scenario over a parameter grid, or ``n_samples`` random points.
 
-    ``ranges`` maps dotted parameter keys to (lo, hi) for random sampling or
-    (lo, hi, n) for grids.  Results are deterministic for a given seed;
-    per-sample solver failures are recorded and the sweep continues.  Either
-    treatment audits all samples at once over arrays; the quantum one solves
-    them in batches of one Fock cutoff.
+    ``ranges`` maps dotted parameter keys to (lo, hi, n) for the grid or
+    (lo, hi) for random points (``sample_table``).  Results are deterministic
+    for a given seed; per-sample solver failures are recorded and the sweep
+    continues.  Either treatment audits all samples at once over arrays; the
+    quantum one solves them in batches of one Fock cutoff.
     """
-    return _audit_columns(base, *sample_table(ranges, sampler, n_samples, seed), treatment)
+    return _audit_columns(base, *sample_table(ranges, n_samples, seed), treatment)
 
 
 def _violation_base(base: SystemSpec | None, occupation: OccupationSpec) -> SystemSpec:
@@ -332,7 +328,7 @@ def find_violation_with_bare_energies(
     base = _violation_base(base, OccupationSpec.thermal_bare())
     if ranges is None:
         ranges = DEFAULT_VIOLATION_RANGES
-    audited = _audit_columns(base, *sample_table(ranges, "random", max_samples, seed))
+    audited = _audit_columns(base, *sample_table(ranges, max_samples, seed))
     negative = audited.flux is not None and audited.entropy_total < -VIOLATION_TOL
     for index in np.flatnonzero(np.broadcast_to(negative, len(audited))):
         if audited.errors[index] is None:

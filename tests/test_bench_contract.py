@@ -151,7 +151,7 @@ def test_tracer_counts_the_error_rows_of_a_sweep():
     # --trace 1 iterates the result of thermo.sweep and reads .error on each item.
     tracer = _load("tracer")
     spec = thermo.default_violation_scenario()
-    results = thermo.sweep(spec, {"drive.omega": (-1.0, 1.0, 5)}, sampler="grid")
+    results = thermo.sweep(spec, {"drive.omega": (-1.0, 1.0, 5)})
     fake = SimpleNamespace(counts=Counter())
     tracer._count_sweep_errors(fake, (), {}, results)
     assert fake.counts == Counter({"thermo.sweep.errors.other": 3})

@@ -330,6 +330,16 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ("12.5", "1e3", "twelve"))
+def test_a_non_integer_cutoff_names_its_key(tmp_path, capsys, value):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(QUANTUM_CFG.replace("cavity.fock_cutoff = 10", f"cavity.fock_cutoff = {value}"))
+    assert main(["quantum-ss", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: key 'cavity.fock_cutoff': not an integer: {value!r}\n"
+
+
 def test_classical_evolve_trajectory(classical_cfg_file, tmp_path):
     out = tmp_path / "traj.csv"
     code = main([
@@ -558,14 +568,14 @@ def test_audit_above_the_kernel_cutoff_prints_each_sampled_value(classical_cfg_f
     argv += [a for k, (lo, hi) in ranges.items() for a in ("--range", f"{k}={lo}:{hi}")]
     assert main(argv) == 0
     base = build_system_spec(parse_config(CLASSICAL_CFG))
-    _assert_rows_show(out, thermo.sweep(base, ranges, "classical", "random", n, 5))
+    _assert_rows_show(out, thermo.sweep(base, ranges, "classical", n, 5))
 
 
 def test_a_value_every_row_shares_prints_as_in_one_row(classical_cfg_file, tmp_path):
     # The effective energies do not depend on reservoir_u.mu, so a sweep of it
     # shares them between rows, and each is formatted once.
     base = build_system_spec(parse_config(CLASSICAL_CFG))
-    table = thermo.sweep(base, {"reservoir_u.mu": (0.0, 1.0, 5)}, "classical", "grid")
+    table = thermo.sweep(base, {"reservoir_u.mu": (0.0, 1.0, 5)}, "classical")
     assert [np.ndim(getattr(table.flux, f)) for f in ("e_eff_u", "e_eff_l", "e_eff_ph")] == [0] * 3
     out = tmp_path / "mu.csv"
     assert main(["audit", "--config", str(classical_cfg_file),

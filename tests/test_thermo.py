@@ -150,9 +150,7 @@ def test_quantum_carnot_bound_in_solar_mode():
 def test_sweep_singleton_reproduces_direct_audit():
     spec = classical_spec()
     direct_flux, direct_report, _ = audit_point(spec, "classical")
-    results = sweep(
-        spec, {"drive.omega": (1.2, 1.2, 1)}, treatment="classical", sampler="grid"
-    )
+    results = sweep(spec, {"drive.omega": (1.2, 1.2, 1)}, treatment="classical")
     assert len(results) == 1
     assert results[0].error is None
     assert results[0].flux.rate == pytest.approx(direct_flux.rate, abs=1e-15)
@@ -162,11 +160,11 @@ def test_sweep_singleton_reproduces_direct_audit():
 def test_sweep_is_deterministic_for_a_seed():
     spec = classical_spec()
     ranges = {"drive.omega": (0.8, 1.6), "reservoir_u.mu": (-0.5, 1.5)}
-    a = sweep(spec, ranges, sampler="random", n_samples=40, seed=1234)
-    b = sweep(spec, ranges, sampler="random", n_samples=40, seed=1234)
+    a = sweep(spec, ranges, n_samples=40, seed=1234)
+    b = sweep(spec, ranges, n_samples=40, seed=1234)
     assert [r.params for r in a] == [r.params for r in b]
     assert [r.entropy_total for r in a] == [r.entropy_total for r in b]
-    c = sweep(spec, ranges, sampler="random", n_samples=40, seed=77)
+    c = sweep(spec, ranges, n_samples=40, seed=77)
     assert [r.params for r in a] != [r.params for r in c]
     # the table drawn at once equals the scalar draws, point by point, key by key
     rng = np.random.default_rng(1234)
@@ -177,9 +175,7 @@ def test_sweep_is_deterministic_for_a_seed():
 def test_sweep_records_per_sample_failures():
     spec = classical_spec()
     # e_upper below e_lower for part of the range: those samples must fail
-    results = sweep(
-        spec, {"e_upper": (-0.5, 1.5, 5)}, treatment="classical", sampler="grid"
-    )
+    results = sweep(spec, {"e_upper": (-0.5, 1.5, 5)}, treatment="classical")
     errors = [r for r in results if r.error is not None]
     ok = [r for r in results if r.error is None]
     assert errors and ok
@@ -221,7 +217,6 @@ def test_effective_energy_sweep_has_no_violations():
             "reservoir_u.temperature": (0.05, 0.5),
             "reservoir_l.temperature": (0.05, 0.5),
         },
-        sampler="random",
         n_samples=1000,
         seed=5,
     )
@@ -298,7 +293,7 @@ def test_batched_sweep_equals_one_point_sweeps(keys, n, seed, occupation):
     batched = sweep(spec, {k: _STRADDLING[k] for k in keys}, n_samples=n, seed=seed)
     assert len(batched) == n
     for row in batched:
-        single = sweep(spec, {k: (v, v, 1) for k, v in row.params.items()}, sampler="grid")
+        single = sweep(spec, {k: (v, v, 1) for k, v in row.params.items()})
         (alone,) = single
         assert alone.params == row.params
         assert alone.error == row.error
@@ -342,7 +337,7 @@ def test_quantum_sweep_equals_one_point_audits(cutoffs, g, omega_cav, t_b, mu_u)
         "bath.temperature": (t_b, t_b, 1),
         "reservoir_u.mu": (mu_u, mu_u, 1),
     }
-    rows = sweep(quantum_spec(), ranges, treatment="quantum", sampler="grid")
+    rows = sweep(quantum_spec(), ranges, treatment="quantum")
     expected = []
     for row in rows:
         try:
@@ -370,7 +365,7 @@ def test_quantum_sweep_mixing_bath_rates_equals_one_point_audits_exactly():
     base = quantum_spec(mu_u=0.5)  # absorbing, so the Fock tail stays small at gamma_b = 0
     ranges = {"bath.gamma": (0.0, 0.3, 4), "cavity.g": (0.01, 0.05, 3),
               "cavity.fock_cutoff": (6, 10, 2)}
-    rows = sweep(base, ranges, treatment="quantum", sampler="grid")
+    rows = sweep(base, ranges, treatment="quantum")
     assert len(rows) == 24 and {row.params["bath.gamma"] for row in rows} >= {0.0, 0.3}
     for row in rows:
         flux, entropy, regime = audit_point(with_parameters(base, row.params), "quantum")
