@@ -17,6 +17,7 @@ reservoir occupations from ``spec.classical_occupations``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -153,15 +154,17 @@ def trajectory(state0: BlochState, spec: SystemSpec, t_final: float, n_store: in
     is the exact flow of the Bloch equations; ``scipy.linalg.expm`` forms it
     once, to rounding (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
     970 (2009)), and each later row is it applied to [y, 1] of the row
-    before.  Negative ``t_final`` evolves backwards.  A non-finite initial
-    state or an initial population outside [0, 1] raises ValueError; the
-    first row whose population leaves [0, 1] raises RuntimeError naming its
-    time.
+    before.  Negative ``t_final`` evolves backwards.  A non-finite
+    ``t_final``, a non-finite initial state or an initial population
+    outside [0, 1] raises ValueError; the first row whose population leaves
+    [0, 1] raises RuntimeError naming its time.
     """
     if spec.drive is None:
         raise ValueError("classical dynamics requires a drive")
     if n_store < 2:
         raise ValueError("n_store must be at least 2 (the initial and the final state)")
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, not {t_final!r}")
     rows = np.empty((n_store, 4))
     rows[0] = _as_vector(state0)
     if not (np.all(np.isfinite(rows[0])) and _populations_in_range(rows[0])):

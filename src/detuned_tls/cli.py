@@ -72,13 +72,13 @@ def _write_rows(out: str | None, header: list[str], rows: Iterable[Sequence[str]
 
 
 def _load_spec(args: argparse.Namespace) -> SystemSpec:
-    """The scenario of --config, with the --fock-cutoff override applied to its cavity."""
+    """The scenario of --config, with any --fock-cutoff override applied to its cavity."""
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     spec = build_system_spec(parse_config(text))
-    if args.fock_cutoff is not None and spec.cavity is not None:
+    if getattr(args, "fock_cutoff", None) is not None and spec.cavity is not None:
         spec = with_parameter(spec, "cavity.fock_cutoff", args.fock_cutoff)
     return spec
 
@@ -229,7 +229,8 @@ def _cmd_audit(args: argparse.Namespace, solve: str | None = None) -> int:
     treatment = solve or args.treatment or ("quantum" if base.cavity is not None else "classical")
     _require_sections(base, treatment)
     ranges = _ranges(args)
-    table = thermo.sweep(base, ranges, treatment, getattr(args, "random", None), args.seed)
+    table = thermo.sweep(base, ranges, treatment, getattr(args, "random", None),
+                         getattr(args, "seed", 0))
     if solve:
         raise_first(table.errors)
     keys, param_cells = _param_columns(base, ranges, table.values)
@@ -359,11 +360,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, config_required: bool = True, seed: bool = False,
+               cutoff: bool = False) -> None:
         p.add_argument("--config", required=config_required, help="scenario file")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed for sampling")
-        p.add_argument("--fock-cutoff", type=int, default=None, help="override Fock cutoff")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed for sampling")
+        if cutoff:
+            p.add_argument("--fock-cutoff", type=int, default=None, help="override Fock cutoff")
 
     def sweep_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--sweep", action="append", metavar="KEY=LO:HI:N")
@@ -383,11 +387,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-ll0", type=float, default=0.0)
 
     p = sub.add_parser("quantum-ss", help="quantum steady state and fluxes")
-    common(p)
+    common(p, cutoff=True)
     sweep_flag(p)
 
     p = sub.add_parser("quantum-evolve", help="quantum time evolution from vacuum")
-    common(p)
+    common(p, cutoff=True)
     evolve_flags(p)
 
     p = sub.add_parser("laser", help="mean-field lasing solution")
@@ -405,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-lower", default=None, metavar="SPEC")
 
     p = sub.add_parser("audit", help="entropy audit over a parameter sweep")
-    common(p)
+    common(p, seed=True, cutoff=True)
     p.add_argument("--treatment", choices=("classical", "quantum"), default=None)
     sweep_flag(p)
     p.add_argument("--random", type=int, default=None, metavar="N")
@@ -414,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "find-violation", help="search for a second-law violation with bare occupations"
     )
-    common(p, config_required=False)
+    common(p, config_required=False, seed=True)
     p.add_argument("--max-samples", type=int, default=2000)
     p.add_argument("--range", action="append", metavar="KEY=LO:HI")
 

@@ -15,9 +15,9 @@ g*, the level split and the six jump rates) times fixed sparse matrices
 B_k whose entries couple photon numbers at most one apart.  Without a
 bath, or with gamma_b <= 0, the two photon rates are zero, so the B_k
 depend on the Fock cutoff alone.  Built once per cutoff from index
-arithmetic and cached (``sector_pattern``) are the pattern of the
-generator and the map from the c_k onto its values, the stack of the B_k,
-and the place of each value in the Q2 blocks.
+arithmetic and cached (``sector_pattern``) are the index arrays of the
+basis, the pattern of the generator and the map from the c_k onto its
+values, the stack of the B_k, and the place of each value in the Q2 blocks.
 ``build_sector_liouvillian`` only fills in the values of a scenario.
 
 H, the c_l jumps and the Q2-conserving parts of the dissipators keep
@@ -37,7 +37,7 @@ segment.  L maps Hermitian matrices to Hermitian ones, so ``trajectory``
 works in the real coordinates of the sector, the populations and the real
 and imaginary parts of the c_n (the coherence vector of Alicki & Lendi,
 *Quantum Dynamical Semigroups and Applications*, LNP 286 (1987); T and
-T^-1 of ``_Indices``), where the generator is a real matrix of the same size.
+T^-1 of ``SectorPattern``), where the generator is a real matrix of the same size.
 It forms the real propagator once by scaling and squaring while the
 sector is small enough for a dense matrix, and above that size applies
 each segment with ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
@@ -60,6 +60,7 @@ occupations from ``spec.quantum_occupations``.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -142,7 +143,7 @@ class HilbertLayout:
 
     def sector_indices(self) -> np.ndarray:
         """Positions in row-major vec(rho) of the sector entries, in sector order."""
-        return _indices(self.fock_cutoff).sector
+        return sector_pattern(self.fock_cutoff).sector
 
 
 @dataclass(frozen=True)
@@ -236,18 +237,24 @@ class SignCondition(NamedTuple):
 
 @dataclass(frozen=True)
 class QuantumSolution:
-    """Steady state together with the objects used to produce it.
+    """Steady state together with the scenario it solves.
 
+    ``liouvillian`` (the sector generator at the cutoff of the state),
     ``fock_tail`` and ``ops`` (the dense full-space operators) are computed
-    on first access only: ``steady_state`` has checked the first, and the
-    solve never needs the last.  The occupations the generator was built
-    with are ``spec.quantum_occupations``.
+    on first access only: the solve reads none of them.  The occupations
+    the generator is built with are ``spec.quantum_occupations``.
     """
 
     state: QuantumState
-    layout: HilbertLayout
-    liouvillian: Liouvillian
     spec: SystemSpec
+
+    @property
+    def layout(self) -> HilbertLayout:
+        return self.state.layout
+
+    @cached_property
+    def liouvillian(self) -> Liouvillian:
+        return build_sector_liouvillian(self.layout, self.spec)
 
     @cached_property
     def fock_tail(self) -> float:
@@ -261,94 +268,17 @@ class QuantumSolution:
 
 # -- the ΔQ = 0 sector ---------------------------------------------------------
 
-# Cached structures kept per process: one per Fock cutoff.  The audit uses
-# three cutoffs, lasing one or three.
+# Patterns kept per process: one per Fock cutoff.  The audit uses three
+# cutoffs, lasing one or three.
 _CACHE_SIZE = 16
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
-
-
-class _Indices(NamedTuple):
-    """Index arrays and real basis of one Fock cutoff, read-only and shared by its states."""
-
-    n_l: np.ndarray  # basis labels of each flat index
-    n_u: np.ndarray
-    n_ph: np.ndarray
-    upper: np.ndarray  # flat indices of |1,0,n+1> and |0,1,n> for n < N
-    lower: np.ndarray
-    single: np.ndarray  # populations outside the 2x2 blocks
-    adjoint: np.ndarray  # sector positions read by the vector of rho^dagger
-    sector: np.ndarray  # positions in row-major vec(rho) of the sector entries
-    photons: np.ndarray  # 0, 1, ..., N
-    root: np.ndarray  # sqrt(n + 1) for n < N
-    charge: np.ndarray  # Tr((N_u + N_l) X) = charge @ x
-    slot: np.ndarray  # 6 Q2 + place in the Q2 block, of each sector entry
-    empty: np.ndarray  # the slots outside the ladder
-    # The real coordinates y = [p; u; v] of a Hermitian sector vector x = forward @ y:
-    # p are the populations and c_n = u_n + i v_n, so c_n* = u_n - i v_n (sparse T, T^-1).
-    forward: sp.csr_array
-    inverse: sp.csr_array
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _indices(fock_cutoff: int) -> _Indices:
-    import scipy.sparse as sp
-
-    m, n = fock_cutoff + 1, fock_cutoff
-    d, blocks = 4 * m, fock_cutoff + 2
-    fermion, n_ph = np.divmod(np.arange(d), m)
-    n_l, n_u = fermion // 2, fermion % 2
-    upper, lower = 2 * m + np.arange(n) + 1, m + np.arange(n)
-    single = np.ones(d, dtype=bool)
-    single[upper] = single[lower] = False
-    coherent = 6 * np.arange(1, m)  # c_n sits in block Q2 = n + 1
-    slot = np.concatenate([6 * (n_u + n_ph) + n_l + 2 * n_u, coherent + 4, coherent + 5])
-    p, c = np.arange(d), d + np.arange(n)
-    rows, cols = np.concatenate([p, c, c, c + n, c + n]), np.concatenate([p, c, c + n, c, c + n])
-    one = np.ones(n)
-    forward, inverse = (
-        sp.csr_array((np.concatenate(values), (rows, cols)), shape=(d + 2 * n,) * 2)
-        for values in ((np.ones(d), one, 1j * one, one, -1j * one),
-                       (np.ones(d), 0.5 * one, 0.5 * one, -0.5j * one, 0.5j * one))
-    )
-    for matrix in (forward, inverse):
-        _read_only(matrix.data, matrix.indices, matrix.indptr)
-    return _Indices(*_read_only(
-        n_l, n_u, n_ph, upper, lower, single,
-        np.r_[:d, d + n : d + 2 * n, d : d + n],
-        np.concatenate([np.arange(d) * (d + 1), upper * d + lower, lower * d + upper]),
-        np.arange(m, dtype=float),
-        np.sqrt(np.arange(1, m)),
-        np.concatenate([n_u + n_l, np.zeros(2 * n)]),
-        slot,
-        np.setdiff1d(np.arange(6 * blocks), slot),
-    ), forward, inverse)
-
-
-def _block_positions(fock_cutoff: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Place of each generator entry in the blocks, flat in (3, N + 2, 36).
-
-    Stack 0 holds the blocks A_k that couple block Q2 = k to k - 1, stack 1
-    the diagonal blocks D_k and stack 2 the blocks C_k that couple k to k + 1.
-    """
-    slot = _indices(fock_cutoff).slot
-    (block, place), (other, column) = np.divmod(slot[rows], 6), np.divmod(slot[cols], 6)
-    side = other - block + 1
-    if not np.all((side >= 0) & (side <= 2)):
-        raise ValueError("generator couples Q2 blocks more than one apart")
-    return ((side * (fock_cutoff + 2) + block) * 6 + place) * 6 + column
-
-
-def _scatter(positions: np.ndarray, values: np.ndarray, fock_cutoff: int) -> np.ndarray:
-    """The (3, N + 2, S, 6, 6) blocks holding the (entries, S) ``values`` at their
-    distinct ``positions`` (``_block_positions``), zero elsewhere."""
-    count = fock_cutoff + 2
+def _scatter(pattern: SectorPattern, values: np.ndarray) -> np.ndarray:
+    """The (3, N + 2, S, 6, 6) blocks holding the (entries, S) ``values`` at the
+    pattern's distinct ``positions``, zero elsewhere."""
+    count = pattern.fock_cutoff + 2
     blocks = np.zeros((3 * count, values.shape[1], 36), dtype=complex)
-    block, entry = np.divmod(positions, 36)
+    block, entry = np.divmod(pattern.positions, 36)
     blocks[block, :, entry] = values
     return blocks.reshape(3, count, -1, 6, 6)
 
@@ -362,14 +292,15 @@ _CHANNELS = {"h": slice(0, 3), "u": slice(3, 5), "l": slice(5, 7), "b": slice(7,
 _JUMPS = ("c_u+", "c_u", "c_l+", "c_l", "a", "a+")  # coefficients 3..8
 
 
-def _hamiltonian_entries(ix: _Indices, d: int, n: int) -> list[Entries]:
+def _hamiltonian_entries(upper: np.ndarray, lower: np.ndarray, root: np.ndarray,
+                         d: int) -> list[Entries]:
     """-i[H, rho] on the sector, per unit of g, of g* and of the level split.
 
     With A = |1,0,n+1>, B = |0,1,n>, c = rho_AB and t = <B|H|A> = g sqrt(n+1):
     dp_A/dt = i t c - i t* c*, dp_B/dt = -dp_A/dt and
     dc/dt = -i (E_A - E_B) c + i t* (p_A - p_B).
     """
-    upper, lower, s = ix.upper, ix.lower, ix.root
+    n, s = len(upper), root
     coh = d + np.arange(n)
     conj = coh + n
     one = np.ones(n)
@@ -381,17 +312,18 @@ def _hamiltonian_entries(ix: _Indices, d: int, n: int) -> list[Entries]:
     return [tuple(np.concatenate(part) for part in entries) for entries in parts]
 
 
-def _jumps(ix: _Indices, m: int) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _jumps(n_l: np.ndarray, n_u: np.ndarray, n_ph: np.ndarray
+           ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Each jump operator L as the map L|source> = amplitude |target> on flat indices.
 
     The Jordan-Wigner signs are left out.  They are a phase of +-1 per basis
     state, and no fermionic jump maps a sector coherence onto another, so in
     the sector they only ever enter squared.
     """
-    index = np.arange(4 * m)
-    filled_u, filled_l, excited = index[ix.n_u == 1], index[ix.n_l == 1], index[ix.n_ph > 0]
+    index, m = np.arange(len(n_ph)), len(n_ph) // 4
+    filled_u, filled_l, excited = index[n_u == 1], index[n_l == 1], index[n_ph > 0]
     unit = np.ones(2 * m)
-    root = np.sqrt(ix.n_ph[excited])
+    root = np.sqrt(n_ph[excited])
     return {
         "c_u": (filled_u, filled_u - 1 * m, unit),
         "c_u+": (filled_u - 1 * m, filled_u, unit),
@@ -403,11 +335,11 @@ def _jumps(ix: _Indices, m: int) -> dict[str, tuple[np.ndarray, np.ndarray, np.n
 
 
 def _dissipator_entries(
-    ix: _Indices, d: int, n: int, jump: tuple[np.ndarray, np.ndarray, np.ndarray]
+    upper: np.ndarray, lower: np.ndarray, d: int, jump: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> Entries:
     """L rho L^dagger - {L^dagger L, rho} / 2 on the sector, per unit rate."""
     source, target, amplitude = jump
-    upper, lower = ix.upper, ix.lower
+    n = len(upper)
     coh = np.arange(n)
     decay = np.zeros(d)  # diagonal of L^dagger L
     decay[source] = amplitude**2
@@ -437,8 +369,9 @@ def _dissipator_entries(
 
 @dataclass(frozen=True, eq=False)
 class SectorPattern:
-    """What the sector generator owes to its Fock cutoff alone.
+    """What the ΔQ = 0 sector owes to its Fock cutoff alone.
 
+    The index arrays and the real basis are described at their fields.
     The generator is sum_k coefficient_k B_k over fixed matrices B_k.
     ``indptr``/``indices`` are its CSR pattern and ``weights`` (nnz x 9)
     maps the coefficients onto its CSR data; ``terms`` stacks the B_k, so
@@ -449,18 +382,40 @@ class SectorPattern:
     block of six slots per Q2 = 0 ... N + 1: |0,0,Q2>, |1,0,Q2>, |0,1,Q2-1>,
     |1,1,Q2-1>, c_(Q2-1) and its conjugate; the slots that fall outside the
     ladder (four in the first block, four in the last) stay empty.
-    ``positions`` says where each CSR entry sits in the sub-diagonal,
-    diagonal and super-diagonal blocks (``_block_positions``), so the
-    values of ``weights`` fill the blocks too.  Built once per cutoff by
-    ``sector_pattern``; every array is read-only.
+    ``positions`` says where each CSR entry sits, flat in (3, N + 2, 36):
+    stack 0 holds the blocks A_k that couple block Q2 = k to k - 1, stack 1
+    the diagonal blocks D_k and stack 2 the blocks C_k that couple k to
+    k + 1, so the values of ``weights`` fill the blocks too.  Built once per
+    cutoff by ``sector_pattern``; every array is read-only.
     """
 
-    size: int
+    fock_cutoff: int
+    n_l: np.ndarray  # basis labels of each flat index
+    n_u: np.ndarray
+    n_ph: np.ndarray
+    upper: np.ndarray  # flat indices of |1,0,n+1> and |0,1,n> for n < N
+    lower: np.ndarray
+    single: np.ndarray  # populations outside the 2x2 blocks
+    adjoint: np.ndarray  # sector positions read by the vector of rho^dagger
+    sector: np.ndarray  # positions in row-major vec(rho) of the sector entries
+    photons: np.ndarray  # 0, 1, ..., N
+    root: np.ndarray  # sqrt(n + 1) for n < N
+    charge: np.ndarray  # Tr((N_u + N_l) X) = charge @ x
+    slot: np.ndarray  # 6 Q2 + place in the Q2 block, of each sector entry
+    empty: np.ndarray  # the slots outside the ladder
+    # The real coordinates y = [p; u; v] of a Hermitian sector vector x = forward @ y:
+    # p are the populations and c_n = u_n + i v_n, so c_n* = u_n - i v_n (sparse T, T^-1).
+    forward: sp.csr_array
+    inverse: sp.csr_array
     indptr: np.ndarray
     indices: np.ndarray
     weights: sp.csr_matrix
     terms: sp.csr_matrix
     positions: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return 6 * self.fock_cutoff + 4
 
     def matrix(self, coefficients: np.ndarray) -> sp.csr_matrix:
         """The generator for these coefficients."""
@@ -476,30 +431,60 @@ def sector_pattern(fock_cutoff: int) -> SectorPattern:
     """The ``SectorPattern`` of a cutoff; cached."""
     import scipy.sparse as sp
 
-    ix = _indices(fock_cutoff)
     m, n = fock_cutoff + 1, fock_cutoff
-    d, size = 4 * m, 6 * fock_cutoff + 4
-    jumps = _jumps(ix, m)
-    per_coefficient = _hamiltonian_entries(ix, d, n) + [
-        _dissipator_entries(ix, d, n, jumps[name]) for name in _JUMPS
+    d, size, blocks = 4 * m, 6 * fock_cutoff + 4, fock_cutoff + 2
+    fermion, n_ph = np.divmod(np.arange(d), m)
+    n_l, n_u = fermion // 2, fermion % 2
+    upper, lower = 2 * m + np.arange(n) + 1, m + np.arange(n)
+    single = np.ones(d, dtype=bool)
+    single[upper] = single[lower] = False
+    root = np.sqrt(np.arange(1, m))
+    coherent = 6 * np.arange(1, m)  # c_n sits in block Q2 = n + 1
+    slot = np.concatenate([6 * (n_u + n_ph) + n_l + 2 * n_u, coherent + 4, coherent + 5])
+    p, c = np.arange(d), d + np.arange(n)
+    rows, cols = np.concatenate([p, c, c, c + n, c + n]), np.concatenate([p, c, c + n, c, c + n])
+    one = np.ones(n)
+    forward, inverse = (
+        sp.csr_array((np.concatenate(values), (rows, cols)), shape=(size,) * 2)
+        for values in ((np.ones(d), one, 1j * one, one, -1j * one),
+                       (np.ones(d), 0.5 * one, 0.5 * one, -0.5j * one, 0.5j * one))
+    )
+
+    jumps = _jumps(n_l, n_u, n_ph)
+    per_coefficient = _hamiltonian_entries(upper, lower, root, d) + [
+        _dissipator_entries(upper, lower, d, jumps[name]) for name in _JUMPS
     ]
     k = np.concatenate([np.full(len(part[0]), c) for c, part in enumerate(per_coefficient)])
     rows, cols, vals = (np.concatenate(part) for part in zip(*per_coefficient))
     nonzero = vals != 0
     k, rows, cols, vals = k[nonzero], rows[nonzero], cols[nonzero], vals[nonzero]
 
-    key, slot = np.unique(rows * size + cols, return_inverse=True)  # row-major: CSR order
+    key, entry = np.unique(rows * size + cols, return_inverse=True)  # row-major: CSR order
     pattern_rows, indices = np.divmod(key, size)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(pattern_rows, minlength=size))])
-    weights = sp.csr_matrix((vals, (slot, k)), shape=(len(key), 9), dtype=complex)
+    weights = sp.csr_matrix((vals, (entry, k)), shape=(len(key), 9), dtype=complex)
     terms = sp.csr_matrix((vals, (k * size + rows, cols)), shape=(9 * size, size), dtype=complex)
-    positions = _block_positions(fock_cutoff, pattern_rows, indices)
-
-    for matrix in (weights, terms):
-        _read_only(matrix.data, matrix.indices, matrix.indptr)
+    (block, place), (other, column) = np.divmod(slot[pattern_rows], 6), np.divmod(slot[indices], 6)
+    side = other - block + 1
+    if not np.all((side >= 0) & (side <= 2)):
+        raise ValueError("generator couples Q2 blocks more than one apart")
     index = np.int32 if len(key) < 2**31 and 9 * size < 2**31 else np.int64
-    indptr, indices, positions = _read_only(indptr.astype(index), indices.astype(index), positions)
-    return SectorPattern(size, indptr, indices, weights, terms, positions)
+
+    pattern = SectorPattern(
+        fock_cutoff, n_l, n_u, n_ph, upper, lower, single,
+        np.r_[:d, d + n : d + 2 * n, d : d + n],
+        np.concatenate([np.arange(d) * (d + 1), upper * d + lower, lower * d + upper]),
+        np.arange(m, dtype=float), root, np.concatenate([n_u + n_l, np.zeros(2 * n)]),
+        slot, np.setdiff1d(np.arange(6 * blocks), slot), forward, inverse,
+        indptr.astype(index), indices.astype(index), weights, terms,
+        ((side * blocks + block) * 6 + place) * 6 + column,
+    )
+    for field in dataclasses.fields(pattern):
+        value = getattr(pattern, field.name)
+        for array in (value.data, value.indices, value.indptr) if sp.issparse(value) else [value]:
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+    return pattern
 
 
 def _coefficients(spec: SystemSpec) -> np.ndarray:
@@ -579,16 +564,16 @@ def stacked_observables(
 ) -> QuantumObservables:
     """``sector_observables`` of each sector vector along the last axis (the rows of a
     ``trajectory``, or a batch of steady states), elementwise in ``spec``."""
-    ix = _indices(fock_cutoff)
+    pattern = sector_pattern(fock_cutoff)
     d, n = 4 * (fock_cutoff + 1), fock_cutoff
     # rows: (n_l, n_u) = (0, 0), (0, 1), (1, 0), (1, 1)
     p = vectors[..., :d].real.reshape(*vectors.shape[:-1], 4, fock_cutoff + 1)
-    photons = ix.photons
+    photons = pattern.photons
     sigma_uu = p[..., 1, :].sum(axis=-1) + p[..., 3, :].sum(axis=-1)
     sigma_ll = p[..., 2, :].sum(axis=-1) + p[..., 3, :].sum(axis=-1)
     n_ph = _dot(p.sum(axis=-2), photons)
     # Y = conj(g) Tr{c_l^+ c_u a^+ rho} = conj(g) sum_n sqrt(n+1) <0,1,n|rho|1,0,n+1>
-    y = np.conj(spec.cavity.g) * _dot(vectors[..., d + n :], ix.root)
+    y = np.conj(spec.cavity.g) * _dot(vectors[..., d + n :], pattern.root)
     f_exact = p[..., 1, :].sum(axis=-1) + _dot(p[..., 1, :] - p[..., 2, :], photons)
     f_hf = sigma_uu * (1.0 - sigma_ll) + (sigma_uu - sigma_ll) * n_ph
     return QuantumObservables(*map(plain, (sigma_uu, sigma_ll, n_ph, y, f_exact, f_hf, 2.0 * y.imag)))
@@ -742,7 +727,7 @@ def _sector_matrix(liouvillian: Liouvillian) -> sp.csr_matrix:
 def _adjoint(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
     """The vector of rho^dagger for each sector vector along the last axis: the
     populations conjugated, each c_n swapped with c_n*."""
-    return np.take(vectors, _indices(fock_cutoff).adjoint, axis=-1).conj()
+    return np.take(vectors, sector_pattern(fock_cutoff).adjoint, axis=-1).conj()
 
 
 def _lowest_eigenvalues(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
@@ -751,14 +736,14 @@ def _lowest_eigenvalues(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
     rho is block diagonal: a 2x2 block [[p(1,0,n+1), c_n], [c_n*, p(0,1,n)]]
     for each n < N and a 1x1 block for every other population.
     """
-    ix = _indices(fock_cutoff)
+    pattern = sector_pattern(fock_cutoff)
     d, n = 4 * (fock_cutoff + 1), fock_cutoff
     herm = (0.5 * (vectors + _adjoint(vectors, fock_cutoff))).T  # entries first: one index for all
     pops = herm[:d].real
-    upper, lower = pops[ix.upper], pops[ix.lower]
+    upper, lower = pops[pattern.upper], pops[pattern.lower]
     mean, half_gap = 0.5 * (upper + lower), 0.5 * (upper - lower)
     pairs = mean - np.hypot(half_gap, np.abs(herm[d : d + n]))
-    return np.minimum(pops[ix.single].min(axis=0), pairs.min(axis=0))
+    return np.minimum(pops[pattern.single].min(axis=0), pairs.min(axis=0))
 
 
 def _validate(vectors: np.ndarray, fock_cutoff: int, errors: list, index) -> None:
@@ -817,10 +802,10 @@ def _null_vectors(blocks: np.ndarray, fock_cutoff: int, errors: list, index) -> 
     """
     # C-contiguous (S, ...) stacks, here and below, keep each sample's
     # arithmetic (the order of every sum) independent of the number S
-    ix = _indices(fock_cutoff)
+    pattern = sector_pattern(fock_cutoff)
     count, top, d = blocks.shape[2], fock_cutoff + 1, 4 * (fock_cutoff + 1)
     lower, diagonal, upper = blocks
-    diagonal[ix.empty // 6, :, ix.empty % 6, ix.empty % 6] = 1.0
+    diagonal[pattern.empty // 6, :, pattern.empty % 6, pattern.empty % 6] = 1.0
     ratios = np.empty_like(lower)
     schur = diagonal[top]
     with np.errstate(all="ignore"):  # a failed sample may run through inf and nan
@@ -833,7 +818,7 @@ def _null_vectors(blocks: np.ndarray, fock_cutoff: int, errors: list, index) -> 
         x[0, :, 0], x[0, :, 1] = -row[1], row[0]
         for k in range(1, top + 1):
             x[k] = (ratios[k] * x[k - 1, :, None, :]).sum(axis=-1)
-        vectors = np.ascontiguousarray(x[ix.slot // 6, :, ix.slot % 6].T)
+        vectors = np.ascontiguousarray(x[pattern.slot // 6, :, pattern.slot % 6].T)
         vectors /= vectors[:, :d].sum(axis=1, keepdims=True)
         herm = 0.5 * (vectors + _adjoint(vectors, fock_cutoff))
         return herm / herm[:, :d].sum(axis=1, keepdims=True).real
@@ -855,8 +840,7 @@ def steady_state(liouvillian: Liouvillian) -> QuantumState:
     if liouvillian.pattern is None:
         raise ValueError("steady_state needs the sector generator with its channels")
     errors = [None]
-    vectors, _ = _solve_batch(
-        liouvillian.pattern, liouvillian.coefficients[None], layout.fock_cutoff, errors, [0])
+    vectors, _ = _solve_batch(liouvillian.pattern, liouvillian.coefficients[None], errors, [0])
     raise_first(errors)
     return QuantumState(vectors[0], layout)
 
@@ -867,15 +851,14 @@ def _actions(pattern: SectorPattern, coefficients: np.ndarray, vectors: np.ndarr
     return products.reshape(*vectors.shape[:-1], 9, pattern.size) * coefficients[..., :, None]
 
 
-def _solve_batch(pattern: SectorPattern, coefficients: np.ndarray, fock_cutoff: int,
+def _solve_batch(pattern: SectorPattern, coefficients: np.ndarray,
                  errors: list, index) -> tuple[np.ndarray, np.ndarray]:
     """The steady states of an (S, 9) table of ``coefficients`` and their ``_actions``,
     whose sum is the residual that ``_check`` reads; failed samples keep their error."""
     vectors = _null_vectors(  # unnamed, so the product and the blocks are freed early
-        _scatter(pattern.positions, pattern.weights @ coefficients.T, fock_cutoff),
-        fock_cutoff, errors, index)
+        _scatter(pattern, pattern.weights @ coefficients.T), pattern.fock_cutoff, errors, index)
     actions = _actions(pattern, coefficients, vectors)
-    _check(vectors, actions.sum(axis=-2), fock_cutoff, errors, index)
+    _check(vectors, actions.sum(axis=-2), pattern.fock_cutoff, errors, index)
     return vectors, actions
 
 
@@ -902,8 +885,7 @@ def _steady_states(spec: SystemSpec, errors: list):
         chosen = np.flatnonzero(cutoffs[pending] == cutoff)
         chosen = chosen[: max(1, _BATCH_ENTRIES // (108 * (cutoff + 2)))]
         batch, pending = pending[chosen], np.delete(pending, chosen)
-        vectors, actions = _solve_batch(
-            sector_pattern(cutoff), coefficients[batch], cutoff, errors, batch)
+        vectors, actions = _solve_batch(sector_pattern(cutoff), coefficients[batch], errors, batch)
         retry = np.array([
             isinstance(errors[i], FockCutoffError) and attempts[i] < _MAX_ENLARGEMENTS
             for i in batch
@@ -929,13 +911,12 @@ def quantum_steady_state(spec: SystemSpec) -> QuantumSolution:
     """
     errors = [None]
     for _, layout, vectors, _ in _steady_states(spec, errors):
-        liouv = build_sector_liouvillian(layout, spec)
-        return QuantumSolution(QuantumState(vectors[0], layout), layout, liouv, spec)
+        return QuantumSolution(QuantumState(vectors[0], layout), spec)
     raise errors[0]
 
 
 def _real_part(values, bound: float, name: str):
-    """The real part of a generator or state in the real basis (``_Indices``);
+    """The real part of a generator or state in the real basis (``SectorPattern``);
     EvolutionError unless its imaginary part is at most ``bound`` (NaN fails)."""
     drift = abs(values.imag).max()
     if not drift <= bound:
@@ -951,7 +932,7 @@ def trajectory(
     (n_store, sector size) stack whose row 0 is ``state0``.
 
     L maps Hermitian matrices to Hermitian ones, so the rows are propagated
-    in the real coordinates y = T^-1 x = [p; u; v] of ``_Indices``, with
+    in the real coordinates y = T^-1 x = [p; u; v] of ``SectorPattern``, with
     c_n = u_n + i v_n, where the generator L_r = T^-1 L T is a real matrix
     of the sector's size.  Before any row is formed, the imaginary part of
     L_r must be at most 1e-12 of its largest entry and that of T^-1 x_0 at
@@ -964,16 +945,16 @@ def trajectory(
     to 1e-9, else EvolutionError; it is renormalized before the next step.
     The real rows are turned back into sector vectors once, and each is
     validated.  The first failing row raises its error; so does a
-    propagator of L seg that overflows.  A full-space generator raises
-    ValueError.
+    propagator of L seg that overflows.  A full-space generator, and a
+    ``t_final`` that is negative or not finite, raise ValueError.
     """
-    if t_final < 0:
-        raise ValueError("t_final must be non-negative")
+    if not (math.isfinite(t_final) and t_final >= 0):
+        raise ValueError(f"t_final must be finite and non-negative, not {t_final!r}")
     if n_store < 2:
         raise ValueError("n_store must be at least 2 (the initial and the final state)")
     matrix = _sector_matrix(liouvillian)
     cutoff, d = liouvillian.layout.fock_cutoff, liouvillian.layout.dim
-    basis = _indices(cutoff)
+    basis = sector_pattern(cutoff)
     seg = t_final / (n_store - 1)
     rows = np.empty((n_store, matrix.shape[0]))
     propagated = np.empty_like(rows[1:])  # row i - 1 holds P applied to row i - 1
@@ -1028,15 +1009,15 @@ def evolve_quantum(
 
 def _trace_weights(fock_cutoff: int, spec: SystemSpec) -> np.ndarray:
     """Sector vectors h with Tr(H X) = h @ x, elementwise in ``spec``: (..., size)."""
-    ix = _indices(fock_cutoff)
+    pattern = sector_pattern(fock_cutoff)
     d, n = 4 * (fock_cutoff + 1), fock_cutoff
     levels, cavity = spec.levels, spec.cavity
     energies = (
-        np.multiply.outer(levels.e_upper, ix.n_u)
-        + np.multiply.outer(levels.e_lower, ix.n_l)
-        + np.multiply.outer(cavity.omega_cav, ix.n_ph)
+        np.multiply.outer(levels.e_upper, pattern.n_u)
+        + np.multiply.outer(levels.e_lower, pattern.n_l)
+        + np.multiply.outer(cavity.omega_cav, pattern.n_ph)
     )
-    t = np.multiply.outer(cavity.g, ix.root)  # Tr(H X) picks <B|H|A> X_AB + <A|H|B> X_BA
+    t = np.multiply.outer(cavity.g, pattern.root)  # Tr(H X) picks <B|H|A> X_AB + <A|H|B> X_BA
     h = np.empty(np.broadcast_shapes(energies.shape[:-1], t.shape[:-1]) + (d + 2 * n,), complex)
     h[..., :d], h[..., d : d + n], h[..., d + n :] = energies, t, t.conj()
     return h
@@ -1052,7 +1033,7 @@ def _flows(vectors, actions, fock_cutoff: int, spec: SystemSpec, errors: list, i
     """
     occ = spec.quantum_occupations
     energy = (actions * _trace_weights(fock_cutoff, spec)[..., None, :]).sum(axis=-1)
-    charge = (actions * _indices(fock_cutoff).charge).sum(axis=-1)
+    charge = (actions * sector_pattern(fock_cutoff).charge).sum(axis=-1)
     edot = {name: energy[..., _CHANNELS[name]].sum(axis=-1).real for name in ("u", "l", "b")}
     ndot_u = charge[..., _CHANNELS["u"]].sum(axis=-1).real
     ndot_l = charge[..., _CHANNELS["l"]].sum(axis=-1).real

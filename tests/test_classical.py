@@ -190,6 +190,18 @@ def test_trajectory_error_names_the_failing_row():
         trajectory(BlochState(0.5, 0.5, 5j), spec, 40 * seg, 41)
 
 
+@pytest.mark.parametrize("t_final", (math.nan, math.inf, -math.inf))
+def test_trajectory_refuses_a_non_finite_time(monkeypatch, t_final):
+    import scipy.linalg
+
+    def no_propagator(*args, **kwargs):
+        raise AssertionError("propagator formed")
+
+    monkeypatch.setattr(scipy.linalg, "expm", no_propagator)
+    with pytest.raises(ValueError, match="t_final must be finite"):
+        trajectory(BlochState(0.0, 0.0, 0.0j), make_spec(), t_final, 3)
+
+
 def test_trajectory_needs_two_rows():
     with pytest.raises(ValueError, match="n_store"):
         trajectory(BlochState(0.0, 0.0, 0.0j), make_spec(), 1.0, 1)

@@ -634,6 +634,23 @@ def test_audit_has_no_tolerance_flag(classical_cfg_file):
     assert exc.value.code == 2
 
 
+# the flags that only audit and find-violation (--seed) and the quantum solves
+# (--fock-cutoff) read; find-violation has no --fock-cutoff
+@pytest.mark.parametrize(
+    "command, flag",
+    [("quantum-ss", "--seed"), ("laser", "--fock-cutoff"), ("classical-ss", "--seed"),
+     ("classical-evolve", "--seed"), ("quantum-evolve", "--seed"), ("laser", "--seed"),
+     ("classical-ss", "--fock-cutoff"), ("classical-evolve", "--fock-cutoff"),
+     ("find-violation", "--fock-cutoff")],
+)
+def test_a_command_refuses_a_flag_it_does_not_read(classical_cfg_file, capsys, command, flag):
+    times = ["--t-final", "1"] if command.endswith("evolve") else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(classical_cfg_file), *times, flag, "14"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 14" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

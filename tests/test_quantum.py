@@ -84,7 +84,7 @@ def _flat_index(layout, n_l, n_u, n_ph):
 def test_layout_index_maps_are_inverse_bijections():
     layout = HilbertLayout(5)
     assert layout.dim == 24
-    ix = quantum._indices(5)
+    ix = sector_pattern(5)
     seen = set()
     for n_l in (0, 1):
         for n_u in (0, 1):
@@ -114,7 +114,7 @@ def test_operator_algebra():
     # [a, a dagger] = 1 away from the truncation edge
     comm = ops.a @ ops.a.conj().T - ops.a.conj().T @ ops.a
     for idx in range(dim):
-        if quantum._indices(6).n_ph[idx] < layout.fock_cutoff:
+        if sector_pattern(6).n_ph[idx] < layout.fock_cutoff:
             row = comm[idx].copy()
             row[idx] -= 1.0
             assert np.max(np.abs(row)) < 1e-14
@@ -605,7 +605,7 @@ def test_full_liouvillian_has_no_elements_across_charge_blocks(cutoff, ordering,
     spec = _oracle_spec(bath)
     layout = HilbertLayout(cutoff)
     full = build_liouvillian(build_operators(layout, spec, ordering), spec).matrix.tocoo()
-    ix = quantum._indices(cutoff)
+    ix = sector_pattern(cutoff)
     charges = np.stack([ix.n_u + ix.n_l, ix.n_u + ix.n_ph])
     d = layout.dim
 
@@ -637,7 +637,7 @@ def test_sector_generator_equals_full_space_slice(cutoff, ordering, bath):
     layout = HilbertLayout(cutoff)
     ops = build_operators(layout, spec, ordering)
     hop = ops.c_l.conj().T @ ops.c_u @ ops.a.conj().T
-    ix = quantum._indices(cutoff)
+    ix = sector_pattern(cutoff)
     upper, lower = ix.upper, ix.lower
     assert np.array_equal(hop[upper, lower], np.sqrt(np.arange(1, cutoff + 1)))
 
@@ -808,6 +808,19 @@ def test_trajectory_matches_one_expm_multiply_per_segment(monkeypatch, cutoff, b
     assert np.array_equal(last.vector, quantum.trajectory(rho0, liouv, 6.0, 2)[-1])
 
 
+@pytest.mark.parametrize("t_final", (math.nan, math.inf, -math.inf, -1.0))
+def test_trajectory_refuses_a_non_finite_or_negative_time(monkeypatch, t_final):
+    def no_propagator(*args, **kwargs):
+        raise AssertionError("propagator formed")
+
+    monkeypatch.setattr(scipy.linalg, "expm", no_propagator)
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", no_propagator)
+    layout = HilbertLayout(3)
+    liouv = build_sector_liouvillian(layout, make_spec(cutoff=3))
+    with pytest.raises(ValueError, match="t_final must be finite and non-negative"):
+        quantum.trajectory(thermal_state(layout, 0.3, 0.4, 0.2), liouv, t_final, 3)
+
+
 def test_trajectory_raises_the_error_of_its_first_failing_row():
     # Each row is renormalized, so every segment drifts by about 1e-6 and
     # every row fails; the first, at t = 1, raises.
@@ -824,7 +837,7 @@ def test_trajectory_raises_the_error_of_its_first_failing_row():
 def test_the_generator_is_real_in_the_real_basis(cutoff, g, bath):
     spec = replace(_oracle_spec(bath), cavity=CavitySpec(1.2, g, cutoff))
     matrix = build_sector_liouvillian(HilbertLayout(cutoff), spec).matrix
-    basis = quantum._indices(cutoff)
+    basis = sector_pattern(cutoff)
     for generator in (matrix, matrix.toarray()):  # the sparse and the dense propagator's
         real = basis.inverse @ generator @ basis.forward
         assert sp.issparse(real) == sp.issparse(generator)
@@ -835,7 +848,7 @@ def test_the_generator_is_real_in_the_real_basis(cutoff, g, bath):
 def test_the_real_basis_round_trip_leaves_hermitian_vectors_unchanged(cutoff):
     layout = HilbertLayout(cutoff)
     d, n = layout.dim, cutoff
-    basis = quantum._indices(cutoff)
+    basis = sector_pattern(cutoff)
     rng = np.random.default_rng(cutoff)
     vectors = np.empty((50, layout.sector_size), dtype=complex)
     vectors[:, :d] = rng.normal(size=(50, d)) * 10.0 ** rng.uniform(-300, 300, size=(50, d))
@@ -1092,24 +1105,15 @@ def test_cached_builds_equal_fresh_builds():
 def test_cached_arrays_are_read_only():
     layout = HilbertLayout(10)
     liouv = build_sector_liouvillian(layout, _oracle_spec(True))
-    pattern, ix = liouv.pattern, quantum._indices(10)
-    shared = [
-        pattern.indptr,
-        pattern.indices,
-        pattern.weights.data,
-        pattern.weights.indices,
-        pattern.weights.indptr,
-        pattern.terms.data,
-        pattern.terms.indices,
-        pattern.terms.indptr,
-        pattern.positions,
-        liouv.matrix.indices,
-        liouv.matrix.indptr,
-        layout.sector_indices(),
-        *ix[:-2],  # the index arrays, then the CSR arrays of T and T^-1
-        *(getattr(matrix, name) for matrix in (ix.forward, ix.inverse)
-          for name in ("data", "indices", "indptr")),
-    ]
+    pattern = liouv.pattern
+    shared = [liouv.matrix.indices, liouv.matrix.indptr, layout.sector_indices()]
+    for field in dataclasses.fields(pattern):  # every array of the pattern, CSR ones included
+        value = getattr(pattern, field.name)
+        if sp.issparse(value):
+            shared += [value.data, value.indices, value.indptr]
+        elif field.name != "fock_cutoff":
+            assert isinstance(value, np.ndarray), field.name
+            shared.append(value)
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[0]
@@ -1131,6 +1135,13 @@ def test_sector_pattern_is_built_once_per_key():
     info = sector_pattern.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 22, 2)
     assert info.maxsize is not None  # bounded
+    # observables, validation and a trajectory at a new cutoff build its pattern once
+    layout, spec = HilbertLayout(4), make_spec(cutoff=4)
+    state = thermal_state(layout, 0.3, 0.4, 0.2)
+    sector_observables(state, spec)
+    state.validate()
+    quantum.trajectory(state, build_sector_liouvillian(layout, spec), 1.0, 3)
+    assert sector_pattern.cache_info().currsize == 3
 
 
 def _solve_record(spec):

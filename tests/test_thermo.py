@@ -414,10 +414,11 @@ def test_an_audit_resolves_its_occupations_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(model, "resolve_occupations", counted("resolve", model.resolve_occupations))
-    monkeypatch.setattr(quantum, "sector_pattern", counted("pattern", quantum.sector_pattern))
     ranges = {"drive.omega": (0.6, 1.6), "reservoir_u.mu": (0.0, 1.5)}
     assert len(sweep(classical_spec(), ranges, n_samples=500, seed=3)) == 500
     assert calls == ["resolve"]
     calls.clear()
+    quantum.sector_pattern.cache_clear()
     audit_point(quantum_spec(cutoff=1), "quantum")
-    assert sorted(calls) == ["pattern", "pattern", "resolve"]
+    assert calls == ["resolve"]
+    assert quantum.sector_pattern.cache_info().misses == 2  # one build per attempted cutoff
