@@ -227,6 +227,8 @@ def _cmd_audit(args: argparse.Namespace, solve: str | None = None) -> int:
     """
     base = _load_spec(args)
     treatment = solve or args.treatment or ("quantum" if base.cavity is not None else "classical")
+    if treatment == "classical" and getattr(args, "fock_cutoff", None) is not None:
+        raise ConfigError("--fock-cutoff applies to the quantum treatment only")
     _require_sections(base, treatment)
     ranges = _ranges(args)
     table = thermo.sweep(base, ranges, treatment, getattr(args, "random", None),

@@ -10,43 +10,38 @@ in the ΔQ = 0 block (a weak U(1) symmetry: Buča & Prosen, New J. Phys. 14,
 holds the 4(N+1) populations and the coherences <1,0,n+1|rho|0,1,n> with
 their conjugates: 6N + 4 entries.
 
-The generator on the sector is sum_k c_k B_k: nine coefficients c_k (g,
-g*, the level split and the six jump rates) times fixed sparse matrices
-B_k whose entries couple photon numbers at most one apart.  Without a
-bath, or with gamma_b <= 0, the two photon rates are zero, so the B_k
-depend on the Fock cutoff alone.  Built once per cutoff from index
-arithmetic and cached (``sector_pattern``) are the index arrays of the
-basis, the pattern of the generator and the map from the c_k onto its
-values, the stack of the B_k, and the place of each value in the Q2 blocks.
-``build_sector_liouvillian`` only fills in the values of a scenario.
+The generator on the sector is sum_k c_k B_k: nine real coefficients c_k
+(Re g, Im g, the level split and the six jump rates) times fixed matrices
+B_k whose entries couple photon numbers at most one apart.  L maps
+Hermitian matrices to Hermitian ones, so in the real coordinates of the
+sector, the populations and the real and imaginary parts of the c_n (the
+coherence vector of Alicki & Lendi, *Quantum Dynamical Semigroups and
+Applications*, LNP 286 (1987)), every B_k is real.  H, the c_l jumps and
+the Q2-conserving parts of the dissipators keep Q2 = N_u + N_ph; every c_u
+jump and every photon jump moves it by one.  Ordered by Q2, the B_k are
+block tridiagonal, with blocks of six slots (Albert & Jiang, above).  The
+index arrays of the basis and these real blocks are built once per cutoff
+and cached (``sector_pattern``): without a bath, or with gamma_b <= 0, the
+two photon rates are zero, so they depend on the Fock cutoff alone.
 
-H, the c_l jumps and the Q2-conserving parts of the dissipators keep
-Q2 = N_u + N_ph; every c_u jump and every photon jump moves it by one.
-Ordered by Q2, the generator is block tridiagonal, with blocks of six
-slots (Albert & Jiang, above), so its null vector is a matrix continued
+The null vector of a block-tridiagonal generator is a matrix continued
 fraction computed downwards from the top of the Fock ladder (Risken, *The
 Fokker-Planck Equation*, 2nd ed. (1989), ch. 9; ``_null_vectors``).  The
-blocks are linear in the c_k, so one product builds them for a whole
-(S, 9) table of coefficients, and each step of the recursion is one
-stacked 6x6 solve over all S samples.  ``steady_state_fluxes`` audits the
-samples of a ``SpecColumns`` this way, in batches of one cutoff; a
-scenario, ``quantum_steady_state`` and ``steady_state`` are its
-one-sample case.  The generator is linear and time independent, so a
-trajectory of evenly spaced rows applies one propagator exp(L seg) per
-segment.  L maps Hermitian matrices to Hermitian ones, so ``trajectory``
-works in the real coordinates of the sector, the populations and the real
-and imaginary parts of the c_n (the coherence vector of Alicki & Lendi,
-*Quantum Dynamical Semigroups and Applications*, LNP 286 (1987); T and
-T^-1 of ``SectorPattern``), where the generator is a real matrix of the same size.
-It forms the real propagator once by scaling and squaring while the
-sector is small enough for a dense matrix, and above that size applies
-each segment with ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33, 488 (2011)).  Neither solves L x = 0, so the evolution is an
-independent oracle for the steady state.  Each flow is an O(N) trace
-of H or N against one channel's action, read off one product with the
-stack of the B_k, which also gives the residual.  Positivity is checked on
-the 2x2 blocks that the coherences form with their two populations.  The
-cached arrays are read-only, so threads may share them.
+blocks of a whole (S, 9) table of coefficients are summed from the cached
+ones, and each step of the recursion is one stacked real 6x6 solve over
+all S samples.  ``steady_state_fluxes`` audits the samples of a
+``SpecColumns`` this way, in batches of one cutoff; a scenario,
+``quantum_steady_state`` and ``steady_state`` are its one-sample case.
+Each flow is an O(N) trace of H or N against one channel's action, which
+the blocks give, and so does the residual.  Positivity is checked on the
+2x2 blocks that the coherences form with their two populations.  The
+generator is linear and time independent, so ``trajectory`` applies one
+real propagator exp(L seg) per segment of evenly spaced rows: formed once
+by scaling and squaring while the sector is small enough for a dense
+matrix, one ``expm_multiply`` per segment above that size (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  Neither solves L x = 0, so
+the evolution is an independent oracle for the steady state.  The cached
+arrays are read-only, so threads may share them.
 
 The full-space construction (dense ``build_operators``, the row-major
 superoperator of ``build_liouvillian``, dense ``observables`` and
@@ -93,11 +88,14 @@ _RESIDUAL_TOL = 1e-10
 _FOCK_TAIL_TOL = 1e-6
 _HERMITICITY_TOL = 1e-12
 _MAX_ENLARGEMENTS = 2  # cutoff raises of 4 before a FockCutoffError stands
-_BATCH_ENTRIES = 2**19  # block entries (16 bytes each) a batch may hold; larger audits take several
+_BATCH_ENTRIES = 2**19  # block entries (8 bytes each) a batch may hold; larger audits take several
 # Sector entries up to which ``trajectory`` forms the dense real propagator: its
 # O(size^3) cost met that of one real expm_multiply per segment at 724-748 entries
 # (cutoff 120-124) on the quantum-evolve scenario, 41 rows over t = 30, one BLAS thread.
 _DENSE_SIZE = 724
+# [c; c*] = U [u; v] in the last two slots of a Q2 block, and [u; v] = U^-1 [c; c*]
+_U, _U_INV = np.eye(6, dtype=complex), np.eye(6, dtype=complex)
+_U[4:, 4:], _U_INV[4:, 4:] = [[1, 1j], [1, -1j]], [[0.5, 0.5], [-0.5j, 0.5j]]
 
 logger = logging.getLogger(__name__)
 
@@ -163,11 +161,9 @@ class OperatorSet:
 class Liouvillian:
     """Sparse generator of the master equation, with its basis layout.
 
-    ``build_sector_liouvillian`` gives it on the ΔQ = 0 sector, together
-    with the ``pattern`` it was assembled on and the ``coefficients`` that
-    filled it, so that ``matrix`` is ``pattern.matrix(coefficients)``.  The
-    steady-state solve and the flows read ``pattern`` and ``coefficients``;
-    ``trajectory`` and ``evolve_quantum`` read ``matrix``.  The full-space
+    ``build_sector_liouvillian`` gives it on the ΔQ = 0 sector, with the
+    ``pattern`` and ``coefficients`` it was assembled from, which the solve,
+    the flows and ``trajectory`` read instead of ``matrix``.  The full-space
     reference of ``build_liouvillian`` acts on row-major vec(rho) and has
     neither pattern nor coefficients.
     """
@@ -273,41 +269,28 @@ class QuantumSolution:
 _CACHE_SIZE = 16
 
 
-def _scatter(pattern: SectorPattern, values: np.ndarray) -> np.ndarray:
-    """The (3, N + 2, S, 6, 6) blocks holding the (entries, S) ``values`` at the
-    pattern's distinct ``positions``, zero elsewhere."""
-    count = pattern.fock_cutoff + 2
-    blocks = np.zeros((3 * count, values.shape[1], 36), dtype=complex)
-    block, entry = np.divmod(pattern.positions, 36)
-    blocks[block, :, entry] = values
-    return blocks.reshape(3, count, -1, 6, 6)
-
-
 Entries = tuple[np.ndarray, np.ndarray, np.ndarray]  # rows, columns, values
 
-# The generator is linear in these coefficients: g, g*, the level split
-# E(1,0,n+1) - E(0,1,n) = omega_cav - (e_upper - e_lower), and the rate of
-# each jump operator.  Each channel owns a contiguous run of them.
+# The generator is linear in these real coefficients: Re g, Im g, the level
+# split E(1,0,n+1) - E(0,1,n) = omega_cav - (e_upper - e_lower), and the rate
+# of each jump operator.  Each channel owns a contiguous run of them.
 _CHANNELS = {"h": slice(0, 3), "u": slice(3, 5), "l": slice(5, 7), "b": slice(7, 9)}
 _JUMPS = ("c_u+", "c_u", "c_l+", "c_l", "a", "a+")  # coefficients 3..8
 
 
 def _hamiltonian_entries(upper: np.ndarray, lower: np.ndarray, root: np.ndarray,
                          d: int) -> list[Entries]:
-    """-i[H, rho] on the sector, per unit of g, of g* and of the level split.
+    """-i[H, rho] on the sector in the real coordinates, per unit of Re g, Im g and split.
 
-    With A = |1,0,n+1>, B = |0,1,n>, c = rho_AB and t = <B|H|A> = g sqrt(n+1):
-    dp_A/dt = i t c - i t* c*, dp_B/dt = -dp_A/dt and
-    dc/dt = -i (E_A - E_B) c + i t* (p_A - p_B).
+    With A = |1,0,n+1>, B = |0,1,n>, c = rho_AB = u + i v and t = <B|H|A> = g sqrt(n+1):
+    dp_A/dt = i t c - i t* c* = -dp_B/dt and dc/dt = -i (E_A - E_B) c + i t* (p_A - p_B).
     """
     n, s = len(upper), root
-    coh = d + np.arange(n)
-    conj = coh + n
-    one = np.ones(n)
+    u, v, one = d + np.arange(n), d + n + np.arange(n), np.ones(n)
     parts = (
-        ((upper, lower, conj, conj), (coh, coh, upper, lower), (1j * s, -1j * s, -1j * s, 1j * s)),
-        ((upper, lower, coh, coh), (conj, conj, upper, lower), (-1j * s, 1j * s, 1j * s, -1j * s)),
-        ((coh, conj), (coh, conj), (-1j * one, 1j * one)),
+        ((upper, lower, v, v), (v, v, upper, lower), (-2 * s, 2 * s, s, -s)),
+        ((upper, lower, u, u), (u, u, upper, lower), (-2 * s, 2 * s, s, -s)),
+        ((u, v), (v, u), (one, -one)),
     )
     return [tuple(np.concatenate(part) for part in entries) for entries in parts]
 
@@ -337,7 +320,8 @@ def _jumps(n_l: np.ndarray, n_u: np.ndarray, n_ph: np.ndarray
 def _dissipator_entries(
     upper: np.ndarray, lower: np.ndarray, d: int, jump: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> Entries:
-    """L rho L^dagger - {L^dagger L, rho} / 2 on the sector, per unit rate."""
+    """L rho L^dagger - {L^dagger L, rho} / 2 on the sector, per unit rate; it acts
+    alike on the c_n and on their conjugates, so also on the u_n and the v_n."""
     source, target, amplitude = jump
     n = len(upper)
     coh = np.arange(n)
@@ -371,21 +355,16 @@ def _dissipator_entries(
 class SectorPattern:
     """What the ΔQ = 0 sector owes to its Fock cutoff alone.
 
-    The index arrays and the real basis are described at their fields.
-    The generator is sum_k coefficient_k B_k over fixed matrices B_k.
-    ``indptr``/``indices`` are its CSR pattern and ``weights`` (nnz x 9)
-    maps the coefficients onto its CSR data; ``terms`` stacks the B_k, so
-    ``terms @ x`` gives every coefficient's action on x at once.  All six
-    jumps are in the pattern; without a bath the photon rates are zero.
-
-    Ordered by Q2 = N_u + N_ph the generator is block tridiagonal, with one
-    block of six slots per Q2 = 0 ... N + 1: |0,0,Q2>, |1,0,Q2>, |0,1,Q2-1>,
-    |1,1,Q2-1>, c_(Q2-1) and its conjugate; the slots that fall outside the
-    ladder (four in the first block, four in the last) stay empty.
-    ``positions`` says where each CSR entry sits, flat in (3, N + 2, 36):
-    stack 0 holds the blocks A_k that couple block Q2 = k to k - 1, stack 1
-    the diagonal blocks D_k and stack 2 the blocks C_k that couple k to
-    k + 1, so the values of ``weights`` fill the blocks too.  Built once per
+    The generator is sum_k coefficient_k B_k over fixed matrices B_k, which
+    are real in the coordinates y = [p; u; v] of a Hermitian sector vector
+    x = [p; c; c*]: p are the populations and c_n = u_n + i v_n.  Ordered by
+    Q2 = N_u + N_ph they are block tridiagonal, with one block of six slots
+    per Q2 = 0 ... N + 1: |0,0,Q2>, |1,0,Q2>, |0,1,Q2-1>, |1,1,Q2-1>, then
+    u_(Q2-1) and v_(Q2-1); the slots outside the ladder (four in the first
+    block, four in the last) stay empty.  ``blocks[k]`` holds B_k: stack 0
+    the blocks A that couple block Q2 = q to q - 1, stack 1 the diagonal
+    blocks D and stack 2 the blocks C that couple q to q + 1.  All six jumps
+    are in it; without a bath the photon rates are zero.  Built once per
     cutoff by ``sector_pattern``; every array is read-only.
     """
 
@@ -400,39 +379,32 @@ class SectorPattern:
     sector: np.ndarray  # positions in row-major vec(rho) of the sector entries
     photons: np.ndarray  # 0, 1, ..., N
     root: np.ndarray  # sqrt(n + 1) for n < N
-    charge: np.ndarray  # Tr((N_u + N_l) X) = charge @ x
+    charge: np.ndarray  # Tr((N_u + N_l) X) = charge @ y
     slot: np.ndarray  # 6 Q2 + place in the Q2 block, of each sector entry
-    empty: np.ndarray  # the slots outside the ladder
-    # The real coordinates y = [p; u; v] of a Hermitian sector vector x = forward @ y:
-    # p are the populations and c_n = u_n + i v_n, so c_n* = u_n - i v_n (sparse T, T^-1).
-    forward: sp.csr_array
-    inverse: sp.csr_array
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: sp.csr_matrix
-    terms: sp.csr_matrix
-    positions: np.ndarray
+    position: np.ndarray  # sector position of slot s at 6 + s, -1 outside the ladder
+    blocks: np.ndarray  # (9, 3, N + 2, 6, 6): coefficient, stack, Q2, row slot, column slot
+    # Set from blocks: the coefficient, sector row, sector column and flat index in blocks
+    # of each nonzero entry, (4, nonzeros), ordered by coefficient
+    support: np.ndarray = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        k, side, q, row, column = np.nonzero(self.blocks)
+        rows, cols = self.position[6 * (q + 1) + row], self.position[6 * (q + side) + column]
+        if np.any(rows < 0) or np.any(cols < 0):
+            raise ValueError("a B_k couples a slot outside the ladder")
+        flat = np.ravel_multi_index((k, side, q, row, column), self.blocks.shape)
+        object.__setattr__(self, "support", np.stack([k, rows, cols, flat]))
 
     @property
     def size(self) -> int:
         return 6 * self.fock_cutoff + 4
 
-    def matrix(self, coefficients: np.ndarray) -> sp.csr_matrix:
-        """The generator for these coefficients."""
-        import scipy.sparse as sp
-
-        return sp.csr_matrix(
-            (self.weights @ coefficients, self.indices, self.indptr), shape=(self.size, self.size)
-        )
-
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def sector_pattern(fock_cutoff: int) -> SectorPattern:
     """The ``SectorPattern`` of a cutoff; cached."""
-    import scipy.sparse as sp
-
     m, n = fock_cutoff + 1, fock_cutoff
-    d, size, blocks = 4 * m, 6 * fock_cutoff + 4, fock_cutoff + 2
+    d, count = 4 * m, fock_cutoff + 2
     fermion, n_ph = np.divmod(np.arange(d), m)
     n_l, n_u = fermion // 2, fermion % 2
     upper, lower = 2 * m + np.arange(n) + 1, m + np.arange(n)
@@ -441,49 +413,32 @@ def sector_pattern(fock_cutoff: int) -> SectorPattern:
     root = np.sqrt(np.arange(1, m))
     coherent = 6 * np.arange(1, m)  # c_n sits in block Q2 = n + 1
     slot = np.concatenate([6 * (n_u + n_ph) + n_l + 2 * n_u, coherent + 4, coherent + 5])
-    p, c = np.arange(d), d + np.arange(n)
-    rows, cols = np.concatenate([p, c, c, c + n, c + n]), np.concatenate([p, c, c + n, c, c + n])
-    one = np.ones(n)
-    forward, inverse = (
-        sp.csr_array((np.concatenate(values), (rows, cols)), shape=(size,) * 2)
-        for values in ((np.ones(d), one, 1j * one, one, -1j * one),
-                       (np.ones(d), 0.5 * one, 0.5 * one, -0.5j * one, 0.5j * one))
-    )
+    position = np.full(6 * (count + 2), -1)  # one empty block before and one after the ladder
+    position[6 + slot] = np.arange(6 * n + 4)
 
     jumps = _jumps(n_l, n_u, n_ph)
     per_coefficient = _hamiltonian_entries(upper, lower, root, d) + [
         _dissipator_entries(upper, lower, d, jumps[name]) for name in _JUMPS
     ]
-    k = np.concatenate([np.full(len(part[0]), c) for c, part in enumerate(per_coefficient)])
-    rows, cols, vals = (np.concatenate(part) for part in zip(*per_coefficient))
-    nonzero = vals != 0
-    k, rows, cols, vals = k[nonzero], rows[nonzero], cols[nonzero], vals[nonzero]
-
-    key, entry = np.unique(rows * size + cols, return_inverse=True)  # row-major: CSR order
-    pattern_rows, indices = np.divmod(key, size)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(pattern_rows, minlength=size))])
-    weights = sp.csr_matrix((vals, (entry, k)), shape=(len(key), 9), dtype=complex)
-    terms = sp.csr_matrix((vals, (k * size + rows, cols)), shape=(9 * size, size), dtype=complex)
-    (block, place), (other, column) = np.divmod(slot[pattern_rows], 6), np.divmod(slot[indices], 6)
-    side = other - block + 1
-    if not np.all((side >= 0) & (side <= 2)):
-        raise ValueError("generator couples Q2 blocks more than one apart")
-    index = np.int32 if len(key) < 2**31 and 9 * size < 2**31 else np.int64
+    blocks = np.zeros((9, 3, count, 6, 6))
+    for k, (rows, cols, vals) in enumerate(per_coefficient):
+        (block, place), (other, column) = np.divmod(slot[rows], 6), np.divmod(slot[cols], 6)
+        side = other - block + 1
+        if not np.all((side >= 0) & (side <= 2)):
+            raise ValueError("generator couples Q2 blocks more than one apart")
+        np.add.at(blocks[k], (side, block, place, column), vals)
 
     pattern = SectorPattern(
         fock_cutoff, n_l, n_u, n_ph, upper, lower, single,
         np.r_[:d, d + n : d + 2 * n, d : d + n],
         np.concatenate([np.arange(d) * (d + 1), upper * d + lower, lower * d + upper]),
         np.arange(m, dtype=float), root, np.concatenate([n_u + n_l, np.zeros(2 * n)]),
-        slot, np.setdiff1d(np.arange(6 * blocks), slot), forward, inverse,
-        indptr.astype(index), indices.astype(index), weights, terms,
-        ((side * blocks + block) * 6 + place) * 6 + column,
+        slot, position, blocks,
     )
     for field in dataclasses.fields(pattern):
         value = getattr(pattern, field.name)
-        for array in (value.data, value.indices, value.indptr) if sp.issparse(value) else [value]:
-            if isinstance(array, np.ndarray):
-                array.setflags(write=False)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
     return pattern
 
 
@@ -501,24 +456,63 @@ def _coefficients(spec: SystemSpec) -> np.ndarray:
         gamma_u * occ.f_u, gamma_u * (1.0 - occ.f_u), gamma_l * occ.f_l,
         gamma_l * (1.0 - occ.f_l), gamma_b * (n_b + 1.0), gamma_b * n_b,
     )
-    values = np.broadcast_arrays(g, np.conj(g), split, *rates)
-    return np.stack(values, axis=-1).astype(complex)
+    values = np.broadcast_arrays(np.real(g), np.imag(g), split, *rates)
+    return np.stack(values, axis=-1).astype(float)
+
+
+def _assemble(pattern: SectorPattern, coefficients: np.ndarray) -> np.ndarray:
+    """The (3, N + 2, S, 6, 6) Q2 blocks of sum_k c_k B_k for an (S, 9) table of ``coefficients``,
+    summed in a fixed order: BLAS may round a sample apart from the same one in a stack."""
+    k, _, _, flat = pattern.support
+    stack, entry = np.divmod(flat % pattern.blocks[0].size, 36)  # 3 Q2 blocks, 36 entries each
+    values = pattern.blocks.ravel()[flat, None] * coefficients.T[k]
+    blocks = np.zeros((3 * (pattern.fock_cutoff + 2), len(coefficients), 36))
+    runs = np.searchsorted(k, np.arange(10))
+    for c in range(9):
+        run = slice(runs[c], runs[c + 1])
+        blocks[stack[run], :, entry[run]] += values[run]
+    return blocks.reshape(3, pattern.fock_cutoff + 2, -1, 6, 6)
 
 
 def build_sector_liouvillian(layout: HilbertLayout, spec: SystemSpec) -> Liouvillian:
     """Generator of the master equation on the ΔQ = 0 sector.
 
-    The cached ``sector_pattern`` of the cutoff holds the index arithmetic;
-    this fills its values from the nine coefficients of the scenario.  No
-    dense operator and no full-space superoperator is formed.  It equals
-    the ΔQ = 0 slice of ``build_liouvillian`` entry for entry, for either
-    fermion ordering.
+    The cached ``sector_pattern`` of the cutoff holds the real blocks; this
+    takes the nine coefficients of the scenario, and ``matrix`` is the real
+    generator in the sector coordinates, T L_r T^-1.  It equals the ΔQ = 0
+    slice of ``build_liouvillian`` to rounding, for either fermion ordering.
     """
+    import scipy.sparse as sp
+
     if spec.cavity is None:
         raise ValueError("quantum treatment requires a cavity")
     coefficients = _coefficients(spec)
     pattern = sector_pattern(layout.fock_cutoff)
-    return Liouvillian(pattern.matrix(coefficients), layout, pattern, coefficients)
+    blocks = _U @ np.tensordot(coefficients, pattern.blocks, axes=1) @ _U_INV  # in x = [p; c; c*]
+    block, place = np.divmod(pattern.slot[:, None], 6)
+    side, column = np.divmod(np.arange(18), 6)  # the three blocks a row reaches
+    cols = pattern.position[6 * (block + side) + column]
+    inside = cols >= 0
+    values, indptr = blocks[side, block, place, column][inside], np.r_[0, np.cumsum(inside.sum(1))]
+    matrix = sp.csr_matrix((values, cols[inside], indptr), shape=(pattern.size,) * 2)
+    matrix.eliminate_zeros()
+    return Liouvillian(matrix, layout, pattern, coefficients)
+
+
+def _real_coordinates(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
+    """T^-1 x = [p; u; v] of each sector vector x along the last axis, still complex:
+    its imaginary part is zero when x is Hermitian."""
+    d, n = 4 * (fock_cutoff + 1), fock_cutoff
+    c, conj = vectors[..., d : d + n], vectors[..., d + n :]
+    u, v = 0.5 * c + 0.5 * conj, -0.5j * c + 0.5j * conj
+    return np.concatenate([vectors[..., :d], u, v], axis=-1)
+
+
+def _sector_vectors(real: np.ndarray, fock_cutoff: int) -> np.ndarray:
+    """x = T y = [p; u + i v; u - i v] of each vector y of real coordinates along the last axis."""
+    d, n = 4 * (fock_cutoff + 1), fock_cutoff
+    u, v = real[..., d : d + n], 1j * real[..., d + n :]
+    return np.concatenate([real[..., :d], u + v, u - v], axis=-1)
 
 
 def thermal_state(layout: HilbertLayout, f_u: float, f_l: float, n_b: float) -> QuantumState:
@@ -716,12 +710,14 @@ def _fock_tails(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
     return populations.sum(axis=-2)[..., -2:].sum(axis=-1)
 
 
-def _sector_matrix(liouvillian: Liouvillian) -> sp.csr_matrix:
-    """The generator's matrix; ValueError unless it acts on the ΔQ = 0 sector."""
+def _sector_generator(liouvillian: Liouvillian, reader: str) -> tuple[SectorPattern, np.ndarray]:
+    """The pattern and coefficients of a sector generator; ValueError without them."""
     size = liouvillian.layout.sector_size
     if liouvillian.matrix.shape != (size, size):
         raise ValueError(f"generator of shape {liouvillian.matrix.shape} is not a sector generator")
-    return liouvillian.matrix
+    if liouvillian.pattern is None:
+        raise ValueError(f"{reader} needs the sector generator with its channels")
+    return liouvillian.pattern, liouvillian.coefficients
 
 
 def _adjoint(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
@@ -760,8 +756,9 @@ def _validate(vectors: np.ndarray, fock_cutoff: int, errors: list, index) -> Non
 
 
 def _check(vectors: np.ndarray, residuals: np.ndarray, fock_cutoff: int, errors: list, index):
-    """The residual L x, the Fock tail and ``validate``, in this order, per sample."""
-    residual = np.max(np.abs(residuals), axis=-1)
+    """The residual L x (given as L y in the real coordinates), the Fock tail and
+    ``validate``, in this order, per sample."""
+    residual = np.max(np.abs(_sector_vectors(residuals, fock_cutoff)), axis=-1)
     fail_samples(errors, index, ~(residual <= _RESIDUAL_TOL), lambda r: SteadyStateError(
         f"steady-state residual {r:.3e} above tolerance"), residual)
     tail = _fock_tails(vectors, fock_cutoff)
@@ -788,14 +785,14 @@ def _solve(matrices: np.ndarray, rhs: np.ndarray, errors: list, index) -> np.nda
 
 
 def _null_vectors(blocks: np.ndarray, fock_cutoff: int, errors: list, index) -> np.ndarray:
-    """The null vector of each generator of a stack, as the Hermitian part of unit trace.
+    """The null vector of each generator of a stack, in the real coordinates, of unit trace.
 
     ``blocks`` (3, K, S, 6, 6), K = N + 2, holds the sub-diagonal, diagonal
-    and super-diagonal blocks of S generators (``_scatter``); the
-    recursion writes into it.  Row k of L x = 0 reads A_k x_(k-1) + D_k x_k
-    + C_k x_(k+1) = 0, so x_k = S_k x_(k-1) with the matrix continued
+    and super-diagonal blocks of S generators (``_assemble``); the
+    recursion writes into it.  Row k of L y = 0 reads A_k y_(k-1) + D_k y_k
+    + C_k y_(k+1) = 0, so y_k = S_k y_(k-1) with the matrix continued
     fraction S_K = -D_K^-1 A_K, S_k = -(D_k + C_k S_(k+1))^-1 A_k, taken
-    downwards from the top of the Fock ladder; x_0 spans the null space of
+    downwards from the top of the Fock ladder; y_0 spans the null space of
     the 2x2 population block of D_0 + C_0 S_1.  An empty slot has a unit
     diagonal and no coupling, so it stays zero.  Each step is one stacked
     solve; a sample whose step is singular fails with SteadyStateError.
@@ -805,23 +802,22 @@ def _null_vectors(blocks: np.ndarray, fock_cutoff: int, errors: list, index) -> 
     pattern = sector_pattern(fock_cutoff)
     count, top, d = blocks.shape[2], fock_cutoff + 1, 4 * (fock_cutoff + 1)
     lower, diagonal, upper = blocks
-    diagonal[pattern.empty // 6, :, pattern.empty % 6, pattern.empty % 6] = 1.0
+    empty, place = np.divmod(np.flatnonzero(pattern.position[6:-6] < 0), 6)
+    diagonal[empty, :, place, place] = 1.0
     ratios = np.empty_like(lower)
     schur = diagonal[top]
     with np.errstate(all="ignore"):  # a failed sample may run through inf and nan
         for k in range(top, 0, -1):
             ratios[k] = -_solve(schur, lower[k], errors, index)
             schur = diagonal[k - 1] + upper[k - 1] @ ratios[k]
-        a, b = schur[:, 0, :2].T, schur[:, 1, :2].T  # the rows of the 2x2 block, S_1 x_0 = 0
-        row = np.where(abs(a[0]) ** 2 + abs(a[1]) ** 2 >= abs(b[0]) ** 2 + abs(b[1]) ** 2, a, b)
-        x = np.zeros((top + 1, count, 6), dtype=complex)
-        x[0, :, 0], x[0, :, 1] = -row[1], row[0]
+        a, b = schur[:, 0, :2].T, schur[:, 1, :2].T  # the rows of the 2x2 block, S_1 y_0 = 0
+        row = np.where(a[0] ** 2 + a[1] ** 2 >= b[0] ** 2 + b[1] ** 2, a, b)
+        y = np.zeros((top + 1, count, 6))
+        y[0, :, 0], y[0, :, 1] = -row[1], row[0]
         for k in range(1, top + 1):
-            x[k] = (ratios[k] * x[k - 1, :, None, :]).sum(axis=-1)
-        vectors = np.ascontiguousarray(x[pattern.slot // 6, :, pattern.slot % 6].T)
-        vectors /= vectors[:, :d].sum(axis=1, keepdims=True)
-        herm = 0.5 * (vectors + _adjoint(vectors, fock_cutoff))
-        return herm / herm[:, :d].sum(axis=1, keepdims=True).real
+            y[k] = (ratios[k] * y[k - 1, :, None, :]).sum(axis=-1)
+        vectors = np.ascontiguousarray(y[pattern.slot // 6, :, pattern.slot % 6].T)
+        return vectors / vectors[:, :d].sum(axis=1, keepdims=True)
 
 
 def steady_state(liouvillian: Liouvillian) -> QuantumState:
@@ -835,29 +831,31 @@ def steady_state(liouvillian: Liouvillian) -> QuantumState:
     recursion is singular or the residual exceeds tolerance and
     FockCutoffError when the top of the Fock ladder is populated.
     """
-    layout = liouvillian.layout
-    _sector_matrix(liouvillian)
-    if liouvillian.pattern is None:
-        raise ValueError("steady_state needs the sector generator with its channels")
+    pattern, coefficients = _sector_generator(liouvillian, "steady_state")
     errors = [None]
-    vectors, _ = _solve_batch(liouvillian.pattern, liouvillian.coefficients[None], errors, [0])
+    vectors, _ = _solve_batch(pattern, coefficients[None], errors, [0])
     raise_first(errors)
-    return QuantumState(vectors[0], layout)
+    return QuantumState(vectors[0], liouvillian.layout)
 
 
 def _actions(pattern: SectorPattern, coefficients: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Each coefficient's term of L x, (..., 9, size), from one product with ``terms``."""
-    products = (pattern.terms @ vectors.T).T
-    return products.reshape(*vectors.shape[:-1], 9, pattern.size) * coefficients[..., :, None]
+    """Each coefficient's term of L y, (S, 9, size), for an (S, size) stack of real
+    coordinates y: the entries of a row of B_k times y, summed in a fixed order."""
+    k, rows, cols, flat = pattern.support
+    count = 9 * pattern.size
+    products = pattern.blocks.ravel()[flat] * np.take(vectors, cols, axis=1)
+    at = np.arange(len(vectors))[:, None] * count + k * pattern.size + rows
+    terms = np.bincount(at.ravel(), products.ravel(), minlength=len(vectors) * count)
+    return terms.reshape(-1, 9, pattern.size) * coefficients[:, :, None]
 
 
 def _solve_batch(pattern: SectorPattern, coefficients: np.ndarray,
                  errors: list, index) -> tuple[np.ndarray, np.ndarray]:
     """The steady states of an (S, 9) table of ``coefficients`` and their ``_actions``,
     whose sum is the residual that ``_check`` reads; failed samples keep their error."""
-    vectors = _null_vectors(  # unnamed, so the product and the blocks are freed early
-        _scatter(pattern, pattern.weights @ coefficients.T), pattern.fock_cutoff, errors, index)
-    actions = _actions(pattern, coefficients, vectors)
+    real = _null_vectors(_assemble(pattern, coefficients), pattern.fock_cutoff, errors, index)
+    actions = _actions(pattern, coefficients, real)
+    vectors = _sector_vectors(real, pattern.fock_cutoff)
     _check(vectors, actions.sum(axis=-2), pattern.fock_cutoff, errors, index)
     return vectors, actions
 
@@ -915,64 +913,59 @@ def quantum_steady_state(spec: SystemSpec) -> QuantumSolution:
     raise errors[0]
 
 
-def _real_part(values, bound: float, name: str):
-    """The real part of a generator or state in the real basis (``SectorPattern``);
-    EvolutionError unless its imaginary part is at most ``bound`` (NaN fails)."""
-    drift = abs(values.imag).max()
-    if not drift <= bound:
-        raise EvolutionError(f"Hermiticity drift of the {name} in the real basis: "
-                             f"imaginary part {drift:.3e}")
-    return values.real
-
-
 def trajectory(
     state0: QuantumState, liouvillian: Liouvillian, t_final: float, n_store: int
 ) -> np.ndarray:
     """The states at ``n_store`` evenly spaced times from 0 to ``t_final``, as an
     (n_store, sector size) stack whose row 0 is ``state0``.
 
-    L maps Hermitian matrices to Hermitian ones, so the rows are propagated
-    in the real coordinates y = T^-1 x = [p; u; v] of ``SectorPattern``, with
-    c_n = u_n + i v_n, where the generator L_r = T^-1 L T is a real matrix
-    of the sector's size.  Before any row is formed, the imaginary part of
-    L_r must be at most 1e-12 of its largest entry and that of T^-1 x_0 at
-    most 1e-9, else EvolutionError.  Each later row is the one-segment
-    propagator P = exp(L_r seg), seg = t_final / (n_store - 1), applied to
-    the row before it.  Up to ``_DENSE_SIZE`` sector entries P is formed
-    once by scaling and squaring (``scipy.linalg.expm``; Al-Mohy & Higham,
-    SIAM J. Matrix Anal. Appl. 31, 970 (2009)); above it each segment is
-    one ``expm_multiply`` call.  Every propagated row must have unit trace
-    to 1e-9, else EvolutionError; it is renormalized before the next step.
-    The real rows are turned back into sector vectors once, and each is
-    validated.  The first failing row raises its error; so does a
-    propagator of L seg that overflows.  A full-space generator, and a
-    ``t_final`` that is negative or not finite, raise ValueError.
+    The rows are propagated in the real coordinates y = T^-1 x = [p; u; v]
+    of ``SectorPattern``, where the generator L_r is the real matrix of the
+    pattern's blocks.  Before any row is formed, the imaginary part of
+    T^-1 x_0 must be at most 1e-9, else EvolutionError.  Each later row is
+    the one-segment propagator P = exp(L_r seg), seg = t_final / (n_store -
+    1), applied to the row before it.  Up to ``_DENSE_SIZE`` sector entries
+    P is formed once by scaling and squaring (``scipy.linalg.expm``; Al-Mohy
+    & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)); above it each
+    segment is one ``expm_multiply`` call.  Every propagated row must have
+    unit trace to 1e-9, else EvolutionError; it is renormalized before the
+    next step.  The real rows are turned back into sector vectors once, and
+    each is validated.  The first failing row raises its error; so does a
+    propagator of L seg that overflows.  A full-space generator, a sector
+    one without its pattern, and a ``t_final`` that is negative or not
+    finite, raise ValueError.
     """
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ValueError(f"t_final must be finite and non-negative, not {t_final!r}")
     if n_store < 2:
         raise ValueError("n_store must be at least 2 (the initial and the final state)")
-    matrix = _sector_matrix(liouvillian)
-    cutoff, d = liouvillian.layout.fock_cutoff, liouvillian.layout.dim
-    basis = sector_pattern(cutoff)
+    pattern, coefficients = _sector_generator(liouvillian, "trajectory")
+    cutoff, d, size = pattern.fock_cutoff, liouvillian.layout.dim, pattern.size
     seg = t_final / (n_store - 1)
-    rows = np.empty((n_store, matrix.shape[0]))
+    rows = np.empty((n_store, size))
     propagated = np.empty_like(rows[1:])  # row i - 1 holds P applied to row i - 1
     # L seg, or a squaring of expm, may overflow: P is then NaN, and so are the rows it
     # gives, which fail the drift check.
     with np.errstate(all="ignore"):
-        dense = matrix.shape[0] <= _DENSE_SIZE
-        generator = basis.inverse @ (matrix.toarray() if dense else matrix) @ basis.forward
-        bound = _HERMITICITY_TOL * abs(generator).max()
-        generator = _real_part(generator, bound, "generator") * seg
-        rows[0] = _real_part(basis.inverse @ state0.vector, 1e-9, "initial state")
-        if dense:
+        initial = _real_coordinates(state0.vector, cutoff)
+        drift = abs(initial.imag).max()
+        if not drift <= 1e-9:
+            raise EvolutionError(f"Hermiticity drift of the initial state in the real basis: "
+                                 f"imaginary part {drift:.3e}")
+        rows[0] = initial.real
+        k, *at, flat = pattern.support  # L_r seg, an entry once per coefficient
+        values = coefficients[k] * pattern.blocks.ravel()[flat] * seg
+        if size <= _DENSE_SIZE:
             import scipy.linalg
 
+            generator = np.zeros((size, size))
+            np.add.at(generator, tuple(at), values)
             step = scipy.linalg.expm(generator).__matmul__
         else:
+            import scipy.sparse as sp
             from scipy.sparse.linalg import expm_multiply
 
+            generator = sp.csr_array((values, tuple(at)), shape=(size, size))
             step = partial(expm_multiply, generator)
         for i in range(1, n_store):
             try:
@@ -987,12 +980,10 @@ def trajectory(
         fail_samples(errors, index, ~(trace_drift <= 1e-9),
                      lambda *v: EvolutionError(message.format(*v)),
                      seg * np.arange(1, n_store), trace_drift)
-        states = np.empty(rows.shape, dtype=complex)
-        states[0] = state0.vector
-        states[1:] = (basis.forward @ rows[1:].T).T
-        _validate(states[1:], cutoff, errors, index)
+        states = _sector_vectors(rows[1:], cutoff)
+        _validate(states, cutoff, errors, index)
     raise_first(errors)
-    return states
+    return np.concatenate([state0.vector[None], states])
 
 
 def evolve_quantum(
@@ -1008,7 +999,7 @@ def evolve_quantum(
 
 
 def _trace_weights(fock_cutoff: int, spec: SystemSpec) -> np.ndarray:
-    """Sector vectors h with Tr(H X) = h @ x, elementwise in ``spec``: (..., size)."""
+    """Vectors h with Tr(H X) = h @ y, y the real coordinates of X, elementwise in ``spec``."""
     pattern = sector_pattern(fock_cutoff)
     d, n = 4 * (fock_cutoff + 1), fock_cutoff
     levels, cavity = spec.levels, spec.cavity
@@ -1017,15 +1008,16 @@ def _trace_weights(fock_cutoff: int, spec: SystemSpec) -> np.ndarray:
         + np.multiply.outer(levels.e_lower, pattern.n_l)
         + np.multiply.outer(cavity.omega_cav, pattern.n_ph)
     )
-    t = np.multiply.outer(cavity.g, pattern.root)  # Tr(H X) picks <B|H|A> X_AB + <A|H|B> X_BA
-    h = np.empty(np.broadcast_shapes(energies.shape[:-1], t.shape[:-1]) + (d + 2 * n,), complex)
-    h[..., :d], h[..., d : d + n], h[..., d + n :] = energies, t, t.conj()
+    # Tr(H X) picks <B|H|A> X_AB + <A|H|B> X_BA = t c + t* c* = 2 Re t u - 2 Im t v
+    t = np.multiply.outer(cavity.g, pattern.root)
+    h = np.empty(np.broadcast_shapes(energies.shape[:-1], t.shape[:-1]) + (d + 2 * n,))
+    h[..., :d], h[..., d : d + n], h[..., d + n :] = energies, 2.0 * t.real, -2.0 * t.imag
     return h
 
 
 def _flows(vectors, actions, fock_cutoff: int, spec: SystemSpec, errors: list, index) -> tuple:
     """Rate and per-reservoir flows (rate, ndot_u, ndot_l, edot_u, edot_l, edot_b)
-    of sector vectors along the last axis, from each coefficient's term of L x.
+    of sector vectors along the last axis, from each coefficient's term of L y.
 
     A sample fails with RuntimeError when an energy flow's trace form and
     closed form disagree beyond 1e-9, since that signals an inconsistent
@@ -1034,9 +1026,9 @@ def _flows(vectors, actions, fock_cutoff: int, spec: SystemSpec, errors: list, i
     occ = spec.quantum_occupations
     energy = (actions * _trace_weights(fock_cutoff, spec)[..., None, :]).sum(axis=-1)
     charge = (actions * sector_pattern(fock_cutoff).charge).sum(axis=-1)
-    edot = {name: energy[..., _CHANNELS[name]].sum(axis=-1).real for name in ("u", "l", "b")}
-    ndot_u = charge[..., _CHANNELS["u"]].sum(axis=-1).real
-    ndot_l = charge[..., _CHANNELS["l"]].sum(axis=-1).real
+    edot = {name: energy[..., _CHANNELS[name]].sum(axis=-1) for name in ("u", "l", "b")}
+    ndot_u = charge[..., _CHANNELS["u"]].sum(axis=-1)
+    ndot_l = charge[..., _CHANNELS["l"]].sum(axis=-1)
 
     obs = stacked_observables(vectors, fock_cutoff, spec)
     two_re_y = 2.0 * np.real(obs.y)
@@ -1077,22 +1069,22 @@ def fluxes_quantum(state: QuantumState, liouvillian: Liouvillian, spec: SystemSp
 
     ``state`` and ``liouvillian`` belong to the ΔQ = 0 sector
     (``build_sector_liouvillian``).  Each flow is the trace of H or
-    N_u + N_l against its channel's action on the state; one product with
-    the pattern's stack of terms gives the action of every coefficient.
-    Each energy flow is also evaluated through its closed form in terms of
-    populations and the coherence correlator; disagreement beyond 1e-9
-    raises, since it signals an inconsistent generator.  A state that is
-    not stationary raises SteadyStateError.
+    N_u + N_l against its channel's action on the real coordinates of the
+    state's Hermitian part, which the pattern's blocks give.  Each energy
+    flow is also evaluated through its closed form in terms of populations
+    and the coherence correlator; disagreement beyond 1e-9 raises, since it
+    signals an inconsistent generator.  A state that is not stationary
+    raises SteadyStateError.
     """
-    pattern = liouvillian.pattern
-    if pattern is None:
-        raise ValueError("fluxes_quantum needs the sector generator with its channels")
-    actions = _actions(pattern, liouvillian.coefficients, state.vector)
-    residual = np.max(np.abs(actions.sum(axis=0)))
+    pattern, coefficients = _sector_generator(liouvillian, "fluxes_quantum")
+    cutoff = pattern.fock_cutoff
+    real = _real_coordinates(state.vector[None], cutoff).real
+    actions = _actions(pattern, coefficients[None], real)[0]
+    residual = np.max(np.abs(_sector_vectors(actions.sum(axis=0), cutoff)))
     if residual > _RESIDUAL_TOL:
         raise SteadyStateError(f"state is not stationary (residual {residual:.3e})")
     errors = [None]
-    flows = _flows(state.vector, actions, state.layout.fock_cutoff, spec, errors, [0])
+    flows = _flows(state.vector, actions, cutoff, spec, errors, [0])
     raise_first(errors)
     return _flux_report(spec, *flows)
 

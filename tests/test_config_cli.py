@@ -425,6 +425,24 @@ def test_fock_cutoff_override_is_the_cutoff_column(quantum_cfg_file, tmp_path, c
     assert not any(row["flags"].startswith("error=") for row in rows)
 
 
+@pytest.mark.parametrize(
+    "text, flags",
+    [(CLASSICAL_CFG, []),
+     (QUANTUM_CFG + "drive.omega = 1.0\ndrive.epsilon = 0.1\n", ["--treatment", "classical"])],
+    ids=["classical-by-default", "classical-treatment"],
+)
+def test_a_classical_audit_refuses_the_fock_cutoff(tmp_path, capsys, text, flags):
+    # no classical solve reads the cutoff, so the flag would only relabel a column
+    path = tmp_path / "scenario.cfg"
+    path.write_text(text)
+    argv = ["audit", "--config", str(path), *flags, "--random", "3", "--range", "e_upper=1:2",
+            "--fock-cutoff", "14"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --fock-cutoff applies to the quantum treatment only\n"
+
+
 @pytest.mark.parametrize("n_store", ("-1", "0", "1"))
 @pytest.mark.parametrize("command", tuple(EVOLVE_CONFIGS))
 def test_evolve_needs_two_stored_rows(tmp_path, capsys, command, n_store):
@@ -799,15 +817,16 @@ print(json.dumps(report))
 
 def test_only_the_quantum_commands_load_scipy(tmp_path):
     # Importing SciPy's sparse and linear-algebra stacks costs more than the
-    # rest of a classical command: the package import and the classical
-    # commands load none of it, the quantum steady state only scipy.sparse.
+    # rest of a steady-state command: the package import, the classical
+    # commands and the quantum steady state load none of it, and the quantum
+    # trajectory of a dense-sized sector no scipy.sparse.linalg.
     paths = {}
     for name, text in (("classical", CLASSICAL_CFG), ("laser", LASER_CFG),
                        ("quantum", QUANTUM_CFG)):
         paths[name] = tmp_path / f"{name}.cfg"
         paths[name].write_text(text)
     out = ["--out", str(tmp_path / "out.csv")]
-    classical = ["--config", str(paths["classical"])]
+    classical, quantum = ["--config", str(paths["classical"])], ["--config", str(paths["quantum"])]
     commands = [
         ("classical-ss", ["classical-ss", *classical, *out]),
         ("classical audit", ["audit", *classical, "--treatment", "classical", "--random", "20",
@@ -816,7 +835,11 @@ def test_only_the_quantum_commands_load_scipy(tmp_path):
         ("bloch-gain", GAIN_ARGV + out),
         ("laser", ["laser", "--config", str(paths["laser"]), "--sweep", "cavity.g=0.3:0.4:3",
                    *out]),
-        ("quantum-ss", ["quantum-ss", "--config", str(paths["quantum"]), *out]),
+        ("quantum-ss", ["quantum-ss", *quantum, *out]),
+        ("quantum audit", ["audit", *quantum, "--treatment", "quantum", "--random", "3",
+                           "--range", "cavity.g=0.03:0.05", *out]),
+        ("quantum-evolve", ["quantum-evolve", *quantum, "--fock-cutoff", "12", "--t-final", "2",
+                            "--n-store", "3", *out]),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
@@ -824,7 +847,6 @@ def test_only_the_quantum_commands_load_scipy(tmp_path):
     report = json.loads(probe.stdout)
     for name in ["import"] + [name for name, _ in commands[:-1]]:
         assert report[name] == [0, []], name
-    code, modules = report["quantum-ss"]
+    code, modules = report["quantum-evolve"]
     assert code == 0
-    assert "scipy.sparse" in modules
-    assert "scipy.linalg" not in modules and "scipy.sparse.linalg" not in modules
+    assert "scipy.linalg" in modules and "scipy.sparse.linalg" not in modules

@@ -13,7 +13,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -385,8 +384,7 @@ def test_evolve_preserves_trace_and_matches_zero_generator():
     assert abs(np.trace(out.rho) - 1.0) < 1e-12
     out.validate()
 
-    size = layout.sector_size
-    frozen = replace(liouv, matrix=sp.csr_matrix((size, size), dtype=complex))
+    frozen = replace(liouv, coefficients=np.zeros(9))
     unchanged = evolve_quantum(rho0, frozen, 3.0)
     assert np.max(np.abs(unchanged.rho - rho0.rho)) < 1e-14
 
@@ -408,11 +406,19 @@ def test_evolve_is_a_semigroup():
     assert np.max(np.abs(stepped.vector - direct.vector)) < 1e-12
 
 
+def _lossy(liouv, loss=1e-6):
+    """The generator minus ``loss`` times the identity: the diagonal blocks of the
+    level split's B_k lose loss / split on every sector entry."""
+    pattern = liouv.pattern
+    blocks = pattern.blocks.copy()
+    q, place = np.divmod(pattern.slot, 6)
+    blocks[2, 1, q, place, place] -= loss / liouv.coefficients[2]
+    return replace(liouv, pattern=replace(pattern, blocks=blocks))
+
+
 def test_evolve_rejects_trace_drift():
     layout = HilbertLayout(3)
-    size = layout.sector_size
-    lossy = build_sector_liouvillian(layout, make_spec(cutoff=3))
-    lossy = replace(lossy, matrix=lossy.matrix - 1e-6 * sp.identity(size, format="csr"))
+    lossy = _lossy(build_sector_liouvillian(layout, make_spec(cutoff=3)))
     rho0 = thermal_state(layout, 0.3, 0.4, 0.2)
     with pytest.raises(EvolutionError, match="drift"):
         evolve_quantum(rho0, lossy, 1.0)
@@ -424,7 +430,7 @@ def test_evolve_rejects_a_generator_with_nan_coefficients():
     liouv = build_sector_liouvillian(layout, make_spec(cutoff=4))
     coefficients = liouv.coefficients.copy()
     coefficients[:2] = math.nan
-    nan_liouv = replace(liouv, matrix=liouv.pattern.matrix(coefficients), coefficients=coefficients)
+    nan_liouv = replace(liouv, coefficients=coefficients)
     with pytest.raises(EvolutionError, match="drift"):
         evolve_quantum(thermal_state(layout, 0.3, 0.4, 0.2), nan_liouv, 1.0)
     with pytest.raises(ValueError, match="Hermitian"):
@@ -620,11 +626,47 @@ def test_full_liouvillian_has_no_elements_across_charge_blocks(cutoff, ordering,
     assert np.array_equal(in_sector, np.all(delta_q(np.arange(d * d)) == 0, axis=0))
 
 
+def _real_basis(cutoff):
+    """T and T^-1, dense: x = T y for the sector vector x = [p; c; c*] of the real
+    coordinates y = [p; u; v], c = u + i v."""
+    d, n = 4 * (cutoff + 1), cutoff
+    coherences, conjugates = np.arange(d, d + n), np.arange(d + n, d + 2 * n)
+    forward, inverse = np.eye(d + 2 * n, dtype=complex), np.eye(d + 2 * n, dtype=complex)
+    forward[coherences, conjugates], forward[conjugates, coherences] = 1j, 1.0
+    forward[conjugates, conjugates] = -1j
+    inverse[coherences, coherences] = inverse[coherences, conjugates] = 0.5
+    inverse[conjugates, coherences], inverse[conjugates, conjugates] = -0.5j, 0.5j
+    return forward, inverse
+
+
+def _dense_terms(pattern):
+    """The B_k of the pattern's Q2 blocks as (9, size, size) dense matrices in sector order."""
+    q, place = np.divmod(pattern.slot, 6)
+    side = q[None, :] - q[:, None] + 1
+    rows, cols = np.nonzero((side >= 0) & (side <= 2))
+    terms = np.zeros((9, pattern.size, pattern.size))
+    terms[:, rows, cols] = pattern.blocks[:, side[rows, cols], q[rows], place[rows], place[cols]]
+    return terms
+
+
+def _assembled(liouv):
+    """sum_k c_k B_k in the real coordinates, dense, from the blocks that the solve reads."""
+    return np.tensordot(liouv.coefficients, _dense_terms(liouv.pattern), axes=1)
+
+
 def _sum_of_terms(liouv):
-    """sum_k c_k B_k, dense, over the stack of terms that the flows read."""
-    size, terms = liouv.pattern.size, liouv.pattern.terms
-    pieces = (liouv.coefficients[k] * terms[k * size : (k + 1) * size] for k in range(9))
-    return sum(piece.toarray() for piece in pieces)
+    """``_assembled`` in the sector coordinates: T (sum_k c_k B_k) T^-1."""
+    forward, inverse = _real_basis(liouv.layout.fock_cutoff)
+    return forward @ _assembled(liouv) @ inverse
+
+
+def _assert_real_blocks(sector, generator):
+    """T^-1 generator T is real and equals the blocks of ``sector`` assembled densely."""
+    forward, inverse = _real_basis(sector.layout.fock_cutoff)
+    real = inverse @ generator @ forward
+    assert np.all(real.imag == 0.0)
+    largest = np.max(np.abs(real.real))
+    assert np.max(np.abs(_assembled(sector) - real.real)) < 1e-14 * largest
 
 
 @pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
@@ -648,6 +690,7 @@ def test_sector_generator_equals_full_space_slice(cutoff, ordering, bath):
     assert sector.matrix.shape == (6 * cutoff + 4,) * 2
     assert np.max(np.abs(sector.matrix.toarray() - reference)) < 1e-14 * np.max(np.abs(reference))
     assert np.max(np.abs(_sum_of_terms(sector) - sector.matrix.toarray())) < 1e-15
+    _assert_real_blocks(sector, reference)
     # one pattern per cutoff: without a bath the two photon rates are zero
     assert sector.pattern is sector_pattern(cutoff)
     assert np.array_equal(sector.coefficients[7:] != 0, [bath] * 2)
@@ -694,6 +737,7 @@ def test_sector_generator_equals_full_space_slice_for_random_parameters(
     assert np.max(np.abs(matrix - reference)) < 1e-14 * largest
     # 1e-15 as in the fixed-parameter test, scaled only where entries exceed 1
     assert np.max(np.abs(_sum_of_terms(sector) - matrix)) < 1e-15 * max(1.0, largest)
+    _assert_real_blocks(sector, reference)
     assert sector.pattern is sector_pattern(cutoff)
     assert (sector.coefficients[7] != 0) == (bath == "on")
 
@@ -825,8 +869,7 @@ def test_trajectory_raises_the_error_of_its_first_failing_row():
     # Each row is renormalized, so every segment drifts by about 1e-6 and
     # every row fails; the first, at t = 1, raises.
     layout = HilbertLayout(3)
-    lossy = build_sector_liouvillian(layout, make_spec(cutoff=3))
-    lossy = replace(lossy, matrix=lossy.matrix - 1e-6 * sp.identity(layout.sector_size))
+    lossy = _lossy(build_sector_liouvillian(layout, make_spec(cutoff=3)))
     with pytest.raises(EvolutionError, match="drift at t = 1:"):
         quantum.trajectory(thermal_state(layout, 0.3, 0.4, 0.2), lossy, 4.0, 5)
 
@@ -835,20 +878,17 @@ def test_trajectory_raises_the_error_of_its_first_failing_row():
 @pytest.mark.parametrize("g", (0.2, 0.15 - 0.1j), ids=("real-g", "complex-g"))
 @pytest.mark.parametrize("cutoff", (1, 6, 12))
 def test_the_generator_is_real_in_the_real_basis(cutoff, g, bath):
+    # The sector matrix, built from the blocks, returns to them in the real basis.
     spec = replace(_oracle_spec(bath), cavity=CavitySpec(1.2, g, cutoff))
-    matrix = build_sector_liouvillian(HilbertLayout(cutoff), spec).matrix
-    basis = sector_pattern(cutoff)
-    for generator in (matrix, matrix.toarray()):  # the sparse and the dense propagator's
-        real = basis.inverse @ generator @ basis.forward
-        assert sp.issparse(real) == sp.issparse(generator)
-        assert abs(real.imag).max() == 0.0 < abs(real).max()
+    liouv = build_sector_liouvillian(HilbertLayout(cutoff), spec)
+    _assert_real_blocks(liouv, liouv.matrix.toarray())
 
 
 @pytest.mark.parametrize("cutoff", (1, 6, 12))
 def test_the_real_basis_round_trip_leaves_hermitian_vectors_unchanged(cutoff):
     layout = HilbertLayout(cutoff)
     d, n = layout.dim, cutoff
-    basis = sector_pattern(cutoff)
+    _, inverse = _real_basis(cutoff)
     rng = np.random.default_rng(cutoff)
     vectors = np.empty((50, layout.sector_size), dtype=complex)
     vectors[:, :d] = rng.normal(size=(50, d)) * 10.0 ** rng.uniform(-300, 300, size=(50, d))
@@ -856,26 +896,10 @@ def test_the_real_basis_round_trip_leaves_hermitian_vectors_unchanged(cutoff):
     coherences = re + 1j * im
     vectors[:, d : d + n], vectors[:, d + n :] = coherences, coherences.conj()
     for x in (*vectors, thermal_state(layout, 0.3, 0.4, 0.2).vector):
-        y = basis.inverse @ x
+        y = quantum._real_coordinates(x, cutoff)
         assert np.all(y.imag == 0.0)
-        assert np.array_equal(basis.forward @ y.real, x)
-
-
-@pytest.mark.parametrize("cutoff", SIDES_OF_THE_DENSE_SIZE)
-def test_a_generator_that_breaks_hermiticity_raises_before_any_row(monkeypatch, cutoff):
-    # 1e-6j on the diagonal entries of the c_n but not of their conjugates
-    layout = HilbertLayout(cutoff)
-    spec = replace(_oracle_spec(True), cavity=CavitySpec(1.2, 0.2, cutoff))
-    liouv = build_sector_liouvillian(layout, spec)
-    coherences = layout.dim + np.arange(cutoff)
-    broken = liouv.matrix + sp.csr_matrix(
-        (np.full(cutoff, 1e-6j), (coherences, coherences)), shape=liouv.matrix.shape)
-    calls = []
-    monkeypatch.setattr(scipy.linalg, "expm", lambda *a: calls.append(a))
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", lambda *a: calls.append(a))
-    with pytest.raises(EvolutionError, match="drift of the generator"):
-        quantum.trajectory(thermal_state(layout, 0.0, 0.0, 0.0), replace(liouv, matrix=broken), 6, 5)
-    assert calls == []
+        assert np.max(np.abs(y - inverse @ x)) <= 1e-15 * np.max(np.abs(x))
+        assert np.array_equal(quantum._sector_vectors(y.real, cutoff), x)
 
 
 def test_a_state_that_is_not_hermitian_raises_before_any_row():
@@ -1013,16 +1037,43 @@ def test_one_sample_library_reads_equal_the_batched_reads():
         assert library == outcome(steady_state_fluxes, point)
 
 
+def _batch_results(spec):
+    """The vector of every solved sample and the flows of one ``steady_state_fluxes`` call."""
+    vectors = {}
+    for index, _, solved, _ in quantum._steady_states(spec, list(spec.errors)):
+        vectors.update(zip(index, solved))
+    return vectors, steady_state_fluxes(spec)
+
+
 def test_small_batches_give_the_rows_of_one_batch(monkeypatch):
     # A batch holds at most _BATCH_ENTRIES block entries; a sample's result
-    # does not depend on the batch it was solved in.
-    base, keys = _audit_scenario(), ["cavity.g", "bath.gamma"]
-    table = np.random.default_rng(5).uniform([0.05, 0.02], [0.3, 0.15], size=(40, 2))
-    whole = steady_state_fluxes(spec_columns(base, keys, table))
-    monkeypatch.setattr(quantum, "_BATCH_ENTRIES", 3 * 108 * 14)  # 3 samples at cutoff 12
-    spec = spec_columns(base, keys, table)
-    assert repr(steady_state_fluxes(spec)) == repr(whole)
-    assert all(error is None or isinstance(error, RuntimeError) for error in spec.errors)
+    # does not depend on the batch it was solved in, bit for bit: over the
+    # audit's ranges, at the lasing cutoff 60, and in a batch of 300 samples.
+    rng = np.random.default_rng(5)
+    audit_keys, lasing_keys = ["cavity.g", "bath.gamma"], ["cavity.g"]
+    lasing = replace(_audit_scenario(cutoff=60),
+                     bath=BosonicBath(0.01, OccupationSpec.thermal_effective(), temperature=0.05))
+    cases = [  # scenario, keys, samples, samples per small batch
+        (_audit_scenario(), audit_keys, rng.uniform([0.05, 0.02], [0.3, 0.15], size=(40, 2)), 3),
+        (lasing, lasing_keys, np.linspace(0.02, 0.3, 8)[:, None], 1),
+        (_audit_scenario(), audit_keys, rng.uniform([0.05, 0.02], [0.3, 0.15], size=(300, 2)), 3),
+    ]
+    whole_batch = quantum._BATCH_ENTRIES
+    for base, keys, table, small in cases:
+        monkeypatch.setattr(quantum, "_BATCH_ENTRIES", whole_batch)
+        assert len(table) * 108 * (base.cavity.fock_cutoff + 2) <= whole_batch  # one batch
+        vectors, whole = _batch_results(spec_columns(base, keys, table))
+        monkeypatch.setattr(quantum, "_BATCH_ENTRIES", small * 108 * (base.cavity.fock_cutoff + 2))
+        spec = spec_columns(base, keys, table)
+        small_vectors, flux = _batch_results(spec)
+        assert vectors.keys() == small_vectors.keys() and len(vectors) > 0.9 * len(table)
+        for i, vector in vectors.items():
+            assert np.array_equal(small_vectors[i], vector)
+        assert flux.treatment == whole.treatment
+        for field in dataclasses.fields(flux)[1:]:
+            got, want = (np.asarray(getattr(r, field.name), float) for r in (flux, whole))
+            assert np.array_equal(got, want, equal_nan=True), field.name
+        assert all(error is None or isinstance(error, RuntimeError) for error in spec.errors)
 
 
 def test_a_singular_step_fails_its_own_sample_only():
@@ -1091,10 +1142,9 @@ def test_cached_builds_equal_fresh_builds():
         sector_pattern.cache_clear()
         fresh = build_sector_liouvillian(layout, spec)
         _assert_same_generator(liouv, fresh)
-        for name in ("weights", "terms"):
-            cached_matrix, fresh_matrix = getattr(liouv.pattern, name), getattr(fresh.pattern, name)
-            assert np.array_equal(cached_matrix.toarray(), fresh_matrix.toarray()), name
-        assert np.array_equal(liouv.pattern.positions, fresh.pattern.positions)
+        for name in ("blocks", "support"):
+            cached_array, fresh_array = getattr(liouv.pattern, name), getattr(fresh.pattern, name)
+            assert np.array_equal(cached_array, fresh_array), name
         outcome, expected = _steady_outcome(liouv), _steady_outcome(fresh)
         if isinstance(expected, tuple):
             assert outcome == expected
@@ -1106,12 +1156,10 @@ def test_cached_arrays_are_read_only():
     layout = HilbertLayout(10)
     liouv = build_sector_liouvillian(layout, _oracle_spec(True))
     pattern = liouv.pattern
-    shared = [liouv.matrix.indices, liouv.matrix.indptr, layout.sector_indices()]
-    for field in dataclasses.fields(pattern):  # every array of the pattern, CSR ones included
+    shared = [layout.sector_indices()]
+    for field in dataclasses.fields(pattern):  # every array of the pattern, blocks included
         value = getattr(pattern, field.name)
-        if sp.issparse(value):
-            shared += [value.data, value.indices, value.indptr]
-        elif field.name != "fock_cutoff":
+        if field.name != "fock_cutoff":
             assert isinstance(value, np.ndarray), field.name
             shared.append(value)
     for array in shared:
