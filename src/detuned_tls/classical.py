@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    EvolutionError,
     FluxReport,
     SteadyStateError,
     SystemSpec,
@@ -157,7 +158,7 @@ def trajectory(state0: BlochState, spec: SystemSpec, t_final: float, n_store: in
     before.  Negative ``t_final`` evolves backwards.  A non-finite
     ``t_final``, a non-finite initial state or an initial population
     outside [0, 1] raises ValueError; the first row whose population leaves
-    [0, 1] raises RuntimeError naming its time.
+    [0, 1] raises EvolutionError naming its time.
     """
     if spec.drive is None:
         raise ValueError("classical dynamics requires a drive")
@@ -180,7 +181,7 @@ def trajectory(state0: BlochState, spec: SystemSpec, t_final: float, n_store: in
     for i in range(1, n_store):
         rows[i] = (propagator @ np.append(rows[i - 1], 1.0))[:4]
         if not _populations_in_range(rows[i]):
-            raise RuntimeError(f"population left [0, 1] at t = {i * seg:.6g}")
+            raise EvolutionError(f"population left [0, 1] at t = {i * seg:.6g}")
     return rows
 
 

@@ -49,6 +49,10 @@ class SteadyStateError(RuntimeError):
     """A solver did not reach a steady state, or its state is not stationary."""
 
 
+class EvolutionError(RuntimeError):
+    """Time evolution violated a conserved-quantity invariant."""
+
+
 def fail_samples(errors: list, index, bad, error, *values) -> None:
     """Sample ``index[j]`` fails with ``error(*values at j)`` where ``bad[j]``,
     unless it failed before: every sample keeps its first error.  ``bad`` and

@@ -7,22 +7,26 @@ sides of rho, so the generator of the master equation has no elements
 between blocks of different charge difference ΔQ, and the steady state lies
 in the ΔQ = 0 block (a weak U(1) symmetry: Buča & Prosen, New J. Phys. 14,
 073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)).  That sector
-holds the 4(N+1) populations and the coherences <1,0,n+1|rho|0,1,n> with
-their conjugates: 6N + 4 entries.
+holds the 4(N+1) populations and the N coherences c_n = <1,0,n+1|rho|0,1,n>
+with their conjugates.
 
 The generator on the sector is sum_k c_k B_k: nine real coefficients c_k
 (Re g, Im g, the level split and the six jump rates) times fixed matrices
 B_k whose entries couple photon numbers at most one apart.  L maps
 Hermitian matrices to Hermitian ones, so in the real coordinates of the
-sector, the populations and the real and imaginary parts of the c_n (the
-coherence vector of Alicki & Lendi, *Quantum Dynamical Semigroups and
-Applications*, LNP 286 (1987)), every B_k is real.  H, the c_l jumps and
-the Q2-conserving parts of the dissipators keep Q2 = N_u + N_ph; every c_u
-jump and every photon jump moves it by one.  Ordered by Q2, the B_k are
-block tridiagonal, with blocks of six slots (Albert & Jiang, above).  The
-index arrays of the basis and these real blocks are built once per cutoff
-and cached (``sector_pattern``): without a bath, or with gamma_b <= 0, the
-two photon rates are zero, so they depend on the Fock cutoff alone.
+sector, y = [p; u; v]: the populations p and the real and imaginary parts
+of c_n = u_n + i v_n (the coherence vector of Alicki & Lendi, *Quantum
+Dynamical Semigroups and Applications*, LNP 286 (1987)), every B_k is
+real.  These 6N + 4 real entries are the one format of a sector state
+(``QuantumState.vector``) and of the sector generator
+(``Liouvillian.matrix``); only ``QuantumState.rho`` forms the complex
+density matrix.  H, the c_l jumps and the Q2-conserving parts of the
+dissipators keep Q2 = N_u + N_ph; every c_u jump and every photon jump
+moves it by one.  Ordered by Q2, the B_k are block tridiagonal, with
+blocks of six slots (Albert & Jiang, above).  The index arrays of the
+basis and these real blocks are built once per cutoff and cached
+(``sector_pattern``): without a bath, or with gamma_b <= 0, the two photon
+rates are zero, so they depend on the Fock cutoff alone.
 
 The null vector of a block-tridiagonal generator is a matrix continued
 fraction computed downwards from the top of the Fock ladder (Risken, *The
@@ -39,7 +43,7 @@ generator is linear and time independent, so ``trajectory`` applies one
 real propagator exp(L seg) per segment of evenly spaced rows: formed once
 by scaling and squaring while the sector is small enough for a dense
 matrix, one ``expm_multiply`` per segment above that size (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  Neither solves L x = 0, so
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  Neither solves L y = 0, so
 the evolution is an independent oracle for the steady state.  The cached
 arrays are read-only, so threads may share them.
 
@@ -66,6 +70,7 @@ import numpy as np
 
 from .model import (
     RATE_DEADBAND,
+    EvolutionError,
     FluxReport,
     Occupations,
     SpecColumns,
@@ -86,16 +91,12 @@ if TYPE_CHECKING:
 
 _RESIDUAL_TOL = 1e-10
 _FOCK_TAIL_TOL = 1e-6
-_HERMITICITY_TOL = 1e-12
 _MAX_ENLARGEMENTS = 2  # cutoff raises of 4 before a FockCutoffError stands
 _BATCH_ENTRIES = 2**19  # block entries (8 bytes each) a batch may hold; larger audits take several
 # Sector entries up to which ``trajectory`` forms the dense real propagator: its
 # O(size^3) cost met that of one real expm_multiply per segment at 724-748 entries
 # (cutoff 120-124) on the quantum-evolve scenario, 41 rows over t = 30, one BLAS thread.
 _DENSE_SIZE = 724
-# [c; c*] = U [u; v] in the last two slots of a Q2 block, and [u; v] = U^-1 [c; c*]
-_U, _U_INV = np.eye(6, dtype=complex), np.eye(6, dtype=complex)
-_U[4:, 4:], _U_INV[4:, 4:] = [[1, 1j], [1, -1j]], [[0.5, 0.5], [-0.5j, 0.5j]]
 
 logger = logging.getLogger(__name__)
 
@@ -106,10 +107,6 @@ class FockCutoffError(SteadyStateError):
     def __init__(self, message: str, tail: float = math.nan) -> None:
         super().__init__(message)
         self.tail = tail
-
-
-class EvolutionError(RuntimeError):
-    """Time evolution violated a conserved-quantity invariant."""
 
 
 @dataclass(frozen=True)
@@ -136,7 +133,7 @@ class HilbertLayout:
 
     @property
     def sector_size(self) -> int:
-        """Entries of the ΔQ = 0 sector: 4(N+1) populations and 2N coherences."""
+        """Real entries of the ΔQ = 0 sector: 4(N+1) populations, N real and N imaginary parts."""
         return 6 * self.fock_cutoff + 4
 
     def sector_indices(self) -> np.ndarray:
@@ -161,11 +158,12 @@ class OperatorSet:
 class Liouvillian:
     """Sparse generator of the master equation, with its basis layout.
 
-    ``build_sector_liouvillian`` gives it on the ΔQ = 0 sector, with the
-    ``pattern`` and ``coefficients`` it was assembled from, which the solve,
-    the flows and ``trajectory`` read instead of ``matrix``.  The full-space
-    reference of ``build_liouvillian`` acts on row-major vec(rho) and has
-    neither pattern nor coefficients.
+    ``build_sector_liouvillian`` gives it on the ΔQ = 0 sector: ``matrix`` is
+    then real and acts on the real coordinates [p; u; v] of
+    ``QuantumState.vector``, and the ``pattern`` and ``coefficients`` it was
+    assembled from are what the solve, the flows and ``trajectory`` read.
+    The full-space reference of ``build_liouvillian`` acts on row-major
+    vec(rho) and has neither pattern nor coefficients.
     """
 
     matrix: sp.csr_matrix
@@ -178,9 +176,11 @@ class Liouvillian:
 class QuantumState:
     """Density matrix in the ΔQ = 0 sector, as the vector a sector ``Liouvillian`` acts on.
 
-    ``vector`` holds the populations in flat-index order, then the coherences
-    c_n = <1,0,n+1|rho|0,1,n> for n < N, then their conjugates; the dense
-    ``rho`` is built on first access only.
+    ``vector`` is real: the populations p in flat-index order, then u and v,
+    the real and imaginary parts of the coherences c_n = <1,0,n+1|rho|0,1,n>
+    for n < N.  Every such vector is a Hermitian rho; a complex one is
+    refused.  The dense ``rho``, the one place the complex form is built, is
+    formed on first access only.
     """
 
     vector: np.ndarray
@@ -189,16 +189,19 @@ class QuantumState:
     def __post_init__(self) -> None:
         if self.vector.shape != (self.layout.sector_size,):
             raise ValueError(f"state vector of shape {self.vector.shape} is not a sector vector")
+        if np.iscomplexobj(self.vector):
+            raise ValueError("a sector vector holds the real coordinates [p; u; v], not complex entries")
 
     @cached_property
     def rho(self) -> np.ndarray:
-        d = self.layout.dim
+        d, n = self.layout.dim, self.layout.fock_cutoff
+        p, u, v = np.split(self.vector, [d, d + n])
         flat = np.zeros(d * d, dtype=complex)
-        flat[self.layout.sector_indices()] = self.vector
+        flat[self.layout.sector_indices()] = np.concatenate([p, u + 1j * v, u - 1j * v])
         return flat.reshape(d, d)
 
     def lowest_eigenvalue(self) -> float:
-        """Lowest eigenvalue of (rho + rho^dagger) / 2 (see ``_lowest_eigenvalues``)."""
+        """Lowest eigenvalue of rho (see ``_lowest_eigenvalues``)."""
         return float(_lowest_eigenvalues(self.vector, self.layout.fock_cutoff))
 
     def validate(self) -> None:
@@ -355,9 +358,9 @@ def _dissipator_entries(
 class SectorPattern:
     """What the ΔQ = 0 sector owes to its Fock cutoff alone.
 
-    The generator is sum_k coefficient_k B_k over fixed matrices B_k, which
-    are real in the coordinates y = [p; u; v] of a Hermitian sector vector
-    x = [p; c; c*]: p are the populations and c_n = u_n + i v_n.  Ordered by
+    The generator is sum_k coefficient_k B_k over fixed real matrices B_k
+    on the coordinates y = [p; u; v] of a sector state: p are the
+    populations and c_n = u_n + i v_n the coherences.  Ordered by
     Q2 = N_u + N_ph they are block tridiagonal, with one block of six slots
     per Q2 = 0 ... N + 1: |0,0,Q2>, |1,0,Q2>, |0,1,Q2-1>, |1,1,Q2-1>, then
     u_(Q2-1) and v_(Q2-1); the slots outside the ladder (four in the first
@@ -375,7 +378,6 @@ class SectorPattern:
     upper: np.ndarray  # flat indices of |1,0,n+1> and |0,1,n> for n < N
     lower: np.ndarray
     single: np.ndarray  # populations outside the 2x2 blocks
-    adjoint: np.ndarray  # sector positions read by the vector of rho^dagger
     sector: np.ndarray  # positions in row-major vec(rho) of the sector entries
     photons: np.ndarray  # 0, 1, ..., N
     root: np.ndarray  # sqrt(n + 1) for n < N
@@ -397,7 +399,7 @@ class SectorPattern:
 
     @property
     def size(self) -> int:
-        return 6 * self.fock_cutoff + 4
+        return len(self.slot)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -414,7 +416,7 @@ def sector_pattern(fock_cutoff: int) -> SectorPattern:
     coherent = 6 * np.arange(1, m)  # c_n sits in block Q2 = n + 1
     slot = np.concatenate([6 * (n_u + n_ph) + n_l + 2 * n_u, coherent + 4, coherent + 5])
     position = np.full(6 * (count + 2), -1)  # one empty block before and one after the ladder
-    position[6 + slot] = np.arange(6 * n + 4)
+    position[6 + slot] = np.arange(len(slot))
 
     jumps = _jumps(n_l, n_u, n_ph)
     per_coefficient = _hamiltonian_entries(upper, lower, root, d) + [
@@ -430,7 +432,6 @@ def sector_pattern(fock_cutoff: int) -> SectorPattern:
 
     pattern = SectorPattern(
         fock_cutoff, n_l, n_u, n_ph, upper, lower, single,
-        np.r_[:d, d + n : d + 2 * n, d : d + n],
         np.concatenate([np.arange(d) * (d + 1), upper * d + lower, lower * d + upper]),
         np.arange(m, dtype=float), root, np.concatenate([n_u + n_l, np.zeros(2 * n)]),
         slot, position, blocks,
@@ -474,13 +475,23 @@ def _assemble(pattern: SectorPattern, coefficients: np.ndarray) -> np.ndarray:
     return blocks.reshape(3, pattern.fock_cutoff + 2, -1, 6, 6)
 
 
+def _entries(pattern: SectorPattern, coefficients: np.ndarray
+             ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """(rows, columns) and values of sum_k c_k B_k for one row of ``coefficients``: each
+    entry b of a B_k as c_k b, so a position that several B_k share appears once per B_k."""
+    k, rows, cols, flat = pattern.support
+    return (rows, cols), coefficients[k] * pattern.blocks.ravel()[flat]
+
+
 def build_sector_liouvillian(layout: HilbertLayout, spec: SystemSpec) -> Liouvillian:
     """Generator of the master equation on the ΔQ = 0 sector.
 
     The cached ``sector_pattern`` of the cutoff holds the real blocks; this
     takes the nine coefficients of the scenario, and ``matrix`` is the real
-    generator in the sector coordinates, T L_r T^-1.  It equals the ΔQ = 0
-    slice of ``build_liouvillian`` to rounding, for either fermion ordering.
+    CSR generator sum_k c_k B_k on the coordinates [p; u; v].  With the
+    change of basis T of ``QuantumState.rho``, T matrix T^-1 equals the
+    ΔQ = 0 slice of ``build_liouvillian`` to rounding, for either fermion
+    ordering.
     """
     import scipy.sparse as sp
 
@@ -488,31 +499,10 @@ def build_sector_liouvillian(layout: HilbertLayout, spec: SystemSpec) -> Liouvil
         raise ValueError("quantum treatment requires a cavity")
     coefficients = _coefficients(spec)
     pattern = sector_pattern(layout.fock_cutoff)
-    blocks = _U @ np.tensordot(coefficients, pattern.blocks, axes=1) @ _U_INV  # in x = [p; c; c*]
-    block, place = np.divmod(pattern.slot[:, None], 6)
-    side, column = np.divmod(np.arange(18), 6)  # the three blocks a row reaches
-    cols = pattern.position[6 * (block + side) + column]
-    inside = cols >= 0
-    values, indptr = blocks[side, block, place, column][inside], np.r_[0, np.cumsum(inside.sum(1))]
-    matrix = sp.csr_matrix((values, cols[inside], indptr), shape=(pattern.size,) * 2)
+    at, values = _entries(pattern, coefficients)
+    matrix = sp.csr_matrix((values, at), shape=(pattern.size,) * 2)
     matrix.eliminate_zeros()
     return Liouvillian(matrix, layout, pattern, coefficients)
-
-
-def _real_coordinates(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
-    """T^-1 x = [p; u; v] of each sector vector x along the last axis, still complex:
-    its imaginary part is zero when x is Hermitian."""
-    d, n = 4 * (fock_cutoff + 1), fock_cutoff
-    c, conj = vectors[..., d : d + n], vectors[..., d + n :]
-    u, v = 0.5 * c + 0.5 * conj, -0.5j * c + 0.5j * conj
-    return np.concatenate([vectors[..., :d], u, v], axis=-1)
-
-
-def _sector_vectors(real: np.ndarray, fock_cutoff: int) -> np.ndarray:
-    """x = T y = [p; u + i v; u - i v] of each vector y of real coordinates along the last axis."""
-    d, n = 4 * (fock_cutoff + 1), fock_cutoff
-    u, v = real[..., d : d + n], 1j * real[..., d + n :]
-    return np.concatenate([real[..., :d], u + v, u - v], axis=-1)
 
 
 def thermal_state(layout: HilbertLayout, f_u: float, f_l: float, n_b: float) -> QuantumState:
@@ -527,7 +517,7 @@ def thermal_state(layout: HilbertLayout, f_u: float, f_l: float, n_b: float) -> 
         weights = (n_b / (1.0 + n_b)) ** n
     else:
         weights = np.where(n == 0, 1.0, 0.0)
-    vector = np.zeros(layout.sector_size, dtype=complex)
+    vector = np.zeros(layout.sector_size)
     vector[: layout.dim] = np.kron(
         np.kron([1.0 - f_l, f_l], [1.0 - f_u, f_u]), weights / weights.sum()
     )
@@ -561,13 +551,14 @@ def stacked_observables(
     pattern = sector_pattern(fock_cutoff)
     d, n = 4 * (fock_cutoff + 1), fock_cutoff
     # rows: (n_l, n_u) = (0, 0), (0, 1), (1, 0), (1, 1)
-    p = vectors[..., :d].real.reshape(*vectors.shape[:-1], 4, fock_cutoff + 1)
+    p = vectors[..., :d].reshape(*vectors.shape[:-1], 4, fock_cutoff + 1)
     photons = pattern.photons
     sigma_uu = p[..., 1, :].sum(axis=-1) + p[..., 3, :].sum(axis=-1)
     sigma_ll = p[..., 2, :].sum(axis=-1) + p[..., 3, :].sum(axis=-1)
     n_ph = _dot(p.sum(axis=-2), photons)
-    # Y = conj(g) Tr{c_l^+ c_u a^+ rho} = conj(g) sum_n sqrt(n+1) <0,1,n|rho|1,0,n+1>
-    y = np.conj(spec.cavity.g) * _dot(vectors[..., d + n :], pattern.root)
+    # Y = conj(g) Tr{c_l^+ c_u a^+ rho} = conj(g) sum_n sqrt(n+1) c_n*, c_n* = u_n - i v_n
+    conjugates = vectors[..., d : d + n] - 1j * vectors[..., d + n :]
+    y = np.conj(spec.cavity.g) * _dot(conjugates, pattern.root)
     f_exact = p[..., 1, :].sum(axis=-1) + _dot(p[..., 1, :] - p[..., 2, :], photons)
     f_hf = sigma_uu * (1.0 - sigma_ll) + (sigma_uu - sigma_ll) * n_ph
     return QuantumObservables(*map(plain, (sigma_uu, sigma_ll, n_ph, y, f_exact, f_hf, 2.0 * y.imag)))
@@ -706,7 +697,7 @@ def observables(rho: np.ndarray, ops: OperatorSet, spec: SystemSpec) -> QuantumO
 def _fock_tails(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
     """Population of the top two Fock levels of each sector vector along the last axis."""
     m = fock_cutoff + 1
-    populations = vectors[..., : 4 * m].real.reshape(*vectors.shape[:-1], 4, m)
+    populations = vectors[..., : 4 * m].reshape(*vectors.shape[:-1], 4, m)
     return populations.sum(axis=-2)[..., -2:].sum(axis=-1)
 
 
@@ -720,45 +711,47 @@ def _sector_generator(liouvillian: Liouvillian, reader: str) -> tuple[SectorPatt
     return liouvillian.pattern, liouvillian.coefficients
 
 
-def _adjoint(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
-    """The vector of rho^dagger for each sector vector along the last axis: the
-    populations conjugated, each c_n swapped with c_n*."""
-    return np.take(vectors, sector_pattern(fock_cutoff).adjoint, axis=-1).conj()
+def _moduli(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
+    """|c_n| = |u_n + i v_n| of each sector vector along the last axis."""
+    d, n = 4 * (fock_cutoff + 1), fock_cutoff
+    return np.abs(vectors[..., d : d + n] + 1j * vectors[..., d + n :])
+
+
+def _largest_entries(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
+    """The largest modulus of the entries p, c and c* of each sector vector along the last axis."""
+    populations = np.abs(vectors[..., : 4 * (fock_cutoff + 1)]).max(axis=-1)
+    return np.maximum(populations, _moduli(vectors, fock_cutoff).max(axis=-1))
 
 
 def _lowest_eigenvalues(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
-    """Lowest eigenvalue of (rho + rho^dagger) / 2 for each sector vector along the last axis.
+    """Lowest eigenvalue of rho for each sector vector along the last axis.
 
     rho is block diagonal: a 2x2 block [[p(1,0,n+1), c_n], [c_n*, p(0,1,n)]]
     for each n < N and a 1x1 block for every other population.
     """
     pattern = sector_pattern(fock_cutoff)
-    d, n = 4 * (fock_cutoff + 1), fock_cutoff
-    herm = (0.5 * (vectors + _adjoint(vectors, fock_cutoff))).T  # entries first: one index for all
-    pops = herm[:d].real
+    pops = vectors[..., : 4 * (fock_cutoff + 1)].T  # entries first: one index for all
     upper, lower = pops[pattern.upper], pops[pattern.lower]
     mean, half_gap = 0.5 * (upper + lower), 0.5 * (upper - lower)
-    pairs = mean - np.hypot(half_gap, np.abs(herm[d : d + n]))
+    pairs = mean - np.hypot(half_gap, _moduli(vectors, fock_cutoff).T)
     return np.minimum(pops[pattern.single].min(axis=0), pairs.min(axis=0))
 
 
 def _validate(vectors: np.ndarray, fock_cutoff: int, errors: list, index) -> None:
     """``QuantumState.validate`` of each sector vector along the last axis."""
-    herm = np.max(np.abs(vectors - _adjoint(vectors, fock_cutoff)), axis=-1)
-    fail_samples(errors, index, ~(herm <= _HERMITICITY_TOL),
-                 lambda h: ValueError(f"state not Hermitian (deviation {h:.3e})"), herm)
     trace = vectors[..., : 4 * (fock_cutoff + 1)].sum(axis=-1)
     fail_samples(errors, index, ~(abs(trace - 1.0) <= 1e-12),
-                 lambda t: ValueError(f"state trace {complex(t)} differs from 1"), trace)
+                 lambda t: ValueError(f"state trace {t} differs from 1"), trace)
     lowest = _lowest_eigenvalues(vectors, fock_cutoff)
     fail_samples(errors, index, ~(lowest >= -1e-10),
                  lambda e: ValueError(f"state has negative eigenvalue {e:.3e}"), lowest)
 
 
 def _check(vectors: np.ndarray, residuals: np.ndarray, fock_cutoff: int, errors: list, index):
-    """The residual L x (given as L y in the real coordinates), the Fock tail and
-    ``validate``, in this order, per sample."""
-    residual = np.max(np.abs(_sector_vectors(residuals, fock_cutoff)), axis=-1)
+    """The residual L y, the Fock tail and ``validate``, in this order, per sample.
+    The residual is the largest entry of L y as a complex sector vector
+    (``_largest_entries``), so that |c_n| bounds each coherence pair."""
+    residual = _largest_entries(residuals, fock_cutoff)
     fail_samples(errors, index, ~(residual <= _RESIDUAL_TOL), lambda r: SteadyStateError(
         f"steady-state residual {r:.3e} above tolerance"), residual)
     tail = _fock_tails(vectors, fock_cutoff)
@@ -853,9 +846,8 @@ def _solve_batch(pattern: SectorPattern, coefficients: np.ndarray,
                  errors: list, index) -> tuple[np.ndarray, np.ndarray]:
     """The steady states of an (S, 9) table of ``coefficients`` and their ``_actions``,
     whose sum is the residual that ``_check`` reads; failed samples keep their error."""
-    real = _null_vectors(_assemble(pattern, coefficients), pattern.fock_cutoff, errors, index)
-    actions = _actions(pattern, coefficients, real)
-    vectors = _sector_vectors(real, pattern.fock_cutoff)
+    vectors = _null_vectors(_assemble(pattern, coefficients), pattern.fock_cutoff, errors, index)
+    actions = _actions(pattern, coefficients, vectors)
     _check(vectors, actions.sum(axis=-2), pattern.fock_cutoff, errors, index)
     return vectors, actions
 
@@ -917,23 +909,19 @@ def trajectory(
     state0: QuantumState, liouvillian: Liouvillian, t_final: float, n_store: int
 ) -> np.ndarray:
     """The states at ``n_store`` evenly spaced times from 0 to ``t_final``, as an
-    (n_store, sector size) stack whose row 0 is ``state0``.
+    (n_store, sector size) stack of real sector vectors whose row 0 is ``state0``.
 
-    The rows are propagated in the real coordinates y = T^-1 x = [p; u; v]
-    of ``SectorPattern``, where the generator L_r is the real matrix of the
-    pattern's blocks.  Before any row is formed, the imaginary part of
-    T^-1 x_0 must be at most 1e-9, else EvolutionError.  Each later row is
-    the one-segment propagator P = exp(L_r seg), seg = t_final / (n_store -
-    1), applied to the row before it.  Up to ``_DENSE_SIZE`` sector entries
-    P is formed once by scaling and squaring (``scipy.linalg.expm``; Al-Mohy
-    & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)); above it each
-    segment is one ``expm_multiply`` call.  Every propagated row must have
-    unit trace to 1e-9, else EvolutionError; it is renormalized before the
-    next step.  The real rows are turned back into sector vectors once, and
-    each is validated.  The first failing row raises its error; so does a
-    propagator of L seg that overflows.  A full-space generator, a sector
-    one without its pattern, and a ``t_final`` that is negative or not
-    finite, raise ValueError.
+    Each later row is the one-segment propagator P = exp(L seg), seg =
+    t_final / (n_store - 1), of the real generator L (``_entries``) applied
+    to the row before it.  Up to ``_DENSE_SIZE`` sector entries P is formed
+    once by scaling and squaring (``scipy.linalg.expm``; Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31, 970 (2009)); above it each segment is one
+    ``expm_multiply`` call.  Every propagated row must have unit trace to
+    1e-9, else EvolutionError; it is renormalized before the next step, and
+    validated.  The first failing row raises its error; so does a propagator
+    of L seg that overflows.  A full-space generator, a sector one without
+    its pattern, and a ``t_final`` that is negative or not finite, raise
+    ValueError.
     """
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ValueError(f"t_final must be finite and non-negative, not {t_final!r}")
@@ -947,25 +935,20 @@ def trajectory(
     # L seg, or a squaring of expm, may overflow: P is then NaN, and so are the rows it
     # gives, which fail the drift check.
     with np.errstate(all="ignore"):
-        initial = _real_coordinates(state0.vector, cutoff)
-        drift = abs(initial.imag).max()
-        if not drift <= 1e-9:
-            raise EvolutionError(f"Hermiticity drift of the initial state in the real basis: "
-                                 f"imaginary part {drift:.3e}")
-        rows[0] = initial.real
-        k, *at, flat = pattern.support  # L_r seg, an entry once per coefficient
-        values = coefficients[k] * pattern.blocks.ravel()[flat] * seg
+        rows[0] = state0.vector
+        at, values = _entries(pattern, coefficients)
+        values = values * seg
         if size <= _DENSE_SIZE:
             import scipy.linalg
 
             generator = np.zeros((size, size))
-            np.add.at(generator, tuple(at), values)
+            np.add.at(generator, at, values)
             step = scipy.linalg.expm(generator).__matmul__
         else:
             import scipy.sparse as sp
             from scipy.sparse.linalg import expm_multiply
 
-            generator = sp.csr_array((values, tuple(at)), shape=(size, size))
+            generator = sp.csr_array((values, at), shape=(size, size))
             step = partial(expm_multiply, generator)
         for i in range(1, n_store):
             try:
@@ -980,10 +963,9 @@ def trajectory(
         fail_samples(errors, index, ~(trace_drift <= 1e-9),
                      lambda *v: EvolutionError(message.format(*v)),
                      seg * np.arange(1, n_store), trace_drift)
-        states = _sector_vectors(rows[1:], cutoff)
-        _validate(states, cutoff, errors, index)
+        _validate(rows[1:], cutoff, errors, index)
     raise_first(errors)
-    return np.concatenate([state0.vector[None], states])
+    return rows
 
 
 def evolve_quantum(
@@ -1069,8 +1051,8 @@ def fluxes_quantum(state: QuantumState, liouvillian: Liouvillian, spec: SystemSp
 
     ``state`` and ``liouvillian`` belong to the ΔQ = 0 sector
     (``build_sector_liouvillian``).  Each flow is the trace of H or
-    N_u + N_l against its channel's action on the real coordinates of the
-    state's Hermitian part, which the pattern's blocks give.  Each energy
+    N_u + N_l against its channel's action on the state's real coordinates
+    [p; u; v], which the pattern's blocks give.  Each energy
     flow is also evaluated through its closed form in terms of populations
     and the coherence correlator; disagreement beyond 1e-9 raises, since it
     signals an inconsistent generator.  A state that is not stationary
@@ -1078,9 +1060,8 @@ def fluxes_quantum(state: QuantumState, liouvillian: Liouvillian, spec: SystemSp
     """
     pattern, coefficients = _sector_generator(liouvillian, "fluxes_quantum")
     cutoff = pattern.fock_cutoff
-    real = _real_coordinates(state.vector[None], cutoff).real
-    actions = _actions(pattern, coefficients[None], real)[0]
-    residual = np.max(np.abs(_sector_vectors(actions.sum(axis=0), cutoff)))
+    actions = _actions(pattern, coefficients[None], state.vector[None])[0]
+    residual = _largest_entries(actions.sum(axis=0), cutoff)
     if residual > _RESIDUAL_TOL:
         raise SteadyStateError(f"state is not stationary (residual {residual:.3e})")
     errors = [None]

@@ -14,6 +14,7 @@ from detuned_tls import (
     BlochState,
     ClassicalDrive,
     EnergyLevels,
+    EvolutionError,
     FermionicReservoir,
     OccupationSpec,
     PositivityWarning,
@@ -24,6 +25,7 @@ from detuned_tls import (
     fluxes_classical,
     steady_state_closed_form,
 )
+from detuned_tls import quantum
 from detuned_tls.classical import check_physical, trajectory
 from detuned_tls.model import SteadyStateError, effective_energies_classical
 
@@ -161,6 +163,16 @@ def test_evolve_checks_propagated_populations():
     # A coherence far beyond the positivity bound drives sigma_uu below 0.
     with pytest.raises(RuntimeError, match="population left"):
         evolve(BlochState(0.5, 0.5, 5j), make_spec(), 1.0)
+
+
+def test_a_population_leaving_its_range_raises_evolution_error():
+    # the error type the quantum trajectory raises for its invariants; a RuntimeError,
+    # so the CLI still reports it as a solver error with exit code 3
+    assert EvolutionError is quantum.EvolutionError
+    assert EvolutionError.__module__ == "detuned_tls.model"
+    assert issubclass(EvolutionError, RuntimeError)
+    with pytest.raises(EvolutionError, match=r"population left \[0, 1\] at t = "):
+        trajectory(BlochState(0.5, 0.5, 5j), make_spec(), 2.0, 41)
 
 
 def test_trajectory_rows_are_the_flow_of_the_row_before():

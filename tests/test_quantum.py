@@ -433,8 +433,8 @@ def test_evolve_rejects_a_generator_with_nan_coefficients():
     nan_liouv = replace(liouv, coefficients=coefficients)
     with pytest.raises(EvolutionError, match="drift"):
         evolve_quantum(thermal_state(layout, 0.3, 0.4, 0.2), nan_liouv, 1.0)
-    with pytest.raises(ValueError, match="Hermitian"):
-        QuantumState(np.full(layout.sector_size, math.nan + 0j), layout).validate()
+    with pytest.raises(ValueError, match="trace"):
+        QuantumState(np.full(layout.sector_size, math.nan), layout).validate()
 
 
 def test_fluxes_reject_non_stationary_state():
@@ -654,12 +654,6 @@ def _assembled(liouv):
     return np.tensordot(liouv.coefficients, _dense_terms(liouv.pattern), axes=1)
 
 
-def _sum_of_terms(liouv):
-    """``_assembled`` in the sector coordinates: T (sum_k c_k B_k) T^-1."""
-    forward, inverse = _real_basis(liouv.layout.fock_cutoff)
-    return forward @ _assembled(liouv) @ inverse
-
-
 def _assert_real_blocks(sector, generator):
     """T^-1 generator T is real and equals the blocks of ``sector`` assembled densely."""
     forward, inverse = _real_basis(sector.layout.fock_cutoff)
@@ -686,10 +680,14 @@ def test_sector_generator_equals_full_space_slice(cutoff, ordering, bath):
     full = build_liouvillian(ops, spec).matrix
     index = layout.sector_indices()
     reference = full[index][:, index].toarray()
+    forward, inverse = _real_basis(cutoff)
+    real_slice = inverse @ reference @ forward  # T^-1 slice T
     sector = build_sector_liouvillian(layout, spec)
     assert sector.matrix.shape == (6 * cutoff + 4,) * 2
-    assert np.max(np.abs(sector.matrix.toarray() - reference)) < 1e-14 * np.max(np.abs(reference))
-    assert np.max(np.abs(_sum_of_terms(sector) - sector.matrix.toarray())) < 1e-15
+    matrix = sector.matrix.toarray()
+    assert matrix.dtype == np.float64
+    assert np.max(np.abs(matrix - real_slice)) < 1e-14 * np.max(np.abs(real_slice))
+    assert np.max(np.abs(_assembled(sector) - matrix)) < 1e-15
     _assert_real_blocks(sector, reference)
     # one pattern per cutoff: without a bath the two photon rates are zero
     assert sector.pattern is sector_pattern(cutoff)
@@ -731,12 +729,15 @@ def test_sector_generator_equals_full_space_slice_for_random_parameters(
     index = layout.sector_indices()
     reference = build_liouvillian(build_operators(layout, spec), spec).matrix[index][:, index]
     reference = reference.toarray()
+    forward, inverse = _real_basis(cutoff)
+    real_slice = inverse @ reference @ forward  # T^-1 slice T
     sector = build_sector_liouvillian(layout, spec)
     matrix = sector.matrix.toarray()
-    largest = np.max(np.abs(reference))
-    assert np.max(np.abs(matrix - reference)) < 1e-14 * largest
+    assert matrix.dtype == np.float64
+    largest = np.max(np.abs(real_slice))
+    assert np.max(np.abs(matrix - real_slice)) < 1e-14 * largest
     # 1e-15 as in the fixed-parameter test, scaled only where entries exceed 1
-    assert np.max(np.abs(_sum_of_terms(sector) - matrix)) < 1e-15 * max(1.0, largest)
+    assert np.max(np.abs(_assembled(sector) - matrix)) < 1e-15 * max(1.0, largest)
     _assert_real_blocks(sector, reference)
     assert sector.pattern is sector_pattern(cutoff)
     assert (sector.coefficients[7] != 0) == (bath == "on")
@@ -812,15 +813,13 @@ def test_evolution_matches_dense_matrix_exponential(cutoff, bath):
 
 
 def _per_segment_trajectory(state0, liouv, t_final, n_store):
-    """One ``expm_multiply`` per segment, each state symmetrized and renormalized."""
-    d, cutoff = liouv.layout.dim, liouv.layout.fock_cutoff
+    """One ``expm_multiply`` of the sector matrix per segment, each state renormalized."""
+    d = liouv.layout.dim
     rows = [state0.vector]
     for _ in range(n_store - 1):
         y = expm_multiply(liouv.matrix * (t_final / (n_store - 1)), rows[-1])
         assert abs(y[:d].sum() - 1.0) <= 1e-9
-        assert np.max(np.abs(y - quantum._adjoint(y, cutoff))) <= 1e-9
-        herm = 0.5 * (y + quantum._adjoint(y, cutoff))
-        rows.append(herm / herm[:d].sum().real)
+        rows.append(y / y[:d].sum())
     return np.array(rows)
 
 
@@ -878,37 +877,65 @@ def test_trajectory_raises_the_error_of_its_first_failing_row():
 @pytest.mark.parametrize("g", (0.2, 0.15 - 0.1j), ids=("real-g", "complex-g"))
 @pytest.mark.parametrize("cutoff", (1, 6, 12))
 def test_the_generator_is_real_in_the_real_basis(cutoff, g, bath):
-    # The sector matrix, built from the blocks, returns to them in the real basis.
+    # The sector matrix is real, equals the blocks summed densely and annihilates
+    # the steady state (solved at the cutoff it needs).
     spec = replace(_oracle_spec(bath), cavity=CavitySpec(1.2, g, cutoff))
     liouv = build_sector_liouvillian(HilbertLayout(cutoff), spec)
-    _assert_real_blocks(liouv, liouv.matrix.toarray())
+    matrix = liouv.matrix.toarray()
+    assert matrix.dtype == np.float64
+    assert np.max(np.abs(_assembled(liouv) - matrix)) <= 1e-15 * np.max(np.abs(matrix))
+    sol = quantum_steady_state(spec)
+    at_the_solution = build_sector_liouvillian(sol.layout, spec).matrix
+    assert at_the_solution.dtype == np.float64
+    assert np.max(np.abs(at_the_solution @ sol.state.vector)) <= 1e-10
 
 
 @pytest.mark.parametrize("cutoff", (1, 6, 12))
 def test_the_real_basis_round_trip_leaves_hermitian_vectors_unchanged(cutoff):
+    # rho holds x = T y at the sector positions, and T^-1 x returns y.
     layout = HilbertLayout(cutoff)
-    d, n = layout.dim, cutoff
-    _, inverse = _real_basis(cutoff)
+    forward, inverse = _real_basis(cutoff)
     rng = np.random.default_rng(cutoff)
-    vectors = np.empty((50, layout.sector_size), dtype=complex)
-    vectors[:, :d] = rng.normal(size=(50, d)) * 10.0 ** rng.uniform(-300, 300, size=(50, d))
-    re, im = (rng.normal(size=(50, n)) * 10.0 ** rng.uniform(-300, 300, size=(50, n)) for _ in "ri")
-    coherences = re + 1j * im
-    vectors[:, d : d + n], vectors[:, d + n :] = coherences, coherences.conj()
-    for x in (*vectors, thermal_state(layout, 0.3, 0.4, 0.2).vector):
-        y = quantum._real_coordinates(x, cutoff)
-        assert np.all(y.imag == 0.0)
+    size = layout.sector_size
+    vectors = rng.normal(size=(50, size)) * 10.0 ** rng.uniform(-300, 300, size=(50, size))
+    for y in (*vectors, thermal_state(layout, 0.3, 0.4, 0.2).vector):
+        rho = QuantumState(y, layout).rho
+        assert np.array_equal(rho, rho.conj().T)
+        x = rho.ravel()[layout.sector_indices()]
+        assert np.count_nonzero(rho) == np.count_nonzero(x)
+        assert np.max(np.abs(x - forward @ y)) <= 1e-15 * np.max(np.abs(x))
         assert np.max(np.abs(y - inverse @ x)) <= 1e-15 * np.max(np.abs(x))
-        assert np.array_equal(quantum._sector_vectors(y.real, cutoff), x)
 
 
 def test_a_state_that_is_not_hermitian_raises_before_any_row():
+    # A complex vector, such as c_0 without its conjugate, is no QuantumState,
+    # so no trajectory can start from it.
     layout = HilbertLayout(4)
-    liouv = build_sector_liouvillian(layout, make_spec(cutoff=4))
-    vector = thermal_state(layout, 0.3, 0.4, 0.2).vector.copy()
-    vector[layout.dim] = 1e-3  # c_0 without its conjugate
-    with pytest.raises(EvolutionError, match="drift of the initial state"):
-        quantum.trajectory(QuantumState(vector, layout), liouv, 1.0, 3)
+    vector = thermal_state(layout, 0.3, 0.4, 0.2).vector.astype(complex)
+    vector[layout.dim] = 1e-3j
+    with pytest.raises(ValueError, match="real coordinates"):
+        QuantumState(vector, layout)
+
+
+def test_quantum_state_refuses_complex_vectors():
+    # even a Hermitian one with zero imaginary parts; the shape is checked first
+    layout = HilbertLayout(3)
+    real = thermal_state(layout, 0.6, 0.3, 0.2).vector
+    assert real.dtype == np.float64
+    with pytest.raises(ValueError, match=r"real coordinates \[p; u; v\]"):
+        QuantumState(real.astype(complex), layout)
+    with pytest.raises(ValueError, match="not a sector vector"):
+        QuantumState(thermal_product_state(layout, 0.6, 0.3, 0.2).ravel(), layout)
+
+
+def test_the_library_states_are_float64():
+    spec = make_spec(cutoff=12)
+    layout = HilbertLayout(12)
+    liouv = build_sector_liouvillian(layout, spec)
+    thermal = thermal_state(layout, 0.3, 0.4, 0.2)
+    states = [thermal.vector, steady_state(liouv).vector, quantum_steady_state(spec).state.vector,
+              quantum.trajectory(thermal, liouv, 2.0, 3), evolve_quantum(thermal, liouv, 2.0).vector]
+    assert [state.dtype for state in states] == [np.float64] * len(states)
 
 
 def test_quantum_state_rejects_a_full_space_vector():
@@ -939,6 +966,20 @@ def test_evolve_rejects_a_full_space_generator():
         evolve_quantum(thermal_state(layout, 0.6, 0.3, 0.2), full, 1.0)
 
 
+def test_the_residual_bound_is_the_largest_complex_entry():
+    # The steady-state and flux checks bound L y by the largest |entry| of T L y,
+    # so a coherence pair counts with its modulus |u + i v|.
+    layout = HilbertLayout(5)
+    rng = np.random.default_rng(7)
+    vectors = rng.normal(size=(20, layout.sector_size)) * 10.0 ** rng.integers(-12, 1, size=(20, 1))
+    vectors[:10, : layout.dim] *= 1e-3  # the largest entry a coherence in half of them
+    expected = [np.max(np.abs(QuantumState(y, layout).rho)) for y in vectors]
+    assert np.array_equal(quantum._largest_entries(vectors, 5), expected)
+    pair = np.zeros(layout.sector_size)
+    pair[layout.dim], pair[layout.dim + 5] = 3.0, 4.0  # u_0 and v_0
+    assert quantum._largest_entries(pair, 5) == 5.0
+
+
 def test_sector_positivity_check_matches_dense_eigenvalues():
     # The 2x2-block rule against eigvalsh of the embedded dense matrix, on
     # random sector states with and without a negative eigenvalue.
@@ -947,9 +988,8 @@ def test_sector_positivity_check_matches_dense_eigenvalues():
     rng = np.random.default_rng(3)
     for scale in (0.01, 0.3, 3.0):
         pops = rng.uniform(0.0, 1.0, d)
-        coherences = scale * (rng.normal(size=n) + 1j * rng.normal(size=n)) / d
-        vector = np.concatenate([pops, coherences, coherences.conj()]) / pops.sum()
-        state = QuantumState(vector.astype(complex), layout)
+        u, v = scale * rng.normal(size=(2, n)) / d
+        state = QuantumState(np.concatenate([pops, u, v]) / pops.sum(), layout)
         lowest = np.linalg.eigvalsh(state.rho)[0]
         assert abs(state.lowest_eigenvalue() - lowest) < 1e-15
         if lowest < -1e-10:
