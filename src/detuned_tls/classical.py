@@ -31,6 +31,7 @@ from .model import (
     any_of,
     detuning,
     effective_energies_classical,
+    expm,
     flux_report,
     plain,
     where,
@@ -152,10 +153,11 @@ def trajectory(state0: BlochState, spec: SystemSpec, t_final: float, n_store: in
     row 0 is ``state0``.
 
     The one-segment propagator exp(G seg), seg = t_final / (n_store - 1),
-    is the exact flow of the Bloch equations; ``scipy.linalg.expm`` forms it
-    once, to rounding (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
-    970 (2009)), and each later row is it applied to [y, 1] of the row
-    before.  Negative ``t_final`` evolves backwards.  A non-finite
+    is the exact flow of the Bloch equations; ``model.expm`` forms it once,
+    to rounding, by scaling and squaring with a Pade approximant (Al-Mohy &
+    Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)), and each later row
+    is it applied to [y, 1] of the row before.  A propagator that overflows
+    is NaN.  Negative ``t_final`` evolves backwards.  A non-finite
     ``t_final``, a non-finite initial state or an initial population
     outside [0, 1] raises ValueError; the first row whose population leaves
     [0, 1] raises EvolutionError naming its time.
@@ -173,11 +175,9 @@ def trajectory(state0: BlochState, spec: SystemSpec, t_final: float, n_store: in
             f"initial populations ({rows[0, 0]:.6g}, {rows[0, 1]:.6g}) must lie in [0, 1] "
             "with a finite coherence"
         )
-    import scipy.linalg  # here, not at the top: no other classical code needs SciPy
-
     seg = t_final / (n_store - 1)
     with np.errstate(all="ignore"):  # an overflowed propagator fails the population check
-        propagator = scipy.linalg.expm(_affine_generator(spec) * seg)
+        propagator = expm(_affine_generator(spec) * seg)
     for i in range(1, n_store):
         rows[i] = (propagator @ np.append(rows[i - 1], 1.0))[:4]
         if not _populations_in_range(rows[i]):

@@ -358,6 +358,69 @@ def elementwise(fn, x):
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
+# degree m: theta_m, the largest eta at which r_m(x) = p_m(x) / p_m(-x) has a backward
+# error below the unit roundoff (Al-Mohy & Higham, Table 3.1), and the coefficients b_j of
+# p_m(x) = sum b_j x^j, scaled to b_0 = 1: then a row [0 .. 0 1] of A (as in the affine
+# Bloch generator) stays exact in r_m(A)
+_PADE = {m: (theta, np.array([math.comb(m, j) / math.perm(2 * m, j) for j in range(m + 1)]))
+         for m, theta in ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+                          (7, 9.504178996162932e-1), (9, 2.097847961257068), (13, 4.25))}
+
+
+def _extra_squarings(a: np.ndarray, m: int) -> float:
+    """ell(a, m) of Al-Mohy & Higham, from the exact 1-norm of |a|^(2m+1), formed as
+    1^T |a| ... |a|: the squarings that keep the rounding of r_m(a) below the unit
+    roundoff.  NaN or inf where that norm overflows."""
+    power, absolute = np.ones(len(a)), np.abs(a)
+    for _ in range(2 * m + 1):
+        power = power @ absolute
+    # |c_2m+1| = (m!)^2 / ((2m)! (2m+1)!), the leading term of the backward error
+    c = 1.0 / (math.comb(2 * m, m) * math.factorial(2 * m + 1))
+    alpha = c * power.max() / absolute.sum(axis=0).max()
+    return np.maximum(np.ceil(np.log2(alpha * 2.0**53) / (2 * m)), 0.0) if power.any() else 0.0
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a real square matrix by scaling and squaring with a Pade approximant of
+    degree 3 to 13, picked with the scaling from exact 1-norms of the powers of a that it
+    forms (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009), Algorithm 5.1;
+    Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  NaN in every entry where such a
+    norm is NaN or infinite (a holds NaN or inf, or its powers overflow); no warning."""
+    n = len(a)
+    with np.errstate(all="ignore"):
+        even = np.empty((5, n, n))  # I, a^2, a^4, a^6, a^8
+        even[0] = np.eye(n)
+        np.matmul(a, a, out=even[1])
+        np.matmul(even[1], even[1], out=even[2])
+        np.matmul(even[2], even[1:3], out=even[3:])
+        d = [np.abs(x).sum(axis=0).max() ** (1 / p)
+             for p, x in ((4, even[2]), (6, even[3]), (8, even[4]), (10, even[2] @ even[3]))]
+        eta = np.maximum(d[:3], d[1:])  # max(d4, d6), max(d6, d8), max(d8, d10)
+        for m, bound in ((3, eta[0]), (5, eta[0]), (7, eta[1]), (9, eta[1])):
+            if bound <= _PADE[m][0] and _extra_squarings(a, m) == 0:
+                s = 0
+                break
+        else:
+            m, s = 13, np.maximum(np.ceil(np.log2(np.minimum(eta[1], eta[2]) / _PADE[13][0])), 0)
+            if np.isfinite(s):
+                s += _extra_squarings(np.ldexp(a, -int(s)), 13)
+            if not np.isfinite(s):
+                return np.full_like(a, np.nan)
+        s = int(s)
+        even[1:4] *= 2.0 ** (-s * np.arange(2, 8, 2))[:, None, None]  # the powers of 2^-s a
+        # r_m = p_m(-a)^-1 p_m(a), its even and odd terms summed from the stack; for m = 13
+        # a^6 is taken out of the terms above degree 6 (Higham (2005), eq. (2.9))
+        b, k = _PADE[m][1], 4 if m == 13 else (m + 1) // 2
+        terms = (b[: 2 * k].reshape(k, 2).T @ even[:k].reshape(k, -1)).reshape(2, n, n)
+        if m == 13:
+            terms += even[3] @ (b[8:].reshape(3, 2).T @ even[1:4].reshape(3, -1)).reshape(2, n, n)
+        u = np.ldexp(a, -s) @ terms[1]
+        x = np.linalg.solve(terms[0] - u, terms[0] + u)
+        for _ in range(s):
+            x = x @ x
+    return x
+
+
 def flux_report(treatment, occ, eff, rate, ndot_u, ndot_l, edot_u, edot_l, edot_opt) -> FluxReport:
     """The FluxReport of these steady-state flows, elementwise: the flux-ratio
     energies (nan where the rate lies in the dead band) and the first-law

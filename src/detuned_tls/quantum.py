@@ -41,9 +41,9 @@ the blocks give, and so does the residual.  Positivity is checked on the
 2x2 blocks that the coherences form with their two populations.  The
 generator is linear and time independent, so ``trajectory`` applies one
 real propagator exp(L seg) per segment of evenly spaced rows: formed once
-by scaling and squaring while the sector is small enough for a dense
-matrix, one ``expm_multiply`` per segment above that size (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  Neither solves L y = 0, so
+by scaling and squaring (``model.expm``) while the sector is small enough
+for a dense matrix, one ``expm_multiply`` per segment above that size
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  Neither solves L y = 0, so
 the evolution is an independent oracle for the steady state.  The cached
 arrays are read-only, so threads may share them.
 
@@ -77,6 +77,7 @@ from .model import (
     SteadyStateError,
     SystemSpec,
     effective_energies_quantum,
+    expm,
     fail_samples,
     flux_report,
     plain,
@@ -94,9 +95,9 @@ _FOCK_TAIL_TOL = 1e-6
 _MAX_ENLARGEMENTS = 2  # cutoff raises of 4 before a FockCutoffError stands
 _BATCH_ENTRIES = 2**19  # block entries (8 bytes each) a batch may hold; larger audits take several
 # Sector entries up to which ``trajectory`` forms the dense real propagator: its
-# O(size^3) cost met that of one real expm_multiply per segment at 724-748 entries
-# (cutoff 120-124) on the quantum-evolve scenario, 41 rows over t = 30, one BLAS thread.
-_DENSE_SIZE = 724
+# O(size^3) cost met that of one real expm_multiply per segment at 700-712 entries
+# (cutoff 116-118) on the quantum-evolve scenario, 41 rows over t = 30, one BLAS thread.
+_DENSE_SIZE = 700
 
 logger = logging.getLogger(__name__)
 
@@ -154,6 +155,26 @@ class OperatorSet:
     hamiltonian: np.ndarray
 
 
+class _SectorMatrix:
+    """``Liouvillian.matrix``.  Given as None, the real CSR sum_k c_k B_k of a sector
+    generator is formed from its ``pattern`` and ``coefficients`` on first read."""
+
+    def __get__(self, liouv, owner=None):
+        if liouv is None:
+            raise AttributeError("matrix")  # no class default: the field stays required
+        if liouv.__dict__["matrix"] is None:
+            import scipy.sparse as sp
+
+            at, values = _entries(liouv.pattern, liouv.coefficients)
+            matrix = sp.csr_matrix((values, at), shape=(liouv.pattern.size,) * 2)
+            matrix.eliminate_zeros()
+            liouv.__dict__["matrix"] = matrix
+        return liouv.__dict__["matrix"]
+
+    def __set__(self, liouv, matrix) -> None:
+        liouv.__dict__["matrix"] = matrix
+
+
 @dataclass(frozen=True)
 class Liouvillian:
     """Sparse generator of the master equation, with its basis layout.
@@ -162,11 +183,13 @@ class Liouvillian:
     then real and acts on the real coordinates [p; u; v] of
     ``QuantumState.vector``, and the ``pattern`` and ``coefficients`` it was
     assembled from are what the solve, the flows and ``trajectory`` read.
+    That CSR ``matrix`` is formed on first read only, so no solve or
+    trajectory forms it (``dataclasses.replace`` reads it, and so forms it).
     The full-space reference of ``build_liouvillian`` acts on row-major
     vec(rho) and has neither pattern nor coefficients.
     """
 
-    matrix: sp.csr_matrix
+    matrix: sp.csr_matrix | None = _SectorMatrix()
     layout: HilbertLayout
     pattern: SectorPattern | None = None
     coefficients: np.ndarray | None = None
@@ -487,22 +510,15 @@ def build_sector_liouvillian(layout: HilbertLayout, spec: SystemSpec) -> Liouvil
     """Generator of the master equation on the ΔQ = 0 sector.
 
     The cached ``sector_pattern`` of the cutoff holds the real blocks; this
-    takes the nine coefficients of the scenario, and ``matrix`` is the real
-    CSR generator sum_k c_k B_k on the coordinates [p; u; v].  With the
-    change of basis T of ``QuantumState.rho``, T matrix T^-1 equals the
-    ΔQ = 0 slice of ``build_liouvillian`` to rounding, for either fermion
-    ordering.
+    takes the nine coefficients of the scenario.  ``matrix``, the real CSR
+    generator sum_k c_k B_k on the coordinates [p; u; v], is formed when it
+    is first read.  With the change of basis T of ``QuantumState.rho``,
+    T matrix T^-1 equals the ΔQ = 0 slice of ``build_liouvillian`` to
+    rounding, for either fermion ordering.
     """
-    import scipy.sparse as sp
-
     if spec.cavity is None:
         raise ValueError("quantum treatment requires a cavity")
-    coefficients = _coefficients(spec)
-    pattern = sector_pattern(layout.fock_cutoff)
-    at, values = _entries(pattern, coefficients)
-    matrix = sp.csr_matrix((values, at), shape=(pattern.size,) * 2)
-    matrix.eliminate_zeros()
-    return Liouvillian(matrix, layout, pattern, coefficients)
+    return Liouvillian(None, layout, sector_pattern(layout.fock_cutoff), _coefficients(spec))
 
 
 def thermal_state(layout: HilbertLayout, f_u: float, f_l: float, n_b: float) -> QuantumState:
@@ -703,10 +719,10 @@ def _fock_tails(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
 
 def _sector_generator(liouvillian: Liouvillian, reader: str) -> tuple[SectorPattern, np.ndarray]:
     """The pattern and coefficients of a sector generator; ValueError without them."""
-    size = liouvillian.layout.sector_size
-    if liouvillian.matrix.shape != (size, size):
-        raise ValueError(f"generator of shape {liouvillian.matrix.shape} is not a sector generator")
     if liouvillian.pattern is None:
+        shape, size = liouvillian.matrix.shape, liouvillian.layout.sector_size
+        if shape != (size, size):
+            raise ValueError(f"generator of shape {shape} is not a sector generator")
         raise ValueError(f"{reader} needs the sector generator with its channels")
     return liouvillian.pattern, liouvillian.coefficients
 
@@ -914,10 +930,12 @@ def trajectory(
     Each later row is the one-segment propagator P = exp(L seg), seg =
     t_final / (n_store - 1), of the real generator L (``_entries``) applied
     to the row before it.  Up to ``_DENSE_SIZE`` sector entries P is formed
-    once by scaling and squaring (``scipy.linalg.expm``; Al-Mohy & Higham,
-    SIAM J. Matrix Anal. Appl. 31, 970 (2009)); above it each segment is one
-    ``expm_multiply`` call.  Every propagated row must have unit trace to
-    1e-9, else EvolutionError; it is renormalized before the next step, and
+    once, in NumPy, by scaling and squaring with a Pade approximant whose
+    degree and scaling the exact 1-norms of the powers of L seg pick
+    (``model.expm``; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+    (2009)); above it each segment is one SciPy ``expm_multiply`` call, and
+    only that path forms a CSR matrix.  Every propagated row must have unit
+    trace to 1e-9, else EvolutionError; it is renormalized before the next step, and
     validated.  The first failing row raises its error; so does a propagator
     of L seg that overflows.  A full-space generator, a sector one without
     its pattern, and a ``t_final`` that is negative or not finite, raise
@@ -939,11 +957,9 @@ def trajectory(
         at, values = _entries(pattern, coefficients)
         values = values * seg
         if size <= _DENSE_SIZE:
-            import scipy.linalg
-
             generator = np.zeros((size, size))
             np.add.at(generator, at, values)
-            step = scipy.linalg.expm(generator).__matmul__
+            step = expm(generator).__matmul__
         else:
             import scipy.sparse as sp
             from scipy.sparse.linalg import expm_multiply

@@ -25,9 +25,9 @@ from detuned_tls import (
     fluxes_classical,
     steady_state_closed_form,
 )
-from detuned_tls import quantum
+from detuned_tls import classical, quantum
 from detuned_tls.classical import check_physical, trajectory
-from detuned_tls.model import SteadyStateError, effective_energies_classical
+from detuned_tls.model import SteadyStateError, effective_energies_classical, expm
 
 
 def make_spec(gamma_u=0.3, gamma_l=0.2, omega=1.1, epsilon=0.1 + 0.0j, f_u=0.8, f_l=0.2):
@@ -204,14 +204,37 @@ def test_trajectory_error_names_the_failing_row():
 
 @pytest.mark.parametrize("t_final", (math.nan, math.inf, -math.inf))
 def test_trajectory_refuses_a_non_finite_time(monkeypatch, t_final):
-    import scipy.linalg
-
     def no_propagator(*args, **kwargs):
         raise AssertionError("propagator formed")
 
-    monkeypatch.setattr(scipy.linalg, "expm", no_propagator)
+    monkeypatch.setattr(classical, "expm", no_propagator)
     with pytest.raises(ValueError, match="t_final must be finite"):
         trajectory(BlochState(0.0, 0.0, 0.0j), make_spec(), t_final, 3)
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0), ids=("forward", "backward"))
+def test_the_propagator_matches_scipy_expm(sign):
+    import scipy.linalg
+
+    generator = classical._affine_generator(make_spec(epsilon=0.3 - 0.2j))
+    norm = np.abs(generator).sum(axis=0).max()
+    for seg in sign * np.geomspace(1e-3, 1e3 / norm, 16):
+        reference = scipy.linalg.expm(generator * seg)
+        error = np.abs(expm(generator * seg) - reference).max()
+        assert error <= 1e-12 * np.abs(reference).max(), (seg * norm, error)
+
+
+def test_a_very_long_trajectory_ends_in_the_steady_state():
+    # The last row of the affine generator is zero, so each squaring of the
+    # propagator must keep its last row [0 0 0 0 1] exactly: 1 - 1e-16 squared
+    # 100 times is 0.
+    spec = make_spec(epsilon=0.2 + 0.1j)
+    ss = steady_state_closed_form(spec).bloch
+    for t_final in (1e10, 1e30):
+        propagator = expm(classical._affine_generator(spec) * t_final)
+        assert np.array_equal(propagator[-1], [0.0, 0.0, 0.0, 0.0, 1.0])
+        final = trajectory(BlochState(0.0, 0.0, 0.0j), spec, t_final, 2)[-1]
+        assert np.max(np.abs(final - _bloch_vector(ss))) < 1e-12
 
 
 def test_trajectory_needs_two_rows():

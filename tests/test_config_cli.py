@@ -815,11 +815,12 @@ print(json.dumps(report))
 """
 
 
-def test_only_the_quantum_commands_load_scipy(tmp_path):
+def test_only_quantum_evolve_above_the_dense_size_loads_scipy(tmp_path):
     # Importing SciPy's sparse and linear-algebra stacks costs more than the
-    # rest of a steady-state command: the package import, the classical
-    # commands and the quantum steady state load none of it, and the quantum
-    # trajectory of a dense-sized sector no scipy.sparse.linalg.
+    # rest of a steady-state command: the package import, the steady-state
+    # commands and both trajectories with a dense propagator load none of it;
+    # one expm_multiply per segment (above 700 sector entries) needs
+    # scipy.sparse.linalg.
     paths = {}
     for name, text in (("classical", CLASSICAL_CFG), ("laser", LASER_CFG),
                        ("quantum", QUANTUM_CFG)):
@@ -831,6 +832,8 @@ def test_only_the_quantum_commands_load_scipy(tmp_path):
         ("classical-ss", ["classical-ss", *classical, *out]),
         ("classical audit", ["audit", *classical, "--treatment", "classical", "--random", "20",
                              "--range", "drive.omega=0.6:1.8", *out]),
+        ("classical-evolve", ["classical-evolve", *classical, "--t-final", "2", "--n-store", "3",
+                              *out]),
         ("find-violation", ["find-violation", "--seed", "3", *out]),
         ("bloch-gain", GAIN_ARGV + out),
         ("laser", ["laser", "--config", str(paths["laser"]), "--sweep", "cavity.g=0.3:0.4:3",
@@ -840,6 +843,8 @@ def test_only_the_quantum_commands_load_scipy(tmp_path):
                            "--range", "cavity.g=0.03:0.05", *out]),
         ("quantum-evolve", ["quantum-evolve", *quantum, "--fock-cutoff", "12", "--t-final", "2",
                             "--n-store", "3", *out]),
+        ("quantum-evolve 121", ["quantum-evolve", *quantum, "--fock-cutoff", "121",
+                                "--t-final", "2", "--n-store", "3", *out]),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
@@ -847,6 +852,6 @@ def test_only_the_quantum_commands_load_scipy(tmp_path):
     report = json.loads(probe.stdout)
     for name in ["import"] + [name for name, _ in commands[:-1]]:
         assert report[name] == [0, []], name
-    code, modules = report["quantum-evolve"]
+    code, modules = report["quantum-evolve 121"]
     assert code == 0
-    assert "scipy.linalg" in modules and "scipy.sparse.linalg" not in modules
+    assert "scipy.sparse.linalg" in modules

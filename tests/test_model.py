@@ -37,7 +37,7 @@ from detuned_tls import (
     with_parameter,
     with_parameters,
 )
-from detuned_tls.model import spec_columns
+from detuned_tls.model import expm, spec_columns
 from detuned_tls.quantum import build_liouvillian
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -395,3 +395,34 @@ def test_spec_columns_check_each_section_on_its_final_values():
             else:
                 assert error is None
         assert [e is None for e in columns.errors] == [True, False, True, False]
+
+
+@pytest.mark.parametrize("n", (1, 5, 76))
+def test_expm_of_zero_is_the_identity(n):
+    assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
+
+
+def test_expm_picks_each_pade_degree_and_the_scaling():
+    # A 2x2 rotation generator: exp is a rotation, ||A||_1 = theta picks
+    # degree 3 at 1e-3 and degree 13 with squarings at 100.
+    for theta in (1e-3, 0.1, 0.5, 1.5, 3.0, 100.0):
+        exact = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+        assert np.max(np.abs(expm(np.array([[0.0, -theta], [theta, 0.0]])) - exact)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "entries",
+    ([[math.nan, 0.0], [0.0, -1.0]], [[-1.0, math.inf], [0.0, -1.0]], [[1e300] * 2] * 2),
+    ids=("nan", "inf", "overflowing-powers"),
+)
+def test_expm_is_nan_where_a_norm_that_picks_the_scaling_is_not_finite(entries):
+    # runs with warnings as errors: no RuntimeWarning, and no OverflowError from int()
+    assert np.isnan(expm(np.array(entries))).all()
+
+
+@pytest.mark.parametrize("b", (1e2, 1e8))
+def test_expm_takes_the_squarings_its_rounding_needs(b):
+    # a @ a = 0, so every d_p is 0 and asks for no scaling, but |a| is not
+    # nilpotent: only the ell term of the scaling keeps r_13 well conditioned.
+    a = b * np.array([[1.0, 1.0], [-1.0, -1.0]])
+    assert np.max(np.abs(expm(a) - (np.eye(2) + a))) <= 1e-14 * (1.0 + b)

@@ -43,7 +43,7 @@ from detuned_tls import (
     with_parameters,
 )
 from detuned_tls import quantum
-from detuned_tls.model import Occupations, spec_columns
+from detuned_tls.model import Occupations, expm, spec_columns
 from detuned_tls.quantum import (
     Liouvillian,
     build_liouvillian,
@@ -823,6 +823,82 @@ def _per_segment_trajectory(state0, liouv, t_final, n_store):
     return np.array(rows)
 
 
+def _dense_generator(liouv):
+    """The sector generator as the dense real matrix that ``trajectory`` exponentiates."""
+    at, values = quantum._entries(liouv.pattern, liouv.coefficients)
+    generator = np.zeros((liouv.pattern.size,) * 2)
+    np.add.at(generator, at, values)
+    return generator
+
+
+def _evolve_workload_spec(g, cutoff, bath):
+    """The scenario of the quantum-evolve benchmark workload, with a fixed n_b."""
+    spec = make_spec(g=g, cutoff=cutoff, gamma_u=0.47, gamma_l=0.47, gamma_b=0.47,
+                     omega_cav=1.05, f_u=0.95, f_l=0.02)
+    return spec if bath else replace(spec, bath=None)
+
+
+@pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
+@pytest.mark.parametrize("g", (0.2, 5.0))
+@pytest.mark.parametrize("cutoff", (1, 12, 40, 120))
+def test_the_dense_propagator_matches_scipy_expm(cutoff, g, bath):
+    # seg from 1e-3 up to ||L seg||_1 = 1e3: Pade degrees 3 to 13, and up to 8 squarings
+    liouv = build_sector_liouvillian(HilbertLayout(cutoff), _evolve_workload_spec(g, cutoff, bath))
+    generator = _dense_generator(liouv)
+    norm = np.abs(generator).sum(axis=0).max()
+    for seg in np.geomspace(1e-3, 1e3 / norm, 3 if cutoff == 120 else 12):
+        reference = scipy.linalg.expm(generator * seg)
+        error = np.abs(expm(generator * seg) - reference).max()
+        assert error <= 1e-12 * np.abs(reference).max(), (seg * norm, error)
+
+
+def _extended_precision_expm(a):
+    """exp(a) in 80-bit long double: a Taylor series of a / 2^k, ||a / 2^k||_1 <= 1/4,
+    to the term of degree 22, then k squarings."""
+    k = max(int(np.ceil(np.log2(np.abs(a).sum(axis=0).max() / 0.25))), 0)
+    scaled = a.astype(np.longdouble) / np.longdouble(2) ** k
+    eye = np.eye(len(a), dtype=np.longdouble)
+    x = eye
+    for j in range(22, 0, -1):
+        x = eye + scaled @ x / j
+    for _ in range(k):
+        x = x @ x
+    return x
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
+@pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
+@pytest.mark.parametrize("cutoff", (1, 12))
+def test_the_dense_propagator_matches_an_extended_precision_series(cutoff, bath):
+    # At g = 5 without a bath, scipy.linalg.expm itself is 2e-13 (cutoff 12) and
+    # 2e-12 (cutoff 120) of its largest entry away from this reference at
+    # ||L seg||_1 = 1e3, so it cannot check these cases to 1e-12.
+    spec = make_spec(g=5.0, cutoff=cutoff)
+    generator = _dense_generator(
+        build_sector_liouvillian(HilbertLayout(cutoff), spec if bath else replace(spec, bath=None)))
+    norm = np.abs(generator).sum(axis=0).max()
+    for seg in np.geomspace(1e-3, 1e3 / norm, 6):
+        reference = _extended_precision_expm(generator * seg)
+        error = float(np.abs(expm(generator * seg) - reference).max())
+        assert error <= 1e-13 * float(np.abs(reference).max()), (seg * norm, error)
+
+
+def test_the_sector_csr_is_formed_on_first_read_only():
+    layout = HilbertLayout(12)
+    spec = make_spec(cutoff=12)
+    liouv = build_sector_liouvillian(layout, spec)
+    quantum.trajectory(thermal_state(layout, 0.0, 0.0, 0.0), liouv, 1.0, 3)
+    fluxes_quantum(steady_state(liouv), liouv, spec)
+    assert vars(liouv)["matrix"] is None
+    matrix = liouv.matrix
+    assert matrix is liouv.matrix and vars(liouv)["matrix"] is matrix
+    dense = _dense_generator(liouv)
+    assert np.abs(matrix.toarray() - dense).max() <= 1e-15 * np.abs(dense).max()
+    assert matrix.nnz == np.count_nonzero(matrix.toarray())
+    given = replace(liouv, matrix=matrix * 2.0)
+    assert np.array_equal(given.matrix.toarray(), 2.0 * matrix.toarray())
+
+
 # The dense propagator serves cutoff 6 and one expm_multiply per segment cutoff 121.
 SIDES_OF_THE_DENSE_SIZE = (6, 121)
 
@@ -856,7 +932,7 @@ def test_trajectory_refuses_a_non_finite_or_negative_time(monkeypatch, t_final):
     def no_propagator(*args, **kwargs):
         raise AssertionError("propagator formed")
 
-    monkeypatch.setattr(scipy.linalg, "expm", no_propagator)
+    monkeypatch.setattr(quantum, "expm", no_propagator)
     monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", no_propagator)
     layout = HilbertLayout(3)
     liouv = build_sector_liouvillian(layout, make_spec(cutoff=3))
