@@ -74,7 +74,6 @@ from .quantum import (
     evolve_quantum,
     fluxes_quantum,
     quantum_steady_state,
-    sector_observables,
     sign_condition,
     steady_state,
     thermal_state,

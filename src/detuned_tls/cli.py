@@ -275,7 +275,7 @@ def _cmd_quantum_evolve(args: argparse.Namespace) -> int:
     layout = HilbertLayout(spec.cavity.fock_cutoff)
     liouv = build_sector_liouvillian(layout, spec)
     states = trajectory(thermal_state(layout, 0.0, 0.0, 0.0), liouv, args.t_final, args.n_store)
-    obs = stacked_observables(states, layout.fock_cutoff, spec)
+    obs = stacked_observables(states, liouv.pattern, spec)
     columns = (obs.sigma_uu, obs.sigma_ll, obs.n_ph, obs.rate)
     _write_evolution(args, ["sigma_uu", "sigma_ll", "n_ph", "rate"], times, columns)
     return 0
@@ -442,9 +442,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
     except RuntimeError as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return 3

@@ -68,10 +68,6 @@ _DIGITS = ".17g"
 
 def format_number(value) -> str:
     """Canonical text for config values and CSV cells."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, complex):
         if value.imag == 0.0:
             return format(value.real, _DIGITS)

@@ -114,8 +114,8 @@ class FockCutoffError(SteadyStateError):
 class HilbertLayout:
     """Index bookkeeping for the fermion x photon product basis.
 
-    Basis states are |n_l, n_u, n_ph> with flat index
-    (2 n_l + n_u) (N + 1) + n_ph where N is the Fock cutoff.
+    Basis states are |n_l, n_u, n_ph> with flat index (2 n_l + n_u) (N + 1)
+    + n_ph where N is the Fock cutoff; its ΔQ = 0 sector is ``sector_pattern(N)``.
     """
 
     fock_cutoff: int
@@ -131,15 +131,6 @@ class HilbertLayout:
     @property
     def dim(self) -> int:
         return 4 * (self.fock_cutoff + 1)
-
-    @property
-    def sector_size(self) -> int:
-        """Real entries of the ΔQ = 0 sector: 4(N+1) populations, N real and N imaginary parts."""
-        return 6 * self.fock_cutoff + 4
-
-    def sector_indices(self) -> np.ndarray:
-        """Positions in row-major vec(rho) of the sector entries, in sector order."""
-        return sector_pattern(self.fock_cutoff).sector
 
 
 @dataclass(frozen=True)
@@ -157,7 +148,8 @@ class OperatorSet:
 
 class _SectorMatrix:
     """``Liouvillian.matrix``.  Given as None, the real CSR sum_k c_k B_k of a sector
-    generator is formed from its ``pattern`` and ``coefficients`` on first read."""
+    generator is formed from its ``pattern`` and ``coefficients`` on first read; such a
+    CSR, handed on by ``dataclasses.replace``, is dropped, and the new generator forms its own."""
 
     def __get__(self, liouv, owner=None):
         if liouv is None:
@@ -168,11 +160,12 @@ class _SectorMatrix:
             at, values = _entries(liouv.pattern, liouv.coefficients)
             matrix = sp.csr_matrix((values, at), shape=(liouv.pattern.size,) * 2)
             matrix.eliminate_zeros()
+            matrix.formed = True
             liouv.__dict__["matrix"] = matrix
         return liouv.__dict__["matrix"]
 
     def __set__(self, liouv, matrix) -> None:
-        liouv.__dict__["matrix"] = matrix
+        liouv.__dict__["matrix"] = None if getattr(matrix, "formed", False) else matrix
 
 
 @dataclass(frozen=True)
@@ -184,7 +177,7 @@ class Liouvillian:
     ``QuantumState.vector``, and the ``pattern`` and ``coefficients`` it was
     assembled from are what the solve, the flows and ``trajectory`` read.
     That CSR ``matrix`` is formed on first read only, so no solve or
-    trajectory forms it (``dataclasses.replace`` reads it, and so forms it).
+    trajectory forms it (``dataclasses.replace`` forms it; the new generator drops it).
     The full-space reference of ``build_liouvillian`` acts on row-major
     vec(rho) and has neither pattern nor coefficients.
     """
@@ -201,35 +194,39 @@ class QuantumState:
 
     ``vector`` is real: the populations p in flat-index order, then u and v,
     the real and imaginary parts of the coherences c_n = <1,0,n+1|rho|0,1,n>
-    for n < N.  Every such vector is a Hermitian rho; a complex one is
-    refused.  The dense ``rho``, the one place the complex form is built, is
-    formed on first access only.
+    for n < N, laid out by ``pattern``, the ``SectorPattern`` of the cutoff.
+    Every such vector is a Hermitian rho; a complex one is refused.  The dense
+    ``rho``, the one place the complex form is built, is formed on first access.
     """
 
     vector: np.ndarray
     layout: HilbertLayout
 
     def __post_init__(self) -> None:
-        if self.vector.shape != (self.layout.sector_size,):
+        if self.vector.shape != (self.pattern.size,):
             raise ValueError(f"state vector of shape {self.vector.shape} is not a sector vector")
         if np.iscomplexobj(self.vector):
             raise ValueError("a sector vector holds the real coordinates [p; u; v], not complex entries")
 
+    @property
+    def pattern(self) -> SectorPattern:
+        return sector_pattern(self.layout.fock_cutoff)
+
     @cached_property
     def rho(self) -> np.ndarray:
-        d, n = self.layout.dim, self.layout.fock_cutoff
-        p, u, v = np.split(self.vector, [d, d + n])
+        d, pattern = self.layout.dim, self.pattern
+        p, u, v = np.split(self.vector, pattern.split)
         flat = np.zeros(d * d, dtype=complex)
-        flat[self.layout.sector_indices()] = np.concatenate([p, u + 1j * v, u - 1j * v])
+        flat[pattern.sector] = np.concatenate([p, u + 1j * v, u - 1j * v])
         return flat.reshape(d, d)
 
     def lowest_eigenvalue(self) -> float:
         """Lowest eigenvalue of rho (see ``_lowest_eigenvalues``)."""
-        return float(_lowest_eigenvalues(self.vector, self.layout.fock_cutoff))
+        return float(_lowest_eigenvalues(self.vector, self.pattern))
 
     def validate(self) -> None:
         errors = [None]
-        _validate(self.vector, self.layout.fock_cutoff, errors, [0])
+        _validate(self.vector, self.pattern, errors, [0])
         raise_first(errors)
 
 
@@ -281,7 +278,7 @@ class QuantumSolution:
     @cached_property
     def fock_tail(self) -> float:
         """Population of the top two Fock levels; the truncation-error monitor."""
-        return float(_fock_tails(self.state.vector, self.layout.fock_cutoff))
+        return float(_fock_tails(self.state.vector, self.state.pattern))
 
     @cached_property
     def ops(self) -> OperatorSet:
@@ -379,7 +376,8 @@ def _dissipator_entries(
 
 @dataclass(frozen=True, eq=False)
 class SectorPattern:
-    """What the ΔQ = 0 sector owes to its Fock cutoff alone.
+    """What the ΔQ = 0 sector owes to its Fock cutoff alone: its ``size``, the
+    positions of its entries in vec(rho) and the offsets of u and v (``split``).
 
     The generator is sum_k coefficient_k B_k over fixed real matrices B_k
     on the coordinates y = [p; u; v] of a sector state: p are the
@@ -423,6 +421,10 @@ class SectorPattern:
     @property
     def size(self) -> int:
         return len(self.slot)
+
+    @property
+    def split(self) -> tuple[int, int]:  # where u and v start in y = [p; u; v]
+        return len(self.n_ph), len(self.n_ph) + self.fock_cutoff
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -533,7 +535,7 @@ def thermal_state(layout: HilbertLayout, f_u: float, f_l: float, n_b: float) -> 
         weights = (n_b / (1.0 + n_b)) ** n
     else:
         weights = np.where(n == 0, 1.0, 0.0)
-    vector = np.zeros(layout.sector_size)
+    vector = np.zeros(sector_pattern(layout.fock_cutoff).size)
     vector[: layout.dim] = np.kron(
         np.kron([1.0 - f_l, f_l], [1.0 - f_u, f_u]), weights / weights.sum()
     )
@@ -547,11 +549,6 @@ def thermal_product_state(
     return thermal_state(layout, f_u, f_l, n_b).rho
 
 
-def sector_observables(state: QuantumState, spec: SystemSpec) -> QuantumObservables:
-    """``observables`` of a sector state, from its populations and coherences."""
-    return stacked_observables(state.vector, state.layout.fock_cutoff, spec)
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` over the last axis of ``a``, as an explicit sum: BLAS may round a
     row differently with other rows beside it, so one state would read apart from
@@ -560,21 +557,18 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def stacked_observables(
-    vectors: np.ndarray, fock_cutoff: int, spec: SystemSpec
+    vectors: np.ndarray, pattern: SectorPattern, spec: SystemSpec
 ) -> QuantumObservables:
-    """``sector_observables`` of each sector vector along the last axis (the rows of a
-    ``trajectory``, or a batch of steady states), elementwise in ``spec``."""
-    pattern = sector_pattern(fock_cutoff)
-    d, n = 4 * (fock_cutoff + 1), fock_cutoff
+    """``observables`` of each sector vector of ``pattern`` along the last axis (a state,
+    the rows of a ``trajectory``, or a batch of steady states), elementwise in ``spec``."""
+    (d, e), photons = pattern.split, pattern.photons
     # rows: (n_l, n_u) = (0, 0), (0, 1), (1, 0), (1, 1)
-    p = vectors[..., :d].reshape(*vectors.shape[:-1], 4, fock_cutoff + 1)
-    photons = pattern.photons
+    p = vectors[..., :d].reshape(*vectors.shape[:-1], 4, len(photons))
     sigma_uu = p[..., 1, :].sum(axis=-1) + p[..., 3, :].sum(axis=-1)
     sigma_ll = p[..., 2, :].sum(axis=-1) + p[..., 3, :].sum(axis=-1)
     n_ph = _dot(p.sum(axis=-2), photons)
     # Y = conj(g) Tr{c_l^+ c_u a^+ rho} = conj(g) sum_n sqrt(n+1) c_n*, c_n* = u_n - i v_n
-    conjugates = vectors[..., d : d + n] - 1j * vectors[..., d + n :]
-    y = np.conj(spec.cavity.g) * _dot(conjugates, pattern.root)
+    y = np.conj(spec.cavity.g) * _dot(vectors[..., d:e] - 1j * vectors[..., e:], pattern.root)
     f_exact = p[..., 1, :].sum(axis=-1) + _dot(p[..., 1, :] - p[..., 2, :], photons)
     f_hf = sigma_uu * (1.0 - sigma_ll) + (sigma_uu - sigma_ll) * n_ph
     return QuantumObservables(*map(plain, (sigma_uu, sigma_ll, n_ph, y, f_exact, f_hf, 2.0 * y.imag)))
@@ -710,71 +704,71 @@ def observables(rho: np.ndarray, ops: OperatorSet, spec: SystemSpec) -> QuantumO
 # -- solving and evolving -------------------------------------------------------
 
 
-def _fock_tails(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
+def _fock_tails(vectors: np.ndarray, pattern: SectorPattern) -> np.ndarray:
     """Population of the top two Fock levels of each sector vector along the last axis."""
-    m = fock_cutoff + 1
-    populations = vectors[..., : 4 * m].reshape(*vectors.shape[:-1], 4, m)
+    d, m = pattern.split[0], len(pattern.photons)
+    populations = vectors[..., :d].reshape(*vectors.shape[:-1], 4, m)
     return populations.sum(axis=-2)[..., -2:].sum(axis=-1)
 
 
 def _sector_generator(liouvillian: Liouvillian, reader: str) -> tuple[SectorPattern, np.ndarray]:
     """The pattern and coefficients of a sector generator; ValueError without them."""
     if liouvillian.pattern is None:
-        shape, size = liouvillian.matrix.shape, liouvillian.layout.sector_size
+        shape = liouvillian.matrix.shape
+        size = sector_pattern(liouvillian.layout.fock_cutoff).size
         if shape != (size, size):
             raise ValueError(f"generator of shape {shape} is not a sector generator")
         raise ValueError(f"{reader} needs the sector generator with its channels")
     return liouvillian.pattern, liouvillian.coefficients
 
 
-def _moduli(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
+def _moduli(vectors: np.ndarray, pattern: SectorPattern) -> np.ndarray:
     """|c_n| = |u_n + i v_n| of each sector vector along the last axis."""
-    d, n = 4 * (fock_cutoff + 1), fock_cutoff
-    return np.abs(vectors[..., d : d + n] + 1j * vectors[..., d + n :])
+    d, e = pattern.split
+    return np.abs(vectors[..., d:e] + 1j * vectors[..., e:])
 
 
-def _largest_entries(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
+def _largest_entries(vectors: np.ndarray, pattern: SectorPattern) -> np.ndarray:
     """The largest modulus of the entries p, c and c* of each sector vector along the last axis."""
-    populations = np.abs(vectors[..., : 4 * (fock_cutoff + 1)]).max(axis=-1)
-    return np.maximum(populations, _moduli(vectors, fock_cutoff).max(axis=-1))
+    populations = np.abs(vectors[..., : pattern.split[0]]).max(axis=-1)
+    return np.maximum(populations, _moduli(vectors, pattern).max(axis=-1))
 
 
-def _lowest_eigenvalues(vectors: np.ndarray, fock_cutoff: int) -> np.ndarray:
+def _lowest_eigenvalues(vectors: np.ndarray, pattern: SectorPattern) -> np.ndarray:
     """Lowest eigenvalue of rho for each sector vector along the last axis.
 
     rho is block diagonal: a 2x2 block [[p(1,0,n+1), c_n], [c_n*, p(0,1,n)]]
     for each n < N and a 1x1 block for every other population.
     """
-    pattern = sector_pattern(fock_cutoff)
-    pops = vectors[..., : 4 * (fock_cutoff + 1)].T  # entries first: one index for all
+    pops = vectors[..., : pattern.split[0]].T  # entries first: one index for all
     upper, lower = pops[pattern.upper], pops[pattern.lower]
     mean, half_gap = 0.5 * (upper + lower), 0.5 * (upper - lower)
-    pairs = mean - np.hypot(half_gap, _moduli(vectors, fock_cutoff).T)
+    pairs = mean - np.hypot(half_gap, _moduli(vectors, pattern).T)
     return np.minimum(pops[pattern.single].min(axis=0), pairs.min(axis=0))
 
 
-def _validate(vectors: np.ndarray, fock_cutoff: int, errors: list, index) -> None:
+def _validate(vectors: np.ndarray, pattern: SectorPattern, errors: list, index) -> None:
     """``QuantumState.validate`` of each sector vector along the last axis."""
-    trace = vectors[..., : 4 * (fock_cutoff + 1)].sum(axis=-1)
+    trace = vectors[..., : pattern.split[0]].sum(axis=-1)
     fail_samples(errors, index, ~(abs(trace - 1.0) <= 1e-12),
                  lambda t: ValueError(f"state trace {t} differs from 1"), trace)
-    lowest = _lowest_eigenvalues(vectors, fock_cutoff)
+    lowest = _lowest_eigenvalues(vectors, pattern)
     fail_samples(errors, index, ~(lowest >= -1e-10),
                  lambda e: ValueError(f"state has negative eigenvalue {e:.3e}"), lowest)
 
 
-def _check(vectors: np.ndarray, residuals: np.ndarray, fock_cutoff: int, errors: list, index):
+def _check(vectors: np.ndarray, residuals: np.ndarray, pattern: SectorPattern, errors: list, index):
     """The residual L y, the Fock tail and ``validate``, in this order, per sample.
     The residual is the largest entry of L y as a complex sector vector
     (``_largest_entries``), so that |c_n| bounds each coherence pair."""
-    residual = _largest_entries(residuals, fock_cutoff)
+    residual = _largest_entries(residuals, pattern)
     fail_samples(errors, index, ~(residual <= _RESIDUAL_TOL), lambda r: SteadyStateError(
         f"steady-state residual {r:.3e} above tolerance"), residual)
-    tail = _fock_tails(vectors, fock_cutoff)
+    tail = _fock_tails(vectors, pattern)
     message = "top Fock levels hold population {:.3e}; increase the cutoff"
     fail_samples(errors, index, tail > _FOCK_TAIL_TOL,
                  lambda t: FockCutoffError(message.format(t), t), tail)
-    _validate(vectors, fock_cutoff, errors, index)
+    _validate(vectors, pattern, errors, index)
 
 
 def _solve(matrices: np.ndarray, rhs: np.ndarray, errors: list, index) -> np.ndarray:
@@ -793,7 +787,7 @@ def _solve(matrices: np.ndarray, rhs: np.ndarray, errors: list, index) -> np.nda
         return np.linalg.solve(matrices, rhs)
 
 
-def _null_vectors(blocks: np.ndarray, fock_cutoff: int, errors: list, index) -> np.ndarray:
+def _null_vectors(blocks: np.ndarray, pattern: SectorPattern, errors: list, index) -> np.ndarray:
     """The null vector of each generator of a stack, in the real coordinates, of unit trace.
 
     ``blocks`` (3, K, S, 6, 6), K = N + 2, holds the sub-diagonal, diagonal
@@ -808,8 +802,7 @@ def _null_vectors(blocks: np.ndarray, fock_cutoff: int, errors: list, index) -> 
     """
     # C-contiguous (S, ...) stacks, here and below, keep each sample's
     # arithmetic (the order of every sum) independent of the number S
-    pattern = sector_pattern(fock_cutoff)
-    count, top, d = blocks.shape[2], fock_cutoff + 1, 4 * (fock_cutoff + 1)
+    count, top, d = blocks.shape[2], pattern.fock_cutoff + 1, pattern.split[0]
     lower, diagonal, upper = blocks
     empty, place = np.divmod(np.flatnonzero(pattern.position[6:-6] < 0), 6)
     diagonal[empty, :, place, place] = 1.0
@@ -862,9 +855,9 @@ def _solve_batch(pattern: SectorPattern, coefficients: np.ndarray,
                  errors: list, index) -> tuple[np.ndarray, np.ndarray]:
     """The steady states of an (S, 9) table of ``coefficients`` and their ``_actions``,
     whose sum is the residual that ``_check`` reads; failed samples keep their error."""
-    vectors = _null_vectors(_assemble(pattern, coefficients), pattern.fock_cutoff, errors, index)
+    vectors = _null_vectors(_assemble(pattern, coefficients), pattern, errors, index)
     actions = _actions(pattern, coefficients, vectors)
-    _check(vectors, actions.sum(axis=-2), pattern.fock_cutoff, errors, index)
+    _check(vectors, actions.sum(axis=-2), pattern, errors, index)
     return vectors, actions
 
 
@@ -876,36 +869,35 @@ def _steady_states(spec: SystemSpec, errors: list):
     later batch at its cutoff + 4, at most twice, and each enlargement is
     logged at INFO level with the old and new cutoff and the tail that
     triggered it.  Yields the solved samples of each batch:
-    (index, layout, vectors, actions).  The others keep their first error
-    in ``errors``.
+    (index, pattern, vectors, actions), with the ``SectorPattern`` of the
+    cutoff they were solved at.  The others keep their first error in
+    ``errors``.  A sample's enlargements are read off its cutoff.
     """
     if spec.cavity is None:
         raise ValueError("quantum treatment requires a cavity")
     n = len(errors)
     coefficients = np.broadcast_to(_coefficients(spec), (n, 9))
     cutoffs = np.broadcast_to(spec.cavity.fock_cutoff, n).astype(int)
-    attempts = np.zeros(n, dtype=int)
+    last = cutoffs + 4 * _MAX_ENLARGEMENTS
     pending = np.array([i for i, error in enumerate(errors) if error is None], dtype=int)
     while pending.size:
         cutoff = int(cutoffs[pending].min())
         chosen = np.flatnonzero(cutoffs[pending] == cutoff)
         chosen = chosen[: max(1, _BATCH_ENTRIES // (108 * (cutoff + 2)))]
         batch, pending = pending[chosen], np.delete(pending, chosen)
-        vectors, actions = _solve_batch(sector_pattern(cutoff), coefficients[batch], errors, batch)
-        retry = np.array([
-            isinstance(errors[i], FockCutoffError) and attempts[i] < _MAX_ENLARGEMENTS
-            for i in batch
-        ])
+        pattern = sector_pattern(cutoff)
+        vectors, actions = _solve_batch(pattern, coefficients[batch], errors, batch)
+        retry = np.array([isinstance(errors[i], FockCutoffError) and cutoff < last[i]
+                          for i in batch])
         for i in batch[retry]:
             logger.info("Fock cutoff %d -> %d: top two levels hold %.3e",
                         cutoff, cutoff + 4, errors[i].tail)
             errors[i] = None
         cutoffs[batch[retry]] += 4
-        attempts[batch[retry]] += 1
         pending = np.sort(np.concatenate([pending, batch[retry]]))
         solved = np.array([errors[i] is None for i in batch]) & ~retry
         if solved.any():
-            yield batch[solved], HilbertLayout(cutoff), vectors[solved], actions[solved]
+            yield batch[solved], pattern, vectors[solved], actions[solved]
 
 
 def quantum_steady_state(spec: SystemSpec) -> QuantumSolution:
@@ -916,8 +908,8 @@ def quantum_steady_state(spec: SystemSpec) -> QuantumSolution:
     FockCutoffError, at most twice, logging each enlargement at INFO level.
     """
     errors = [None]
-    for _, layout, vectors, _ in _steady_states(spec, errors):
-        return QuantumSolution(QuantumState(vectors[0], layout), spec)
+    for _, pattern, vectors, _ in _steady_states(spec, errors):
+        return QuantumSolution(QuantumState(vectors[0], HilbertLayout(pattern.fock_cutoff)), spec)
     raise errors[0]
 
 
@@ -946,7 +938,7 @@ def trajectory(
     if n_store < 2:
         raise ValueError("n_store must be at least 2 (the initial and the final state)")
     pattern, coefficients = _sector_generator(liouvillian, "trajectory")
-    cutoff, d, size = pattern.fock_cutoff, liouvillian.layout.dim, pattern.size
+    d, size = pattern.split[0], pattern.size
     seg = t_final / (n_store - 1)
     rows = np.empty((n_store, size))
     propagated = np.empty_like(rows[1:])  # row i - 1 holds P applied to row i - 1
@@ -979,7 +971,7 @@ def trajectory(
         fail_samples(errors, index, ~(trace_drift <= 1e-9),
                      lambda *v: EvolutionError(message.format(*v)),
                      seg * np.arange(1, n_store), trace_drift)
-        _validate(rows[1:], cutoff, errors, index)
+        _validate(rows[1:], pattern, errors, index)
     raise_first(errors)
     return rows
 
@@ -996,10 +988,9 @@ def evolve_quantum(
 # -- flows ------------------------------------------------------------------------
 
 
-def _trace_weights(fock_cutoff: int, spec: SystemSpec) -> np.ndarray:
+def _trace_weights(pattern: SectorPattern, spec: SystemSpec) -> np.ndarray:
     """Vectors h with Tr(H X) = h @ y, y the real coordinates of X, elementwise in ``spec``."""
-    pattern = sector_pattern(fock_cutoff)
-    d, n = 4 * (fock_cutoff + 1), fock_cutoff
+    d, e = pattern.split
     levels, cavity = spec.levels, spec.cavity
     energies = (
         np.multiply.outer(levels.e_upper, pattern.n_u)
@@ -1008,12 +999,13 @@ def _trace_weights(fock_cutoff: int, spec: SystemSpec) -> np.ndarray:
     )
     # Tr(H X) picks <B|H|A> X_AB + <A|H|B> X_BA = t c + t* c* = 2 Re t u - 2 Im t v
     t = np.multiply.outer(cavity.g, pattern.root)
-    h = np.empty(np.broadcast_shapes(energies.shape[:-1], t.shape[:-1]) + (d + 2 * n,))
-    h[..., :d], h[..., d : d + n], h[..., d + n :] = energies, 2.0 * t.real, -2.0 * t.imag
+    h = np.empty(np.broadcast_shapes(energies.shape[:-1], t.shape[:-1]) + (pattern.size,))
+    h[..., :d], h[..., d:e], h[..., e:] = energies, 2.0 * t.real, -2.0 * t.imag
     return h
 
 
-def _flows(vectors, actions, fock_cutoff: int, spec: SystemSpec, errors: list, index) -> tuple:
+def _flows(vectors, actions, pattern: SectorPattern, spec: SystemSpec, errors: list, index
+           ) -> tuple:
     """Rate and per-reservoir flows (rate, ndot_u, ndot_l, edot_u, edot_l, edot_b)
     of sector vectors along the last axis, from each coefficient's term of L y.
 
@@ -1022,13 +1014,13 @@ def _flows(vectors, actions, fock_cutoff: int, spec: SystemSpec, errors: list, i
     generator.
     """
     occ = spec.quantum_occupations
-    energy = (actions * _trace_weights(fock_cutoff, spec)[..., None, :]).sum(axis=-1)
-    charge = (actions * sector_pattern(fock_cutoff).charge).sum(axis=-1)
+    energy = (actions * _trace_weights(pattern, spec)[..., None, :]).sum(axis=-1)
+    charge = (actions * pattern.charge).sum(axis=-1)
     edot = {name: energy[..., _CHANNELS[name]].sum(axis=-1) for name in ("u", "l", "b")}
     ndot_u = charge[..., _CHANNELS["u"]].sum(axis=-1)
     ndot_l = charge[..., _CHANNELS["l"]].sum(axis=-1)
 
-    obs = stacked_observables(vectors, fock_cutoff, spec)
+    obs = stacked_observables(vectors, pattern, spec)
     two_re_y = 2.0 * np.real(obs.y)
     gamma_b = spec.bath.gamma if spec.bath is not None else 0.0
     n_b = occ.n_b if occ.n_b is not None else 0.0
@@ -1075,13 +1067,12 @@ def fluxes_quantum(state: QuantumState, liouvillian: Liouvillian, spec: SystemSp
     raises SteadyStateError.
     """
     pattern, coefficients = _sector_generator(liouvillian, "fluxes_quantum")
-    cutoff = pattern.fock_cutoff
     actions = _actions(pattern, coefficients[None], state.vector[None])[0]
-    residual = _largest_entries(actions.sum(axis=0), cutoff)
+    residual = _largest_entries(actions.sum(axis=0), pattern)
     if residual > _RESIDUAL_TOL:
         raise SteadyStateError(f"state is not stationary (residual {residual:.3e})")
     errors = [None]
-    flows = _flows(state.vector, actions, cutoff, spec, errors, [0])
+    flows = _flows(state.vector, actions, pattern, spec, errors, [0])
     raise_first(errors)
     return _flux_report(spec, *flows)
 
@@ -1099,9 +1090,8 @@ def steady_state_fluxes(spec: SystemSpec) -> FluxReport:
     columns = isinstance(spec, SpecColumns)
     errors = spec.errors if columns else [None]
     flows = np.full((6, len(errors)), np.nan)
-    for index, layout, vectors, actions in _steady_states(spec, errors):
-        part = spec.take(index)
-        flows[:, index] = _flows(vectors, actions, layout.fock_cutoff, part, errors, index)
+    for index, pattern, vectors, actions in _steady_states(spec, errors):
+        flows[:, index] = _flows(vectors, actions, pattern, spec.take(index), errors, index)
     if not columns:
         raise_first(errors)
         flows = flows[:, 0]

@@ -48,18 +48,17 @@ VIOLATION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Per-reservoir entropy production rates and the first-law residual.
+    """Per-reservoir entropy production rates and their total.
 
     ``s_dot_b`` is zero in the classical treatment, where the optical field
-    carries no entropy.
+    carries no entropy.  The first-law residual is ``FluxReport.first_law_residual``
+    and the regime ``RegimeReport.regime``.
     """
 
     s_dot_u: float
     s_dot_l: float
     s_dot_b: float
     total: float
-    law1_residual: float
-    regime: str
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ def entropy_report(flux: FluxReport, spec: SystemSpec) -> EntropyReport:
     else:
         s_b = 0.0
     total = s_u + s_l + s_b
-    return EntropyReport(s_u, s_l, s_b, total, flux.first_law_residual, _regime(flux.rate))
+    return EntropyReport(s_u, s_l, s_b, total)
 
 
 def classify_regime(flux: FluxReport, spec: SystemSpec) -> RegimeReport:

@@ -18,9 +18,10 @@ from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from detuned_tls import cli, thermo
+from detuned_tls import cli, quantum, thermo
 from detuned_tls.config import build_system_spec, parse_config
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -156,3 +157,41 @@ def test_tracer_counts_the_error_rows_of_a_sweep():
     tracer._count_sweep_errors(fake, (), {}, results)
     assert fake.counts == Counter({"thermo.sweep.errors.other": 3})
     assert [r.error is not None for r in results] == [True, True, True, False, False]
+
+
+def test_the_tracer_hooks_run_on_real_arguments():
+    # _count_unknowns and _count_matvecs bind the generator of steady_state and
+    # evolve_quantum by name; _count_matvecs hands on replace(liouv, matrix=...) with
+    # its counting CSR.  _count_nnz reads build_liouvillian(...).matrix.nnz and
+    # _count_search the index of a find-violation result or the sample budget.
+    tracer = _load("tracer")
+    bound = (quantum.steady_state, quantum.evolve_quantum, thermo.find_violation_with_bare_energies)
+    fake = SimpleNamespace(counts=Counter(), signatures={
+        f"{f.__module__.rpartition('.')[2]}.{f.__name__}": inspect.signature(f) for f in bound
+    })
+    spec = build_system_spec(parse_config(_PUMPED_EMITTER + (
+        "cavity.omega_cav = 1.05\ncavity.g = 0.2\ncavity.fock_cutoff = 4\n"
+        "reservoir_u.gamma = 0.5\nreservoir_l.gamma = 0.5\n"
+        "bath.gamma = 0.5\nbath.temperature = 0.3\nbath.occupation = effective\n"
+    )))
+    layout = quantum.HilbertLayout(4)
+    liouv = quantum.build_sector_liouvillian(layout, spec)
+    assert tracer._count_unknowns(fake, (liouv,), {}) == ((liouv,), {})
+    state0 = quantum.thermal_state(layout, 0.0, 0.0, 0.0)
+    args, kwargs = tracer._count_matvecs(fake, (state0,), {"liouvillian": liouv, "t_final": 1.0})
+    counting = args[1].matrix
+    assert isinstance(counting, tracer._CountingCSR) and counting.tracer is fake
+    assert (counting != liouv.matrix).nnz == 0
+    evolved = quantum.evolve_quantum(*args, **kwargs)
+    assert np.array_equal(evolved.vector, quantum.evolve_quantum(state0, liouv, 1.0).vector)
+    ops = quantum.build_operators(layout, spec)
+    full = quantum.build_liouvillian(ops, spec)
+    tracer._count_nnz(fake, (ops, spec), {}, full)
+    result = thermo.find_violation_with_bare_energies(seed=1)
+    tracer._count_search(fake, (), {"seed": 1}, result)
+    tracer._count_search(fake, (), {"max_samples": 3}, None)
+    assert fake.counts == Counter({
+        "quantum.unknowns": 6 * 4 + 4,
+        "quantum.liouvillian_nnz": full.matrix.nnz,
+        "thermo.search.samples_tried": result.index + 1 + 3,
+    })

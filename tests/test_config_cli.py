@@ -16,6 +16,7 @@ from detuned_tls import (
     parse_config,
 )
 from detuned_tls import cli, config, thermo
+from detuned_tls import gain as gain_mod
 from detuned_tls.cli import FLUX_COLUMNS, main
 from detuned_tls.config import config_from_system_spec, format_number, resolve_parameter_key
 from detuned_tls.model import SCENARIO_KEYS
@@ -261,6 +262,95 @@ def test_bloch_gain_rejects_an_unknown_occupation_parameter(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "bogus" in captured.err
+
+
+GAIN_GRID = ["--e-k0", "0.3", "--gamma-u", "0.05", "--gamma-l", "0.05", "--grid=-1:1:5"]
+FERMI = gain_mod.FermiOccupation(temperature=0.1, mu=0.2)
+LINEAR = gain_mod.LinearOccupation(f0=0.8, slope=-0.5)
+
+
+@pytest.mark.parametrize(
+    ("flags", "f_upper", "f_lower"),
+    [
+        (["--equal-occupations", "linear:f0=0.8,slope=-0.5"], LINEAR, LINEAR),
+        (["--f-upper", "linear:f0=0.8,slope=-0.5", "--f-lower", "fermi:T=0.1,mu=0.2"],
+         LINEAR, FERMI),
+    ],
+    ids=("equal-linear", "separate"),
+)
+def test_bloch_gain_takes_linear_and_separate_occupations(capsys, flags, f_upper, f_lower):
+    assert main(["bloch-gain"] + flags + GAIN_GRID) == 0
+    grid = np.linspace(-1.0, 1.0, 5)
+    rates = gain_mod.gain_spectrum(0.3, grid, 0.05, 0.05, f_upper, f_lower).rates
+    expected = [f"{i},{format_number(float(d))},{format_number(float(r))}"
+                for i, (d, r) in enumerate(zip(grid, rates))]
+    assert capsys.readouterr().out.splitlines() == ["sample_id,delta,rate"] + expected
+
+
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (["--f-upper", "linear:f0=0.8,slope=-0.5"],
+         "provide --equal-occupations or both --f-upper and --f-lower"),
+        (["--equal-occupations", "step:E=1"],
+         "unknown occupation form 'step' (use fermi:... or linear:...)"),
+        (["--equal-occupations", "linear:f0=0.8"],
+         "occupation 'linear:f0=0.8' is missing parameter 'slope'"),
+        (["--equal-occupations", "fermi:T"], "bad occupation parameter 'T'"),
+        (["--equal-occupations", "fermi:T=warm,mu=0"], "could not convert string to float: 'warm'"),
+    ],
+    ids=("upper-only", "unknown-form", "missing-parameter", "no-value", "not-a-number"),
+)
+def test_bloch_gain_occupation_errors_exit_2(capsys, flags, message):
+    assert main(["bloch-gain"] + flags + GAIN_GRID) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    ("value", "cell"),
+    [("0.04+0.02j", "0.040000000000000001+0.02j"), ("-0.1-0.25j", "-0.10000000000000001-0.25j")],
+)
+def test_a_complex_coupling_prints_as_its_cell_and_reads_back(tmp_path, value, cell):
+    text = QUANTUM_CFG.replace("cavity.g = 0.04", f"cavity.g = {value}")
+    path, out = tmp_path / "complex.cfg", tmp_path / "q.csv"
+    path.write_text(text)
+    assert main(["quantum-ss", "--config", str(path), "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    assert rows[0]["cavity.g"] == cell
+    spec = build_system_spec(parse_config(text))
+    assert spec.cavity.g == complex(value)
+    assert config_from_system_spec(spec)["cavity.g"] == cell
+    cells = "".join(f"{k} = {rows[0][k]}\n" for k in header[1 : -len(FLUX_COLUMNS)])
+    assert build_system_spec(parse_config(cells)) == spec
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["classical-ss", "--config", "{missing}"],
+         "cannot read config {missing!r}: [Errno 2] No such file or directory: {missing!r}"),
+        (["classical-ss", "--config", "{cfg}", "--sweep", "drive.omega=0.9:1.1"],
+         "bad sweep spec 'drive.omega=0.9:1.1' (expected key=lo:hi:n)"),
+        (["audit", "--config", "{cfg}", "--random", "3", "--range", "drive.omega=0.9"],
+         "bad range spec 'drive.omega=0.9' (expected key=lo:hi)"),
+        (["audit", "--config", "{cfg}", "--random", "3"],
+         "--random requires at least one --range key=lo:hi"),
+    ],
+    ids=("unreadable-config", "malformed-sweep", "malformed-range", "random-without-range"),
+)
+def test_config_errors_exit_2_with_one_line(classical_cfg_file, tmp_path, capsys, argv, message):
+    paths = {"cfg": str(classical_cfg_file), "missing": str(tmp_path / "missing.cfg")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message.format(**paths)}\n")
+
+
+def test_a_bad_fixed_occupation_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(CLASSICAL_CFG.replace("reservoir_u.occupation = effective",
+                                          "reservoir_u.occupation = fixed:high"))
+    assert main(["classical-ss", "--config", str(path)]) == 2
+    message = "key 'reservoir_u.occupation': bad fixed occupation 'fixed:high'"
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
 def test_quantum_ss_row(quantum_cfg_file, tmp_path):
@@ -601,8 +691,7 @@ def test_a_value_every_row_shares_prints_as_in_one_row(classical_cfg_file, tmp_p
     _assert_rows_show(out, table)
 
 
-GAIN_ARGV = ["bloch-gain", "--equal-occupations", "fermi:T=0.1,mu=0.2",
-             "--e-k0", "0.3", "--gamma-u", "0.05", "--gamma-l", "0.05", "--grid=-1:1:5"]
+GAIN_ARGV = ["bloch-gain", "--equal-occupations", "fermi:T=0.1,mu=0.2"] + GAIN_GRID
 
 
 @pytest.mark.parametrize("command", ("classical-ss", "bloch-gain"))
@@ -722,7 +811,7 @@ def test_find_violation_row_reports_the_bare_spec_it_solved(classical_cfg_file, 
         "Eeff_l": flux.e_eff_l,
         "Eeff_ph": flux.e_eff_ph,
         "Sdot_total": entropy.total,
-        "law1_residual": entropy.law1_residual,
+        "law1_residual": flux.first_law_residual,
     }
     assert {k: row[k] for k in expected} == {k: format_number(v) for k, v in expected.items()}
     assert regime.sign_law_ok is None

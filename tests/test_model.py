@@ -426,3 +426,24 @@ def test_expm_takes_the_squarings_its_rounding_needs(b):
     # nilpotent: only the ell term of the scaling keeps r_13 well conditioned.
     a = b * np.array([[1.0, 1.0], [-1.0, -1.0]])
     assert np.max(np.abs(expm(a) - (np.eye(2) + a))) <= 1e-14 * (1.0 + b)
+
+
+def test_expm_scales_by_the_norm_of_a_to_the_tenth():
+    # A nilpotent 7x7: a^7 = 0, so d8 = d10 = 0 and min(max(d6, d8), max(d8, d10)) = 0
+    # asks for no scaling, while d6 = 100 alone would ask for 2^5.  The scaling is the
+    # exponent expm passes to np.ldexp, recorded without changing what it returns.
+    exponents = []
+
+    class Spy(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.ldexp:
+                exponents.append(int(inputs[1]))
+            inputs = [x.view(np.ndarray) if isinstance(x, Spy) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    a = np.diag(np.full(6, 100.0), k=1)
+    exact = sum(np.linalg.matrix_power(a, k) / math.factorial(k) for k in range(7))
+    result = expm(a.view(Spy))
+    assert exponents[-1] == 0
+    assert type(result) is np.ndarray and np.array_equal(result, expm(a))
+    assert np.max(np.abs(result - exact)) <= 1e-14 * np.max(np.abs(exact))

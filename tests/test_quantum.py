@@ -35,7 +35,6 @@ from detuned_tls import (
     evolve_quantum,
     fluxes_quantum,
     quantum_steady_state,
-    sector_observables,
     sign_condition,
     steady_state,
     thermal_state,
@@ -50,6 +49,7 @@ from detuned_tls.quantum import (
     build_operators,
     observables,
     sector_pattern,
+    stacked_observables,
     steady_state_fluxes,
     thermal_product_state,
 )
@@ -154,7 +154,7 @@ def test_jordan_wigner_ordering_swap_leaves_observables_invariant():
     spec = make_spec(g=0.08 + 0.04j)
     sol = quantum_steady_state(spec)
     layout = sol.layout
-    obs = sector_observables(sol.state, spec)
+    obs = stacked_observables(sol.state.vector, sol.state.pattern, spec)
     results = [(obs.sigma_uu, obs.sigma_ll, obs.n_ph, obs.rate, obs.f_exact)]
     for ordering in (("l", "u"), ("u", "l")):
         ops = build_operators(layout, spec, ordering=ordering)
@@ -434,7 +434,7 @@ def test_evolve_rejects_a_generator_with_nan_coefficients():
     with pytest.raises(EvolutionError, match="drift"):
         evolve_quantum(thermal_state(layout, 0.3, 0.4, 0.2), nan_liouv, 1.0)
     with pytest.raises(ValueError, match="trace"):
-        QuantumState(np.full(layout.sector_size, math.nan), layout).validate()
+        QuantumState(np.full(sector_pattern(4).size, math.nan), layout).validate()
 
 
 def test_fluxes_reject_non_stationary_state():
@@ -622,7 +622,7 @@ def test_full_liouvillian_has_no_elements_across_charge_blocks(cutoff, ordering,
     assert full.nnz > 0
     assert np.array_equal(delta_q(full.row), delta_q(full.col))
     in_sector = np.zeros(d * d, dtype=bool)
-    in_sector[layout.sector_indices()] = True
+    in_sector[ix.sector] = True
     assert np.array_equal(in_sector, np.all(delta_q(np.arange(d * d)) == 0, axis=0))
 
 
@@ -678,7 +678,7 @@ def test_sector_generator_equals_full_space_slice(cutoff, ordering, bath):
     assert np.array_equal(hop[upper, lower], np.sqrt(np.arange(1, cutoff + 1)))
 
     full = build_liouvillian(ops, spec).matrix
-    index = layout.sector_indices()
+    index = ix.sector
     reference = full[index][:, index].toarray()
     forward, inverse = _real_basis(cutoff)
     real_slice = inverse @ reference @ forward  # T^-1 slice T
@@ -726,7 +726,7 @@ def test_sector_generator_equals_full_space_slice_for_random_parameters(
         else BosonicBath(0.0 if bath == "gamma-zero" else gamma_b, OccupationSpec.fixed(n_b), 0.3),
     )
     layout = HilbertLayout(cutoff)
-    index = layout.sector_indices()
+    index = sector_pattern(cutoff).sector
     reference = build_liouvillian(build_operators(layout, spec), spec).matrix[index][:, index]
     reference = reference.toarray()
     forward, inverse = _real_basis(cutoff)
@@ -765,7 +765,7 @@ def test_sector_steady_state_matches_full_space(cutoff, ordering, bath):
     state = steady_state(sector)
     assert np.max(np.abs(state.rho - reference)) < 1e-12
 
-    obs = sector_observables(state, spec)
+    obs = stacked_observables(state.vector, sector.pattern, spec)
     expected = observables(reference, ops, spec)
     for name in ("sigma_uu", "sigma_ll", "n_ph", "y", "f_exact", "f_hf", "rate"):
         assert abs(getattr(obs, name) - getattr(expected, name)) < 1e-12, name
@@ -899,12 +899,28 @@ def test_the_sector_csr_is_formed_on_first_read_only():
     assert np.array_equal(given.matrix.toarray(), 2.0 * matrix.toarray())
 
 
+def test_a_formed_csr_is_never_carried_into_another_generator():
+    # dataclasses.replace reads the formed CSR of the old generator; the new one,
+    # with other coefficients or another pattern, forms its own.  A given matrix stays.
+    layout = HilbertLayout(4)
+    liouv = build_sector_liouvillian(layout, make_spec(cutoff=4))
+    formed = liouv.matrix
+    for other in (replace(liouv, coefficients=np.zeros(9)), _lossy(liouv)):
+        fresh = Liouvillian(None, layout, other.pattern, other.coefficients).matrix
+        assert other.matrix is not formed
+        assert np.array_equal(other.matrix.toarray(), fresh.toarray())
+    assert replace(liouv, coefficients=np.zeros(9)).matrix.nnz == 0
+    given = formed * 2.0
+    assert replace(liouv, coefficients=np.zeros(9), matrix=given).matrix is given
+    assert liouv.matrix is formed
+
+
 # The dense propagator serves cutoff 6 and one expm_multiply per segment cutoff 121.
 SIDES_OF_THE_DENSE_SIZE = (6, 121)
 
 
 def test_the_sides_straddle_the_dense_size():
-    small, large = (HilbertLayout(c).sector_size for c in SIDES_OF_THE_DENSE_SIZE)
+    small, large = (sector_pattern(c).size for c in SIDES_OF_THE_DENSE_SIZE)
     assert small <= quantum._DENSE_SIZE < large
 
 
@@ -919,8 +935,8 @@ def test_trajectory_matches_one_expm_multiply_per_segment(monkeypatch, cutoff, b
     monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
                         lambda *a: calls.append(a) or expm_multiply(*a))
     rows = quantum.trajectory(rho0, liouv, 6.0, 5)
-    assert len(calls) == (0 if layout.sector_size <= quantum._DENSE_SIZE else 4)
-    assert rows.shape == (5, layout.sector_size)
+    assert len(calls) == (0 if liouv.pattern.size <= quantum._DENSE_SIZE else 4)
+    assert rows.shape == (5, liouv.pattern.size)
     assert np.array_equal(rows[0], rho0.vector)
     assert np.max(np.abs(rows - _per_segment_trajectory(rho0, liouv, 6.0, 5))) < 1e-12
     last = evolve_quantum(rho0, liouv, 6.0)
@@ -938,6 +954,14 @@ def test_trajectory_refuses_a_non_finite_or_negative_time(monkeypatch, t_final):
     liouv = build_sector_liouvillian(layout, make_spec(cutoff=3))
     with pytest.raises(ValueError, match="t_final must be finite and non-negative"):
         quantum.trajectory(thermal_state(layout, 0.3, 0.4, 0.2), liouv, t_final, 3)
+
+
+@pytest.mark.parametrize("n_store", (1, 0))
+def test_trajectory_needs_two_stored_rows(n_store):
+    layout = HilbertLayout(3)
+    liouv = build_sector_liouvillian(layout, make_spec(cutoff=3))
+    with pytest.raises(ValueError, match="n_store must be at least 2"):
+        quantum.trajectory(thermal_state(layout, 0.3, 0.4, 0.2), liouv, 1.0, n_store)
 
 
 def test_trajectory_raises_the_error_of_its_first_failing_row():
@@ -972,12 +996,12 @@ def test_the_real_basis_round_trip_leaves_hermitian_vectors_unchanged(cutoff):
     layout = HilbertLayout(cutoff)
     forward, inverse = _real_basis(cutoff)
     rng = np.random.default_rng(cutoff)
-    size = layout.sector_size
+    size = sector_pattern(cutoff).size
     vectors = rng.normal(size=(50, size)) * 10.0 ** rng.uniform(-300, 300, size=(50, size))
     for y in (*vectors, thermal_state(layout, 0.3, 0.4, 0.2).vector):
         rho = QuantumState(y, layout).rho
         assert np.array_equal(rho, rho.conj().T)
-        x = rho.ravel()[layout.sector_indices()]
+        x = rho.ravel()[sector_pattern(cutoff).sector]
         assert np.count_nonzero(rho) == np.count_nonzero(x)
         assert np.max(np.abs(x - forward @ y)) <= 1e-15 * np.max(np.abs(x))
         assert np.max(np.abs(y - inverse @ x)) <= 1e-15 * np.max(np.abs(x))
@@ -1029,7 +1053,7 @@ def test_steady_state_rejects_a_full_space_generator():
         steady_state(full)
     # The solve reads the pattern and the coefficients: the sector slice has
     # the sector generator's entries but neither.
-    index = layout.sector_indices()
+    index = sector_pattern(5).sector
     with pytest.raises(ValueError, match="needs the sector generator"):
         steady_state(Liouvillian(full.matrix[index][:, index].tocsr(), layout))
 
@@ -1047,13 +1071,14 @@ def test_the_residual_bound_is_the_largest_complex_entry():
     # so a coherence pair counts with its modulus |u + i v|.
     layout = HilbertLayout(5)
     rng = np.random.default_rng(7)
-    vectors = rng.normal(size=(20, layout.sector_size)) * 10.0 ** rng.integers(-12, 1, size=(20, 1))
+    pattern = sector_pattern(5)
+    vectors = rng.normal(size=(20, pattern.size)) * 10.0 ** rng.integers(-12, 1, size=(20, 1))
     vectors[:10, : layout.dim] *= 1e-3  # the largest entry a coherence in half of them
     expected = [np.max(np.abs(QuantumState(y, layout).rho)) for y in vectors]
-    assert np.array_equal(quantum._largest_entries(vectors, 5), expected)
-    pair = np.zeros(layout.sector_size)
+    assert np.array_equal(quantum._largest_entries(vectors, pattern), expected)
+    pair = np.zeros(pattern.size)
     pair[layout.dim], pair[layout.dim + 5] = 3.0, 4.0  # u_0 and v_0
-    assert quantum._largest_entries(pair, 5) == 5.0
+    assert quantum._largest_entries(pair, pattern) == 5.0
 
 
 def test_sector_positivity_check_matches_dense_eigenvalues():
@@ -1109,8 +1134,8 @@ def test_batched_solve_equals_one_sample_solves():
     table = np.random.default_rng(12).uniform([0.05, 0.02], [0.3, 0.15], size=(100, 2))
     spec = spec_columns(base, keys, table)
     solved = {}
-    for index, layout, vectors, _ in quantum._steady_states(spec, spec.errors):
-        solved.update((i, (layout.fock_cutoff, v)) for i, v in zip(index, vectors))
+    for index, pattern, vectors, _ in quantum._steady_states(spec, spec.errors):
+        solved.update((i, (pattern.fock_cutoff, v)) for i, v in zip(index, vectors))
     assert len(solved) > 90 and len({c for c, _ in solved.values()}) > 1
     for i, row in enumerate(table):
         point = with_parameters(base, dict(zip(keys, row)))
@@ -1125,15 +1150,15 @@ def test_batched_solve_equals_one_sample_solves():
 
 
 def test_one_sample_library_reads_equal_the_batched_reads():
-    # The library reads of one scenario (steady_state, sector_observables,
+    # The library reads of one scenario (steady_state, stacked_observables,
     # fluxes_quantum) run the arithmetic of the batched solve behind the audit
     # rows, so they agree with it bit for bit, over the benchmark's ranges.
     base, keys = _audit_scenario(), ["cavity.g", "bath.gamma"]
     table = np.random.default_rng(19).uniform([0.05, 0.02], [0.3, 0.15], size=(120, 2))
     spec = spec_columns(base, keys, table)
     batched = {}
-    for index, layout, vectors, _ in quantum._steady_states(spec, spec.errors):
-        obs = quantum.stacked_observables(vectors, layout.fock_cutoff, spec.take(index))
+    for index, pattern, vectors, _ in quantum._steady_states(spec, spec.errors):
+        obs = stacked_observables(vectors, pattern, spec.take(index))
         for j, i in enumerate(index):
             batched[i] = tuple(np.asarray(field)[j] for field in dataclasses.astuple(obs))
     assert len(batched) > 100
@@ -1148,7 +1173,8 @@ def test_one_sample_library_reads_equal_the_batched_reads():
         point = with_parameters(base, dict(zip(keys, table[i])))
         sol = quantum_steady_state(point)
         assert np.array_equal(steady_state(sol.liouvillian).vector, sol.state.vector)
-        assert dataclasses.astuple(sector_observables(sol.state, point)) == obs
+        one = stacked_observables(sol.state.vector, sol.state.pattern, point)
+        assert dataclasses.astuple(one) == obs
         library = outcome(fluxes_quantum, sol.state, sol.liouvillian, point)
         assert library == outcome(steady_state_fluxes, point)
 
@@ -1272,7 +1298,7 @@ def test_cached_arrays_are_read_only():
     layout = HilbertLayout(10)
     liouv = build_sector_liouvillian(layout, _oracle_spec(True))
     pattern = liouv.pattern
-    shared = [layout.sector_indices()]
+    shared = [sector_pattern(10).sector]
     for field in dataclasses.fields(pattern):  # every array of the pattern, blocks included
         value = getattr(pattern, field.name)
         if field.name != "fock_cutoff":
@@ -1302,7 +1328,7 @@ def test_sector_pattern_is_built_once_per_key():
     # observables, validation and a trajectory at a new cutoff build its pattern once
     layout, spec = HilbertLayout(4), make_spec(cutoff=4)
     state = thermal_state(layout, 0.3, 0.4, 0.2)
-    sector_observables(state, spec)
+    stacked_observables(state.vector, state.pattern, spec)
     state.validate()
     quantum.trajectory(state, build_sector_liouvillian(layout, spec), 1.0, 3)
     assert sector_pattern.cache_info().currsize == 3
