@@ -46,10 +46,12 @@ from .model import (
     ClassicalDrive,
     EffectiveEnergies,
     EnergyLevels,
+    EvolutionError,
     FermionicReservoir,
     FluxReport,
     Occupations,
     OccupationSpec,
+    SteadyStateError,
     SystemSpec,
     bose,
     detuning,
@@ -59,25 +61,6 @@ from .model import (
     resolve_occupations,
     with_parameter,
     with_parameters,
-)
-from .quantum import (
-    EvolutionError,
-    FockCutoffError,
-    HilbertLayout,
-    Liouvillian,
-    QuantumObservables,
-    QuantumSolution,
-    QuantumState,
-    SignCondition,
-    SteadyStateError,
-    build_sector_liouvillian,
-    evolve_quantum,
-    fluxes_quantum,
-    quantum_steady_state,
-    sign_condition,
-    steady_state,
-    thermal_state,
-    trajectory,
 )
 from .thermo import (
     EntropyReport,
@@ -94,3 +77,31 @@ from .thermo import (
 )
 
 __version__ = "0.1.0"
+
+# The quantum treatment's names load ``quantum`` on first use, so that the
+# classical commands never pay for importing it (PEP 562).
+_QUANTUM = (
+    "FockCutoffError",
+    "HilbertLayout",
+    "Liouvillian",
+    "QuantumObservables",
+    "QuantumSolution",
+    "QuantumState",
+    "SignCondition",
+    "build_sector_liouvillian",
+    "evolve_quantum",
+    "fluxes_quantum",
+    "quantum_steady_state",
+    "sign_condition",
+    "steady_state",
+    "thermal_state",
+    "trajectory",
+)
+
+
+def __getattr__(name: str):
+    if name in _QUANTUM:
+        from . import quantum
+
+        return getattr(quantum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

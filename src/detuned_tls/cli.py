@@ -24,7 +24,7 @@ from .config import (
     ConfigError,
     build_system_spec,
     config_from_system_spec,
-    format_column,
+    format_cells,
     parse_config,
     resolve_parameter_key,
 )
@@ -36,14 +36,6 @@ from .model import (
     with_parameter,
     with_parameters,
 )
-from .quantum import (
-    HilbertLayout,
-    build_sector_liouvillian,
-    stacked_observables,
-    thermal_state,
-    trajectory,
-)
-
 FLUX_COLUMNS = (
     "R_ss",
     "Ndot_u",
@@ -60,15 +52,57 @@ FLUX_COLUMNS = (
 )
 
 
-def _write_rows(out: str | None, header: list[str], rows: Iterable[Sequence[str]]) -> None:
-    text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+# Rows per block of the table writer: a block of a classical audit's rows takes
+# about 1 MB.
+_BLOCK_ROWS = 2048
+
+
+def _table_bytes(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterable[bytes]:
+    """A CSV table as UTF-8 bytes: the header line, then one line per cell of ``columns[0]``.
+
+    Each column is a NumPy bytes array (dtype ``S``) holding one cell per row,
+    or one 0-d cell that every row shares; NUL pads a cell to its column's
+    width and is no cell's text.  The cells of a block of rows are laid side
+    by side in one buffer with the commas and newlines in place, and the
+    padding of the block is stripped at once: no Python object is made per cell.
+    """
+    n = len(columns[0])
+    cells = [np.ascontiguousarray(c).view(np.uint8).reshape(-1, c.itemsize) for c in columns]
+    ends = np.cumsum([c.shape[1] + 1 for c in cells])  # one past each cell's separator
+    rows = np.empty((min(n, _BLOCK_ROWS), ends[-1]), np.uint8)
+    rows[:, ends - 1] = ord(",")
+    rows[:, -1] = ord("\n")
+    yield (",".join(header) + "\n").encode()
+    for start in range(0, n, _BLOCK_ROWS):
+        block = rows[: n - start]
+        for c, end in zip(cells, ends):
+            part = c if len(c) == 1 else c[start : start + len(block)]  # shared, or one a row
+            block[:, end - 1 - c.shape[1] : end - 1] = part
+        yield block.tobytes().translate(None, b"\0")
+
+
+def _write_table(out: str | None, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write ``_table_bytes`` to the --out file, or else to standard output."""
+    blocks = _table_bytes(header, columns)
     if out is None:
-        sys.stdout.write(text)
+        for block in blocks:
+            sys.stdout.write(block.decode("utf-8"))
         return
     try:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "wb") as file:
+            file.writelines(blocks)
     except OSError as exc:
         raise ConfigError(f"cannot write output {out!r}: {exc}") from exc
+
+
+def _text(cells: Iterable[str]) -> np.ndarray:
+    """A column of text cells, encoded as UTF-8."""
+    return np.array([cell.encode("utf-8") for cell in cells], "S")
+
+
+def _ids(n: int) -> np.ndarray:
+    """The sample_id column: 0 to n - 1."""
+    return np.arange(n).astype(f"S{len(str(n))}")
 
 
 def _load_spec(args: argparse.Namespace) -> SystemSpec:
@@ -159,18 +193,19 @@ def _ranges(args: argparse.Namespace) -> dict[str, tuple]:
 
 def _param_columns(
     base: SystemSpec, ranges: dict[str, tuple], table: np.ndarray
-) -> tuple[list[str], list[list[str]]]:
+) -> tuple[list[str], list[np.ndarray]]:
     """Parameter columns: the sampled columns of ``table`` overlaid on the base scenario's cells.
 
     The overlay is textual, so rows whose parameters do not form a valid
     spec still serialize.  A sampled cell shows the value as the solve used
-    it, cast to its key's type.
+    it, cast to its key's type; the base scenario's cell is every row's.
     """
     base_cfg = config_from_system_spec(base)
     keys = [k for k in SCENARIO_KEYS if k in base_cfg or k in ranges]
-    sampled, n = dict(zip(ranges, table.T)), len(table)
+    sampled = dict(zip(ranges, table.T))
     cells = [
-        format_column(sampled[k], SCENARIO_KEYS[k]) if k in sampled else [base_cfg.get(k, "")] * n
+        format_cells(sampled[k], SCENARIO_KEYS[k]) if k in sampled
+        else _text([base_cfg.get(k, "")]).reshape(())
         for k in keys
     ]
     return keys, cells
@@ -179,16 +214,23 @@ def _param_columns(
 _FLAGS = ("violation", "cooling", "sign_law_violated", "carnot_violated")
 
 
-@functools.cache  # three regimes times 16 flag sets at most
 def _flags_text(regime: str, marks: int) -> str:
     """The flags cell: the regime, then each flag whose bit is set in ``marks``."""
     return ";".join([f"regime={regime}"] + [f for bit, f in enumerate(_FLAGS) if marks >> bit & 1])
 
 
-def _flux_columns(table: thermo.SweepColumns) -> list[list[str]]:
-    """The FLUX_COLUMNS cells, one column at a time; a failed sample reads nan and its error."""
+# The flags cell of regime r and flag bits m is entry 16 r + m.
+_FLAGS_CELLS = [_flags_text(r, m) for r in thermo.REGIMES for m in range(1 << len(_FLAGS))]
+
+
+def _flux_columns(table: thermo.SweepColumns) -> list[np.ndarray]:
+    """The FLUX_COLUMNS cells; a failed sample reads nan and its error."""
     n = len(table)
-    columns = [["nan"] * n for _ in FLUX_COLUMNS]
+    failed = []
+    if table.errors.count(None) < n:
+        failed = [i for i, error in enumerate(table.errors) if error is not None]
+    nan = np.array(b"nan")
+    columns, flags = [nan] * (len(FLUX_COLUMNS) - 1), np.zeros(n, np.intp)
     if table.flux is not None:
         flux, regime = table.flux, table.regime
         names = ("rate", "ndot_u", "ndot_l", "edot_u", "edot_l", "edot_opt",
@@ -197,26 +239,32 @@ def _flux_columns(table: thermo.SweepColumns) -> list[list[str]]:
         numbers += [table.entropy_total, flux.first_law_residual]
         # A value every row shares (a 0-d field) is formatted once.
         columns = [
-            format_column(np.broadcast_to(v, n)) if np.ndim(v) else format_column([v]) * n
+            format_cells(np.broadcast_to(v, n)) if np.ndim(v) else format_cells([v]).reshape(())
             for v in numbers
         ]
+        if failed:
+            ok = np.ones(n, bool)
+            ok[failed] = False
+            columns = [np.where(ok, column, nan) for column in columns]
         # The checks are None where they do not apply; only False is a violation.
-        flagged = (table.entropy_total < -thermo.VIOLATION_TOL, regime.cooling,
-                   regime.sign_law_ok == False, regime.carnot_ok == False)  # noqa: E712
-        marks = sum(np.broadcast_to(f, n).astype(int) << bit for bit, f in enumerate(flagged))
-        labels = np.broadcast_to(regime.regime, n).tolist()
-        columns.append(list(map(_flags_text, labels, marks.tolist())))
-    for i, error in enumerate(table.errors):
-        if error is not None:
-            for column in columns:
-                column[i] = "nan"
-            columns[-1][i] = "error=" + thermo.describe(error).replace(",", ";")
-    return columns
+        checks = (table.entropy_total < -thermo.VIOLATION_TOL, regime.cooling,
+                  regime.sign_law_ok == False, regime.carnot_ok == False)  # noqa: E712
+        labels = np.broadcast_to(regime.regime, n)
+        for i, label in enumerate(thermo.REGIMES):
+            flags += (labels == label) * (i << len(_FLAGS))
+        for bit, check in enumerate(checks):
+            flags += np.broadcast_to(check, n).astype(np.intp) << bit
+    errors = ["error=" + thermo.describe(table.errors[i]).replace(",", ";") for i in failed]
+    flags[failed] = len(_FLAGS_CELLS) + np.arange(len(failed))
+    # Only the cells in use are encoded, so the column is as wide as its longest.
+    used = np.bincount(flags, minlength=len(_FLAGS_CELLS) + len(failed)) > 0
+    cells = _text(itertools.compress(_FLAGS_CELLS + errors, used))
+    return columns + [cells.take(np.cumsum(used).take(flags) - 1)]
 
 
 def _write_audit(args: argparse.Namespace, ids, keys, param_cells, table) -> None:
     columns = [ids] + param_cells + _flux_columns(table)
-    _write_rows(args.out, ["sample_id"] + keys + list(FLUX_COLUMNS), zip(*columns))
+    _write_table(args.out, ["sample_id"] + keys + list(FLUX_COLUMNS), columns)
 
 
 def _cmd_audit(args: argparse.Namespace, solve: str | None = None) -> int:
@@ -236,7 +284,7 @@ def _cmd_audit(args: argparse.Namespace, solve: str | None = None) -> int:
     if solve:
         raise_first(table.errors)
     keys, param_cells = _param_columns(base, ranges, table.values)
-    _write_audit(args, list(map(str, range(len(table)))), keys, param_cells, table)
+    _write_audit(args, _ids(len(table)), keys, param_cells, table)
     return 0
 
 
@@ -255,7 +303,7 @@ def _evolve_times(args: argparse.Namespace) -> list[float]:
 
 
 def _write_evolution(args: argparse.Namespace, header: list[str], times, columns) -> None:
-    _write_rows(args.out, ["t"] + header, zip(*map(format_column, [times, *columns])))
+    _write_table(args.out, ["t"] + header, list(map(format_cells, [times, *columns])))
 
 
 def _cmd_classical_evolve(args: argparse.Namespace) -> int:
@@ -269,6 +317,14 @@ def _cmd_classical_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_quantum_evolve(args: argparse.Namespace) -> int:
+    from .quantum import (
+        HilbertLayout,
+        build_sector_liouvillian,
+        stacked_observables,
+        thermal_state,
+        trajectory,
+    )
+
     spec = _load_spec(args)
     _require_sections(spec, "quantum")
     times = _evolve_times(args)
@@ -288,11 +344,11 @@ def _cmd_laser(args: argparse.Namespace) -> int:
     keys, table = thermo.sample_table(ranges)
     names, param_cells = _param_columns(base, ranges, table)
     sols = [solve_lasing(with_parameters(base, dict(zip(keys, map(float, row))))) for row in table]
-    columns = [format_column([getattr(s, f) for s in sols]) for f in ("omega", "intensity")]
-    columns.insert(1, format_column([abs(s.a_ss) for s in sols]))
-    columns.append(["1" if s.above_threshold else "0" for s in sols])
+    columns = [format_cells([getattr(s, f) for s in sols]) for f in ("omega", "intensity")]
+    columns.insert(1, format_cells([abs(s.a_ss) for s in sols]))
+    columns.append(np.array([b"1" if s.above_threshold else b"0" for s in sols]))
     header = ["sample_id"] + names + ["omega", "a_ss", "intensity", "above_threshold"]
-    _write_rows(args.out, header, zip(map(str, range(len(table))), *param_cells, *columns))
+    _write_table(args.out, header, [_ids(len(table)), *param_cells, *columns])
     return 0
 
 
@@ -329,9 +385,8 @@ def _cmd_bloch_gain(args: argparse.Namespace) -> int:
         f_low = _parse_occupation_arg(args.f_lower)
     grid = np.linspace(*_parse_points(args.grid, f"grid spec {args.grid!r}", "lo:hi:n"))
     spectrum = gain_mod.gain_spectrum(args.e_k0, grid, args.gamma_u, args.gamma_l, f_up, f_low)
-    columns = map(format_column, (spectrum.detunings, spectrum.rates))
-    ids = map(str, range(len(grid)))
-    _write_rows(args.out, ["sample_id", "delta", "rate"], zip(ids, *columns))
+    columns = [_ids(len(grid)), *map(format_cells, (spectrum.detunings, spectrum.rates))]
+    _write_table(args.out, ["sample_id", "delta", "rate"], columns)
     return 0
 
 
@@ -349,7 +404,8 @@ def _cmd_find_violation(args: argparse.Namespace) -> int:
     table = thermo.SweepColumns(
         (), np.empty((1, 0)), [None], result.flux, result.entropy_total, result.regime
     )
-    _write_audit(args, [str(result.index)], list(cfg), [[v] for v in cfg.values()], table)
+    cells = [_text([v]) for v in cfg.values()]
+    _write_audit(args, _text([str(result.index)]), list(cfg), cells, table)
     return 0
 
 

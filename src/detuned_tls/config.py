@@ -77,23 +77,21 @@ def format_number(value) -> str:
     return str(value)
 
 
-# Columns of at least this many cells take the array kernel of ``format_column``.
+# Columns of at least this many cells take the array kernel of ``format_cells``.
 # Its fixed cost of about 120 us and the per-cell loop's 0.8-1 us a cell met at
 # 224-320 cells (2-core Intel Xeon host, median of interleaved runs).
 _KERNEL_SIZE = 256
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for doubles
 _E16, _E17 = 10**16, 10**17
 _POWERS = range(-270, 301)  # the exponents e of 10**e the kernel scales by
-_WIDTH = 25  # the longest cell, "-1.2345678901234567e-100", and its newline
+_WIDTH = 24  # the longest cell, "-1.2345678901234567e-100"
 # Cells per gather of the text: its index takes 8 * _WIDTH bytes a cell, and a
 # 20,000-cell column gathered at once raised a classical audit's peak RSS 7%.
 _GATHER_ROWS = 2048
 # A cell's source bytes: the 17 digits as 4-digit groups (the first is "000" and
-# the leading digit), ".-0e", the exponent sign and three exponent digits, NUL
-# (the pad of short cells) and newline.
-_DIGIT0, _POINT, _MINUS, _ZERO, _E, _EXP_SIGN, _EXP0, _NUL, _NEWLINE = (
-    3, 20, 21, 22, 23, 24, 25, 28, 29
-)
+# the leading digit), ".-0e", the exponent sign and three exponent digits, and
+# NUL, the pad of short cells.
+_DIGIT0, _POINT, _MINUS, _ZERO, _E, _EXP_SIGN, _EXP0, _NUL = 3, 20, 21, 22, 23, 24, 25, 28
 
 
 def _split(a):
@@ -120,7 +118,7 @@ def _layout(negative: bool, kind: int, n: int) -> list[int]:
     else:
         digits += [_DIGIT0 + i for i in range(n, k + 1)]  # the integer part keeps its zeros
         out += digits[: k + 1] + ([_POINT] + digits[k + 1 :] if n > k + 1 else [])
-    return out + [_NUL] * (_WIDTH - 1 - len(out)) + [_NEWLINE]
+    return out + [_NUL] * (_WIDTH - len(out))
 
 
 @functools.cache
@@ -163,11 +161,13 @@ def _scaled(a, k, powers):
     return whole.astype(np.int64) + t_floor.astype(np.int64), t - t_floor
 
 
-def format_column(values, kind: type = float) -> list[str]:
+def format_cells(values, kind: type = float) -> np.ndarray:
     """``format_number`` of each entry of a float column, cast to ``kind`` first.
 
-    A real column cast to complex reads as its floats.  Cast to int, an
-    entry that is NaN or infinite has no int and keeps its float text.
+    The cells come back as ASCII bytes, one entry of a NumPy ``S`` array
+    each, padded with NUL to the array's width.  A real column cast to
+    complex reads as its floats.  Cast to int, an entry that is NaN or
+    infinite has no int and keeps its float text.
 
     A float column of ``_KERNEL_SIZE`` cells or more is formatted with array
     arithmetic, byte for byte as ``format(v, ".17g")``: D = round(|v| 10**(16-k))
@@ -177,9 +177,10 @@ def format_column(values, kind: type = float) -> list[str]:
     """
     values = np.asarray(values, dtype=float)
     if kind is int:
-        return [str(int(v)) if math.isfinite(v) else format(v, _DIGITS) for v in values.tolist()]
+        cells = [str(int(v)) if math.isfinite(v) else format(v, _DIGITS) for v in values.tolist()]
+        return np.array(cells, "S")
     if len(values) < _KERNEL_SIZE:
-        return list(map(format, values.tolist(), itertools.repeat(_DIGITS)))
+        return np.array(list(map(format, values.tolist(), itertools.repeat(_DIGITS))), "S")
     powers, groups, layouts = _kernel_tables()
     a = np.abs(values)
     decided = (a >= 1e-280) & (a <= 1e280)
@@ -202,18 +203,18 @@ def format_column(values, kind: type = float) -> list[str]:
         words[:, i] = groups.take(d // scale % 10**4)
     words[:, 5] = np.frombuffer(b".-0e", "<u4")
     words[:, 6] = groups.take(np.abs(k))
-    words[:, 7] = np.frombuffer(b"\0\n\0\0", "<u4")
+    words[:, 7] = 0  # NUL pads short cells
     source = words.view(np.uint8)
     source[:, _EXP_SIGN] = np.where(k < 0, ord("-"), ord("+"))
     n = 17 - np.argmax(source[:, _DIGIT0 + 16 : _DIGIT0 - 1 : -1] != ord("0"), axis=1)
     kinds = np.where((k >= -4) & (k < 17), k + 4, np.where(np.abs(k) < 100, 21, 22))
     codes = ((values < 0) * 23 + kinds) * 18 + n
-    cells = []
+    cells = np.empty((len(a), _WIDTH), np.uint8)
     for start in range(0, len(codes), _GATHER_ROWS):
         at = layouts.take(codes[start : start + _GATHER_ROWS], axis=0)
         at += source.shape[1] * np.arange(len(at))[:, None]
-        text = source[start : start + _GATHER_ROWS].take(at).tobytes().translate(None, b"\0")
-        cells += text.decode("ascii").splitlines()
+        cells[start : start + _GATHER_ROWS] = source[start : start + _GATHER_ROWS].take(at)
+    cells = cells.view(f"S{_WIDTH}").ravel()
     for i in np.flatnonzero(~decided).tolist():
         cells[i] = format(values[i].item(), _DIGITS)
     return cells

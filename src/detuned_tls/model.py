@@ -58,9 +58,12 @@ def fail_samples(errors: list, index, bad, error, *values) -> None:
     unless it failed before: every sample keeps its first error.  ``bad`` and
     each value hold one entry per sample of ``index``, or one they all share."""
     bad = np.broadcast_to(bad, len(index))
-    for j in np.flatnonzero(bad) if bad.any() else ():
+    if not bad.any():
+        return
+    values = [np.broadcast_to(v, len(index)) for v in values]
+    for j in np.flatnonzero(bad):
         if errors[index[j]] is None:
-            errors[index[j]] = error(*(np.broadcast_to(v, len(index))[j] for v in values))
+            errors[index[j]] = error(*(v[j] for v in values))
 
 
 def raise_first(errors: list) -> None:

@@ -40,7 +40,6 @@ from .model import (
     where,
     with_parameters,
 )
-from .quantum import steady_state_fluxes
 
 # A total entropy production below -VIOLATION_TOL is a second-law violation.
 VIOLATION_TOL = 1e-10
@@ -96,9 +95,14 @@ class SweepResult:
     spec: SystemSpec | None = None
 
 
+# The regime labels: the rate above, below and inside the dead band.
+REGIMES = ("emission", "absorption", "idle")
+
+
 def _regime(rate):
-    below = where(rate < -RATE_DEADBAND, "absorption", "idle")
-    return where(rate > RATE_DEADBAND, "emission", below)
+    emission, absorption, idle = REGIMES
+    below = where(rate < -RATE_DEADBAND, absorption, idle)
+    return where(rate > RATE_DEADBAND, emission, below)
 
 
 def entropy_report(flux: FluxReport, spec: SystemSpec) -> EntropyReport:
@@ -171,6 +175,8 @@ def audit_point(
     if treatment == "classical":
         flux = fluxes_classical(steady_state_closed_form(spec), spec)
     elif treatment == "quantum":
+        from .quantum import steady_state_fluxes
+
         flux = steady_state_fluxes(spec)
     else:
         raise ValueError(f"unknown treatment {treatment!r}")
@@ -310,6 +316,10 @@ DEFAULT_VIOLATION_RANGES: dict[str, tuple] = {
 }
 
 
+# Samples in the first block the violation search audits.
+_FIRST_BLOCK = 64
+
+
 def find_violation_with_bare_energies(
     ranges: dict[str, tuple] | None = None,
     seed: int = 0,
@@ -319,20 +329,28 @@ def find_violation_with_bare_energies(
     """Search for negative total entropy production under bare occupations.
 
     Both fermionic occupations are forced to thermal-at-bare-energy and
-    random classical scenarios are audited until one shows total entropy
-    production below -VIOLATION_TOL; samples that fail to solve are skipped.
+    ``max_samples`` random classical scenarios are drawn and audited in
+    order until one shows total entropy production below -VIOLATION_TOL;
+    samples that fail to solve are skipped.
     The result carries the spec it solved.  Returns None when the budget is
     exhausted (absence is reported, not asserted).
     """
     base = _violation_base(base, OccupationSpec.thermal_bare())
     if ranges is None:
         ranges = DEFAULT_VIOLATION_RANGES
-    audited = _audit_columns(base, *sample_table(ranges, max_samples, seed))
-    negative = audited.flux is not None and audited.entropy_total < -VIOLATION_TOL
-    for index in np.flatnonzero(np.broadcast_to(negative, len(audited))):
-        if audited.errors[index] is None:
-            result = audited[index]
-            return replace(result, spec=with_parameters(base, result.params))
+    keys, table = sample_table(ranges, max_samples, seed)
+    # The whole table is drawn, then audited in blocks of growing size until one
+    # holds a violation: the first usually lies within a few dozen samples.
+    stop = 0
+    while stop < len(table):
+        start, stop = stop, min(len(table), max(_FIRST_BLOCK, 4 * stop))
+        audited = _audit_columns(base, keys, table[start:stop])
+        negative = audited.flux is not None and audited.entropy_total < -VIOLATION_TOL
+        for index in np.flatnonzero(np.broadcast_to(negative, len(audited))):
+            if audited.errors[index] is None:
+                result = audited[index]
+                return replace(result, index=start + result.index,
+                               spec=with_parameters(base, result.params))
     return None
 
 

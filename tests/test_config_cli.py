@@ -694,9 +694,57 @@ def test_a_value_every_row_shares_prints_as_in_one_row(classical_cfg_file, tmp_p
 GAIN_ARGV = ["bloch-gain", "--equal-occupations", "fermi:T=0.1,mu=0.2"] + GAIN_GRID
 
 
-@pytest.mark.parametrize("command", ("classical-ss", "bloch-gain"))
-def test_an_unwritable_out_exits_2(classical_cfg_file, tmp_path, capsys, command):
-    argv = GAIN_ARGV if command == "bloch-gain" else [command, "--config", str(classical_cfg_file)]
+def _table_argv(command, tmp_path):
+    """A run of each command that writes a table; ``audit`` has failed samples."""
+    paths = {}
+    configs = (("classical", CLASSICAL_CFG), ("quantum", QUANTUM_CFG), ("laser", LASER_CFG))
+    for name, text in configs:
+        paths[name] = tmp_path / f"{name}.cfg"
+        paths[name].write_text(text)
+    classical, quantum = ["--config", str(paths["classical"])], ["--config", str(paths["quantum"])]
+    return {
+        "classical-ss": ["classical-ss", *classical, "--sweep", "drive.omega=0.9:1.1:3"],
+        "audit": ["audit", *classical, "--random", "300", "--range", "e_upper=-0.5:1.5"],
+        "find-violation": ["find-violation", "--seed", "3"],
+        "classical-evolve": ["classical-evolve", *classical, "--t-final", "2", "--n-store", "3"],
+        "quantum-ss": ["quantum-ss", *quantum],
+        "quantum-evolve": ["quantum-evolve", *quantum, "--fock-cutoff", "4", "--t-final", "1",
+                           "--n-store", "3"],
+        "laser": ["laser", "--config", str(paths["laser"]), "--sweep", "cavity.g=0.3:0.4:3"],
+        "bloch-gain": GAIN_ARGV,
+    }[command]
+
+
+TABLE_COMMANDS = ("classical-ss", "audit", "find-violation", "classical-evolve", "quantum-ss",
+                  "quantum-evolve", "laser", "bloch-gain")
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_out_bytes_equal_stdout_bytes(tmp_path, capsysbinary, command):
+    argv = _table_argv(command, tmp_path)
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == printed
+    assert printed.count(b"\n") > 1 and b"\0" not in printed
+
+
+def test_tables_shorter_than_the_kernel_size_never_build_its_tables(tmp_path, capsys):
+    # The kernel's tables take longer to build than a one-row call takes in all.
+    config._kernel_tables.cache_clear()
+    for command in TABLE_COMMANDS:
+        argv = _table_argv(command, tmp_path)
+        if command == "audit":
+            argv[argv.index("--random") + 1] = "1"
+        assert main(argv) == 0
+    assert config._kernel_tables.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_an_unwritable_out_exits_2(tmp_path, capsys, command):
+    argv = _table_argv(command, tmp_path)
     out = str(tmp_path / "missing" / "out.csv")
     assert main(argv + ["--out", out]) == 2
     captured = capsys.readouterr()
@@ -891,17 +939,25 @@ def test_audit_refuses_a_scenario_its_treatment_cannot_solve(
 
 
 # Runs in a fresh interpreter: imports the CLI, then runs each (name, argv) in
-# turn and prints, as JSON, the exit code and the SciPy modules loaded after each.
-_SCIPY_PROBE = """
+# turn and prints, as JSON, the exit code and the modules of package
+# ``sys.argv[2]`` loaded after each.
+_MODULE_PROBE = """
 import json, sys
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded():
+    return sorted(m for m in sys.modules if m == sys.argv[2] or m.startswith(sys.argv[2] + "."))
 from detuned_tls import cli
-report = {"import": [0, scipy_modules()]}
+report = {"import": [0, loaded()]}
 for name, argv in json.loads(sys.argv[1]):
-    report[name] = [cli.main(argv), scipy_modules()]
+    report[name] = [cli.main(argv), loaded()]
 print(json.dumps(report))
 """
+
+
+def _probe(commands, package):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    probe = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(commands), package],
+                           env=env, check=True, capture_output=True, text=True)
+    return json.loads(probe.stdout)
 
 
 def test_only_quantum_evolve_above_the_dense_size_loads_scipy(tmp_path):
@@ -935,12 +991,20 @@ def test_only_quantum_evolve_above_the_dense_size_loads_scipy(tmp_path):
         ("quantum-evolve 121", ["quantum-evolve", *quantum, "--fock-cutoff", "121",
                                 "--t-final", "2", "--n-store", "3", *out]),
     ]
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
-                           env=env, check=True, capture_output=True, text=True)
-    report = json.loads(probe.stdout)
+    report = _probe(commands, "scipy")
     for name in ["import"] + [name for name, _ in commands[:-1]]:
         assert report[name] == [0, []], name
     code, modules = report["quantum-evolve 121"]
     assert code == 0
     assert "scipy.sparse.linalg" in modules
+
+
+def test_the_classical_commands_never_load_the_quantum_module(tmp_path):
+    # The quantum module's body alone costs more than a classical audit's set-up.
+    commands = [(command, _table_argv(command, tmp_path) + ["--out", str(tmp_path / "out.csv")])
+                for command in ("classical-ss", "audit", "find-violation", "classical-evolve",
+                                "laser", "bloch-gain", "quantum-ss")]
+    report = _probe(commands, "detuned_tls.quantum")
+    for name in ["import"] + [name for name, _ in commands[:-1]]:
+        assert report[name] == [0, []], name
+    assert report["quantum-ss"] == [0, ["detuned_tls.quantum"]]

@@ -1,4 +1,4 @@
-"""CSV float cells: ``format_column`` equals CPython's per-cell ``format(v, ".17g")``."""
+"""CSV float cells: ``format_cells`` equals CPython's per-cell ``format(v, ".17g")``."""
 
 import math
 from fractions import Fraction
@@ -9,10 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detuned_tls import config
-from detuned_tls.config import format_column
+from detuned_tls.config import format_cells
 
 # Column lengths on both sides of the array kernel's cutoff.
 SIZES = (config._KERNEL_SIZE - 1, config._KERNEL_SIZE)
+
+
+def format_column(values) -> list[str]:
+    """The cells of ``format_cells``, as text."""
+    return [cell.decode("ascii") for cell in format_cells(values).tolist()]
 
 
 def _reference(values) -> list[str]:

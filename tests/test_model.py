@@ -37,7 +37,7 @@ from detuned_tls import (
     with_parameter,
     with_parameters,
 )
-from detuned_tls.model import expm, spec_columns
+from detuned_tls.model import expm, fail_samples, spec_columns
 from detuned_tls.quantum import build_liouvillian
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -447,3 +447,15 @@ def test_expm_scales_by_the_norm_of_a_to_the_tenth():
     assert exponents[-1] == 0
     assert type(result) is np.ndarray and np.array_equal(result, expm(a))
     assert np.max(np.abs(result - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
+def test_fail_samples_broadcasts_the_mask_and_each_value_once(monkeypatch):
+    calls = []
+    broadcast_to = np.broadcast_to
+    monkeypatch.setattr(np, "broadcast_to", lambda *a: calls.append(a) or broadcast_to(*a))
+    errors = [None, ValueError("first"), None, None]
+    fail_samples(errors, range(4), np.array([True, True, False, True]),
+                 lambda a, b: ValueError(f"{a} {b}"), np.arange(4.0), 7.5)
+    monkeypatch.undo()
+    assert len(calls) == 3
+    assert [e and str(e) for e in errors] == ["0.0 7.5", "first", None, "3.0 7.5"]

@@ -253,6 +253,45 @@ def test_find_violation_with_bare_occupations_and_effective_recheck():
     assert result.spec == with_parameters(base, result.params)
 
 
+# Near resonance violations are rare: on seeds 0-4 the first lies at 937, 226,
+# 482, 79 and 331, so in each block the search audits after the first; seed 5
+# has none in 2,000 samples.
+_NEAR_RESONANCE = dict(DEFAULT_VIOLATION_RANGES, **{"drive.omega": (0.98, 1.02)})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_search_finds_the_first_violation_of_the_whole_table(seed):
+    result = find_violation_with_bare_energies(ranges=_NEAR_RESONANCE, seed=seed, max_samples=2000)
+    base = thermo._violation_base(None, OccupationSpec.thermal_bare())
+    whole = thermo._audit_columns(base, *thermo.sample_table(_NEAR_RESONANCE, 2000, seed))
+    first = next((r for r in whole if r.error is None and r.violation), None)
+    if first is None:
+        assert result is None
+    else:
+        assert replace(result, spec=None) == first
+        assert result.spec == with_parameters(base, first.params)
+
+
+def test_the_search_stops_at_the_block_that_holds_a_violation(monkeypatch):
+    sizes = []
+    audit = thermo._audit_columns
+
+    def recording(base, keys, table, *args):
+        sizes.append(len(table))
+        return audit(base, keys, table, *args)
+
+    monkeypatch.setattr(thermo, "_audit_columns", recording)
+    assert find_violation_with_bare_energies(seed=1).index == 3
+    assert sizes == [64]
+    sizes.clear()
+    result = find_violation_with_bare_energies(ranges=_NEAR_RESONANCE, seed=0, max_samples=2000)
+    assert result.index == 937
+    assert sizes == [64, 192, 768]
+    sizes.clear()
+    assert find_violation_with_bare_energies(ranges=_NEAR_RESONANCE, seed=5) is None
+    assert sizes == [64, 192, 768, 976]
+
+
 def test_no_violation_at_resonance_even_with_bare_occupations():
     ranges = {
         "drive.omega": (1.0, 1.0),
