@@ -34,7 +34,8 @@ from .model import (
     expm,
     flux_report,
     plain,
-    where,
+    quotient,
+    square,
 )
 
 # Populations may leave [0, 1] by at most this much, in the initial state
@@ -190,28 +191,6 @@ def evolve(state0: BlochState, spec: SystemSpec, t_final: float) -> BlochState:
     return _from_vector(trajectory(state0, spec, t_final, 2)[-1])
 
 
-def _square(x):
-    """x ** 2 through libm's pow, as CPython evaluates it (NumPy's x ** 2 is x * x)."""
-    return np.float_power(x, 2.0)
-
-
-def _quotient(a, b_re, b_im):
-    """a / (b_re + i b_im) by Smith's method in CPython's order of operations.
-
-    (p, q) is (b_re, b_im) ordered by magnitude, largest first, and (u, v)
-    the parts of ``a`` in the same order.
-    """
-    a_re, a_im = np.real(a), np.imag(a)
-    by_re = abs(b_re) >= abs(b_im)
-    pairs = ((b_re, b_im), (b_im, b_re), (a_re, a_im), (a_im, a_re))
-    p, q, u, v = (where(by_re, x, y) for x, y in pairs)
-    ratio = q / p
-    denom = p + q * ratio
-    z = np.array((u + v * ratio) / denom, dtype=complex)
-    z.imag = where(by_re, 1.0, -1.0) * (v - u * ratio) / denom
-    return plain(z)
-
-
 @np.errstate(all="ignore")  # a sample that overflows fails the stationarity check
 def steady_state_closed_form(spec: SystemSpec) -> ClassicalSteadyState:
     """Explicit steady state of the rotating-frame equations, elementwise.
@@ -229,13 +208,13 @@ def steady_state_closed_form(spec: SystemSpec) -> ClassicalSteadyState:
     delta = detuning(spec.levels, spec.drive.omega)
     gamma_sum = gamma_u + gamma_l
 
-    alpha = _square(np.abs(eps)) * gamma_sum / (_square(gamma_sum) / 4.0 + _square(delta))
+    alpha = square(np.abs(eps)) * gamma_sum / (square(gamma_sum) / 4.0 + square(delta))
     h = gamma_u * gamma_l / (gamma_u * gamma_l + alpha * gamma_sum)
     pumped = alpha * (gamma_u * occ.f_u + gamma_l * occ.f_l)
     denom = gamma_u * gamma_l + alpha * gamma_sum
     sigma_uu = (pumped + gamma_u * gamma_l * occ.f_u) / denom
     sigma_ll = (pumped + gamma_u * gamma_l * occ.f_l) / denom
-    sigma_ul = _quotient(-eps * (sigma_uu - sigma_ll), delta, 0.5 * gamma_sum)
+    sigma_ul = quotient(-eps * (sigma_uu - sigma_ll), delta, 0.5 * gamma_sum)
     rate = alpha * h * (occ.f_u - occ.f_l)
 
     state = BlochState(plain(sigma_uu), plain(sigma_ll), plain(sigma_ul))

@@ -33,8 +33,8 @@ from .model import (
     SCENARIO_KEYS,
     SystemSpec,
     raise_first,
+    spec_columns,
     with_parameter,
-    with_parameters,
 )
 FLUX_COLUMNS = (
     "R_ss",
@@ -60,12 +60,16 @@ _BLOCK_ROWS = 2048
 def _table_bytes(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterable[bytes]:
     """A CSV table as UTF-8 bytes: the header line, then one line per cell of ``columns[0]``.
 
-    Each column is a NumPy bytes array (dtype ``S``) holding one cell per row,
-    or one 0-d cell that every row shares; NUL pads a cell to its column's
-    width and is no cell's text.  The cells of a block of rows are laid side
-    by side in one buffer with the commas and newlines in place, and the
-    padding of the block is stripped at once: no Python object is made per cell.
+    Each column holds one cell per row, or one 0-d cell that every row shares:
+    floats, formatted here by ``config.format_cells``, or NumPy bytes (dtype
+    ``S``) NUL padded to the column's width; NUL is no cell's text.  The cells
+    of a block of rows are laid side by side in one buffer with the commas
+    and newlines in place, and the padding of the block is stripped at once:
+    no Python object is made per cell.
     """
+    columns = [np.asarray(c) for c in columns]
+    columns = [c if c.dtype.kind == "S" else format_cells(c.ravel()).reshape(c.shape)
+               for c in columns]
     n = len(columns[0])
     cells = [np.ascontiguousarray(c).view(np.uint8).reshape(-1, c.itemsize) for c in columns]
     ends = np.cumsum([c.shape[1] + 1 for c in cells])  # one past each cell's separator
@@ -204,8 +208,8 @@ def _param_columns(
     keys = [k for k in SCENARIO_KEYS if k in base_cfg or k in ranges]
     sampled = dict(zip(ranges, table.T))
     cells = [
-        format_cells(sampled[k], SCENARIO_KEYS[k]) if k in sampled
-        else _text([base_cfg.get(k, "")]).reshape(())
+        (format_cells(sampled[k], int) if SCENARIO_KEYS[k] is int else sampled[k])
+        if k in sampled else _text([base_cfg.get(k, "")]).reshape(())
         for k in keys
     ]
     return keys, cells
@@ -229,23 +233,16 @@ def _flux_columns(table: thermo.SweepColumns) -> list[np.ndarray]:
     failed = []
     if table.errors.count(None) < n:
         failed = [i for i, error in enumerate(table.errors) if error is not None]
-    nan = np.array(b"nan")
-    columns, flags = [nan] * (len(FLUX_COLUMNS) - 1), np.zeros(n, np.intp)
+    columns, flags = [math.nan] * (len(FLUX_COLUMNS) - 1), np.zeros(n, np.intp)
     if table.flux is not None:
         flux, regime = table.flux, table.regime
         names = ("rate", "ndot_u", "ndot_l", "edot_u", "edot_l", "edot_opt",
                  "e_eff_u", "e_eff_l", "e_eff_ph")
-        numbers = [getattr(flux, f) for f in names]
-        numbers += [table.entropy_total, flux.first_law_residual]
-        # A value every row shares (a 0-d field) is formatted once.
-        columns = [
-            format_cells(np.broadcast_to(v, n)) if np.ndim(v) else format_cells([v]).reshape(())
-            for v in numbers
-        ]
+        columns = [getattr(flux, f) for f in names]
+        columns += [table.entropy_total, flux.first_law_residual]
         if failed:
-            ok = np.ones(n, bool)
-            ok[failed] = False
-            columns = [np.where(ok, column, nan) for column in columns]
+            ok = np.bincount(failed, minlength=n) == 0
+            columns = [np.where(ok, column, math.nan) for column in columns]
         # The checks are None where they do not apply; only False is a violation.
         checks = (table.entropy_total < -thermo.VIOLATION_TOL, regime.cooling,
                   regime.sign_law_ok == False, regime.carnot_ok == False)  # noqa: E712
@@ -302,17 +299,14 @@ def _evolve_times(args: argparse.Namespace) -> list[float]:
     return list(itertools.accumulate(itertools.repeat(seg, args.n_store - 1), initial=0.0))
 
 
-def _write_evolution(args: argparse.Namespace, header: list[str], times, columns) -> None:
-    _write_table(args.out, ["t"] + header, list(map(format_cells, [times, *columns])))
-
-
 def _cmd_classical_evolve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     _require_sections(spec, "classical")
     times = _evolve_times(args)
     state0 = classical.BlochState(args.sigma_uu0, args.sigma_ll0, 0.0 + 0.0j)
     rows = classical.trajectory(state0, spec, args.t_final, args.n_store)
-    _write_evolution(args, ["sigma_uu", "sigma_ll", "re_sigma_ul", "im_sigma_ul"], times, rows.T)
+    header = ["t", "sigma_uu", "sigma_ll", "re_sigma_ul", "im_sigma_ul"]
+    _write_table(args.out, header, [times, *rows.T])
     return 0
 
 
@@ -332,8 +326,8 @@ def _cmd_quantum_evolve(args: argparse.Namespace) -> int:
     liouv = build_sector_liouvillian(layout, spec)
     states = trajectory(thermal_state(layout, 0.0, 0.0, 0.0), liouv, args.t_final, args.n_store)
     obs = stacked_observables(states, liouv.pattern, spec)
-    columns = (obs.sigma_uu, obs.sigma_ll, obs.n_ph, obs.rate)
-    _write_evolution(args, ["sigma_uu", "sigma_ll", "n_ph", "rate"], times, columns)
+    columns = [times, obs.sigma_uu, obs.sigma_ll, obs.n_ph, obs.rate]
+    _write_table(args.out, ["t", "sigma_uu", "sigma_ll", "n_ph", "rate"], columns)
     return 0
 
 
@@ -343,10 +337,10 @@ def _cmd_laser(args: argparse.Namespace) -> int:
     ranges = _ranges(args)
     keys, table = thermo.sample_table(ranges)
     names, param_cells = _param_columns(base, ranges, table)
-    sols = [solve_lasing(with_parameters(base, dict(zip(keys, map(float, row))))) for row in table]
-    columns = [format_cells([getattr(s, f) for s in sols]) for f in ("omega", "intensity")]
-    columns.insert(1, format_cells([abs(s.a_ss) for s in sols]))
-    columns.append(np.array([b"1" if s.above_threshold else b"0" for s in sols]))
+    spec = spec_columns(base, keys, table)
+    sol = solve_lasing(spec)
+    raise_first(spec.errors)
+    columns = [sol.omega, abs(sol.a_ss), sol.intensity, np.where(sol.above_threshold, b"1", b"0")]
     header = ["sample_id"] + names + ["omega", "a_ss", "intensity", "above_threshold"]
     _write_table(args.out, header, [_ids(len(table)), *param_cells, *columns])
     return 0
@@ -378,14 +372,16 @@ def _parse_occupation_arg(text: str) -> gain_mod.SubbandOccupation:
 def _cmd_bloch_gain(args: argparse.Namespace) -> int:
     if args.equal_occupations:
         f_up = f_low = _parse_occupation_arg(args.equal_occupations)
+    elif args.f_upper and args.f_lower:
+        f_up, f_low = _parse_occupation_arg(args.f_upper), _parse_occupation_arg(args.f_lower)
     else:
-        if not (args.f_upper and args.f_lower):
-            raise ConfigError("provide --equal-occupations or both --f-upper and --f-lower")
-        f_up = _parse_occupation_arg(args.f_upper)
-        f_low = _parse_occupation_arg(args.f_lower)
-    grid = np.linspace(*_parse_points(args.grid, f"grid spec {args.grid!r}", "lo:hi:n"))
+        raise ConfigError("provide --equal-occupations or both --f-upper and --f-lower")
+    lo, hi, n = _parse_points(args.grid, f"grid spec {args.grid!r}", "lo:hi:n")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"bad grid spec {args.grid!r}: bounds must be finite")
+    grid = np.linspace(lo, hi, n)
     spectrum = gain_mod.gain_spectrum(args.e_k0, grid, args.gamma_u, args.gamma_l, f_up, f_low)
-    columns = [_ids(len(grid)), *map(format_cells, (spectrum.detunings, spectrum.rates))]
+    columns = [_ids(len(grid)), spectrum.detunings, spectrum.rates]
     _write_table(args.out, ["sample_id", "delta", "rate"], columns)
     return 0
 

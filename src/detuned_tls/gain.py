@@ -5,7 +5,9 @@ a rate given by a Lorentzian line shape times a weighted occupation
 difference whose energy arguments are shifted by the detuning.  The weighted
 difference equals the plain difference evaluated at rate-weighted average
 energies, which reproduces the effective-energy shifts of the two-level
-treatment.  Rates are reported in arbitrary units (unit prefactor).
+treatment.  Rates are reported in arbitrary units (unit prefactor).  The
+occupations and the rate are elementwise: ``gain_spectrum`` evaluates
+``bloch_rate`` once on its grid, each entry bit for bit the rate at its detuning.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import fermi
+from .model import fermi, plain, square, where
 
 SubbandOccupation = Callable[[float], float]
 
@@ -30,6 +32,8 @@ class FermiOccupation:
     def __post_init__(self) -> None:
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
+        if not np.isfinite([self.temperature, self.mu]).all():
+            raise ValueError("occupation temperature and mu must be finite")
 
     def __call__(self, e: float) -> float:
         return fermi(e, self.mu, self.temperature)
@@ -42,8 +46,13 @@ class LinearOccupation:
     f0: float
     slope: float
 
+    def __post_init__(self) -> None:
+        if not np.isfinite([self.f0, self.slope]).all():
+            raise ValueError("occupation f0 and slope must be finite")
+
     def __call__(self, e: float) -> float:
-        return min(1.0, max(0.0, self.f0 + self.slope * e))
+        value = self.f0 + self.slope * e
+        return where(value > 0.0, where(value < 1.0, value, 1.0), 0.0)  # NaN reads 0
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,7 @@ class TabulatedOccupation:
             raise ValueError("node values must lie in [0, 1]")
 
     def __call__(self, e: float) -> float:
-        return float(np.interp(e, self.energies, self.values))
+        return plain(np.interp(e, self.energies, self.values))
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,10 @@ def _weighted_bracket(
     f_lower: SubbandOccupation,
 ) -> tuple[float, float]:
     """Total broadening and the rate-weighted, detuning-shifted occupation difference."""
+    if not (np.isfinite(e_k0).all() and np.isfinite(delta).all()):
+        raise ValueError("e_k0 and the detuning must be finite")
+    if not (0.0 <= gamma_u < np.inf and 0.0 <= gamma_l < np.inf):
+        raise ValueError("gamma_u and gamma_l must be finite and non-negative")
     gamma_sum = gamma_u + gamma_l
     if gamma_sum <= 0:
         raise ValueError("gamma_u + gamma_l must be positive")
@@ -107,14 +120,14 @@ def bloch_rate(
     f_upper: SubbandOccupation,
     f_lower: SubbandOccupation,
 ) -> float:
-    """Net u -> l rate at in-plane energy ``e_k0`` and detuning ``delta``.
+    """Net u -> l rate at in-plane energy ``e_k0`` and detuning ``delta``, elementwise.
 
     Lorentzian broadening times the rate-weighted occupation differences
     with detuning-shifted arguments.  Positive for net emission.
     """
     gamma_sum, bracket = _weighted_bracket(e_k0, delta, gamma_u, gamma_l, f_upper, f_lower)
-    lorentz = gamma_sum / (delta**2 + gamma_sum**2 / 4.0)
-    return lorentz * bracket
+    lorentz = gamma_sum / (square(delta) + square(gamma_sum) / 4.0)
+    return plain(lorentz * bracket)
 
 
 def gain_spectrum(
@@ -127,9 +140,7 @@ def gain_spectrum(
 ) -> GainSpectrum:
     """Pointwise rate over a detuning grid."""
     grid = np.asarray(detunings, dtype=float)
-    rates = np.array(
-        [bloch_rate(e_k0, d, gamma_u, gamma_l, f_upper, f_lower) for d in grid]
-    )
+    rates = bloch_rate(e_k0, grid, gamma_u, gamma_l, f_upper, f_lower)
     return GainSpectrum(detunings=grid, rates=rates, k0_energy=e_k0)
 
 

@@ -6,7 +6,9 @@ the oscillation frequency fixes that frequency to a rate-weighted mean of the
 cavity and transition frequencies (frequency pulling) and yields a closed
 form for the saturated intensity.  ``evolve_meanfield`` checks that a seeded
 field settles there, integrating the same equations with adaptive DOP853.
-Both read the reservoir occupations from ``spec.quantum_occupations``.
+Both read the reservoir occupations from ``spec.quantum_occupations``.  The
+closed form is elementwise, as in ``classical``: a ``SpecColumns`` solves
+every sample at once, each bit for bit as its own scenario.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CavitySpec, EnergyLevels, SystemSpec
+from .model import (
+    CavitySpec, EnergyLevels, EvolutionError, SystemSpec, any_of, plain, quotient, square, where
+)
 
 
 # Tolerances of the adaptive integrator, and the field magnitude taken as divergence.
@@ -80,11 +84,11 @@ def pulled_frequency(
     """Oscillation frequency pulled between cavity and transition.
 
     Rate-weighted mean of the cavity frequency (weight: atomic broadening)
-    and the transition frequency (weight: cavity loss).  Coincides with the
-    effective photon energy of the quantum treatment.
+    and the transition frequency (weight: cavity loss), elementwise.
+    Coincides with the effective photon energy of the quantum treatment.
     """
     total = gamma_u + gamma_l + gamma_b
-    if total <= 0:
+    if any_of(total <= 0):
         raise ValueError("gamma_u + gamma_l + gamma_b must be positive")
     return ((gamma_u + gamma_l) * cavity.omega_cav + gamma_b * levels.gap) / total
 
@@ -99,51 +103,37 @@ def _laser_coefficients(spec: SystemSpec) -> tuple[float, float, float, float, f
     delta_c = omega - spec.cavity.omega_cav
     gamma_sum = gamma_u + gamma_l
     a_coeff = delta_c * delta - gamma_b * gamma_sum / 4.0
-    saturation = gamma_sum**2 / (gamma_u * gamma_l * (gamma_sum**2 / 4.0 + delta**2))
+    saturation = square(gamma_sum) / (gamma_u * gamma_l * (square(gamma_sum) / 4.0 + square(delta)))
     return omega, delta, delta_c, a_coeff, saturation
 
 
+@np.errstate(all="ignore")  # a failed sample's arithmetic may divide by zero
 def solve_lasing(spec: SystemSpec) -> LaserSolution:
-    """Closed-form lasing solution from the gain-saturation balance.
+    """Closed-form lasing solution from the gain-saturation balance, elementwise.
 
     An inversion-free medium (f_u <= f_l) is below threshold, not an error.
+    A sample without cavity loss or coupling fails with ValueError.
     """
     if spec.cavity is None or spec.bath is None:
         raise ValueError("lasing requires a cavity and a bosonic bath")
-    if spec.bath.gamma <= 0:
-        raise ValueError("lasing requires a lossy cavity (bath gamma > 0)")
+    spec.reject(spec.bath.gamma <= 0, ValueError, "lasing requires a lossy cavity (bath gamma > 0)")
     occ = spec.quantum_occupations
 
     omega, _, delta_c, a_coeff, saturation = _laser_coefficients(spec)
-    g = complex(spec.cavity.g)
-    g2 = abs(g) ** 2
-    if g2 <= 0:
-        raise ValueError("lasing requires a non-zero coupling")
+    g = np.asarray(spec.cavity.g + 0j)
+    g2 = square(np.hypot(g.real, g.imag))  # np.abs(g) may round apart from abs(g)
+    spec.reject(g2 <= 0, ValueError, "lasing requires a non-zero coupling")
 
     # Unsaturated gain over loss; the field balance reads
     # a_coeff = -|g|^2 (f_u - f_l) / (1 + saturation |g a|^2) with a_coeff < 0.
     gain = -g2 * (occ.f_u - occ.f_l) / a_coeff
-    if gain <= 1.0:
-        return LaserSolution(
-            omega=omega,
-            a_ss=0.0 + 0.0j,
-            sigma_ul_ss=0.0 + 0.0j,
-            intensity=0.0,
-            above_threshold=False,
-            small_signal_gain=gain,
-        )
-
-    intensity = (gain - 1.0) / (saturation * g2)
-    amplitude = math.sqrt(intensity)
-    sigma_ul = (delta_c + 0.5j * spec.bath.gamma) * g * amplitude / g2
-    return LaserSolution(
-        omega=omega,
-        a_ss=complex(amplitude),
-        sigma_ul_ss=sigma_ul,
-        intensity=intensity,
-        above_threshold=True,
-        small_signal_gain=gain,
-    )
+    above = np.logical_not(gain <= 1.0)
+    intensity = where(above, (gain - 1.0) / (saturation * g2), 0.0)
+    amplitude = np.sqrt(intensity)
+    # (delta_c + i gamma_b / 2) g as CPython rounds it: two products with a zero part each
+    sigma_ul = quotient((delta_c * g + 0.5j * spec.bath.gamma * g) * amplitude, g2, 0.0)
+    fields = (omega, amplitude + 0j, where(above, sigma_ul, 0j), intensity, above, gain)
+    return LaserSolution(*map(plain, fields))
 
 
 def evolve_meanfield(
@@ -154,7 +144,7 @@ def evolve_meanfield(
     The rows are the solver's accepted steps from 0 to ``t_final``.  The
     zero-field state is an exact (unstable) fixed point, so driving the laser
     up from below requires a small seed amplitude.  A field beyond 1e6, at
-    the start or on the way, raises RuntimeError.
+    the start or on the way, or a failed integration raises EvolutionError.
     """
     if spec.cavity is None or spec.bath is None:
         raise ValueError("mean-field dynamics requires a cavity and a bath")
@@ -197,12 +187,12 @@ def evolve_meanfield(
         [state0.sigma_uu, state0.sigma_ll, state0.sigma_ul, state0.field], dtype=complex
     )
     if not abs(y0[3]) <= _DIVERGENCE_BOUND:
-        raise RuntimeError("field diverged at t = 0")
+        raise EvolutionError("field diverged at t = 0")
     sol = solve_ivp(
         rhs, (0.0, t_final), y0, method="DOP853", rtol=_RTOL, atol=_ATOL, events=diverged
     )
     if sol.status == 1:
-        raise RuntimeError(f"field diverged at t = {sol.t_events[0][0]:.6g}")
+        raise EvolutionError(f"field diverged at t = {sol.t_events[0][0]:.6g}")
     if not sol.success:
-        raise RuntimeError(f"mean-field integration failed: {sol.message}")
+        raise EvolutionError(f"mean-field integration failed: {sol.message}")
     return MeanFieldTrajectory(sol.t, sol.y[0].real, sol.y[1].real, sol.y[2], sol.y[3])

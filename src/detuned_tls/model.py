@@ -361,6 +361,28 @@ def elementwise(fn, x):
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
+def square(x):
+    """x ** 2 through libm's pow, as CPython evaluates it (NumPy's x ** 2 is x * x)."""
+    return np.float_power(x, 2.0)
+
+
+def quotient(a, b_re, b_im):
+    """a / (b_re + i b_im) by Smith's method in CPython's order of operations.
+
+    (p, q) is (b_re, b_im) ordered by magnitude, largest first, and (u, v)
+    the parts of ``a`` in the same order.
+    """
+    a_re, a_im = np.real(a), np.imag(a)
+    by_re = abs(b_re) >= abs(b_im)
+    pairs = ((b_re, b_im), (b_im, b_re), (a_re, a_im), (a_im, a_re))
+    p, q, u, v = (where(by_re, x, y) for x, y in pairs)
+    ratio = q / p
+    denom = p + q * ratio
+    z = np.array((u + v * ratio) / denom, dtype=complex)
+    z.imag = where(by_re, 1.0, -1.0) * (v - u * ratio) / denom
+    return plain(z)
+
+
 # degree m: theta_m, the largest eta at which r_m(x) = p_m(x) / p_m(-x) has a backward
 # error below the unit roundoff (Al-Mohy & Higham, Table 3.1), and the coefficients b_j of
 # p_m(x) = sum b_j x^j, scaled to b_0 = 1: then a row [0 .. 0 1] of A (as in the affine

@@ -307,6 +307,25 @@ def test_bloch_gain_occupation_errors_exit_2(capsys, flags, message):
 
 
 @pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        ("--e-k0", "nan", "e_k0 and the detuning must be finite"),
+        ("--gamma-u", "inf", "gamma_u and gamma_l must be finite and non-negative"),
+        ("--gamma-u", "-0.05", "gamma_u and gamma_l must be finite and non-negative"),
+        ("--grid", "nan:1:3", "bad grid spec 'nan:1:3': bounds must be finite"),
+        ("--equal-occupations", "fermi:T=0.1,mu=nan", "occupation temperature and mu must be finite"),
+        ("--equal-occupations", "fermi:T=inf,mu=0", "occupation temperature and mu must be finite"),
+        ("--equal-occupations", "linear:f0=nan,slope=1", "occupation f0 and slope must be finite"),
+    ],
+)
+def test_bloch_gain_rejects_non_finite_and_negative_inputs(capsys, flag, value, message):
+    flags = {"--equal-occupations": "fermi:T=0.1,mu=0.2", "--e-k0": "0.3", "--gamma-u": "0.05",
+             "--gamma-l": "0.1", "--grid": "-1:1:5", flag: value}
+    assert main(["bloch-gain"] + [f"{f}={v}" for f, v in flags.items()]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize(
     ("value", "cell"),
     [("0.04+0.02j", "0.040000000000000001+0.02j"), ("-0.1-0.25j", "-0.10000000000000001-0.25j")],
 )

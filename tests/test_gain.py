@@ -150,3 +150,19 @@ def test_rejects_zero_broadening():
         bloch_rate(0.3, 0.1, 0.0, 0.0, f, f)
     with pytest.raises(ValueError):
         average_energy_equivalence(0.3, 0.1, 0.0, 0.0, f, f)
+
+
+@pytest.mark.parametrize(
+    "f_upper, f_lower",
+    [
+        (FermiOccupation(0.1, 0.2), FermiOccupation(0.15, 0.05)),
+        (LinearOccupation(0.8, -0.5), LinearOccupation(0.3, 0.9)),
+        (TabulatedOccupation((0.0, 0.5, 1.0), (0.9, 0.5, 0.1)), FermiOccupation(0.1, 0.2)),
+    ],
+    ids=("fermi", "linear", "tabulated"),
+)
+def test_spectrum_entries_equal_the_rate_at_each_detuning(f_upper, f_lower):
+    grid = np.linspace(-1.5, 1.5, 301)
+    rates = gain_spectrum(0.3, grid, 0.05, 0.08, f_upper, f_lower).rates
+    for d, rate in zip(grid.tolist(), rates.tolist()):
+        assert rate == bloch_rate(0.3, d, 0.05, 0.08, f_upper, f_lower)

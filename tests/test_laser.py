@@ -12,6 +12,7 @@ from detuned_tls import (
     CavitySpec,
     ClassicalDrive,
     EnergyLevels,
+    EvolutionError,
     FermionicReservoir,
     MeanFieldState,
     OccupationSpec,
@@ -22,8 +23,10 @@ from detuned_tls import (
     pulled_frequency,
     resolve_occupations,
     solve_lasing,
+    with_parameters,
 )
 from detuned_tls import laser
+from detuned_tls.model import spec_columns
 
 LEVELS = EnergyLevels(1.0, 0.0)
 
@@ -193,8 +196,9 @@ def test_meanfield_divergence_detected(monkeypatch):
     spec = make_spec()
     a_ss = abs(solve_lasing(spec).a_ss)
     monkeypatch.setattr(laser, "_DIVERGENCE_BOUND", 0.5 * a_ss)
-    with pytest.raises(RuntimeError, match="field diverged at t = "):
+    with pytest.raises(RuntimeError, match="field diverged at t = ") as excinfo:
         evolve_meanfield(MeanFieldState(0.95, 0.05, 0.0j, 1e-3 + 0.0j), spec, 500.0)
+    assert excinfo.type is EvolutionError
     with pytest.raises(RuntimeError, match="field diverged at t = 0"):
         evolve_meanfield(MeanFieldState(0.95, 0.05, 0.0j, a_ss + 0.0j), spec, 500.0)
 
@@ -208,3 +212,35 @@ def test_evolve_meanfield_has_no_step_size():
     for t_final in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="t_final"):
             evolve_meanfield(state0, spec, t_final)
+
+
+@pytest.mark.parametrize("g", [0.35, 0.35 * cmath.exp(0.7j)], ids=("real-g", "complex-g"))
+@pytest.mark.parametrize(
+    ("keys", "rows"),
+    [
+        # the last loss puts the laser below threshold; zero loss fails in the solve,
+        # negative loss when the sample is built
+        (["bath.gamma", "cavity.omega_cav"],
+         [[0.25, 1.15], [0.05, 0.9], [2.5, 1.3], [0.0, 1.15], [-0.1, 1.0], [0.1, 1.0]]),
+        # g = 0 fails; the inversion sets the threshold
+        (["cavity.g", "reservoir_u.gamma"],
+         [[0.35, 0.4], [0.0, 0.4], [-0.2, 0.7], [0.05, 0.3], [0.5, 0.05]]),
+    ],
+    ids=("loss-sweep", "coupling-sweep"),
+)
+def test_solve_lasing_on_columns_equals_each_scalar_solve(g, keys, rows):
+    base = make_spec(g=g)
+    table = np.array(rows, dtype=float)
+    spec = spec_columns(base, keys, table)
+    sol = solve_lasing(spec)
+    assert {True, False} <= set(sol.above_threshold.tolist())
+    assert any(e is not None for e in spec.errors)
+    for i, row in enumerate(table.tolist()):
+        try:
+            expected = solve_lasing(with_parameters(base, dict(zip(keys, row))))
+        except ValueError as exc:
+            assert (type(spec.errors[i]), str(spec.errors[i])) == (type(exc), str(exc))
+            continue
+        assert spec.errors[i] is None
+        for name, value in vars(expected).items():
+            assert repr(getattr(sol, name)[i].item()) == repr(value), name

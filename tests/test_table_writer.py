@@ -43,10 +43,13 @@ def _int_text(v: float) -> str:
 @st.composite
 def _column(draw, n: int):
     """One column of n rows as (cells for the writer, the text of each row)."""
-    kind = draw(st.sampled_from(("float", "shared", "int", "text", "shared text")))
-    if kind == "shared":
+    kind = draw(st.sampled_from(
+        ("float", "shared", "raw", "raw shared", "int", "text", "shared text")
+    ))
+    if kind in ("shared", "raw shared"):
         v = draw(st.floats())
-        return config.format_cells([v]).reshape(()), [_float_text(v)] * n
+        cells = np.array(v) if kind == "raw shared" else config.format_cells([v]).reshape(())
+        return cells, [_float_text(v)] * n
     if kind == "shared text":
         text = draw(TEXT)
         return cli._text([text]).reshape(()), [text] * n
@@ -60,7 +63,8 @@ def _column(draw, n: int):
     values = np.resize(np.array(drawn), n)
     if kind == "int":
         return config.format_cells(values, int), list(map(_int_text, values.tolist()))
-    return config.format_cells(values), list(map(_float_text, values.tolist()))
+    cells = values if kind == "raw" else config.format_cells(values)  # the writer formats raw floats
+    return cells, list(map(_float_text, values.tolist()))
 
 
 @st.composite
