@@ -55,9 +55,9 @@ from .model import (
     SystemSpec,
     bose,
     detuning,
-    effective_energies_classical,
-    effective_energies_quantum,
+    effective_energies,
     fermi,
+    photon_mode,
     resolve_occupations,
     with_parameter,
     with_parameters,
@@ -81,6 +81,7 @@ __version__ = "0.1.0"
 # The quantum treatment's names load ``quantum`` on first use, so that the
 # classical commands never pay for importing it (PEP 562).
 _QUANTUM = (
+    "FlowMismatchError",
     "FockCutoffError",
     "HilbertLayout",
     "Liouvillian",

@@ -30,7 +30,6 @@ from .model import (
     SystemSpec,
     any_of,
     detuning,
-    effective_energies_classical,
     expm,
     flux_report,
     plain,
@@ -251,8 +250,7 @@ def fluxes_classical(ss: ClassicalSteadyState, spec: SystemSpec) -> FluxReport:
     ndot_l = gamma_l * (occ.f_l - ss.bloch.sigma_ll)
     edot_u = spec.levels.e_upper * ndot_u - gamma_u * z_re
     edot_l = spec.levels.e_lower * ndot_l - gamma_l * z_re
-    eff = effective_energies_classical(spec.levels, spec.drive, gamma_u, gamma_l)
-    return flux_report("classical", occ, eff, rate, ndot_u, ndot_l, edot_u, edot_l, -omega * rate)
+    return flux_report(spec, "classical", rate, ndot_u, ndot_l, edot_u, edot_l, -omega * rate)
 
 
 def entropy_production_classical(report: FluxReport, spec: SystemSpec) -> float:

@@ -31,6 +31,8 @@ from .config import (
 from .laser import solve_lasing
 from .model import (
     SCENARIO_KEYS,
+    EvolutionError,
+    SteadyStateError,
     SystemSpec,
     raise_first,
     spec_columns,
@@ -494,7 +496,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except RuntimeError as exc:
+    except (SteadyStateError, EvolutionError) as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return 3
     except ValueError as exc:

@@ -13,6 +13,10 @@ broadening.  Reservoir occupations evaluated at these effective energies keep
 the steady state consistent with both energy conservation and non-negative
 entropy production; occupations evaluated at the bare energies do not.
 
+``effective_energies`` is that one formula; ``photon_mode`` alone picks the
+photon frequency and loss a treatment feeds it, and every reader takes them
+from there.
+
 ``spec_columns`` turns a table of sampled parameters into one scenario per
 sample, a ``SpecColumns``; the occupation functions work elementwise on it.
 
@@ -446,10 +450,15 @@ def expm(a: np.ndarray) -> np.ndarray:
     return x
 
 
-def flux_report(treatment, occ, eff, rate, ndot_u, ndot_l, edot_u, edot_l, edot_opt) -> FluxReport:
-    """The FluxReport of these steady-state flows, elementwise: the flux-ratio
-    energies (nan where the rate lies in the dead band) and the first-law
-    residual follow from them."""
+def flux_report(spec: SystemSpec, treatment: Treatment, rate, ndot_u, ndot_l, edot_u, edot_l,
+                edot_opt) -> FluxReport:
+    """The FluxReport of these steady-state flows, elementwise: the flux-ratio energies
+    (nan where the rate lies in the dead band) and the first-law residual follow from
+    them; the occupations are the spec's, cached, for ``treatment``."""
+    omega, gamma_b = photon_mode(spec, treatment)
+    eff = effective_energies(spec.levels, omega, spec.reservoir_u.gamma, spec.reservoir_l.gamma,
+                             gamma_b)
+    occ = spec.classical_occupations if treatment == "classical" else spec.quantum_occupations
     idle = abs(rate) < RATE_DEADBAND
     nonzero = where(idle, 1.0, rate)
     ratios = (edot_u / nonzero, -edot_l / nonzero, -edot_opt / nonzero)
@@ -466,37 +475,24 @@ def detuning(levels: EnergyLevels, omega: float) -> float:
     return omega - levels.gap
 
 
-def effective_energies_classical(
-    levels: EnergyLevels,
-    drive: ClassicalDrive,
-    gamma_u: float,
-    gamma_l: float,
-) -> EffectiveEnergies:
-    """Effective level energies for the classically driven system.
-
-    The detuning is split over the two levels in proportion to their
-    reservoir couplings; the photon energy is the drive quantum itself.
-    """
-    return _effective_energies(levels, drive.omega, gamma_u, gamma_l, 0.0)
-
-
-def effective_energies_quantum(
-    levels: EnergyLevels,
-    cavity: CavitySpec,
-    gamma_u: float,
-    gamma_l: float,
-    gamma_b: float,
-) -> EffectiveEnergies:
-    """Effective energies when the photon mode is itself broadened.
-
-    The cavity loss contributes to the total broadening, so the photon
-    energy is pulled away from the bare cavity quantum as well.  Reduces to
-    the classical result for gamma_b = 0.
-    """
-    return _effective_energies(levels, cavity.omega_cav, gamma_u, gamma_l, gamma_b)
+def photon_mode(spec: SystemSpec, treatment: Treatment) -> tuple:
+    """(omega, gamma_b) of the photon of ``treatment``: the drive frequency without loss
+    (classical), or the cavity frequency with its bath's loss, none without a bath."""
+    if treatment == "classical":
+        if spec.drive is None:
+            raise ValueError("classical treatment requires a drive")
+        return spec.drive.omega, 0.0
+    if treatment == "quantum":
+        if spec.cavity is None:
+            raise ValueError("quantum treatment requires a cavity")
+        return spec.cavity.omega_cav, spec.bath.gamma if spec.bath is not None else 0.0
+    raise ValueError(f"unknown treatment {treatment!r}")
 
 
-def _effective_energies(levels, omega, gamma_u, gamma_l, gamma_b) -> EffectiveEnergies:
+def effective_energies(levels: EnergyLevels, omega, gamma_u, gamma_l, gamma_b) -> EffectiveEnergies:
+    """Effective energies of the levels and of a photon of frequency ``omega`` and loss
+    ``gamma_b``, elementwise: the detuning is split in proportion to gamma_u, gamma_l and
+    gamma_b, so for gamma_b = 0 (a classical drive) the photon energy is ``omega``."""
     total = gamma_u + gamma_l + gamma_b
     if any_of(total <= 0):
         raise ValueError("gamma_u + gamma_l + gamma_b must be positive")
@@ -536,26 +532,13 @@ def bose(e: float, temperature: float) -> float:
 def resolve_occupations(spec: SystemSpec, treatment: Treatment) -> Occupations:
     """Turn the occupation specs of a scenario into concrete numbers, elementwise.
 
-    Thermal-at-effective-energy occupations use the classical or quantum
-    effective energies according to ``treatment``.  n_b is None when the
+    Thermal-at-effective-energy occupations use the effective energies of
+    the treatment's photon mode (``photon_mode``).  n_b is None when the
     scenario has no bosonic bath.
     """
-    if treatment not in ("classical", "quantum"):
-        raise ValueError(f"unknown treatment {treatment!r}")
+    omega, gamma_b = photon_mode(spec, treatment)
     res_u, res_l, bath = spec.reservoir_u, spec.reservoir_l, spec.bath
-    if treatment == "classical":
-        if spec.drive is None:
-            raise ValueError("classical treatment requires a drive")
-        eff = effective_energies_classical(spec.levels, spec.drive, res_u.gamma, res_l.gamma)
-        e_ph_bare = spec.drive.omega
-    else:
-        if spec.cavity is None:
-            raise ValueError("quantum treatment requires a cavity")
-        gamma_b = bath.gamma if bath is not None else 0.0
-        eff = effective_energies_quantum(
-            spec.levels, spec.cavity, res_u.gamma, res_l.gamma, gamma_b
-        )
-        e_ph_bare = spec.cavity.omega_cav
+    eff = effective_energies(spec.levels, omega, res_u.gamma, res_l.gamma, gamma_b)
 
     def thermal(occ: OccupationSpec, e_bare, e_eff, function):
         if occ.kind == OCC_FIXED:
@@ -567,7 +550,7 @@ def resolve_occupations(spec: SystemSpec, treatment: Treatment) -> Occupations:
     f_l = thermal(res_l.occupation, spec.levels.e_lower, eff.e_lower,
                   lambda e: fermi(e, res_l.mu, res_l.temperature))
     n_b = None if bath is None else thermal(
-        bath.occupation, e_ph_bare, eff.e_photon, lambda e: bose(e, bath.temperature)
+        bath.occupation, omega, eff.e_photon, lambda e: bose(e, bath.temperature)
     )
     return Occupations(f_u=f_u, f_l=f_l, n_b=n_b)
 

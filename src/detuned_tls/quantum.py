@@ -76,10 +76,10 @@ from .model import (
     SpecColumns,
     SteadyStateError,
     SystemSpec,
-    effective_energies_quantum,
     expm,
     fail_samples,
     flux_report,
+    photon_mode,
     plain,
     raise_first,
     where,
@@ -108,6 +108,10 @@ class FockCutoffError(SteadyStateError):
     def __init__(self, message: str, tail: float = math.nan) -> None:
         super().__init__(message)
         self.tail = tail
+
+
+class FlowMismatchError(SteadyStateError):
+    """An energy flow's trace form and closed form disagree beyond 1e-9."""
 
 
 @dataclass(frozen=True)
@@ -471,12 +475,11 @@ def sector_pattern(fock_cutoff: int) -> SectorPattern:
 def _coefficients(spec: SystemSpec) -> np.ndarray:
     """The nine coefficients of the generator, elementwise: (9,) for a scenario, (S, 9) for columns."""
     occ = spec.quantum_occupations
-    gamma_b = n_b = 0.0
-    if spec.bath is not None:
-        bath = spec.bath.gamma > 0
-        gamma_b, n_b = where(bath, spec.bath.gamma, 0.0), where(bath, occ.n_b, 0.0)
+    omega, gamma_b = photon_mode(spec, "quantum")
+    bath = gamma_b > 0
+    gamma_b, n_b = where(bath, gamma_b, 0.0), where(bath, occ.n_b, 0.0)
     g = spec.cavity.g
-    split = spec.levels.e_lower + spec.cavity.omega_cav - spec.levels.e_upper
+    split = spec.levels.e_lower + omega - spec.levels.e_upper
     gamma_u, gamma_l = spec.reservoir_u.gamma, spec.reservoir_l.gamma
     rates = (  # of the jumps in _JUMPS order
         gamma_u * occ.f_u, gamma_u * (1.0 - occ.f_u), gamma_l * occ.f_l,
@@ -1009,9 +1012,9 @@ def _flows(vectors, actions, pattern: SectorPattern, spec: SystemSpec, errors: l
     """Rate and per-reservoir flows (rate, ndot_u, ndot_l, edot_u, edot_l, edot_b)
     of sector vectors along the last axis, from each coefficient's term of L y.
 
-    A sample fails with RuntimeError when an energy flow's trace form and
-    closed form disagree beyond 1e-9, since that signals an inconsistent
-    generator.
+    A sample fails with FlowMismatchError when an energy flow's trace form and
+    closed form disagree beyond 1e-9: a Fock ladder too short for the flows,
+    or an inconsistent generator.
     """
     occ = spec.quantum_occupations
     energy = (actions * _trace_weights(pattern, spec)[..., None, :]).sum(axis=-1)
@@ -1022,36 +1025,26 @@ def _flows(vectors, actions, pattern: SectorPattern, spec: SystemSpec, errors: l
 
     obs = stacked_observables(vectors, pattern, spec)
     two_re_y = 2.0 * np.real(obs.y)
-    gamma_b = spec.bath.gamma if spec.bath is not None else 0.0
+    omega, gamma_b = photon_mode(spec, "quantum")
     n_b = occ.n_b if occ.n_b is not None else 0.0
     closed = {
         "u": spec.levels.e_upper * spec.reservoir_u.gamma * (occ.f_u - obs.sigma_uu)
         - 0.5 * spec.reservoir_u.gamma * two_re_y,
         "l": spec.levels.e_lower * spec.reservoir_l.gamma * (occ.f_l - obs.sigma_ll)
         - 0.5 * spec.reservoir_l.gamma * two_re_y,
-        "b": spec.cavity.omega_cav * gamma_b * (n_b - obs.n_ph)
+        "b": omega * gamma_b * (n_b - obs.n_ph)
         - 0.5 * gamma_b * two_re_y,
     }
     for name in ("u", "l", "b"):
         mismatch = abs(edot[name] - closed[name])
         fail_samples(
             errors, index, mismatch > 1e-9 * np.maximum(1.0, abs(edot[name])),
-            lambda trace, form: RuntimeError(
+            lambda trace, form: FlowMismatchError(
                 f"energy flow {name}: trace form {trace:.12e} and closed form {form:.12e} disagree"
             ),
             edot[name], closed[name],
         )
     return obs.rate, ndot_u, ndot_l, edot["u"], edot["l"], edot["b"]
-
-
-def _flux_report(spec: SystemSpec, rate, ndot_u, ndot_l, edot_u, edot_l, edot_b) -> FluxReport:
-    gamma_b = spec.bath.gamma if spec.bath is not None else 0.0
-    eff = effective_energies_quantum(
-        spec.levels, spec.cavity, spec.reservoir_u.gamma, spec.reservoir_l.gamma, gamma_b
-    )
-    return flux_report(
-        "quantum", spec.quantum_occupations, eff, rate, ndot_u, ndot_l, edot_u, edot_l, edot_b
-    )
 
 
 def fluxes_quantum(state: QuantumState, liouvillian: Liouvillian, spec: SystemSpec) -> FluxReport:
@@ -1074,7 +1067,7 @@ def fluxes_quantum(state: QuantumState, liouvillian: Liouvillian, spec: SystemSp
     errors = [None]
     flows = _flows(state.vector, actions, pattern, spec, errors, [0])
     raise_first(errors)
-    return _flux_report(spec, *flows)
+    return flux_report(spec, "quantum", *flows)
 
 
 def steady_state_fluxes(spec: SystemSpec) -> FluxReport:
@@ -1095,7 +1088,7 @@ def steady_state_fluxes(spec: SystemSpec) -> FluxReport:
     if not columns:
         raise_first(errors)
         flows = flows[:, 0]
-    return _flux_report(spec, *flows)
+    return flux_report(spec, "quantum", *flows)
 
 
 def _sign_with_deadband(x: float) -> int:

@@ -32,6 +32,7 @@ from .model import (
     EnergyLevels,
     FermionicReservoir,
     OccupationSpec,
+    SteadyStateError,
     SystemSpec,
     Treatment,
     any_of,
@@ -185,7 +186,7 @@ def audit_point(
 
 # A sample that raises one of these fails and becomes an error row; any other
 # exception is a fault of the program and propagates.
-_SAMPLE_FAILURES = (ValueError, ArithmeticError, RuntimeError)
+_SAMPLE_FAILURES = (ValueError, ArithmeticError, SteadyStateError)
 
 
 def describe(error: Exception) -> str:

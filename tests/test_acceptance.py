@@ -26,7 +26,7 @@ from detuned_tls import (
     SystemSpec,
     average_energy_equivalence,
     classify_regime,
-    effective_energies_quantum,
+    effective_energies,
     entropy_report,
     evolve,
     evolve_meanfield,
@@ -223,8 +223,8 @@ def test_criterion_3_effective_energy_extraction():
                 )
                 sol = quantum_steady_state(spec)
                 flux = fluxes_quantum(sol.state, sol.liouvillian, spec)
-                eff = effective_energies_quantum(
-                    spec.levels, spec.cavity, gamma_u, gamma_l, gamma_b
+                eff = effective_energies(
+                    spec.levels, spec.cavity.omega_cav, gamma_u, gamma_l, gamma_b
                 )
                 worst = max(
                     worst,
@@ -357,7 +357,7 @@ def test_criterion_7_frequency_pulling_and_lasing_dynamics():
         cavity = CavitySpec(omega_cav=rng.uniform(0.1, 3.0), g=0.1)
         gamma_u, gamma_l, gamma_b = rng.uniform(1e-3, 2.0, 3)
         omega = pulled_frequency(levels, cavity, gamma_u, gamma_l, gamma_b)
-        eff = effective_energies_quantum(levels, cavity, gamma_u, gamma_l, gamma_b)
+        eff = effective_energies(levels, cavity.omega_cav, gamma_u, gamma_l, gamma_b)
         worst_pull = max(worst_pull, abs(omega - eff.e_photon) / max(1.0, abs(omega)))
 
     worst_amp = 0.0

@@ -27,7 +27,7 @@ from detuned_tls import (
 )
 from detuned_tls import classical, quantum
 from detuned_tls.classical import check_physical, trajectory
-from detuned_tls.model import SteadyStateError, effective_energies_classical, expm
+from detuned_tls.model import SteadyStateError, effective_energies, expm
 
 
 def make_spec(gamma_u=0.3, gamma_l=0.2, omega=1.1, epsilon=0.1 + 0.0j, f_u=0.8, f_l=0.2):
@@ -342,8 +342,8 @@ def test_fluxes_first_law_and_ratio_oracle():
         report = fluxes_classical(steady_state_closed_form(spec), spec)
         scale = abs(spec.drive.omega * report.rate)
         assert abs(report.first_law_residual) < 1e-10 * scale + 1e-14
-        eff = effective_energies_classical(
-            spec.levels, spec.drive, spec.reservoir_u.gamma, spec.reservoir_l.gamma
+        eff = effective_energies(
+            spec.levels, spec.drive.omega, spec.reservoir_u.gamma, spec.reservoir_l.gamma, 0.0
         )
         if abs(report.rate) > 1e-12:
             assert report.e_flux_u == pytest.approx(eff.e_upper, rel=1e-9, abs=1e-9)

@@ -224,6 +224,27 @@ def test_laser_sweep_rows_match_pulled_frequency_formula(laser_cfg_file, tmp_pat
         assert float(row["omega"]) == pytest.approx(expected, rel=1e-15)
 
 
+@pytest.mark.parametrize("sweep", ["cavity.g=1e200:1e200:1", "cavity.g=0.35:1e200:2"])
+def test_laser_with_a_non_finite_intensity_exits_3(laser_cfg_file, capsys, sweep):
+    # |g|^2 overflows above threshold: a solver failure, as classical-ss at an
+    # overflowing drive
+    assert main(["laser", "--config", str(laser_cfg_file), "--sweep", sweep]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "solver error: lasing intensity is not finite (nan)\n"
+
+
+def test_a_plain_runtime_error_is_not_a_solver_error(laser_cfg_file, monkeypatch):
+    # exit 3 is for SteadyStateError and EvolutionError; any other RuntimeError
+    # is a fault of the program and propagates
+    def solve_lasing(spec):
+        raise RuntimeError("not a solver failure")
+
+    monkeypatch.setattr(cli, "solve_lasing", solve_lasing)
+    with pytest.raises(RuntimeError, match="not a solver failure"):
+        main(["laser", "--config", str(laser_cfg_file)])
+
+
 def test_bloch_gain_spectrum_csv(tmp_path):
     out = tmp_path / "gain.csv"
     code = main([

@@ -10,15 +10,14 @@ from scipy.optimize import brentq
 from detuned_tls import (
     BosonicBath,
     CavitySpec,
-    ClassicalDrive,
     EnergyLevels,
     EvolutionError,
     FermionicReservoir,
     MeanFieldState,
     OccupationSpec,
+    SteadyStateError,
     SystemSpec,
-    effective_energies_classical,
-    effective_energies_quantum,
+    effective_energies,
     evolve_meanfield,
     pulled_frequency,
     resolve_occupations,
@@ -60,7 +59,7 @@ def test_pulled_frequency_equals_effective_photon_energy():
         cavity = CavitySpec(omega_cav=rng.uniform(0.1, 3.0), g=0.1)
         gamma_u, gamma_l, gamma_b = rng.uniform(1e-3, 2.0, 3)
         omega = pulled_frequency(levels, cavity, gamma_u, gamma_l, gamma_b)
-        eff = effective_energies_quantum(levels, cavity, gamma_u, gamma_l, gamma_b)
+        eff = effective_energies(levels, cavity.omega_cav, gamma_u, gamma_l, gamma_b)
         assert abs(omega - eff.e_photon) <= 1e-14 * max(1.0, abs(omega))
 
 
@@ -71,10 +70,8 @@ def test_effective_energies_agree_between_treatments_at_pulled_frequency():
         cavity = CavitySpec(omega_cav=rng.uniform(0.5, 2.0), g=0.1)
         gamma_u, gamma_l, gamma_b = rng.uniform(0.01, 1.0, 3)
         omega = pulled_frequency(levels, cavity, gamma_u, gamma_l, gamma_b)
-        quantum = effective_energies_quantum(levels, cavity, gamma_u, gamma_l, gamma_b)
-        classical = effective_energies_classical(
-            levels, ClassicalDrive(omega, 0.1), gamma_u, gamma_l
-        )
+        quantum = effective_energies(levels, cavity.omega_cav, gamma_u, gamma_l, gamma_b)
+        classical = effective_energies(levels, omega, gamma_u, gamma_l, 0.0)
         assert classical.e_upper == pytest.approx(quantum.e_upper, abs=1e-12)
         assert classical.e_lower == pytest.approx(quantum.e_lower, abs=1e-12)
         assert classical.e_photon == pytest.approx(quantum.e_photon, abs=1e-12)
@@ -244,3 +241,22 @@ def test_solve_lasing_on_columns_equals_each_scalar_solve(g, keys, rows):
         assert spec.errors[i] is None
         for name, value in vars(expected).items():
             assert repr(getattr(sol, name)[i].item()) == repr(value), name
+
+
+def test_only_the_sample_whose_intensity_overflows_fails():
+    # |g|^2 = inf above threshold makes the intensity inf / inf; a rate of 1e200
+    # only puts the laser below threshold, with finite values
+    keys = ["cavity.g", "reservoir_u.gamma"]
+    table = np.array([[0.35, 0.4], [1e200, 0.4], [0.35, 1e200], [0.3, 0.4]])
+    spec = spec_columns(make_spec(), keys, table)
+    sol = solve_lasing(spec)
+    assert [type(e) for e in spec.errors] == [type(None), SteadyStateError, type(None), type(None)]
+    assert str(spec.errors[1]) == "lasing intensity is not finite (nan)"
+    with pytest.raises(SteadyStateError, match=r"^lasing intensity is not finite \(nan\)$"):
+        solve_lasing(with_parameters(make_spec(), {"cavity.g": 1e200}))
+    for i in (0, 2, 3):
+        expected = solve_lasing(with_parameters(make_spec(), dict(zip(keys, table[i].tolist()))))
+        for name, value in vars(expected).items():
+            assert repr(getattr(sol, name)[i].item()) == repr(value), name
+    assert sol.above_threshold.tolist() == [True, True, False, True]
+    assert math.isfinite(sol.intensity[2]) and sol.intensity[2] == 0.0

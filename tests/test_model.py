@@ -23,13 +23,13 @@ from detuned_tls import (
     bose,
     build_sector_liouvillian,
     detuning,
-    effective_energies_classical,
-    effective_energies_quantum,
+    effective_energies,
     evolve,
     evolve_meanfield,
     fermi,
     fluxes_classical,
     fluxes_quantum,
+    photon_mode,
     quantum_steady_state,
     resolve_occupations,
     solve_lasing,
@@ -38,7 +38,7 @@ from detuned_tls import (
     with_parameters,
 )
 from detuned_tls.model import expm, fail_samples, spec_columns
-from detuned_tls.quantum import build_liouvillian
+from detuned_tls.quantum import build_liouvillian, steady_state_fluxes
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -59,7 +59,7 @@ def test_levels_ordering_enforced():
 def test_effective_classical_equal_couplings():
     levels = EnergyLevels(1.0, 0.0)
     drive = ClassicalDrive(omega=1.1, epsilon=0.1)
-    eff = effective_energies_classical(levels, drive, 0.1, 0.1)
+    eff = effective_energies(levels, drive.omega, 0.1, 0.1, 0.0)
     assert eff.e_upper == pytest.approx(1.05, abs=1e-15)
     assert eff.e_lower == pytest.approx(-0.05, abs=1e-15)
     assert eff.e_photon == pytest.approx(1.1, abs=1e-15)
@@ -68,7 +68,7 @@ def test_effective_classical_equal_couplings():
 def test_effective_classical_resonant_is_bare():
     levels = EnergyLevels(1.3, 0.2)
     drive = ClassicalDrive(omega=1.1, epsilon=0.3)
-    eff = effective_energies_classical(levels, drive, 0.7, 0.2)
+    eff = effective_energies(levels, drive.omega, 0.7, 0.2, 0.0)
     assert eff.e_upper == pytest.approx(1.3, abs=1e-15)
     assert eff.e_lower == pytest.approx(0.2, abs=1e-15)
     assert eff.e_photon == pytest.approx(1.1, abs=1e-15)
@@ -78,7 +78,7 @@ def test_effective_classical_asymmetric_couplings():
     # gamma_u = 0.3 takes 3/4 of the 0.1 detuning, gamma_l = 0.1 takes 1/4.
     levels = EnergyLevels(1.0, 0.0)
     drive = ClassicalDrive(omega=1.1, epsilon=0.1)
-    eff = effective_energies_classical(levels, drive, 0.3, 0.1)
+    eff = effective_energies(levels, drive.omega, 0.3, 0.1, 0.0)
     assert eff.e_upper == pytest.approx(1.075, abs=1e-14)
     assert eff.e_lower == pytest.approx(-0.025, abs=1e-14)
     assert eff.e_upper - eff.e_lower == pytest.approx(1.1, abs=1e-14)
@@ -86,15 +86,13 @@ def test_effective_classical_asymmetric_couplings():
 
 def test_effective_classical_rejects_zero_rates():
     with pytest.raises(ValueError):
-        effective_energies_classical(
-            EnergyLevels(1.0, 0.0), ClassicalDrive(1.1, 0.1), 0.0, 0.0
-        )
+        effective_energies(EnergyLevels(1.0, 0.0), 1.1, 0.0, 0.0, 0.0)
 
 
 def test_effective_quantum_resonant_is_bare():
     levels = EnergyLevels(1.0, 0.0)
     cavity = CavitySpec(omega_cav=1.0, g=0.1)
-    eff = effective_energies_quantum(levels, cavity, 0.2, 0.3, 0.4)
+    eff = effective_energies(levels, cavity.omega_cav, 0.2, 0.3, 0.4)
     assert eff.e_upper == pytest.approx(1.0, abs=1e-15)
     assert eff.e_lower == pytest.approx(0.0, abs=1e-15)
     assert eff.e_photon == pytest.approx(1.0, abs=1e-15)
@@ -104,7 +102,7 @@ def test_effective_quantum_example():
     # Equal rates split the 0.2 detuning in thirds: 16/15, -1/15, 17/15.
     levels = EnergyLevels(1.0, 0.0)
     cavity = CavitySpec(omega_cav=1.2, g=0.1)
-    eff = effective_energies_quantum(levels, cavity, 0.1, 0.1, 0.1)
+    eff = effective_energies(levels, cavity.omega_cav, 0.1, 0.1, 0.1)
     assert eff.e_upper == pytest.approx(16.0 / 15.0, abs=1e-14)
     assert eff.e_lower == pytest.approx(-1.0 / 15.0, abs=1e-14)
     assert eff.e_photon == pytest.approx(17.0 / 15.0, abs=1e-14)
@@ -113,9 +111,7 @@ def test_effective_quantum_example():
 
 def test_effective_quantum_rejects_zero_rates():
     with pytest.raises(ValueError):
-        effective_energies_quantum(
-            EnergyLevels(1.0, 0.0), CavitySpec(1.2, 0.1), 0.0, 0.0, 0.0
-        )
+        effective_energies(EnergyLevels(1.0, 0.0), 1.2, 0.0, 0.0, 0.0)
 
 
 @given(
@@ -128,7 +124,7 @@ def test_effective_quantum_rejects_zero_rates():
 @settings(max_examples=200, deadline=None)
 def test_classical_sum_rule(e_lower, gap, omega, gamma_u, gamma_l):
     levels = EnergyLevels(e_lower + gap, e_lower)
-    eff = effective_energies_classical(levels, ClassicalDrive(omega, 0.1), gamma_u, gamma_l)
+    eff = effective_energies(levels, omega, gamma_u, gamma_l, 0.0)
     scale = max(abs(levels.e_upper), abs(omega), 1.0)
     assert abs(eff.e_upper - eff.e_lower - omega) < 1e-12 * scale
 
@@ -145,14 +141,12 @@ def test_classical_sum_rule(e_lower, gap, omega, gamma_u, gamma_l):
 def test_quantum_sum_rule_and_classical_limit(e_lower, gap, omega, gamma_u, gamma_l, gamma_b):
     levels = EnergyLevels(e_lower + gap, e_lower)
     cavity = CavitySpec(omega, 0.1)
-    eff = effective_energies_quantum(levels, cavity, gamma_u, gamma_l, gamma_b)
+    eff = effective_energies(levels, cavity.omega_cav, gamma_u, gamma_l, gamma_b)
     scale = max(abs(levels.e_upper), abs(omega), 1.0)
     assert abs(eff.e_upper - eff.e_lower - eff.e_photon) < 1e-12 * scale
 
-    limit = effective_energies_quantum(levels, cavity, gamma_u, gamma_l, 0.0)
-    classical = effective_energies_classical(
-        levels, ClassicalDrive(omega, 0.1), gamma_u, gamma_l
-    )
+    limit = effective_energies(levels, cavity.omega_cav, gamma_u, gamma_l, 0.0)
+    classical = effective_energies(levels, omega, gamma_u, gamma_l, 0.0)
     assert limit.e_upper == pytest.approx(classical.e_upper, abs=1e-14)
     assert limit.e_lower == pytest.approx(classical.e_lower, abs=1e-14)
     assert limit.e_photon == pytest.approx(classical.e_photon, abs=1e-14)
@@ -276,6 +270,98 @@ def test_resolve_requires_matching_sections():
         resolve_occupations(spec, "quantum")
     with pytest.raises(ValueError):
         resolve_occupations(_spec(OccupationSpec.fixed(0.5), OccupationSpec.fixed(0.5)), "other")
+
+
+def test_photon_mode_of_each_treatment():
+    spec = _spec(OccupationSpec.fixed(0.5), OccupationSpec.fixed(0.5), omega=1.3)
+    spec = replace(spec, drive=replace(spec.drive, omega=1.1))
+    assert photon_mode(spec, "classical") == (1.1, 0.0)
+    assert photon_mode(spec, "quantum") == (1.3, 0.1)
+    assert photon_mode(replace(spec, bath=None), "quantum") == (1.3, 0.0)
+    for section, treatment in (("drive", "classical"), ("cavity", "quantum")):
+        with pytest.raises(ValueError, match=f"^{treatment} treatment requires a {section}$"):
+            photon_mode(replace(spec, **{section: None}), treatment)
+    with pytest.raises(ValueError, match="^unknown treatment 'other'$"):
+        photon_mode(spec, "other")
+
+
+_KINDS = {
+    "bare": OccupationSpec.thermal_bare(),
+    "effective": OccupationSpec.thermal_effective(),
+}
+_FIXED = {"u": 0.7, "l": 0.2, "b": 0.15}
+_SAMPLED = ("e_upper", "e_lower", "drive.omega", "cavity.omega_cav", "reservoir_u.gamma",
+            "reservoir_l.gamma", "reservoir_u.mu", "bath.gamma", "bath.temperature")
+
+
+def _at(value, i):
+    """Entry ``i`` of a column; a shared value is every sample's."""
+    return value[i].item() if isinstance(value, np.ndarray) else value
+
+
+@given(
+    treatment=st.sampled_from(["classical", "quantum"]),
+    kinds=st.tuples(*[st.sampled_from(["bare", "effective", "fixed"])] * 3),
+    with_bath=st.booleans(),
+    rows=st.lists(
+        st.tuples(
+            st.floats(0.6, 1.5), st.floats(-0.5, 0.4), st.floats(0.3, 2.0), st.floats(0.3, 2.0),
+            st.floats(0.01, 1.0), st.floats(0.01, 1.0), st.floats(-0.5, 2.0),
+            st.floats(0.0, 0.5), st.floats(0.05, 0.5),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_report_reads_the_effective_energies_of_its_photon_mode(
+    treatment, kinds, with_bath, rows
+):
+    # the flux report, the occupations and the formula agree bit for bit on
+    # every sample, whichever occupations the scenario uses
+    occupation = [_KINDS.get(kind) or OccupationSpec.fixed(_FIXED[name])
+                  for kind, name in zip(kinds, "ulb")]
+    base = SystemSpec(
+        levels=EnergyLevels(1.0, 0.0),
+        reservoir_u=FermionicReservoir(0.3, occupation[0], 0.9, 0.2),
+        reservoir_l=FermionicReservoir(0.2, occupation[1], 0.1, 0.25),
+        drive=ClassicalDrive(omega=1.1, epsilon=0.1),
+        cavity=CavitySpec(omega_cav=1.2, g=0.05, fock_cutoff=4),
+        bath=BosonicBath(0.1, occupation[2], 0.3) if with_bath else None,
+    )
+    keys = _SAMPLED if with_bath else _SAMPLED[:-2]
+    spec = spec_columns(base, keys, np.array(rows)[:, : len(keys)])
+    if treatment == "classical":
+        report = fluxes_classical(steady_state_closed_form(spec), spec)
+    else:
+        report = steady_state_fluxes(spec)
+
+    levels, res_u, res_l, bath = spec.levels, spec.reservoir_u, spec.reservoir_l, spec.bath
+    for i in range(len(rows)):
+        omega = _at(spec.drive.omega if treatment == "classical" else spec.cavity.omega_cav, i)
+        gamma_b = _at(bath.gamma, i) if treatment == "quantum" and with_bath else 0.0
+        sample = EnergyLevels(_at(levels.e_upper, i), _at(levels.e_lower, i))
+        gamma_u, gamma_l = _at(res_u.gamma, i), _at(res_l.gamma, i)
+        eff = effective_energies(sample, omega, gamma_u, gamma_l, gamma_b)
+        assert (_at(report.e_eff_u, i), _at(report.e_eff_l, i), _at(report.e_eff_ph, i)) == (
+            eff.e_upper, eff.e_lower, eff.e_photon
+        )
+        energies = {
+            "u": {"bare": sample.e_upper, "effective": eff.e_upper},
+            "l": {"bare": sample.e_lower, "effective": eff.e_lower},
+            "b": {"bare": omega, "effective": eff.e_photon},
+        }
+        thermal = {
+            "u": lambda e: fermi(e, _at(res_u.mu, i), res_u.temperature),
+            "l": lambda e: fermi(e, res_l.mu, res_l.temperature),
+            "b": lambda e: bose(e, _at(bath.temperature, i)),
+        }
+        for name, kind, got in zip("ulb", kinds, (report.f_u, report.f_l, report.n_b)):
+            if name == "b" and not with_bath:
+                assert got is None
+                continue
+            want = _FIXED[name] if kind == "fixed" else thermal[name](energies[name][kind])
+            assert _at(got, i) == want, (name, kind)
 
 
 def test_spec_keeps_the_occupations_of_each_treatment():

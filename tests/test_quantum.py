@@ -24,6 +24,7 @@ from detuned_tls import (
     EnergyLevels,
     EvolutionError,
     FermionicReservoir,
+    FlowMismatchError,
     FockCutoffError,
     HilbertLayout,
     OccupationSpec,
@@ -31,7 +32,7 @@ from detuned_tls import (
     SteadyStateError,
     SystemSpec,
     build_sector_liouvillian,
-    effective_energies_quantum,
+    effective_energies,
     evolve_quantum,
     fluxes_quantum,
     quantum_steady_state,
@@ -41,7 +42,7 @@ from detuned_tls import (
     with_parameter,
     with_parameters,
 )
-from detuned_tls import quantum
+from detuned_tls import quantum, thermo
 from detuned_tls.model import Occupations, expm, spec_columns
 from detuned_tls.quantum import (
     Liouvillian,
@@ -355,8 +356,8 @@ def test_stationarity_relations_and_flux_ratios_on_grid():
 
                 flux = fluxes_quantum(sol.state, sol.liouvillian, spec)
                 assert abs(flux.first_law_residual) < 1e-9 * max(1.0, abs(flux.edot_u))
-                eff = effective_energies_quantum(
-                    spec.levels, spec.cavity, gamma_u, gamma_l, gamma_b
+                eff = effective_energies(
+                    spec.levels, spec.cavity.omega_cav, gamma_u, gamma_l, gamma_b
                 )
                 assert flux.e_flux_u == pytest.approx(eff.e_upper, rel=1e-6)
                 assert flux.e_flux_l == pytest.approx(eff.e_lower, rel=1e-6)
@@ -443,6 +444,24 @@ def test_fluxes_reject_non_stationary_state():
     state = thermal_state(layout, 0.9, 0.1, 0.3)  # not the steady state
     with pytest.raises(SteadyStateError):
         fluxes_quantum(state, build_sector_liouvillian(layout, spec), spec)
+
+
+def test_a_truncated_ladder_fails_the_bath_flow_check_as_a_flow_mismatch():
+    # weak coupling, n_b = 1: the top level's population 0.5^31 at cutoff 30 shifts the
+    # bath flow's trace form by about omega_cav gamma_b n_b (N + 1) p_N = 1e-9
+    spec = make_spec(gamma_u=0.3, gamma_l=0.3, gamma_b=0.05, omega_cav=1.4, g=0.01,
+                     f_u=0.95, f_l=0.02, n_b=1.0, cutoff=30)
+    message = r"^energy flow b: trace form .* and closed form .* disagree$"
+    with pytest.raises(FlowMismatchError, match=message):
+        steady_state_fluxes(spec)
+    sol = quantum_steady_state(spec)
+    with pytest.raises(FlowMismatchError, match=message):
+        fluxes_quantum(sol.state, sol.liouvillian, spec)
+    assert issubclass(FlowMismatchError, SteadyStateError)
+
+    rows = thermo.sweep(spec, {"cavity.fock_cutoff": (30, 60, 2)}, treatment="quantum")
+    assert rows[0].error.startswith("FlowMismatchError: energy flow b: trace form ")
+    assert rows[1].error is None and rows[1].flux.rate > 0
 
 
 def test_sign_condition_examples():
@@ -548,7 +567,7 @@ def test_entropy_condition_weak_coupling_sweep():
         )
         sol = quantum_steady_state(spec)
         flux = fluxes_quantum(sol.state, sol.liouvillian, spec)
-        eff = effective_energies_quantum(spec.levels, spec.cavity, gamma_u, gamma_l, gamma_b)
+        eff = effective_energies(spec.levels, spec.cavity.omega_cav, gamma_u, gamma_l, gamma_b)
         bracket = (
             eff.e_photon / spec.bath.temperature
             + (eff.e_lower - spec.reservoir_l.mu) / spec.reservoir_l.temperature
@@ -580,8 +599,9 @@ def _dense_flux_fields(rho, ops, spec, occ):
     rate = observables(rho, ops, spec).rate
     ratio = rate if abs(rate) >= 1e-12 else math.nan  # the program's dead band
     gamma_b = spec.bath.gamma if spec.bath is not None else 0.0
-    eff = effective_energies_quantum(
-        spec.levels, spec.cavity, spec.reservoir_u.gamma, spec.reservoir_l.gamma, gamma_b
+    eff = effective_energies(
+        spec.levels, spec.cavity.omega_cav, spec.reservoir_u.gamma, spec.reservoir_l.gamma,
+        gamma_b,
     )
     return {
         "treatment": "quantum",

@@ -27,7 +27,7 @@ from detuned_tls import (
     with_parameters,
 )
 from detuned_tls import model, quantum, thermo
-from detuned_tls.model import effective_energies_quantum
+from detuned_tls.model import effective_energies
 from detuned_tls.quantum import FockCutoffError
 from detuned_tls.thermo import DEFAULT_VIOLATION_RANGES, default_violation_scenario
 
@@ -81,7 +81,7 @@ def test_classical_entropy_report_matches_closed_form():
 def test_quantum_entropy_report_matches_rate_bracket_form():
     spec = quantum_spec()
     flux, report, _ = audit_point(spec, "quantum")
-    eff = effective_energies_quantum(spec.levels, spec.cavity, 0.35, 0.3, 0.3)
+    eff = effective_energies(spec.levels, spec.cavity.omega_cav, 0.35, 0.3, 0.3)
     bracket = (
         eff.e_photon / spec.bath.temperature
         + (eff.e_lower - spec.reservoir_l.mu) / spec.reservoir_l.temperature
@@ -183,8 +183,9 @@ def test_sweep_records_per_sample_failures():
 
 
 def test_only_solver_failures_are_recorded_as_rows(monkeypatch):
-    # A FockCutoffError fails its sample and becomes an error row; a TypeError
-    # is a fault of the program and leaves both the sweep and the search.
+    # A FockCutoffError fails its sample and becomes an error row; a TypeError,
+    # or a RuntimeError that is not a SteadyStateError, is a fault of the
+    # program and leaves both the sweep and the search.
     spec = classical_spec()
     ranges = {"drive.omega": (1.0, 1.4)}
 
@@ -199,11 +200,12 @@ def test_only_solver_failures_are_recorded_as_rows(monkeypatch):
     assert [r.error for r in results] == ["FockCutoffError: tail too big"] * 3
     assert find_violation_with_bare_energies(max_samples=3) is None
 
-    monkeypatch.setattr(thermo, "audit_point", raising(TypeError("not a spec")))
-    with pytest.raises(TypeError, match="not a spec"):
-        sweep(spec, ranges, n_samples=3, seed=1)
-    with pytest.raises(TypeError, match="not a spec"):
-        find_violation_with_bare_energies(max_samples=3)
+    for fault in (TypeError("not a spec"), RuntimeError("not a solver failure")):
+        monkeypatch.setattr(thermo, "audit_point", raising(fault))
+        with pytest.raises(type(fault), match=str(fault)):
+            sweep(spec, ranges, n_samples=3, seed=1)
+        with pytest.raises(type(fault), match=str(fault)):
+            find_violation_with_bare_energies(max_samples=3)
 
 
 def test_effective_energy_sweep_has_no_violations():
