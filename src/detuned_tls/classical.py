@@ -30,6 +30,7 @@ from .model import (
     SystemSpec,
     any_of,
     detuning,
+    energy_flow,
     expm,
     flux_report,
     plain,
@@ -94,8 +95,6 @@ def check_physical(state: BlochState) -> None:
 
 def bloch_rhs(state: BlochState, spec: SystemSpec) -> BlochState:
     """Time derivative of the reduced density matrix in the rotating frame."""
-    if spec.drive is None:
-        raise ValueError("classical dynamics requires a drive")
     occ = spec.classical_occupations
     gamma_u = spec.reservoir_u.gamma
     gamma_l = spec.reservoir_l.gamma
@@ -162,8 +161,6 @@ def trajectory(state0: BlochState, spec: SystemSpec, t_final: float, n_store: in
     outside [0, 1] raises ValueError; the first row whose population leaves
     [0, 1] raises EvolutionError naming its time.
     """
-    if spec.drive is None:
-        raise ValueError("classical dynamics requires a drive")
     if n_store < 2:
         raise ValueError("n_store must be at least 2 (the initial and the final state)")
     if not math.isfinite(t_final):
@@ -198,8 +195,6 @@ def steady_state_closed_form(spec: SystemSpec) -> ClassicalSteadyState:
     quenches the population imbalance at strong driving, and the transition
     rate is alpha * saturation_h * (f_u - f_l).
     """
-    if spec.drive is None:
-        raise ValueError("classical steady state requires a drive")
     occ = spec.classical_occupations
     gamma_u = spec.reservoir_u.gamma
     gamma_l = spec.reservoir_l.gamma
@@ -248,8 +243,8 @@ def fluxes_classical(ss: ClassicalSteadyState, spec: SystemSpec) -> FluxReport:
     rate = 2.0 * z_im
     ndot_u = gamma_u * (occ.f_u - ss.bloch.sigma_uu)
     ndot_l = gamma_l * (occ.f_l - ss.bloch.sigma_ll)
-    edot_u = spec.levels.e_upper * ndot_u - gamma_u * z_re
-    edot_l = spec.levels.e_lower * ndot_l - gamma_l * z_re
+    edot_u = energy_flow(spec.levels.e_upper, ndot_u, gamma_u, z_re)
+    edot_l = energy_flow(spec.levels.e_lower, ndot_l, gamma_l, z_re)
     return flux_report(spec, "classical", rate, ndot_u, ndot_l, edot_u, edot_l, -omega * rate)
 
 

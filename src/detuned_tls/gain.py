@@ -123,11 +123,18 @@ def bloch_rate(
     """Net u -> l rate at in-plane energy ``e_k0`` and detuning ``delta``, elementwise.
 
     Lorentzian broadening times the rate-weighted occupation differences
-    with detuning-shifted arguments.  Positive for net emission.
+    with detuning-shifted arguments.  Positive for net emission.  A rate
+    that is not finite raises ValueError.
     """
-    gamma_sum, bracket = _weighted_bracket(e_k0, delta, gamma_u, gamma_l, f_upper, f_lower)
-    lorentz = gamma_sum / (square(delta) + square(gamma_sum) / 4.0)
-    return plain(lorentz * bracket)
+    with np.errstate(all="ignore"):  # a rate that is not finite raises below
+        gamma_sum, bracket = _weighted_bracket(e_k0, delta, gamma_u, gamma_l, f_upper, f_lower)
+        denom = square(delta) + square(gamma_sum) / 4.0
+        s = np.maximum(abs(delta), gamma_sum)  # scales both where a square overflows or underflows
+        scaled = gamma_sum / s * bracket / (square(delta / s) + square(gamma_sum / s) / 4.0) / s
+        rate = where((0.0 < denom) & (denom < np.inf), gamma_sum / denom * bracket, scaled)
+    if not np.isfinite(rate).all():
+        raise ValueError("the net rate is not a finite float")
+    return plain(rate)
 
 
 def gain_spectrum(

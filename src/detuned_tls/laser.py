@@ -98,6 +98,8 @@ def pulled_frequency(
 
 def _laser_coefficients(spec: SystemSpec) -> tuple[float, float, float, float, float]:
     """omega, delta (vs transition), delta_c (vs cavity), loss term A, saturation S."""
+    if spec.cavity is None or spec.bath is None:
+        raise ValueError("the mean-field laser requires a cavity and a bosonic bath")
     gamma_u = spec.reservoir_u.gamma
     gamma_l = spec.reservoir_l.gamma
     gamma_b = spec.bath.gamma
@@ -118,12 +120,9 @@ def solve_lasing(spec: SystemSpec) -> LaserSolution:
     A sample without cavity loss or coupling fails with ValueError, one whose
     intensity is not finite (|g| overflows) with SteadyStateError.
     """
-    if spec.cavity is None or spec.bath is None:
-        raise ValueError("lasing requires a cavity and a bosonic bath")
+    omega, _, delta_c, a_coeff, saturation = _laser_coefficients(spec)
     spec.reject(spec.bath.gamma <= 0, ValueError, "lasing requires a lossy cavity (bath gamma > 0)")
     occ = spec.quantum_occupations
-
-    omega, _, delta_c, a_coeff, saturation = _laser_coefficients(spec)
     g = np.asarray(spec.cavity.g + 0j)
     g2 = square(np.hypot(g.real, g.imag))  # np.abs(g) may round apart from abs(g)
     spec.reject(g2 <= 0, ValueError, "lasing requires a non-zero coupling")
@@ -152,8 +151,7 @@ def evolve_meanfield(
     up from below requires a small seed amplitude.  A field beyond 1e6, at
     the start or on the way, or a failed integration raises EvolutionError.
     """
-    if spec.cavity is None or spec.bath is None:
-        raise ValueError("mean-field dynamics requires a cavity and a bath")
+    _, delta, delta_c, _, _ = _laser_coefficients(spec)
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError("t_final must be finite and positive")
     # Imported here: SciPy with scipy.integrate adds about 0.5 s to the package
@@ -161,8 +159,6 @@ def evolve_meanfield(
     from scipy.integrate import solve_ivp
 
     occ = spec.quantum_occupations
-    _, delta, delta_c, _, _ = _laser_coefficients(spec)
-
     gamma_u = spec.reservoir_u.gamma
     gamma_l = spec.reservoir_l.gamma
     gamma_b = spec.bath.gamma

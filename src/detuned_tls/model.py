@@ -44,8 +44,8 @@ OCC_FIXED = "fixed"
 OCC_BARE = "bare"
 OCC_EFFECTIVE = "effective"
 
-# Rates of magnitude below this count as zero: the regime reads idle and
-# flux ratios are not formed.
+# Rates of magnitude below this count as zero (``in_deadband``): the regime
+# reads idle, flux ratios are not formed and the rate has no sign.
 RATE_DEADBAND = 1e-12
 
 
@@ -459,7 +459,7 @@ def flux_report(spec: SystemSpec, treatment: Treatment, rate, ndot_u, ndot_l, ed
     eff = effective_energies(spec.levels, omega, spec.reservoir_u.gamma, spec.reservoir_l.gamma,
                              gamma_b)
     occ = spec.classical_occupations if treatment == "classical" else spec.quantum_occupations
-    idle = abs(rate) < RATE_DEADBAND
+    idle = in_deadband(rate)
     nonzero = where(idle, 1.0, rate)
     ratios = (edot_u / nonzero, -edot_l / nonzero, -edot_opt / nonzero)
     e_flux = (plain(where(idle, math.nan, ratio)) for ratio in ratios)
@@ -468,6 +468,17 @@ def flux_report(spec: SystemSpec, treatment: Treatment, rate, ndot_u, ndot_l, ed
         treatment, *flows, eff.e_upper, eff.e_lower, eff.e_photon, *e_flux,
         plain(edot_u + edot_l + edot_opt), occ.f_u, occ.f_l, occ.n_b,
     )
+
+
+def in_deadband(rate):
+    """Whether ``rate`` counts as zero, elementwise: |rate| < RATE_DEADBAND, or NaN."""
+    return np.logical_not(abs(rate) >= RATE_DEADBAND)
+
+
+def energy_flow(e, ndot, gamma, re_y):
+    """Energy flow from a reservoir into the system, elementwise: its energy ``e`` times its
+    particle flow ``ndot``, less its coupling ``gamma`` times Re Y."""
+    return e * ndot - gamma * re_y
 
 
 def detuning(levels: EnergyLevels, omega: float) -> float:

@@ -69,16 +69,17 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .model import (
-    RATE_DEADBAND,
     EvolutionError,
     FluxReport,
     Occupations,
     SpecColumns,
     SteadyStateError,
     SystemSpec,
+    energy_flow,
     expm,
     fail_samples,
     flux_report,
+    in_deadband,
     photon_mode,
     plain,
     raise_first,
@@ -521,8 +522,6 @@ def build_sector_liouvillian(layout: HilbertLayout, spec: SystemSpec) -> Liouvil
     T matrix T^-1 equals the ΔQ = 0 slice of ``build_liouvillian`` to
     rounding, for either fermion ordering.
     """
-    if spec.cavity is None:
-        raise ValueError("quantum treatment requires a cavity")
     return Liouvillian(None, layout, sector_pattern(layout.fock_cutoff), _coefficients(spec))
 
 
@@ -876,8 +875,6 @@ def _steady_states(spec: SystemSpec, errors: list):
     cutoff they were solved at.  The others keep their first error in
     ``errors``.  A sample's enlargements are read off its cutoff.
     """
-    if spec.cavity is None:
-        raise ValueError("quantum treatment requires a cavity")
     n = len(errors)
     coefficients = np.broadcast_to(_coefficients(spec), (n, 9))
     cutoffs = np.broadcast_to(spec.cavity.fock_cutoff, n).astype(int)
@@ -1024,16 +1021,14 @@ def _flows(vectors, actions, pattern: SectorPattern, spec: SystemSpec, errors: l
     ndot_l = charge[..., _CHANNELS["l"]].sum(axis=-1)
 
     obs = stacked_observables(vectors, pattern, spec)
-    two_re_y = 2.0 * np.real(obs.y)
+    re_y = np.real(obs.y)
     omega, gamma_b = photon_mode(spec, "quantum")
     n_b = occ.n_b if occ.n_b is not None else 0.0
+    gamma_u, gamma_l = spec.reservoir_u.gamma, spec.reservoir_l.gamma
     closed = {
-        "u": spec.levels.e_upper * spec.reservoir_u.gamma * (occ.f_u - obs.sigma_uu)
-        - 0.5 * spec.reservoir_u.gamma * two_re_y,
-        "l": spec.levels.e_lower * spec.reservoir_l.gamma * (occ.f_l - obs.sigma_ll)
-        - 0.5 * spec.reservoir_l.gamma * two_re_y,
-        "b": omega * gamma_b * (n_b - obs.n_ph)
-        - 0.5 * gamma_b * two_re_y,
+        "u": energy_flow(spec.levels.e_upper, gamma_u * (occ.f_u - obs.sigma_uu), gamma_u, re_y),
+        "l": energy_flow(spec.levels.e_lower, gamma_l * (occ.f_l - obs.sigma_ll), gamma_l, re_y),
+        "b": energy_flow(omega, gamma_b * (n_b - obs.n_ph), gamma_b, re_y),
     }
     for name in ("u", "l", "b"):
         mismatch = abs(edot[name] - closed[name])
@@ -1092,9 +1087,7 @@ def steady_state_fluxes(spec: SystemSpec) -> FluxReport:
 
 
 def _sign_with_deadband(x: float) -> int:
-    if abs(x) < RATE_DEADBAND:
-        return 0
-    return 1 if x > 0 else -1
+    return 0 if in_deadband(x) else 1 if x > 0 else -1
 
 
 def sign_condition(obs: QuantumObservables, occupations: Occupations) -> SignCondition:

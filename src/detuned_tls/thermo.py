@@ -26,7 +26,6 @@ import numpy as np
 from .classical import fluxes_classical, steady_state_closed_form
 from .model import (
     OCC_EFFECTIVE,
-    RATE_DEADBAND,
     FluxReport,
     ClassicalDrive,
     EnergyLevels,
@@ -36,6 +35,7 @@ from .model import (
     SystemSpec,
     Treatment,
     any_of,
+    in_deadband,
     plain,
     spec_columns,
     where,
@@ -102,8 +102,7 @@ REGIMES = ("emission", "absorption", "idle")
 
 def _regime(rate):
     emission, absorption, idle = REGIMES
-    below = where(rate < -RATE_DEADBAND, absorption, idle)
-    return where(rate > RATE_DEADBAND, emission, below)
+    return where(in_deadband(rate), idle, where(rate > 0, emission, absorption))
 
 
 def entropy_report(flux: FluxReport, spec: SystemSpec) -> EntropyReport:
@@ -355,10 +354,8 @@ def find_violation_with_bare_energies(
     return None
 
 
-def recheck_with_effective_energies(
-    result: SweepResult, base: SystemSpec | None = None
-) -> float:
-    """Re-audit a violating sample with effective-energy occupations."""
-    base = _violation_base(base, OccupationSpec.thermal_effective())
-    _, entropy, _ = audit_point(with_parameters(base, result.params), "classical")
-    return entropy.total
+def recheck_with_effective_energies(result: SweepResult) -> float:
+    """Re-audit a violating sample with effective-energy occupations: the scenario
+    ``result.spec`` it was found on, or the default one at ``result.params`` without it."""
+    spec = result.spec or with_parameters(default_violation_scenario(), result.params)
+    return audit_point(_violation_base(spec, OccupationSpec(OCC_EFFECTIVE)), "classical")[1].total

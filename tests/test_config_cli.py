@@ -346,6 +346,24 @@ def test_bloch_gain_rejects_non_finite_and_negative_inputs(capsys, flag, value, 
     assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
+GAIN_FERMI_PAIR = ["--f-upper", "fermi:T=0.1,mu=0.5", "--f-lower", "fermi:T=0.1,mu=-0.5"]
+
+
+def test_bloch_gain_prints_a_rate_whose_square_overflows(capsys):
+    # (gamma_u + gamma_l)^2 overflows; the rate does not, and no warning is raised
+    flags = ["--e-k0", "0", "--gamma-u", "1e200", "--gamma-l", "0.1", "--grid=-1:1:3"]
+    assert main(["bloch-gain"] + flags + GAIN_FERMI_PAIR) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "sample_id,delta,rate"
+    assert float(rows[0].split(",")[2]) == pytest.approx(3.97e-200, rel=1e-3)
+
+
+def test_bloch_gain_with_a_rate_beyond_the_largest_float_exits_2(capsys):
+    flags = ["--e-k0", "0", "--gamma-u", "5e-324", "--gamma-l", "0", "--grid=-1:1:3"]
+    assert main(["bloch-gain"] + flags + GAIN_FERMI_PAIR) == 2
+    assert capsys.readouterr() == ("", "config error: the net rate is not a finite float\n")
+
+
 @pytest.mark.parametrize(
     ("value", "cell"),
     [("0.04+0.02j", "0.040000000000000001+0.02j"), ("-0.1-0.25j", "-0.10000000000000001-0.25j")],

@@ -165,3 +165,30 @@ def test_spectrum_entries_equal_the_rate_at_each_detuning(f_upper, f_lower):
     rates = gain_spectrum(0.3, grid, 0.05, 0.08, f_upper, f_lower).rates
     for d, rate in zip(grid.tolist(), rates.tolist()):
         assert rate == bloch_rate(0.3, d, 0.05, 0.08, f_upper, f_lower)
+
+
+def test_a_rate_past_an_overflowing_square_is_the_representable_one():
+    # (gamma_u + gamma_l)^2 overflows at gamma_u = 1e200, while the rate, about
+    # 4 / gamma_u times the bracket, is a normal float; pytest turns warnings into errors
+    upper, lower = FermiOccupation(0.1, 0.5), FermiOccupation(0.1, -0.5)
+    grid = np.array([-1.0, -0.3, 0.0, 0.3])
+    rates = bloch_rate(0.0, grid, 1e200, 0.1, upper, lower)
+    assert rates[0] == pytest.approx(3.97e-200, rel=1e-3)
+    assert rates == pytest.approx(1e-50 * bloch_rate(0.0, grid, 1e150, 0.1, upper, lower),
+                                  rel=1e-14)
+    # a denominator that underflows to zero: the rate is about 4 / gamma_u times the bracket
+    assert bloch_rate(0.0, 0.0, 1e-200, 0.0, upper, lower) == pytest.approx(
+        4e200 * (upper(0.0) - lower(0.0)), rel=1e-14)
+    # a rate beyond the largest float is refused, not returned as inf
+    with pytest.raises(ValueError, match="^the net rate is not a finite float$"):
+        bloch_rate(0.0, 0.0, 5e-324, 0.0, upper, lower)
+
+
+def test_a_rate_whose_squares_stay_finite_is_the_plain_formula():
+    upper, lower = FermiOccupation(0.1, 0.5), LinearOccupation(0.3, 0.2)
+    for delta, gamma_u, gamma_l in ((-0.7, 0.05, 0.08), (0.0, 1e150, 0.1), (1e150, 0.2, 0.0)):
+        gamma_sum = gamma_u + gamma_l
+        bracket = (gamma_l * (upper(0.3) - lower(0.3 - delta))
+                   + gamma_u * (upper(0.3 + delta) - lower(0.3))) / gamma_sum
+        plain = gamma_sum / (delta**2 + gamma_sum**2 / 4.0) * bracket
+        assert bloch_rate(0.3, delta, gamma_u, gamma_l, upper, lower) == plain

@@ -37,10 +37,16 @@ from detuned_tls import (
     with_parameter,
     with_parameters,
 )
+from detuned_tls import classical
+from detuned_tls.classical import BlochState
+from detuned_tls.laser import MeanFieldState
 from detuned_tls.model import expm, fail_samples, spec_columns
-from detuned_tls.quantum import build_liouvillian, steady_state_fluxes
+from detuned_tls.quantum import HilbertLayout, build_liouvillian, steady_state_fluxes
 
 finite = dict(allow_nan=False, allow_infinity=False)
+_DRIVE = "^classical treatment requires a drive$"
+_CAVITY = "^quantum treatment requires a cavity$"
+_LASER = "^the mean-field laser requires a cavity and a bosonic bath$"
 
 
 def test_detuning_examples():
@@ -283,6 +289,30 @@ def test_photon_mode_of_each_treatment():
             photon_mode(replace(spec, **{section: None}), treatment)
     with pytest.raises(ValueError, match="^unknown treatment 'other'$"):
         photon_mode(spec, "other")
+
+
+@pytest.mark.parametrize(
+    ("missing", "solve", "message"),
+    [
+        ("drive", lambda s: bloch_rhs(BlochState(0.5, 0.5, 0j), s), _DRIVE),
+        ("drive", steady_state_closed_form, _DRIVE),
+        ("drive", lambda s: classical.trajectory(BlochState(0.5, 0.5, 0j), s, 1.0, 3), _DRIVE),
+        ("cavity", lambda s: build_sector_liouvillian(HilbertLayout(4), s), _CAVITY),
+        ("cavity", steady_state_fluxes, _CAVITY),
+        ("cavity", solve_lasing, _LASER),
+        ("bath", solve_lasing, _LASER),
+        ("cavity", lambda s: evolve_meanfield(MeanFieldState(0.5, 0.5, 0j, 0.01), s, 1.0), _LASER),
+        ("bath", lambda s: evolve_meanfield(MeanFieldState(0.5, 0.5, 0j, 0.01), s, 1.0), _LASER),
+    ],
+    ids=("bloch_rhs", "steady_state_closed_form", "trajectory", "build_sector_liouvillian",
+         "steady_state_fluxes", "solve_lasing-cavity", "solve_lasing-bath",
+         "evolve_meanfield-cavity", "evolve_meanfield-bath"),
+)
+def test_each_solver_refuses_a_scenario_without_its_section(missing, solve, message):
+    spec = _spec(OccupationSpec.fixed(0.7), OccupationSpec.fixed(0.2))
+    solve(spec)  # the whole scenario solves
+    with pytest.raises(ValueError, match=message):
+        solve(replace(spec, **{missing: None}))
 
 
 _KINDS = {

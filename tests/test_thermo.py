@@ -1,5 +1,6 @@
 """Entropy accounting, regime classification, sweeps, counterexample search."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -253,6 +254,32 @@ def test_find_violation_with_bare_occupations_and_effective_recheck():
     assert rows[-1].entropy_total == result.entropy_total
     assert rows[-1].regime == result.regime
     assert result.spec == with_parameters(base, result.params)
+
+
+def test_recheck_reads_the_scenario_the_violation_was_found_on():
+    base = with_parameters(default_violation_scenario(), {"drive.epsilon": 0.6})
+    result = find_violation_with_bare_energies(seed=1, base=base)
+    effective = OccupationSpec.thermal_effective()
+    spec = replace(result.spec, reservoir_u=replace(result.spec.reservoir_u, occupation=effective),
+                   reservoir_l=replace(result.spec.reservoir_l, occupation=effective))
+    total = audit_point(spec, "classical")[1].total
+    assert recheck_with_effective_energies(result) == total == pytest.approx(0.013352, abs=1e-6)
+    # without a spec, the default scenario at the result's parameters
+    default = recheck_with_effective_energies(replace(result, spec=None))
+    assert default == pytest.approx(0.005795, abs=1e-6)
+
+
+@pytest.mark.parametrize("rate", [model.RATE_DEADBAND, -model.RATE_DEADBAND,
+                                  0.5 * model.RATE_DEADBAND, -0.0, math.nan])
+def test_flux_ratios_regime_and_sign_agree_on_the_dead_band(rate):
+    idle = not abs(rate) >= model.RATE_DEADBAND
+    assert model.in_deadband(rate) == idle
+    spec = classical_spec()
+    flux = model.flux_report(spec, "classical", rate, 0.0, 0.0, 1.0, -1.0, 0.5)
+    assert [math.isnan(e) for e in (flux.e_flux_u, flux.e_flux_l, flux.e_flux_ph)] == [idle] * 3
+    assert (classify_regime(flux, spec).regime == "idle") == idle
+    obs = quantum.QuantumObservables(0.5, 0.5, 0.1, 0j, 0.0, 0.0, rate=rate)
+    assert (quantum.sign_condition(obs, model.Occupations(0.5, 0.2, 0.1)).lhs_sign == 0) == idle
 
 
 # Near resonance violations are rare: on seeds 0-4 the first lies at 937, 226,
