@@ -25,12 +25,10 @@ from .config import (
 from .gain import (
     AverageEnergyCheck,
     FermiOccupation,
-    GainSpectrum,
     LinearOccupation,
     TabulatedOccupation,
     average_energy_equivalence,
     bloch_rate,
-    gain_spectrum,
 )
 from .laser import (
     LaserSolution,

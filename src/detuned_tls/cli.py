@@ -157,6 +157,13 @@ def _parse_sweep(arg: str) -> tuple[str, tuple[float, float, int]]:
     )
 
 
+def _finite_bounds(bounds: tuple, what: str) -> tuple:
+    """``bounds`` if its lo and hi are finite; ``what`` words the error."""
+    if not (math.isfinite(bounds[0]) and math.isfinite(bounds[1])):
+        raise ConfigError(f"bad {what}: bounds must be finite")
+    return bounds
+
+
 def _parse_range(arg: str) -> tuple[str, tuple[float, float]]:
     try:
         key, _, rng = arg.partition("=")
@@ -164,7 +171,7 @@ def _parse_range(arg: str) -> tuple[str, tuple[float, float]]:
         bounds = (float(lo), float(hi))
     except ValueError as exc:
         raise ConfigError(f"bad range spec {arg!r} (expected key=lo:hi)") from exc
-    return resolve_parameter_key(key.strip()), bounds
+    return resolve_parameter_key(key.strip()), _finite_bounds(bounds, f"range spec {arg!r}")
 
 
 def _ranges(args: argparse.Namespace) -> dict[str, tuple]:
@@ -378,13 +385,11 @@ def _cmd_bloch_gain(args: argparse.Namespace) -> int:
         f_up, f_low = _parse_occupation_arg(args.f_upper), _parse_occupation_arg(args.f_lower)
     else:
         raise ConfigError("provide --equal-occupations or both --f-upper and --f-lower")
-    lo, hi, n = _parse_points(args.grid, f"grid spec {args.grid!r}", "lo:hi:n")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"bad grid spec {args.grid!r}: bounds must be finite")
-    grid = np.linspace(lo, hi, n)
-    spectrum = gain_mod.gain_spectrum(args.e_k0, grid, args.gamma_u, args.gamma_l, f_up, f_low)
-    columns = [_ids(len(grid)), spectrum.detunings, spectrum.rates]
-    _write_table(args.out, ["sample_id", "delta", "rate"], columns)
+    what = f"grid spec {args.grid!r}"
+    points = _finite_bounds(_parse_points(args.grid, what, "lo:hi:n"), what)
+    grid = thermo.sample_table({"delta": points})[1][:, 0]
+    rates = gain_mod.bloch_rate(args.e_k0, grid, args.gamma_u, args.gamma_l, f_up, f_low)
+    _write_table(args.out, ["sample_id", "delta", "rate"], [_ids(len(grid)), grid, rates])
     return 0
 
 

@@ -6,8 +6,8 @@ difference whose energy arguments are shifted by the detuning.  The weighted
 difference equals the plain difference evaluated at rate-weighted average
 energies, which reproduces the effective-energy shifts of the two-level
 treatment.  Rates are reported in arbitrary units (unit prefactor).  The
-occupations and the rate are elementwise: ``gain_spectrum`` evaluates
-``bloch_rate`` once on its grid, each entry bit for bit the rate at its detuning.
+occupations and the rate are elementwise: ``bloch_rate`` of a detuning grid
+is the spectrum, each entry bit for bit the rate at its detuning.
 """
 
 from __future__ import annotations
@@ -74,15 +74,6 @@ class TabulatedOccupation:
         return plain(np.interp(e, self.energies, self.values))
 
 
-@dataclass(frozen=True)
-class GainSpectrum:
-    """Sampled net transition rate over a detuning grid (arbitrary units)."""
-
-    detunings: np.ndarray
-    rates: np.ndarray
-    k0_energy: float
-
-
 class AverageEnergyCheck(NamedTuple):
     bracket_value: float
     at_average_energies: float
@@ -135,20 +126,6 @@ def bloch_rate(
     if not np.isfinite(rate).all():
         raise ValueError("the net rate is not a finite float")
     return plain(rate)
-
-
-def gain_spectrum(
-    e_k0: float,
-    detunings: np.ndarray,
-    gamma_u: float,
-    gamma_l: float,
-    f_upper: SubbandOccupation,
-    f_lower: SubbandOccupation,
-) -> GainSpectrum:
-    """Pointwise rate over a detuning grid."""
-    grid = np.asarray(detunings, dtype=float)
-    rates = bloch_rate(e_k0, grid, gamma_u, gamma_l, f_upper, f_lower)
-    return GainSpectrum(detunings=grid, rates=rates, k0_energy=e_k0)
 
 
 def average_energy_equivalence(

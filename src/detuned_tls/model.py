@@ -560,9 +560,13 @@ def resolve_occupations(spec: SystemSpec, treatment: Treatment) -> Occupations:
                   lambda e: fermi(e, res_u.mu, res_u.temperature))
     f_l = thermal(res_l.occupation, spec.levels.e_lower, eff.e_lower,
                   lambda e: fermi(e, res_l.mu, res_l.temperature))
-    n_b = None if bath is None else thermal(
-        bath.occupation, omega, eff.e_photon, lambda e: bose(e, bath.temperature)
-    )
+
+    def bath_occupation(e):
+        # A sample whose mode energy is not positive fails alone; bose sees a stand-in.
+        spec.reject(e <= 0, ValueError, "Bose occupation requires a positive mode energy")
+        return bose(where(e <= 0, 1.0, e), bath.temperature)
+
+    n_b = None if bath is None else thermal(bath.occupation, omega, eff.e_photon, bath_occupation)
     return Occupations(f_u=f_u, f_l=f_l, n_b=n_b)
 
 

@@ -75,7 +75,6 @@ class RegimeReport:
     sign_law_ok: bool | None
     carnot_ok: bool | None
     cooling: bool
-    bias_excess: float | None
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,7 @@ def classify_regime(flux: FluxReport, spec: SystemSpec) -> RegimeReport:
     unequal = abs(temperature - spec.reservoir_l.temperature) > 1e-12
     applies = where(unequal, False, all(kind == OCC_EFFECTIVE for kind in kinds))
     if not any_of(applies):
-        return RegimeReport(regime, None, None, cooling, None)
+        return RegimeReport(regime, None, None, cooling)
 
     if quantum:
         excess = bias - flux.e_eff_ph * (1.0 - temperature / spec.bath.temperature)
@@ -159,8 +158,7 @@ def classify_regime(flux: FluxReport, spec: SystemSpec) -> RegimeReport:
         checked = applies & (regime == "absorption") & (t_bath > temperature)
         carnot_ok = plain(where(checked, p_el <= carnot_bound + 1e-10, None))
 
-    excess = where(applies, excess, None)
-    return RegimeReport(regime, plain(sign_law_ok), carnot_ok, cooling, excess)
+    return RegimeReport(regime, plain(sign_law_ok), carnot_ok, cooling)
 
 
 def audit_point(
@@ -246,16 +244,23 @@ def sample_table(
     ``linspace(lo, hi, n)`` over the keys of ``ranges`` (last key fastest);
     no keys give the one empty point.  With it, ``n_samples`` random points
     drawn uniformly in [lo, hi) from ``default_rng(seed)``, key by key
-    within a point.
+    within a point.  An axis whose finite bounds span more than the largest
+    float is laid out on lo/2 and hi/2 and doubled.
     """
     keys = list(ranges)
+    bounds = np.array([r[:2] for r in ranges.values()], dtype=float).reshape(-1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wide = np.isfinite(bounds).all(1) & np.isinf(bounds[:, 1] - bounds[:, 0])
+    if wide.any():
+        bounds[wide] /= 2
     if n_samples is None:
-        axes = (np.linspace(lo, hi, int(n)) for lo, hi, n in ranges.values())
+        axes = (np.linspace(lo, hi, int(r[2])) for (lo, hi), r in zip(bounds, ranges.values()))
         table = np.array(list(itertools.product(*axes)), dtype=float)
     else:
-        bounds = np.array([r[:2] for r in ranges.values()], dtype=float).reshape(-1, 2)
         rng = np.random.default_rng(seed)
         table = rng.uniform(bounds[:, 0], bounds[:, 1], size=(n_samples, len(keys)))
+    if wide.any():
+        table[:, wide] *= 2
     return keys, table
 
 

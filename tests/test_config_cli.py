@@ -302,7 +302,7 @@ LINEAR = gain_mod.LinearOccupation(f0=0.8, slope=-0.5)
 def test_bloch_gain_takes_linear_and_separate_occupations(capsys, flags, f_upper, f_lower):
     assert main(["bloch-gain"] + flags + GAIN_GRID) == 0
     grid = np.linspace(-1.0, 1.0, 5)
-    rates = gain_mod.gain_spectrum(0.3, grid, 0.05, 0.05, f_upper, f_lower).rates
+    rates = gain_mod.bloch_rate(0.3, grid, 0.05, 0.05, f_upper, f_lower)
     expected = [f"{i},{format_number(float(d))},{format_number(float(r))}"
                 for i, (d, r) in enumerate(zip(grid, rates))]
     assert capsys.readouterr().out.splitlines() == ["sample_id,delta,rate"] + expected
@@ -362,6 +362,13 @@ def test_bloch_gain_with_a_rate_beyond_the_largest_float_exits_2(capsys):
     flags = ["--e-k0", "0", "--gamma-u", "5e-324", "--gamma-l", "0", "--grid=-1:1:3"]
     assert main(["bloch-gain"] + flags + GAIN_FERMI_PAIR) == 2
     assert capsys.readouterr() == ("", "config error: the net rate is not a finite float\n")
+
+
+def test_bloch_gain_lays_out_a_grid_wider_than_the_largest_float(capsys):
+    # hi - lo overflows; the grid is laid out at half scale, with no warning
+    flags = ["--e-k0", "0", "--gamma-u", "1", "--gamma-l", "1", "--grid=-1e308:1e308:3"]
+    assert main(["bloch-gain"] + flags + ["--equal-occupations", "fermi:T=0.1,mu=0.5"]) == 0
+    assert capsys.readouterr() == ("sample_id,delta,rate\n0,-1e+308,0\n1,0,0\n2,1e+308,-0\n", "")
 
 
 @pytest.mark.parametrize(
@@ -885,6 +892,46 @@ def test_a_command_refuses_a_flag_it_does_not_read(classical_cfg_file, capsys, c
 def test_ambiguous_sampling_flags_exit_2(classical_cfg_file, argv, capsys):
     assert main([argv[0], "--config", str(classical_cfg_file)] + argv[1:]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+RANGE_COMMANDS = {"audit": ["audit", "--random", "5"],
+                  "find-violation": ["find-violation", "--max-samples", "5"]}
+
+
+@pytest.mark.parametrize("bounds", ("-inf:0", "nan:1", "0:inf"))
+@pytest.mark.parametrize("command", RANGE_COMMANDS)
+def test_a_range_with_a_non_finite_bound_exits_2(classical_cfg_file, capsys, command, bounds):
+    arg = f"reservoir_u.mu={bounds}"
+    argv = RANGE_COMMANDS[command] + ["--config", str(classical_cfg_file), "--range", arg]
+    assert main(argv) == 2
+    message = f"config error: bad range spec {arg!r}: bounds must be finite\n"
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("command", RANGE_COMMANDS)
+def test_a_range_wider_than_the_largest_float_draws_finite_points(
+    classical_cfg_file, tmp_path, capsys, command
+):
+    out = tmp_path / "out.csv"
+    argv = RANGE_COMMANDS[command] + ["--config", str(classical_cfg_file),
+                                      "--range", "reservoir_l.mu=-1e308:1e308", "--out", str(out)]
+    if command == "audit":
+        assert main(argv) == 0
+        _, rows = _read_csv(out)
+        assert len(rows) == 5
+        assert all(abs(float(row["reservoir_l.mu"])) <= 1e308 for row in rows)
+    else:  # the scenario file's drive is resonant: bare energies are effective ones
+        assert main(argv) == 4
+        assert capsys.readouterr().err == "no second-law violation found within the sample budget\n"
+
+
+def test_a_sweep_wider_than_the_largest_float_reaches_both_bounds(classical_cfg_file, tmp_path):
+    out = tmp_path / "out.csv"
+    argv = ["classical-ss", "--config", str(classical_cfg_file),
+            "--sweep", "reservoir_u.mu=-1e308:1e308:3", "--out", str(out)]
+    assert main(argv) == 0
+    _, rows = _read_csv(out)
+    assert [float(row["reservoir_u.mu"]) for row in rows] == [-1e308, 0.0, 1e308]
 
 
 @pytest.mark.parametrize("n", ("0", "-1"))

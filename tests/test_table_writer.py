@@ -17,8 +17,11 @@ from detuned_tls.model import (
 
 # Row counts: none, one, and both sides of the float kernel's cutoff.
 SIZES = (0, 1, config._KERNEL_SIZE - 1, config._KERNEL_SIZE)
-# Any text but NUL, the writer's pad; commas and non-ASCII characters drawn often.
-TEXT = st.text(st.one_of(st.sampled_from(",;é→μ"), st.characters(exclude_characters="\0")),
+# Any text that UTF-8 encodes but NUL, the writer's pad; commas and non-ASCII
+# characters drawn often.  No cell holds a lone surrogate: scenario files are
+# read as strict UTF-8, and the other cells are program text and numbers.
+TEXT = st.text(st.one_of(st.sampled_from(",;é→μ"),
+                         st.characters(codec="utf-8", exclude_characters="\0")),
                max_size=12)
 
 
@@ -137,6 +140,8 @@ _RANGES = {"e_upper": (-0.5, 2.0), "drive.omega": (0.3, 1.9), "reservoir_u.mu": 
     every_sample_fails=st.booleans(),
 )
 @example(n=1, seed=0, bare=False, injected=[(0, "a, b → ü")], every_sample_fails=False)
+@example(n=1, seed=0, bare=False, injected=[(0, "\U0001d707, \U0001f600")],
+         every_sample_fails=True)
 @settings(max_examples=40, deadline=None)
 def test_audit_rows_equal_the_cells_of_each_sample(n, seed, bare, injected, every_sample_fails):
     occupation = OccupationSpec.thermal_bare() if bare else OccupationSpec.thermal_effective()

@@ -183,6 +183,33 @@ def test_sweep_records_per_sample_failures():
     assert all(r.flux is None and r.regime is None for r in errors)
 
 
+def test_a_sample_without_a_positive_photon_energy_fails_alone():
+    # At gamma_u = 1e-300 the effective photon energy rounds to 0, which has no
+    # Bose occupation: that sample fails, and its neighbours read as they do alone.
+    base = SystemSpec(
+        levels=EnergyLevels(1e-20, 0.0),
+        reservoir_u=FermionicReservoir(0.3, OccupationSpec.fixed(0.5), 0.0, 0.2),
+        reservoir_l=FermionicReservoir(1e-300, OccupationSpec.fixed(0.5), 0.0, 0.2),
+        cavity=CavitySpec(omega_cav=1.0, g=0.05, fock_cutoff=12),
+        bath=BosonicBath(1.0, OccupationSpec.thermal_effective(), 0.3),
+    )
+    rows = sweep(base, {"reservoir_u.gamma": (1e-300, 0.5, 3)}, treatment="quantum")
+    alone = sweep(base, {"reservoir_u.gamma": (0.25, 0.5, 2)}, treatment="quantum")
+    assert rows[0].error == "ValueError: Bose occupation requires a positive mode energy"
+    assert [replace(r, index=0) for r in rows[1:]] == [replace(r, index=0) for r in alone]
+    with pytest.raises(ValueError, match="^Bose occupation requires a positive mode energy$"):
+        audit_point(with_parameters(base, rows[0].params), "quantum")
+
+
+def test_an_axis_wider_than_the_largest_float_draws_the_same_numbers_at_half_scale():
+    ranges = {"drive.omega": (0.5, 1.5), "reservoir_u.mu": (-1e308, 1e308)}
+    _, drawn = thermo.sample_table(ranges, 50, seed=3)
+    _, half = thermo.sample_table({**ranges, "reservoir_u.mu": (-5e307, 5e307)}, 50, seed=3)
+    assert np.isfinite(drawn).all()
+    assert drawn[:, 0].tolist() == half[:, 0].tolist()
+    assert drawn[:, 1].tolist() == (2 * half[:, 1]).tolist()
+
+
 def test_only_solver_failures_are_recorded_as_rows(monkeypatch):
     # A FockCutoffError fails its sample and becomes an error row; a TypeError,
     # or a RuntimeError that is not a SteadyStateError, is a fault of the
