@@ -93,24 +93,27 @@ def check_physical(state: BlochState) -> None:
         )
 
 
+def bloch_equations(sigma_uu, sigma_ll, sigma_ul, eps, delta, gamma_u, gamma_l, f_u, f_l):
+    """d(sigma_uu, sigma_ll, sigma_ul)/dt at the complex drive ``eps``, elementwise; the
+    atom of the mean-field laser (``laser.evolve_meanfield``) sees eps = g a."""
+    # Instantaneous u -> l transition rate, 2 Im(eps* sigma_ul).
+    rate = 2.0 * (eps.conjugate() * sigma_ul).imag
+    d_uu = gamma_u * (f_u - sigma_uu) - rate
+    d_ll = gamma_l * (f_l - sigma_ll) + rate
+    d_ul = (
+        1j * delta * sigma_ul
+        + 1j * eps * (sigma_uu - sigma_ll)
+        - 0.5 * (gamma_u + gamma_l) * sigma_ul
+    )
+    return d_uu, d_ll, d_ul
+
+
 def bloch_rhs(state: BlochState, spec: SystemSpec) -> BlochState:
     """Time derivative of the reduced density matrix in the rotating frame."""
-    occ = spec.classical_occupations
-    gamma_u = spec.reservoir_u.gamma
-    gamma_l = spec.reservoir_l.gamma
-    eps = spec.drive.epsilon + 0j
-    delta = detuning(spec.levels, spec.drive.omega)
-
-    # Instantaneous u -> l transition rate, 2 Im(eps* sigma_ul).
-    rate = 2.0 * (eps.conjugate() * state.sigma_ul).imag
-    d_uu = gamma_u * (occ.f_u - state.sigma_uu) - rate
-    d_ll = gamma_l * (occ.f_l - state.sigma_ll) + rate
-    d_ul = (
-        1j * delta * state.sigma_ul
-        + 1j * eps * (state.sigma_uu - state.sigma_ll)
-        - 0.5 * (gamma_u + gamma_l) * state.sigma_ul
-    )
-    return BlochState(d_uu, d_ll, d_ul)
+    occ, delta = spec.classical_occupations, detuning(spec.levels, spec.drive.omega)
+    drift = bloch_equations(state.sigma_uu, state.sigma_ll, state.sigma_ul, spec.drive.epsilon + 0j,
+                            delta, spec.reservoir_u.gamma, spec.reservoir_l.gamma, occ.f_u, occ.f_l)
+    return BlochState(*drift)
 
 
 def _as_vector(state: BlochState) -> np.ndarray:

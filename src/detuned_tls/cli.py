@@ -171,7 +171,11 @@ def _parse_range(arg: str) -> tuple[str, tuple[float, float]]:
         bounds = (float(lo), float(hi))
     except ValueError as exc:
         raise ConfigError(f"bad range spec {arg!r} (expected key=lo:hi)") from exc
-    return resolve_parameter_key(key.strip()), _finite_bounds(bounds, f"range spec {arg!r}")
+    key, what = resolve_parameter_key(key.strip()), f"range spec {arg!r}"
+    lo, hi = _finite_bounds(bounds, what)
+    if lo > hi:
+        raise ConfigError(f"bad {what}: lo must not exceed hi")
+    return key, bounds
 
 
 def _ranges(args: argparse.Namespace) -> dict[str, tuple]:
@@ -403,12 +407,10 @@ def _cmd_find_violation(args: argparse.Namespace) -> int:
     if result is None:
         sys.stderr.write("no second-law violation found within the sample budget\n")
         return 4
-    cfg = config_from_system_spec(result.spec)
-    table = thermo.SweepColumns(
-        (), np.empty((1, 0)), [None], result.flux, result.entropy_total, result.regime
-    )
-    cells = [_text([v]) for v in cfg.values()]
-    _write_audit(args, _text([str(result.index)]), list(cfg), cells, table)
+    table = thermo.SweepColumns((), np.empty((1, 0)), [None], result.flux,
+                                result.entropy_total, result.regime)
+    keys, cells = _param_columns(result.spec, {}, table.values)
+    _write_audit(args, _text([str(result.index)]), keys, cells, table)
     return 0
 
 

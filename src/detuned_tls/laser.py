@@ -1,10 +1,12 @@
 """Mean-field laser treatment: pulled frequency, intensity, field dynamics.
 
-Treating the cavity amplitude as a classical variable closes the equations
-of motion.  Demanding a time-independent steady state in a frame rotating at
+Treating the cavity amplitude a as a classical variable closes the equations
+of motion: the atom obeys the classical Bloch equations
+(``classical.bloch_equations``) at the drive g a, and the field has an
+equation of its own.  A time-independent steady state in a frame rotating at
 the oscillation frequency fixes that frequency to a rate-weighted mean of the
 cavity and transition frequencies (frequency pulling) and yields a closed
-form for the saturated intensity.  ``evolve_meanfield`` checks that a seeded
+form for the saturated intensity; ``evolve_meanfield`` checks that a seeded
 field settles there, integrating the same equations with adaptive DOP853.
 Both read the reservoir occupations from ``spec.quantum_occupations``.  The
 closed form is elementwise, as in ``classical``: a ``SpecColumns`` solves
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import bloch_equations
 from .model import (
     CavitySpec, EnergyLevels, EvolutionError, SteadyStateError, SystemSpec, any_of, plain,
     quotient, square, where,
@@ -159,25 +162,16 @@ def evolve_meanfield(
     from scipy.integrate import solve_ivp
 
     occ = spec.quantum_occupations
-    gamma_u = spec.reservoir_u.gamma
-    gamma_l = spec.reservoir_l.gamma
-    gamma_b = spec.bath.gamma
+    gamma_u, gamma_l, gamma_b = spec.reservoir_u.gamma, spec.reservoir_l.gamma, spec.bath.gamma
     g = complex(spec.cavity.g)
-    gamma_sum = gamma_u + gamma_l
 
     def rhs(_t: float, y: np.ndarray) -> np.ndarray:
         s_uu, s_ll, s_ul, field = y
-        corr = g.conjugate() * field.conjugate() * s_ul  # Y under factorization
-        rate = 2.0 * corr.imag
-        return np.array(
-            [
-                gamma_u * (occ.f_u - s_uu.real) - rate,
-                gamma_l * (occ.f_l - s_ll.real) + rate,
-                1j * delta * s_ul + 1j * g * field * (s_uu - s_ll) - 0.5 * gamma_sum * s_ul,
-                1j * delta_c * field - 1j * g.conjugate() * s_ul - 0.5 * gamma_b * field,
-            ],
-            dtype=complex,
-        )
+        # The atom sees the field as the classical drive g a.
+        atom = bloch_equations(s_uu.real, s_ll.real, s_ul, g * field, delta, gamma_u, gamma_l,
+                               occ.f_u, occ.f_l)
+        d_field = 1j * delta_c * field - 1j * g.conjugate() * s_ul - 0.5 * gamma_b * field
+        return np.array([*atom, d_field], dtype=complex)
 
     def diverged(_t: float, y: np.ndarray) -> float:
         return abs(y[3]) - _DIVERGENCE_BOUND

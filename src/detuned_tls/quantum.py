@@ -152,9 +152,9 @@ class OperatorSet:
 
 
 class _SectorMatrix:
-    """``Liouvillian.matrix``.  Given as None, the real CSR sum_k c_k B_k of a sector
-    generator is formed from its ``pattern`` and ``coefficients`` on first read; such a
-    CSR, handed on by ``dataclasses.replace``, is dropped, and the new generator forms its own."""
+    """``Liouvillian.matrix``.  Given as None, the real CSR sum_k c_k B_k of a sector generator,
+    its one sparse form, is formed from its ``pattern`` and ``coefficients`` on first read; such
+    a CSR, handed on by ``dataclasses.replace``, is dropped, and the new generator forms its own."""
 
     def __get__(self, liouv, owner=None):
         if liouv is None:
@@ -180,9 +180,9 @@ class Liouvillian:
     ``build_sector_liouvillian`` gives it on the ΔQ = 0 sector: ``matrix`` is
     then real and acts on the real coordinates [p; u; v] of
     ``QuantumState.vector``, and the ``pattern`` and ``coefficients`` it was
-    assembled from are what the solve, the flows and ``trajectory`` read.
-    That CSR ``matrix`` is formed on first read only, so no solve or
-    trajectory forms it (``dataclasses.replace`` forms it; the new generator drops it).
+    assembled from are what the solve, the flows and ``trajectory`` read.  Its CSR
+    ``matrix`` is formed on first read only, by no solve and by a ``trajectory`` only above
+    ``_DENSE_SIZE`` entries (``dataclasses.replace`` forms it; the new generator drops it).
     The full-space reference of ``build_liouvillian`` acts on row-major
     vec(rho) and has neither pattern nor coefficients.
     """
@@ -925,8 +925,8 @@ def trajectory(
     once, in NumPy, by scaling and squaring with a Pade approximant whose
     degree and scaling the exact 1-norms of the powers of L seg pick
     (``model.expm``; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
-    (2009)); above it each segment is one SciPy ``expm_multiply`` call, and
-    only that path forms a CSR matrix.  Every propagated row must have unit
+    (2009)); above it each segment is one SciPy ``expm_multiply`` call on the
+    CSR ``liouvillian.matrix`` times seg.  Every propagated row must have unit
     trace to 1e-9, else EvolutionError; it is renormalized before the next step, and
     validated.  The first failing row raises its error; so does a propagator
     of L seg that overflows.  A full-space generator, a sector one without
@@ -946,18 +946,15 @@ def trajectory(
     # gives, which fail the drift check.
     with np.errstate(all="ignore"):
         rows[0] = state0.vector
-        at, values = _entries(pattern, coefficients)
-        values = values * seg
         if size <= _DENSE_SIZE:
+            at, values = _entries(pattern, coefficients)
             generator = np.zeros((size, size))
-            np.add.at(generator, at, values)
+            np.add.at(generator, at, values * seg)
             step = expm(generator).__matmul__
         else:
-            import scipy.sparse as sp
             from scipy.sparse.linalg import expm_multiply
 
-            generator = sp.csr_array((values, at), shape=(size, size))
-            step = partial(expm_multiply, generator)
+            step = partial(expm_multiply, liouvillian.matrix * seg)
         for i in range(1, n_store):
             try:
                 y = propagated[i - 1] = step(rows[i - 1])

@@ -17,7 +17,7 @@ bath, or with gamma_b <= 0, shares its cutoff's batch with zero photon rates.
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -254,8 +254,11 @@ def sample_table(
     if wide.any():
         bounds[wide] /= 2
     if n_samples is None:
-        axes = (np.linspace(lo, hi, int(r[2])) for (lo, hi), r in zip(bounds, ranges.values()))
-        table = np.array(list(itertools.product(*axes)), dtype=float)
+        sizes = [int(r[2]) for r in ranges.values()]
+        point = np.arange(math.prod(sizes))
+        table = np.empty((len(point), len(keys)))
+        for j, ((lo, hi), n) in enumerate(zip(bounds, sizes)):
+            table[:, j] = np.linspace(lo, hi, n)[point // math.prod(sizes[j + 1:]) % n]
     else:
         rng = np.random.default_rng(seed)
         table = rng.uniform(bounds[:, 0], bounds[:, 1], size=(n_samples, len(keys)))

@@ -909,6 +909,23 @@ def test_a_range_with_a_non_finite_bound_exits_2(classical_cfg_file, capsys, com
 
 
 @pytest.mark.parametrize("command", RANGE_COMMANDS)
+def test_a_reversed_range_exits_2_naming_the_flag(classical_cfg_file, capsys, command):
+    argv = RANGE_COMMANDS[command] + ["--config", str(classical_cfg_file), "--range"]
+    assert main(argv + ["drive.omega=2:1"]) == 2
+    message = "config error: bad range spec 'drive.omega=2:1': lo must not exceed hi\n"
+    assert capsys.readouterr() == ("", message)
+    # lo = hi draws that one value; the scenario's bare energies stay effective ones
+    assert main(argv + ["drive.omega=1.2:1.2"]) == {"audit": 0, "find-violation": 4}[command]
+    assert "config error" not in capsys.readouterr().err
+
+
+def test_a_sweep_may_descend(classical_cfg_file, capsys):
+    assert main(["audit", "--config", str(classical_cfg_file), "--sweep", "drive.omega=2:1:3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["2", "1.5", "1"]
+
+
+@pytest.mark.parametrize("command", RANGE_COMMANDS)
 def test_a_range_wider_than_the_largest_float_draws_finite_points(
     classical_cfg_file, tmp_path, capsys, command
 ):

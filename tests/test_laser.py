@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.optimize import brentq
 from detuned_tls import (
     BosonicBath,
     CavitySpec,
+    ClassicalDrive,
     EnergyLevels,
     EvolutionError,
     FermionicReservoir,
@@ -22,6 +24,7 @@ from detuned_tls import (
     pulled_frequency,
     resolve_occupations,
     solve_lasing,
+    steady_state_closed_form,
     with_parameters,
 )
 from detuned_tls import laser
@@ -146,6 +149,23 @@ def test_both_coherence_representations_agree_above_threshold():
     from_gain = -h_factor * (occ.f_u - occ.f_l) * g * sol.a_ss / (delta + 0.5j * gamma_sum)
     assert abs(from_field - from_gain) < 1e-10
     assert abs(sol.sigma_ul_ss - from_field) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [make_spec(), make_spec(g=0.3 + 0.2j), make_spec(g=0.25, omega_cav=1.05),
+     make_spec(g=0.35 * cmath.exp(0.7j), f_u=0.8, f_l=0.1, gamma_l=0.3)],
+    ids=("real-g", "complex-g", "near-resonant", "rotated-g"),
+)
+def test_classical_drive_at_g_a_reproduces_the_laser_steady_state(spec):
+    # The mean-field atom is the classically driven one at eps = g a_ss in the
+    # frame of the pulled frequency; what it emits leaves through the cavity loss.
+    sol = solve_lasing(spec)
+    assert sol.above_threshold
+    driven = replace(spec, drive=ClassicalDrive(sol.omega, spec.cavity.g * sol.a_ss))
+    ss = steady_state_closed_form(driven)
+    assert ss.rate == pytest.approx(spec.bath.gamma * sol.intensity, rel=1e-12, abs=0)
+    assert abs(ss.bloch.sigma_ul - sol.sigma_ul_ss) <= 1e-12 * abs(sol.sigma_ul_ss)
 
 
 def test_oscillation_frequency_independent_of_occupations():

@@ -1,5 +1,6 @@
 """Entropy accounting, regime classification, sweeps, counterexample search."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -208,6 +209,26 @@ def test_an_axis_wider_than_the_largest_float_draws_the_same_numbers_at_half_sca
     assert np.isfinite(drawn).all()
     assert drawn[:, 0].tolist() == half[:, 0].tolist()
     assert drawn[:, 1].tolist() == (2 * half[:, 1]).tolist()
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        {},
+        {"drive.omega": (0.5, 1.5, 4)},
+        {"drive.omega": (0.5, 1.5, 3), "reservoir_u.mu": (2.0, -1.0, 4), "e_upper": (1.0, 1.0, 1)},
+        {"reservoir_u.mu": (-1e308, 1e308, 3), "drive.omega": (0.1, 0.3, 2)},
+    ],
+    ids=("no-keys", "one-key", "three-keys", "half-scale-axis"),
+)
+def test_the_grid_is_the_cartesian_product_with_the_last_key_fastest(ranges):
+    keys, table = thermo.sample_table(ranges)
+    axes = [np.linspace(lo, hi, n) if math.isfinite(hi - lo) else 2 * np.linspace(lo / 2, hi / 2, n)
+            for lo, hi, n in ranges.values()]
+    expected = np.array(list(itertools.product(*axes)), dtype=float)
+    assert keys == list(ranges)
+    assert table.shape == expected.shape == (math.prod(len(a) for a in axes), len(ranges))
+    assert table.tobytes() == expected.tobytes()
 
 
 def test_only_solver_failures_are_recorded_as_rows(monkeypatch):
