@@ -1,8 +1,8 @@
 """Command-line front end: scenario files in, CSV out.
 
-Exit codes: 0 success, 2 configuration error, 3 solver error (no steady
-state, or a state that is not stationary), 4 counterexample search
-exhausted its budget.
+Exit codes: 0 success, 1 standard output closed by its reader before the
+table was written, 2 configuration error, 3 solver error (no steady state, or
+a state that is not stationary), 4 counterexample search exhausted its budget.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import functools
 import itertools
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -107,8 +108,21 @@ def _text(cells: Iterable[str]) -> np.ndarray:
 
 
 def _ids(n: int) -> np.ndarray:
-    """The sample_id column: 0 to n - 1."""
-    return np.arange(n).astype(f"S{len(str(n))}")
+    """The sample_id column: 0 to n - 1.
+
+    The ids of d digits, 10**(d-1) to 10**d - 1, are one run of rows; their
+    digits are taken off by integer division, the last first.
+    """
+    width = len(str(n))
+    cells = np.zeros((n, width), np.uint8)
+    for d in range(1, width + 1):
+        start, stop = (10 ** (d - 1) if d > 1 else 0), min(10**d, n)
+        ids = np.arange(start, stop)
+        for column in range(d - 1, -1, -1):
+            rest = ids // 10
+            cells[start:stop, column] = ids - rest * 10 + ord("0")
+            ids = rest
+    return cells.view(f"S{width}").ravel()
 
 
 def _load_spec(args: argparse.Namespace) -> SystemSpec:
@@ -502,7 +516,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         "find-violation": _cmd_find_violation,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone (``| head``): what is left of the output goes to
+        # the null device, so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (SteadyStateError, EvolutionError) as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return 3

@@ -835,6 +835,21 @@ def test_the_parser_is_built_once_and_keeps_no_option_values(classical_cfg_file,
     assert len(_read_csv(swept)[1]) == 3
 
 
+def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_traceback(classical_cfg_file):
+    # The table is far larger than a pipe holds, so the writer meets the
+    # closed pipe, as under ``| head -c 300``.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-m", "detuned_tls.cli", "audit", "--config", str(classical_cfg_file),
+            "--treatment", "classical", "--random", "20000", "--range", "drive.omega=0.6:1.6"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(300).startswith(b"sample_id,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err
+    assert err == b""
+
+
 def test_audit_grid_handles_failed_samples(classical_cfg_file, tmp_path):
     out = tmp_path / "g.csv"
     code = main([

@@ -25,9 +25,11 @@ def _reference(values) -> list[str]:
 
 
 def _assert_identical(values) -> None:
+    # The cells equal the reference, and the column is as wide as its widest cell.
     for size in SIZES:
         column = np.resize(np.asarray(values, dtype=float), size)
         assert format_column(column) == _reference(column)
+        assert format_cells(column).dtype == np.array(_reference(column), "S").dtype
 
 
 @given(st.lists(st.floats(), min_size=1, max_size=64))
@@ -89,3 +91,45 @@ def test_a_rounding_that_carries_into_the_next_power_of_ten():
     assert Fraction(1e-14) < Fraction(1, 10**14)
     _assert_identical([1e-14, -1e-14, 1e153])
     assert format_column(np.full(config._KERNEL_SIZE, 1e-14))[0] == "1e-14"
+
+
+def _significant_digits(text: str) -> int:
+    """The digits of a nonzero ``%.17g`` cell, less its leading and trailing zeros."""
+    return len(text.lstrip("-").split("e")[0].replace(".", "").strip("0"))
+
+
+# Decimal exponents k of both notations: two- and three-digit exponents, near
+# the ends of the kernel's range too, and the fixed notation of -4 <= k < 17.
+# At each of them a float of one significant digit exists.
+EXPONENTS = (-279, -100, -99, -8, -4, -3, -1, 0, 1, 5, 15, 16, 17, 98, 100, 279)
+
+
+def _values_with_trailing_zeros() -> list[float]:
+    """For each count z of trailing zeros of the 17 digits, 0 to 16, each
+    exponent of EXPONENTS and each sign: a float whose cell has 17 - z digits."""
+    rng = np.random.default_rng(31)
+    values = []
+    for n in range(1, 18):
+        for k in EXPONENTS:
+            for sign in ("", "-"):
+                for _ in range(1000):
+                    digits = str(rng.integers(10 ** (n - 1), 10**n)).rstrip("0")
+                    v = float(f"{sign}{digits}e{k - len(digits) + 1}")
+                    if _significant_digits(format(v, ".17g")) == n:
+                        values.append(v)
+                        break
+                else:
+                    pytest.fail(f"no float of {n} digits found at exponent {k}")
+    return values
+
+
+def test_cells_of_every_trailing_zero_count_equal_per_cell_format():
+    # Each count ends the significant digits at a place within a 4-digit group
+    # or at one of its boundaries (4, 8, 12 and 16 zeros).
+    values = _values_with_trailing_zeros()
+    assert len(values) >= config._KERNEL_SIZE
+    reference = _reference(values)
+    zeros = {17 - _significant_digits(text) for text in reference}
+    assert zeros == set(range(17))
+    assert format_column(values) == reference
+    assert format_column(values[::-1]) == reference[::-1]

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -93,6 +94,11 @@ def test_zero_and_one_row_tables():
     empty = np.array([], "S")
     assert _written(["a", "b"], [empty, np.array(b"x")]) == b"a,b\n"
     assert _written(["a", "b"], [np.array([b"7"]), np.array(b"")]) == b"a,b\n7,\n"
+
+
+@pytest.mark.parametrize("n", (0, 1, 9, 10, 11, 99, 100, 101, 10_000, 10_001, 100_001))
+def test_ids_read_their_row_numbers(n):
+    assert [cell.decode() for cell in cli._ids(n).tolist()] == list(map(str, range(n)))
 
 
 def test_blocks_join_into_one_table():
