@@ -33,6 +33,7 @@ from .model import (
     energy_flow,
     expm,
     flux_report,
+    lorentz_denominator,
     plain,
     quotient,
     square,
@@ -205,7 +206,7 @@ def steady_state_closed_form(spec: SystemSpec) -> ClassicalSteadyState:
     delta = detuning(spec.levels, spec.drive.omega)
     gamma_sum = gamma_u + gamma_l
 
-    alpha = square(np.abs(eps)) * gamma_sum / (square(gamma_sum) / 4.0 + square(delta))
+    alpha = square(np.abs(eps)) * gamma_sum / lorentz_denominator(delta, gamma_sum)
     h = gamma_u * gamma_l / (gamma_u * gamma_l + alpha * gamma_sum)
     pumped = alpha * (gamma_u * occ.f_u + gamma_l * occ.f_l)
     denom = gamma_u * gamma_l + alpha * gamma_sum

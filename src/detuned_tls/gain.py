@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import fermi, plain, square, where
+from .model import fermi, lorentz_denominator, plain, where
 
 SubbandOccupation = Callable[[float], float]
 
@@ -119,9 +119,9 @@ def bloch_rate(
     """
     with np.errstate(all="ignore"):  # a rate that is not finite raises below
         gamma_sum, bracket = _weighted_bracket(e_k0, delta, gamma_u, gamma_l, f_upper, f_lower)
-        denom = square(delta) + square(gamma_sum) / 4.0
+        denom = lorentz_denominator(delta, gamma_sum)
         s = np.maximum(abs(delta), gamma_sum)  # scales both where a square overflows or underflows
-        scaled = gamma_sum / s * bracket / (square(delta / s) + square(gamma_sum / s) / 4.0) / s
+        scaled = gamma_sum / s * bracket / lorentz_denominator(delta / s, gamma_sum / s) / s
         rate = where((0.0 < denom) & (denom < np.inf), gamma_sum / denom * bracket, scaled)
     if not np.isfinite(rate).all():
         raise ValueError("the net rate is not a finite float")

@@ -22,8 +22,8 @@ import numpy as np
 
 from .classical import bloch_equations
 from .model import (
-    CavitySpec, EnergyLevels, EvolutionError, SteadyStateError, SystemSpec, any_of, plain,
-    quotient, square, where,
+    CavitySpec, EnergyLevels, EvolutionError, SteadyStateError, SystemSpec, any_of,
+    lorentz_denominator, plain, quotient, square, where,
 )
 
 
@@ -111,7 +111,7 @@ def _laser_coefficients(spec: SystemSpec) -> tuple[float, float, float, float, f
     delta_c = omega - spec.cavity.omega_cav
     gamma_sum = gamma_u + gamma_l
     a_coeff = delta_c * delta - gamma_b * gamma_sum / 4.0
-    saturation = square(gamma_sum) / (gamma_u * gamma_l * (square(gamma_sum) / 4.0 + square(delta)))
+    saturation = square(gamma_sum) / (gamma_u * gamma_l * lorentz_denominator(delta, gamma_sum))
     return omega, delta, delta_c, a_coeff, saturation
 
 

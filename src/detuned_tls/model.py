@@ -48,6 +48,12 @@ OCC_EFFECTIVE = "effective"
 # reads idle, flux ratios are not formed and the rate has no sign.
 RATE_DEADBAND = 1e-12
 
+# A batch of the quantum solve holds at most BATCH_ENTRIES block entries (8 bytes
+# each), and a sample's cutoff N is raised by 4 at most MAX_ENLARGEMENTS times.
+# Its Q2 blocks, 108 (N + 2) entries, fit one batch at its last cutoff: that bounds N.
+BATCH_ENTRIES, MAX_ENLARGEMENTS = 2**19, 2
+MAX_FOCK_CUTOFF = BATCH_ENTRIES // 108 - 2 - 4 * MAX_ENLARGEMENTS
+
 
 class SteadyStateError(RuntimeError):
     """A solver did not reach a steady state, or its state is not stationary."""
@@ -180,6 +186,8 @@ class CavitySpec(_Section):
     RULES = (
         (lambda s: s.omega_cav > 0, "cavity frequency must be positive"),
         (lambda s: s.fock_cutoff >= 1, "fock_cutoff must be at least 1"),
+        (lambda s: s.fock_cutoff <= MAX_FOCK_CUTOFF,
+         f"fock_cutoff must be at most {MAX_FOCK_CUTOFF}"),
         _finite("cavity frequency and coupling must be finite", "omega_cav", "g"),
     )
 
@@ -484,6 +492,11 @@ def energy_flow(e, ndot, gamma, re_y):
 def detuning(levels: EnergyLevels, omega: float) -> float:
     """Detuning of an angular frequency from the bare transition."""
     return omega - levels.gap
+
+
+def lorentz_denominator(delta, gamma):
+    """delta**2 + gamma**2 / 4, elementwise: the denominator of a Lorentzian of width gamma."""
+    return square(delta) + square(gamma) / 4.0
 
 
 def photon_mode(spec: SystemSpec, treatment: Treatment) -> tuple:

@@ -69,6 +69,8 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .model import (
+    BATCH_ENTRIES as _BATCH_ENTRIES,
+    MAX_ENLARGEMENTS as _MAX_ENLARGEMENTS,
     EvolutionError,
     FluxReport,
     Occupations,
@@ -93,8 +95,6 @@ if TYPE_CHECKING:
 
 _RESIDUAL_TOL = 1e-10
 _FOCK_TAIL_TOL = 1e-6
-_MAX_ENLARGEMENTS = 2  # cutoff raises of 4 before a FockCutoffError stands
-_BATCH_ENTRIES = 2**19  # block entries (8 bytes each) a batch may hold; larger audits take several
 # Sector entries up to which ``trajectory`` forms the dense real propagator: its
 # O(size^3) cost met that of one real expm_multiply per segment at 700-712 entries
 # (cutoff 116-118) on the quantum-evolve scenario, 41 rows over t = 30, one BLAS thread.
@@ -883,7 +883,7 @@ def _steady_states(spec: SystemSpec, errors: list):
     while pending.size:
         cutoff = int(cutoffs[pending].min())
         chosen = np.flatnonzero(cutoffs[pending] == cutoff)
-        chosen = chosen[: max(1, _BATCH_ENTRIES // (108 * (cutoff + 2)))]
+        chosen = chosen[: _BATCH_ENTRIES // (108 * (cutoff + 2))]
         batch, pending = pending[chosen], np.delete(pending, chosen)
         pattern = sector_pattern(cutoff)
         vectors, actions = _solve_batch(pattern, coefficients[batch], errors, batch)

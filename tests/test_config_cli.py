@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from detuned_tls import (
     build_system_spec,
     parse_config,
 )
-from detuned_tls import cli, config, thermo
+from detuned_tls import cli, thermo
 from detuned_tls import gain as gain_mod
 from detuned_tls.cli import FLUX_COLUMNS, main
 from detuned_tls.config import config_from_system_spec, format_number, resolve_parameter_key
@@ -495,6 +496,41 @@ def test_a_non_integer_cutoff_names_its_key(tmp_path, capsys, value):
     assert captured.err == f"config error: key 'cavity.fock_cutoff': not an integer: {value!r}\n"
 
 
+_CUTOFF_ERROR = "fock_cutoff must be at most 4844"
+
+
+@pytest.mark.parametrize("cutoff", ("4845", "100000000000000000000"))
+@pytest.mark.parametrize("command", (["quantum-ss"], ["quantum-evolve", "--t-final", "1"]),
+                         ids=("quantum-ss", "quantum-evolve"))
+def test_a_fock_cutoff_beyond_one_batch_exits_2_naming_it(quantum_cfg_file, capsys, command,
+                                                          cutoff):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(command + ["--config", str(quantum_cfg_file), "--fock-cutoff", cutoff]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {_CUTOFF_ERROR}\n"
+
+
+def test_a_scenario_file_with_a_fock_cutoff_beyond_one_batch_exits_2(tmp_path, capsys):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(QUANTUM_CFG.replace("cavity.fock_cutoff = 10", "cavity.fock_cutoff = 4845"))
+    assert main(["quantum-ss", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {_CUTOFF_ERROR}\n"
+
+
+def test_an_audit_row_beyond_the_largest_fock_cutoff_reads_its_error(quantum_cfg_file, tmp_path):
+    out = tmp_path / "rows.csv"
+    argv = ["audit", "--config", str(quantum_cfg_file), "--treatment", "quantum",
+            "--sweep", "cavity.fock_cutoff=4845:1e20:2", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    _, rows = _read_csv(out)
+    assert [row["cavity.fock_cutoff"] for row in rows] == ["4845", "100000000000000000000"]
+    assert [row["flags"] for row in rows] == [f"error=ValueError: {_CUTOFF_ERROR}"] * 2
+
+
 def test_classical_evolve_trajectory(classical_cfg_file, tmp_path):
     out = tmp_path / "traj.csv"
     code = main([
@@ -733,7 +769,7 @@ def _assert_rows_show(path, table) -> None:
 def test_audit_above_the_kernel_cutoff_prints_each_sampled_value(classical_cfg_file, tmp_path):
     # Columns this long take the array kernel of format_column; drive.epsilon
     # is complex-typed and its real draws read as floats.
-    n = 2 * config._KERNEL_SIZE
+    n = 2 * cli._KERNEL_SIZE
     ranges = {"drive.epsilon": (0.05, 0.3), "drive.omega": (0.6, 1.8)}
     out = tmp_path / "random.csv"
     argv = ["audit", "--treatment", "classical", "--config", str(classical_cfg_file),
@@ -798,13 +834,13 @@ def test_out_bytes_equal_stdout_bytes(tmp_path, capsysbinary, command):
 
 def test_tables_shorter_than_the_kernel_size_never_build_its_tables(tmp_path, capsys):
     # The kernel's tables take longer to build than a one-row call takes in all.
-    config._kernel_tables.cache_clear()
+    cli._kernel_tables.cache_clear()
     for command in TABLE_COMMANDS:
         argv = _table_argv(command, tmp_path)
         if command == "audit":
             argv[argv.index("--random") + 1] = "1"
         assert main(argv) == 0
-    assert config._kernel_tables.cache_info().currsize == 0
+    assert cli._kernel_tables.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("command", TABLE_COMMANDS)
@@ -1073,6 +1109,17 @@ def test_audit_refuses_a_scenario_its_treatment_cannot_solve(
     argv = ["audit", "--config", str(path), *flags, "--random", "3", "--range", "e_upper=1:2"]
     assert main(argv) == 2
     assert capsys.readouterr().err == expected
+
+
+def test_a_sampled_key_whose_section_the_scenario_lacks_fails_its_rows(classical_cfg_file,
+                                                                        tmp_path):
+    out = tmp_path / "rows.csv"
+    argv = ["audit", "--config", str(classical_cfg_file), "--treatment", "classical",
+            "--random", "2", "--range", "cavity.g=0:1", "--out", str(out)]
+    assert main(argv) == 0
+    _, rows = _read_csv(out)
+    expected = "error=ValueError: scenario has no cavity section to update"
+    assert [row["flags"] for row in rows] == [expected] * 2
 
 
 # Runs in a fresh interpreter: imports the CLI, then runs each (name, argv) in

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detuned_tls import config
-from detuned_tls.config import format_cells
+from detuned_tls import cli
+from detuned_tls.cli import format_cells
 
 # Column lengths on both sides of the array kernel's cutoff.
-SIZES = (config._KERNEL_SIZE - 1, config._KERNEL_SIZE)
+SIZES = (cli._KERNEL_SIZE - 1, cli._KERNEL_SIZE)
 
 
 def format_column(values) -> list[str]:
@@ -90,7 +90,7 @@ def test_a_rounding_that_carries_into_the_next_power_of_ten():
     # 17th digit, so its 17 digits 99999999999999999.8... round up to 1e-14.
     assert Fraction(1e-14) < Fraction(1, 10**14)
     _assert_identical([1e-14, -1e-14, 1e153])
-    assert format_column(np.full(config._KERNEL_SIZE, 1e-14))[0] == "1e-14"
+    assert format_column(np.full(cli._KERNEL_SIZE, 1e-14))[0] == "1e-14"
 
 
 def _significant_digits(text: str) -> int:
@@ -127,7 +127,7 @@ def test_cells_of_every_trailing_zero_count_equal_per_cell_format():
     # Each count ends the significant digits at a place within a 4-digit group
     # or at one of its boundaries (4, 8, 12 and 16 zeros).
     values = _values_with_trailing_zeros()
-    assert len(values) >= config._KERNEL_SIZE
+    assert len(values) >= cli._KERNEL_SIZE
     reference = _reference(values)
     zeros = {17 - _significant_digits(text) for text in reference}
     assert zeros == set(range(17))

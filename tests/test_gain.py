@@ -43,6 +43,11 @@ def test_occupation_variants_stay_in_range():
         FermiOccupation(temperature=0.0, mu=0.0)
 
 
+def test_a_table_with_unequal_node_lists_is_refused():
+    with pytest.raises(ValueError, match="^need at least two \\(energy, value\\) nodes$"):
+        TabulatedOccupation(energies=(0.0, 0.5, 1.0), values=(0.9, 0.1))
+
+
 def test_rate_zero_for_equal_occupations_at_zero_detuning():
     f = FermiOccupation(0.1, 0.2)
     assert bloch_rate(0.3, 0.0, 0.05, 0.07, f, f) == 0.0

@@ -40,7 +40,9 @@ from detuned_tls import (
 from detuned_tls import classical
 from detuned_tls.classical import BlochState
 from detuned_tls.laser import MeanFieldState
-from detuned_tls.model import expm, fail_samples, spec_columns
+from detuned_tls.model import (
+    BATCH_ENTRIES, MAX_ENLARGEMENTS, MAX_FOCK_CUTOFF, expm, fail_samples, spec_columns,
+)
 from detuned_tls.quantum import HilbertLayout, build_liouvillian, steady_state_fluxes
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -511,6 +513,27 @@ def test_spec_columns_check_each_section_on_its_final_values():
             else:
                 assert error is None
         assert [e is None for e in columns.errors] == [True, False, True, False]
+
+
+def test_the_fock_cutoff_is_bounded_by_one_batch_at_its_last_enlargement():
+    # One sample's Q2 blocks, 108 (N + 2) entries, fit one batch at N + 8.
+    last = MAX_FOCK_CUTOFF + 4 * MAX_ENLARGEMENTS
+    assert 108 * (last + 2) <= BATCH_ENTRIES < 108 * (last + 3)
+    assert MAX_FOCK_CUTOFF == 4844
+    assert CavitySpec(1.0, 0.1, 4844).fock_cutoff == 4844
+    message = "fock_cutoff must be at most 4844"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CavitySpec(1.0, 0.1, 4845)
+    spec = _spec(OccupationSpec.fixed(0.5), OccupationSpec.fixed(0.5))
+    assert with_parameters(spec, {"cavity.fock_cutoff": 4844}).cavity.fock_cutoff == 4844
+    for cutoff in (4845, 10**20):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            with_parameters(spec, {"cavity.fock_cutoff": cutoff})
+    columns = spec_columns(spec, ["cavity.fock_cutoff"], np.array([[4844.0], [4845.0], [1e20]]))
+    assert [e if e is None else repr(e) for e in columns.errors] == [None] + [
+        repr(ValueError(message))
+    ] * 2
+    assert list(columns.cavity.fock_cutoff) == [4844, 12, 12]
 
 
 @pytest.mark.parametrize("n", (1, 5, 76))

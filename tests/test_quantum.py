@@ -95,6 +95,28 @@ def test_layout_index_maps_are_inverse_bijections():
     assert seen == set(range(layout.dim)) and len(ix.n_ph) == layout.dim
 
 
+def test_a_layout_without_a_photon_level_is_refused():
+    with pytest.raises(ValueError, match="^fock_cutoff must be at least 1$"):
+        HilbertLayout(0)
+
+
+def test_a_pattern_whose_blocks_couple_a_slot_outside_the_ladder_is_refused():
+    pattern = sector_pattern(2)
+    q, row = divmod(int(np.flatnonzero(pattern.position[6:] < 0)[0]), 6)
+    blocks = pattern.blocks.copy()
+    blocks[0, 0, q, row, row] = 1.0
+    with pytest.raises(ValueError, match="^a B_k couples a slot outside the ladder$"):
+        dataclasses.replace(pattern, blocks=blocks)
+
+
+def test_the_full_space_operators_need_a_cavity_and_a_known_ordering():
+    spec = make_spec(cutoff=2)
+    with pytest.raises(ValueError, match="^quantum treatment requires a cavity$"):
+        build_operators(HilbertLayout(2), replace(spec, cavity=None))
+    with pytest.raises(ValueError, match="^unknown fermion ordering \\('u', 'u'\\)$"):
+        build_operators(HilbertLayout(2), spec, ordering=("u", "u"))
+
+
 def test_operator_algebra():
     layout = HilbertLayout(6)
     spec = make_spec(cutoff=6, g=0.07 + 0.03j)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from detuned_tls import cli, config, thermo
+from detuned_tls import cli, thermo
 from detuned_tls.model import (
     ClassicalDrive,
     EnergyLevels,
@@ -17,7 +17,7 @@ from detuned_tls.model import (
 )
 
 # Row counts: none, one, and both sides of the float kernel's cutoff.
-SIZES = (0, 1, config._KERNEL_SIZE - 1, config._KERNEL_SIZE)
+SIZES = (0, 1, cli._KERNEL_SIZE - 1, cli._KERNEL_SIZE)
 # Any text that UTF-8 encodes but NUL, the writer's pad; commas and non-ASCII
 # characters drawn often.  No cell holds a lone surrogate: scenario files are
 # read as strict UTF-8, and the other cells are program text and numbers.
@@ -52,7 +52,7 @@ def _column(draw, n: int):
     ))
     if kind in ("shared", "raw shared"):
         v = draw(st.floats())
-        cells = np.array(v) if kind == "raw shared" else config.format_cells([v]).reshape(())
+        cells = np.array(v) if kind == "raw shared" else cli.format_cells([v]).reshape(())
         return cells, [_float_text(v)] * n
     if kind == "shared text":
         text = draw(TEXT)
@@ -66,8 +66,8 @@ def _column(draw, n: int):
         drawn.append(math.nan)
     values = np.resize(np.array(drawn), n)
     if kind == "int":
-        return config.format_cells(values, int), list(map(_int_text, values.tolist()))
-    cells = values if kind == "raw" else config.format_cells(values)  # the writer formats raw floats
+        return cli._int_cells(values), list(map(_int_text, values.tolist()))
+    cells = values if kind == "raw" else cli.format_cells(values)  # the writer formats raw floats
     return cells, list(map(_float_text, values.tolist()))
 
 
@@ -104,7 +104,7 @@ def test_ids_read_their_row_numbers(n):
 def test_blocks_join_into_one_table():
     n = 2 * cli._BLOCK_ROWS + 3
     values = np.random.default_rng(3).standard_normal(n)
-    columns = [cli._ids(n), config.format_cells(values), np.array(b"s")]
+    columns = [cli._ids(n), cli.format_cells(values), np.array(b"s")]
     texts = [list(map(str, range(n))), list(map(_float_text, values.tolist())), ["s"] * n]
     assert _written(["i", "v", "s"], columns) == _reference(["i", "v", "s"], texts)
 

@@ -92,6 +92,18 @@ def test_quantum_entropy_report_matches_rate_bracket_form():
     assert report.total == pytest.approx(flux.rate * bracket, abs=1e-9)
 
 
+def test_a_quantum_report_needs_the_bath_of_its_scenario():
+    spec = quantum_spec()
+    flux, _, _ = audit_point(spec, "quantum")
+    with pytest.raises(ValueError, match="^quantum flux report requires a bath in the scenario$"):
+        entropy_report(flux, replace(spec, bath=None))
+
+
+def test_an_unknown_treatment_is_refused():
+    with pytest.raises(ValueError, match="^unknown treatment 'mean-field'$"):
+        audit_point(classical_spec(), "mean-field")
+
+
 def test_balanced_bias_gives_no_transitions():
     # equal temperatures and bias equal to the photon quantum: detailed balance
     spec = classical_spec(mu_u=1.2, mu_l=0.0, omega=1.2)
