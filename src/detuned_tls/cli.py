@@ -55,12 +55,13 @@ FLUX_COLUMNS = (
 )
 
 
-# Rows per block of the table writer, and cells per gather of a float column's
-# text: a block of a classical audit's rows takes about 1 MB, and the index of a
-# gather 8 bytes a byte of its cells (a 20,000-cell column gathered at once raised
-# a classical audit's peak RSS 7%).
+# Rows per block of the table writer, and cells per gather of the float kernel:
+# a block of a classical audit's rows takes about 1 MB, its float cells (about
+# 30,000) 5.6 MB of kernel temporaries, and the index of a gather 8 bytes a byte
+# of its cells (a 20,000-cell column gathered at once raised a classical audit's
+# peak RSS 7%).
 _BLOCK_ROWS = 2048
-# Columns of at least this many cells take the array kernel of ``format_cells``.
+# Calls of at least this many cells take the array kernel of ``format_cells``.
 # The kernel takes 100-140 us plus 0.15 us a cell, the per-cell loop 0.7-1 us a
 # cell: they met at 160 cells, and at 192 the kernel is 1.2x as fast (2-core
 # Intel Xeon host, medians of 300 interleaved runs on classical-audit columns).
@@ -143,7 +144,7 @@ def _kernel_tables() -> _Tables:
     )
 
 
-# Up to 0.55 MB a width: a classical audit's float columns have four widths.
+# Up to 0.55 MB a width: the blocks of a table's float cells take one or two.
 @functools.lru_cache(maxsize=8)
 def _gather_tables(width: int) -> tuple[np.ndarray, np.ndarray]:
     """The layouts cut to ``width`` bytes, and the offset of each cell's source
@@ -186,7 +187,7 @@ def format_cells(values) -> np.ndarray:
     The cells come back as ASCII bytes, one entry of a NumPy ``S`` array
     as wide as the widest cell, the others padded with NUL.
 
-    A float column of ``_KERNEL_SIZE`` cells or more is formatted with array
+    A call of ``_KERNEL_SIZE`` cells or more is formatted with array
     arithmetic, byte for byte as ``format(v, ".17g")``: D = round(|v| 10**(16-k))
     with k = floor(log10 |v|), its digits from a table of 4-digit groups, laid
     out by the ``%g`` rule.  A cell whose D lies within 1e-9 of a tie, zero,
@@ -257,29 +258,59 @@ def format_cells(values) -> np.ndarray:
     return cells
 
 
+def _rows(columns: Sequence[np.ndarray], float_cells: np.dtype, size: int):
+    """A record array of ``size`` rows, laid out as the text of a row: each
+    column's cell, then its separator.  The separators and the 0-d cells are
+    written once, as the bytes of one row repeated, and lie outside every
+    field; each 1-d column is a field, of dtype ``float_cells`` for floats.
+    The view of each field comes back with it, by column index."""
+    fields, template, at = {}, [], 0  # the dtype and offset of each 1-d column
+    for j, c in enumerate(columns):
+        kind = c.dtype if c.dtype.kind == "S" else float_cells
+        if c.ndim:
+            fields[j] = kind, at
+        template += [c.tobytes() if c.ndim == 0 else bytes(kind.itemsize),
+                     b"," if j < len(columns) - 1 else b"\n"]
+        at += kind.itemsize + 1
+    kinds, offsets = zip(*fields.values())
+    dtype = np.dtype({"names": [f"c{j}" for j in fields], "formats": kinds, "offsets": offsets,
+                      "itemsize": at})
+    rows = np.frombuffer(bytearray(b"".join(template) * size), dtype)
+    return rows, {j: rows[f"c{j}"] for j in fields}
+
+
 def _table_bytes(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterable[bytes]:
     """A CSV table as UTF-8 bytes: the header line, then one line per cell of ``columns[0]``.
 
     Each column holds one cell per row, or one 0-d cell that every row shares:
     floats, formatted here by ``format_cells``, or NumPy bytes (dtype ``S``)
-    NUL padded to the column's width; NUL is no cell's text.  A block of rows
-    is one record array, a field per column and per separator, with the
-    separators set once; its padding is stripped at once: no Python object
-    is made per cell.
+    NUL padded to the column's width; NUL is no cell's text.  The 0-d float
+    cells are formatted once, by one call.  The rows go in blocks of
+    ``_BLOCK_ROWS``, each one record array (``_rows``) whose 1-d float
+    columns one ``format_cells`` call formats, its padding stripped at once:
+    no Python object is made per cell, and only one block's text is held.
     """
-    columns = [c if c.dtype.kind == "S" else format_cells(c.ravel()).reshape(c.shape)
-               for c in map(np.asarray, columns)]
+    columns = list(map(np.asarray, columns))
+    floats = [j for j, c in enumerate(columns) if c.dtype.kind != "S"]
+    shared = [j for j in floats if columns[j].ndim == 0]
+    for j, cell in zip(shared, format_cells([columns[j] for j in shared])):
+        columns[j] = np.array(cell)
+    per_row = [j for j in floats if columns[j].ndim]
     n = len(columns[0])
-    rows = np.empty(min(n, _BLOCK_ROWS), [field for j, c in enumerate(columns)
-                                          for field in ((f"c{j}", c.dtype), (f"s{j}", "S1"))])
-    for j in range(len(columns)):
-        rows[f"s{j}"] = b"," if j < len(columns) - 1 else b"\n"
+    rows = None
     yield (",".join(header) + "\n").encode()
     for start in range(0, n, _BLOCK_ROWS):
-        block = rows[: n - start]
-        for j, c in enumerate(columns):  # a 0-d cell is every row's
-            block[f"c{j}"] = c if c.ndim == 0 else c[start : start + len(block)]
-        yield block.tobytes().translate(None, b"\0")
+        block, m = slice(start, start + _BLOCK_ROWS), min(n - start, _BLOCK_ROWS)
+        cells = format_cells(np.concatenate([columns[j][block] for j in per_row] or [[]]))
+        # The float fields widen to the widest block so far; a narrower cell is NUL padded.
+        if rows is None or cells.itemsize > width:
+            width = cells.itemsize
+            rows, views = _rows(columns, np.dtype(f"S{width}"), min(n, _BLOCK_ROWS))
+        formatted = dict(zip(per_row, cells.reshape(-1, m)))
+        for j, view in views.items():
+            view[:m] = formatted[j] if j in formatted else columns[j][block]
+        del cells, formatted  # this block's text goes before the next block's is made
+        yield rows[:m].tobytes().translate(None, b"\0")
 
 
 def _write_table(out: str | None, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:

@@ -42,8 +42,10 @@ the blocks give, and so does the residual.  Positivity is checked on the
 generator is linear and time independent, so ``trajectory`` applies one
 real propagator exp(L seg) per segment of evenly spaced rows: formed once
 by scaling and squaring (``model.expm``) while the sector is small enough
-for a dense matrix, one ``expm_multiply`` per segment above that size
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  Neither solves L y = 0, so
+for a dense matrix, a truncated Taylor series on the sparse generator above
+that size, its degree and step count chosen once per trajectory from the
+exact 1-norm (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011);
+``_taylor_propagator``).  Neither solves L y = 0, so
 the evolution is an independent oracle for the steady state.  The cached
 arrays are read-only, so threads may share them.
 
@@ -63,7 +65,7 @@ import dataclasses
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -99,6 +101,17 @@ _FOCK_TAIL_TOL = 1e-6
 # O(size^3) cost met that of one real expm_multiply per segment at 700-712 entries
 # (cutoff 116-118) on the quantum-evolve scenario, 41 rows over t = 30, one BLAS thread.
 _DENSE_SIZE = 700
+# theta_m: a Taylor series of degree m applied s times approximates exp(A) to the
+# unit roundoff 2**-53 when ||A||_1 / s <= theta_m (Al-Mohy & Higham, SIAM J. Sci.
+# Comput. 33, 488 (2011), table 3.1; Higham, Functions of Matrices (2008), table A.3).
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0,
+    45: 7.2, 50: 8.5, 55: 9.9,
+}
 
 logger = logging.getLogger(__name__)
 
@@ -794,7 +807,8 @@ def _null_vectors(blocks: np.ndarray, pattern: SectorPattern, errors: list, inde
 
     ``blocks`` (3, K, S, 6, 6), K = N + 2, holds the sub-diagonal, diagonal
     and super-diagonal blocks of S generators (``_assemble``); the
-    recursion writes into it.  Row k of L y = 0 reads A_k y_(k-1) + D_k y_k
+    recursion writes into it, each S_k over A_k and each Schur complement
+    D_k + C_k S_(k+1) over D_k.  Row k of L y = 0 reads A_k y_(k-1) + D_k y_k
     + C_k y_(k+1) = 0, so y_k = S_k y_(k-1) with the matrix continued
     fraction S_K = -D_K^-1 A_K, S_k = -(D_k + C_k S_(k+1))^-1 A_k, taken
     downwards from the top of the Fock ladder; y_0 spans the null space of
@@ -808,18 +822,17 @@ def _null_vectors(blocks: np.ndarray, pattern: SectorPattern, errors: list, inde
     lower, diagonal, upper = blocks
     empty, place = np.divmod(np.flatnonzero(pattern.position[6:-6] < 0), 6)
     diagonal[empty, :, place, place] = 1.0
-    ratios = np.empty_like(lower)
-    schur = diagonal[top]
     with np.errstate(all="ignore"):  # a failed sample may run through inf and nan
         for k in range(top, 0, -1):
-            ratios[k] = -_solve(schur, lower[k], errors, index)
-            schur = diagonal[k - 1] + upper[k - 1] @ ratios[k]
+            lower[k] = -_solve(diagonal[k], lower[k], errors, index)
+            diagonal[k - 1] += upper[k - 1] @ lower[k]
+        schur = diagonal[0]
         a, b = schur[:, 0, :2].T, schur[:, 1, :2].T  # the rows of the 2x2 block, S_1 y_0 = 0
         row = np.where(a[0] ** 2 + a[1] ** 2 >= b[0] ** 2 + b[1] ** 2, a, b)
         y = np.zeros((top + 1, count, 6))
         y[0, :, 0], y[0, :, 1] = -row[1], row[0]
         for k in range(1, top + 1):
-            y[k] = (ratios[k] * y[k - 1, :, None, :]).sum(axis=-1)
+            y[k] = (lower[k] * y[k - 1, :, None, :]).sum(axis=-1)
         vectors = np.ascontiguousarray(y[pattern.slot // 6, :, pattern.slot % 6].T)
         return vectors / vectors[:, :d].sum(axis=1, keepdims=True)
 
@@ -925,8 +938,9 @@ def trajectory(
     once, in NumPy, by scaling and squaring with a Pade approximant whose
     degree and scaling the exact 1-norms of the powers of L seg pick
     (``model.expm``; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
-    (2009)); above it each segment is one SciPy ``expm_multiply`` call on the
-    CSR ``liouvillian.matrix`` times seg.  Every propagated row must have unit
+    (2009)); above it each segment is the truncated Taylor series of
+    ``_taylor_propagator`` on the CSR ``liouvillian.matrix`` times seg, its
+    degree and step count chosen once.  Every propagated row must have unit
     trace to 1e-9, else EvolutionError; it is renormalized before the next step, and
     validated.  The first failing row raises its error; so does a propagator
     of L seg that overflows.  A full-space generator, a sector one without
@@ -952,14 +966,12 @@ def trajectory(
             np.add.at(generator, at, values * seg)
             step = expm(generator).__matmul__
         else:
-            from scipy.sparse.linalg import expm_multiply
-
-            step = partial(expm_multiply, liouvillian.matrix * seg)
-        for i in range(1, n_store):
             try:
-                y = propagated[i - 1] = step(rows[i - 1])
-            except (OverflowError, ValueError) as exc:  # int() of a step count from ||L seg||
-                raise EvolutionError(f"propagator overflows at t = {i * seg:.6g}: {exc}") from exc
+                step = _taylor_propagator(liouvillian.matrix * seg)
+            except (OverflowError, ValueError) as exc:  # a step count from ||L seg||
+                raise EvolutionError(f"propagator overflows at t = {seg:.6g}: {exc}") from exc
+        for i in range(1, n_store):
+            y = propagated[i - 1] = step(rows[i - 1])
             rows[i] = y / y[:d].sum()
 
         errors, index = [None] * (n_store - 1), range(n_store - 1)
@@ -971,6 +983,48 @@ def trajectory(
         _validate(rows[1:], pattern, errors, index)
     raise_first(errors)
     return rows
+
+
+def _taylor_propagator(a: sp.csr_matrix):
+    """y -> exp(a) y for a sparse real ``a``, by algorithm 3.2 of Al-Mohy & Higham
+    (2011), as SciPy's ``expm_multiply`` runs it for one vector.
+
+    The trace shift mu = tr(a) / size is taken out, and s steps of the Taylor
+    series of degree m of the shifted a / s each stop early once two terms in
+    a row fall below the unit roundoff of the sum.  m and s are chosen once,
+    from the exact 1-norm of the shifted a by bound (3.13): the m of
+    ``_THETA`` that minimises m s, s = ceil(||a||_1 / theta_m).  No norm is
+    estimated, so no random vector is drawn.  A norm that is not finite, or a
+    step count past int64, raises OverflowError or ValueError.
+    """
+    import scipy.sparse as sp
+
+    size = a.shape[0]
+    mu = a.diagonal().sum() / size
+    a = (a - mu * sp.identity(size, format="csr")).tocsr()
+    norm = abs(a).sum(axis=0).max()
+    degree, steps = 0, 1
+    if norm != 0:  # a NaN norm raises in ceil
+        degree, steps = min(((m, math.ceil(norm / theta)) for m, theta in _THETA.items()),
+                            key=lambda choice: choice[0] * choice[1])
+        if steps > np.iinfo(np.int64).max:
+            raise OverflowError(f"{steps:.3g} Taylor steps")
+    eta = math.exp(mu / steps)
+
+    def step(y: np.ndarray) -> np.ndarray:
+        for _ in range(steps):
+            term, before = y, np.abs(y).max()
+            for j in range(degree):
+                term = (a @ term) * (1.0 / (steps * (j + 1)))
+                after = np.abs(term).max()
+                y = y + term
+                if before + after <= 2.0**-53 * np.abs(y).max():
+                    break
+                before = after
+            y = eta * y
+        return y
+
+    return step
 
 
 def evolve_quantum(

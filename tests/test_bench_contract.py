@@ -106,7 +106,7 @@ reservoir_l.occupation = fixed:0.02
 """
 
 
-# Cutoff 6 runs the dense propagator and cutoff 121 one expm_multiply per segment
+# Cutoff 6 runs the dense propagator and cutoff 121 the sparse Taylor loop
 # (test_quantum.py checks that they straddle the size between them).  The gate
 # propagates the full space over the first segment, so the large cutoff stores
 # more rows to keep that segment short.

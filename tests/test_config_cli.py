@@ -574,7 +574,7 @@ def test_evolve_times_are_a_running_sum_of_segments(tmp_path, command):
     assert [row["t"] for row in _read_csv(out)[1]] == times
 
 
-# the dense propagator at cutoffs 6 and 77, one expm_multiply per segment at 121
+# the dense propagator at cutoffs 6 and 77, the sparse Taylor loop at 121
 @pytest.mark.parametrize("cutoff", ("6", "77", "121"))
 def test_quantum_evolve_over_zero_time_stays_in_the_vacuum(quantum_cfg_file, capsys, cutoff):
     argv = ["quantum-evolve", "--config", str(quantum_cfg_file), "--fock-cutoff", cutoff,
@@ -585,7 +585,7 @@ def test_quantum_evolve_over_zero_time_stays_in_the_vacuum(quantum_cfg_file, cap
 
 
 @pytest.mark.parametrize("t_final", ("1e300", "1.7e308"))
-# the dense propagator at cutoffs 6 and 77, one expm_multiply per segment at 121
+# the dense propagator at cutoffs 6 and 77, the sparse Taylor loop at 121
 @pytest.mark.parametrize("cutoff", ("6", "77", "121"))
 def test_quantum_evolve_over_an_overflowing_time_is_a_solver_error(
     quantum_cfg_file, capsys, cutoff, t_final
@@ -1148,8 +1148,8 @@ def test_only_quantum_evolve_above_the_dense_size_loads_scipy(tmp_path):
     # Importing SciPy's sparse and linear-algebra stacks costs more than the
     # rest of a steady-state command: the package import, the steady-state
     # commands and both trajectories with a dense propagator load none of it;
-    # one expm_multiply per segment (above 700 sector entries) needs
-    # scipy.sparse.linalg.
+    # the sparse Taylor loop (above 700 sector entries) needs scipy.sparse for
+    # its CSR product, and no longer scipy.sparse.linalg.
     paths = {}
     for name, text in (("classical", CLASSICAL_CFG), ("laser", LASER_CFG),
                        ("quantum", QUANTUM_CFG)):
@@ -1180,7 +1180,7 @@ def test_only_quantum_evolve_above_the_dense_size_loads_scipy(tmp_path):
         assert report[name] == [0, []], name
     code, modules = report["quantum-evolve 121"]
     assert code == 0
-    assert "scipy.sparse.linalg" in modules
+    assert "scipy.sparse" in modules and "scipy.sparse.linalg" not in modules
 
 
 def test_the_classical_commands_never_load_the_quantum_module(tmp_path):

@@ -957,7 +957,7 @@ def test_a_formed_csr_is_never_carried_into_another_generator():
     assert liouv.matrix is formed
 
 
-# The dense propagator serves cutoff 6 and one expm_multiply per segment cutoff 121.
+# The dense propagator serves cutoff 6 and the sparse Taylor loop cutoff 121.
 SIDES_OF_THE_DENSE_SIZE = (6, 121)
 
 
@@ -977,12 +977,43 @@ def test_trajectory_matches_one_expm_multiply_per_segment(monkeypatch, cutoff, b
     monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
                         lambda *a: calls.append(a) or expm_multiply(*a))
     rows = quantum.trajectory(rho0, liouv, 6.0, 5)
-    assert len(calls) == (0 if liouv.pattern.size <= quantum._DENSE_SIZE else 4)
+    assert not calls  # the Taylor loop of _taylor_propagator runs in place of SciPy's
     assert rows.shape == (5, liouv.pattern.size)
     assert np.array_equal(rows[0], rho0.vector)
     assert np.max(np.abs(rows - _per_segment_trajectory(rho0, liouv, 6.0, 5))) < 1e-12
     last = evolve_quantum(rho0, liouv, 6.0)
     assert np.array_equal(last.vector, quantum.trajectory(rho0, liouv, 6.0, 2)[-1])
+
+
+@pytest.mark.parametrize("bath", (True, False), ids=("bath", "no-bath"))
+@pytest.mark.parametrize("g", (0.2, 5.0))
+def test_the_taylor_loop_matches_expm_multiply(g, bath):
+    # ||L seg||_1 of the trace-shifted generator from about 0.04 to 1e4: one step of
+    # a low degree up to about 1,000 steps of degree 55; the tolerance is that of
+    # the per-segment test above.
+    layout = HilbertLayout(120)
+    liouv = build_sector_liouvillian(layout, _evolve_workload_spec(g, 120, bath))
+    rho0 = thermal_state(layout, 0.0, 0.0, 0.0)
+    assert liouv.pattern.size > quantum._DENSE_SIZE
+    for t_final, n_store in ((0.01, 3), (3.0, 4), (30.0, 2)):
+        rows = quantum.trajectory(rho0, liouv, t_final, n_store)
+        reference = _per_segment_trajectory(rho0, liouv, t_final, n_store)
+        assert np.max(np.abs(rows - reference)) < 1e-12, t_final
+
+
+def test_a_large_cutoff_trajectory_draws_no_random_numbers():
+    # SciPy's expm_multiply estimated ||A^p||_1 from random vectors of NumPy's global
+    # generator, which this trajectory advanced; the exact 1-norm draws nothing.
+    layout = HilbertLayout(120)
+    liouv = build_sector_liouvillian(layout, _evolve_workload_spec(0.2, 120, True))
+    np.random.seed(7)
+    before = np.random.get_state()
+    rows = quantum.trajectory(thermal_state(layout, 0.0, 0.0, 0.0), liouv, 30.0, 4)
+    after = np.random.get_state()
+    assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
+    np.random.seed(8)
+    assert np.array_equal(quantum.trajectory(thermal_state(layout, 0.0, 0.0, 0.0),
+                                             liouv, 30.0, 4), rows)
 
 
 @pytest.mark.parametrize("t_final", (math.nan, math.inf, -math.inf, -1.0))

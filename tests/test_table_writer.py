@@ -1,6 +1,7 @@
 """CSV tables: the writer's bytes equal a per-row ``",".join`` of each cell's text."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from detuned_tls.model import (
     SystemSpec,
 )
 
-# Row counts: none, one, and both sides of the float kernel's cutoff.
-SIZES = (0, 1, cli._KERNEL_SIZE - 1, cli._KERNEL_SIZE)
+# Row counts: none, one, both sides of the float kernel's cutoff, both sides of
+# a block, and one row past two blocks.
+BLOCK = cli._BLOCK_ROWS
+SIZES = (0, 1, cli._KERNEL_SIZE - 1, cli._KERNEL_SIZE, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)
 # Any text that UTF-8 encodes but NUL, the writer's pad; commas and non-ASCII
 # characters drawn often.  No cell holds a lone surrogate: scenario files are
 # read as strict UTF-8, and the other cells are program text and numbers.
@@ -83,7 +86,32 @@ def _tables(draw):
     return header, columns, texts
 
 
+def _float_table(n: int, floats: int):
+    """ids, ``floats`` float columns and a shared float and text cell, with the
+    reference text of each row.  The first block's cells are short and the
+    later ones long, so the float fields of a table widen from block to block;
+    zeros, NaN, infinities and ties take the kernel's per-cell path."""
+    rng = np.random.default_rng(n + floats)
+    header, columns, texts = ["id"], [cli._ids(n)], [list(map(str, range(n)))]
+    for j in range(floats):
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+        values[: min(n, BLOCK)] = rng.integers(-99, 99, min(n, BLOCK)) / 4
+        values[rng.integers(0, n, 4)] = (0.0, math.nan, -math.inf, 0.5)
+        header.append(f"f{j}")
+        columns.append(values)
+        texts.append(list(map(_float_text, values.tolist())))
+    header += ["shared", "text"]
+    columns += [np.array(-1e-300), cli._text(["é,"]).reshape(())]
+    texts += [[_float_text(-1e-300)] * n, ["é,"] * n]
+    return header, columns, texts
+
+
 @given(_tables())
+@example(_float_table(BLOCK - 1, 3))
+@example(_float_table(BLOCK, 3))
+@example(_float_table(BLOCK + 1, 3))
+@example(_float_table(2 * BLOCK + 1, 3))
+@example(_float_table(100, 13))  # a quantum audit's float columns: one kernel call
 @settings(max_examples=60, deadline=None)
 def test_a_table_is_its_rows_joined(table):
     header, columns, texts = table
@@ -161,3 +189,23 @@ def test_audit_rows_equal_the_cells_of_each_sample(n, seed, bare, injected, ever
     texts = [list(map(str, range(n)))] + [list(c) for c in zip(*map(_flux_texts, table))]
     header = ["sample_id", *cli.FLUX_COLUMNS]
     assert _written(header, columns) == _reference(header, texts)
+
+
+def _peak_bytes(n: int) -> int:
+    """The tracemalloc peak of writing an n-row table of ids and 15 float columns."""
+    rng = np.random.default_rng(n)
+    columns = [cli._ids(n)] + [rng.standard_normal(n) for _ in range(15)]
+    header = [f"c{j}" for j in range(len(columns))]
+    tracemalloc.start()
+    try:
+        for _ in cli._table_bytes(header, columns):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_writer_holds_one_block_whatever_the_rows():
+    # Formatting whole columns first held about 0.5 MB of text a thousand rows.
+    _peak_bytes(BLOCK)  # builds the kernel's tables
+    assert _peak_bytes(40_000) <= 1.1 * _peak_bytes(20_000)
