@@ -71,6 +71,7 @@ _E8, _E16, _E17 = 10**8, 10**16, 10**17
 _POWERS = range(-270, 301)  # the exponents e of 10**e the kernel scales by
 _EXPONENTS = range(-300, 301)  # holds every decimal exponent k of a kernel cell
 _WIDTH = 24  # the longest cell, "-1.2345678901234567e-100"
+_CELL = np.dtype(f"S{_WIDTH}")  # every float cell, NUL padded
 # A cell's source bytes: the 17 digits as 4-digit groups (the first is "000" and
 # the leading digit), ".-0e", the exponent sign and three exponent digits, and
 # NUL, the pad of short cells.
@@ -115,7 +116,7 @@ class _Tables(NamedTuple):
     exponents: np.ndarray  # the sign and three digits of each k in _EXPONENTS
     kinds: np.ndarray  # 18 times the notation of each k in _EXPONENTS, plus 17 digits
     layouts: np.ndarray  # the source bytes of each layout code, NUL padded
-    lengths: np.ndarray  # the length of each layout
+    offsets: np.ndarray  # each byte's offset of its cell's source row, for a gather block
 
 
 @functools.cache
@@ -140,19 +141,8 @@ def _kernel_tables() -> _Tables:
         exponents=np.frombuffer("".join(f"{k:+04d}" for k in _EXPONENTS).encode(), "<u4"),
         kinds=np.array([18 * _kind(k) + 17 for k in _EXPONENTS], np.intp),
         layouts=np.array(layouts, np.intp),
-        lengths=np.array([_WIDTH - layout.count(_NUL) for layout in layouts]),
+        offsets=np.repeat(np.arange(0, _SOURCE * _BLOCK_ROWS, _SOURCE), _WIDTH).reshape(-1, _WIDTH),
     )
-
-
-# Up to 0.55 MB a width: the blocks of a table's float cells take one or two.
-@functools.lru_cache(maxsize=8)
-def _gather_tables(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The layouts cut to ``width`` bytes, and the offset of each cell's source
-    row for each byte of a gather block, both contiguous: NumPy then adds and
-    gathers in one pass over the block, not a row at a time.  Building them
-    for each column took longer than the gather."""
-    offsets = np.repeat(np.arange(0, _SOURCE * _BLOCK_ROWS, _SOURCE), width)
-    return np.ascontiguousarray(_kernel_tables().layouts[:, :width]), offsets.reshape(-1, width)
 
 
 def _scaled(a, k, powers):
@@ -184,8 +174,8 @@ def _scaled(a, k, powers):
 def format_cells(values) -> np.ndarray:
     """``config.format_number`` of each entry of a float column.
 
-    The cells come back as ASCII bytes, one entry of a NumPy ``S`` array
-    as wide as the widest cell, the others padded with NUL.
+    The cells come back as ASCII bytes, one entry each of a NumPy array of
+    dtype ``_CELL``, padded with NUL.
 
     A call of ``_KERNEL_SIZE`` cells or more is formatted with array
     arithmetic, byte for byte as ``format(v, ".17g")``: D = round(|v| 10**(16-k))
@@ -195,7 +185,7 @@ def format_cells(values) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     if len(values) < _KERNEL_SIZE:
-        return np.array(list(map(format, values.tolist(), itertools.repeat(_DIGITS))), "S")
+        return np.array(list(map(format, values.tolist(), itertools.repeat(_DIGITS))), _CELL)
     tables = _kernel_tables()
     a = np.abs(values)
     decided = (a >= 1e-280) & (a <= 1e280)
@@ -238,35 +228,31 @@ def format_cells(values) -> np.ndarray:
         codes[pending] -= zeros
         pending = pending[zeros == 4]
     codes += np.signbit(values) * _CODES
-    # The column is as wide as its widest cell; an undecided cell is laid out
-    # as one digit, then given its own text.
+    # An undecided cell is laid out as one digit, then given its own text.
     undecided = np.flatnonzero(~decided).tolist()
-    texts = [format(values[i].item(), _DIGITS).encode() for i in undecided]
     codes[undecided] = 18 * _kind(0) + 1
-    width = max([tables.lengths.take(codes).max(), *map(len, texts)])
-    layouts, offsets = _gather_tables(width)
-    cells = np.empty((len(a), width), np.uint8)
-    at = np.empty_like(offsets[: len(a)])
+    cells = np.empty((len(a), _WIDTH), np.uint8)
+    at = np.empty_like(tables.offsets[: len(a)])
     for start in range(0, len(a), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         part = at[: len(codes[block])]
-        layouts.take(codes[block], axis=0, out=part, mode="clip")
-        part += offsets[: len(part)]
+        tables.layouts.take(codes[block], axis=0, out=part, mode="clip")
+        part += tables.offsets[: len(part)]
         source[block].take(part, out=cells[block], mode="clip")
-    cells = cells.view(f"S{width}").ravel()
-    cells[undecided] = texts
+    cells = cells.view(_CELL).ravel()
+    cells[undecided] = [format(values[i].item(), _DIGITS) for i in undecided]
     return cells
 
 
-def _rows(columns: Sequence[np.ndarray], float_cells: np.dtype, size: int):
+def _rows(columns: Sequence[np.ndarray], size: int):
     """A record array of ``size`` rows, laid out as the text of a row: each
     column's cell, then its separator.  The separators and the 0-d cells are
     written once, as the bytes of one row repeated, and lie outside every
-    field; each 1-d column is a field, of dtype ``float_cells`` for floats.
+    field; each 1-d column is a field, of dtype ``_CELL`` for floats.
     The view of each field comes back with it, by column index."""
     fields, template, at = {}, [], 0  # the dtype and offset of each 1-d column
     for j, c in enumerate(columns):
-        kind = c.dtype if c.dtype.kind == "S" else float_cells
+        kind = c.dtype if c.dtype.kind == "S" else _CELL
         if c.ndim:
             fields[j] = kind, at
         template += [c.tobytes() if c.ndim == 0 else bytes(kind.itemsize),
@@ -286,9 +272,10 @@ def _table_bytes(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterab
     floats, formatted here by ``format_cells``, or NumPy bytes (dtype ``S``)
     NUL padded to the column's width; NUL is no cell's text.  The 0-d float
     cells are formatted once, by one call.  The rows go in blocks of
-    ``_BLOCK_ROWS``, each one record array (``_rows``) whose 1-d float
-    columns one ``format_cells`` call formats, its padding stripped at once:
-    no Python object is made per cell, and only one block's text is held.
+    ``_BLOCK_ROWS`` through one record array (``_rows``), built once per
+    table; one ``format_cells`` call formats a block's 1-d float columns, and
+    the block's padding is stripped at once: no Python object is made per
+    cell, and only one block's text is held.
     """
     columns = list(map(np.asarray, columns))
     floats = [j for j, c in enumerate(columns) if c.dtype.kind != "S"]
@@ -297,15 +284,11 @@ def _table_bytes(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterab
         columns[j] = np.array(cell)
     per_row = [j for j in floats if columns[j].ndim]
     n = len(columns[0])
-    rows = None
+    rows, views = _rows(columns, min(n, _BLOCK_ROWS))
     yield (",".join(header) + "\n").encode()
     for start in range(0, n, _BLOCK_ROWS):
         block, m = slice(start, start + _BLOCK_ROWS), min(n - start, _BLOCK_ROWS)
         cells = format_cells(np.concatenate([columns[j][block] for j in per_row] or [[]]))
-        # The float fields widen to the widest block so far; a narrower cell is NUL padded.
-        if rows is None or cells.itemsize > width:
-            width = cells.itemsize
-            rows, views = _rows(columns, np.dtype(f"S{width}"), min(n, _BLOCK_ROWS))
         formatted = dict(zip(per_row, cells.reshape(-1, m)))
         for j, view in views.items():
             view[:m] = formatted[j] if j in formatted else columns[j][block]

@@ -101,6 +101,12 @@ _FOCK_TAIL_TOL = 1e-6
 # O(size^3) cost met that of one real expm_multiply per segment at 700-712 entries
 # (cutoff 116-118) on the quantum-evolve scenario, 41 rows over t = 30, one BLAS thread.
 _DENSE_SIZE = 700
+# CSR products (segments x Taylor steps x degree) past which a trajectory above
+# ``_DENSE_SIZE`` is refused before its first product: a product took 7.3 us at
+# cutoff 121 and 17.5 us at cutoff 400 (best of 1,000, one BLAS thread), so the
+# budget's products take about 7 s and 18 s there.  One segment of 300 time units
+# at cutoff 200 with g = 5 needs 0.77e6.
+_TAYLOR_BUDGET = 10**6
 # theta_m: a Taylor series of degree m applied s times approximates exp(A) to the
 # unit roundoff 2**-53 when ||A||_1 / s <= theta_m (Al-Mohy & Higham, SIAM J. Sci.
 # Comput. 33, 488 (2011), table 3.1; Higham, Functions of Matrices (2008), table A.3).
@@ -940,7 +946,8 @@ def trajectory(
     (``model.expm``; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
     (2009)); above it each segment is the truncated Taylor series of
     ``_taylor_propagator`` on the CSR ``liouvillian.matrix`` times seg, its
-    degree and step count chosen once.  Every propagated row must have unit
+    degree and step count chosen once, and refused with EvolutionError when
+    its CSR products would exceed ``_TAYLOR_BUDGET``.  Every propagated row must have unit
     trace to 1e-9, else EvolutionError; it is renormalized before the next step, and
     validated.  The first failing row raises its error; so does a propagator
     of L seg that overflows.  A full-space generator, a sector one without
@@ -967,7 +974,7 @@ def trajectory(
             step = expm(generator).__matmul__
         else:
             try:
-                step = _taylor_propagator(liouvillian.matrix * seg)
+                step = _taylor_propagator(liouvillian.matrix * seg, n_store - 1)
             except (OverflowError, ValueError) as exc:  # a step count from ||L seg||
                 raise EvolutionError(f"propagator overflows at t = {seg:.6g}: {exc}") from exc
         for i in range(1, n_store):
@@ -985,17 +992,18 @@ def trajectory(
     return rows
 
 
-def _taylor_propagator(a: sp.csr_matrix):
+def _taylor_propagator(a: sp.csr_matrix, segments: int):
     """y -> exp(a) y for a sparse real ``a``, by algorithm 3.2 of Al-Mohy & Higham
-    (2011), as SciPy's ``expm_multiply`` runs it for one vector.
+    (2011), as SciPy's ``expm_multiply`` runs it for one vector, ``segments`` times.
 
     The trace shift mu = tr(a) / size is taken out, and s steps of the Taylor
     series of degree m of the shifted a / s each stop early once two terms in
     a row fall below the unit roundoff of the sum.  m and s are chosen once,
     from the exact 1-norm of the shifted a by bound (3.13): the m of
     ``_THETA`` that minimises m s, s = ceil(||a||_1 / theta_m).  No norm is
-    estimated, so no random vector is drawn.  A norm that is not finite, or a
-    step count past int64, raises OverflowError or ValueError.
+    estimated, so no random vector is drawn.  A norm that is not finite raises
+    OverflowError or ValueError, and ``segments`` m s products past
+    ``_TAYLOR_BUDGET`` raise EvolutionError.
     """
     import scipy.sparse as sp
 
@@ -1007,8 +1015,11 @@ def _taylor_propagator(a: sp.csr_matrix):
     if norm != 0:  # a NaN norm raises in ceil
         degree, steps = min(((m, math.ceil(norm / theta)) for m, theta in _THETA.items()),
                             key=lambda choice: choice[0] * choice[1])
-        if steps > np.iinfo(np.int64).max:
-            raise OverflowError(f"{steps:.3g} Taylor steps")
+    work = segments * degree * float(steps)  # a float: it may pass every int64
+    if work > _TAYLOR_BUDGET:
+        raise EvolutionError(f"the Taylor propagator needs {work:.3g} sparse products "
+                             f"(segments x steps x degree = {segments} x {steps:.3g} x {degree}), "
+                             f"more than its budget of {_TAYLOR_BUDGET:.3g}")
     eta = math.exp(mu / steps)
 
     def step(y: np.ndarray) -> np.ndarray:

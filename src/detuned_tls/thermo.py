@@ -245,25 +245,25 @@ def sample_table(
     no keys give the one empty point.  With it, ``n_samples`` random points
     drawn uniformly in [lo, hi) from ``default_rng(seed)``, key by key
     within a point.  An axis whose finite bounds span more than the largest
-    float is laid out on lo/2 and hi/2 and doubled.
+    float is laid out on lo/2 and hi/2 and doubled.  A grid axis with a
+    non-finite bound is laid out without a warning; its rows fail later, as
+    their scenario does.
     """
     keys = list(ranges)
     bounds = np.array([r[:2] for r in ranges.values()], dtype=float).reshape(-1, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         wide = np.isfinite(bounds).all(1) & np.isinf(bounds[:, 1] - bounds[:, 0])
-    if wide.any():
         bounds[wide] /= 2
-    if n_samples is None:
-        sizes = [int(r[2]) for r in ranges.values()]
-        point = np.arange(math.prod(sizes))
-        table = np.empty((len(point), len(keys)))
-        for j, ((lo, hi), n) in enumerate(zip(bounds, sizes)):
-            table[:, j] = np.linspace(lo, hi, n)[point // math.prod(sizes[j + 1:]) % n]
-    else:
-        rng = np.random.default_rng(seed)
-        table = rng.uniform(bounds[:, 0], bounds[:, 1], size=(n_samples, len(keys)))
-    if wide.any():
-        table[:, wide] *= 2
+        if n_samples is None:
+            sizes = [int(r[2]) for r in ranges.values()]
+            point = np.arange(math.prod(sizes))
+            table = np.empty((len(point), len(keys)))
+            for j, ((lo, hi), n) in enumerate(zip(bounds, sizes)):
+                table[:, j] = np.linspace(lo, hi, n)[point // math.prod(sizes[j + 1:]) % n]
+        else:
+            rng = np.random.default_rng(seed)
+            table = rng.uniform(bounds[:, 0], bounds[:, 1], size=(n_samples, len(keys)))
+    table[:, wide] *= 2
     return keys, table
 
 

@@ -970,6 +970,17 @@ def test_a_reversed_range_exits_2_naming_the_flag(classical_cfg_file, capsys, co
     assert "config error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds", ("0:inf:3", "-inf:0:3"))
+def test_a_sweep_with_a_non_finite_bound_gives_error_rows(classical_cfg_file, capsys, bounds):
+    # pytest turns every warning into an error: laying out the grid warns of nothing.
+    argv = ["audit", "--config", str(classical_cfg_file), "--sweep", f"drive.omega={bounds}"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    rows = out.splitlines()[1:]
+    assert err == "" and len(rows) == 3
+    assert all(row.split(",")[-1].startswith("error=ValueError: drive frequency") for row in rows)
+
+
 def test_a_sweep_may_descend(classical_cfg_file, capsys):
     assert main(["audit", "--config", str(classical_cfg_file), "--sweep", "drive.omega=2:1:3"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]

@@ -42,7 +42,7 @@ from detuned_tls import (
     with_parameter,
     with_parameters,
 )
-from detuned_tls import quantum, thermo
+from detuned_tls import cli, quantum, thermo
 from detuned_tls.model import Occupations, expm, spec_columns
 from detuned_tls.quantum import (
     Liouvillian,
@@ -1014,6 +1014,42 @@ def test_a_large_cutoff_trajectory_draws_no_random_numbers():
     np.random.seed(8)
     assert np.array_equal(quantum.trajectory(thermal_state(layout, 0.0, 0.0, 0.0),
                                              liouv, 30.0, 4), rows)
+
+
+# The scenario of the quantum-audit benchmark workload.
+QUANTUM_AUDIT_CFG = """\
+e_upper = 1.0
+e_lower = 0.0
+cavity.omega_cav = 1.05
+cavity.g = 0.1
+cavity.fock_cutoff = 12
+reservoir_u.gamma = 0.3
+reservoir_u.mu = 0.9
+reservoir_u.temperature = 0.2
+reservoir_u.occupation = fixed:0.95
+reservoir_l.gamma = 0.3
+reservoir_l.mu = 0.1
+reservoir_l.temperature = 0.2
+reservoir_l.occupation = fixed:0.02
+bath.gamma = 0.1
+bath.temperature = 0.3
+bath.occupation = effective
+"""
+
+
+def test_a_taylor_trajectory_past_its_budget_exits_3_at_once(tmp_path, capsys):
+    # One segment of 1e9 time units at cutoff 121 needs 1.3e11 sparse products,
+    # hours of them: the trajectory is refused before the first.
+    config = tmp_path / "quantum.cfg"
+    config.write_text(QUANTUM_AUDIT_CFG)
+    start = time.perf_counter()
+    code = cli.main(["quantum-evolve", "--config", str(config), "--fock-cutoff", "121",
+                     "--t-final", "1e9", "--n-store", "2"])
+    assert code == 3 and time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("solver error: the Taylor propagator needs 1.3e+11 sparse products")
+    assert err.endswith(f"more than its budget of {quantum._TAYLOR_BUDGET:.3g}\n")
 
 
 @pytest.mark.parametrize("t_final", (math.nan, math.inf, -math.inf, -1.0))

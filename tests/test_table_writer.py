@@ -89,7 +89,7 @@ def _tables(draw):
 def _float_table(n: int, floats: int):
     """ids, ``floats`` float columns and a shared float and text cell, with the
     reference text of each row.  The first block's cells are short and the
-    later ones long, so the float fields of a table widen from block to block;
+    later ones long, and every block goes through the one 24-byte layout;
     zeros, NaN, infinities and ties take the kernel's per-cell path."""
     rng = np.random.default_rng(n + floats)
     header, columns, texts = ["id"], [cli._ids(n)], [list(map(str, range(n)))]
